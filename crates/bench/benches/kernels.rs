@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the hot kernels: the block executor
-//! (one-shot, warm packed, and warm reference paths), the interior/border
+//! (one-shot SIMD, warm packed, and warm reference paths), the interior/border
 //! row micro-kernels, the Huffman parameter codec, the compiler, and the
 //! float trainer's conv.
 
@@ -9,7 +9,7 @@ use ecnn_isa::compile::compile;
 use ecnn_isa::params::QuantizedModel;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_nn::float_model::conv3_same;
-use ecnn_sim::exec::{execute_with, BlockExecutor, BlockPlan, Kernels, PlanePool};
+use ecnn_sim::exec::{execute_with, BlockPlan, Kernels, PlanePool};
 use ecnn_sim::kernels::{accum_row_interior, accum_row_padded};
 use ecnn_tensor::{ImageKind, SyntheticImage, Tensor};
 use std::hint::black_box;
@@ -22,8 +22,13 @@ fn bench_executor(c: &mut Criterion) {
     let codes = img.map(|v| qm.input_q.quantize(v));
     c.bench_function("executor/dnernet_b3_block64", |b| {
         b.iter(|| {
-            let mut ex = BlockExecutor::new(&compiled.program, &compiled.leafs);
-            black_box(ex.run(black_box(&codes)).unwrap())
+            let plan = BlockPlan::new(&compiled.program, &compiled.leafs).unwrap();
+            let mut pool = PlanePool::new();
+            black_box(
+                execute_with(&plan, &mut pool, black_box(&codes), Kernels::Simd)
+                    .unwrap()
+                    .clone(),
+            )
         })
     });
 }

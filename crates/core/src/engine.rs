@@ -138,20 +138,9 @@ pub enum EngineError {
         /// The capability that was requested (e.g. `"run_image"`).
         capability: &'static str,
     },
-    /// A sharded worker failed; carries which shard and which block of the
-    /// frame's grid, plus the underlying error.
-    Shard {
-        /// Worker index within the sharded backend.
-        shard: usize,
-        /// Row-major index of the failing block in the frame's block grid.
-        block: usize,
-        /// The error the worker hit.
-        source: Box<EngineError>,
-    },
-    /// A sharded worker panicked (a bug, not an input error).
+    /// A worker panicked while running a band — the source of the
+    /// [`EngineError::Frame`] that names the worker.
     Worker {
-        /// Worker index within the sharded backend.
-        shard: usize,
         /// The panic payload, when it was a `&str` / `String` message —
         /// so post-mortems name the actual panic.
         message: Option<String>,
@@ -167,14 +156,17 @@ pub enum EngineError {
         /// Kernel family that produced the corrupt output.
         kernels: &'static str,
     },
-    /// A pipelined frame failed in flight; carries the frame's submission
-    /// index, the worker (shard) that hit the failure and the failing
-    /// block of the frame's grid, plus the underlying error.
+    /// A band of a parallel run exhausted its attempts — the one
+    /// band-failure shape of both one-shot sharded runs and pipelined
+    /// streams. Carries the frame's submission index, the worker that hit
+    /// the failure and the failing block of the frame's grid, plus the
+    /// underlying error.
     Frame {
-        /// Submission index of the frame within its [`crate::pipe::AsyncSession`].
+        /// Submission index of the frame within its [`crate::pipe::AsyncSession`]
+        /// (always 0 for [`Engine::run_image_sharded`]).
         frame: usize,
         /// Worker index within the session's pool.
-        shard: usize,
+        worker: usize,
         /// Row-major index of the failing block in the frame's block grid.
         block: usize,
         /// The error the worker hit.
@@ -229,16 +221,9 @@ impl fmt::Display for EngineError {
             } => {
                 write!(f, "backend {backend} does not support {capability}")
             }
-            EngineError::Shard {
-                shard,
-                block,
-                source,
-            } => {
-                write!(f, "shard {shard} failed at block {block}: {source}")
-            }
-            EngineError::Worker { shard, message } => match message {
-                Some(msg) => write!(f, "shard {shard} worker panicked: {msg}"),
-                None => write!(f, "shard {shard} worker panicked"),
+            EngineError::Worker { message } => match message {
+                Some(msg) => write!(f, "worker panicked: {msg}"),
+                None => write!(f, "worker panicked"),
             },
             EngineError::Corrupt { band, kernels } => {
                 write!(
@@ -248,13 +233,13 @@ impl fmt::Display for EngineError {
             }
             EngineError::Frame {
                 frame,
-                shard,
+                worker,
                 block,
                 source,
             } => {
                 write!(
                     f,
-                    "frame {frame} failed in flight (shard {shard}, block {block}): {source}"
+                    "frame {frame} failed in flight (worker {worker}, block {block}): {source}"
                 )
             }
             EngineError::Ticket { frame } => {
@@ -280,9 +265,7 @@ impl std::error::Error for EngineError {
             EngineError::Model(e) => Some(e),
             EngineError::Compile(e) => Some(e),
             EngineError::Exec(e) => Some(e),
-            EngineError::Shard { source, .. } | EngineError::Frame { source, .. } => {
-                Some(&**source)
-            }
+            EngineError::Frame { source, .. } => Some(&**source),
             _ => None,
         }
     }
@@ -315,7 +298,7 @@ pub struct ImageRunStats {
     pub exec: ExecStats,
     /// Supervision counters for this frame (retries, respawns, deadline
     /// hits, degradations, per-band attempt histogram). All-zero on the
-    /// unsupervised paths (serial session, sharded one-shot).
+    /// unsupervised serial session.
     pub supervisor: SupervisorCounters,
 }
 
@@ -443,10 +426,12 @@ pub trait Backend {
         })
     }
 
-    /// The flow's block-parallel execution capability, when it has one
-    /// (`None` for purely analytical flows). [`crate::sharded::ShardedBackend`]
-    /// uses this to partition `run_image`'s block grid across workers.
-    fn block_parallel(&self) -> Option<&dyn crate::sharded::BlockParallel> {
+    /// Builds the bit-exact [`Engine`] that executes `workload` block by
+    /// block, when the flow has one (`None` for purely analytical flows).
+    /// [`crate::sharded::ShardedBackend`] uses it to partition
+    /// `run_image`'s block grid across workers.
+    fn block_engine(&self, workload: &Workload) -> Option<Result<Engine, EngineError>> {
+        let _ = workload;
         None
     }
 }
@@ -760,7 +745,7 @@ impl EngineBuilder {
 }
 
 /// A compiled eCNN workload bound to a machine configuration — the
-/// unified entry point replacing `Accelerator::deploy` + `Deployment`.
+/// unified entry point of the block-based pipeline.
 #[derive(Clone, Debug)]
 pub struct Engine {
     machine: EcnnConfig,
@@ -1437,8 +1422,8 @@ impl Backend for EcnnBackend {
         self.engine(workload)?.run_image(image)
     }
 
-    fn block_parallel(&self) -> Option<&dyn crate::sharded::BlockParallel> {
-        Some(self)
+    fn block_engine(&self, workload: &Workload) -> Option<Result<Engine, EngineError>> {
+        Some(self.engine(workload))
     }
 }
 
@@ -1537,6 +1522,36 @@ mod tests {
             }
             other => panic!("expected image mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn system_report_dnernet_uhd30() {
+        let eng = Engine::builder()
+            .ernet(ErNetSpec::new(ErNetTask::Dn, 3, 1, 0))
+            .block(128)
+            .realtime(RealTimeSpec::UHD30)
+            .build()
+            .unwrap();
+        let r = eng.system_report();
+        assert!(r.meets_realtime, "fps {}", r.frame.fps);
+        assert_eq!(r.dram_config.unwrap().name, "DDR-400");
+        assert!(r.power.total_w() > 5.0 && r.power.total_w() < 8.5);
+        assert!(r.dram_power.dynamic_mw() < 150.0);
+    }
+
+    #[test]
+    fn zero_padded_models_build_at_frame_size() {
+        let eng = Engine::builder()
+            .model(ecnn_model::zoo::recognition(10))
+            .block(224)
+            .build()
+            .unwrap();
+        let p = &eng.compiled().program;
+        assert_eq!(p.inference, ecnn_model::model::InferenceKind::ZeroPadded);
+        assert_eq!(p.do_side, 1);
+        // Wide features exceed the strict 3x512KB buffers: recorded, not
+        // fatal (DESIGN.md §4).
+        assert!(p.bb_overflow);
     }
 
     #[test]

@@ -14,10 +14,15 @@
 //! The same workload runs on every comparison flow through the
 //! [`Backend`] trait (`ecnn-baselines` implements it for the frame-based,
 //! fused-layer, TPU and Diffy flows), so eCNN and the paper's baselines
-//! share a single reporting surface. [`ShardedBackend`] wraps any backend
-//! and partitions a frame's block grid across worker threads — see
-//! [`sharded`] — and [`AsyncSession`] pipelines whole frame queues over a
-//! persistent worker pool with poll-based tickets — see [`pipe`].
+//! share a single reporting surface.
+//!
+//! There is one serial executor, [`Session`], and one parallel executor,
+//! the supervised [`AsyncSession`] (see [`pipe`]): it pipelines frame
+//! queues over a persistent worker pool with poll-based tickets, and
+//! one-shot parallel runs — [`Engine::run_image_sharded`] and the
+//! [`ShardedBackend`] wrapper (see [`sharded`]) — are a one-frame
+//! submit/wait on it. A failed band surfaces as [`EngineError::Frame`] on
+//! every parallel path.
 //!
 //! # Example
 //!
@@ -55,7 +60,6 @@ pub mod engine;
 pub mod faults;
 mod json;
 pub mod pipe;
-pub mod pipeline;
 pub mod report;
 pub mod sharded;
 pub mod supervise;
@@ -70,11 +74,8 @@ pub use engine::{
 };
 pub use faults::{Fault, FaultKind, FaultPlan, FaultRule};
 pub use pipe::{AsyncSession, FramePoll, FrameTicket};
-pub use pipeline::PipelineError;
-#[allow(deprecated)]
-pub use pipeline::{Accelerator, Deployment};
 pub use report::{SupervisionReport, SystemReport};
-pub use sharded::{partition_rows, BlockParallel, ShardedBackend};
+pub use sharded::{partition_rows, ShardedBackend};
 pub use supervise::{
     ladder, DegradeEvent, DegradeRung, FailureClass, SupervisorCounters, SupervisorPolicy,
     SupervisorStats,

@@ -1,4 +1,5 @@
-//! Pipelined asynchronous inference sessions, under supervision.
+//! Pipelined asynchronous inference sessions, under supervision — the
+//! crate's one parallel executor.
 //!
 //! The block-based dataflow streams: the paper's accelerator overlaps
 //! block fetch, compute and writeback to sustain real-time 4K rates.
@@ -7,10 +8,13 @@
 //! queue strictly serially — frame `i+1` waits until frame `i` is
 //! quantized, executed *and* stitched — an `AsyncSession` keeps a small
 //! pool of long-lived worker threads (fed through a `crossbeam` MPMC
-//! channel), splits every submitted frame into the same block-row bands
-//! the sharded backend uses, and lets the stages of different frames
+//! channel), splits every submitted frame into contiguous block-row bands
+//! ([`partition_rows`]), and lets the stages of different frames
 //! overlap: while one worker stitches the tail band of frame `i`, others
 //! are already quantizing and executing the head bands of frame `i+1`.
+//! One-shot parallel runs ([`Engine::run_image_sharded`] and the
+//! [`ShardedBackend`](crate::sharded::ShardedBackend) built on it) are a
+//! one-frame submit/wait on the same session.
 //!
 //! A serving-style caller pipelines decode → inference → encode without
 //! blocking:
@@ -58,8 +62,7 @@
 //! zero per-block allocations, exactly like the serial path. A frame
 //! whose band exhausts [`SupervisorPolicy::max_attempts`] surfaces as
 //! [`EngineError::Frame`] carrying the frame's submission index, the
-//! worker (shard) and the failing block — earliest failing band wins,
-//! same as the sharded backend.
+//! worker and the failing block — earliest failing band wins.
 
 use crate::engine::{Engine, EngineError, ImageRunStats};
 use crate::faults::Fault;
@@ -133,7 +136,7 @@ enum Msg {
 /// The failure a frame's earliest failing band recorded.
 struct Failure {
     band_start: usize,
-    shard: usize,
+    worker: usize,
     block: usize,
     source: EngineError,
 }
@@ -607,7 +610,7 @@ impl AsyncSession {
             ticket.frame,
             Failure {
                 band_start: 0,
-                shard: 0,
+                worker: 0,
                 block: 0,
                 source,
             },
@@ -775,7 +778,6 @@ fn worker_loop(ctx: &Ctx, worker: usize) {
                 session = ctx.engine.session_at(ctx.ladder[rung]);
                 Err((
                     EngineError::Worker {
-                        shard: worker,
                         message: panic_message(&*panic),
                     },
                     None,
@@ -956,7 +958,7 @@ fn band_failed(
         frame,
         Failure {
             band_start,
-            shard: worker,
+            worker,
             block: block.unwrap_or(band_start * cols),
             source,
         },
@@ -1013,7 +1015,7 @@ fn complete_frame(state: &mut State, shared: &Shared, frame: usize) {
         }
         Some(f) => Err(EngineError::Frame {
             frame,
-            shard: f.shard,
+            worker: f.worker,
             block: f.block,
             source: Box::new(f.source),
         }),
@@ -1224,7 +1226,6 @@ fn fail_bands_running_on(state: &mut State, ctx: &Ctx, worker: usize, message: O
             band,
             worker,
             EngineError::Worker {
-                shard: worker,
                 message: message.clone(),
             },
             None,

@@ -2,19 +2,22 @@
 //!
 //! The block-based dataflow makes a frame's block grid embarrassingly
 //! parallel: no block reads another block's output. [`ShardedBackend`]
-//! exploits that by partitioning the grid's block rows across `N` worker
-//! threads (crossbeam scoped threads, one [`Session`](crate::engine::Session) — and therefore one
-//! plane pool — per shard), executing the shards concurrently, stitching
-//! the bands back together in deterministic block order, and merging the
-//! per-shard reports:
+//! exploits that by partitioning the grid's block rows across `N` workers
+//! and merging the per-shard reports:
 //!
 //! * latency merges as the **max** over shards (cycles = max ⇒ fps = min),
 //! * traffic, energy and SRAM merge as the **sum** over shards.
 //!
-//! Pixels are bit-identical to the single-engine path at any shard count
-//! because every worker executes exactly the blocks the whole-frame flow
-//! would, against the same full input image (no halo recompute is needed —
-//! the receptive-field overlap is already part of each block's crop).
+//! Images run through [`Engine::run_image_sharded`], a one-frame
+//! submit/wait on the supervised [`AsyncSession`](crate::pipe::AsyncSession)
+//! — the crate's one parallel executor — so one-shot sharding gets the
+//! same retry, worker respawn and [`FaultPlan`](crate::faults::FaultPlan)
+//! handling as a pipelined stream, and a failed band surfaces as the same
+//! [`EngineError::Frame`]. Pixels are bit-identical to the single-engine
+//! path at any shard count because every worker executes exactly the
+//! blocks the whole-frame flow would, against the same full input image
+//! (no halo recompute is needed — the receptive-field overlap is already
+//! part of each block's crop).
 //!
 //! Analytical [`FrameReport`]s shard the real-time spec's height at block
 //! granularity, so per-shard block counts sum exactly to the unsharded
@@ -22,29 +25,9 @@
 //! report up to the sub-byte truncation each shard's analytic byte count
 //! applies independently.
 
-use crate::engine::{
-    Backend, EcnnBackend, Engine, EngineError, FrameReport, ImageRunStats, Workload,
-};
+use crate::engine::{Backend, Engine, EngineError, FrameReport, ImageRunStats, Workload};
 use ecnn_model::RealTimeSpec;
 use ecnn_tensor::Tensor;
-
-/// Capability of flows whose block grid can be partitioned across
-/// workers: building the bit-exact [`Engine`] that executes it. The eCNN
-/// simulator implements this; analytical baselines do not.
-pub trait BlockParallel {
-    /// Builds the engine used for sharded block execution of `workload`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors.
-    fn block_engine(&self, workload: &Workload) -> Result<Engine, EngineError>;
-}
-
-impl BlockParallel for EcnnBackend {
-    fn block_engine(&self, workload: &Workload) -> Result<Engine, EngineError> {
-        self.engine(workload)
-    }
-}
 
 impl Engine {
     /// Runs one image at the engine's resolved worker count
@@ -65,90 +48,31 @@ impl Engine {
     }
 
     /// Runs one image with the frame's block grid partitioned row-wise
-    /// across `shards` worker threads, each executing on its own plane
-    /// pool; bands are stitched in deterministic block order and the
-    /// per-shard stats merged. Bit-identical pixels and identical summed
-    /// [`ImageRunStats`] vs [`Engine::run_image`] at any shard count.
+    /// across `shards` workers: a one-frame submit/wait on a supervised
+    /// [`Engine::async_session`], so band retries, worker respawn and the
+    /// engine's [`FaultPlan`](crate::faults::FaultPlan) apply. Bit-identical
+    /// pixels and identical summed work counters vs [`Engine::run_image`]
+    /// at any shard count; `shards` is clamped to the grid's block rows,
+    /// and one shard runs the serial path.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Image`] for geometry mismatches;
-    /// [`EngineError::Shard`] (with the failing shard and block index) for
-    /// worker failures, [`EngineError::Worker`] for worker panics.
+    /// [`EngineError::Image`] / [`EngineError::Rows`] for frames the engine
+    /// cannot grid, before any worker spawns; [`EngineError::Frame`] (frame
+    /// 0, with the failing worker and block) when a band exhausts its
+    /// attempts.
     pub fn run_image_sharded(
         &self,
         image: &Tensor<f32>,
         shards: usize,
     ) -> Result<(Tensor<f32>, ImageRunStats), EngineError> {
-        // Output geometry comes from the one integer-exact derivation
-        // every band stitches against ([`Engine::out_dims`]); a zero-block
-        // frame is a structured `Rows` error here, before any worker
-        // spawns, so `partition_rows` below only ever sees `rows >= 1`.
-        let (out_h, out_w) = self.out_dims(image)?;
-        let (rows, cols) = self.grid_dims(image)?;
-        let p = &self.compiled().program;
-        let xo = p.do_side;
-        let n = shards.clamp(1, rows);
+        let n = shards.clamp(1, self.grid_rows(image)?);
         if n == 1 {
             return self.run_image(image);
         }
-        let ranges = partition_rows(rows, n);
-
-        let joined = crossbeam::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|range| {
-                    scope.spawn(move |_| {
-                        let mut session = self.session();
-                        // `map(|_| ())` ends the borrow of the session so
-                        // the success path can take the stitched band out
-                        // of it instead of cloning a second copy.
-                        match session.process_rows(image, range.clone()).map(|_| ()) {
-                            Ok(()) => {
-                                let stats = session.last_frame_stats();
-                                let band = session.into_frame().expect("band stitched just above");
-                                Ok((band, stats))
-                            }
-                            Err(e) => Err((
-                                // Block index in the row-major frame grid;
-                                // if the worker failed before its first
-                                // block, point at the band's first block.
-                                session.last_block_started().unwrap_or(range.start * cols),
-                                e,
-                            )),
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        })
-        .expect("scope itself cannot fail: worker panics are joined");
-
-        let mut frame = Tensor::zeros(p.do_channels, out_h, out_w);
-        let mut stats = ImageRunStats::default();
-        for (shard, result) in joined.into_iter().enumerate() {
-            match result {
-                Ok(Ok((band, band_stats))) => {
-                    frame.paste(&band, ranges[shard].start * xo, 0);
-                    stats.merge(&band_stats);
-                }
-                Ok(Err((block, e))) => {
-                    return Err(EngineError::Shard {
-                        shard,
-                        block,
-                        source: Box::new(e),
-                    })
-                }
-                Err(panic) => {
-                    return Err(EngineError::Worker {
-                        shard,
-                        message: crate::supervise::panic_message(&*panic),
-                    })
-                }
-            }
-        }
-        Ok((frame, stats))
+        let mut session = self.async_session(n);
+        let ticket = session.submit(image.clone())?;
+        session.wait(ticket)
     }
 }
 
@@ -179,14 +103,14 @@ pub fn partition_rows(rows: usize, n: usize) -> Vec<std::ops::Range<usize>> {
 /// Any [`Backend`] partitioned across `N` workers.
 ///
 /// * [`Backend::frame_report`] shards the workload's real-time spec by
-///   height (at block-row granularity when the inner flow is
-///   [`BlockParallel`], so summed totals match the unsharded report
-///   exactly) and merges per-shard reports with cycles = max,
+///   height (at block-row granularity when the inner flow has a
+///   [`Backend::block_engine`], so summed totals match the unsharded
+///   report exactly) and merges per-shard reports with cycles = max,
 ///   traffic/energy/SRAM = sum.
 /// * [`Backend::run_image`] partitions the frame's block grid across
-///   worker threads via [`Engine::run_image_sharded`] when the inner flow
-///   is [`BlockParallel`]; other flows fall back to their own
-///   (unsharded) implementation.
+///   supervised workers via [`Engine::run_image_sharded`] when the inner
+///   flow has a [`Backend::block_engine`]; other flows fall back to their
+///   own (unsharded) implementation.
 pub struct ShardedBackend<B> {
     inner: B,
     shards: usize,
@@ -280,9 +204,9 @@ impl<B: Backend + Sync> Backend for ShardedBackend<B> {
         // off the same engine, at block-row granularity — so summed
         // per-shard totals equal the unsharded report. Analytical flows
         // split the raw spec height and re-report per band.
-        let reports = match self.inner.block_parallel() {
-            Some(bp) => {
-                let engine = bp.block_engine(workload)?;
+        let reports = match self.inner.block_engine(workload) {
+            Some(engine) => {
+                let engine = engine?;
                 let do_side = engine.compiled().program.do_side;
                 self.shard_specs(workload.spec, Some(do_side))
                     .into_iter()
@@ -311,22 +235,21 @@ impl<B: Backend + Sync> Backend for ShardedBackend<B> {
         workload: &Workload,
         image: &Tensor<f32>,
     ) -> Result<(Tensor<f32>, ImageRunStats), EngineError> {
-        match self.inner.block_parallel() {
-            Some(bp) => bp
-                .block_engine(workload)?
-                .run_image_sharded(image, self.shards),
+        match self.inner.block_engine(workload) {
+            Some(engine) => engine?.run_image_sharded(image, self.shards),
             None => self.inner.run_image(workload, image),
         }
     }
 
-    fn block_parallel(&self) -> Option<&dyn BlockParallel> {
-        self.inner.block_parallel()
+    fn block_engine(&self, workload: &Workload) -> Option<Result<Engine, EngineError>> {
+        self.inner.block_engine(workload)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EcnnBackend;
     use ecnn_model::ernet::{ErNetSpec, ErNetTask};
     use ecnn_tensor::{ImageKind, SyntheticImage};
 
@@ -361,7 +284,7 @@ mod tests {
         assert_eq!(b.name(), "ecnn[x2]");
         assert_eq!(b.shards(), 2);
         assert!(b.supports_run_image());
-        assert!(b.block_parallel().is_some());
+        assert!(b.block_engine(&workload()).is_some());
     }
 
     #[test]
@@ -408,27 +331,40 @@ mod tests {
 
     #[test]
     fn worker_failure_carries_shard_and_block() {
-        // A geometry mismatch surfaces before any worker spawns; exercise
-        // the Shard variant's formatting instead.
-        let e = EngineError::Shard {
-            shard: 1,
-            block: 7,
-            source: Box::new(EngineError::Rows {
-                start: 3,
-                end: 3,
-                available: 2,
-            }),
-        };
+        // Band 1 panics on every attempt: the error names the frame, the
+        // worker and band 1's first block, chained to the worker panic.
+        let engine = Engine::builder()
+            .ernet(ErNetSpec::new(ErNetTask::Dn, 2, 1, 0))
+            .block(40)
+            .realtime(RealTimeSpec::HD30)
+            .faults(crate::faults::FaultPlan::parse("seed=1;panic@1000:band=1").unwrap())
+            .build()
+            .unwrap();
+        let img = SyntheticImage::new(ImageKind::Smooth, 1).rgb(56, 72);
+        let (rows, cols) = engine.grid_dims(&img).unwrap();
+        let first_block = partition_rows(rows, 2)[1].start * cols;
+        let e = engine.run_image_sharded(&img, 2).unwrap_err();
         let msg = e.to_string();
-        assert!(msg.contains("shard 1"));
-        assert!(msg.contains("block 7"));
+        assert!(msg.contains("worker"), "{msg}");
+        assert!(msg.contains(&format!("block {first_block}")), "{msg}");
         assert!(std::error::Error::source(&e).is_some());
+        match e {
+            EngineError::Frame {
+                frame: 0,
+                worker,
+                block,
+                ..
+            } => {
+                assert!(worker < 2, "worker {worker} outside a 2-worker pool");
+                assert_eq!(block, first_block);
+            }
+            other => panic!("expected a Frame error, got {other:?}"),
+        }
     }
 
     #[test]
     fn out_of_grid_rows_are_a_structured_error() {
-        let bp = EcnnBackend::paper();
-        let engine = bp.block_engine(&workload()).unwrap();
+        let engine = EcnnBackend::paper().engine(&workload()).unwrap();
         let img = SyntheticImage::new(ImageKind::Smooth, 1).rgb(56, 56);
         let mut session = engine.session();
         match session.process_rows(&img, 9..12) {

@@ -357,10 +357,7 @@ mod tests {
         };
         assert_eq!(classify(&corrupt), FailureClass::Corrupt);
         assert_eq!(
-            classify(&EngineError::Worker {
-                shard: 0,
-                message: None
-            }),
+            classify(&EngineError::Worker { message: None }),
             FailureClass::Transient
         );
         let p = catch_unwind(AssertUnwindSafe(|| panic!("boom {}", 7))).unwrap_err();

@@ -3,12 +3,12 @@
 //!
 //! [`BlockPlan`] walks a [`Program`] once up front: it validates leaf
 //! bookkeeping and operand availability (write-before-read) and computes
-//! every feature plane's shape and lifetime. [`execute`] then runs the
+//! every feature plane's shape and lifetime. [`execute_with`] then runs the
 //! plan against a [`PlanePool`] — a reusable arena of planes keyed by
 //! `(buffer, group)` plus the scratch accumulators — writing results in
 //! place, so steady-state block execution allocates nothing. One pool
-//! serves one worker: the streaming `Session` keeps one per stream and the
-//! sharded backend one per worker thread.
+//! serves one worker: the streaming `Session` keeps one per stream and each
+//! pipelined worker thread one of its own.
 //!
 //! The executor mirrors the CIU datapath of Section 6.3 exactly:
 //!
@@ -413,7 +413,7 @@ struct SlotRoute {
 /// The up-front execution plan for one [`Program`]: a single walk over the
 /// instruction stream that validates leaf bookkeeping and operand
 /// availability (write-before-read) and computes every plane's shape and
-/// lifetime, so that [`execute`] can run check- and allocation-free
+/// lifetime, so that [`execute_with`] can run check- and allocation-free
 /// against a [`PlanePool`].
 #[derive(Clone, Debug)]
 pub struct BlockPlan<'a> {
@@ -800,7 +800,7 @@ struct PlaneArena {
 /// A reusable arena of feature planes (keyed by [`PlaneKey`] or, under a
 /// licensed [`MemoryPlan`], routed onto shared physical slots) and
 /// scratch accumulators. One pool serves one executor worker; after the
-/// first block has warmed every buffer to its peak size, [`execute`]
+/// first block has warmed every buffer to its peak size, [`execute_with`]
 /// performs zero allocations per block. The pool also owns the
 /// [`ExecStats`] counters its executions accumulate.
 #[derive(Debug, Default)]
@@ -1066,12 +1066,11 @@ impl PlanePool {
 
 /// Which accumulation kernels [`execute_with`] runs. All three produce
 /// bit-identical output blocks on every input.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernels {
     /// The flat-slice micro-kernels fed by the plan's packed parameter
-    /// cache (interior/border split, zero per-frame prep) — the default
-    /// for raw [`execute`] callers.
-    #[default]
+    /// cache (interior/border split, zero per-frame prep) — the
+    /// supervisor's second degradation rung.
     Packed,
     /// The kept pre-packing scalar kernels
     /// ([`crate::kernels::reference`]): bit-identical output, used as the
@@ -1130,8 +1129,12 @@ impl Kernels {
     }
 }
 
-/// Executes one planned block on `pool`, returning the pool-owned logical
-/// output block (side `program.do_side`), valid until the next execution.
+/// Executes one planned block on `pool` with the `kernels` family,
+/// returning the pool-owned logical output block (side
+/// `program.do_side`), valid until the next execution. Every kernel
+/// family produces bit-identical output blocks and identical
+/// [`ExecStats::work`] counters; only speed (and the non-work cache
+/// counters) differ.
 ///
 /// `input` holds the *logical* input channels (e.g. 3 for RGB) as codes in
 /// the program's `di_q` format, with side `program.di_side`.
@@ -1141,21 +1144,6 @@ impl Kernels {
 /// See [`ExecError`]. Operand availability and leaf bookkeeping were
 /// already validated by [`BlockPlan::new`]; the remaining runtime errors
 /// guard data-dependent geometry.
-pub fn execute<'p>(
-    plan: &BlockPlan<'_>,
-    pool: &'p mut PlanePool,
-    input: &Tensor<i16>,
-) -> Result<&'p Tensor<i16>, ExecError> {
-    execute_with(plan, pool, input, Kernels::Packed)
-}
-
-/// [`execute`] with an explicit kernel selection. Both paths produce
-/// bit-identical output blocks and identical [`ExecStats::work`]
-/// counters; only speed (and the non-work cache counters) differ.
-///
-/// # Errors
-///
-/// See [`execute`].
 pub fn execute_with<'p>(
     plan: &BlockPlan<'_>,
     pool: &'p mut PlanePool,
@@ -1165,7 +1153,7 @@ pub fn execute_with<'p>(
     execute_inner(plan, pool, input, kernels, None)
 }
 
-/// [`execute`] on the reference kernels with per-instruction range
+/// [`execute_with`] on the reference kernels with per-instruction range
 /// instrumentation: every accumulator is scanned for its extrema right
 /// before requantization (and every `ER` expansion accumulator before its
 /// internal ReLU), so the observed ranges can be checked against the
@@ -1174,7 +1162,7 @@ pub fn execute_with<'p>(
 ///
 /// # Errors
 ///
-/// See [`execute`].
+/// See [`execute_with`].
 pub fn execute_traced(
     plan: &BlockPlan<'_>,
     pool: &mut PlanePool,
@@ -1891,63 +1879,6 @@ fn assemble_output<'p>(
     Ok(out)
 }
 
-/// Executes one program over one input block — the plan-then-execute API
-/// behind a stateful handle, kept for one-shot callers and tests.
-///
-/// # Example
-///
-/// See the crate-level tests and `tests/pipeline.rs` for end-to-end usage;
-/// the executor is normally driven by `ecnn-core`'s block pipeline, which
-/// holds a [`BlockPlan`] and a [`PlanePool`] per worker instead.
-pub struct BlockExecutor<'a> {
-    plan: Result<BlockPlan<'a>, ExecError>,
-    pool: PlanePool,
-}
-
-impl<'a> BlockExecutor<'a> {
-    /// Creates an executor for `program` with the IDU-decoded `leafs` (one
-    /// vector per instruction, as produced by the compiler or by
-    /// `PackedParams::unpack`). Planning errors surface on the first
-    /// [`BlockExecutor::run`].
-    pub fn new(program: &'a Program, leafs: &'a [Vec<LeafParams>]) -> Self {
-        Self {
-            plan: BlockPlan::new(program, leafs),
-            pool: PlanePool::new(),
-        }
-    }
-
-    /// Runs the program on one input block.
-    ///
-    /// `input` holds the *logical* input channels (e.g. 3 for RGB) as codes
-    /// in the program's `di_q` format, with side `program.di_side`. Returns
-    /// the logical output block (side `program.do_side`).
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecError`].
-    pub fn run(&mut self, input: &Tensor<i16>) -> Result<Tensor<i16>, ExecError> {
-        match &self.plan {
-            Ok(plan) => execute(plan, &mut self.pool, input).cloned(),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> ExecStats {
-        self.pool.stats()
-    }
-
-    /// The execution plan, when planning succeeded.
-    pub fn plan(&self) -> Result<&BlockPlan<'a>, &ExecError> {
-        self.plan.as_ref()
-    }
-
-    /// The executor's plane pool.
-    pub fn pool(&self) -> &PlanePool {
-        &self.pool
-    }
-}
-
 /// Guards the srcS accumulation domain: the plane must cover the
 /// accumulator spatially (it is center-cropped, never extended) and carry
 /// at least the accumulated channel count. Checked before every
@@ -2060,7 +1991,7 @@ fn pool_into(t: &Tensor<i16>, kind: PoolKind, factor: usize, dst: &mut Tensor<i1
 }
 
 /// Convenience: quantize a float image block into input codes for
-/// [`execute`] / [`BlockExecutor::run`].
+/// [`execute_with`].
 pub fn quantize_input(block: &Tensor<f32>, program: &Program) -> Tensor<i16> {
     block.map(|v| program.di_q.quantize(v))
 }
@@ -2086,6 +2017,19 @@ mod tests {
     use ecnn_tensor::conv::{conv3x3_fixed, FixedConvParams, Padding};
     use ecnn_tensor::SyntheticImage;
 
+    /// Plans `leafs` for `program` and runs one block on a fresh pool with
+    /// the SIMD kernels engines default to.
+    fn run_block(
+        program: &Program,
+        leafs: &[Vec<LeafParams>],
+        input: &Tensor<i16>,
+    ) -> Result<(Tensor<i16>, ExecStats), ExecError> {
+        let plan = BlockPlan::new(program, leafs)?;
+        let mut pool = PlanePool::new();
+        let out = execute_with(&plan, &mut pool, input, Kernels::Simd)?.clone();
+        Ok((out, pool.stats()))
+    }
+
     /// Single 3->32 conv: the simulator must agree with the golden fixed
     /// kernel exactly.
     #[test]
@@ -2106,8 +2050,7 @@ mod tests {
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Mixed, 3).rgb(16, 16);
         let input = img.map(|v| qm.input_q.quantize(v));
 
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, _) = run_block(&c.program, &c.leafs, &input).unwrap();
         assert_eq!(out.shape(), (32, 14, 14));
 
         // Golden: hardware-padded 32ch input into conv3x3_fixed.
@@ -2154,8 +2097,7 @@ mod tests {
         }
         let c = compile(&qm, 12).unwrap();
         let input = Tensor::from_fn(32, 12, 12, |ch, y, x| ((ch + y * 3 + x) % 200) as i16);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, _) = run_block(&c.program, &c.leafs, &input).unwrap();
         assert_eq!(out.shape(), (32, 10, 10));
         for ch in 0..32 {
             for y in 0..10 {
@@ -2173,10 +2115,8 @@ mod tests {
         let c = compile(&qm, 64).unwrap();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 9).rgb(64, 64);
         let input = quantize_input(&img, &c.program);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, stats) = run_block(&c.program, &c.leafs, &input).unwrap();
         assert_eq!(out.shape(), (3, 52, 52));
-        let stats = ex.stats();
         assert_eq!(stats.instructions, 6);
         assert!(stats.mac3 > 0 && stats.mac1 > 0);
         assert!(stats.di_bytes > 0 && stats.do_bytes > 0);
@@ -2191,8 +2131,7 @@ mod tests {
         assert_eq!(c.program.do_side, 42);
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Smooth, 4).rgb(32, 32);
         let input = quantize_input(&img, &c.program);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, _) = run_block(&c.program, &c.leafs, &input).unwrap();
         assert_eq!(out.shape(), (3, 42, 42));
     }
 
@@ -2203,8 +2142,7 @@ mod tests {
         let c = compile(&qm, 64).unwrap();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Mixed, 5).rgb(64, 64);
         let input = quantize_input(&img, &c.program);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        let out = ex.run(&input).unwrap();
+        let (out, _) = run_block(&c.program, &c.leafs, &input).unwrap();
         // 64 -> unshuffle 32 -> 5 convs -> 22 -> shuffle -> 44.
         assert_eq!(out.shape(), (3, 44, 44));
     }
@@ -2221,12 +2159,8 @@ mod tests {
             .collect();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Edges, 2).rgb(48, 48);
         let input = quantize_input(&img, &c.program);
-        let out_a = BlockExecutor::new(&c.program, &c.leafs)
-            .run(&input)
-            .unwrap();
-        let out_b = BlockExecutor::new(&c.program, &decoded)
-            .run(&input)
-            .unwrap();
+        let (out_a, _) = run_block(&c.program, &c.leafs, &input).unwrap();
+        let (out_b, _) = run_block(&c.program, &decoded, &input).unwrap();
         assert_eq!(out_a, out_b);
     }
 
@@ -2236,10 +2170,12 @@ mod tests {
         let qm = QuantizedModel::uniform(&m);
         let c = compile(&qm, 32).unwrap();
         // Run with too few leaf sets.
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs[..2]);
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Smooth, 1).rgb(32, 32);
         let input = quantize_input(&img, &c.program);
-        assert!(matches!(ex.run(&input), Err(ExecError::Leafs(_))));
+        assert!(matches!(
+            run_block(&c.program, &c.leafs[..2], &input),
+            Err(ExecError::Leafs(_))
+        ));
     }
 
     #[test]
@@ -2249,8 +2185,10 @@ mod tests {
         let c = compile(&qm, 32).unwrap();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Smooth, 1).rgb(16, 16);
         let input = quantize_input(&img, &c.program);
-        let mut ex = BlockExecutor::new(&c.program, &c.leafs);
-        assert!(matches!(ex.run(&input), Err(ExecError::Shape(_))));
+        assert!(matches!(
+            run_block(&c.program, &c.leafs, &input),
+            Err(ExecError::Shape(_))
+        ));
     }
 
     #[test]
@@ -2292,11 +2230,11 @@ mod tests {
         let mut pool = PlanePool::new();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Mixed, 8).rgb(40, 40);
         let input = quantize_input(&img, &c.program);
-        execute(&plan, &mut pool, &input).unwrap();
+        execute_with(&plan, &mut pool, &input, Kernels::Simd).unwrap();
         let warm = pool.stats();
         assert!(warm.planes_allocated > 0, "first block allocates the arena");
         for _ in 0..3 {
-            execute(&plan, &mut pool, &input).unwrap();
+            execute_with(&plan, &mut pool, &input, Kernels::Simd).unwrap();
         }
         let steady = pool.stats().delta_since(&warm);
         assert_eq!(steady.planes_allocated, 0, "warm blocks must not allocate");
@@ -2325,7 +2263,7 @@ mod tests {
         let mut pool = PlanePool::new();
         let img = SyntheticImage::new(ecnn_tensor::ImageKind::Mixed, 4).rgb(40, 40);
         let input = quantize_input(&img, &c.program);
-        execute(&plan, &mut pool, &input).unwrap();
+        execute_with(&plan, &mut pool, &input, Kernels::Packed).unwrap();
         assert_eq!(
             pool.stats().params_reused,
             c.program.instructions.len() as u64
@@ -2350,7 +2288,9 @@ mod tests {
             let img = SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 7).rgb(side, side);
             let input = quantize_input(&img, &c.program);
             let mut fast_pool = PlanePool::new();
-            let fast = execute(&plan, &mut fast_pool, &input).unwrap().clone();
+            let fast = execute_with(&plan, &mut fast_pool, &input, Kernels::Packed)
+                .unwrap()
+                .clone();
             let mut ref_pool = PlanePool::new();
             let reference = execute_with(&plan, &mut ref_pool, &input, Kernels::Reference).unwrap();
             assert_eq!(&fast, reference, "{spec}");
@@ -2372,11 +2312,12 @@ mod tests {
             &SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 2).rgb(32, 32),
             &c.program,
         );
-        let mut warm = BlockExecutor::new(&c.program, &c.leafs);
-        warm.run(&a).unwrap();
-        let warm_out = warm.run(&b).unwrap();
-        let fresh_out = BlockExecutor::new(&c.program, &c.leafs).run(&b).unwrap();
-        assert_eq!(warm_out, fresh_out);
+        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+        let mut warm = PlanePool::new();
+        execute_with(&plan, &mut warm, &a, Kernels::Simd).unwrap();
+        let warm_out = execute_with(&plan, &mut warm, &b, Kernels::Simd).unwrap();
+        let (fresh_out, _) = run_block(&c.program, &c.leafs, &b).unwrap();
+        assert_eq!(warm_out, &fresh_out);
     }
 
     #[test]

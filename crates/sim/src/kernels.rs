@@ -1,6 +1,6 @@
 //! Flat-slice convolution micro-kernels, plus the kept scalar reference.
 //!
-//! [`execute`](crate::exec::execute) dispatches its accumulation inner
+//! [`execute_with`](crate::exec::execute_with) dispatches its accumulation inner
 //! loops here. The fast path consumes the plan-time
 //! [`PackedKernelParams`](ecnn_isa::params::PackedKernelParams) cache —
 //! weights already widened to `i32` in tap-major order, biases

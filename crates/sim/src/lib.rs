@@ -9,7 +9,7 @@
 //!   `ecnn-tensor` golden kernels and the `ecnn-nn` fixed-point reference.
 //!   Split into a plan phase ([`exec::BlockPlan`]: one up-front walk
 //!   computing every plane's shape and lifetime, plus the packed
-//!   kernel-parameter cache) and an execute phase ([`exec::execute`])
+//!   kernel-parameter cache) and an execute phase ([`exec::execute_with`])
 //!   running in place against a reusable [`exec::PlanePool`] arena.
 //! * [`kernels`] — the flat-slice convolution micro-kernels the executor
 //!   dispatches to (interior/border split over raw row slices), together
@@ -45,9 +45,8 @@ pub mod timing;
 pub use config::EcnnConfig;
 pub use cost::{AreaReport, PowerReport};
 pub use exec::{
-    crosscheck_plan, execute, execute_traced, execute_with, BlockExecutor, BlockPlan, ExecError,
-    ExecStats, ExecTrace, InstrTrace, KernelVariant, Kernels, PlaneInfo, PlaneKey, PlanePool,
-    RangeViolation,
+    crosscheck_plan, execute_traced, execute_with, BlockPlan, ExecError, ExecStats, ExecTrace,
+    InstrTrace, KernelVariant, Kernels, PlaneInfo, PlaneKey, PlanePool, RangeViolation,
 };
 pub use kernels::simd::SimdLevel;
 pub use timing::{simulate_frame, FrameReport};

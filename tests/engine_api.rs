@@ -1,42 +1,8 @@
-//! The unified engine/backend API: parity with the legacy pipeline,
-//! cross-backend smoke coverage and streaming-session buffer reuse.
+//! The unified engine/backend API: cross-backend smoke coverage and
+//! streaming-session buffer reuse.
 
 use ecnn_repro::prelude::*;
 use ecnn_repro::tensor::{ImageKind, SyntheticImage};
-
-/// The new `Engine` path must produce bit-identical pixels, identical run
-/// statistics and identical `SystemReport` numbers to the legacy
-/// `Accelerator::deploy` path on a small DnERNet.
-#[test]
-fn engine_matches_legacy_accelerator_path() {
-    #[allow(deprecated)]
-    let legacy = {
-        use ecnn_repro::core::Accelerator;
-        let model = ErNetSpec::new(ErNetTask::Dn, 2, 1, 0).build().unwrap();
-        let qm = QuantizedModel::uniform(&model);
-        Accelerator::paper().deploy(&qm, 48).unwrap()
-    };
-    let engine = Engine::builder()
-        .ernet(ErNetSpec::new(ErNetTask::Dn, 2, 1, 0))
-        .block(48)
-        .realtime(RealTimeSpec::UHD30)
-        .build()
-        .unwrap();
-
-    let img = SyntheticImage::new(ImageKind::Mixed, 99).rgb(96, 96);
-    let (legacy_out, legacy_stats) = legacy.run_image(&img).unwrap();
-    let (engine_out, engine_stats) = engine.run_image(&img).unwrap();
-    assert_eq!(engine_out, legacy_out, "pixels must be bit-identical");
-    assert_eq!(engine_stats, legacy_stats);
-
-    let legacy_report = legacy.system_report(RealTimeSpec::UHD30);
-    let engine_report = engine.system_report();
-    assert_eq!(engine_report.frame, legacy_report.frame);
-    assert_eq!(engine_report.meets_realtime, legacy_report.meets_realtime);
-    assert_eq!(engine_report.power.total_w(), legacy_report.power.total_w());
-    assert_eq!(engine_report.dram_power, legacy_report.dram_power);
-    assert_eq!(engine_report.dram_config, legacy_report.dram_config);
-}
 
 /// Every registered backend answers the same workload through the shared
 /// trait surface.

@@ -9,7 +9,7 @@ use ecnn_nn::data::{make_dataset, TaskKind};
 use ecnn_nn::float_model::FloatModel;
 use ecnn_nn::quant::{quantize, QuantConfig};
 use ecnn_nn::train::{train, TrainConfig};
-use ecnn_sim::exec::BlockExecutor;
+use ecnn_sim::exec::{execute_with, BlockPlan, Kernels, PlanePool};
 use ecnn_tensor::{psnr, ImageKind, SyntheticImage, Tensor};
 
 fn trained_denoiser() -> (ecnn_model::Model, QuantizedModel) {
@@ -31,6 +31,20 @@ fn trained_denoiser() -> (ecnn_model::Model, QuantizedModel) {
     let calib: Vec<Tensor<f32>> = data.iter().take(4).map(|s| s.input.clone()).collect();
     let qm = quantize(&fm, &ir, &calib, QuantConfig::default());
     (ir, qm)
+}
+
+/// Plans `leafs` for `program` and runs one block on a fresh pool with the
+/// SIMD kernels engines default to.
+fn run_block(
+    program: &ecnn_isa::Program,
+    leafs: &[Vec<ecnn_isa::params::LeafParams>],
+    codes: &Tensor<i16>,
+) -> Tensor<i16> {
+    let plan = BlockPlan::new(program, leafs).unwrap();
+    let mut pool = PlanePool::new();
+    execute_with(&plan, &mut pool, codes, Kernels::Simd)
+        .unwrap()
+        .clone()
 }
 
 #[test]
@@ -66,12 +80,8 @@ fn huffman_decoded_parameters_are_bit_exact_through_the_executor() {
 
     let img = SyntheticImage::new(ImageKind::Mixed, 77).rgb(40, 40);
     let codes = img.map(|v| qm.input_q.quantize(v));
-    let a = BlockExecutor::new(&c.program, &c.leafs)
-        .run(&codes)
-        .unwrap();
-    let b = BlockExecutor::new(&c.program, &decoded)
-        .run(&codes)
-        .unwrap();
+    let a = run_block(&c.program, &c.leafs, &codes);
+    let b = run_block(&c.program, &decoded, &codes);
     assert_eq!(a, b);
 }
 
@@ -84,9 +94,7 @@ fn executor_matches_fixed_reference_on_trained_ernet() {
     let c = compile(&qm, 36).unwrap();
     let img = SyntheticImage::new(ImageKind::Edges, 31).rgb(36, 36);
     let codes = img.map(|v| qm.input_q.quantize(v));
-    let sim_out = BlockExecutor::new(&c.program, &c.leafs)
-        .run(&codes)
-        .unwrap();
+    let sim_out = run_block(&c.program, &c.leafs, &codes);
     let ref_out = ecnn_nn::quant::fixed_forward(&qm, &codes);
     assert_eq!(sim_out, ref_out);
 }

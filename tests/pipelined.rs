@@ -208,13 +208,13 @@ fn in_flight_failure_completes_frame_and_preserves_later_ones() {
     ));
 }
 
-/// In-flight failures are structured: frame index, shard and block, with
+/// In-flight failures are structured: frame index, worker and block, with
 /// a chained source.
 #[test]
 fn frame_error_carries_frame_shard_and_block() {
     let e = EngineError::Frame {
         frame: 3,
-        shard: 1,
+        worker: 1,
         block: 7,
         source: Box::new(EngineError::Rows {
             start: 2,
@@ -224,7 +224,7 @@ fn frame_error_carries_frame_shard_and_block() {
     };
     let msg = e.to_string();
     assert!(msg.contains("frame 3"), "{msg}");
-    assert!(msg.contains("shard 1"), "{msg}");
+    assert!(msg.contains("worker 1"), "{msg}");
     assert!(msg.contains("block 7"), "{msg}");
     assert!(std::error::Error::source(&e).is_some());
 }

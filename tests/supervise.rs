@@ -161,6 +161,64 @@ fn exhausted_attempts_fail_frame_with_panic_payload() {
     assert!(stats.counters.respawns >= 1, "{stats}");
 }
 
+/// One-shot sharding runs on the supervised session, so it honours the
+/// engine's fault plan: injected panics are retried and the output stays
+/// bit-identical to a clean engine.
+#[test]
+fn one_shot_sharding_honours_the_engine_fault_plan() {
+    let clean = builder().build().unwrap();
+    let faulty = builder()
+        .faults(FaultPlan::parse("seed=42;panic@400").unwrap())
+        .build()
+        .unwrap();
+    let img = SyntheticImage::new(ImageKind::Mixed, 11).rgb(56, 72);
+    let (reference, _) = clean.run_image(&img).unwrap();
+    let (out, stats) = faulty.run_image_sharded(&img, 2).unwrap();
+    assert_eq!(out, reference, "retried bands must be bit-identical");
+    assert!(
+        stats.supervisor.faults_injected > 0,
+        "the plan must fire on the one-shot path: {}",
+        stats.supervisor
+    );
+    assert!(stats.supervisor.retries > 0, "{}", stats.supervisor);
+}
+
+/// A one-shot sharded run whose band keeps failing surfaces the same
+/// error shape a pipelined stream does: `Frame` naming the frame, worker
+/// and block, chained to the worker panic that carries the injected
+/// fault's message.
+#[test]
+fn sharded_band_failure_is_a_frame_error_with_the_panic_payload() {
+    let eng = builder()
+        .faults(FaultPlan::parse("seed=3;panic@1000:frames=0..1:band=0").unwrap())
+        .build()
+        .unwrap();
+    let img = SyntheticImage::new(ImageKind::Mixed, 11).rgb(56, 72);
+    let err = eng.run_image_sharded(&img, 2).unwrap_err();
+    let msg = err.to_string();
+    assert!(std::error::Error::source(&err).is_some());
+    match err {
+        EngineError::Frame {
+            frame: 0,
+            block,
+            source,
+            ..
+        } => {
+            assert_eq!(block, 0, "band 0 starts at block 0");
+            match *source {
+                EngineError::Worker { message: Some(m) } => {
+                    assert!(m.contains("injected fault"), "{m}");
+                }
+                other => panic!("expected the worker panic as the source, got {other:?}"),
+            }
+        }
+        other => panic!("expected frame 0 to fail, got {other:?}"),
+    }
+    for part in ["frame 0", "worker", "block 0", "injected fault"] {
+        assert!(msg.contains(part), "{msg}");
+    }
+}
+
 /// Persistent kernel-scoped corruption provably walks the whole ladder —
 /// Simd -> Packed -> Reference kernels, then coalesced -> keyed layout —
 /// with every step recorded, and the degraded output stays bit-identical.
