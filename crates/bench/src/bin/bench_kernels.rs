@@ -1,13 +1,17 @@
-//! Kernel perf trajectory: times the eSR-4K single-frame path on every
+//! Kernel perf trajectory: times one eSR-4K block execution on every
 //! kernel variant — the runtime-dispatched SIMD path (narrow-licensed and
 //! forced-wide), the packed flat-slice path and the kept scalar reference
 //! — over the same plan, codes and run, and writes `BENCH_kernels.json`
-//! with median ns/frame and MAC/s per variant, so later PRs can compare
-//! against a recorded baseline.
+//! with the median time per block and MAC/s per variant, so later changes
+//! can compare against a recorded baseline.
 //!
-//! A "frame" here is one full eSR-4K block execution: the engine's
-//! UHD30 pick (ERNet SR4, B=17, R=3, N=1) at its 128-pixel input block —
-//! the exact workload `Session::process` runs per block on a 4K stream.
+//! Every timing is one *block*, not one frame: a single `execute_with`
+//! call of the engine's UHD30 pick (ERNet SR4, B=17, R=3, N=1) at its
+//! 128-pixel input block — the work `Session::process` runs per block on
+//! a 4K stream (a 4K frame is 84 such blocks). The JSON keeps its
+//! historical `*_per_frame` key names (`median_ns_per_frame`,
+//! `mac_per_frame`, …) for trajectory comparison; read them as per
+//! block.
 //!
 //! Flags:
 //!
@@ -134,7 +138,7 @@ fn main() {
         ("reference", &plan, Kernels::Reference, env_reps(3)),
     ];
     let mut results: Vec<Measured> = Vec::new();
-    let mut macs_per_frame = 0u64;
+    let mut macs_per_block = 0u64;
     let mut steady_allocs = u64::MAX;
     let mut params_reused = 0u64;
     for (name, vplan, kind, default_reps) in variants {
@@ -143,28 +147,28 @@ fn main() {
         }
         let reps = reps_override.unwrap_or(default_reps);
         let mut pool = PlanePool::new();
-        // Warm-up: grows the arena to its peak so timed frames are
+        // Warm-up: grows the arena to its peak so timed blocks are
         // steady-state.
         execute_with(vplan, &mut pool, &codes, kind).expect("warm-up");
         let warm = pool.stats();
         let mut ns = Vec::with_capacity(reps);
         for _ in 0..reps {
             let t0 = Instant::now();
-            let out = execute_with(vplan, &mut pool, &codes, kind).expect("frame");
+            let out = execute_with(vplan, &mut pool, &codes, kind).expect("block");
             ns.push(t0.elapsed().as_nanos());
             std::hint::black_box(out);
         }
         let delta = pool.stats().delta_since(&warm).per_frame(reps as u64);
-        macs_per_frame = delta.mac3 + delta.mac1;
+        macs_per_block = delta.mac3 + delta.mac1;
         if kind == Kernels::Packed {
             steady_allocs = delta.planes_allocated;
             params_reused = delta.params_reused;
         }
         let med = median(ns);
-        let mac_per_s = macs_per_frame as f64 / (med as f64 / 1e9);
+        let mac_per_s = macs_per_block as f64 / (med as f64 / 1e9);
         println!(
-            "{name:>9}: median {:.3} ms/frame  {:.2} GMAC/s  ({reps} reps, variant {}, \
-             narrow instrs/frame {})",
+            "{name:>9}: median {:.3} ms/block  {:.2} GMAC/s  ({reps} reps, variant {}, \
+             narrow instrs/block {})",
             med as f64 / 1e6,
             mac_per_s / 1e9,
             delta.kernel_variant,
@@ -191,8 +195,8 @@ fn main() {
     }
     if let Some(s) = speedup_simd {
         println!(
-            "simd vs packed: {s:.2}x  steady-state allocs/frame: {steady_allocs}  \
-             packed instructions served/frame: {params_reused}"
+            "simd vs packed: {s:.2}x  steady-state allocs/block: {steady_allocs}  \
+             packed instructions served/block: {params_reused}"
         );
     }
 
@@ -202,7 +206,7 @@ fn main() {
     // new top-level fields record the dispatch decision.
     let mut json = format!(
         "{{\n  \"bench\": \"esr4k_block_execution\",\n  \"model\": \"{spec}\",\n  \
-         \"block\": {xi},\n  \"mac_per_frame\": {macs_per_frame},\n  \
+         \"block\": {xi},\n  \"mac_per_frame\": {macs_per_block},\n  \
          \"simd_level\": \"{}\",\n  \"cpu_features\": [{}],\n  \
          \"narrow_licensed_instrs\": {},\n  \"program_instrs\": {},\n",
         plan.simd_level(),

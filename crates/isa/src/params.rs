@@ -235,8 +235,10 @@ impl LeafParams {
 /// flat-slice execution micro-kernels need, prepared once when a program
 /// is planned and reused across every frame.
 ///
-/// * weights are widened to `i32` once, in tap-major order (all channel
-///   pairs of one 3×3 tap row are addressable as a contiguous 3-slice);
+/// * weights are packed once into pair words (two input channels' `i16`
+///   weights per `i32`) in the order the register-blocked SIMD kernels
+///   stream them; the row kernels decode single-pair taps from the same
+///   table;
 /// * biases are pre-aligned to the accumulator's fractional position
 ///   (`prod_frac`), already summed across leaf-modules where the datapath
 ///   sums them;
@@ -308,16 +310,44 @@ impl PackedKernelParams {
     pub fn bytes(&self) -> usize {
         self.conv3
             .iter()
-            .map(|c| c.bias.len() * 8 + c.taps.len() * 4 + c.mask.len())
+            .map(|c| c.bias.len() * 8 + c.words.len() * 4 + c.mask.len() + c.block_mask.len())
             .sum::<usize>()
             + self.conv1.as_ref().map_or(0, |c| {
-                c.bias.len() * 8 + c.nz.len() * 8 + c.nz_idx.len() * 4
+                c.bias.len() * 8
+                    + c.nz.len() * 8
+                    + c.nz_idx.len() * 4
+                    + c.words.len() * 4
+                    + c.block_mask.len()
             })
     }
 }
 
-/// One packed 3×3 sweep: `out_planes × in_groups` leaf filters with
-/// widened taps, pre-aligned biases, and per-pair tap-row masks.
+/// Output channels one register-blocked kernel step computes together.
+pub const OC_BLOCK: usize = 4;
+/// 4-channel output blocks per leaf-module.
+pub const OC_BLOCKS: usize = LEAF_CH / OC_BLOCK;
+/// Input-channel pairs `(2p, 2p + 1)` per leaf-module.
+pub const IC_PAIRS: usize = LEAF_CH / 2;
+/// Pair words of one `(plane, output block)` of a [`PackedConv3`]:
+/// `IC_PAIRS` pairs × 9 taps × `OC_BLOCK` output channels.
+pub const CONV3_BLOCK_WORDS: usize = IC_PAIRS * 9 * OC_BLOCK;
+
+/// Packs the weights of input channels `2p` (low half) and `2p + 1`
+/// (high half) into one 32-bit word, the operand layout of a
+/// pairwise multiply-add (`vpmaddwd`) against interleaved samples.
+#[inline]
+pub fn pair_word(even: i16, odd: i16) -> i32 {
+    (u32::from(even as u16) | (u32::from(odd as u16) << 16)) as i32
+}
+
+/// The weight of input channel `2p + half` stored in a [`pair_word`].
+#[inline]
+pub fn pair_half(word: i32, half: usize) -> i32 {
+    (word >> (16 * half)) as i16 as i32
+}
+
+/// One packed 3×3 sweep: `out_planes × in_groups` leaf filters as
+/// pair-packed words, pre-aligned biases, and zero-skip masks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PackedConv3 {
     /// Output planes the sweep produces (`out_groups` for `UPX2`, else 1).
@@ -328,13 +358,21 @@ pub struct PackedConv3 {
     /// (summed across leaf-modules except for `UPX2`, whose leaves write
     /// distinct pre-shuffle planes).
     pub bias: Vec<i64>,
-    /// Widened taps, tap-major: index
-    /// `(((plane * 3 + ky) * LEAF_CH² + oc * LEAF_CH + ic) * 3) + kx`
-    /// with `plane = op · in_groups + ig`.
-    pub taps: Vec<i32>,
+    /// The one copy of the weights, as [`pair_word`]s in the order the
+    /// register-blocked kernels stream them: index
+    /// `(((plane · OC_BLOCKS + ocb) · IC_PAIRS + p) · 9 + ky · 3 + kx) ·
+    /// OC_BLOCK + o` holds the taps of output channel `ocb · OC_BLOCK + o`
+    /// against input channels `2p`, `2p + 1`, with
+    /// `plane = op · in_groups + ig`. [`PackedConv3::taps`] decodes
+    /// single-pair taps from it for the row kernels.
+    pub words: Vec<i32>,
     /// Per `(plane, oc, ic)` channel pair: low 3 bits flag tap rows `ky`
     /// with any nonzero tap. A zero byte skips the pair entirely.
     pub mask: Vec<u8>,
+    /// Per `(plane, ocb, p)`: the OR of [`PackedConv3::mask`] over the
+    /// block's 4 output × 2 input channels — the register-blocked
+    /// kernels' zero-skip granularity.
+    pub block_mask: Vec<u8>,
 }
 
 impl PackedConv3 {
@@ -384,45 +422,57 @@ impl PackedConv3 {
     }
 
     fn empty(out_planes: usize, in_groups: usize) -> Self {
-        let pairs = LEAF_CH * LEAF_CH;
         let planes = out_planes * in_groups;
         Self {
             out_planes,
             in_groups,
             bias: vec![0; out_planes * LEAF_CH],
-            taps: vec![0; planes * 3 * pairs * 3],
-            mask: vec![0; planes * pairs],
+            words: vec![0; planes * OC_BLOCKS * CONV3_BLOCK_WORDS],
+            mask: vec![0; planes * LEAF_CH * LEAF_CH],
+            block_mask: vec![0; planes * OC_BLOCKS * IC_PAIRS],
         }
     }
 
-    /// Widens one leaf filter (layout `[oc][ic][9]`) into plane `plane`'s
-    /// tap-major slots, flagging nonzero tap rows.
+    /// Index into [`PackedConv3::words`] of tap `(ky, kx)` of output
+    /// channel `oc` against input pair `p`.
+    #[inline]
+    fn word_index(plane: usize, oc: usize, p: usize, ky: usize, kx: usize) -> usize {
+        let block = plane * OC_BLOCKS + oc / OC_BLOCK;
+        block * CONV3_BLOCK_WORDS + ((p * 9 + ky * 3 + kx) * OC_BLOCK) + oc % OC_BLOCK
+    }
+
+    /// Pair-packs one leaf filter (layout `[oc][ic][9]`) into plane
+    /// `plane`'s slots, flagging nonzero tap rows.
     fn fill_plane(&mut self, plane: usize, w3: &[i16]) {
-        let pairs = LEAF_CH * LEAF_CH;
-        for pair in 0..pairs {
-            let wbase = pair * 9;
-            let mut m = 0u8;
-            for ky in 0..3 {
-                let dst = ((plane * 3 + ky) * pairs + pair) * 3;
-                for kx in 0..3 {
-                    let v = w3[wbase + ky * 3 + kx] as i32;
-                    self.taps[dst + kx] = v;
-                    if v != 0 {
-                        m |= 1 << ky;
-                    }
+        for oc in 0..LEAF_CH {
+            for p in 0..IC_PAIRS {
+                let (even, odd) = ((oc * LEAF_CH + 2 * p) * 9, (oc * LEAF_CH + 2 * p + 1) * 9);
+                for k in 0..9 {
+                    self.words[Self::word_index(plane, oc, p, k / 3, k % 3)] =
+                        pair_word(w3[even + k], w3[odd + k]);
                 }
             }
-            self.mask[plane * pairs + pair] = m;
+            for ic in 0..LEAF_CH {
+                let taps = &w3[(oc * LEAF_CH + ic) * 9..][..9];
+                let m = (0..3)
+                    .filter(|&ky| taps[ky * 3..ky * 3 + 3].iter().any(|&v| v != 0))
+                    .fold(0u8, |m, ky| m | 1 << ky);
+                self.mask[(plane * LEAF_CH + oc) * LEAF_CH + ic] = m;
+                self.block_mask[(plane * OC_BLOCKS + oc / OC_BLOCK) * IC_PAIRS + ic / 2] |= m;
+            }
         }
     }
 
     /// The 3 horizontal taps of row `ky` for channel pair `(oc, ic)` of
-    /// `plane`.
+    /// `plane`, decoded from the pair words.
     #[inline]
     pub fn taps(&self, plane: usize, ky: usize, oc: usize, ic: usize) -> [i32; 3] {
-        let pairs = LEAF_CH * LEAF_CH;
-        let base = ((plane * 3 + ky) * pairs + oc * LEAF_CH + ic) * 3;
-        [self.taps[base], self.taps[base + 1], self.taps[base + 2]]
+        [0, 1, 2].map(|kx| {
+            pair_half(
+                self.words[Self::word_index(plane, oc, ic / 2, ky, kx)],
+                ic % 2,
+            )
+        })
     }
 
     /// Nonzero-tap-row mask of channel pair `(oc, ic)` of `plane`.
@@ -434,7 +484,8 @@ impl PackedConv3 {
 
 /// One packed 1×1 stage: pre-aligned summed biases plus, per
 /// `(leaf, out_channel)`, the compacted list of nonzero input columns —
-/// the plan-time form of the executor's old per-MAC zero test.
+/// the plan-time form of the executor's old per-MAC zero test — and the
+/// same weights as [`pair_word`]s for the register-blocked kernels.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PackedConv1 {
     /// Leaf-modules packed.
@@ -447,6 +498,13 @@ pub struct PackedConv1 {
     pub nz_idx: Vec<u32>,
     /// Compacted `(in_channel, widened weight)` pairs.
     pub nz: Vec<(u16, i32)>,
+    /// Pair words, index `((leaf · OC_BLOCKS + ocb) · IC_PAIRS + p) ·
+    /// OC_BLOCK + o`: output channel `ocb · OC_BLOCK + o` against input
+    /// channels `2p`, `2p + 1`.
+    pub words: Vec<i32>,
+    /// Per `(leaf, ocb, p)`: nonzero when any of the block's 4 × 2
+    /// weights is nonzero.
+    pub block_mask: Vec<u8>,
 }
 
 impl PackedConv1 {
@@ -463,7 +521,9 @@ impl PackedConv1 {
         let mut nz_idx = Vec::with_capacity(leafs.len() * LEAF_CH + 1);
         nz_idx.push(0u32);
         let mut nz = Vec::new();
-        for leaf in leafs {
+        let mut words = vec![0i32; leafs.len() * LEAF_CH * IC_PAIRS];
+        let mut block_mask = vec![0u8; leafs.len() * OC_BLOCKS * IC_PAIRS];
+        for (li, leaf) in leafs.iter().enumerate() {
             for oc in 0..LEAF_CH {
                 for ic in 0..LEAF_CH {
                     let v = leaf.w1[oc * LEAF_CH + ic];
@@ -472,6 +532,15 @@ impl PackedConv1 {
                     }
                 }
                 nz_idx.push(nz.len() as u32);
+                for p in 0..IC_PAIRS {
+                    let (even, odd) = (
+                        leaf.w1[oc * LEAF_CH + 2 * p],
+                        leaf.w1[oc * LEAF_CH + 2 * p + 1],
+                    );
+                    let block = (li * OC_BLOCKS + oc / OC_BLOCK) * IC_PAIRS + p;
+                    words[block * OC_BLOCK + oc % OC_BLOCK] = pair_word(even, odd);
+                    block_mask[block] |= u8::from(even != 0 || odd != 0);
+                }
             }
         }
         Self {
@@ -479,6 +548,8 @@ impl PackedConv1 {
             bias,
             nz_idx,
             nz,
+            words,
+            block_mask,
         }
     }
 
@@ -856,6 +927,57 @@ mod tests {
     }
 
     #[test]
+    fn pair_words_round_trip_extreme_codes() {
+        for (even, odd) in [
+            (i16::MIN, i16::MAX),
+            (-1, 0),
+            (0, -1),
+            (i16::MIN, i16::MIN),
+            (7, -3),
+        ] {
+            let w = pair_word(even, odd);
+            assert_eq!(
+                (pair_half(w, 0), pair_half(w, 1)),
+                (even as i32, odd as i32)
+            );
+        }
+    }
+
+    #[test]
+    fn packed_conv3_block_mask_ors_its_block() {
+        let ins = conv_instr(Opcode::Conv, 1, 1);
+        let mut leaf = leaf_with_pattern(5);
+        // Zero the whole block (ocb 1, pair 3): output channels 4..8
+        // against input channels 6 and 7, and tap row ky = 2 of block
+        // (ocb 0, pair 0).
+        for oc in 4..8 {
+            for ic in 6..8 {
+                leaf.w3[(oc * LEAF_CH + ic) * 9..][..9].fill(0);
+            }
+        }
+        for oc in 0..4 {
+            for ic in 0..2 {
+                leaf.w3[(oc * LEAF_CH + ic) * 9 + 6..][..3].fill(0);
+            }
+        }
+        let p = PackedConv3::pack(&ins, &[leaf]);
+        for ocb in 0..OC_BLOCKS {
+            for pair in 0..IC_PAIRS {
+                let want = (0..OC_BLOCK)
+                    .flat_map(|o| (0..2).map(move |h| (ocb * OC_BLOCK + o, 2 * pair + h)))
+                    .fold(0, |m, (oc, ic)| m | p.row_mask(0, oc, ic));
+                assert_eq!(
+                    p.block_mask[ocb * IC_PAIRS + pair],
+                    want,
+                    "block ({ocb},{pair})"
+                );
+            }
+        }
+        assert_eq!(p.block_mask[IC_PAIRS + 3], 0, "all-zero block is skipped");
+        assert_eq!(p.block_mask[0] & 0b100, 0, "zero tap row is skipped");
+    }
+
+    #[test]
     fn packed_conv3_upx2_uses_per_plane_leaves() {
         let mut ins = conv_instr(Opcode::Upx2, 1, 4);
         ins.out_size = (28, 28);
@@ -887,6 +1009,15 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(row, want.as_slice(), "leaf {li} oc {oc}");
+                for pair in 0..IC_PAIRS {
+                    let block = (li * OC_BLOCKS + oc / OC_BLOCK) * IC_PAIRS + pair;
+                    let word = p.words[block * OC_BLOCK + oc % OC_BLOCK];
+                    for h in 0..2 {
+                        let w = leaf.w1[oc * LEAF_CH + 2 * pair + h] as i32;
+                        assert_eq!(pair_half(word, h), w, "leaf {li} oc {oc} pair {pair}");
+                        assert!(w == 0 || p.block_mask[block] != 0);
+                    }
+                }
             }
         }
     }

@@ -1,20 +1,34 @@
 //! Flat-slice convolution micro-kernels, plus the kept scalar reference.
 //!
 //! [`execute_with`](crate::exec::execute_with) dispatches its accumulation inner
-//! loops here. The fast path consumes the plan-time
+//! loops here. The fast paths consume the plan-time
 //! [`PackedKernelParams`](ecnn_isa::params::PackedKernelParams) cache —
-//! weights already widened to `i32` in tap-major order, biases
-//! pre-aligned, zero taps masked — and drives each output row as raw
-//! input-row slices with the 3 horizontal taps fused per row. Rows and
-//! columns are split into a *border* (bounds-checked, zero-padded
-//! inference only) and an *interior* span that runs with no bounds checks
-//! and no branches, so the `i64` row accumulation auto-vectorizes.
+//! weights pair-packed once, biases pre-aligned, zero taps masked — and
+//! come in two shapes:
 //!
-//! All kernels accumulate in exact `i64` arithmetic, so any summation
-//! order produces bit-identical results; the fast kernels therefore match
-//! the [`mod@reference`] kernels exactly, which the parity proptests in
-//! `tests/kernel_parity.rs` enforce against the `conv3x3_fixed` /
-//! `conv1x1_fixed` goldens.
+//! * **Row kernels** (the `Packed` rung, the wide `i64` SIMD path, and
+//!   the narrow fallbacks): one `(oc, ic, ky)` channel pair at a time,
+//!   each output row driven as raw input-row slices with the 3 horizontal
+//!   taps fused per row. Rows and columns are split into a *border*
+//!   (bounds-checked, zero-padded inference only) and an *interior* span
+//!   that runs with no bounds checks and no branches, so the `i64` row
+//!   accumulation auto-vectorizes.
+//! * **Register-blocked kernels** (the narrow `i32` path on AVX2/SSE2,
+//!   see [`simd`]): one output row and one pixel chunk at a time, 4 output
+//!   channels held in registers while every input-channel pair and tap
+//!   streams through a pairwise multiply-add — each input load serves 4
+//!   output channels, and each accumulator is stored once. The 3×3 kernel
+//!   covers truncated-pyramid sweeps at least
+//!   [`simd::BLOCKED_MIN_WIDTH`] wide and writes the biases itself; the
+//!   1×1 kernel covers planes of at least that many pixels. Zero-padded
+//!   sweeps, narrower planes, NEON and scalar keep the row kernels.
+//!
+//! Wide kernels accumulate in exact `i64` arithmetic, so any summation
+//! order produces bit-identical results; narrow kernels wrap modulo 2³²
+//! and are exact under the verifier's `narrow_acc` license. The fast
+//! kernels therefore match the [`mod@reference`] kernels exactly, which
+//! the parity proptests in `tests/kernel_parity.rs` enforce against the
+//! `conv3x3_fixed` / `conv1x1_fixed` goldens.
 //!
 //! The [`mod@reference`] submodule preserves the pre-packing scalar kernels
 //! verbatim: they are the baseline `bench_kernels` measures speedups
@@ -230,10 +244,13 @@ pub(crate) fn conv3_acc_packed_simd(
 }
 
 /// The verifier-licensed narrow variant of [`conv3_acc_packed_simd`]:
-/// 8-wide (AVX2) `i32` lanes with wrapping accumulation. Exact — and
-/// bit-identical to the wide path after [`widen_acc`] — if and only if
-/// the plan carries the instruction's `narrow_acc` range proof; the
-/// executor enforces that precondition.
+/// `i32` lanes with wrapping accumulation. Exact — and bit-identical to
+/// the wide path after [`widen_acc`] — if and only if the plan carries the
+/// instruction's `narrow_acc` range proof; the executor enforces that
+/// precondition. Truncated-pyramid sweeps at least
+/// [`simd::BLOCKED_MIN_WIDTH`] wide run the register-blocked kernel on
+/// AVX2/SSE2, which writes the biases itself; everything else runs the
+/// row kernels over a bias-filled `acc`.
 pub(crate) fn conv3_acc_packed_simd_narrow(
     ins: &Instruction,
     input: &Tensor<i16>,
@@ -241,6 +258,11 @@ pub(crate) fn conv3_acc_packed_simd_narrow(
     acc: &mut Tensor<i32>,
     level: SimdLevel,
 ) {
+    if ins.inference == InferenceKind::TruncatedPyramid
+        && simd::conv3_blocked_narrow(level, input, packed, acc)
+    {
+        return;
+    }
     let (_, chh, _) = acc.shape();
     let ih = input.height();
     let origin: isize = match ins.inference {
@@ -305,7 +327,9 @@ pub(crate) fn conv1_leaf_acc_packed_simd(
 
 /// The verifier-licensed narrow variant of [`conv1_leaf_acc_packed_simd`]
 /// (same license and exactness argument as
-/// [`conv3_acc_packed_simd_narrow`]).
+/// [`conv3_acc_packed_simd_narrow`]): the register-blocked kernel on
+/// AVX2/SSE2 for planes of at least [`simd::BLOCKED_MIN_WIDTH`] pixels,
+/// else one flat channel MAC per nonzero column.
 pub(crate) fn conv1_leaf_acc_packed_simd_narrow(
     packed: &PackedConv1,
     leaf: usize,
@@ -314,6 +338,9 @@ pub(crate) fn conv1_leaf_acc_packed_simd_narrow(
     acc: &mut Tensor<i32>,
     level: SimdLevel,
 ) {
+    if simd::conv1_blocked_narrow(level, packed, leaf, input, chan_base, acc) {
+        return;
+    }
     for oc in 0..LEAF_CH {
         for &(ic, wv) in packed.row(leaf, oc) {
             let src = input.channel(chan_base + ic as usize);

@@ -33,6 +33,44 @@
 //! modular semantics (the dev/test profiles build with
 //! `overflow-checks = true`).
 //!
+//! # Register-blocked narrow conv kernels
+//!
+//! On AVX2 and SSE2 the narrow 3×3 and 1×1 stages run
+//! [`conv3_blocked_narrow`] / [`conv1_blocked_narrow`] instead of one row
+//! kernel call per channel pair:
+//!
+//! * **Layout.** Per output row and pixel chunk (16 pixels on AVX2, 8 on
+//!   SSE2), 4 output channels × 2 vectors of `i32` accumulators stay in
+//!   registers. The 3×3 kernel starts them from the bias, the 1×1 kernel
+//!   from the current `acc` (it accumulates across ER leaves).
+//! * **Pair words.** For each input-channel pair `(2p, 2p + 1)` and tap,
+//!   the kernel loads a chunk of samples from both channel rows and
+//!   interleaves them with `unpacklo/hi_epi16`, so each 32-bit lane holds
+//!   `(x[2p], x[2p+1])`. The plan packs the matching weights once into
+//!   one 32-bit word per `(output channel, pair, tap)`
+//!   ([`ecnn_isa::params::pair_word`]: channel `2p` in the low half), so
+//!   one broadcast word and one `madd_epi16` (`vpmaddwd`) apply 2 taps
+//!   to every pixel of the vector. The AVX2 halves come out in
+//!   128-bit-lane order (pixels 0–3 / 8–11 and 4–7 / 12–15), and one
+//!   `permute2x128` pair per output channel restores pixel order at the
+//!   store (the 1×1 kernel applies the inverse on its loads).
+//! * **Exactness.** `vpmaddwd` computes `a₀b₀ + a₁b₁` of `i16` pairs into
+//!   `i32`. Each product fits `i32`; the sum overflows only when both are
+//!   (−32768)·(−32768), and then wraps to −2³¹, the residue of 2³¹ modulo
+//!   2³². Every other step is a wrapping `i32` add, so the blocked result
+//!   is congruent modulo 2³² to the exact sum — the same argument as the
+//!   row kernels, covered by the same `narrow_acc` license.
+//! * **Tails.** The 3×3 kernel overwrites its output, so a ragged last
+//!   chunk simply starts at `cw − chunk` and recomputes the overlap. The
+//!   1×1 kernel accumulates, so its last `px mod chunk` pixels run the
+//!   scalar loop over the compacted nonzero columns.
+//! * **Zero-skipping.** A plan-time mask per (4-channel output block,
+//!   input pair, `ky`) skips all-zero tap rows, so pruned models still
+//!   skip work.
+//! * **Fallbacks.** Zero-padded 3×3 sweeps, conv widths (3×3) or planes
+//!   (1×1) below [`BLOCKED_MIN_WIDTH`], NEON and scalar run the row
+//!   kernels below; the wide `i64` path never uses blocking.
+//!
 //! # Safety
 //!
 //! This is the single module in the workspace allowed to contain `unsafe`
@@ -44,9 +82,16 @@
 //!    the feature at runtime;
 //! 2. unaligned vector loads/stores whose bounds the surrounding loop
 //!    condition establishes (`j + LANES <= n`, with the row-slice length
-//!    contracts documented on each public wrapper).
+//!    contracts documented on each public wrapper; the blocked kernels'
+//!    plane offsets are bounded by the shape checks of their safe
+//!    wrappers).
 #![allow(unsafe_code)]
 
+use ecnn_isa::instr::LEAF_CH;
+use ecnn_isa::params::{
+    PackedConv1, PackedConv3, CONV3_BLOCK_WORDS, IC_PAIRS, OC_BLOCK, OC_BLOCKS,
+};
+use ecnn_tensor::Tensor;
 use std::sync::OnceLock;
 
 /// The instruction-set tier the row kernels dispatch on. All variants
@@ -147,6 +192,7 @@ fn scalar_ch_mac_wide(acc: &mut [i64], src: &[i16], w: i32) {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::{CONV3_BLOCK_WORDS, IC_PAIRS, LEAF_CH, OC_BLOCK, OC_BLOCKS};
     use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
@@ -228,28 +274,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn ch_mac_narrow(acc: &mut [i32], src: &[i16], w: i32) {
-        let n = acc.len().min(src.len());
-        let wv = _mm256_set1_epi32(w);
-        let mut j = 0usize;
-        while j + 8 <= n {
-            // SAFETY: `j + 8 <= n <= src.len()` bounds both the 128-bit
-            // source load and the 256-bit accumulator load/store.
-            unsafe {
-                let s =
-                    _mm256_cvtepi16_epi32(_mm_loadu_si128(src.as_ptr().add(j) as *const __m128i));
-                let a = _mm256_loadu_si256(acc.as_ptr().add(j) as *const __m256i);
-                _mm256_storeu_si256(
-                    acc.as_mut_ptr().add(j) as *mut __m256i,
-                    _mm256_add_epi32(a, _mm256_mullo_epi32(wv, s)),
-                );
-            }
-            j += 8;
-        }
-        super::scalar_ch_mac_narrow(&mut acc[j..], &src[j..n], w);
-    }
-
-    #[target_feature(enable = "avx2")]
     pub unsafe fn ch_mac_wide(acc: &mut [i64], src: &[i16], w: i32) {
         let n = acc.len().min(src.len());
         let wv = _mm256_set1_epi64x(w as i64);
@@ -271,6 +295,175 @@ mod avx2 {
         }
         super::scalar_ch_mac_wide(&mut acc[j..], &src[j..n], w);
     }
+
+    /// Register-blocked narrow 3×3 sweep (see [`super::conv3_blocked_narrow`]):
+    /// per output row, 4-channel output block and 16-pixel chunk, 4 × 2
+    /// `i32` accumulators start from the bias, take every live input pair
+    /// and tap through `vpmaddwd`, and are stored once.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, acc: &mut [i32]) {
+        const LANES: usize = 16;
+        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
+        for y in 0..chh {
+            for op_ in 0..s.out_planes {
+                for ocb in 0..OC_BLOCKS {
+                    let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
+                    let mut bias = [_mm256_setzero_si256(); OC_BLOCK];
+                    for (b, &v) in bias.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
+                        *b = _mm256_set1_epi32(v as i32);
+                    }
+                    let mut j = 0usize;
+                    loop {
+                        // The last chunk may overlap the previous one: it
+                        // recomputes those pixels from the bias, so the
+                        // stores agree.
+                        let x = j.min(cw - LANES);
+                        let (mut lo, mut hi) = (bias, bias);
+                        for ig in 0..s.in_groups {
+                            let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
+                            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
+                            let words = &s.words
+                                [block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
+                            for (p, &m) in masks.iter().enumerate() {
+                                if m == 0 {
+                                    continue;
+                                }
+                                let even = ((ig * LEAF_CH + 2 * p) * ih + y) * iw + x;
+                                let odd = even + ih * iw;
+                                for ky in 0..3 {
+                                    if m & (1 << ky) == 0 {
+                                        continue;
+                                    }
+                                    for kx in 0..3 {
+                                        let off = ky * iw + kx;
+                                        let w =
+                                            &words[(p * 9 + ky * 3 + kx) * OC_BLOCK..][..OC_BLOCK];
+                                        // SAFETY: `Conv3Sweep::new` checked that channel
+                                        // `2p + 1` of group `ig` exists, `y + ky < ih` and
+                                        // `x + kx + 16 <= cw + 2 <= iw`, so both 256-bit
+                                        // loads stay inside one input row.
+                                        let (a, b) = unsafe {
+                                            (
+                                                _mm256_loadu_si256(
+                                                    s.input.as_ptr().add(even + off)
+                                                        as *const __m256i,
+                                                ),
+                                                _mm256_loadu_si256(s.input.as_ptr().add(odd + off)
+                                                    as *const __m256i),
+                                            )
+                                        };
+                                        // Per 128-bit lane: pixels 0-3 / 8-11 (lo) and
+                                        // 4-7 / 12-15 (hi), channel 2p in each low half.
+                                        let il = _mm256_unpacklo_epi16(a, b);
+                                        let ih_ = _mm256_unpackhi_epi16(a, b);
+                                        for o in 0..OC_BLOCK {
+                                            let wv = _mm256_set1_epi32(w[o]);
+                                            lo[o] =
+                                                _mm256_add_epi32(lo[o], _mm256_madd_epi16(il, wv));
+                                            hi[o] =
+                                                _mm256_add_epi32(hi[o], _mm256_madd_epi16(ih_, wv));
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        for o in 0..OC_BLOCK {
+                            let dst = ((oc0 + o) * chh + y) * cw + x;
+                            // SAFETY: `oc0 + o < out_planes · 32`, `y < chh` and
+                            // `x + 16 <= cw` bound both stores to row `y` of
+                            // channel `oc0 + o` of `acc`.
+                            unsafe {
+                                _mm256_storeu_si256(
+                                    acc.as_mut_ptr().add(dst) as *mut __m256i,
+                                    _mm256_permute2x128_si256::<0x20>(lo[o], hi[o]),
+                                );
+                                _mm256_storeu_si256(
+                                    acc.as_mut_ptr().add(dst + 8) as *mut __m256i,
+                                    _mm256_permute2x128_si256::<0x31>(lo[o], hi[o]),
+                                );
+                            }
+                        }
+                        if x + LANES == cw {
+                            break;
+                        }
+                        j += LANES;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Register-blocked narrow 1×1 accumulation of one leaf (see
+    /// [`super::conv1_blocked_narrow`]) over every whole 16-pixel chunk of
+    /// the flat channel planes; returns the pixels covered.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, acc: &mut [i32]) -> usize {
+        const LANES: usize = 16;
+        let n = s.px;
+        let mut j = 0usize;
+        while j + LANES <= n {
+            for ocb in 0..OC_BLOCKS {
+                let block = s.leaf * OC_BLOCKS + ocb;
+                let (mut lo, mut hi) = (
+                    [_mm256_setzero_si256(); OC_BLOCK],
+                    [_mm256_setzero_si256(); OC_BLOCK],
+                );
+                for o in 0..OC_BLOCK {
+                    let a = (ocb * OC_BLOCK + o) * n + j;
+                    // SAFETY: `Conv1Sweep::new` checked `acc.len() == 32 · n`
+                    // and `j + 16 <= n` here.
+                    let (a0, a1) = unsafe {
+                        (
+                            _mm256_loadu_si256(acc.as_ptr().add(a) as *const __m256i),
+                            _mm256_loadu_si256(acc.as_ptr().add(a + 8) as *const __m256i),
+                        )
+                    };
+                    // Into the interleaved pixel order `madd` produces.
+                    lo[o] = _mm256_permute2x128_si256::<0x20>(a0, a1);
+                    hi[o] = _mm256_permute2x128_si256::<0x31>(a0, a1);
+                }
+                for p in 0..IC_PAIRS {
+                    if s.block_mask[block * IC_PAIRS + p] == 0 {
+                        continue;
+                    }
+                    let even = (s.chan_base + 2 * p) * n + j;
+                    // SAFETY: `Conv1Sweep::new` checked the input holds
+                    // channels `chan_base..chan_base + 32` of `n` samples,
+                    // and `j + 16 <= n`.
+                    let (a, b) = unsafe {
+                        (
+                            _mm256_loadu_si256(s.input.as_ptr().add(even) as *const __m256i),
+                            _mm256_loadu_si256(s.input.as_ptr().add(even + n) as *const __m256i),
+                        )
+                    };
+                    let il = _mm256_unpacklo_epi16(a, b);
+                    let ih = _mm256_unpackhi_epi16(a, b);
+                    let w = &s.words[(block * IC_PAIRS + p) * OC_BLOCK..][..OC_BLOCK];
+                    for o in 0..OC_BLOCK {
+                        let wv = _mm256_set1_epi32(w[o]);
+                        lo[o] = _mm256_add_epi32(lo[o], _mm256_madd_epi16(il, wv));
+                        hi[o] = _mm256_add_epi32(hi[o], _mm256_madd_epi16(ih, wv));
+                    }
+                }
+                for o in 0..OC_BLOCK {
+                    let a = (ocb * OC_BLOCK + o) * n + j;
+                    // SAFETY: the same in-bounds span the loads above read.
+                    unsafe {
+                        _mm256_storeu_si256(
+                            acc.as_mut_ptr().add(a) as *mut __m256i,
+                            _mm256_permute2x128_si256::<0x20>(lo[o], hi[o]),
+                        );
+                        _mm256_storeu_si256(
+                            acc.as_mut_ptr().add(a + 8) as *mut __m256i,
+                            _mm256_permute2x128_si256::<0x31>(lo[o], hi[o]),
+                        );
+                    }
+                }
+            }
+            j += LANES;
+        }
+        j
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -279,6 +472,7 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
+    use super::{CONV3_BLOCK_WORDS, IC_PAIRS, LEAF_CH, OC_BLOCK, OC_BLOCKS};
     use std::arch::x86_64::*;
 
     /// Sign-extends the low 4 `i16` lanes of `x` to 4 `i32` lanes without
@@ -338,25 +532,141 @@ mod sse2 {
         super::scalar_row_interior_narrow(&mut acc[j..], &row[j..], taps);
     }
 
+    /// SSE2 form of the AVX2 `conv3_blocked`: 8-pixel chunks, whose
+    /// 128-bit `unpacklo/hi` halves are already in pixel order.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn ch_mac_narrow(acc: &mut [i32], src: &[i16], w: i32) {
-        let n = acc.len().min(src.len());
-        let wv = _mm_set1_epi32(w);
-        let mut j = 0usize;
-        while j + 4 <= n {
-            // SAFETY: `j + 4 <= n <= src.len()` bounds the 64-bit source
-            // load and the 128-bit accumulator load/store.
-            unsafe {
-                let s = extend_lo_epi16(_mm_loadl_epi64(src.as_ptr().add(j) as *const __m128i));
-                let a = _mm_loadu_si128(acc.as_ptr().add(j) as *const __m128i);
-                _mm_storeu_si128(
-                    acc.as_mut_ptr().add(j) as *mut __m128i,
-                    _mm_add_epi32(a, mullo_epi32(wv, s)),
-                );
+    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, acc: &mut [i32]) {
+        const LANES: usize = 8;
+        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
+        for y in 0..chh {
+            for op_ in 0..s.out_planes {
+                for ocb in 0..OC_BLOCKS {
+                    let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
+                    let mut bias = [_mm_setzero_si128(); OC_BLOCK];
+                    for (b, &v) in bias.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
+                        *b = _mm_set1_epi32(v as i32);
+                    }
+                    let mut j = 0usize;
+                    loop {
+                        let x = j.min(cw - LANES);
+                        let (mut lo, mut hi) = (bias, bias);
+                        for ig in 0..s.in_groups {
+                            let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
+                            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
+                            let words = &s.words
+                                [block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
+                            for (p, &m) in masks.iter().enumerate() {
+                                if m == 0 {
+                                    continue;
+                                }
+                                let even = ((ig * LEAF_CH + 2 * p) * ih + y) * iw + x;
+                                let odd = even + ih * iw;
+                                for ky in 0..3 {
+                                    if m & (1 << ky) == 0 {
+                                        continue;
+                                    }
+                                    for kx in 0..3 {
+                                        let off = ky * iw + kx;
+                                        let w =
+                                            &words[(p * 9 + ky * 3 + kx) * OC_BLOCK..][..OC_BLOCK];
+                                        // SAFETY: as in the AVX2 kernel, with
+                                        // `x + kx + 8 <= cw + 2 <= iw`.
+                                        let (a, b) = unsafe {
+                                            (
+                                                _mm_loadu_si128(s.input.as_ptr().add(even + off)
+                                                    as *const __m128i),
+                                                _mm_loadu_si128(s.input.as_ptr().add(odd + off)
+                                                    as *const __m128i),
+                                            )
+                                        };
+                                        let il = _mm_unpacklo_epi16(a, b);
+                                        let ih_ = _mm_unpackhi_epi16(a, b);
+                                        for o in 0..OC_BLOCK {
+                                            let wv = _mm_set1_epi32(w[o]);
+                                            lo[o] = _mm_add_epi32(lo[o], _mm_madd_epi16(il, wv));
+                                            hi[o] = _mm_add_epi32(hi[o], _mm_madd_epi16(ih_, wv));
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        for o in 0..OC_BLOCK {
+                            let dst = ((oc0 + o) * chh + y) * cw + x;
+                            // SAFETY: `x + 8 <= cw` bounds both stores to row
+                            // `y` of channel `oc0 + o`.
+                            unsafe {
+                                _mm_storeu_si128(acc.as_mut_ptr().add(dst) as *mut __m128i, lo[o]);
+                                _mm_storeu_si128(
+                                    acc.as_mut_ptr().add(dst + 4) as *mut __m128i,
+                                    hi[o],
+                                );
+                            }
+                        }
+                        if x + LANES == cw {
+                            break;
+                        }
+                        j += LANES;
+                    }
+                }
             }
-            j += 4;
         }
-        super::scalar_ch_mac_narrow(&mut acc[j..], &src[j..n], w);
+    }
+
+    /// SSE2 form of the AVX2 `conv1_blocked` over 8-pixel chunks.
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, acc: &mut [i32]) -> usize {
+        const LANES: usize = 8;
+        let n = s.px;
+        let mut j = 0usize;
+        while j + LANES <= n {
+            for ocb in 0..OC_BLOCKS {
+                let block = s.leaf * OC_BLOCKS + ocb;
+                let (mut lo, mut hi) = (
+                    [_mm_setzero_si128(); OC_BLOCK],
+                    [_mm_setzero_si128(); OC_BLOCK],
+                );
+                for o in 0..OC_BLOCK {
+                    let a = (ocb * OC_BLOCK + o) * n + j;
+                    // SAFETY: `acc.len() == 32 · n` and `j + 8 <= n`.
+                    unsafe {
+                        lo[o] = _mm_loadu_si128(acc.as_ptr().add(a) as *const __m128i);
+                        hi[o] = _mm_loadu_si128(acc.as_ptr().add(a + 4) as *const __m128i);
+                    }
+                }
+                for p in 0..IC_PAIRS {
+                    if s.block_mask[block * IC_PAIRS + p] == 0 {
+                        continue;
+                    }
+                    let even = (s.chan_base + 2 * p) * n + j;
+                    // SAFETY: input channels `chan_base..chan_base + 32` hold
+                    // `n` samples each and `j + 8 <= n`.
+                    let (a, b) = unsafe {
+                        (
+                            _mm_loadu_si128(s.input.as_ptr().add(even) as *const __m128i),
+                            _mm_loadu_si128(s.input.as_ptr().add(even + n) as *const __m128i),
+                        )
+                    };
+                    let il = _mm_unpacklo_epi16(a, b);
+                    let ih = _mm_unpackhi_epi16(a, b);
+                    let w = &s.words[(block * IC_PAIRS + p) * OC_BLOCK..][..OC_BLOCK];
+                    for o in 0..OC_BLOCK {
+                        let wv = _mm_set1_epi32(w[o]);
+                        lo[o] = _mm_add_epi32(lo[o], _mm_madd_epi16(il, wv));
+                        hi[o] = _mm_add_epi32(hi[o], _mm_madd_epi16(ih, wv));
+                    }
+                }
+                for o in 0..OC_BLOCK {
+                    let a = (ocb * OC_BLOCK + o) * n + j;
+                    // SAFETY: the same in-bounds span the loads above read.
+                    unsafe {
+                        _mm_storeu_si128(acc.as_mut_ptr().add(a) as *mut __m128i, lo[o]);
+                        _mm_storeu_si128(acc.as_mut_ptr().add(a + 4) as *mut __m128i, hi[o]);
+                    }
+                }
+            }
+            j += LANES;
+        }
+        j
     }
 }
 
@@ -558,21 +868,181 @@ pub fn ch_mac_wide(level: SimdLevel, acc: &mut [i64], src: &[i16], w: i32) {
     }
 }
 
-/// Narrow (`i32`, wrapping) counterpart of [`ch_mac_wide`].
+/// Narrow (`i32`, wrapping) counterpart of [`ch_mac_wide`]. On x86 the
+/// narrow 1×1 stage runs [`conv1_blocked_narrow`] on every plane of at
+/// least [`BLOCKED_MIN_WIDTH`] pixels, so the smaller planes left here
+/// take the scalar loop.
 #[inline]
 pub fn ch_mac_narrow(level: SimdLevel, acc: &mut [i32], src: &[i16], w: i32) {
     match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Avx2` only when `detect` observed AVX2.
-        SimdLevel::Avx2 => unsafe { avx2::ch_mac_narrow(acc, src, w) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Sse2` only when `detect` observed SSE2.
-        SimdLevel::Sse2 => unsafe { sse2::ch_mac_narrow(acc, src, w) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `level == Neon` only when `detect` observed NEON.
         SimdLevel::Neon => unsafe { neon::ch_mac_narrow(acc, src, w) },
         _ => scalar_ch_mac_narrow(acc, src, w),
     }
+}
+
+/// Narrowest conv output (3×3: row width; 1×1: pixels per channel) the
+/// register-blocked kernels take; narrower planes keep the row kernels.
+pub const BLOCKED_MIN_WIDTH: usize = 16;
+
+/// The bounds-checked operands of one register-blocked 3×3 sweep: every
+/// raw offset the kernels form stays inside these slices.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Conv3Sweep<'a> {
+    input: &'a [i16],
+    in_h: usize,
+    in_w: usize,
+    out_h: usize,
+    out_w: usize,
+    out_planes: usize,
+    in_groups: usize,
+    words: &'a [i32],
+    block_mask: &'a [u8],
+    bias: &'a [i64],
+}
+
+impl<'a> Conv3Sweep<'a> {
+    fn new(input: &'a Tensor<i16>, packed: &'a PackedConv3, acc: &Tensor<i32>) -> Self {
+        let (in_c, in_h, in_w) = input.shape();
+        let (out_c, out_h, out_w) = acc.shape();
+        let planes = packed.out_planes * packed.in_groups;
+        assert!(
+            out_w >= BLOCKED_MIN_WIDTH && in_h >= out_h + 2 && in_w >= out_w + 2,
+            "blocked 3x3 needs truncated-pyramid geometry: {in_h}x{in_w} -> {out_h}x{out_w}"
+        );
+        assert!(in_c >= packed.in_groups * LEAF_CH && out_c == packed.out_planes * LEAF_CH);
+        assert_eq!(packed.words.len(), planes * OC_BLOCKS * CONV3_BLOCK_WORDS);
+        assert_eq!(packed.block_mask.len(), planes * OC_BLOCKS * IC_PAIRS);
+        assert_eq!(packed.bias.len(), out_c);
+        Self {
+            input: input.as_slice(),
+            in_h,
+            in_w,
+            out_h,
+            out_w,
+            out_planes: packed.out_planes,
+            in_groups: packed.in_groups,
+            words: &packed.words,
+            block_mask: &packed.block_mask,
+            bias: &packed.bias,
+        }
+    }
+}
+
+/// The bounds-checked operands of one leaf's register-blocked 1×1 pass.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Conv1Sweep<'a> {
+    input: &'a [i16],
+    /// Pixels per channel plane (input and accumulator alike).
+    px: usize,
+    chan_base: usize,
+    leaf: usize,
+    words: &'a [i32],
+    block_mask: &'a [u8],
+}
+
+impl<'a> Conv1Sweep<'a> {
+    fn new(
+        packed: &'a PackedConv1,
+        leaf: usize,
+        input: &'a Tensor<i16>,
+        chan_base: usize,
+        acc: &Tensor<i32>,
+    ) -> Self {
+        let px = acc.height() * acc.width();
+        assert!(acc.channels() == LEAF_CH && input.height() * input.width() == px);
+        assert!(input.channels() >= chan_base + LEAF_CH && leaf < packed.leaves);
+        assert_eq!(packed.words.len(), packed.leaves * LEAF_CH * IC_PAIRS);
+        assert_eq!(
+            packed.block_mask.len(),
+            packed.leaves * OC_BLOCKS * IC_PAIRS
+        );
+        Self {
+            input: input.as_slice(),
+            px,
+            chan_base,
+            leaf,
+            words: &packed.words,
+            block_mask: &packed.block_mask,
+        }
+    }
+}
+
+/// Register-blocked narrow 3×3 sweep of a truncated-pyramid conv:
+/// overwrites every element of `acc` (`out_planes·32 × chh × cw`) with
+/// the bias plus all taps, reading `input` rows `y..y+3`, columns
+/// `x..x+3` for output `(y, x)`. Returns `false`, leaving `acc`
+/// untouched, when `level` has no blocked kernel or `cw` is below
+/// [`BLOCKED_MIN_WIDTH`]; the caller then runs the row kernels. Exact
+/// under the same `narrow_acc` license as [`row_interior_narrow`] (see
+/// the module docs for `vpmaddwd`'s one wrap).
+///
+/// # Panics
+///
+/// Panics if `input` is smaller than the pyramid geometry needs or the
+/// packed shapes disagree with `acc`.
+pub fn conv3_blocked_narrow(
+    level: SimdLevel,
+    input: &Tensor<i16>,
+    packed: &PackedConv3,
+    acc: &mut Tensor<i32>,
+) -> bool {
+    if acc.width() < BLOCKED_MIN_WIDTH {
+        return false;
+    }
+    let sweep = Conv3Sweep::new(input, packed, acc);
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level == Avx2` only when `detect` observed AVX2.
+        SimdLevel::Avx2 => unsafe { avx2::conv3_blocked(&sweep, acc.as_mut_slice()) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level == Sse2` only when `detect` observed SSE2.
+        SimdLevel::Sse2 => unsafe { sse2::conv3_blocked(&sweep, acc.as_mut_slice()) },
+        _ => return false,
+    }
+    true
+}
+
+/// Register-blocked narrow 1×1 accumulation of leaf `leaf`:
+/// `acc[oc] += Σ_ic w[oc][ic] · input[chan_base + ic]` over the flat
+/// channel planes. Whole chunks run blocked; the last `px mod chunk`
+/// pixels run the scalar loop over the compacted nonzero columns.
+/// Returns `false`, leaving `acc` untouched, when `level` has no blocked
+/// kernel or a plane has fewer than [`BLOCKED_MIN_WIDTH`] pixels.
+///
+/// # Panics
+///
+/// Panics if the input and accumulator planes differ in size or `input`
+/// lacks channels `chan_base..chan_base + 32`.
+pub fn conv1_blocked_narrow(
+    level: SimdLevel,
+    packed: &PackedConv1,
+    leaf: usize,
+    input: &Tensor<i16>,
+    chan_base: usize,
+    acc: &mut Tensor<i32>,
+) -> bool {
+    if acc.height() * acc.width() < BLOCKED_MIN_WIDTH {
+        return false;
+    }
+    let sweep = Conv1Sweep::new(packed, leaf, input, chan_base, acc);
+    let done = match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level == Avx2` only when `detect` observed AVX2.
+        SimdLevel::Avx2 => unsafe { avx2::conv1_blocked(&sweep, acc.as_mut_slice()) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level == Sse2` only when `detect` observed SSE2.
+        SimdLevel::Sse2 => unsafe { sse2::conv1_blocked(&sweep, acc.as_mut_slice()) },
+        _ => return false,
+    };
+    for oc in 0..LEAF_CH {
+        for &(ic, w) in packed.row(leaf, oc) {
+            let src = &input.channel(chan_base + ic as usize)[done..];
+            scalar_ch_mac_narrow(&mut acc.channel_mut(oc)[done..], src, w);
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -653,6 +1123,226 @@ mod tests {
                 let widened: Vec<i64> = a.iter().map(|&v| v as i64).collect();
                 assert_eq!(widened, want, "narrow level {l} n {n}");
             }
+        }
+    }
+
+    use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, QSpec};
+    use ecnn_isa::params::LeafParams;
+    use ecnn_model::model::InferenceKind;
+    use ecnn_tensor::QFormat;
+
+    /// Whether `level` has register-blocked narrow conv kernels.
+    fn has_blocked(level: SimdLevel) -> bool {
+        matches!(level, SimdLevel::Avx2 | SimdLevel::Sse2)
+    }
+
+    /// Blocked-kernel widths: one chunk exactly, a one-pixel overlapping
+    /// last chunk, ragged widths on both sides of two chunks, and many
+    /// chunks.
+    const BLOCKED_WIDTHS: [usize; 5] = [16, 17, 31, 33, 130];
+
+    fn leaf(seed: i64) -> LeafParams {
+        let mut l = LeafParams::zero();
+        let pat = |i: usize, m: i64| (((i as i64 * 2654435761 + seed * m) % 509) - 254) as i16;
+        for (i, w) in l.w3.iter_mut().enumerate() {
+            // Zero one tap row `ky` (or none, or all) per register block
+            // `(oc / 4, ic / 2)`, so the block masks take every shape.
+            let (oc, ic, ky) = (i / (9 * LEAF_CH), i / 9 % LEAF_CH, i % 9 / 3);
+            let dead = (oc / OC_BLOCK + ic / 2 + seed as usize) % 5;
+            *w = if dead == ky || dead == 4 {
+                0
+            } else {
+                pat(i, 13)
+            };
+        }
+        for (i, w) in l.w1.iter_mut().enumerate() {
+            *w = if i % 3 == 0 { 0 } else { pat(i, 17) };
+        }
+        for (i, b) in l.b3.iter_mut().enumerate() {
+            *b = pat(i, 19);
+        }
+        l
+    }
+
+    /// A packed 3×3 sweep of `opcode` over `in_groups` input groups with
+    /// `out_groups` output planes (`UPX2`) and one leaf per plane.
+    fn packed3(
+        opcode: Opcode,
+        in_groups: usize,
+        out_groups: usize,
+        leafs: &[LeafParams],
+    ) -> PackedConv3 {
+        let ins = Instruction {
+            opcode,
+            inference: InferenceKind::TruncatedPyramid,
+            src: FeatLoc::di(),
+            dst: FeatLoc::bb(0),
+            src_s: None,
+            in_groups,
+            out_groups,
+            expansion: 1,
+            in_size: (18, 18),
+            out_size: (16, 16),
+            relu: false,
+            pool: None,
+            pool_factor: 1,
+            q: QSpec {
+                src: QFormat::signed(4),
+                dst: QFormat::signed(4),
+                src_s: None,
+                mid: None,
+                w3: QFormat::signed(7),
+                b3: QFormat::signed(5),
+                w1: None,
+                b1: None,
+            },
+            param_restart: 0,
+            layer: 0,
+        };
+        PackedConv3::pack(&ins, leafs)
+    }
+
+    fn plane(c: usize, h: usize, w: usize, seed: usize) -> Tensor<i16> {
+        Tensor::from_fn(c, h, w, |c, y, x| {
+            (((c * 7919 + y * 104729 + x * 31 + seed * 613) % 4093) as i16) - 2046
+        })
+    }
+
+    /// The scalar narrow row loops over the same packed sweep: the
+    /// oracle the blocked 3×3 kernels must match bit for bit.
+    fn scalar_conv3(input: &Tensor<i16>, p: &PackedConv3, chh: usize, cw: usize) -> Tensor<i32> {
+        let mut acc = Tensor::<i32>::zeros(p.out_planes * LEAF_CH, chh, cw);
+        for (oc, &b) in p.bias.iter().enumerate() {
+            acc.channel_mut(oc).fill(b as i32);
+        }
+        for op_ in 0..p.out_planes {
+            for ig in 0..p.in_groups {
+                let pl = op_ * p.in_groups + ig;
+                for oc in 0..LEAF_CH {
+                    for ic in 0..LEAF_CH {
+                        for ky in 0..3 {
+                            let taps = p.taps(pl, ky, oc, ic);
+                            for y in 0..chh {
+                                let row = input.row(ig * LEAF_CH + ic, y + ky);
+                                scalar_row_interior_narrow(
+                                    acc.row_mut(op_ * LEAF_CH + oc, y),
+                                    row,
+                                    taps,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn blocked_conv3_matches_scalar_rows_at_every_level() {
+        let cases = [
+            (Opcode::Conv, 1, 1, vec![leaf(1)]),
+            (Opcode::Conv, 2, 1, vec![leaf(2), leaf(3)]),
+            (Opcode::Upx2, 1, 2, vec![leaf(4), leaf(5)]),
+        ];
+        for (opcode, in_groups, out_groups, leafs) in cases {
+            let p = packed3(opcode, in_groups, out_groups, &leafs);
+            for cw in BLOCKED_WIDTHS {
+                let chh = 3;
+                let input = plane(in_groups * LEAF_CH, chh + 2, cw + 2, cw);
+                let want = scalar_conv3(&input, &p, chh, cw);
+                for &l in &levels() {
+                    let mut acc = Tensor::from_fn(p.out_planes * LEAF_CH, chh, cw, |_, _, _| -7);
+                    let ran = conv3_blocked_narrow(l, &input, &p, &mut acc);
+                    assert_eq!(ran, has_blocked(l), "level {l} dispatch");
+                    if ran {
+                        assert_eq!(acc, want, "{opcode:?} ig {in_groups} level {l} width {cw}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_decline_narrow_planes() {
+        let p = packed3(Opcode::Conv, 1, 1, &[leaf(6)]);
+        let input = plane(LEAF_CH, 5, 17, 0);
+        let p1 = PackedConv1::pack(&[leaf(6)], 5, 11);
+        let mid = plane(LEAF_CH, 3, 5, 1);
+        for &l in &levels() {
+            let mut acc = Tensor::<i32>::zeros(LEAF_CH, 3, 15);
+            assert!(!conv3_blocked_narrow(l, &input, &p, &mut acc), "level {l}");
+            let mut acc = Tensor::<i32>::zeros(LEAF_CH, 3, 5);
+            assert!(
+                !conv1_blocked_narrow(l, &p1, 0, &mid, 0, &mut acc),
+                "level {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn blocked_conv1_matches_scalar_at_every_level() {
+        let leafs = [leaf(7), leaf(8)];
+        let p = PackedConv1::pack(&leafs, 5, 11);
+        let shapes = BLOCKED_WIDTHS
+            .iter()
+            .map(|&n| (1, n))
+            .chain([(5, 7), (12, 12)]);
+        for (h, w) in shapes {
+            // Both leaves read their own 32-channel group, as CONV1 does.
+            let input = plane(2 * LEAF_CH, h, w, h * w);
+            let start = Tensor::from_fn(LEAF_CH, h, w, |c, y, x| {
+                (c * 1000 + y * 10 + x) as i32 - 9000
+            });
+            let mut want = start.clone();
+            for li in 0..leafs.len() {
+                for oc in 0..LEAF_CH {
+                    for &(ic, wv) in p.row(li, oc) {
+                        let src = input.channel(li * LEAF_CH + ic as usize);
+                        scalar_ch_mac_narrow(want.channel_mut(oc), src, wv);
+                    }
+                }
+            }
+            for &l in &levels() {
+                let mut acc = start.clone();
+                for li in 0..leafs.len() {
+                    let ran = conv1_blocked_narrow(l, &p, li, &input, li * LEAF_CH, &mut acc);
+                    assert_eq!(ran, has_blocked(l), "level {l} dispatch");
+                }
+                if has_blocked(l) {
+                    assert_eq!(acc, want, "level {l} plane {h}x{w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_kernels_wrap_like_scalar_at_the_madd_overflow() {
+        // (−32768)·(−32768) + (−32768)·(−32768) = 2³¹ is the one pair sum
+        // `vpmaddwd` wraps; the blocked result must still be congruent —
+        // here equal — to the scalar wrapping loops.
+        let mut l = LeafParams::zero();
+        l.w3.fill(i16::MIN);
+        l.w1.fill(i16::MIN);
+        let p3 = PackedConv3::pack_leaf(&l, 7, 7);
+        let p1 = PackedConv1::pack(std::slice::from_ref(&l), 7, 7);
+        let (chh, cw) = (2, 17);
+        let input = Tensor::from_fn(LEAF_CH, chh + 2, cw + 2, |_, _, _| i16::MIN);
+        let want3 = scalar_conv3(&input, &p3, chh, cw);
+        let mid = Tensor::from_fn(LEAF_CH, chh, cw, |_, _, _| i16::MIN);
+        let mut want1 = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
+        for oc in 0..LEAF_CH {
+            for &(ic, wv) in p1.row(0, oc) {
+                scalar_ch_mac_narrow(want1.channel_mut(oc), mid.channel(ic as usize), wv);
+            }
+        }
+        for &lv in levels().iter().filter(|&&lv| has_blocked(lv)) {
+            let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
+            assert!(conv3_blocked_narrow(lv, &input, &p3, &mut acc));
+            assert_eq!(acc, want3, "3x3 level {lv}");
+            let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
+            assert!(conv1_blocked_narrow(lv, &p1, 0, &mid, 0, &mut acc));
+            assert_eq!(acc, want1, "1x1 level {lv}");
         }
     }
 

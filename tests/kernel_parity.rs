@@ -1,7 +1,7 @@
 //! Parity proptests for the flat-slice packed and runtime-dispatched SIMD
 //! micro-kernels.
 //!
-//! Four oracles pin the kernel rewrites down:
+//! Five oracles pin the kernel rewrites down:
 //!
 //! * the *tensor-crate goldens*: random single-conv programs must match a
 //!   composition of the untouched `conv3x3_fixed` / `conv1x1_fixed`
@@ -15,6 +15,9 @@
 //! * the *work counters*: `ExecStats::work()` (mac3/mac1/traffic) must be
 //!   unchanged by the kernel selection, and warm packed/SIMD execution
 //!   must do zero kernel-prep allocations;
+//! * the *zero-skip masks*: heavily pruned programs, where the register-
+//!   blocked kernels skip most tap rows, must still match packed and
+//!   reference execution bit for bit;
 //! * the *narrow license*: unproven programs must never select the
 //!   `i32` accumulation path, the untouched uniform paper model must be
 //!   fully licensed, and the license must survive the Session /
@@ -79,7 +82,7 @@ proptest! {
     #[test]
     fn random_conv_programs_match_golden_composition(
         seed in 0u64..1_000_000,
-        side in 12usize..28,
+        side in 12usize..48,
         sparsity in 0u64..70,
         padded_sel in 0u64..2,
     ) {
@@ -230,6 +233,54 @@ proptest! {
             if label == "simd-wide" {
                 prop_assert_eq!(pool.stats().narrow_instrs, 0);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Heavily pruned ERNet programs: most register-blocked `(output
+    /// block, input pair, ky)` cells are all-zero and skipped, so the
+    /// zero-skip masks decide most of the work. The SIMD path must still
+    /// match the packed and reference paths bit for bit, with the same
+    /// work counters and one narrow execution per licensed instruction.
+    #[test]
+    fn high_sparsity_masks_keep_simd_identical(
+        seed in 0u64..1_000_000,
+        sel in 0usize..3,
+        sparsity in 85u64..100,
+    ) {
+        let task = match sel {
+            0 => ErNetTask::Dn,
+            1 => ErNetTask::Sr2,
+            _ => ErNetTask::Sr4,
+        };
+        let m = ErNetSpec::new(task, 2, 2, 1).build().unwrap();
+        let mut qm = QuantizedModel::uniform(&m);
+        scramble(&mut qm, seed, sparsity);
+        // Scale the surviving 3×3 taps up so that one skipped tap row
+        // moves the requantized outputs instead of rounding away.
+        for p in qm.layers.iter_mut().flatten() {
+            p.w3.iter_mut().for_each(|w| *w *= 8);
+        }
+        let side = 40;
+        let c = compile(&qm, side).unwrap();
+        let img = SyntheticImage::new(image_kind(seed), seed % 83).rgb(side, side);
+        let input = quantize_input(&img, &c.program);
+        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+
+        let mut runs = Vec::new();
+        for kind in [Kernels::Simd, Kernels::Packed, Kernels::Reference] {
+            let mut pool = PlanePool::new();
+            let out = execute_with(&plan, &mut pool, &input, kind).unwrap().clone();
+            runs.push((out, pool.stats()));
+        }
+        let (simd_out, simd_stats) = &runs[0];
+        prop_assert_eq!(simd_stats.narrow_instrs, plan.narrow_licensed() as u64);
+        for (out, stats) in &runs[1..] {
+            prop_assert_eq!(simd_out, out);
+            prop_assert_eq!(simd_stats.work(), stats.work());
         }
     }
 }
