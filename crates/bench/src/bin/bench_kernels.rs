@@ -41,7 +41,8 @@ fn env_reps(default: usize) -> usize {
         .max(1)
 }
 
-/// CPU features relevant to the dispatch ladder, as detected at runtime.
+/// CPU features relevant to the dispatch ladder, plus the AVX-512BW and
+/// VNNI extensions a wider narrow rung could use, as detected at runtime.
 fn cpu_features() -> Vec<&'static str> {
     let mut f = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -51,6 +52,15 @@ fn cpu_features() -> Vec<&'static str> {
         }
         if is_x86_feature_detected!("sse2") {
             f.push("sse2");
+        }
+        if is_x86_feature_detected!("avx512bw") {
+            f.push("avx512bw");
+        }
+        if is_x86_feature_detected!("avx512vnni") {
+            f.push("avx512vnni");
+        }
+        if is_x86_feature_detected!("avxvnni") {
+            f.push("avxvnni");
         }
     }
     #[cfg(target_arch = "aarch64")]

@@ -236,18 +236,23 @@ pub struct InstrRange {
     /// Stored destination codes after requantization and clamping,
     /// hulled across channels.
     pub dst: (i64, i64),
-    /// Whether the analysis proves every *convolution-stage* accumulator
-    /// value (bias plus tap contributions, before srcS accumulation and
-    /// before any activation — for `ER`, both the per-leaf 3×3 expansion
-    /// stage and the 1×1 reduction stage) fits an `i32`.
+    /// Whether the analysis proves that every *convolution-stage*
+    /// accumulator value (bias plus tap contributions, before srcS
+    /// accumulation and before any activation — for `ER`, both the
+    /// per-leaf 3×3 expansion stage and the 1×1 reduction stage) *and*
+    /// the final accumulator after the srcS add (before ReLU, so also
+    /// [`InstrRange::acc`]) fit an `i32`.
     ///
-    /// This is the license for narrow SIMD accumulation: two's-complement
-    /// wrapping arithmetic is exact modulo 2³², so a kernel that
-    /// accumulates in `i32` lanes produces the exact value whenever the
-    /// *final* per-element sum fits `i32` — intermediate wraps are
-    /// harmless. The interval proven here bounds every per-element final
-    /// sum, so `narrow_acc` ⇒ the `i32` kernel is bit-identical to the
-    /// `i64` one.
+    /// This is the license for running the whole instruction narrow —
+    /// SIMD accumulation and the fused requantizing epilogue alike.
+    /// Two's-complement wrapping arithmetic is exact modulo 2³², so a
+    /// kernel that accumulates in `i32` lanes produces the exact value
+    /// whenever the *final* per-element sum fits `i32` — intermediate
+    /// wraps are harmless. The conv-stage bound makes the conv sums
+    /// exact (the ER mid quantizer consumes its 3×3 sums directly); the
+    /// post-srcS bound makes the wrapping srcS add exact, so the ReLU and
+    /// the rounding shift see the true value. Hence `narrow_acc` ⇒ the
+    /// `i32` path is bit-identical to the `i64` one.
     pub narrow_acc: bool,
 }
 
@@ -1114,8 +1119,9 @@ fn analyze(
                     acc.push(sum);
                 }
             }
-            // Narrow license: every conv-stage sum (pre-srcS, pre-ReLU,
-            // pre-shuffle) provably fits i32.
+            // Narrow license, conv half: every conv-stage sum (pre-srcS,
+            // pre-ReLU, pre-shuffle) provably fits i32 (`finish` adds the
+            // post-srcS half).
             let narrow = acc.iter().all(|&a| fits_i32(a));
             // UPX2 shuffles 4 consecutive pre-shuffle channels into one.
             if ins.opcode == Opcode::Upx2 {
@@ -1349,6 +1355,9 @@ fn finish(
             }
         }
     }
+    // The narrow path adds srcS in wrapping `i32`: exact only when the
+    // post-srcS (pre-ReLU) sum fits too.
+    let narrow_acc = narrow_acc && acc.iter().all(|&a| fits_i32(a));
     // ER never applies the post-activation here (its ReLU lives inside
     // the leaf, before the mid quantizer) — mirroring the executor.
     if ins.relu && ins.opcode != Opcode::Er {

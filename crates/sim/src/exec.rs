@@ -13,8 +13,11 @@
 //! The executor mirrors the CIU datapath of Section 6.3 exactly:
 //!
 //! * features are 8-bit Q-format codes in block buffers;
-//! * every convolution accumulates in full precision (`i64` here; the
-//!   hardware's carry-save trees never round internally);
+//! * every convolution accumulates in full precision (the hardware's
+//!   carry-save trees never round internally): `i64` on the wide,
+//!   `Packed` and `Reference` paths, `i32` where the verifier proves it
+//!   exact (the licensed narrow SIMD path, which also requantizes
+//!   straight from `i32` in one fused pass);
 //! * `srcS` operands are aligned to the accumulator's fractional position
 //!   and added before activation (the ADDE adder);
 //! * ER leaf-modules requantize the expanded features to 8 bits between the
@@ -34,6 +37,7 @@
 
 use crate::config::EcnnConfig;
 use crate::kernels;
+use crate::kernels::simd::{self, NarrowEpilogue};
 use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, LEAF_CH};
 use ecnn_isa::params::{LeafParams, PackedKernelParams};
 use ecnn_isa::program::Program;
@@ -159,8 +163,9 @@ pub struct ExecStats {
     /// steady-state frames perform zero kernel-parameter preparation.
     pub params_reused: u64,
     /// Instruction executions that ran the verifier-licensed narrow
-    /// (`i32`-lane) accumulation path. Zero unless [`Kernels::Simd`] ran
-    /// *and* the plan carried `narrow_acc` range proofs.
+    /// (`i32`-lane) path, accumulation and epilogue. Zero unless
+    /// [`Kernels::Simd`] ran *and* the plan carried `narrow_acc` range
+    /// proofs.
     pub narrow_instrs: u64,
     /// Which kernel implementation produced these counters (merged across
     /// executions; [`KernelVariant::Mixed`] when they disagreed).
@@ -616,17 +621,24 @@ impl<'a> BlockPlan<'a> {
             .zip(leafs)
             .map(|(ins, l)| PackedKernelParams::pack(ins, l))
             .collect();
-        // Stamp each instruction's narrow-accumulation license from the
-        // verifier's interval analysis: `narrow_acc` proves every
-        // convolution-stage accumulator fits `i32`, which licenses the
-        // SIMD kernels' 8-wide `i32` path. A report with errors (or an
-        // unanalyzable instruction, `ranges[i] == None`) leaves the flag
-        // false — no proof, no narrow path.
+        // Stamp each instruction's narrow license from the verifier's
+        // interval analysis: `narrow_acc` proves every convolution-stage
+        // accumulator and the post-srcS accumulator fit `i32`, which
+        // licenses the SIMD kernels' `i32` path end to end. An
+        // instruction whose shifts the fused narrow epilogue does not
+        // cover stays wide, as does every instruction of a report with
+        // errors (or an unanalyzable one, `ranges[i] == None`) — no
+        // proof, no narrow path.
         let report = ecnn_isa::verify::verify(program, leafs);
         let mut memplan = None;
         if !report.has_errors() {
-            for (p, r) in packed.iter_mut().zip(&report.ranges) {
-                p.narrow_acc = r.as_ref().is_some_and(|r| r.narrow_acc);
+            for ((p, r), ins) in packed
+                .iter_mut()
+                .zip(&report.ranges)
+                .zip(&program.instructions)
+            {
+                p.narrow_acc =
+                    r.as_ref().is_some_and(|r| r.narrow_acc) && narrow_epilogues(ins).is_some();
             }
             // Coalesced plane layout, under the same license: only an
             // error-free verification proves no two simultaneously-live
@@ -765,11 +777,11 @@ impl<'a> BlockPlan<'a> {
     }
 
     /// Peak bytes of *keyed* `(buffer, group)` plane storage one block
-    /// execution needs. Scratch buffers (the gather input, the `i64`
-    /// accumulators, the ER mid plane, the DNX2 pre-pool plane and the
-    /// assembled output) are pool-resident too but not counted here — a
-    /// warm pool's total footprint is larger, dominated by the 8-byte
-    /// accumulator elements.
+    /// execution needs. Scratch buffers (the gather input, the
+    /// accumulators, the ER mid plane, the pre-pool / pre-shuffle plane and
+    /// the assembled output) are pool-resident too but not counted here — a
+    /// warm pool's total footprint is larger, dominated by the 4-byte
+    /// (narrow) or 8-byte (wide) accumulator elements.
     pub fn peak_plane_bytes(&self) -> usize {
         // Keys are recycled in place, so the pool's footprint is the max
         // shape ever taken per key.
@@ -808,20 +820,27 @@ pub struct PlanePool {
     arena: PlaneArena,
     /// Gathered (possibly multi-group) input scratch.
     wide: Option<Tensor<i16>>,
-    /// Main full-precision accumulator.
+    /// Main full-precision accumulator of the wide, `Packed` and
+    /// `Reference` paths; a licensed narrow execution never touches it.
     acc_a: Option<Tensor<i64>>,
-    /// Secondary accumulator: UPX2 shuffle target / ER per-leaf 3×3 stage.
+    /// Secondary wide accumulator: UPX2 shuffle target / ER per-leaf 3×3
+    /// stage.
     acc_b: Option<Tensor<i64>>,
     /// Narrow (`i32`) twin of `acc_a`, used only by verifier-licensed
-    /// [`Kernels::Simd`] executions; widened into `acc_a` before the
-    /// shared epilogue.
+    /// [`Kernels::Simd`] executions, whose fused epilogue requantizes
+    /// straight from it into the destination codes.
     acc_a32: Option<Tensor<i32>>,
-    /// Narrow twin of `acc_b` (ER per-leaf 3×3 stage).
+    /// Narrow twin of `acc_b`: ER per-leaf 3×3 stage / UPX2 shuffle
+    /// target when srcS accumulates in the shuffled domain.
     acc_b32: Option<Tensor<i32>>,
     /// ER requantized expansion plane.
     mid: Option<Tensor<i16>>,
-    /// DNX2 pre-pool quantized plane.
+    /// Pre-pool (DNX2) or pre-shuffle (srcS-free narrow UPX2) quantized
+    /// plane.
     quant: Option<Tensor<i16>>,
+    /// Copy of a srcS plane that shares its storage with the narrow
+    /// epilogue's destination (the keyed layout's in-place chains).
+    srcs_copy: Option<Tensor<i16>>,
     /// Assembled logical output block.
     out: Option<Tensor<i16>>,
     stats: ExecStats,
@@ -881,7 +900,7 @@ fn ensure_overwrite<'s, T: Copy + Default>(
 
 /// Where a plane lives in the arena: a routed physical slot (a licensed
 /// coalesced layout) or its `(buffer, group)` key (the keyed fallback).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Place {
     Slot(usize),
     Key(PlaneKey),
@@ -1060,6 +1079,7 @@ impl PlanePool {
         self.acc_b32 = None;
         self.mid = None;
         self.quant = None;
+        self.srcs_copy = None;
         self.out = None;
     }
 }
@@ -1079,8 +1099,9 @@ pub enum Kernels {
     /// Explicit SIMD micro-kernels ([`crate::kernels::simd`]) over the
     /// same packed layout, dispatched at plan time by runtime feature
     /// detection ([`BlockPlan::simd_level`]); instructions whose plan
-    /// entry carries the verifier's `narrow_acc` proof additionally run
-    /// the 8-wide `i32` accumulation path.
+    /// entry carries the verifier's `narrow_acc` proof run in `i32` end
+    /// to end: the 8-wide accumulation and the fused requantizing
+    /// epilogue.
     Simd,
 }
 
@@ -1405,6 +1426,23 @@ fn exec_conv3(
         1
     };
     let (cw, chh) = ins.conv_out_size();
+    let macs = (out_planes * ins.in_groups * LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
+    let pk = &plan.packed[idx];
+    if kind == Kernels::Simd && pk.narrow_acc {
+        // Verifier-licensed narrow path: every conv-stage sum and the
+        // post-srcS sum provably fit `i32`, so the wrapping `i32`-lane
+        // accumulation and the fused epilogue are exact.
+        let acc32 = ensure_overwrite(
+            &mut pool.acc_a32,
+            &mut pool.stats,
+            out_planes * LEAF_CH,
+            chh,
+            cw,
+        );
+        kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], acc32, plan.simd);
+        pool.stats.mac3 += macs;
+        return finish_narrow(plan, idx, pool);
+    }
     let conv_acc = ensure_overwrite(
         &mut pool.acc_a,
         &mut pool.stats,
@@ -1414,28 +1452,10 @@ fn exec_conv3(
     );
     match kind {
         Kernels::Packed => {
-            kernels::conv3_acc_packed(ins, input, &plan.packed[idx].conv3[0], conv_acc);
+            kernels::conv3_acc_packed(ins, input, &pk.conv3[0], conv_acc);
         }
         Kernels::Simd => {
-            let pk = &plan.packed[idx];
-            if pk.narrow_acc {
-                // Verifier-licensed narrow path: the final per-element
-                // conv-stage sum provably fits `i32`, so the wrapping
-                // `i32`-lane accumulation recovers it exactly and the
-                // widened copy feeds the shared `i64` epilogue.
-                let acc32 = ensure_overwrite(
-                    &mut pool.acc_a32,
-                    &mut pool.stats,
-                    out_planes * LEAF_CH,
-                    chh,
-                    cw,
-                );
-                kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], acc32, plan.simd);
-                kernels::widen_acc(conv_acc, acc32);
-                pool.stats.narrow_instrs += 1;
-            } else {
-                kernels::conv3_acc_packed_simd(ins, input, &pk.conv3[0], conv_acc, plan.simd);
-            }
+            kernels::conv3_acc_packed_simd(ins, input, &pk.conv3[0], conv_acc, plan.simd);
         }
         Kernels::Reference => {
             let weights = |op_: usize, ig: usize| {
@@ -1465,7 +1485,7 @@ fn exec_conv3(
             kernels::reference::conv3_acc_into(ins, input, &weights, &biases, out_planes, conv_acc);
         }
     }
-    pool.stats.mac3 += (out_planes * ins.in_groups * LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
+    pool.stats.mac3 += macs;
 
     let acc: &mut Tensor<i64> = if ins.opcode == Opcode::Upx2 {
         let shuffled = ensure_slot(&mut pool.acc_b, &mut pool.stats, conv_acc.len());
@@ -1479,7 +1499,7 @@ fn exec_conv3(
         // INVARIANT: format presence validated by `BlockPlan::new`.
         let sq = ins.q.src_s.expect("plan validated srcS format");
         let plane = read_plane(&pool.arena, &mut pool.stats, srcs, plan.srcs_slot(idx))?;
-        check_srcs_domain(acc, plane)?;
+        check_srcs_domain(acc.shape(), plane)?;
         add_aligned(acc, plane, sq.frac() as i32, prod_frac);
     }
     if ins.relu {
@@ -1581,10 +1601,30 @@ fn exec_conv1(
     let b1q = ins.q.b1.expect("plan validated the 1x1 bias format");
     let prod_frac = w1q.frac() as i32 + ins.q.src.frac() as i32;
     let side = input.height();
+    let macs = (leafs.len() * LEAF_CH * LEAF_CH * side * side) as u64;
+    let pk = &plan.packed[idx];
+    if kind == Kernels::Simd && pk.narrow_acc {
+        // Licensed narrow path (see `exec_conv3`).
+        let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
+        let acc32 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, side, side);
+        kernels::fill_bias_narrow(acc32, &packed.bias);
+        for leaf in 0..packed.leaves {
+            kernels::conv1_leaf_acc_packed_simd_narrow(
+                packed,
+                leaf,
+                input,
+                leaf * LEAF_CH,
+                acc32,
+                plan.simd,
+            );
+        }
+        pool.stats.mac1 += macs;
+        return finish_narrow(plan, idx, pool);
+    }
     let acc = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, side, side);
     match kind {
         Kernels::Packed => {
-            let packed = plan.packed[idx].conv1.as_ref().expect("CONV1 packs a 1x1");
+            let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
             // Bias fill over row slices, zero columns hoisted to the
             // plan-time compaction.
             kernels::fill_bias(acc, &packed.bias);
@@ -1593,37 +1633,17 @@ fn exec_conv1(
             }
         }
         Kernels::Simd => {
-            let pk = &plan.packed[idx];
             let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
-            if pk.narrow_acc {
-                // Licensed narrow path (see `exec_conv3`).
-                let acc32 =
-                    ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, side, side);
-                kernels::fill_bias_narrow(acc32, &packed.bias);
-                for leaf in 0..packed.leaves {
-                    kernels::conv1_leaf_acc_packed_simd_narrow(
-                        packed,
-                        leaf,
-                        input,
-                        leaf * LEAF_CH,
-                        acc32,
-                        plan.simd,
-                    );
-                }
-                kernels::widen_acc(acc, acc32);
-                pool.stats.narrow_instrs += 1;
-            } else {
-                kernels::fill_bias(acc, &packed.bias);
-                for leaf in 0..packed.leaves {
-                    kernels::conv1_leaf_acc_packed_simd(
-                        packed,
-                        leaf,
-                        input,
-                        leaf * LEAF_CH,
-                        acc,
-                        plan.simd,
-                    );
-                }
+            kernels::fill_bias(acc, &packed.bias);
+            for leaf in 0..packed.leaves {
+                kernels::conv1_leaf_acc_packed_simd(
+                    packed,
+                    leaf,
+                    input,
+                    leaf * LEAF_CH,
+                    acc,
+                    plan.simd,
+                );
             }
         }
         Kernels::Reference => {
@@ -1643,12 +1663,12 @@ fn exec_conv1(
             }
         }
     }
-    pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * side * side) as u64;
+    pool.stats.mac1 += macs;
     if let Some(srcs) = ins.src_s {
         // INVARIANT: format presence validated by `BlockPlan::new`.
         let sq = ins.q.src_s.expect("plan validated srcS format");
         let plane = read_plane(&pool.arena, &mut pool.stats, srcs, plan.srcs_slot(idx))?;
-        check_srcs_domain(acc, plane)?;
+        check_srcs_domain(acc.shape(), plane)?;
         add_aligned(acc, plane, sq.frac() as i32, prod_frac);
     }
     if ins.relu {
@@ -1706,115 +1726,114 @@ fn exec_er(
         ins.in_size.0,
         plan.src_slots(idx),
     )?;
+    let mac1 = (leafs.len() * LEAF_CH * LEAF_CH * cw * chh) as u64;
     let packed = &plan.packed[idx];
     if kind == Kernels::Simd && packed.narrow_acc {
         // Licensed narrow path. For ER the verifier's `narrow_acc` proves
         // *both* stages fit `i32`: the per-leaf 3×3 expansion accumulators
         // (which the mid requantizer consumes, so they must be exact, not
-        // merely congruent) and the pre-srcS 1×1 reduction accumulator.
+        // merely congruent) and the 1×1 reduction accumulator, before and
+        // after the srcS add.
+        let (_, mid_ep) = narrow_epilogues(ins).expect("plan licenses supported epilogues only");
+        let mid_ep = mid_ep.expect("ER carries a mid epilogue");
         let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
         {
             let acc1 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, chh, cw);
             kernels::fill_bias_narrow(acc1, &p1.bias);
         }
         for li in 0..leafs.len() {
-            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
+            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format,
+            // in one fused pass.
             let acc3 = ensure_overwrite(&mut pool.acc_b32, &mut pool.stats, LEAF_CH, chh, cw);
             kernels::conv3_acc_packed_simd_narrow(ins, input, &packed.conv3[li], acc3, plan.simd);
             pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
             let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
-            for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
-                let v = if a < 0 { 0 } else { a as i64 }; // ER's internal ReLU
-                *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
-            }
+            simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid);
             // LCONV1x1: plane's columns accumulate into the 32ch output.
             let acc1 = pool.acc_a32.as_mut().expect("bias-filled above");
             kernels::conv1_leaf_acc_packed_simd_narrow(p1, li, mid, 0, acc1, plan.simd);
         }
-        // Widen into the shared `i64` accumulator for the epilogue.
-        let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
-        kernels::widen_acc(acc1, pool.acc_a32.as_ref().expect("bias-filled above"));
-        pool.stats.narrow_instrs += 1;
-    } else {
-        let acc1 = match kind {
-            Kernels::Packed | Kernels::Simd => {
-                // Pre-aligned 1x1 biases, already summed across leaves.
-                let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
-                let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-                kernels::fill_bias(acc1, &p1.bias);
-                acc1
-            }
-            Kernels::Reference => {
-                let acc1 = ensure(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
-                // 1x1 biases (first leaf only carries nonzero values).
-                for leaf in leafs {
-                    for oc in 0..LEAF_CH {
-                        let b = align_code(leaf.b1[oc] as i64, b1q.frac() as i32, prod1);
-                        if b != 0 {
-                            for y in 0..chh {
-                                for x in 0..cw {
-                                    *acc1.at_mut(oc, y, x) += b;
-                                }
+        pool.stats.mac1 += mac1;
+        return finish_narrow(plan, idx, pool);
+    }
+    let acc1 = match kind {
+        Kernels::Packed | Kernels::Simd => {
+            // Pre-aligned 1x1 biases, already summed across leaves.
+            let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
+            let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
+            kernels::fill_bias(acc1, &p1.bias);
+            acc1
+        }
+        Kernels::Reference => {
+            let acc1 = ensure(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
+            // 1x1 biases (first leaf only carries nonzero values).
+            for leaf in leafs {
+                for oc in 0..LEAF_CH {
+                    let b = align_code(leaf.b1[oc] as i64, b1q.frac() as i32, prod1);
+                    if b != 0 {
+                        for y in 0..chh {
+                            for x in 0..cw {
+                                *acc1.at_mut(oc, y, x) += b;
                             }
                         }
                     }
                 }
-                acc1
             }
-        };
-        for (li, leaf) in leafs.iter().enumerate() {
-            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
-            let acc3 = ensure_overwrite(&mut pool.acc_b, &mut pool.stats, LEAF_CH, chh, cw);
-            match kind {
-                Kernels::Packed => kernels::conv3_acc_packed(ins, input, &packed.conv3[li], acc3),
-                Kernels::Simd => {
-                    kernels::conv3_acc_packed_simd(ins, input, &packed.conv3[li], acc3, plan.simd)
-                }
-                Kernels::Reference => {
-                    let weights = |_: usize, _: usize| leaf.w3.as_slice();
-                    let b3_frac = ins.q.b3.frac() as i32;
-                    let biases = |_: usize| -> Vec<i64> {
-                        (0..LEAF_CH)
-                            .map(|oc| align_code(leaf.b3[oc] as i64, b3_frac, prod3))
-                            .collect()
-                    };
-                    let mut single = Instruction::clone(ins);
-                    single.in_groups = 1;
-                    // The plane convolves the single 32ch input group.
-                    kernels::reference::conv3_acc_into(&single, input, &weights, &biases, 1, acc3);
-                }
+            acc1
+        }
+    };
+    for (li, leaf) in leafs.iter().enumerate() {
+        // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
+        let acc3 = ensure_overwrite(&mut pool.acc_b, &mut pool.stats, LEAF_CH, chh, cw);
+        match kind {
+            Kernels::Packed => kernels::conv3_acc_packed(ins, input, &packed.conv3[li], acc3),
+            Kernels::Simd => {
+                kernels::conv3_acc_packed_simd(ins, input, &packed.conv3[li], acc3, plan.simd)
             }
-            pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
-            if let Some(t) = trace.as_deref_mut() {
-                merge_extrema(&mut t.er_acc3, scan_i64(acc3));
-            }
-            let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
-            for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
-                let v = if a < 0 { 0 } else { a }; // ER's internal ReLU
-                *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
-            }
-            // LCONV1x1: plane's columns accumulate into the 32ch output.
-            match kind {
-                Kernels::Packed => {
-                    let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-                    kernels::conv1_leaf_acc_packed(p1, li, mid, 0, acc1);
-                }
-                Kernels::Simd => {
-                    let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-                    kernels::conv1_leaf_acc_packed_simd(p1, li, mid, 0, acc1, plan.simd);
-                }
-                Kernels::Reference => kernels::reference::conv1_leaf_acc(&leaf.w1, mid, 0, acc1),
+            Kernels::Reference => {
+                let weights = |_: usize, _: usize| leaf.w3.as_slice();
+                let b3_frac = ins.q.b3.frac() as i32;
+                let biases = |_: usize| -> Vec<i64> {
+                    (0..LEAF_CH)
+                        .map(|oc| align_code(leaf.b3[oc] as i64, b3_frac, prod3))
+                        .collect()
+                };
+                let mut single = Instruction::clone(ins);
+                single.in_groups = 1;
+                // The plane convolves the single 32ch input group.
+                kernels::reference::conv3_acc_into(&single, input, &weights, &biases, 1, acc3);
             }
         }
+        pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
+        if let Some(t) = trace.as_deref_mut() {
+            merge_extrema(&mut t.er_acc3, scan_i64(acc3));
+        }
+        let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
+        for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
+            let v = if a < 0 { 0 } else { a }; // ER's internal ReLU
+            *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
+        }
+        // LCONV1x1: plane's columns accumulate into the 32ch output.
+        match kind {
+            Kernels::Packed => {
+                let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
+                kernels::conv1_leaf_acc_packed(p1, li, mid, 0, acc1);
+            }
+            Kernels::Simd => {
+                let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
+                kernels::conv1_leaf_acc_packed_simd(p1, li, mid, 0, acc1, plan.simd);
+            }
+            Kernels::Reference => kernels::reference::conv1_leaf_acc(&leaf.w1, mid, 0, acc1),
+        }
     }
-    pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * cw * chh) as u64;
+    pool.stats.mac1 += mac1;
     let acc1 = pool.acc_a.as_mut().expect("accumulated above");
     // Module residual via srcS.
     if let Some(srcs) = ins.src_s {
         // INVARIANT: format presence validated by `BlockPlan::new`.
         let sq = ins.q.src_s.expect("plan validated srcS format");
         let plane = read_plane(&pool.arena, &mut pool.stats, srcs, plan.srcs_slot(idx))?;
-        check_srcs_domain(acc1, plane)?;
+        check_srcs_domain(acc1.shape(), plane)?;
         add_aligned(acc1, plane, sq.frac() as i32, prod1);
     }
     if let Some(t) = trace.as_deref_mut() {
@@ -1836,6 +1855,156 @@ fn exec_er(
     }
     let (len, px) = (dst.len(), dst.height() * dst.width());
     count_write(&mut pool.stats, program, dst_key, len, px);
+    Ok(())
+}
+
+/// The fused narrow epilogues of `ins`: the final one (srcS, ReLU and
+/// requantization to the destination format) and, for `ER`, the mid
+/// quantizer (internal ReLU, requantization to the mid format). `None`
+/// when either has a shape [`NarrowEpilogue::new`] does not cover —
+/// `BlockPlan::new` then keeps the instruction wide.
+fn narrow_epilogues(ins: &Instruction) -> Option<(NarrowEpilogue, Option<NarrowEpilogue>)> {
+    let src = ins.q.src.frac() as i32;
+    let conv3 = ins.q.w3.frac() as i32 + src;
+    let (acc_frac, mid) = match ins.opcode {
+        Opcode::Conv | Opcode::Dnx2 | Opcode::Upx2 => (conv3, None),
+        Opcode::Conv1 => (ins.q.w1?.frac() as i32 + src, None),
+        Opcode::Er => {
+            let midq = ins.q.mid?;
+            let mid = NarrowEpilogue::new(conv3, midq, true, None)?;
+            (ins.q.w1?.frac() as i32 + midq.frac() as i32, Some(mid))
+        }
+    };
+    // ER's ReLU lives inside the leaf, before the mid quantizer.
+    let relu = ins.relu && ins.opcode != Opcode::Er;
+    let srcs_frac = ins.q.src_s.map(|q| q.frac() as i32);
+    let last = NarrowEpilogue::new(acc_frac, ins.q.dst, relu, srcs_frac)?;
+    Some((last, mid))
+}
+
+/// Write access to the checked-out plane at `dst` together with read
+/// access to the distinct plane at `src`, both in the arena: the fused
+/// narrow epilogue writes one while it reads the other. `None` if either
+/// is absent (both places come from one layout, routed or keyed).
+fn dst_and_src(
+    arena: &mut PlaneArena,
+    dst: Place,
+    src: Place,
+) -> Option<(&mut Tensor<i16>, &Tensor<i16>)> {
+    match (dst, src) {
+        (Place::Slot(d), Place::Slot(s)) => {
+            let [d, s] = arena.slots.get_disjoint_mut([d, s]).ok()?;
+            Some((d.as_mut()?, s.as_ref()?))
+        }
+        (Place::Key(d), Place::Key(s)) => {
+            let [d, s] = arena.planes.get_disjoint_mut([&d, &s]);
+            Some((d?, s?))
+        }
+        _ => None,
+    }
+}
+
+/// Finishes a licensed narrow instruction from its `i32` conv
+/// accumulator in `pool.acc_a32` with one fused pass
+/// ([`simd::epilogue_narrow`]: srcS, ReLU, rounding, clamp) into the
+/// destination codes. DNX2 requantizes into the pre-pool plane and pools
+/// it; UPX2 without srcS requantizes the pre-shuffle accumulator and
+/// shuffles the codes, UPX2 with srcS shuffles the `i32` accumulator
+/// first (srcS accumulates in the shuffled domain). The `i64`
+/// accumulators are never touched.
+fn finish_narrow(plan: &BlockPlan<'_>, idx: usize, pool: &mut PlanePool) -> Result<(), ExecError> {
+    let program = plan.program;
+    let ins = &program.instructions[idx];
+    // INVARIANT: `BlockPlan::new` licenses only instructions whose
+    // epilogues `narrow_epilogues` covers.
+    let (ep, _) = narrow_epilogues(ins).expect("plan licenses supported epilogues only");
+    let level = plan.simd;
+    pool.stats.narrow_instrs += 1;
+    let PlanePool {
+        arena,
+        acc_a32,
+        acc_b32,
+        quant,
+        srcs_copy,
+        stats,
+        ..
+    } = pool;
+    let conv = acc_a32.as_ref().expect("the conv stage filled acc_a32");
+    let dst_key = PlaneKey::from(ins.dst);
+    let dst_place = plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot);
+    let shuffle_codes = ins.opcode == Opcode::Upx2 && ins.src_s.is_none();
+    let acc: &Tensor<i32> = if ins.opcode == Opcode::Upx2 && !shuffle_codes {
+        let shuffled = ensure_slot(acc_b32, stats, conv.len());
+        conv.pixel_shuffle_into(2, shuffled);
+        shuffled
+    } else {
+        conv
+    };
+    let (ac, ah, aw) = acc.shape();
+    let (oc, oh, ow) = match ins.opcode {
+        Opcode::Upx2 if shuffle_codes => (ac / 4, 2 * ah, 2 * aw),
+        Opcode::Dnx2 => (LEAF_CH, ah / ins.pool_factor, aw / ins.pool_factor),
+        _ => (ac, ah, aw),
+    };
+    if oh != ins.out_size.1 || ow != ins.out_size.0 {
+        return Err(ExecError::Shape(format!(
+            "produced {ow}x{oh} vs declared {:?}",
+            ins.out_size
+        )));
+    }
+    if ins.opcode == Opcode::Dnx2 || shuffle_codes {
+        // Requantize into scratch, then reorder the codes into dst.
+        let codes = ensure_overwrite(quant, stats, ac, ah, aw);
+        let srcs = match ins.src_s {
+            Some(loc) => {
+                let plane = read_plane(arena, stats, loc, plan.srcs_slot(idx))?;
+                check_srcs_domain((ac, ah, aw), plane)?;
+                Some(plane)
+            }
+            None => None,
+        };
+        simd::epilogue_narrow(level, &ep, acc, srcs, codes);
+        let dst = checkout(arena, stats, dst_place, oc, oh, ow, false);
+        if shuffle_codes {
+            codes.pixel_shuffle_into(2, dst);
+        } else {
+            let pool_kind = ins.pool.expect("DNX2 carries a pool");
+            pool_into(codes, pool_kind, ins.pool_factor, dst);
+        }
+        let (len, px) = (dst.len(), dst.height() * dst.width());
+        count_write(stats, program, dst_key, len, px);
+        return Ok(());
+    }
+    let dst = match ins.src_s {
+        None => {
+            let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
+            simd::epilogue_narrow(level, &ep, acc, None, dst);
+            dst
+        }
+        Some(loc) => {
+            let src_slot = plan.srcs_slot(idx);
+            let src_place = src_slot.map_or(Place::Key(PlaneKey::from(loc)), Place::Slot);
+            let plane = read_plane(arena, stats, loc, src_slot)?;
+            check_srcs_domain((ac, ah, aw), plane)?;
+            if src_place == dst_place {
+                // dst overwrites srcS in place: read a copy.
+                let (pc, ph, pw) = plane.shape();
+                let copy = ensure_overwrite(srcs_copy, stats, pc, ph, pw);
+                copy.as_mut_slice().copy_from_slice(plane.as_slice());
+                let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
+                simd::epilogue_narrow(level, &ep, acc, Some(copy), dst);
+                dst
+            } else {
+                checkout(arena, stats, dst_place, ac, ah, aw, false);
+                let (dst, plane) = dst_and_src(arena, dst_place, src_place)
+                    .expect("srcS was read and dst checked out above");
+                simd::epilogue_narrow(level, &ep, acc, Some(plane), dst);
+                dst
+            }
+        }
+    };
+    let (len, px) = (dst.len(), dst.height() * dst.width());
+    count_write(stats, program, dst_key, len, px);
     Ok(())
 }
 
@@ -1879,14 +2048,17 @@ fn assemble_output<'p>(
     Ok(out)
 }
 
-/// Guards the srcS accumulation domain: the plane must cover the
-/// accumulator spatially (it is center-cropped, never extended) and carry
-/// at least the accumulated channel count. Checked before every
-/// [`add_aligned`] call so the executor returns a structured error where
-/// it used to assert; `ecnn_isa::verify` proves the same property
+/// Guards the srcS accumulation domain of an accumulator shaped
+/// `(channels, height, width)`: the plane must cover it spatially (it is
+/// center-cropped, never extended) and carry at least the accumulated
+/// channel count. Checked before every [`add_aligned`] call and every
+/// narrow epilogue with srcS, so the executor returns a structured error
+/// where it used to assert; `ecnn_isa::verify` proves the same property
 /// statically (`shape-mismatch`).
-fn check_srcs_domain(acc: &Tensor<i64>, plane: &Tensor<i16>) -> Result<(), ExecError> {
-    let (ac, ah, aw) = acc.shape();
+fn check_srcs_domain(
+    (ac, ah, aw): (usize, usize, usize),
+    plane: &Tensor<i16>,
+) -> Result<(), ExecError> {
     let (pc, ph, pw) = plane.shape();
     if ph < ah || pw < aw {
         return Err(ExecError::Shape(format!(
@@ -2244,6 +2416,36 @@ mod tests {
         let per_block = steady.per_frame(3);
         assert_eq!(per_block.work(), warm.work());
         assert_eq!(steady.per_frame(0), steady, "0 frames: unchanged");
+    }
+
+    #[test]
+    fn licensed_execution_never_touches_the_i64_accumulators() {
+        // eSR-4K (SR4 B17R3N1) at a small block: every instruction is
+        // licensed, so a SIMD block in either layout must finish in `i32`
+        // end to end.
+        let m = ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1).build().unwrap();
+        let qm = QuantizedModel::uniform(&m);
+        let c = compile(&qm, 64).unwrap();
+        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+        assert_eq!(plan.narrow_licensed(), c.program.instructions.len());
+        let mut keyed = plan.clone();
+        keyed.force_keyed();
+        let img = SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 3).rgb(64, 64);
+        let input = quantize_input(&img, &c.program);
+        let mut outs = Vec::new();
+        for p in [&plan, &keyed] {
+            let mut pool = PlanePool::new();
+            let out = execute_with(p, &mut pool, &input, Kernels::Simd)
+                .unwrap()
+                .clone();
+            assert!(pool.acc_a.is_none() && pool.acc_b.is_none());
+            assert_eq!(
+                pool.stats().narrow_instrs,
+                c.program.instructions.len() as u64
+            );
+            outs.push(out);
+        }
+        assert_eq!(outs[0], outs[1], "coalesced vs keyed");
     }
 
     #[test]

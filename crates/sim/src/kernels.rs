@@ -25,8 +25,10 @@
 //!
 //! Wide kernels accumulate in exact `i64` arithmetic, so any summation
 //! order produces bit-identical results; narrow kernels wrap modulo 2³²
-//! and are exact under the verifier's `narrow_acc` license. The fast
-//! kernels therefore match the [`mod@reference`] kernels exactly, which
+//! and are exact under the verifier's `narrow_acc` license, and a narrow
+//! instruction never leaves `i32`: the fused [`simd::epilogue_narrow`]
+//! requantizes straight from its accumulator. The fast kernels therefore
+//! match the [`mod@reference`] kernels exactly, which
 //! the parity proptests in `tests/kernel_parity.rs` enforce against the
 //! `conv3x3_fixed` / `conv1x1_fixed` goldens.
 //!
@@ -179,16 +181,6 @@ pub(crate) fn fill_bias_narrow(acc: &mut Tensor<i32>, bias: &[i64]) {
     }
 }
 
-/// Sign-extends a narrow `i32` accumulator tensor into the shared `i64`
-/// accumulator, so the epilogue (srcS, ReLU, requantization, tracing) is
-/// identical for both widths.
-pub(crate) fn widen_acc(dst: &mut Tensor<i64>, src: &Tensor<i32>) {
-    debug_assert_eq!(dst.shape(), src.shape());
-    for (d, &s) in dst.as_mut_slice().iter_mut().zip(src.as_slice()) {
-        *d = s as i64;
-    }
-}
-
 /// [`conv3_acc_packed`] with the row loops dispatched to the wide (`i64`)
 /// SIMD kernels in [`simd`]. Bit-identical to the scalar path on every
 /// input (exact `i64` accumulation is order-independent).
@@ -244,13 +236,13 @@ pub(crate) fn conv3_acc_packed_simd(
 }
 
 /// The verifier-licensed narrow variant of [`conv3_acc_packed_simd`]:
-/// `i32` lanes with wrapping accumulation. Exact — and bit-identical to
-/// the wide path after [`widen_acc`] — if and only if the plan carries the
-/// instruction's `narrow_acc` range proof; the executor enforces that
-/// precondition. Truncated-pyramid sweeps at least
-/// [`simd::BLOCKED_MIN_WIDTH`] wide run the register-blocked kernel on
-/// AVX2/SSE2, which writes the biases itself; everything else runs the
-/// row kernels over a bias-filled `acc`.
+/// `i32` lanes with wrapping accumulation. Exact — equal to the wide
+/// path's `i64` sums — if and only if the plan carries the instruction's
+/// `narrow_acc` range proof; the executor enforces that precondition and
+/// finishes the instruction with [`simd::epilogue_narrow`].
+/// Truncated-pyramid sweeps at least [`simd::BLOCKED_MIN_WIDTH`] wide run
+/// the register-blocked kernel on AVX2/SSE2, which writes the biases
+/// itself; everything else runs the row kernels over a bias-filled `acc`.
 pub(crate) fn conv3_acc_packed_simd_narrow(
     ins: &Instruction,
     input: &Tensor<i16>,

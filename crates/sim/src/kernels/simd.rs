@@ -1,5 +1,6 @@
 //! Explicit-SIMD variants of the packed conv inner loops, with runtime
-//! dispatch and a verifier-licensed narrow (`i32`) accumulation path.
+//! dispatch, a verifier-licensed narrow (`i32`) accumulation path and its
+//! fused requantizing epilogue.
 //!
 //! # Dispatch ladder
 //!
@@ -22,16 +23,32 @@
 //! * **narrow** (`i32` lanes, 8-wide on AVX2) — uses *wrapping*
 //!   multiply-adds. Two's-complement wrapping arithmetic is exact modulo
 //!   2³², so the narrow result is bit-identical to the wide one whenever
-//!   the final per-element sum fits `i32` — which is exactly what the
-//!   static verifier's interval analysis proves per instruction
-//!   (`ecnn_isa::verify::InstrRange::narrow_acc`). The executor only
-//!   routes an instruction here when its plan carries that proof;
-//!   intermediate wraps (in products or partial sums) are harmless under
-//!   the license.
+//!   the final per-element sum fits `i32`. The static verifier's interval
+//!   analysis proves exactly that per instruction
+//!   (`ecnn_isa::verify::InstrRange::narrow_acc`): every conv-stage sum
+//!   *and* the final accumulator after the srcS add fit `i32`, so the
+//!   whole instruction — conv and [`epilogue_narrow`] alike — stays in
+//!   `i32`. The executor only routes an instruction here when its plan
+//!   carries that proof; intermediate wraps (in products, partial sums or
+//!   the up-shifted srcS term) are harmless under the license.
 //!
 //! The scalar narrow fallbacks use explicit `wrapping_*` ops for the same
 //! modular semantics (the dev/test profiles build with
 //! `overflow-checks = true`).
+//!
+//! # Fused narrow epilogue
+//!
+//! [`epilogue_narrow`] finishes a licensed instruction in one pass from
+//! its `i32` accumulator to `i16` destination codes: add the center-
+//! cropped srcS row shifted up to the accumulator's fractional position,
+//! apply the ReLU floor, round half away from zero without branches
+//! (sign mask, `abs`, add half, logical shift, re-sign — `abs` of
+//! `i32::MIN` is 2³¹ as an unsigned lane, so it rounds correctly), clamp
+//! to the code range and pack. AVX2 runs 8 lanes, SSE2 emulates `max`,
+//! `min` and `abs` with compare/`xor` masks, and NEON and scalar take the
+//! scalar loop. [`NarrowEpilogue::new`] refuses the shapes it does not
+//! cover (no rounding shift, or a srcS plane finer than the accumulator);
+//! the plan keeps those instructions wide.
 //!
 //! # Register-blocked narrow conv kernels
 //!
@@ -91,7 +108,7 @@ use ecnn_isa::instr::LEAF_CH;
 use ecnn_isa::params::{
     PackedConv1, PackedConv3, CONV3_BLOCK_WORDS, IC_PAIRS, OC_BLOCK, OC_BLOCKS,
 };
-use ecnn_tensor::Tensor;
+use ecnn_tensor::{QFormat, Tensor};
 use std::sync::OnceLock;
 
 /// The instruction-set tier the row kernels dispatch on. All variants
@@ -183,6 +200,35 @@ fn scalar_ch_mac_wide(acc: &mut [i64], src: &[i16], w: i32) {
     let w = w as i64;
     for (a, &s) in acc.iter_mut().zip(src) {
         *a += w * s as i64;
+    }
+}
+
+/// One element of the fused narrow epilogue, in the vector kernels' exact
+/// branch-free steps. The magnitude is taken as `u32`, so `i32::MIN`
+/// (magnitude 2³¹) rounds correctly too.
+#[inline]
+fn scalar_epilogue_one(ep: &NarrowEpilogue, acc: i32, srcs: i32) -> i16 {
+    let a = acc
+        .wrapping_add(srcs.wrapping_shl(ep.srcs_shift))
+        .max(ep.floor);
+    let sign = a >> 31;
+    let mag = (a ^ sign).wrapping_sub(sign) as u32;
+    let r = (mag.wrapping_add(ep.half() as u32) >> ep.shift) as i32;
+    ((r ^ sign).wrapping_sub(sign)).clamp(ep.min, ep.max) as i16
+}
+
+fn scalar_epilogue(ep: &NarrowEpilogue, acc: &[i32], srcs: Option<&[i16]>, dst: &mut [i16]) {
+    match srcs {
+        Some(s) => {
+            for ((d, &a), &v) in dst.iter_mut().zip(acc).zip(s) {
+                *d = scalar_epilogue_one(ep, a, v as i32);
+            }
+        }
+        None => {
+            for (d, &a) in dst.iter_mut().zip(acc) {
+                *d = scalar_epilogue_one(ep, a, 0);
+            }
+        }
     }
 }
 
@@ -464,6 +510,59 @@ mod avx2 {
         }
         j
     }
+
+    /// One row of the fused narrow epilogue (see
+    /// [`super::epilogue_narrow`]), 8 lanes per step: srcS up-shift and
+    /// add, activation floor, branch-free round half away from zero
+    /// (sign mask, `abs`, add half, logical shift, re-sign), clamp, and a
+    /// saturating pack to `i16` whose 128-bit-lane halves one
+    /// `permute4x64` puts back in order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `dst` (and `srcs`, when present)
+    /// must hold `acc.len()` elements.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn epilogue_row(
+        ep: &super::NarrowEpilogue,
+        acc: &[i32],
+        srcs: Option<&[i16]>,
+        dst: &mut [i16],
+    ) {
+        let n = acc.len();
+        let up = _mm_cvtsi32_si128(ep.srcs_shift as i32);
+        let floor = _mm256_set1_epi32(ep.floor);
+        let half = _mm256_set1_epi32(ep.half());
+        let shift = _mm_cvtsi32_si128(ep.shift as i32);
+        let (min, max) = (_mm256_set1_epi32(ep.min), _mm256_set1_epi32(ep.max));
+        let mut j = 0usize;
+        while j + 8 <= n {
+            // SAFETY: `j + 8 <= n` and the wrapper checked `dst` and
+            // `srcs` hold `n` elements, so the 256-bit accumulator load,
+            // the 128-bit srcS load and the 128-bit code store at
+            // `j..j+8` are in bounds.
+            unsafe {
+                let mut a = _mm256_loadu_si256(acc.as_ptr().add(j) as *const __m256i);
+                if let Some(s) = srcs {
+                    let v =
+                        _mm256_cvtepi16_epi32(_mm_loadu_si128(s.as_ptr().add(j) as *const __m128i));
+                    a = _mm256_add_epi32(a, _mm256_sll_epi32(v, up));
+                }
+                let a = _mm256_max_epi32(a, floor);
+                let sign = _mm256_srai_epi32(a, 31);
+                let r = _mm256_srl_epi32(_mm256_add_epi32(_mm256_abs_epi32(a), half), shift);
+                let r = _mm256_sub_epi32(_mm256_xor_si256(r, sign), sign);
+                let r = _mm256_min_epi32(_mm256_max_epi32(r, min), max);
+                let codes = _mm256_permute4x64_epi64::<0b00_00_10_00>(_mm256_packs_epi32(r, r));
+                _mm_storeu_si128(
+                    dst.as_mut_ptr().add(j) as *mut __m128i,
+                    _mm256_castsi256_si128(codes),
+                );
+            }
+            j += 8;
+        }
+        super::scalar_epilogue(ep, &acc[j..], srcs.map(|s| &s[j..]), &mut dst[j..]);
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -667,6 +766,96 @@ mod sse2 {
             j += LANES;
         }
         j
+    }
+
+    /// SSE2 emulation of `_mm_max_epi32` (SSE4.1).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2 (as for every function here).
+    #[target_feature(enable = "sse2")]
+    unsafe fn max_epi32(a: __m128i, b: __m128i) -> __m128i {
+        let gt = _mm_cmpgt_epi32(a, b);
+        _mm_or_si128(_mm_and_si128(gt, a), _mm_andnot_si128(gt, b))
+    }
+
+    /// SSE2 emulation of `_mm_min_epi32` (SSE4.1).
+    #[target_feature(enable = "sse2")]
+    unsafe fn min_epi32(a: __m128i, b: __m128i) -> __m128i {
+        let gt = _mm_cmpgt_epi32(a, b);
+        _mm_or_si128(_mm_and_si128(gt, b), _mm_andnot_si128(gt, a))
+    }
+
+    /// Activation floor, branch-free round half away from zero and clamp
+    /// of 4 lanes (see [`super::NarrowEpilogue`]); `abs` and the re-sign
+    /// are SSE2 `xor`/`sub` with the sign mask (SSSE3 has `abs_epi32`).
+    #[target_feature(enable = "sse2")]
+    unsafe fn round_clamp(a: __m128i, k: &EpilogueVecs) -> __m128i {
+        let a = max_epi32(a, k.floor);
+        let sign = _mm_srai_epi32(a, 31);
+        let mag = _mm_sub_epi32(_mm_xor_si128(a, sign), sign);
+        let r = _mm_srl_epi32(_mm_add_epi32(mag, k.half), k.shift);
+        let r = _mm_sub_epi32(_mm_xor_si128(r, sign), sign);
+        min_epi32(max_epi32(r, k.min), k.max)
+    }
+
+    /// The epilogue constants splatted once per row.
+    struct EpilogueVecs {
+        up: __m128i,
+        floor: __m128i,
+        half: __m128i,
+        shift: __m128i,
+        min: __m128i,
+        max: __m128i,
+    }
+
+    /// SSE2 form of the AVX2 `epilogue_row`: 8 lanes per step as two
+    /// 4-lane halves, sign-extended from `i16` by self-interleave and
+    /// packed back with one saturating `packs_epi32` (exact: both halves
+    /// are already clamped to the code range).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, and `dst` (and `srcs`, when present)
+    /// must hold `acc.len()` elements.
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn epilogue_row(
+        ep: &super::NarrowEpilogue,
+        acc: &[i32],
+        srcs: Option<&[i16]>,
+        dst: &mut [i16],
+    ) {
+        let n = acc.len();
+        let k = EpilogueVecs {
+            up: _mm_cvtsi32_si128(ep.srcs_shift as i32),
+            floor: _mm_set1_epi32(ep.floor),
+            half: _mm_set1_epi32(ep.half()),
+            shift: _mm_cvtsi32_si128(ep.shift as i32),
+            min: _mm_set1_epi32(ep.min),
+            max: _mm_set1_epi32(ep.max),
+        };
+        let mut j = 0usize;
+        while j + 8 <= n {
+            // SAFETY: `j + 8 <= n` and the wrapper checked `dst` and
+            // `srcs` hold `n` elements, so the two 128-bit accumulator
+            // loads at `j..j+8`, the 128-bit srcS load and the 128-bit
+            // code store at `j..j+8` are in bounds.
+            unsafe {
+                let mut a0 = _mm_loadu_si128(acc.as_ptr().add(j) as *const __m128i);
+                let mut a1 = _mm_loadu_si128(acc.as_ptr().add(j + 4) as *const __m128i);
+                if let Some(s) = srcs {
+                    let x = _mm_loadu_si128(s.as_ptr().add(j) as *const __m128i);
+                    let s0 = _mm_srai_epi32(_mm_unpacklo_epi16(x, x), 16);
+                    let s1 = _mm_srai_epi32(_mm_unpackhi_epi16(x, x), 16);
+                    a0 = _mm_add_epi32(a0, _mm_sll_epi32(s0, k.up));
+                    a1 = _mm_add_epi32(a1, _mm_sll_epi32(s1, k.up));
+                }
+                let codes = _mm_packs_epi32(round_clamp(a0, &k), round_clamp(a1, &k));
+                _mm_storeu_si128(dst.as_mut_ptr().add(j) as *mut __m128i, codes);
+            }
+            j += 8;
+        }
+        super::scalar_epilogue(ep, &acc[j..], srcs.map(|s| &s[j..]), &mut dst[j..]);
     }
 }
 
@@ -1045,6 +1234,128 @@ pub fn conv1_blocked_narrow(
     true
 }
 
+/// The constants of one fused narrow epilogue ([`epilogue_narrow`]): the
+/// srcS alignment shift, the activation floor, the requantizer's rounding
+/// shift and the destination code range.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NarrowEpilogue {
+    /// Left shift aligning srcS codes to the accumulator (`0..=31`).
+    srcs_shift: u32,
+    /// `0` with ReLU, `i32::MIN` (a no-op `max`) without.
+    floor: i32,
+    /// Requantizer right shift (`1..=31`).
+    shift: u32,
+    min: i32,
+    max: i32,
+}
+
+impl NarrowEpilogue {
+    /// The epilogue that adds a srcS plane stored at `srcs_frac`
+    /// fractional bits (when present) to an accumulator at `acc_frac`,
+    /// applies ReLU when `relu`, and requantizes into `dst` codes exactly
+    /// as [`ecnn_tensor::qformat::rescale_code`] +
+    /// [`QFormat::clamp_code`] do. `None` for the shapes the narrow path
+    /// leaves to the wide one: a requantizer that does not round down
+    /// (shift outside `1..=31`), or a srcS plane finer than the
+    /// accumulator (its alignment would round) or more than 31 bits
+    /// coarser.
+    pub fn new(acc_frac: i32, dst: QFormat, relu: bool, srcs_frac: Option<i32>) -> Option<Self> {
+        let shift = u32::try_from(acc_frac - dst.frac() as i32)
+            .ok()
+            .filter(|s| (1..=31).contains(s))?;
+        let srcs_shift = match srcs_frac {
+            Some(f) => u32::try_from(acc_frac - f).ok().filter(|&s| s <= 31)?,
+            None => 0,
+        };
+        Some(Self {
+            srcs_shift,
+            floor: if relu { 0 } else { i32::MIN },
+            shift,
+            min: dst.min_code(),
+            max: dst.max_code(),
+        })
+    }
+
+    /// The rounding bias `2^(shift − 1)`.
+    fn half(&self) -> i32 {
+        1 << (self.shift - 1)
+    }
+}
+
+/// One row of [`epilogue_narrow`]; `srcs` and `dst` must match `acc` in
+/// length.
+fn epilogue_row(
+    level: SimdLevel,
+    ep: &NarrowEpilogue,
+    acc: &[i32],
+    srcs: Option<&[i16]>,
+    dst: &mut [i16],
+) {
+    assert_eq!(acc.len(), dst.len(), "epilogue row lengths");
+    if let Some(s) = srcs {
+        assert_eq!(acc.len(), s.len(), "epilogue srcS row length");
+    }
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level == Avx2` only when `detect` observed AVX2; the
+        // asserts above are the row-length contract of the kernel.
+        SimdLevel::Avx2 => unsafe { avx2::epilogue_row(ep, acc, srcs, dst) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level == Sse2` only when `detect` observed SSE2; same
+        // row-length contract.
+        SimdLevel::Sse2 => unsafe { sse2::epilogue_row(ep, acc, srcs, dst) },
+        _ => scalar_epilogue(ep, acc, srcs, dst),
+    }
+}
+
+/// The fused narrow epilogue of one instruction, straight from its `i32`
+/// accumulator into destination codes in one pass: every element gets
+/// the center-cropped srcS code (channels below the plane's channel
+/// count) shifted up by the alignment, the activation floor, a
+/// branch-free round half away from zero, and the clamp to the code
+/// range. Wrapping `i32` adds make the srcS step exact whenever the final
+/// sum fits `i32`, which the verifier's `narrow_acc` license proves.
+///
+/// # Panics
+///
+/// Panics if `dst` differs from `acc` in shape or `srcs` is smaller than
+/// `acc` spatially.
+pub fn epilogue_narrow(
+    level: SimdLevel,
+    ep: &NarrowEpilogue,
+    acc: &Tensor<i32>,
+    srcs: Option<&Tensor<i16>>,
+    dst: &mut Tensor<i16>,
+) {
+    let (ac, ah, aw) = acc.shape();
+    assert_eq!(dst.shape(), (ac, ah, aw), "epilogue destination shape");
+    let Some(plane) = srcs else {
+        epilogue_row(level, ep, acc.as_slice(), None, dst.as_mut_slice());
+        return;
+    };
+    let (pc, ph, pw) = plane.shape();
+    assert!(ph >= ah && pw >= aw, "srcS smaller than the accumulator");
+    let (oy, ox) = ((ph - ah) / 2, (pw - aw) / 2);
+    for c in 0..ac {
+        if c >= pc {
+            epilogue_row(level, ep, acc.channel(c), None, dst.channel_mut(c));
+        } else if (ph, pw) == (ah, aw) {
+            epilogue_row(
+                level,
+                ep,
+                acc.channel(c),
+                Some(plane.channel(c)),
+                dst.channel_mut(c),
+            );
+        } else {
+            for y in 0..ah {
+                let s = &plane.row(c, y + oy)[ox..ox + aw];
+                epilogue_row(level, ep, acc.row(c, y), Some(s), dst.row_mut(c, y));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1360,5 +1671,133 @@ mod tests {
                 as i32;
             assert!(a.iter().all(|&v| v == want), "level {l}");
         }
+    }
+
+    /// The `i64` oracle of one epilogue element: srcS aligned up, ReLU,
+    /// then the executor's wide `rescale_code` + `clamp_code`.
+    fn epilogue_oracle(sum: i64, relu: bool, acc_frac: i32, q: QFormat) -> i16 {
+        let v = if relu { sum.max(0) } else { sum };
+        q.clamp_code(ecnn_tensor::qformat::rescale_code(
+            v,
+            acc_frac,
+            q.frac() as i32,
+        ))
+    }
+
+    /// Final (post-srcS) sums worth pinning for a rounding shift: exact
+    /// ties ±half and their neighbours, both ends of `i32`, and values
+    /// just past both ends of `q`'s code range.
+    fn epilogue_targets(shift: i32, q: QFormat) -> Vec<i64> {
+        let half = 1i64 << (shift - 1);
+        let unit = 1i64 << shift;
+        let (lo, hi) = (q.min_code() as i64, q.max_code() as i64);
+        [
+            0,
+            half,
+            -half,
+            3 * half,
+            -3 * half,
+            half - 1,
+            1 - half,
+            half + 1,
+            -half - 1,
+            i32::MIN as i64,
+            i32::MAX as i64,
+            i32::MIN as i64 + 1,
+            hi * unit + half,
+            hi * unit + half - 1,
+            lo * unit - half,
+            (hi + 1) * unit,
+            (lo - 1) * unit - 1,
+        ]
+        .into_iter()
+        .map(|v| v.clamp(i32::MIN as i64, i32::MAX as i64))
+        .collect()
+    }
+
+    #[test]
+    fn epilogue_matches_rescale_and_clamp_at_every_level() {
+        // Widths around every vector length (8 lanes) and many chunks.
+        const WIDTHS: [usize; 7] = [1, 7, 8, 15, 16, 17, 130];
+        for q in [QFormat::signed(4), QFormat::unsigned(4)] {
+            for shift in [1i32, 3, 12, 31] {
+                let acc_frac = q.frac() as i32 + shift;
+                let targets = epilogue_targets(shift, q);
+                for relu in [false, true] {
+                    // No srcS, a same-frac srcS, and one shifted up by 5.
+                    for srcs_shift in [None, Some(0u32), Some(5)] {
+                        let ep = NarrowEpilogue::new(
+                            acc_frac,
+                            q,
+                            relu,
+                            srcs_shift.map(|k| acc_frac - k as i32),
+                        )
+                        .expect("supported shape");
+                        for w in WIDTHS {
+                            // 3 accumulator channels; the srcS plane has 2
+                            // (channel 2 gets none) and a 1-row, 2-column
+                            // center-crop border.
+                            let (c, h) = (3, 2);
+                            let srcs = srcs_shift.map(|_| {
+                                Tensor::from_fn(2, h + 2, w + 4, |c, y, x| {
+                                    (((c * 53 + y * 29 + x * 7) % 255) as i16) - 128
+                                })
+                            });
+                            let up = |c: usize, y: usize, x: usize| -> i64 {
+                                match (&srcs, srcs_shift) {
+                                    (Some(p), Some(k)) if c < 2 => {
+                                        (p.at(c, y + 1, x + 2) as i64) << k
+                                    }
+                                    _ => 0,
+                                }
+                            };
+                            let mut rng = (w * 131 + shift as usize) as i64;
+                            let acc = Tensor::from_fn(c, h, w, |c, y, x| {
+                                let i = (c * h + y) * w + x;
+                                rng = (rng * 1103515245 + 12345) % 2147483648;
+                                let target = if i % 3 == 2 {
+                                    // Spread over a little past the code range.
+                                    let span = (q.max_code() as i64 + 3) << shift;
+                                    (rng % (2 * span + 1) - span)
+                                        .clamp(i32::MIN as i64, i32::MAX as i64)
+                                } else {
+                                    targets[(i + c) % targets.len()]
+                                };
+                                // The accumulator that reaches `target` after
+                                // the srcS add, when that fits `i32`.
+                                i32::try_from(target - up(c, y, x)).unwrap_or(0)
+                            });
+                            let want = Tensor::from_fn(c, h, w, |c, y, x| {
+                                let sum = acc.at(c, y, x) as i64 + up(c, y, x);
+                                epilogue_oracle(sum, relu, acc_frac, q)
+                            });
+                            for &l in &levels() {
+                                let mut dst = Tensor::from_fn(c, h, w, |_, _, _| 0x5555i16);
+                                epilogue_narrow(l, &ep, &acc, srcs.as_ref(), &mut dst);
+                                assert_eq!(
+                                    dst, want,
+                                    "level {l} {q} shift {shift} relu {relu} \
+                                     srcS {srcs_shift:?} width {w}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn epilogue_declines_shapes_the_narrow_path_does_not_cover() {
+        let q = QFormat::signed(4);
+        assert!(NarrowEpilogue::new(5, q, false, None).is_some());
+        assert!(NarrowEpilogue::new(35, q, false, Some(4)).is_some());
+        // No rounding shift: equal or up-shifting requantizers.
+        assert!(NarrowEpilogue::new(4, q, false, None).is_none());
+        assert!(NarrowEpilogue::new(2, q, true, None).is_none());
+        assert!(NarrowEpilogue::new(36, q, false, None).is_none());
+        // srcS finer than the accumulator, or more than 31 bits coarser.
+        assert!(NarrowEpilogue::new(10, q, false, Some(11)).is_none());
+        assert!(NarrowEpilogue::new(34, q, false, Some(2)).is_none());
     }
 }

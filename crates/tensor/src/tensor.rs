@@ -166,7 +166,9 @@ impl<T: Copy + Default> Tensor<T> {
 
     /// [`Tensor::pixel_shuffle`] into a caller-owned buffer, reusing its
     /// storage (the buffer is reshaped to the shuffled geometry; every
-    /// element is overwritten).
+    /// element is overwritten). Row-sliced: output row `y` of channel
+    /// `oc` interleaves source row `y / s` of the `s` channels
+    /// `oc·s² + (y mod s)·s + dx`, `dx = 0..s`.
     ///
     /// # Panics
     ///
@@ -177,10 +179,22 @@ impl<T: Copy + Default> Tensor<T> {
         dst.reset_no_fill(c, self.height * s, self.width * s);
         for oc in 0..c {
             for y in 0..dst.height {
-                for x in 0..dst.width {
-                    let (dy, dx) = (y % s, x % s);
-                    let ic = oc * s * s + dy * s + dx;
-                    *dst.at_mut(oc, y, x) = self.at(ic, y / s, x / s);
+                let ic = oc * s * s + (y % s) * s;
+                let out = dst.row_mut(oc, y);
+                if s == 2 {
+                    // The ×2 upsampler: pairwise interleave, vectorizable.
+                    let (r0, r1) = (self.row(ic, y / 2), self.row(ic + 1, y / 2));
+                    for (pair, (&a, &b)) in out.chunks_exact_mut(2).zip(r0.iter().zip(r1)) {
+                        pair[0] = a;
+                        pair[1] = b;
+                    }
+                    continue;
+                }
+                for dx in 0..s {
+                    let src = self.row(ic + dx, y / s);
+                    for (d, &v) in out[dx..].iter_mut().step_by(s).zip(src) {
+                        *d = v;
+                    }
                 }
             }
         }
@@ -663,6 +677,19 @@ mod tests {
         let mut dst = Tensor::<f32>::zeros(1, 1, 1);
         t.pixel_shuffle_into(2, &mut dst);
         assert_eq!(dst, t.pixel_shuffle(2));
+        // Integer codes and accumulators, s = 3 on non-square shapes, and
+        // a recycled buffer holding stale values of a larger shape.
+        for (s, c, h, w) in [(2, 8, 3, 5), (3, 18, 2, 7), (3, 9, 5, 1), (2, 4, 1, 1)] {
+            let f = |c: usize, y: usize, x: usize| (c * 1000 + y * 37 + x) as i32 - 5000;
+            let t32 = Tensor::from_fn(c, h, w, f);
+            let t16 = Tensor::from_fn(c, h, w, |c, y, x| f(c, y, x) as i16);
+            let mut d32 = Tensor::<i32>::from_fn(2, 40, 40, |_, _, _| -1);
+            let mut d16 = Tensor::<i16>::from_fn(2, 40, 40, |_, _, _| -1);
+            t32.pixel_shuffle_into(s, &mut d32);
+            t16.pixel_shuffle_into(s, &mut d16);
+            assert_eq!(d32, t32.pixel_shuffle(s), "i32 s={s} {c}x{h}x{w}");
+            assert_eq!(d16, t16.pixel_shuffle(s), "i16 s={s} {c}x{h}x{w}");
+        }
     }
 
     #[test]

@@ -26,15 +26,17 @@
 use ecnn_core::engine::{Backend, EcnnBackend, Workload};
 use ecnn_core::sharded::ShardedBackend;
 use ecnn_isa::compile::compile;
-use ecnn_isa::params::QuantizedModel;
+use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, QSpec};
+use ecnn_isa::params::{LeafParams, QuantizedModel};
+use ecnn_isa::program::Program;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
-use ecnn_model::layer::{Activation, Layer, Op};
+use ecnn_model::layer::{Activation, Layer, Op, PoolKind, SkipRef};
 use ecnn_model::model::{InferenceKind, Model};
 use ecnn_model::RealTimeSpec;
 use ecnn_sim::exec::{execute_with, quantize_input, BlockPlan, Kernels, PlanePool};
 use ecnn_sim::kernels::simd;
 use ecnn_tensor::conv::{conv1x1_fixed, conv3x3_fixed, FixedConvParams, Padding};
-use ecnn_tensor::{ImageKind, SyntheticImage};
+use ecnn_tensor::{ImageKind, QFormat, SyntheticImage, Tensor};
 use proptest::prelude::*;
 
 /// Overwrites every parameter of `qm` with seeded pseudo-random codes in
@@ -283,6 +285,193 @@ proptest! {
             prop_assert_eq!(simd_stats.work(), stats.work());
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The narrow epilogue's reordering paths against the reference
+    /// kernels: a 64- or 96-channel conv into `PixelShuffle{2}` compiles
+    /// to one UPX2 instruction per input group, each after the first
+    /// accumulating srcS from the previous one's output in the shuffled
+    /// domain (in place under the keyed layout); a residual conv into
+    /// stride or max `Downsample`
+    /// compiles to a DNX2 that adds a center-cropped srcS before pooling.
+    /// Both run narrow — licensed and counted — in the coalesced and the
+    /// keyed layout, and match `Reference` bit for bit.
+    #[test]
+    fn narrow_shuffle_and_pool_epilogues_match_reference(
+        seed in 0u64..1_000_000,
+        half_side in 10usize..20,
+        sparsity in 0u64..50,
+        sel in 0usize..4,
+    ) {
+        let side = 2 * half_side;
+        let (m, opcode) = if sel < 2 {
+            // Two or three input groups chain srcS; the 1×1 tail keeps
+            // the shuffled plane in a block buffer (srcS can never be
+            // read back from DO).
+            let mid_c = if sel == 0 { 64 } else { 96 };
+            let m = Model::new(
+                "conv-upx2",
+                3,
+                32,
+                vec![
+                    Layer::new(Op::Conv3x3 { in_c: 3, out_c: mid_c, act: Activation::Relu }),
+                    Layer::new(Op::Conv3x3 { in_c: mid_c, out_c: 128, act: Activation::None }),
+                    Layer::new(Op::PixelShuffle { factor: 2 }),
+                    Layer::new(Op::Conv1x1 { in_c: 32, out_c: 32, act: Activation::None }),
+                ],
+            );
+            (m, Opcode::Upx2)
+        } else {
+            let kind = if sel == 2 { PoolKind::Stride } else { PoolKind::Max };
+            let m = Model::new(
+                "residual-dnx2",
+                3,
+                32,
+                vec![
+                    Layer::new(Op::Conv3x3 { in_c: 3, out_c: 32, act: Activation::Relu }),
+                    Layer::with_skip(
+                        Op::Conv3x3 { in_c: 32, out_c: 32, act: Activation::None },
+                        SkipRef::Layer(0),
+                    ),
+                    Layer::new(Op::Downsample { kind, factor: 2 }),
+                ],
+            );
+            (m, Opcode::Dnx2)
+        };
+        let mut qm = QuantizedModel::uniform(&m.unwrap());
+        scramble(&mut qm, seed, sparsity);
+        let c = compile(&qm, side).unwrap();
+        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+        // The reordering instructions are licensed, srcS included.
+        let licensed_srcs = c
+            .program
+            .instructions
+            .iter()
+            .zip(plan.packed())
+            .filter(|(ins, p)| ins.opcode == opcode && ins.src_s.is_some() && p.narrow_acc)
+            .count();
+        prop_assert!(licensed_srcs > 0, "no licensed {:?} with srcS", opcode);
+        let mut keyed = plan.clone();
+        keyed.force_keyed();
+
+        let img = SyntheticImage::new(image_kind(seed), seed % 79).rgb(side, side);
+        let input = quantize_input(&img, &c.program);
+        let mut ref_pool = PlanePool::new();
+        let reference = execute_with(&plan, &mut ref_pool, &input, Kernels::Reference)
+            .unwrap()
+            .clone();
+        for (p, label) in [(&plan, "coalesced"), (&keyed, "keyed")] {
+            let mut pool = PlanePool::new();
+            let out = execute_with(p, &mut pool, &input, Kernels::Simd).unwrap().clone();
+            prop_assert!(out == reference, "{} layout", label);
+            prop_assert_eq!(pool.stats().work(), ref_pool.stats().work());
+            prop_assert!(pool.stats().narrow_instrs > 0);
+            prop_assert_eq!(pool.stats().narrow_instrs, plan.narrow_licensed() as u64);
+        }
+    }
+}
+
+/// The narrow license covers the srcS add, not just the conv stage: a
+/// forged program whose conv sums are tiny but whose srcS plane sits 25
+/// fractional bits below the accumulator (`Q0` into `Q25`) reaches
+/// 127·2²⁵ > `i32::MAX` only after the srcS add. That instruction must
+/// run wide — a narrow run would wrap in the fused epilogue — while its
+/// producer stays narrow, and the output must equal `Reference`.
+#[test]
+fn srcs_upshift_past_i32_runs_wide() {
+    let conv =
+        |src: FeatLoc, dst: FeatLoc, src_q: QFormat, w3: QFormat, dst_q: QFormat| Instruction {
+            opcode: Opcode::Conv,
+            inference: InferenceKind::TruncatedPyramid,
+            src,
+            dst,
+            src_s: None,
+            in_groups: 1,
+            out_groups: 1,
+            expansion: 1,
+            in_size: (16, 16),
+            out_size: (14, 14),
+            relu: false,
+            pool: None,
+            pool_factor: 1,
+            q: QSpec {
+                src: src_q,
+                dst: dst_q,
+                src_s: None,
+                mid: None,
+                w3,
+                b3: QFormat::signed(7),
+                w1: None,
+                b1: None,
+            },
+            param_restart: 0,
+            layer: 0,
+        };
+    let di_q = QFormat::unsigned(8);
+    // Producer: integer weights, UQ8 input -> Q0 codes up to 127.
+    let head = conv(
+        FeatLoc::di(),
+        FeatLoc::bb(0),
+        di_q,
+        QFormat::signed(0),
+        QFormat::signed(0),
+    );
+    // Consumer: accumulator at Q8 + Q17 = Q25, srcS at Q0, dst at Q0.
+    let mut tail = conv(
+        FeatLoc::di(),
+        FeatLoc::dout(),
+        di_q,
+        QFormat::signed(17),
+        QFormat::signed(0),
+    );
+    tail.src_s = Some(FeatLoc::bb(0));
+    tail.q.src_s = Some(QFormat::signed(0));
+    // The consumer reads a 14x14 srcS plane with a 14x14 accumulator.
+    let program = Program {
+        name: "srcs-upshift".into(),
+        instructions: vec![head, tail],
+        inference: InferenceKind::TruncatedPyramid,
+        di_side: 16,
+        di_channels: 1,
+        di_q,
+        do_side: 14,
+        do_channels: 1,
+        do_q: QFormat::signed(0),
+        input_unshuffle: None,
+        bb_overflow: false,
+    };
+    let centre = |w: i16| {
+        let mut leaf = LeafParams::zero();
+        leaf.w3[4] = w;
+        leaf
+    };
+    let leafs = vec![vec![centre(127)], vec![centre(1)]];
+    let report = ecnn_isa::verify::verify(&program, &leafs);
+    assert!(!report.has_errors(), "{:?}", report.diagnostics);
+    let acc = report.ranges[1].expect("analyzed").acc;
+    assert!(
+        acc.1 > i32::MAX as i64,
+        "the srcS add must leave i32: {acc:?}"
+    );
+
+    let plan = BlockPlan::new(&program, &leafs).unwrap();
+    let narrow: Vec<bool> = plan.packed().iter().map(|p| p.narrow_acc).collect();
+    assert_eq!(narrow, [true, false], "producer narrow, srcS consumer wide");
+
+    // Full-scale input: the srcS codes reach 127, so the final sums
+    // really exceed i32.
+    let input = Tensor::from_fn(1, 16, 16, |_, y, x| 200 + ((y * 16 + x) % 56) as i16);
+    let mut pool = PlanePool::new();
+    let simd_out = execute_with(&plan, &mut pool, &input, Kernels::Simd)
+        .unwrap()
+        .clone();
+    assert_eq!(pool.stats().narrow_instrs, 1);
+    let mut ref_pool = PlanePool::new();
+    let reference = execute_with(&plan, &mut ref_pool, &input, Kernels::Reference).unwrap();
+    assert_eq!(&simd_out, reference);
 }
 
 /// An instruction whose accumulator hull the verifier cannot fit in
