@@ -1,7 +1,9 @@
 //! Kernel perf trajectory: times one eSR-4K block execution on every
 //! kernel variant — the runtime-dispatched SIMD path (narrow-licensed and
-//! forced-wide), the packed flat-slice path and the kept scalar reference
-//! — over the same plan, codes and run, and writes `BENCH_kernels.json`
+//! forced-wide), the narrow SIMD path pinned to the AVX2 rung (so an
+//! AVX-512 host times both rungs), the packed flat-slice path and the
+//! kept scalar reference — over the same plan, codes and run, and writes
+//! `BENCH_kernels.json`
 //! with the median time per block and MAC/s per variant, so later changes
 //! can compare against a recorded baseline.
 //!
@@ -17,14 +19,16 @@
 //!
 //! * `--reps N` — timed repetitions per variant (default 7 fast / 3
 //!   reference; `ECNN_BENCH_REPS` kept as a fallback).
-//! * `--variant simd|simd-wide|packed|reference` — run only the named
-//!   variant (repeatable; default all).
+//! * `--variant simd|simd-wide|simd-avx2|packed|reference` — run only the
+//!   named variant (repeatable; default all). `simd-avx2` is skipped on a
+//!   host without AVX2.
 //! * `--json PATH` — output path (default `BENCH_kernels.json`).
 
 use ecnn_isa::compile::compile;
 use ecnn_isa::params::QuantizedModel;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_sim::exec::{execute_with, quantize_input, BlockPlan, Kernels, PlanePool};
+use ecnn_sim::SimdLevel;
 use ecnn_tensor::{ImageKind, SyntheticImage};
 use std::time::Instant;
 
@@ -41,8 +45,9 @@ fn env_reps(default: usize) -> usize {
         .max(1)
 }
 
-/// CPU features relevant to the dispatch ladder, plus the AVX-512BW and
-/// VNNI extensions a wider narrow rung could use, as detected at runtime.
+/// CPU features relevant to the dispatch ladder, as detected at runtime:
+/// AVX2 and SSE2, the AVX-512F/BW + VNNI set the AVX-512 rung requires,
+/// and the 256-bit AVX-VNNI extension no rung uses yet.
 fn cpu_features() -> Vec<&'static str> {
     let mut f = Vec::new();
     #[cfg(target_arch = "x86_64")]
@@ -52,6 +57,9 @@ fn cpu_features() -> Vec<&'static str> {
         }
         if is_x86_feature_detected!("sse2") {
             f.push("sse2");
+        }
+        if is_x86_feature_detected!("avx512f") {
+            f.push("avx512f");
         }
         if is_x86_feature_detected!("avx512bw") {
             f.push("avx512bw");
@@ -81,7 +89,8 @@ struct Measured {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_kernels [--reps N] [--variant simd|simd-wide|packed|reference]... \
+        "usage: bench_kernels [--reps N] \
+         [--variant simd|simd-wide|simd-avx2|packed|reference]... \
          [--json PATH]"
     );
     std::process::exit(2);
@@ -112,7 +121,10 @@ fn main() {
         }
     }
     for v in &only {
-        if !matches!(v.as_str(), "simd" | "simd-wide" | "packed" | "reference") {
+        if !matches!(
+            v.as_str(),
+            "simd" | "simd-wide" | "simd-avx2" | "packed" | "reference"
+        ) {
             eprintln!("unknown variant: {v}");
             usage();
         }
@@ -126,6 +138,7 @@ fn main() {
     let plan = BlockPlan::new(&compiled.program, &compiled.leafs).expect("plan");
     let mut wide_plan = plan.clone();
     wide_plan.force_wide();
+    let avx2_plan = plan.clone().with_simd_level(SimdLevel::Avx2);
     let img = SyntheticImage::new(ImageKind::Mixed, 9).rgb(xi, xi);
     let codes = quantize_input(&img, &compiled.program);
 
@@ -141,11 +154,12 @@ fn main() {
         compiled.program.instructions.len(),
     );
 
-    let variants: [(&'static str, &BlockPlan<'_>, Kernels, usize); 4] = [
-        ("simd", &plan, Kernels::Simd, env_reps(7)),
-        ("simd-wide", &wide_plan, Kernels::Simd, env_reps(7)),
-        ("packed", &plan, Kernels::Packed, env_reps(7)),
-        ("reference", &plan, Kernels::Reference, env_reps(3)),
+    let variants: [(&'static str, Option<&BlockPlan<'_>>, Kernels, usize); 5] = [
+        ("simd", Some(&plan), Kernels::Simd, env_reps(7)),
+        ("simd-wide", Some(&wide_plan), Kernels::Simd, env_reps(7)),
+        ("simd-avx2", avx2_plan.as_ref(), Kernels::Simd, env_reps(7)),
+        ("packed", Some(&plan), Kernels::Packed, env_reps(7)),
+        ("reference", Some(&plan), Kernels::Reference, env_reps(3)),
     ];
     let mut results: Vec<Measured> = Vec::new();
     let mut macs_per_block = 0u64;
@@ -155,6 +169,10 @@ fn main() {
         if !only.is_empty() && !only.iter().any(|v| v == name) {
             continue;
         }
+        let Some(vplan) = vplan else {
+            println!("{name:>9}: skipped (rung not available on this CPU)");
+            continue;
+        };
         let reps = reps_override.unwrap_or(default_reps);
         let mut pool = PlanePool::new();
         // Warm-up: grows the arena to its peak so timed blocks are

@@ -95,6 +95,9 @@ pub enum KernelVariant {
     SimdSse2,
     /// [`Kernels::Simd`] running the AVX2 kernels.
     SimdAvx2,
+    /// [`Kernels::Simd`] running the AVX-512 VNNI conv kernels (AVX2 for
+    /// the rest).
+    SimdAvx512,
     /// [`Kernels::Simd`] running the NEON kernels.
     SimdNeon,
     /// Executions with different variants were merged into one counter
@@ -125,6 +128,7 @@ impl KernelVariant {
             KernelVariant::SimdScalar => "simd-scalar",
             KernelVariant::SimdSse2 => "simd-sse2",
             KernelVariant::SimdAvx2 => "simd-avx2",
+            KernelVariant::SimdAvx512 => "simd-avx512",
             KernelVariant::SimdNeon => "simd-neon",
             KernelVariant::Mixed => "mixed",
         }
@@ -714,6 +718,19 @@ impl<'a> BlockPlan<'a> {
         self.packed.iter().filter(|p| p.narrow_acc).count()
     }
 
+    /// This plan with [`Kernels::Simd`] executions dispatched to `level`
+    /// instead of the detected tier, so tests and benches can time or
+    /// compare rungs on one host. `None` when this CPU cannot run `level`
+    /// ([`SimdLevel::is_available`]).
+    ///
+    /// [`SimdLevel::is_available`]: kernels::simd::SimdLevel::is_available
+    pub fn with_simd_level(mut self, level: kernels::simd::SimdLevel) -> Option<Self> {
+        level.is_available().then(|| {
+            self.simd = level;
+            self
+        })
+    }
+
     /// Revokes every narrow-accumulation license, forcing
     /// [`Kernels::Simd`] executions onto the wide (`i64`) SIMD path. For
     /// parity tests and benchmarks that isolate the lane-width effect.
@@ -830,8 +847,10 @@ pub struct PlanePool {
     /// [`Kernels::Simd`] executions, whose fused epilogue requantizes
     /// straight from it into the destination codes.
     acc_a32: Option<Tensor<i32>>,
-    /// Narrow twin of `acc_b`: ER per-leaf 3×3 stage / UPX2 shuffle
-    /// target when srcS accumulates in the shuffled domain.
+    /// Narrow twin of `acc_b`: UPX2 shuffle target when srcS accumulates
+    /// in the shuffled domain, and the ER per-leaf 3×3 stage of the sweeps
+    /// the register-blocked kernels do not cover (they store mid codes
+    /// directly).
     acc_b32: Option<Tensor<i32>>,
     /// ER requantized expansion plane.
     mid: Option<Tensor<i16>>,
@@ -1141,6 +1160,7 @@ impl Kernels {
             Kernels::Packed => KernelVariant::Packed,
             Kernels::Reference => KernelVariant::Reference,
             Kernels::Simd => match level {
+                SimdLevel::Avx512 => KernelVariant::SimdAvx512,
                 SimdLevel::Avx2 => KernelVariant::SimdAvx2,
                 SimdLevel::Sse2 => KernelVariant::SimdSse2,
                 SimdLevel::Neon => KernelVariant::SimdNeon,
@@ -1742,13 +1762,18 @@ fn exec_er(
             kernels::fill_bias_narrow(acc1, &p1.bias);
         }
         for li in 0..leafs.len() {
-            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format,
-            // in one fused pass.
-            let acc3 = ensure_overwrite(&mut pool.acc_b32, &mut pool.stats, LEAF_CH, chh, cw);
-            kernels::conv3_acc_packed_simd_narrow(ins, input, &packed.conv3[li], acc3, plan.simd);
-            pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
+            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
+            // The register-blocked sweep does it in registers and stores
+            // codes; the row-kernel sweeps go through an `i32` plane.
+            let conv3 = &packed.conv3[li];
             let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
-            simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid);
+            if !kernels::conv3_codes_packed_simd_narrow(ins, input, conv3, &mid_ep, mid, plan.simd)
+            {
+                let acc3 = ensure_overwrite(&mut pool.acc_b32, &mut pool.stats, LEAF_CH, chh, cw);
+                kernels::conv3_acc_packed_simd_narrow(ins, input, conv3, acc3, plan.simd);
+                simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid);
+            }
+            pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
             // LCONV1x1: plane's columns accumulate into the 32ch output.
             let acc1 = pool.acc_a32.as_mut().expect("bias-filled above");
             kernels::conv1_leaf_acc_packed_simd_narrow(p1, li, mid, 0, acc1, plan.simd);
@@ -2446,6 +2471,44 @@ mod tests {
             outs.push(out);
         }
         assert_eq!(outs[0], outs[1], "coalesced vs keyed");
+    }
+
+    #[test]
+    fn blocked_er_stores_mid_codes_without_an_i32_plane() {
+        // DnERNet-B3R1N0's ER sweeps are all at least 16 wide at block
+        // 64: on every register-blocked rung the 3×3 stage stores mid
+        // codes straight from its registers, so the `i32` expansion plane
+        // is never allocated; the scalar rung still goes through it. All
+        // rungs agree with `Packed` bit for bit.
+        let m = ErNetSpec::new(ErNetTask::Dn, 3, 1, 0).build().unwrap();
+        let qm = QuantizedModel::uniform(&m);
+        let c = compile(&qm, 64).unwrap();
+        assert!(c
+            .program
+            .instructions
+            .iter()
+            .any(|i| i.opcode == Opcode::Er));
+        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+        assert_eq!(plan.narrow_licensed(), c.program.instructions.len());
+        let img = SyntheticImage::new(ecnn_tensor::ImageKind::Edges, 5).rgb(64, 64);
+        let input = quantize_input(&img, &c.program);
+        let mut pool = PlanePool::new();
+        let want = execute_with(&plan, &mut pool, &input, Kernels::Packed)
+            .unwrap()
+            .clone();
+        for level in kernels::simd::SimdLevel::ALL {
+            let Some(p) = plan.clone().with_simd_level(level) else {
+                assert!(!level.is_available(), "available {level} refused");
+                continue;
+            };
+            assert_eq!(p.simd_level(), level);
+            let mut pool = PlanePool::new();
+            let out = execute_with(&p, &mut pool, &input, Kernels::Simd).unwrap();
+            assert_eq!(out, &want, "{level}");
+            let blocked = cfg!(target_arch = "x86_64") && level != kernels::simd::SimdLevel::Scalar;
+            assert_eq!(pool.acc_b32.is_none(), blocked, "{level}: i32 ER plane");
+            assert_eq!(pool.stats().kernel_variant, Kernels::Simd.variant(level));
+        }
     }
 
     #[test]

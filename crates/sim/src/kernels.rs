@@ -13,15 +13,17 @@
 //!   (bounds-checked, zero-padded inference only) and an *interior* span
 //!   that runs with no bounds checks and no branches, so the `i64` row
 //!   accumulation auto-vectorizes.
-//! * **Register-blocked kernels** (the narrow `i32` path on AVX2/SSE2,
-//!   see [`simd`]): one output row and one pixel chunk at a time, 4 output
-//!   channels held in registers while every input-channel pair and tap
-//!   streams through a pairwise multiply-add — each input load serves 4
-//!   output channels, and each accumulator is stored once. The 3×3 kernel
-//!   covers truncated-pyramid sweeps at least
-//!   [`simd::BLOCKED_MIN_WIDTH`] wide and writes the biases itself; the
-//!   1×1 kernel covers planes of at least that many pixels. Zero-padded
-//!   sweeps, narrower planes, NEON and scalar keep the row kernels.
+//! * **Register-blocked kernels** (the narrow `i32` path on
+//!   AVX-512/AVX2/SSE2, see [`simd`]): one output row and one pixel chunk
+//!   at a time, 4 output channels held in registers while every
+//!   input-channel pair and tap streams through a pairwise multiply-add —
+//!   each input load serves 4 output channels, and each accumulator is
+//!   stored once. The 3×3 kernel covers truncated-pyramid sweeps at least
+//!   [`simd::BLOCKED_MIN_WIDTH`] wide and writes the biases itself (for
+//!   the ER mid plane it can requantize in registers and store codes);
+//!   the 1×1 kernel covers planes of at least that many pixels.
+//!   Zero-padded sweeps, narrower planes, NEON and scalar keep the row
+//!   kernels.
 //!
 //! Wide kernels accumulate in exact `i64` arithmetic, so any summation
 //! order produces bit-identical results; narrow kernels wrap modulo 2³²
@@ -241,7 +243,7 @@ pub(crate) fn conv3_acc_packed_simd(
 /// `narrow_acc` range proof; the executor enforces that precondition and
 /// finishes the instruction with [`simd::epilogue_narrow`].
 /// Truncated-pyramid sweeps at least [`simd::BLOCKED_MIN_WIDTH`] wide run
-/// the register-blocked kernel on AVX2/SSE2, which writes the biases
+/// the register-blocked kernel on AVX-512/AVX2/SSE2, which writes the biases
 /// itself; everything else runs the row kernels over a bias-filled `acc`.
 pub(crate) fn conv3_acc_packed_simd_narrow(
     ins: &Instruction,
@@ -299,6 +301,23 @@ pub(crate) fn conv3_acc_packed_simd_narrow(
     }
 }
 
+/// [`conv3_acc_packed_simd_narrow`]'s register-blocked sweep with the
+/// srcS-free epilogue `ep` fused into its store
+/// ([`simd::conv3_blocked_codes`]): writes `dst` codes and returns `true`,
+/// or returns `false`, leaving `dst` untouched, for the sweeps that run
+/// the row kernels (the caller then goes through an `i32` plane).
+pub(crate) fn conv3_codes_packed_simd_narrow(
+    ins: &Instruction,
+    input: &Tensor<i16>,
+    packed: &PackedConv3,
+    ep: &simd::NarrowEpilogue,
+    dst: &mut Tensor<i16>,
+    level: SimdLevel,
+) -> bool {
+    ins.inference == InferenceKind::TruncatedPyramid
+        && simd::conv3_blocked_codes(level, input, packed, ep, dst)
+}
+
 /// [`conv1_leaf_acc_packed`] with the flat channel MAC dispatched to the
 /// wide (`i64`) SIMD kernels.
 pub(crate) fn conv1_leaf_acc_packed_simd(
@@ -320,7 +339,7 @@ pub(crate) fn conv1_leaf_acc_packed_simd(
 /// The verifier-licensed narrow variant of [`conv1_leaf_acc_packed_simd`]
 /// (same license and exactness argument as
 /// [`conv3_acc_packed_simd_narrow`]): the register-blocked kernel on
-/// AVX2/SSE2 for planes of at least [`simd::BLOCKED_MIN_WIDTH`] pixels,
+/// AVX-512/AVX2/SSE2 for planes of at least [`simd::BLOCKED_MIN_WIDTH`] pixels,
 /// else one flat channel MAC per nonzero column.
 pub(crate) fn conv1_leaf_acc_packed_simd_narrow(
     packed: &PackedConv1,

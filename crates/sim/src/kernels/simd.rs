@@ -5,11 +5,16 @@
 //! # Dispatch ladder
 //!
 //! [`detect`] probes the CPU once (cached) and returns the best
-//! [`SimdLevel`] available: AVX2 → SSE2 on `x86_64`, NEON on `aarch64`,
-//! scalar everywhere else. The level is resolved at *plan* time
-//! (`BlockPlan` stores it) and threaded into every row kernel, so the
-//! per-row dispatch is a predictable match on a plan constant — never a
-//! repeated feature probe.
+//! [`SimdLevel`] available: AVX-512 → AVX2 → SSE2 on `x86_64`, NEON on
+//! `aarch64`, scalar everywhere else. The AVX-512 rung needs AVX2,
+//! AVX-512F, AVX-512BW and AVX-512 VNNI together; only the
+//! register-blocked narrow conv kernels have AVX-512 bodies, and every
+//! other kernel on that rung (row kernels, the wide path, the epilogue)
+//! runs the AVX2 body. The level is resolved at *plan* time (`BlockPlan`
+//! stores it; `BlockPlan::with_simd_level` pins any rung
+//! [`SimdLevel::is_available`] admits, for tests and benches) and
+//! threaded into every kernel, so the per-row dispatch is a predictable
+//! match on a plan constant — never a repeated feature probe.
 //!
 //! # Wide vs narrow lanes
 //!
@@ -20,7 +25,8 @@
 //!   sources), NEON runs paired `vmlal` widening MACs. SSE2 has no usable
 //!   signed 32×32→64 multiply (`_mm_mul_epi32` is SSE4.1), so its wide
 //!   path deliberately falls back to the scalar loop.
-//! * **narrow** (`i32` lanes, 8-wide on AVX2) — uses *wrapping*
+//! * **narrow** (`i32` lanes, 8-wide on AVX2, 16-wide in the AVX-512
+//!   conv kernels) — uses *wrapping*
 //!   multiply-adds. Two's-complement wrapping arithmetic is exact modulo
 //!   2³², so the narrow result is bit-identical to the wide one whenever
 //!   the final per-element sum fits `i32`. The static verifier's interval
@@ -52,14 +58,17 @@
 //!
 //! # Register-blocked narrow conv kernels
 //!
-//! On AVX2 and SSE2 the narrow 3×3 and 1×1 stages run
+//! On AVX-512, AVX2 and SSE2 the narrow 3×3 and 1×1 stages run
 //! [`conv3_blocked_narrow`] / [`conv1_blocked_narrow`] instead of one row
 //! kernel call per channel pair:
 //!
-//! * **Layout.** Per output row and pixel chunk (16 pixels on AVX2, 8 on
-//!   SSE2), 4 output channels × 2 vectors of `i32` accumulators stay in
-//!   registers. The 3×3 kernel starts them from the bias, the 1×1 kernel
-//!   from the current `acc` (it accumulates across ER leaves).
+//! * **Layout.** Per output row and pixel chunk (32 pixels on AVX-512, 16
+//!   on AVX2, 8 on SSE2), 4 output channels × 2 vectors of `i32`
+//!   accumulators stay in registers. The 3×3 kernel starts them from the
+//!   bias, the 1×1 kernel from the current `acc` (it accumulates across
+//!   ER leaves). On the AVX-512 rung, 3×3 sweeps of 16–31 columns run
+//!   the AVX2 kernel, and 1×1 planes take one more AVX2 chunk when at
+//!   least 16 pixels are left after the 32-pixel chunks.
 //! * **Pair words.** For each input-channel pair `(2p, 2p + 1)` and tap,
 //!   the kernel loads a chunk of samples from both channel rows and
 //!   interleaves them with `unpacklo/hi_epi16`, so each 32-bit lane holds
@@ -67,20 +76,35 @@
 //!   one 32-bit word per `(output channel, pair, tap)`
 //!   ([`ecnn_isa::params::pair_word`]: channel `2p` in the low half), so
 //!   one broadcast word and one `madd_epi16` (`vpmaddwd`) apply 2 taps
-//!   to every pixel of the vector. The AVX2 halves come out in
-//!   128-bit-lane order (pixels 0–3 / 8–11 and 4–7 / 12–15), and one
-//!   `permute2x128` pair per output channel restores pixel order at the
-//!   store (the 1×1 kernel applies the inverse on its loads).
+//!   to every pixel of the vector; AVX-512 VNNI's `dpwssd_epi32`
+//!   (`vpdpwssd`) fuses that multiply-add with the accumulate. The
+//!   unpacked halves come out in 128-bit-lane order: on AVX2 pixels 0–3 /
+//!   8–11 and 4–7 / 12–15, and one `permute2x128` pair per output channel
+//!   restores pixel order at the store; on AVX-512 pixels 0–3 / 8–11 /
+//!   16–19 / 24–27 and the 4 after each, and one `permutex2var_epi64`
+//!   pair does it. The 1×1 kernels apply the inverse on their loads.
 //! * **Exactness.** `vpmaddwd` computes `a₀b₀ + a₁b₁` of `i16` pairs into
 //!   `i32`. Each product fits `i32`; the sum overflows only when both are
 //!   (−32768)·(−32768), and then wraps to −2³¹, the residue of 2³¹ modulo
 //!   2³². Every other step is a wrapping `i32` add, so the blocked result
 //!   is congruent modulo 2³² to the exact sum — the same argument as the
-//!   row kernels, covered by the same `narrow_acc` license.
+//!   row kernels, covered by the same `narrow_acc` license. `vpdpwssd`
+//!   adds the same two exact products to the lane with wraparound (the
+//!   kernels never use the saturating `vpdpwssds`), so its result is
+//!   congruent modulo 2³² to `vpmaddwd` followed by the add, and the same
+//!   license covers it.
 //! * **Tails.** The 3×3 kernel overwrites its output, so a ragged last
 //!   chunk simply starts at `cw − chunk` and recomputes the overlap. The
 //!   1×1 kernel accumulates, so its last `px mod chunk` pixels run the
 //!   scalar loop over the compacted nonzero columns.
+//! * **Fused mid store.** [`conv3_blocked_codes`] is the 3×3 sweep in
+//!   codes mode: it applies a srcS-free [`NarrowEpilogue`] to the
+//!   registers (floor, branch-free round, clamp) and `packs_epi32(lo, hi)`
+//!   writes `i16` codes. Per 128-bit lane that pack emits `lo`'s 4 pixels
+//!   and then `hi`'s, which is already pixel order, so no permute is
+//!   needed. The executor's ER instruction uses it to store each leaf's
+//!   mid plane without an `i32` expansion plane; sweeps the blocked
+//!   kernels do not cover still go through one and [`epilogue_narrow`].
 //! * **Zero-skipping.** A plan-time mask per (4-channel output block,
 //!   input pair, `ky`) skips all-zero tap rows, so pruned models still
 //!   skip work.
@@ -117,6 +141,10 @@ use std::sync::OnceLock;
 /// and [`detect`] never returns them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
+    /// 512-bit AVX-512F/BW with VNNI: the register-blocked narrow conv
+    /// kernels run 32-pixel chunks through `vpdpwssd`; every other kernel
+    /// runs the AVX2 body (the level implies AVX2).
+    Avx512,
     /// 256-bit AVX2: 8×`i32` narrow lanes, 4×`i64` wide lanes.
     Avx2,
     /// 128-bit SSE2: 4×`i32` narrow lanes (emulated `mullo`); the wide
@@ -130,13 +158,40 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Stable lower-case name (`"avx2"`, `"sse2"`, `"neon"`, `"scalar"`).
+    /// Every level, widest first.
+    pub const ALL: [SimdLevel; 5] = [
+        SimdLevel::Avx512,
+        SimdLevel::Avx2,
+        SimdLevel::Sse2,
+        SimdLevel::Neon,
+        SimdLevel::Scalar,
+    ];
+
+    /// Stable lower-case name (`"avx512"`, `"avx2"`, `"sse2"`, `"neon"`,
+    /// `"scalar"`).
     pub fn name(self) -> &'static str {
         match self {
+            SimdLevel::Avx512 => "avx512",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Neon => "neon",
             SimdLevel::Scalar => "scalar",
+        }
+    }
+
+    /// Whether this CPU can run `self`: [`detect`]'s level or a rung
+    /// below it on the same ladder (AVX-512 → AVX2 → SSE2 → scalar, or
+    /// NEON → scalar). Scalar is always available.
+    pub fn is_available(self) -> bool {
+        let best = detect();
+        match self {
+            SimdLevel::Avx512 => best == SimdLevel::Avx512,
+            SimdLevel::Avx2 => matches!(best, SimdLevel::Avx512 | SimdLevel::Avx2),
+            SimdLevel::Sse2 => {
+                matches!(best, SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2)
+            }
+            SimdLevel::Neon => best == SimdLevel::Neon,
+            SimdLevel::Scalar => true,
         }
     }
 }
@@ -155,6 +210,13 @@ pub fn detect() -> SimdLevel {
     *LEVEL.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
+            if is_x86_feature_detected!("avx2")
+                && is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vnni")
+            {
+                return SimdLevel::Avx512;
+            }
             if is_x86_feature_detected!("avx2") {
                 return SimdLevel::Avx2;
             }
@@ -342,98 +404,131 @@ mod avx2 {
         super::scalar_ch_mac_wide(&mut acc[j..], &src[j..n], w);
     }
 
-    /// Register-blocked narrow 3×3 sweep (see [`super::conv3_blocked_narrow`]):
-    /// per output row, 4-channel output block and 16-pixel chunk, 4 × 2
-    /// `i32` accumulators start from the bias, take every live input pair
-    /// and tap through `vpmaddwd`, and are stored once.
+    /// Pixels per register-blocked chunk.
+    const LANES: usize = 16;
+
+    /// Register-blocked narrow 3×3 sweep (see [`super::conv3_blocked_narrow`])
+    /// over 16-pixel chunks.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, acc: &mut [i32]) {
-        const LANES: usize = 16;
-        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
-        for y in 0..chh {
+    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, out: &mut super::Conv3Store<'_>) {
+        for y in 0..s.out_h {
             for op_ in 0..s.out_planes {
                 for ocb in 0..OC_BLOCKS {
-                    let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
-                    let mut bias = [_mm256_setzero_si256(); OC_BLOCK];
-                    for (b, &v) in bias.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
-                        *b = _mm256_set1_epi32(v as i32);
+                    for x in super::chunk_starts(s.out_w, LANES) {
+                        // SAFETY: AVX2 is enabled here, and `chunk_starts`
+                        // keeps `x + 16 <= out_w`.
+                        unsafe { conv3_chunk(s, out, y, op_, ocb, x) };
                     }
-                    let mut j = 0usize;
-                    loop {
-                        // The last chunk may overlap the previous one: it
-                        // recomputes those pixels from the bias, so the
-                        // stores agree.
-                        let x = j.min(cw - LANES);
-                        let (mut lo, mut hi) = (bias, bias);
-                        for ig in 0..s.in_groups {
-                            let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
-                            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
-                            let words = &s.words
-                                [block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
-                            for (p, &m) in masks.iter().enumerate() {
-                                if m == 0 {
-                                    continue;
-                                }
-                                let even = ((ig * LEAF_CH + 2 * p) * ih + y) * iw + x;
-                                let odd = even + ih * iw;
-                                for ky in 0..3 {
-                                    if m & (1 << ky) == 0 {
-                                        continue;
-                                    }
-                                    for kx in 0..3 {
-                                        let off = ky * iw + kx;
-                                        let w =
-                                            &words[(p * 9 + ky * 3 + kx) * OC_BLOCK..][..OC_BLOCK];
-                                        // SAFETY: `Conv3Sweep::new` checked that channel
-                                        // `2p + 1` of group `ig` exists, `y + ky < ih` and
-                                        // `x + kx + 16 <= cw + 2 <= iw`, so both 256-bit
-                                        // loads stay inside one input row.
-                                        let (a, b) = unsafe {
-                                            (
-                                                _mm256_loadu_si256(
-                                                    s.input.as_ptr().add(even + off)
-                                                        as *const __m256i,
-                                                ),
-                                                _mm256_loadu_si256(s.input.as_ptr().add(odd + off)
-                                                    as *const __m256i),
-                                            )
-                                        };
-                                        // Per 128-bit lane: pixels 0-3 / 8-11 (lo) and
-                                        // 4-7 / 12-15 (hi), channel 2p in each low half.
-                                        let il = _mm256_unpacklo_epi16(a, b);
-                                        let ih_ = _mm256_unpackhi_epi16(a, b);
-                                        for o in 0..OC_BLOCK {
-                                            let wv = _mm256_set1_epi32(w[o]);
-                                            lo[o] =
-                                                _mm256_add_epi32(lo[o], _mm256_madd_epi16(il, wv));
-                                            hi[o] =
-                                                _mm256_add_epi32(hi[o], _mm256_madd_epi16(ih_, wv));
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                }
+            }
+        }
+    }
+
+    /// One chunk of [`conv3_blocked`]: output row `y`, columns
+    /// `x..x + 16`, channels `4·ocb..4·ocb + 4` of output plane `op_`.
+    /// 4 × 2 `i32` accumulators start from the bias, take every live
+    /// input pair and tap through `vpmaddwd`, and are stored once: raw,
+    /// or requantized and packed to codes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `y < out_h`, `op_ < out_planes`,
+    /// `ocb < OC_BLOCKS` and `x + 16 <= out_w` (the sweep's shape checks
+    /// bound every other offset).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn conv3_chunk(
+        s: &super::Conv3Sweep<'_>,
+        out: &mut super::Conv3Store<'_>,
+        y: usize,
+        op_: usize,
+        ocb: usize,
+        x: usize,
+    ) {
+        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
+        let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
+        let mut lo = [_mm256_setzero_si256(); OC_BLOCK];
+        for (l, &v) in lo.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
+            *l = _mm256_set1_epi32(v as i32);
+        }
+        let mut hi = lo;
+        for ig in 0..s.in_groups {
+            let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
+            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
+            let words = &s.words[block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
+            for (p, &m) in masks.iter().enumerate() {
+                if m == 0 {
+                    continue;
+                }
+                let even = ((ig * LEAF_CH + 2 * p) * ih + y) * iw + x;
+                let odd = even + ih * iw;
+                for ky in 0..3 {
+                    if m & (1 << ky) == 0 {
+                        continue;
+                    }
+                    for kx in 0..3 {
+                        let off = ky * iw + kx;
+                        let w = &words[(p * 9 + ky * 3 + kx) * OC_BLOCK..][..OC_BLOCK];
+                        // SAFETY: `Conv3Sweep::new` checked that channel
+                        // `2p + 1` of group `ig` exists, `y + ky < ih` and
+                        // `x + kx + 16 <= cw + 2 <= iw`, so both 256-bit
+                        // loads stay inside one input row.
+                        let (a, b) = unsafe {
+                            (
+                                _mm256_loadu_si256(
+                                    s.input.as_ptr().add(even + off) as *const __m256i
+                                ),
+                                _mm256_loadu_si256(
+                                    s.input.as_ptr().add(odd + off) as *const __m256i
+                                ),
+                            )
+                        };
+                        // Per 128-bit lane: pixels 0-3 / 8-11 (lo) and
+                        // 4-7 / 12-15 (hi), channel 2p in each low half.
+                        let il = _mm256_unpacklo_epi16(a, b);
+                        let ih_ = _mm256_unpackhi_epi16(a, b);
                         for o in 0..OC_BLOCK {
-                            let dst = ((oc0 + o) * chh + y) * cw + x;
-                            // SAFETY: `oc0 + o < out_planes · 32`, `y < chh` and
-                            // `x + 16 <= cw` bound both stores to row `y` of
-                            // channel `oc0 + o` of `acc`.
-                            unsafe {
-                                _mm256_storeu_si256(
-                                    acc.as_mut_ptr().add(dst) as *mut __m256i,
-                                    _mm256_permute2x128_si256::<0x20>(lo[o], hi[o]),
-                                );
-                                _mm256_storeu_si256(
-                                    acc.as_mut_ptr().add(dst + 8) as *mut __m256i,
-                                    _mm256_permute2x128_si256::<0x31>(lo[o], hi[o]),
-                                );
-                            }
+                            let wv = _mm256_set1_epi32(w[o]);
+                            lo[o] = _mm256_add_epi32(lo[o], _mm256_madd_epi16(il, wv));
+                            hi[o] = _mm256_add_epi32(hi[o], _mm256_madd_epi16(ih_, wv));
                         }
-                        if x + LANES == cw {
-                            break;
-                        }
-                        j += LANES;
                     }
+                }
+            }
+        }
+        match out {
+            super::Conv3Store::Acc(acc) => {
+                for o in 0..OC_BLOCK {
+                    let dst = ((oc0 + o) * chh + y) * cw + x;
+                    // SAFETY: `oc0 + o < out_planes · 32`, `y < chh` and
+                    // `x + 16 <= cw` bound both stores to row `y` of
+                    // channel `oc0 + o` of `acc`.
+                    unsafe {
+                        _mm256_storeu_si256(
+                            acc.as_mut_ptr().add(dst) as *mut __m256i,
+                            _mm256_permute2x128_si256::<0x20>(lo[o], hi[o]),
+                        );
+                        _mm256_storeu_si256(
+                            acc.as_mut_ptr().add(dst + 8) as *mut __m256i,
+                            _mm256_permute2x128_si256::<0x31>(lo[o], hi[o]),
+                        );
+                    }
+                }
+            }
+            super::Conv3Store::Codes(ep, codes) => {
+                let k = EpilogueVecs::new(ep);
+                for o in 0..OC_BLOCK {
+                    let dst = ((oc0 + o) * chh + y) * cw + x;
+                    // Per 128-bit lane the pack emits lo's 4 pixels, then
+                    // hi's: pixels 0-7 / 8-15, already in order.
+                    let v = _mm256_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                    // SAFETY: as for the accumulator stores, on the
+                    // same-shaped `i16` plane.
+                    unsafe { _mm256_storeu_si256(codes.as_mut_ptr().add(dst) as *mut __m256i, v) };
                 }
             }
         }
@@ -441,12 +536,16 @@ mod avx2 {
 
     /// Register-blocked narrow 1×1 accumulation of one leaf (see
     /// [`super::conv1_blocked_narrow`]) over every whole 16-pixel chunk of
-    /// the flat channel planes; returns the pixels covered.
+    /// the flat channel planes from pixel `from` on; returns the pixels
+    /// covered.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, acc: &mut [i32]) -> usize {
-        const LANES: usize = 16;
+    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, acc: &mut [i32], from: usize) -> usize {
         let n = s.px;
-        let mut j = 0usize;
+        let mut j = from;
         while j + LANES <= n {
             for ocb in 0..OC_BLOCKS {
                 let block = s.leaf * OC_BLOCKS + ocb;
@@ -511,6 +610,48 @@ mod avx2 {
         j
     }
 
+    /// The srcS-free epilogue constants, splatted once per row or chunk.
+    struct EpilogueVecs {
+        floor: __m256i,
+        half: __m256i,
+        shift: __m128i,
+        min: __m256i,
+        max: __m256i,
+    }
+
+    impl EpilogueVecs {
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn new(ep: &super::NarrowEpilogue) -> Self {
+            Self {
+                floor: _mm256_set1_epi32(ep.floor),
+                half: _mm256_set1_epi32(ep.half()),
+                shift: _mm_cvtsi32_si128(ep.shift as i32),
+                min: _mm256_set1_epi32(ep.min),
+                max: _mm256_set1_epi32(ep.max),
+            }
+        }
+    }
+
+    /// Activation floor, branch-free round half away from zero (sign
+    /// mask, `abs`, add half, logical shift, re-sign) and clamp of 8
+    /// lanes (see [`super::NarrowEpilogue`]).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn round_clamp(a: __m256i, k: &EpilogueVecs) -> __m256i {
+        let a = _mm256_max_epi32(a, k.floor);
+        let sign = _mm256_srai_epi32(a, 31);
+        let r = _mm256_srl_epi32(_mm256_add_epi32(_mm256_abs_epi32(a), k.half), k.shift);
+        let r = _mm256_sub_epi32(_mm256_xor_si256(r, sign), sign);
+        _mm256_min_epi32(_mm256_max_epi32(r, k.min), k.max)
+    }
+
     /// One row of the fused narrow epilogue (see
     /// [`super::epilogue_narrow`]), 8 lanes per step: srcS up-shift and
     /// add, activation floor, branch-free round half away from zero
@@ -531,10 +672,7 @@ mod avx2 {
     ) {
         let n = acc.len();
         let up = _mm_cvtsi32_si128(ep.srcs_shift as i32);
-        let floor = _mm256_set1_epi32(ep.floor);
-        let half = _mm256_set1_epi32(ep.half());
-        let shift = _mm_cvtsi32_si128(ep.shift as i32);
-        let (min, max) = (_mm256_set1_epi32(ep.min), _mm256_set1_epi32(ep.max));
+        let k = EpilogueVecs::new(ep);
         let mut j = 0usize;
         while j + 8 <= n {
             // SAFETY: `j + 8 <= n` and the wrapper checked `dst` and
@@ -548,11 +686,7 @@ mod avx2 {
                         _mm256_cvtepi16_epi32(_mm_loadu_si128(s.as_ptr().add(j) as *const __m128i));
                     a = _mm256_add_epi32(a, _mm256_sll_epi32(v, up));
                 }
-                let a = _mm256_max_epi32(a, floor);
-                let sign = _mm256_srai_epi32(a, 31);
-                let r = _mm256_srl_epi32(_mm256_add_epi32(_mm256_abs_epi32(a), half), shift);
-                let r = _mm256_sub_epi32(_mm256_xor_si256(r, sign), sign);
-                let r = _mm256_min_epi32(_mm256_max_epi32(r, min), max);
+                let r = round_clamp(a, &k);
                 let codes = _mm256_permute4x64_epi64::<0b00_00_10_00>(_mm256_packs_epi32(r, r));
                 _mm_storeu_si128(
                     dst.as_mut_ptr().add(j) as *mut __m128i,
@@ -562,6 +696,270 @@ mod avx2 {
             j += 8;
         }
         super::scalar_epilogue(ep, &acc[j..], srcs.map(|s| &s[j..]), &mut dst[j..]);
+    }
+}
+
+// --------------------------------------------------------------------------
+// AVX-512F/BW + VNNI (x86_64): the register-blocked narrow conv kernels
+// --------------------------------------------------------------------------
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{CONV3_BLOCK_WORDS, IC_PAIRS, LEAF_CH, OC_BLOCK, OC_BLOCKS};
+    use std::arch::x86_64::*;
+
+    /// Pixels per register-blocked chunk.
+    pub const LANES: usize = 32;
+
+    /// Restores pixel order from the `unpacklo/hi_epi16` halves of a
+    /// chunk: per 128-bit lane, `lo` holds pixels 0-3 / 8-11 / 16-19 /
+    /// 24-27 and `hi` the 4 pixels after each. Returns pixels 0-15 and
+    /// 16-31.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn to_pixel_order(lo: __m512i, hi: __m512i) -> (__m512i, __m512i) {
+        (
+            _mm512_permutex2var_epi64(lo, _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11), hi),
+            _mm512_permutex2var_epi64(lo, _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15), hi),
+        )
+    }
+
+    /// The inverse of [`to_pixel_order`]: pixels 0-15 and 16-31 into the
+    /// `lo`/`hi` order the multiply-adds produce.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn from_pixel_order(a0: __m512i, a1: __m512i) -> (__m512i, __m512i) {
+        (
+            _mm512_permutex2var_epi64(a0, _mm512_setr_epi64(0, 1, 4, 5, 8, 9, 12, 13), a1),
+            _mm512_permutex2var_epi64(a0, _mm512_setr_epi64(2, 3, 6, 7, 10, 11, 14, 15), a1),
+        )
+    }
+
+    /// The srcS-free epilogue constants, splatted once per chunk.
+    struct EpilogueVecs {
+        floor: __m512i,
+        half: __m512i,
+        shift: __m128i,
+        min: __m512i,
+        max: __m512i,
+    }
+
+    impl EpilogueVecs {
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn new(ep: &super::NarrowEpilogue) -> Self {
+            Self {
+                floor: _mm512_set1_epi32(ep.floor),
+                half: _mm512_set1_epi32(ep.half()),
+                shift: _mm_cvtsi32_si128(ep.shift as i32),
+                min: _mm512_set1_epi32(ep.min),
+                max: _mm512_set1_epi32(ep.max),
+            }
+        }
+    }
+
+    /// The AVX2 `round_clamp` on 16 lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn round_clamp(a: __m512i, k: &EpilogueVecs) -> __m512i {
+        let a = _mm512_max_epi32(a, k.floor);
+        let sign = _mm512_srai_epi32::<31>(a);
+        let r = _mm512_srl_epi32(_mm512_add_epi32(_mm512_abs_epi32(a), k.half), k.shift);
+        let r = _mm512_sub_epi32(_mm512_xor_si512(r, sign), sign);
+        _mm512_min_epi32(_mm512_max_epi32(r, k.min), k.max)
+    }
+
+    /// Register-blocked narrow 3×3 sweep (see
+    /// [`super::conv3_blocked_narrow`]) over 32-pixel chunks.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, AVX-512F/BW and AVX-512 VNNI, and the
+    /// sweep must be at least 32 pixels wide.
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
+    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, out: &mut super::Conv3Store<'_>) {
+        for y in 0..s.out_h {
+            for op_ in 0..s.out_planes {
+                for ocb in 0..OC_BLOCKS {
+                    for x in super::chunk_starts(s.out_w, LANES) {
+                        // SAFETY: the features are enabled here, and
+                        // `chunk_starts` keeps `x + 32 <= out_w` (the
+                        // caller guarantees `out_w >= 32`).
+                        unsafe { conv3_chunk(s, out, y, op_, ocb, x) };
+                    }
+                }
+            }
+        }
+    }
+
+    /// One chunk of [`conv3_blocked`] (see the AVX2 `conv3_chunk`): 4 × 2
+    /// `zmm` accumulators, one `vpdpwssd` per output channel, input pair
+    /// and tap for each half.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F/BW and VNNI, `y < out_h`,
+    /// `op_ < out_planes`, `ocb < OC_BLOCKS` and `x + 32 <= out_w`.
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
+    #[inline]
+    unsafe fn conv3_chunk(
+        s: &super::Conv3Sweep<'_>,
+        out: &mut super::Conv3Store<'_>,
+        y: usize,
+        op_: usize,
+        ocb: usize,
+        x: usize,
+    ) {
+        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
+        let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
+        let mut lo = [_mm512_setzero_si512(); OC_BLOCK];
+        for (l, &v) in lo.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
+            *l = _mm512_set1_epi32(v as i32);
+        }
+        let mut hi = lo;
+        for ig in 0..s.in_groups {
+            let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
+            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
+            let words = &s.words[block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
+            for (p, &m) in masks.iter().enumerate() {
+                if m == 0 {
+                    continue;
+                }
+                let even = ((ig * LEAF_CH + 2 * p) * ih + y) * iw + x;
+                let odd = even + ih * iw;
+                for ky in 0..3 {
+                    if m & (1 << ky) == 0 {
+                        continue;
+                    }
+                    for kx in 0..3 {
+                        let off = ky * iw + kx;
+                        let w = &words[(p * 9 + ky * 3 + kx) * OC_BLOCK..][..OC_BLOCK];
+                        // SAFETY: as in the AVX2 kernel, with
+                        // `x + kx + 32 <= cw + 2 <= iw`.
+                        let (a, b) = unsafe {
+                            (
+                                _mm512_loadu_si512(s.input.as_ptr().add(even + off) as *const _),
+                                _mm512_loadu_si512(s.input.as_ptr().add(odd + off) as *const _),
+                            )
+                        };
+                        let il = _mm512_unpacklo_epi16(a, b);
+                        let ih_ = _mm512_unpackhi_epi16(a, b);
+                        for o in 0..OC_BLOCK {
+                            // The wrapping `vpdpwssd`: lane + a₀b₀ + a₁b₁
+                            // modulo 2³² (never the saturating form).
+                            let wv = _mm512_set1_epi32(w[o]);
+                            lo[o] = _mm512_dpwssd_epi32(lo[o], il, wv);
+                            hi[o] = _mm512_dpwssd_epi32(hi[o], ih_, wv);
+                        }
+                    }
+                }
+            }
+        }
+        match out {
+            super::Conv3Store::Acc(acc) => {
+                for o in 0..OC_BLOCK {
+                    let dst = ((oc0 + o) * chh + y) * cw + x;
+                    let (p0, p1) = to_pixel_order(lo[o], hi[o]);
+                    // SAFETY: `x + 32 <= cw` bounds both stores to row `y`
+                    // of channel `oc0 + o` of `acc`.
+                    unsafe {
+                        _mm512_storeu_si512(acc.as_mut_ptr().add(dst) as *mut _, p0);
+                        _mm512_storeu_si512(acc.as_mut_ptr().add(dst + 16) as *mut _, p1);
+                    }
+                }
+            }
+            super::Conv3Store::Codes(ep, codes) => {
+                let k = EpilogueVecs::new(ep);
+                for o in 0..OC_BLOCK {
+                    let dst = ((oc0 + o) * chh + y) * cw + x;
+                    // Per 128-bit lane the pack emits lo's 4 pixels, then
+                    // hi's: all 32 codes come out in pixel order.
+                    let v = _mm512_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                    // SAFETY: as for the accumulator stores, on the
+                    // same-shaped `i16` plane.
+                    unsafe { _mm512_storeu_si512(codes.as_mut_ptr().add(dst) as *mut _, v) };
+                }
+            }
+        }
+    }
+
+    /// Register-blocked narrow 1×1 accumulation of one leaf (see
+    /// [`super::conv1_blocked_narrow`]) over every whole 32-pixel chunk of
+    /// the flat channel planes; returns the pixels covered.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F/BW and VNNI.
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
+    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, acc: &mut [i32]) -> usize {
+        let n = s.px;
+        let mut j = 0usize;
+        while j + LANES <= n {
+            for ocb in 0..OC_BLOCKS {
+                let block = s.leaf * OC_BLOCKS + ocb;
+                let mut lo = [_mm512_setzero_si512(); OC_BLOCK];
+                let mut hi = lo;
+                for o in 0..OC_BLOCK {
+                    let a = (ocb * OC_BLOCK + o) * n + j;
+                    // SAFETY: `Conv1Sweep::new` checked `acc.len() == 32 · n`
+                    // and `j + 32 <= n` here.
+                    let (a0, a1) = unsafe {
+                        (
+                            _mm512_loadu_si512(acc.as_ptr().add(a) as *const _),
+                            _mm512_loadu_si512(acc.as_ptr().add(a + 16) as *const _),
+                        )
+                    };
+                    (lo[o], hi[o]) = from_pixel_order(a0, a1);
+                }
+                for p in 0..IC_PAIRS {
+                    if s.block_mask[block * IC_PAIRS + p] == 0 {
+                        continue;
+                    }
+                    let even = (s.chan_base + 2 * p) * n + j;
+                    // SAFETY: input channels `chan_base..chan_base + 32` hold
+                    // `n` samples each and `j + 32 <= n`.
+                    let (a, b) = unsafe {
+                        (
+                            _mm512_loadu_si512(s.input.as_ptr().add(even) as *const _),
+                            _mm512_loadu_si512(s.input.as_ptr().add(even + n) as *const _),
+                        )
+                    };
+                    let il = _mm512_unpacklo_epi16(a, b);
+                    let ih = _mm512_unpackhi_epi16(a, b);
+                    let w = &s.words[(block * IC_PAIRS + p) * OC_BLOCK..][..OC_BLOCK];
+                    for o in 0..OC_BLOCK {
+                        let wv = _mm512_set1_epi32(w[o]);
+                        lo[o] = _mm512_dpwssd_epi32(lo[o], il, wv);
+                        hi[o] = _mm512_dpwssd_epi32(hi[o], ih, wv);
+                    }
+                }
+                for o in 0..OC_BLOCK {
+                    let a = (ocb * OC_BLOCK + o) * n + j;
+                    let (p0, p1) = to_pixel_order(lo[o], hi[o]);
+                    // SAFETY: the same in-bounds span the loads above read.
+                    unsafe {
+                        _mm512_storeu_si512(acc.as_mut_ptr().add(a) as *mut _, p0);
+                        _mm512_storeu_si512(acc.as_mut_ptr().add(a + 16) as *mut _, p1);
+                    }
+                }
+            }
+            j += LANES;
+        }
+        j
     }
 }
 
@@ -633,79 +1031,105 @@ mod sse2 {
 
     /// SSE2 form of the AVX2 `conv3_blocked`: 8-pixel chunks, whose
     /// 128-bit `unpacklo/hi` halves are already in pixel order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, acc: &mut [i32]) {
-        const LANES: usize = 8;
-        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
-        for y in 0..chh {
+    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, out: &mut super::Conv3Store<'_>) {
+        for y in 0..s.out_h {
             for op_ in 0..s.out_planes {
                 for ocb in 0..OC_BLOCKS {
-                    let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
-                    let mut bias = [_mm_setzero_si128(); OC_BLOCK];
-                    for (b, &v) in bias.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
-                        *b = _mm_set1_epi32(v as i32);
+                    for x in super::chunk_starts(s.out_w, 8) {
+                        // SAFETY: SSE2 is enabled here, and `chunk_starts`
+                        // keeps `x + 8 <= out_w`.
+                        unsafe { conv3_chunk(s, out, y, op_, ocb, x) };
                     }
-                    let mut j = 0usize;
-                    loop {
-                        let x = j.min(cw - LANES);
-                        let (mut lo, mut hi) = (bias, bias);
-                        for ig in 0..s.in_groups {
-                            let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
-                            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
-                            let words = &s.words
-                                [block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
-                            for (p, &m) in masks.iter().enumerate() {
-                                if m == 0 {
-                                    continue;
-                                }
-                                let even = ((ig * LEAF_CH + 2 * p) * ih + y) * iw + x;
-                                let odd = even + ih * iw;
-                                for ky in 0..3 {
-                                    if m & (1 << ky) == 0 {
-                                        continue;
-                                    }
-                                    for kx in 0..3 {
-                                        let off = ky * iw + kx;
-                                        let w =
-                                            &words[(p * 9 + ky * 3 + kx) * OC_BLOCK..][..OC_BLOCK];
-                                        // SAFETY: as in the AVX2 kernel, with
-                                        // `x + kx + 8 <= cw + 2 <= iw`.
-                                        let (a, b) = unsafe {
-                                            (
-                                                _mm_loadu_si128(s.input.as_ptr().add(even + off)
-                                                    as *const __m128i),
-                                                _mm_loadu_si128(s.input.as_ptr().add(odd + off)
-                                                    as *const __m128i),
-                                            )
-                                        };
-                                        let il = _mm_unpacklo_epi16(a, b);
-                                        let ih_ = _mm_unpackhi_epi16(a, b);
-                                        for o in 0..OC_BLOCK {
-                                            let wv = _mm_set1_epi32(w[o]);
-                                            lo[o] = _mm_add_epi32(lo[o], _mm_madd_epi16(il, wv));
-                                            hi[o] = _mm_add_epi32(hi[o], _mm_madd_epi16(ih_, wv));
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                }
+            }
+        }
+    }
+
+    /// One 8-pixel chunk of [`conv3_blocked`] (see the AVX2
+    /// `conv3_chunk`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, `y < out_h`, `op_ < out_planes`,
+    /// `ocb < OC_BLOCKS` and `x + 8 <= out_w`.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    unsafe fn conv3_chunk(
+        s: &super::Conv3Sweep<'_>,
+        out: &mut super::Conv3Store<'_>,
+        y: usize,
+        op_: usize,
+        ocb: usize,
+        x: usize,
+    ) {
+        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
+        let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
+        let mut lo = [_mm_setzero_si128(); OC_BLOCK];
+        for (l, &v) in lo.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
+            *l = _mm_set1_epi32(v as i32);
+        }
+        let mut hi = lo;
+        for ig in 0..s.in_groups {
+            let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
+            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
+            let words = &s.words[block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
+            for (p, &m) in masks.iter().enumerate() {
+                if m == 0 {
+                    continue;
+                }
+                let even = ((ig * LEAF_CH + 2 * p) * ih + y) * iw + x;
+                let odd = even + ih * iw;
+                for ky in 0..3 {
+                    if m & (1 << ky) == 0 {
+                        continue;
+                    }
+                    for kx in 0..3 {
+                        let off = ky * iw + kx;
+                        let w = &words[(p * 9 + ky * 3 + kx) * OC_BLOCK..][..OC_BLOCK];
+                        // SAFETY: as in the AVX2 kernel, with
+                        // `x + kx + 8 <= cw + 2 <= iw`.
+                        let (a, b) = unsafe {
+                            (
+                                _mm_loadu_si128(s.input.as_ptr().add(even + off) as *const __m128i),
+                                _mm_loadu_si128(s.input.as_ptr().add(odd + off) as *const __m128i),
+                            )
+                        };
+                        let il = _mm_unpacklo_epi16(a, b);
+                        let ih_ = _mm_unpackhi_epi16(a, b);
                         for o in 0..OC_BLOCK {
-                            let dst = ((oc0 + o) * chh + y) * cw + x;
-                            // SAFETY: `x + 8 <= cw` bounds both stores to row
-                            // `y` of channel `oc0 + o`.
-                            unsafe {
-                                _mm_storeu_si128(acc.as_mut_ptr().add(dst) as *mut __m128i, lo[o]);
-                                _mm_storeu_si128(
-                                    acc.as_mut_ptr().add(dst + 4) as *mut __m128i,
-                                    hi[o],
-                                );
-                            }
+                            let wv = _mm_set1_epi32(w[o]);
+                            lo[o] = _mm_add_epi32(lo[o], _mm_madd_epi16(il, wv));
+                            hi[o] = _mm_add_epi32(hi[o], _mm_madd_epi16(ih_, wv));
                         }
-                        if x + LANES == cw {
-                            break;
-                        }
-                        j += LANES;
                     }
+                }
+            }
+        }
+        match out {
+            super::Conv3Store::Acc(acc) => {
+                for o in 0..OC_BLOCK {
+                    let dst = ((oc0 + o) * chh + y) * cw + x;
+                    // SAFETY: `x + 8 <= cw` bounds both stores to row `y`
+                    // of channel `oc0 + o`.
+                    unsafe {
+                        _mm_storeu_si128(acc.as_mut_ptr().add(dst) as *mut __m128i, lo[o]);
+                        _mm_storeu_si128(acc.as_mut_ptr().add(dst + 4) as *mut __m128i, hi[o]);
+                    }
+                }
+            }
+            super::Conv3Store::Codes(ep, codes) => {
+                let k = EpilogueVecs::new(ep);
+                for o in 0..OC_BLOCK {
+                    let dst = ((oc0 + o) * chh + y) * cw + x;
+                    let v = _mm_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                    // SAFETY: as for the accumulator stores, on the
+                    // same-shaped `i16` plane.
+                    unsafe { _mm_storeu_si128(codes.as_mut_ptr().add(dst) as *mut __m128i, v) };
                 }
             }
         }
@@ -799,7 +1223,7 @@ mod sse2 {
         min_epi32(max_epi32(r, k.min), k.max)
     }
 
-    /// The epilogue constants splatted once per row.
+    /// The epilogue constants splatted once per row or sweep.
     struct EpilogueVecs {
         up: __m128i,
         floor: __m128i,
@@ -807,6 +1231,23 @@ mod sse2 {
         shift: __m128i,
         min: __m128i,
         max: __m128i,
+    }
+
+    impl EpilogueVecs {
+        /// # Safety
+        ///
+        /// The CPU must support SSE2.
+        #[target_feature(enable = "sse2")]
+        unsafe fn new(ep: &super::NarrowEpilogue) -> Self {
+            Self {
+                up: _mm_cvtsi32_si128(ep.srcs_shift as i32),
+                floor: _mm_set1_epi32(ep.floor),
+                half: _mm_set1_epi32(ep.half()),
+                shift: _mm_cvtsi32_si128(ep.shift as i32),
+                min: _mm_set1_epi32(ep.min),
+                max: _mm_set1_epi32(ep.max),
+            }
+        }
     }
 
     /// SSE2 form of the AVX2 `epilogue_row`: 8 lanes per step as two
@@ -826,14 +1267,7 @@ mod sse2 {
         dst: &mut [i16],
     ) {
         let n = acc.len();
-        let k = EpilogueVecs {
-            up: _mm_cvtsi32_si128(ep.srcs_shift as i32),
-            floor: _mm_set1_epi32(ep.floor),
-            half: _mm_set1_epi32(ep.half()),
-            shift: _mm_cvtsi32_si128(ep.shift as i32),
-            min: _mm_set1_epi32(ep.min),
-            max: _mm_set1_epi32(ep.max),
-        };
+        let k = EpilogueVecs::new(ep);
         let mut j = 0usize;
         while j + 8 <= n {
             // SAFETY: `j + 8 <= n` and the wrapper checked `dst` and
@@ -967,9 +1401,10 @@ pub fn row_interior_wide(level: SimdLevel, acc: &mut [i64], row: &[i16], taps: [
     debug_assert!(row.len() >= acc.len() + 2);
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Avx2` only when `detect` observed AVX2 support
-        // on this CPU at runtime.
-        SimdLevel::Avx2 => unsafe { avx2::row_interior_wide(acc, row, taps) },
+        // SAFETY: `level` is `Avx512` or `Avx2` only when `detect` observed
+        // AVX2 support on this CPU at runtime (the AVX-512 rung requires
+        // it too).
+        SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::row_interior_wide(acc, row, taps) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `level == Neon` only when `detect` observed NEON.
         SimdLevel::Neon => unsafe { neon::row_interior_wide(acc, row, taps) },
@@ -987,8 +1422,8 @@ pub fn row_interior_narrow(level: SimdLevel, acc: &mut [i32], row: &[i16], taps:
     debug_assert!(row.len() >= acc.len() + 2);
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Avx2` only when `detect` observed AVX2.
-        SimdLevel::Avx2 => unsafe { avx2::row_interior_narrow(acc, row, taps) },
+        // SAFETY: `Avx512` and `Avx2` both imply `detect` observed AVX2.
+        SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::row_interior_narrow(acc, row, taps) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level == Sse2` only when `detect` observed SSE2.
         SimdLevel::Sse2 => unsafe { sse2::row_interior_narrow(acc, row, taps) },
@@ -1048,8 +1483,8 @@ pub fn row_padded_narrow(level: SimdLevel, acc: &mut [i32], row: &[i16], taps: [
 pub fn ch_mac_wide(level: SimdLevel, acc: &mut [i64], src: &[i16], w: i32) {
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Avx2` only when `detect` observed AVX2.
-        SimdLevel::Avx2 => unsafe { avx2::ch_mac_wide(acc, src, w) },
+        // SAFETY: `Avx512` and `Avx2` both imply `detect` observed AVX2.
+        SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::ch_mac_wide(acc, src, w) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: `level == Neon` only when `detect` observed NEON.
         SimdLevel::Neon => unsafe { neon::ch_mac_wide(acc, src, w) },
@@ -1092,9 +1527,13 @@ struct Conv3Sweep<'a> {
 }
 
 impl<'a> Conv3Sweep<'a> {
-    fn new(input: &'a Tensor<i16>, packed: &'a PackedConv3, acc: &Tensor<i32>) -> Self {
+    /// The sweep writing an `out_c × out_h × out_w` output.
+    fn new(
+        input: &'a Tensor<i16>,
+        packed: &'a PackedConv3,
+        (out_c, out_h, out_w): (usize, usize, usize),
+    ) -> Self {
         let (in_c, in_h, in_w) = input.shape();
-        let (out_c, out_h, out_w) = acc.shape();
         let planes = packed.out_planes * packed.in_groups;
         assert!(
             out_w >= BLOCKED_MIN_WIDTH && in_h >= out_h + 2 && in_w >= out_w + 2,
@@ -1158,6 +1597,62 @@ impl<'a> Conv1Sweep<'a> {
     }
 }
 
+/// Where a register-blocked 3×3 sweep stores each finished chunk, in the
+/// `out_planes·32 × chh × cw` output layout.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Conv3Store<'a> {
+    /// The raw `i32` accumulators.
+    Acc(&'a mut [i32]),
+    /// Destination codes: the srcS-free epilogue applied to the
+    /// registers, then a saturating pack to `i16` (exact, since the lanes
+    /// are already clamped to the code range).
+    Codes(&'a NarrowEpilogue, &'a mut [i16]),
+}
+
+/// Column starts of `lanes`-wide chunks covering `width >= lanes`
+/// columns. The last chunk is pulled back to end at `width`, overlapping
+/// its predecessor: the 3×3 kernels recompute those pixels from the bias,
+/// so the stores agree.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn chunk_starts(width: usize, lanes: usize) -> impl Iterator<Item = usize> {
+    (0..width.div_ceil(lanes)).map(move |i| (i * lanes).min(width - lanes))
+}
+
+/// The rung dispatch of [`conv3_blocked_narrow`] and
+/// [`conv3_blocked_codes`]: AVX-512 for sweeps of at least 32 columns,
+/// AVX2 for narrower ones on that rung.
+fn conv3_blocked(
+    level: SimdLevel,
+    input: &Tensor<i16>,
+    packed: &PackedConv3,
+    shape: (usize, usize, usize),
+    mut out: Conv3Store<'_>,
+) -> bool {
+    if shape.2 < BLOCKED_MIN_WIDTH {
+        return false;
+    }
+    assert!(level.is_available(), "{level} is not available on this CPU");
+    let sweep = Conv3Sweep::new(input, packed, shape);
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` is available (asserted above): `detect` observed
+        // AVX2, AVX-512F/BW and AVX-512 VNNI. The guard is the kernel's
+        // 32-column minimum.
+        SimdLevel::Avx512 if shape.2 >= avx512::LANES => unsafe {
+            avx512::conv3_blocked(&sweep, &mut out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an available `Avx512` or `Avx2` level means `detect`
+        // observed AVX2.
+        SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::conv3_blocked(&sweep, &mut out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an available `Sse2` level means `detect` observed SSE2.
+        SimdLevel::Sse2 => unsafe { sse2::conv3_blocked(&sweep, &mut out) },
+        _ => return false,
+    }
+    true
+}
+
 /// Register-blocked narrow 3×3 sweep of a truncated-pyramid conv:
 /// overwrites every element of `acc` (`out_planes·32 × chh × cw`) with
 /// the bias plus all taps, reading `input` rows `y..y+3`, columns
@@ -1165,32 +1660,55 @@ impl<'a> Conv1Sweep<'a> {
 /// untouched, when `level` has no blocked kernel or `cw` is below
 /// [`BLOCKED_MIN_WIDTH`]; the caller then runs the row kernels. Exact
 /// under the same `narrow_acc` license as [`row_interior_narrow`] (see
-/// the module docs for `vpmaddwd`'s one wrap).
+/// the module docs for the multiply-adds' one wrap).
 ///
 /// # Panics
 ///
-/// Panics if `input` is smaller than the pyramid geometry needs or the
-/// packed shapes disagree with `acc`.
+/// Panics if `input` is smaller than the pyramid geometry needs, the
+/// packed shapes disagree with `acc`, or this CPU cannot run `level`
+/// ([`SimdLevel::is_available`]).
 pub fn conv3_blocked_narrow(
     level: SimdLevel,
     input: &Tensor<i16>,
     packed: &PackedConv3,
     acc: &mut Tensor<i32>,
 ) -> bool {
-    if acc.width() < BLOCKED_MIN_WIDTH {
-        return false;
-    }
-    let sweep = Conv3Sweep::new(input, packed, acc);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Avx2` only when `detect` observed AVX2.
-        SimdLevel::Avx2 => unsafe { avx2::conv3_blocked(&sweep, acc.as_mut_slice()) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Sse2` only when `detect` observed SSE2.
-        SimdLevel::Sse2 => unsafe { sse2::conv3_blocked(&sweep, acc.as_mut_slice()) },
-        _ => return false,
-    }
-    true
+    let shape = acc.shape();
+    conv3_blocked(
+        level,
+        input,
+        packed,
+        shape,
+        Conv3Store::Acc(acc.as_mut_slice()),
+    )
+}
+
+/// [`conv3_blocked_narrow`] with the srcS-free fused epilogue in its
+/// store: each chunk's accumulators are floored, rounded and clamped in
+/// registers and packed straight into `dst` codes, equal to
+/// [`epilogue_narrow`] (without srcS) of the accumulators
+/// [`conv3_blocked_narrow`] would store — no `i32` plane is written.
+/// Returns `false`, leaving `dst` untouched, exactly when
+/// [`conv3_blocked_narrow`] would.
+///
+/// # Panics
+///
+/// As [`conv3_blocked_narrow`], with `dst` in place of `acc`.
+pub fn conv3_blocked_codes(
+    level: SimdLevel,
+    input: &Tensor<i16>,
+    packed: &PackedConv3,
+    ep: &NarrowEpilogue,
+    dst: &mut Tensor<i16>,
+) -> bool {
+    let shape = dst.shape();
+    conv3_blocked(
+        level,
+        input,
+        packed,
+        shape,
+        Conv3Store::Codes(ep, dst.as_mut_slice()),
+    )
 }
 
 /// Register-blocked narrow 1×1 accumulation of leaf `leaf`:
@@ -1202,8 +1720,9 @@ pub fn conv3_blocked_narrow(
 ///
 /// # Panics
 ///
-/// Panics if the input and accumulator planes differ in size or `input`
-/// lacks channels `chan_base..chan_base + 32`.
+/// Panics if the input and accumulator planes differ in size, `input`
+/// lacks channels `chan_base..chan_base + 32`, or this CPU cannot run
+/// `level` ([`SimdLevel::is_available`]).
 pub fn conv1_blocked_narrow(
     level: SimdLevel,
     packed: &PackedConv1,
@@ -1215,13 +1734,22 @@ pub fn conv1_blocked_narrow(
     if acc.height() * acc.width() < BLOCKED_MIN_WIDTH {
         return false;
     }
+    assert!(level.is_available(), "{level} is not available on this CPU");
     let sweep = Conv1Sweep::new(packed, leaf, input, chan_base, acc);
     let done = match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Avx2` only when `detect` observed AVX2.
-        SimdLevel::Avx2 => unsafe { avx2::conv1_blocked(&sweep, acc.as_mut_slice()) },
+        // SAFETY: `level` is available (asserted above): `detect` observed
+        // AVX2, AVX-512F/BW and AVX-512 VNNI. AVX2 takes one more
+        // 16-pixel chunk when at least 16 pixels are left.
+        SimdLevel::Avx512 => unsafe {
+            let done = avx512::conv1_blocked(&sweep, acc.as_mut_slice());
+            avx2::conv1_blocked(&sweep, acc.as_mut_slice(), done)
+        },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Sse2` only when `detect` observed SSE2.
+        // SAFETY: an available `Avx2` level means `detect` observed AVX2.
+        SimdLevel::Avx2 => unsafe { avx2::conv1_blocked(&sweep, acc.as_mut_slice(), 0) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an available `Sse2` level means `detect` observed SSE2.
         SimdLevel::Sse2 => unsafe { sse2::conv1_blocked(&sweep, acc.as_mut_slice()) },
         _ => return false,
     };
@@ -1297,9 +1825,9 @@ fn epilogue_row(
     }
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level == Avx2` only when `detect` observed AVX2; the
-        // asserts above are the row-length contract of the kernel.
-        SimdLevel::Avx2 => unsafe { avx2::epilogue_row(ep, acc, srcs, dst) },
+        // SAFETY: `Avx512` and `Avx2` both imply `detect` observed AVX2;
+        // the asserts above are the row-length contract of the kernel.
+        SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::epilogue_row(ep, acc, srcs, dst) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level == Sse2` only when `detect` observed SSE2; same
         // row-length contract.
@@ -1362,15 +1890,40 @@ mod tests {
 
     /// Every level available on this host, scalar always included.
     fn levels() -> Vec<SimdLevel> {
-        let mut ls = vec![SimdLevel::Scalar];
-        if detect() != SimdLevel::Scalar {
-            ls.push(detect());
+        SimdLevel::ALL
+            .into_iter()
+            .filter(|l| l.is_available())
+            .collect()
+    }
+
+    #[test]
+    fn availability_follows_the_detected_ladder() {
+        let best = detect();
+        assert!(best.is_available() && SimdLevel::Scalar.is_available());
+        // x86 and NEON rungs never coexist.
+        assert!(!(SimdLevel::Neon.is_available() && SimdLevel::Sse2.is_available()));
+        // Every rung below an available x86 rung is available too.
+        let x86 = [SimdLevel::Avx512, SimdLevel::Avx2, SimdLevel::Sse2];
+        for (i, l) in x86.iter().enumerate() {
+            if l.is_available() {
+                assert!(x86[i..].iter().all(|l| l.is_available()), "{l}");
+            }
         }
-        #[cfg(target_arch = "x86_64")]
-        if detect() == SimdLevel::Avx2 {
-            ls.push(SimdLevel::Sse2);
-        }
-        ls
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn detect_takes_the_avx512_rung_whenever_the_cpu_has_it() {
+        let avx512 = is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512bw")
+            && is_x86_feature_detected!("avx512vnni");
+        assert_eq!(
+            detect() == SimdLevel::Avx512,
+            avx512,
+            "detected {}",
+            detect()
+        );
     }
 
     fn row(n: usize, seed: i64) -> Vec<i16> {
@@ -1444,13 +1997,14 @@ mod tests {
 
     /// Whether `level` has register-blocked narrow conv kernels.
     fn has_blocked(level: SimdLevel) -> bool {
-        matches!(level, SimdLevel::Avx2 | SimdLevel::Sse2)
+        matches!(level, SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2)
     }
 
     /// Blocked-kernel widths: one chunk exactly, a one-pixel overlapping
     /// last chunk, ragged widths on both sides of two chunks, and many
-    /// chunks.
-    const BLOCKED_WIDTHS: [usize; 5] = [16, 17, 31, 33, 130];
+    /// chunks — for 16- and 32-pixel chunks alike (widths below 32 run
+    /// the AVX2 kernel on the AVX-512 rung).
+    const BLOCKED_WIDTHS: [usize; 10] = [16, 17, 31, 32, 33, 47, 63, 64, 65, 130];
 
     fn leaf(seed: i64) -> LeafParams {
         let mut l = LeafParams::zero();
@@ -1637,7 +2191,9 @@ mod tests {
         l.w1.fill(i16::MIN);
         let p3 = PackedConv3::pack_leaf(&l, 7, 7);
         let p1 = PackedConv1::pack(std::slice::from_ref(&l), 7, 7);
-        let (chh, cw) = (2, 17);
+        // 47 columns: two overlapping 32-pixel chunks on the AVX-512 rung;
+        // the 94-pixel 1×1 planes end in a 16-pixel and a scalar tail.
+        let (chh, cw) = (2, 47);
         let input = Tensor::from_fn(LEAF_CH, chh + 2, cw + 2, |_, _, _| i16::MIN);
         let want3 = scalar_conv3(&input, &p3, chh, cw);
         let mid = Tensor::from_fn(LEAF_CH, chh, cw, |_, _, _| i16::MIN);
@@ -1654,6 +2210,43 @@ mod tests {
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
             assert!(conv1_blocked_narrow(lv, &p1, 0, &mid, 0, &mut acc));
             assert_eq!(acc, want1, "1x1 level {lv}");
+        }
+    }
+
+    #[test]
+    fn fused_codes_store_matches_the_epilogue_of_the_stored_accumulators() {
+        let cases = [
+            (Opcode::Conv, 1, 1, vec![leaf(9)]),
+            (Opcode::Conv, 2, 1, vec![leaf(10), leaf(11)]),
+        ];
+        for (opcode, in_groups, out_groups, leafs) in cases {
+            let p = packed3(opcode, in_groups, out_groups, &leafs);
+            for cw in BLOCKED_WIDTHS {
+                let chh = 2;
+                let input = plane(in_groups * LEAF_CH, chh + 2, cw + 2, cw + 5);
+                let acc = scalar_conv3(&input, &p, chh, cw);
+                // Shift 1 saturates nearly every code, 18 spreads the sums
+                // over the code range, 30 rounds nearly all to 0 or ±1.
+                for (shift, relu) in [(1, true), (18, true), (18, false), (30, false)] {
+                    let q = QFormat::signed(4);
+                    let ep = NarrowEpilogue::new(q.frac() as i32 + shift, q, relu, None).unwrap();
+                    let mut want = Tensor::<i16>::zeros(LEAF_CH, chh, cw);
+                    epilogue_narrow(SimdLevel::Scalar, &ep, &acc, None, &mut want);
+                    for &l in &levels() {
+                        let mut dst = Tensor::from_fn(LEAF_CH, chh, cw, |_, _, _| 0x5555i16);
+                        let ran = conv3_blocked_codes(l, &input, &p, &ep, &mut dst);
+                        assert_eq!(ran, has_blocked(l), "level {l} dispatch");
+                        if ran {
+                            assert_eq!(
+                                dst, want,
+                                "ig {in_groups} level {l} width {cw} shift {shift} relu {relu}"
+                            );
+                        } else {
+                            assert!(dst.as_slice().iter().all(|&v| v == 0x5555), "untouched");
+                        }
+                    }
+                }
+            }
         }
     }
 

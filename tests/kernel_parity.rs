@@ -1,7 +1,7 @@
 //! Parity proptests for the flat-slice packed and runtime-dispatched SIMD
 //! micro-kernels.
 //!
-//! Five oracles pin the kernel rewrites down:
+//! Six oracles pin the kernel rewrites down:
 //!
 //! * the *tensor-crate goldens*: random single-conv programs must match a
 //!   composition of the untouched `conv3x3_fixed` / `conv1x1_fixed`
@@ -21,7 +21,9 @@
 //! * the *narrow license*: unproven programs must never select the
 //!   `i32` accumulation path, the untouched uniform paper model must be
 //!   fully licensed, and the license must survive the Session /
-//!   AsyncSession / ShardedBackend plumbing bit-identically.
+//!   AsyncSession / ShardedBackend plumbing bit-identically;
+//! * the *SIMD rungs*: eSR-4K and DnERNet-B3R1N0 blocks match `Packed` at
+//!   every level the host can run (AVX-512, AVX2, SSE2, scalar on x86).
 
 use ecnn_core::engine::{Backend, EcnnBackend, Workload};
 use ecnn_core::sharded::ShardedBackend;
@@ -568,6 +570,63 @@ fn paper_model_is_narrow_licensed_end_to_end() {
         Kernels::Simd.variant(simd::detect())
     );
     assert!(pool.stats().kernel_variant.name().starts_with("simd"));
+}
+
+/// Every SIMD rung this host can run produces `Packed`'s pixels on the
+/// paper's eSR-4K (SR4 B17R3N1: CONV, ER, UPX2 and srcS epilogues) and
+/// on DnERNet-B3R1N0. The rungs are pinned with
+/// `BlockPlan::with_simd_level`, so an AVX-512 host also checks the AVX2,
+/// SSE2 and scalar bodies. The covered levels are written to stderr
+/// directly (not through the captured `eprintln!`), so CI logs show
+/// whether a runner had the AVX-512 rung at all.
+#[test]
+fn every_available_simd_level_matches_packed_on_paper_models() {
+    use std::io::Write;
+    let covered: Vec<simd::SimdLevel> = simd::SimdLevel::ALL
+        .into_iter()
+        .filter(|l| l.is_available())
+        .collect();
+    let names: Vec<&str> = covered.iter().map(|l| l.name()).collect();
+    let _ = writeln!(
+        std::io::stderr(),
+        "kernel_parity: SIMD levels covered: {} (detected {})",
+        names.join(", "),
+        simd::detect()
+    );
+    let models = [
+        (ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1), 64),
+        (ErNetSpec::new(ErNetTask::Dn, 3, 1, 0), 96),
+    ];
+    for (spec, xi) in models {
+        let m = spec.build().unwrap();
+        let qm = QuantizedModel::uniform(&m);
+        let c = compile(&qm, xi).unwrap();
+        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+        let img = SyntheticImage::new(ImageKind::Mixed, 17).rgb(xi, xi);
+        let input = quantize_input(&img, &c.program);
+        let mut pool = PlanePool::new();
+        let want = execute_with(&plan, &mut pool, &input, Kernels::Packed)
+            .unwrap()
+            .clone();
+        for &level in &covered {
+            let p = plan.clone().with_simd_level(level).expect("available");
+            let mut pool = PlanePool::new();
+            let out = execute_with(&p, &mut pool, &input, Kernels::Simd).unwrap();
+            assert_eq!(out, &want, "{spec} level {level}");
+            assert_eq!(
+                pool.stats().narrow_instrs,
+                c.program.instructions.len() as u64,
+                "{spec} level {level}: every instruction narrow"
+            );
+        }
+        for level in simd::SimdLevel::ALL {
+            assert_eq!(
+                plan.clone().with_simd_level(level).is_some(),
+                covered.contains(&level),
+                "{level}: the setter refuses exactly the unavailable levels"
+            );
+        }
+    }
 }
 
 /// The kernel selection survives every execution surface bit-identically:
