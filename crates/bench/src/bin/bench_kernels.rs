@@ -1,11 +1,10 @@
 //! Kernel perf trajectory: times one eSR-4K block execution on every
-//! kernel variant — the runtime-dispatched SIMD path (narrow-licensed and
-//! forced-wide), the narrow SIMD path pinned to the AVX2 rung (so an
-//! AVX-512 host times both rungs), the packed flat-slice path and the
-//! kept scalar reference — over the same plan, codes and run, and writes
-//! `BENCH_kernels.json`
-//! with the median time per block and MAC/s per variant, so later changes
-//! can compare against a recorded baseline.
+//! kernel variant — the runtime-dispatched SIMD path, the SIMD path
+//! pinned to the AVX2 rung (so an AVX-512 host times both rungs), the
+//! packed flat-slice path and the kept scalar reference — over the same
+//! plan, codes and run, and writes `BENCH_kernels.json` with the median
+//! time per block and MAC/s per variant, so later changes can compare
+//! against a recorded baseline.
 //!
 //! Every timing is one *block*, not one frame: a single `execute_with`
 //! call of the engine's UHD30 pick (ERNet SR4, B=17, R=3, N=1) at its
@@ -19,7 +18,7 @@
 //!
 //! * `--reps N` — timed repetitions per variant (default 7 fast / 3
 //!   reference; `ECNN_BENCH_REPS` kept as a fallback).
-//! * `--variant simd|simd-wide|simd-avx2|packed|reference` — run only the
+//! * `--variant simd|simd-avx2|packed|reference` — run only the
 //!   named variant (repeatable; default all). `simd-avx2` is skipped on a
 //!   host without AVX2.
 //! * `--json PATH` — output path (default `BENCH_kernels.json`).
@@ -90,7 +89,7 @@ struct Measured {
 fn usage() -> ! {
     eprintln!(
         "usage: bench_kernels [--reps N] \
-         [--variant simd|simd-wide|simd-avx2|packed|reference]... \
+         [--variant simd|simd-avx2|packed|reference]... \
          [--json PATH]"
     );
     std::process::exit(2);
@@ -121,10 +120,7 @@ fn main() {
         }
     }
     for v in &only {
-        if !matches!(
-            v.as_str(),
-            "simd" | "simd-wide" | "simd-avx2" | "packed" | "reference"
-        ) {
+        if !matches!(v.as_str(), "simd" | "simd-avx2" | "packed" | "reference") {
             eprintln!("unknown variant: {v}");
             usage();
         }
@@ -136,8 +132,6 @@ fn main() {
     let qm = QuantizedModel::uniform(&m);
     let compiled = compile(&qm, xi).expect("paper model compiles");
     let plan = BlockPlan::new(&compiled.program, &compiled.leafs).expect("plan");
-    let mut wide_plan = plan.clone();
-    wide_plan.force_wide();
     let avx2_plan = plan.clone().with_simd_level(SimdLevel::Avx2);
     let img = SyntheticImage::new(ImageKind::Mixed, 9).rgb(xi, xi);
     let codes = quantize_input(&img, &compiled.program);
@@ -154,9 +148,8 @@ fn main() {
         compiled.program.instructions.len(),
     );
 
-    let variants: [(&'static str, Option<&BlockPlan<'_>>, Kernels, usize); 5] = [
+    let variants: [(&'static str, Option<&BlockPlan<'_>>, Kernels, usize); 4] = [
         ("simd", Some(&plan), Kernels::Simd, env_reps(7)),
-        ("simd-wide", Some(&wide_plan), Kernels::Simd, env_reps(7)),
         ("simd-avx2", avx2_plan.as_ref(), Kernels::Simd, env_reps(7)),
         ("packed", Some(&plan), Kernels::Packed, env_reps(7)),
         ("reference", Some(&plan), Kernels::Reference, env_reps(3)),

@@ -257,7 +257,9 @@ impl Default for TuneSpace {
         Self {
             blocks: vec![64, 128, 256],
             workers: vec![1, 2, 4],
-            kernels: vec![Kernels::Simd, Kernels::Packed],
+            // `Packed` is over 20× slower per block than `Simd` and cannot
+            // win; it stays a degradation rung, not a tuning candidate.
+            kernels: vec![Kernels::Simd],
             coalesce: vec![true, false],
         }
     }
@@ -675,7 +677,9 @@ mod tests {
     fn space_enumerates_cross_product_strict() {
         let space = TuneSpace::default();
         let configs = space.enumerate();
-        assert_eq!(configs.len(), 3 * 3 * 2 * 2);
+        // 3 blocks × 3 worker counts × 1 kernel family × 2 layouts.
+        assert_eq!(space.kernels, [Kernels::Simd]);
+        assert_eq!(configs.len(), 18);
         assert!(configs.iter().all(|c| c.verify == VerifyMode::Strict));
     }
 

@@ -255,10 +255,10 @@ pub struct PackedKernelParams {
     /// Verifier-licensed narrow accumulation: `true` only when the static
     /// interval analysis (`crate::verify`) proved every conv-stage
     /// accumulator value of this instruction fits an `i32`
-    /// (`InstrRange::narrow_acc`), so SIMD kernels may run 8-wide `i32`
-    /// lanes instead of 4-wide `i64`. [`PackedKernelParams::pack`] always
-    /// leaves this `false`; the planner stamps it from a verify report —
-    /// no proof, no narrow path.
+    /// (`InstrRange::narrow_acc`), so SIMD kernels may run `i32` lanes
+    /// instead of the packed kernels' exact `i64` accumulators.
+    /// [`PackedKernelParams::pack`] always leaves this `false`; the
+    /// planner stamps it from a verify report — no proof, no narrow path.
     pub narrow_acc: bool,
 }
 

@@ -14,10 +14,11 @@
 //!
 //! * features are 8-bit Q-format codes in block buffers;
 //! * every convolution accumulates in full precision (the hardware's
-//!   carry-save trees never round internally): `i64` on the wide,
-//!   `Packed` and `Reference` paths, `i32` where the verifier proves it
-//!   exact (the licensed narrow SIMD path, which also requantizes
-//!   straight from `i32` in one fused pass);
+//!   carry-save trees never round internally): `i32` where the verifier
+//!   proves it exact (the licensed narrow SIMD path, which also
+//!   requantizes straight from `i32` in one fused pass), `i64` everywhere
+//!   else — the `Packed` and `Reference` paths, and any `Simd` instruction
+//!   without that licence, which runs the `Packed` row kernels;
 //! * `srcS` operands are aligned to the accumulator's fractional position
 //!   and added before activation (the ADDE adder);
 //! * ER leaf-modules requantize the expanded features to 8 bits between the
@@ -630,9 +631,9 @@ impl<'a> BlockPlan<'a> {
         // accumulator and the post-srcS accumulator fit `i32`, which
         // licenses the SIMD kernels' `i32` path end to end. An
         // instruction whose shifts the fused narrow epilogue does not
-        // cover stays wide, as does every instruction of a report with
-        // errors (or an unanalyzable one, `ranges[i] == None`) — no
-        // proof, no narrow path.
+        // cover runs the `i64` packed kernels instead, as does every
+        // instruction of a report with errors (or an unanalyzable one,
+        // `ranges[i] == None`) — no proof, no narrow path.
         let report = ecnn_isa::verify::verify(program, leafs);
         let mut memplan = None;
         if !report.has_errors() {
@@ -731,15 +732,6 @@ impl<'a> BlockPlan<'a> {
         })
     }
 
-    /// Revokes every narrow-accumulation license, forcing
-    /// [`Kernels::Simd`] executions onto the wide (`i64`) SIMD path. For
-    /// parity tests and benchmarks that isolate the lane-width effect.
-    pub fn force_wide(&mut self) {
-        for p in &mut self.packed {
-            p.narrow_acc = false;
-        }
-    }
-
     /// The verifier-licensed coalesced memory layout, when one was proven
     /// at plan time (`None` means executions fall back to the keyed
     /// one-slot-per-`(buffer, group)` layout).
@@ -798,7 +790,7 @@ impl<'a> BlockPlan<'a> {
     /// accumulators, the ER mid plane, the pre-pool / pre-shuffle plane and
     /// the assembled output) are pool-resident too but not counted here — a
     /// warm pool's total footprint is larger, dominated by the 4-byte
-    /// (narrow) or 8-byte (wide) accumulator elements.
+    /// (narrow) or 8-byte (`i64`) accumulator elements.
     pub fn peak_plane_bytes(&self) -> usize {
         // Keys are recycled in place, so the pool's footprint is the max
         // shape ever taken per key.
@@ -837,10 +829,11 @@ pub struct PlanePool {
     arena: PlaneArena,
     /// Gathered (possibly multi-group) input scratch.
     wide: Option<Tensor<i16>>,
-    /// Main full-precision accumulator of the wide, `Packed` and
-    /// `Reference` paths; a licensed narrow execution never touches it.
+    /// Main `i64` accumulator of the `Packed` and `Reference` paths (and
+    /// of unlicensed instructions under `Simd`, which run `Packed`'s
+    /// kernels); a licensed narrow execution never touches it.
     acc_a: Option<Tensor<i64>>,
-    /// Secondary wide accumulator: UPX2 shuffle target / ER per-leaf 3×3
+    /// Secondary `i64` accumulator: UPX2 shuffle target / ER per-leaf 3×3
     /// stage.
     acc_b: Option<Tensor<i64>>,
     /// Narrow (`i32`) twin of `acc_a`, used only by verifier-licensed
@@ -1120,13 +1113,15 @@ pub enum Kernels {
     /// detection ([`BlockPlan::simd_level`]); instructions whose plan
     /// entry carries the verifier's `narrow_acc` proof run in `i32` end
     /// to end: the 8-wide accumulation and the fused requantizing
-    /// epilogue.
+    /// epilogue. Instructions without it run the exact `i64`
+    /// [`Kernels::Packed`] kernels.
     Simd,
 }
 
 impl Kernels {
-    /// Every selectable kernel family, fastest first — the default
-    /// search axis of the plan-time autotuner.
+    /// Every selectable kernel family, fastest first — the supervisor's
+    /// degradation-ladder order (`supervise::ladder`). The autotuner's
+    /// default kernel axis is `Simd` alone (`TuneSpace::default`).
     pub const ALL: [Kernels; 3] = [Kernels::Simd, Kernels::Packed, Kernels::Reference];
 
     /// Stable lowercase name (`"simd"`, `"packed"`, `"reference"`), the
@@ -1471,11 +1466,8 @@ fn exec_conv3(
         cw,
     );
     match kind {
-        Kernels::Packed => {
+        Kernels::Packed | Kernels::Simd => {
             kernels::conv3_acc_packed(ins, input, &pk.conv3[0], conv_acc);
-        }
-        Kernels::Simd => {
-            kernels::conv3_acc_packed_simd(ins, input, &pk.conv3[0], conv_acc, plan.simd);
         }
         Kernels::Reference => {
             let weights = |op_: usize, ig: usize| {
@@ -1643,27 +1635,13 @@ fn exec_conv1(
     }
     let acc = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, side, side);
     match kind {
-        Kernels::Packed => {
+        Kernels::Packed | Kernels::Simd => {
             let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
             // Bias fill over row slices, zero columns hoisted to the
             // plan-time compaction.
             kernels::fill_bias(acc, &packed.bias);
             for leaf in 0..packed.leaves {
                 kernels::conv1_leaf_acc_packed(packed, leaf, input, leaf * LEAF_CH, acc);
-            }
-        }
-        Kernels::Simd => {
-            let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
-            kernels::fill_bias(acc, &packed.bias);
-            for leaf in 0..packed.leaves {
-                kernels::conv1_leaf_acc_packed_simd(
-                    packed,
-                    leaf,
-                    input,
-                    leaf * LEAF_CH,
-                    acc,
-                    plan.simd,
-                );
             }
         }
         Kernels::Reference => {
@@ -1811,9 +1789,8 @@ fn exec_er(
         // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
         let acc3 = ensure_overwrite(&mut pool.acc_b, &mut pool.stats, LEAF_CH, chh, cw);
         match kind {
-            Kernels::Packed => kernels::conv3_acc_packed(ins, input, &packed.conv3[li], acc3),
-            Kernels::Simd => {
-                kernels::conv3_acc_packed_simd(ins, input, &packed.conv3[li], acc3, plan.simd)
+            Kernels::Packed | Kernels::Simd => {
+                kernels::conv3_acc_packed(ins, input, &packed.conv3[li], acc3)
             }
             Kernels::Reference => {
                 let weights = |_: usize, _: usize| leaf.w3.as_slice();
@@ -1840,13 +1817,9 @@ fn exec_er(
         }
         // LCONV1x1: plane's columns accumulate into the 32ch output.
         match kind {
-            Kernels::Packed => {
+            Kernels::Packed | Kernels::Simd => {
                 let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
                 kernels::conv1_leaf_acc_packed(p1, li, mid, 0, acc1);
-            }
-            Kernels::Simd => {
-                let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-                kernels::conv1_leaf_acc_packed_simd(p1, li, mid, 0, acc1, plan.simd);
             }
             Kernels::Reference => kernels::reference::conv1_leaf_acc(&leaf.w1, mid, 0, acc1),
         }
@@ -1887,7 +1860,8 @@ fn exec_er(
 /// requantization to the destination format) and, for `ER`, the mid
 /// quantizer (internal ReLU, requantization to the mid format). `None`
 /// when either has a shape [`NarrowEpilogue::new`] does not cover —
-/// `BlockPlan::new` then keeps the instruction wide.
+/// `BlockPlan::new` then leaves the instruction unlicensed, so `Simd` runs
+/// it on the `i64` packed kernels.
 fn narrow_epilogues(ins: &Instruction) -> Option<(NarrowEpilogue, Option<NarrowEpilogue>)> {
     let src = ins.q.src.frac() as i32;
     let conv3 = ins.q.w3.frac() as i32 + src;

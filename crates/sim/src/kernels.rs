@@ -6,10 +6,11 @@
 //! weights pair-packed once, biases pre-aligned, zero taps masked — and
 //! come in two shapes:
 //!
-//! * **Row kernels** (the `Packed` rung, the wide `i64` SIMD path, and
-//!   the narrow fallbacks): one `(oc, ic, ky)` channel pair at a time,
-//!   each output row driven as raw input-row slices with the 3 horizontal
-//!   taps fused per row. Rows and columns are split into a *border*
+//! * **Row kernels** (the `Packed` rung, which also runs every
+//!   instruction `Simd` holds no narrow licence for, and the narrow
+//!   fallbacks): one `(oc, ic, ky)` channel pair at a time, each output
+//!   row driven as raw input-row slices with the 3 horizontal taps fused
+//!   per row. Rows and columns are split into a *border*
 //!   (bounds-checked, zero-padded inference only) and an *interior* span
 //!   that runs with no bounds checks and no branches, so the `i64` row
 //!   accumulation auto-vectorizes.
@@ -25,14 +26,14 @@
 //!   Zero-padded sweeps, narrower planes, NEON and scalar keep the row
 //!   kernels.
 //!
-//! Wide kernels accumulate in exact `i64` arithmetic, so any summation
-//! order produces bit-identical results; narrow kernels wrap modulo 2³²
-//! and are exact under the verifier's `narrow_acc` license, and a narrow
-//! instruction never leaves `i32`: the fused [`simd::epilogue_narrow`]
-//! requantizes straight from its accumulator. The fast kernels therefore
-//! match the [`mod@reference`] kernels exactly, which
-//! the parity proptests in `tests/kernel_parity.rs` enforce against the
-//! `conv3x3_fixed` / `conv1x1_fixed` goldens.
+//! The packed kernels accumulate in exact `i64` arithmetic, so any
+//! summation order produces bit-identical results; narrow kernels wrap
+//! modulo 2³² and are exact under the verifier's `narrow_acc` license,
+//! and a narrow instruction never leaves `i32`: the fused
+//! [`simd::epilogue_narrow`] requantizes straight from its accumulator.
+//! The fast kernels therefore match the [`mod@reference`] kernels exactly,
+//! which the parity proptests in `tests/kernel_parity.rs` enforce against
+//! the `conv3x3_fixed` / `conv1x1_fixed` goldens.
 //!
 //! The [`mod@reference`] submodule preserves the pre-packing scalar kernels
 //! verbatim: they are the baseline `bench_kernels` measures speedups
@@ -183,63 +184,9 @@ pub(crate) fn fill_bias_narrow(acc: &mut Tensor<i32>, bias: &[i64]) {
     }
 }
 
-/// [`conv3_acc_packed`] with the row loops dispatched to the wide (`i64`)
-/// SIMD kernels in [`simd`]. Bit-identical to the scalar path on every
-/// input (exact `i64` accumulation is order-independent).
-pub(crate) fn conv3_acc_packed_simd(
-    ins: &Instruction,
-    input: &Tensor<i16>,
-    packed: &PackedConv3,
-    acc: &mut Tensor<i64>,
-    level: SimdLevel,
-) {
-    let (_, chh, _) = acc.shape();
-    let ih = input.height();
-    let origin: isize = match ins.inference {
-        InferenceKind::TruncatedPyramid => 1,
-        InferenceKind::ZeroPadded => 0,
-    };
-    fill_bias(acc, &packed.bias);
-    let interior = origin == 1;
-    for op_ in 0..packed.out_planes {
-        for ig in 0..packed.in_groups {
-            let plane = op_ * packed.in_groups + ig;
-            for oc in 0..LEAF_CH {
-                let out_ch = op_ * LEAF_CH + oc;
-                for ic in 0..LEAF_CH {
-                    let m = packed.row_mask(plane, oc, ic);
-                    if m == 0 {
-                        continue;
-                    }
-                    let chan = ig * LEAF_CH + ic;
-                    for ky in 0..3usize {
-                        if m & (1 << ky) == 0 {
-                            continue;
-                        }
-                        let taps = packed.taps(plane, ky, oc, ic);
-                        for y in 0..chh {
-                            let sy = y as isize + ky as isize - 1 + origin;
-                            if sy < 0 || sy >= ih as isize {
-                                continue;
-                            }
-                            let row = input.row(chan, sy as usize);
-                            let arow = acc.row_mut(out_ch, y);
-                            if interior {
-                                simd::row_interior_wide(level, arow, row, taps);
-                            } else {
-                                simd::row_padded_wide(level, arow, row, taps);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The verifier-licensed narrow variant of [`conv3_acc_packed_simd`]:
-/// `i32` lanes with wrapping accumulation. Exact — equal to the wide
-/// path's `i64` sums — if and only if the plan carries the instruction's
+/// The verifier-licensed narrow variant of [`conv3_acc_packed`]: `i32`
+/// lanes with wrapping accumulation. Exact — equal to the packed path's
+/// `i64` sums — if and only if the plan carries the instruction's
 /// `narrow_acc` range proof; the executor enforces that precondition and
 /// finishes the instruction with [`simd::epilogue_narrow`].
 /// Truncated-pyramid sweeps at least [`simd::BLOCKED_MIN_WIDTH`] wide run
@@ -318,25 +265,7 @@ pub(crate) fn conv3_codes_packed_simd_narrow(
         && simd::conv3_blocked_codes(level, input, packed, ep, dst)
 }
 
-/// [`conv1_leaf_acc_packed`] with the flat channel MAC dispatched to the
-/// wide (`i64`) SIMD kernels.
-pub(crate) fn conv1_leaf_acc_packed_simd(
-    packed: &PackedConv1,
-    leaf: usize,
-    input: &Tensor<i16>,
-    chan_base: usize,
-    acc: &mut Tensor<i64>,
-    level: SimdLevel,
-) {
-    for oc in 0..LEAF_CH {
-        for &(ic, wv) in packed.row(leaf, oc) {
-            let src = input.channel(chan_base + ic as usize);
-            simd::ch_mac_wide(level, acc.channel_mut(oc), src, wv);
-        }
-    }
-}
-
-/// The verifier-licensed narrow variant of [`conv1_leaf_acc_packed_simd`]
+/// The verifier-licensed narrow variant of [`conv1_leaf_acc_packed`]
 /// (same license and exactness argument as
 /// [`conv3_acc_packed_simd_narrow`]): the register-blocked kernel on
 /// AVX-512/AVX2/SSE2 for planes of at least [`simd::BLOCKED_MIN_WIDTH`] pixels,

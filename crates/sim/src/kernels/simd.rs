@@ -9,34 +9,29 @@
 //! `aarch64`, scalar everywhere else. The AVX-512 rung needs AVX2,
 //! AVX-512F, AVX-512BW and AVX-512 VNNI together; only the
 //! register-blocked narrow conv kernels have AVX-512 bodies, and every
-//! other kernel on that rung (row kernels, the wide path, the epilogue)
-//! runs the AVX2 body. The level is resolved at *plan* time (`BlockPlan`
+//! other kernel on that rung (the row kernels and the epilogue) runs the
+//! AVX2 body. The level is resolved at *plan* time (`BlockPlan`
 //! stores it; `BlockPlan::with_simd_level` pins any rung
 //! [`SimdLevel::is_available`] admits, for tests and benches) and
 //! threaded into every kernel, so the per-row dispatch is a predictable
 //! match on a plan constant — never a repeated feature probe.
 //!
-//! # Wide vs narrow lanes
+//! # Narrow lanes
 //!
-//! Every kernel comes in two accumulator widths:
-//!
-//! * **wide** (`i64` lanes) — always exact, mirroring the scalar kernels:
-//!   AVX2 runs 4×`i64` lanes (`_mm256_mul_epi32` over sign-extended
-//!   sources), NEON runs paired `vmlal` widening MACs. SSE2 has no usable
-//!   signed 32×32→64 multiply (`_mm_mul_epi32` is SSE4.1), so its wide
-//!   path deliberately falls back to the scalar loop.
-//! * **narrow** (`i32` lanes, 8-wide on AVX2, 16-wide in the AVX-512
-//!   conv kernels) — uses *wrapping*
-//!   multiply-adds. Two's-complement wrapping arithmetic is exact modulo
-//!   2³², so the narrow result is bit-identical to the wide one whenever
-//!   the final per-element sum fits `i32`. The static verifier's interval
-//!   analysis proves exactly that per instruction
-//!   (`ecnn_isa::verify::InstrRange::narrow_acc`): every conv-stage sum
-//!   *and* the final accumulator after the srcS add fit `i32`, so the
-//!   whole instruction — conv and [`epilogue_narrow`] alike — stays in
-//!   `i32`. The executor only routes an instruction here when its plan
-//!   carries that proof; intermediate wraps (in products, partial sums or
-//!   the up-shifted srcS term) are harmless under the license.
+//! Every kernel here accumulates in `i32` lanes (8-wide on AVX2, 16-wide
+//! in the AVX-512 conv kernels) with *wrapping* multiply-adds.
+//! Two's-complement wrapping arithmetic is exact modulo 2³², so the
+//! narrow result is bit-identical to the exact `i64` sum whenever the
+//! final per-element sum fits `i32`. The static verifier's interval
+//! analysis proves exactly that per instruction
+//! (`ecnn_isa::verify::InstrRange::narrow_acc`): every conv-stage sum
+//! *and* the final accumulator after the srcS add fit `i32`, so the whole
+//! instruction — conv and [`epilogue_narrow`] alike — stays in `i32`. The
+//! executor only routes an instruction here when its plan carries that
+//! proof; intermediate wraps (in products, partial sums or the up-shifted
+//! srcS term) are harmless under the license. Unlicensed instructions run
+//! the packed row kernels ([`crate::kernels::accum_row_interior`] and
+//! friends), which accumulate in exact `i64`.
 //!
 //! The scalar narrow fallbacks use explicit `wrapping_*` ops for the same
 //! modular semantics (the dev/test profiles build with
@@ -54,7 +49,8 @@
 //! `min` and `abs` with compare/`xor` masks, and NEON and scalar take the
 //! scalar loop. [`NarrowEpilogue::new`] refuses the shapes it does not
 //! cover (no rounding shift, or a srcS plane finer than the accumulator);
-//! the plan keeps those instructions wide.
+//! the plan leaves those instructions unlicensed, so they run the packed
+//! row kernels.
 //!
 //! # Register-blocked narrow conv kernels
 //!
@@ -110,7 +106,7 @@
 //!   skip work.
 //! * **Fallbacks.** Zero-padded 3×3 sweeps, conv widths (3×3) or planes
 //!   (1×1) below [`BLOCKED_MIN_WIDTH`], NEON and scalar run the row
-//!   kernels below; the wide `i64` path never uses blocking.
+//!   kernels below.
 //!
 //! # Safety
 //!
@@ -145,13 +141,11 @@ pub enum SimdLevel {
     /// kernels run 32-pixel chunks through `vpdpwssd`; every other kernel
     /// runs the AVX2 body (the level implies AVX2).
     Avx512,
-    /// 256-bit AVX2: 8×`i32` narrow lanes, 4×`i64` wide lanes.
+    /// 256-bit AVX2: 8×`i32` narrow lanes.
     Avx2,
-    /// 128-bit SSE2: 4×`i32` narrow lanes (emulated `mullo`); the wide
-    /// path is scalar (no signed 32×32→64 multiply before SSE4.1).
+    /// 128-bit SSE2: 4×`i32` narrow lanes (emulated `mullo`).
     Sse2,
-    /// 128-bit NEON (`aarch64`): 4×`i32` narrow lanes, paired widening
-    /// MACs for the wide path.
+    /// 128-bit NEON (`aarch64`): 4×`i32` narrow lanes.
     Neon,
     /// Portable scalar loops (wrapping ops on the narrow path).
     Scalar,
@@ -258,13 +252,6 @@ fn scalar_ch_mac_narrow(acc: &mut [i32], src: &[i16], w: i32) {
     }
 }
 
-fn scalar_ch_mac_wide(acc: &mut [i64], src: &[i16], w: i32) {
-    let w = w as i64;
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a += w * s as i64;
-    }
-}
-
 /// One element of the fused narrow epilogue, in the vector kernels' exact
 /// branch-free steps. The magnitude is taken as `u32`, so `i32::MIN`
 /// (magnitude 2³¹) rounds correctly too.
@@ -339,69 +326,6 @@ mod avx2 {
             j += 8;
         }
         super::scalar_row_interior_narrow(&mut acc[j..], &row[j..], taps);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn row_interior_wide(acc: &mut [i64], row: &[i16], taps: [i32; 3]) {
-        let n = acc.len();
-        let (t0, t1, t2) = (
-            _mm256_set1_epi64x(taps[0] as i64),
-            _mm256_set1_epi64x(taps[1] as i64),
-            _mm256_set1_epi64x(taps[2] as i64),
-        );
-        let mut j = 0usize;
-        while j + 4 <= n {
-            // SAFETY: `j + 4 <= n` and `row.len() >= n + 2`, so the 64-bit
-            // source loads at offsets `j..j+4+2` and the 256-bit
-            // accumulator load/store at `j..j+4` are in bounds. The
-            // sign-extended sources keep each value in their lanes' low 32
-            // bits, so `_mm256_mul_epi32` (signed low-32 × low-32 → 64)
-            // computes the exact `tap · sample` product.
-            unsafe {
-                let s0 =
-                    _mm256_cvtepi16_epi64(_mm_loadl_epi64(row.as_ptr().add(j) as *const __m128i));
-                let s1 = _mm256_cvtepi16_epi64(_mm_loadl_epi64(
-                    row.as_ptr().add(j + 1) as *const __m128i
-                ));
-                let s2 = _mm256_cvtepi16_epi64(_mm_loadl_epi64(
-                    row.as_ptr().add(j + 2) as *const __m128i
-                ));
-                let a = _mm256_loadu_si256(acc.as_ptr().add(j) as *const __m256i);
-                let sum = _mm256_add_epi64(
-                    _mm256_mul_epi32(t0, s0),
-                    _mm256_add_epi64(_mm256_mul_epi32(t1, s1), _mm256_mul_epi32(t2, s2)),
-                );
-                _mm256_storeu_si256(
-                    acc.as_mut_ptr().add(j) as *mut __m256i,
-                    _mm256_add_epi64(a, sum),
-                );
-            }
-            j += 4;
-        }
-        crate::kernels::accum_row_interior(&mut acc[j..], &row[j..], taps);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn ch_mac_wide(acc: &mut [i64], src: &[i16], w: i32) {
-        let n = acc.len().min(src.len());
-        let wv = _mm256_set1_epi64x(w as i64);
-        let mut j = 0usize;
-        while j + 4 <= n {
-            // SAFETY: `j + 4 <= n <= src.len()` bounds the 64-bit source
-            // load and the 256-bit accumulator load/store; sign-extended
-            // sources make `_mm256_mul_epi32` exact (see above).
-            unsafe {
-                let s =
-                    _mm256_cvtepi16_epi64(_mm_loadl_epi64(src.as_ptr().add(j) as *const __m128i));
-                let a = _mm256_loadu_si256(acc.as_ptr().add(j) as *const __m256i);
-                _mm256_storeu_si256(
-                    acc.as_mut_ptr().add(j) as *mut __m256i,
-                    _mm256_add_epi64(a, _mm256_mul_epi32(wv, s)),
-                );
-            }
-            j += 4;
-        }
-        super::scalar_ch_mac_wide(&mut acc[j..], &src[j..n], w);
     }
 
     /// Pixels per register-blocked chunk.
@@ -1326,33 +1250,6 @@ mod neon {
     }
 
     #[target_feature(enable = "neon")]
-    pub unsafe fn row_interior_wide(acc: &mut [i64], row: &[i16], taps: [i32; 3]) {
-        let n = acc.len();
-        let mut j = 0usize;
-        while j + 4 <= n {
-            // SAFETY: same bounds as the narrow kernel; `vmlal_n_s32` is
-            // the exact widening 32×32→64 multiply-accumulate.
-            unsafe {
-                let s0 = vmovl_s16(vld1_s16(row.as_ptr().add(j)));
-                let s1 = vmovl_s16(vld1_s16(row.as_ptr().add(j + 1)));
-                let s2 = vmovl_s16(vld1_s16(row.as_ptr().add(j + 2)));
-                let mut lo = vld1q_s64(acc.as_ptr().add(j));
-                let mut hi = vld1q_s64(acc.as_ptr().add(j + 2));
-                lo = vmlal_n_s32(lo, vget_low_s32(s0), taps[0]);
-                hi = vmlal_n_s32(hi, vget_high_s32(s0), taps[0]);
-                lo = vmlal_n_s32(lo, vget_low_s32(s1), taps[1]);
-                hi = vmlal_n_s32(hi, vget_high_s32(s1), taps[1]);
-                lo = vmlal_n_s32(lo, vget_low_s32(s2), taps[2]);
-                hi = vmlal_n_s32(hi, vget_high_s32(s2), taps[2]);
-                vst1q_s64(acc.as_mut_ptr().add(j), lo);
-                vst1q_s64(acc.as_mut_ptr().add(j + 2), hi);
-            }
-            j += 4;
-        }
-        crate::kernels::accum_row_interior(&mut acc[j..], &row[j..], taps);
-    }
-
-    #[target_feature(enable = "neon")]
     pub unsafe fn ch_mac_narrow(acc: &mut [i32], src: &[i16], w: i32) {
         let n = acc.len().min(src.len());
         let mut j = 0usize;
@@ -1367,56 +1264,17 @@ mod neon {
         }
         super::scalar_ch_mac_narrow(&mut acc[j..], &src[j..n], w);
     }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn ch_mac_wide(acc: &mut [i64], src: &[i16], w: i32) {
-        let n = acc.len().min(src.len());
-        let mut j = 0usize;
-        while j + 4 <= n {
-            // SAFETY: `j + 4 <= n <= src.len()` bounds both accesses.
-            unsafe {
-                let s = vmovl_s16(vld1_s16(src.as_ptr().add(j)));
-                let mut lo = vld1q_s64(acc.as_ptr().add(j));
-                let mut hi = vld1q_s64(acc.as_ptr().add(j + 2));
-                lo = vmlal_n_s32(lo, vget_low_s32(s), w);
-                hi = vmlal_n_s32(hi, vget_high_s32(s), w);
-                vst1q_s64(acc.as_mut_ptr().add(j), lo);
-                vst1q_s64(acc.as_mut_ptr().add(j + 2), hi);
-            }
-            j += 4;
-        }
-        super::scalar_ch_mac_wide(&mut acc[j..], &src[j..n], w);
-    }
 }
 
 // --------------------------------------------------------------------------
 // Safe dispatch wrappers
 // --------------------------------------------------------------------------
 
-/// SIMD [`crate::kernels::accum_row_interior`] on `i64` accumulators:
+/// [`crate::kernels::accum_row_interior`] on wrapping `i32` accumulators:
 /// `acc[x] += t0·row[x] + t1·row[x+1] + t2·row[x+2]`. `row` must hold at
-/// least `acc.len() + 2` samples. Bit-identical to the scalar kernel.
-#[inline]
-pub fn row_interior_wide(level: SimdLevel, acc: &mut [i64], row: &[i16], taps: [i32; 3]) {
-    debug_assert!(row.len() >= acc.len() + 2);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level` is `Avx512` or `Avx2` only when `detect` observed
-        // AVX2 support on this CPU at runtime (the AVX-512 rung requires
-        // it too).
-        SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::row_interior_wide(acc, row, taps) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `level == Neon` only when `detect` observed NEON.
-        SimdLevel::Neon => unsafe { neon::row_interior_wide(acc, row, taps) },
-        // SSE2 has no signed widening multiply; scalar is the wide
-        // fallback there and on every non-SIMD target.
-        _ => crate::kernels::accum_row_interior(acc, row, taps),
-    }
-}
-
-/// Narrow (`i32`, wrapping) counterpart of [`row_interior_wide`]. Only
-/// exact under the verifier's `narrow_acc` license (final per-element sums
-/// fit `i32`); see the module docs.
+/// least `acc.len() + 2` samples. Only exact under the verifier's
+/// `narrow_acc` license (final per-element sums fit `i32`); see the
+/// module docs.
 #[inline]
 pub fn row_interior_narrow(level: SimdLevel, acc: &mut [i32], row: &[i16], taps: [i32; 3]) {
     debug_assert!(row.len() >= acc.len() + 2);
@@ -1434,29 +1292,9 @@ pub fn row_interior_narrow(level: SimdLevel, acc: &mut [i32], row: &[i16], taps:
     }
 }
 
-/// SIMD [`crate::kernels::accum_row_padded`] on `i64` accumulators:
+/// [`crate::kernels::accum_row_padded`] on wrapping `i32` accumulators:
 /// same-width `row`/`acc`, border columns peeled scalar (dropping their
 /// out-of-image taps), interior span vectorized.
-#[inline]
-pub fn row_padded_wide(level: SimdLevel, acc: &mut [i64], row: &[i16], taps: [i32; 3]) {
-    let n = acc.len();
-    debug_assert_eq!(n, row.len());
-    let (t0, t1, t2) = (taps[0] as i64, taps[1] as i64, taps[2] as i64);
-    if n == 1 {
-        acc[0] += t1 * row[0] as i64;
-        return;
-    }
-    acc[0] += t1 * row[0] as i64 + t2 * row[1] as i64;
-    if n > 2 {
-        // Interior element `x` (1 ≤ x ≤ n-2) reads `row[x-1..x+2]`: an
-        // interior pass over `acc[1..n-1]` with the full row (length
-        // `(n-2) + 2`) is exactly that window.
-        row_interior_wide(level, &mut acc[1..n - 1], row, taps);
-    }
-    acc[n - 1] += t0 * row[n - 2] as i64 + t1 * row[n - 1] as i64;
-}
-
-/// Narrow (`i32`, wrapping) counterpart of [`row_padded_wide`].
 #[inline]
 pub fn row_padded_narrow(level: SimdLevel, acc: &mut [i32], row: &[i16], taps: [i32; 3]) {
     let n = acc.len();
@@ -1470,6 +1308,9 @@ pub fn row_padded_narrow(level: SimdLevel, acc: &mut [i32], row: &[i16], taps: [
         .wrapping_add(t1.wrapping_mul(row[0] as i32))
         .wrapping_add(t2.wrapping_mul(row[1] as i32));
     if n > 2 {
+        // Interior element `x` (1 ≤ x ≤ n-2) reads `row[x-1..x+2]`: an
+        // interior pass over `acc[1..n-1]` with the full row (length
+        // `(n-2) + 2`) is exactly that window.
         row_interior_narrow(level, &mut acc[1..n - 1], row, taps);
     }
     acc[n - 1] = acc[n - 1]
@@ -1477,23 +1318,9 @@ pub fn row_padded_narrow(level: SimdLevel, acc: &mut [i32], row: &[i16], taps: [
         .wrapping_add(t1.wrapping_mul(row[n - 1] as i32));
 }
 
-/// Flat channel-slice multiply-add on `i64` accumulators (the 1×1 stage):
-/// `acc[i] += w · src[i]` over `min(acc.len(), src.len())` elements.
-#[inline]
-pub fn ch_mac_wide(level: SimdLevel, acc: &mut [i64], src: &[i16], w: i32) {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx512` and `Avx2` both imply `detect` observed AVX2.
-        SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::ch_mac_wide(acc, src, w) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `level == Neon` only when `detect` observed NEON.
-        SimdLevel::Neon => unsafe { neon::ch_mac_wide(acc, src, w) },
-        _ => scalar_ch_mac_wide(acc, src, w),
-    }
-}
-
-/// Narrow (`i32`, wrapping) counterpart of [`ch_mac_wide`]. On x86 the
-/// narrow 1×1 stage runs [`conv1_blocked_narrow`] on every plane of at
+/// Flat channel-slice multiply-add on wrapping `i32` accumulators (the
+/// 1×1 stage): `acc[i] += w · src[i]` over `min(acc.len(), src.len())`
+/// elements. On x86 the narrow 1×1 stage runs [`conv1_blocked_narrow`] on every plane of at
 /// least [`BLOCKED_MIN_WIDTH`] pixels, so the smaller planes left here
 /// take the scalar loop.
 #[inline]
@@ -1783,9 +1610,9 @@ impl NarrowEpilogue {
     /// applies ReLU when `relu`, and requantizes into `dst` codes exactly
     /// as [`ecnn_tensor::qformat::rescale_code`] +
     /// [`QFormat::clamp_code`] do. `None` for the shapes the narrow path
-    /// leaves to the wide one: a requantizer that does not round down
-    /// (shift outside `1..=31`), or a srcS plane finer than the
-    /// accumulator (its alignment would round) or more than 31 bits
+    /// leaves to the `i64` packed kernels: a requantizer that does not
+    /// round down (shift outside `1..=31`), or a srcS plane finer than
+    /// the accumulator (its alignment would round) or more than 31 bits
     /// coarser.
     pub fn new(acc_frac: i32, dst: QFormat, relu: bool, srcs_frac: Option<i32>) -> Option<Self> {
         let shift = u32::try_from(acc_frac - dst.frac() as i32)
@@ -1938,17 +1765,13 @@ mod tests {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
             let r = row(n + 2, n as i64);
             let taps = [7, -1000, 313];
-            let mut want64 = vec![5i64; n];
-            crate::kernels::accum_row_interior(&mut want64, &r, taps);
-            let mut want32 = vec![5i32; n];
-            scalar_row_interior_narrow(&mut want32, &r, taps);
+            let mut want = vec![5i64; n];
+            crate::kernels::accum_row_interior(&mut want, &r, taps);
             for &l in &levels() {
-                let mut a = vec![5i64; n];
-                row_interior_wide(l, &mut a, &r, taps);
-                assert_eq!(a, want64, "wide level {l} n {n}");
                 let mut a = vec![5i32; n];
                 row_interior_narrow(l, &mut a, &r, taps);
-                assert_eq!(a, want32, "narrow level {l} n {n}");
+                let widened: Vec<i64> = a.iter().map(|&v| v as i64).collect();
+                assert_eq!(widened, want, "narrow level {l} n {n}");
             }
         }
     }
@@ -1961,9 +1784,6 @@ mod tests {
             let mut want = vec![-9i64; n];
             crate::kernels::accum_row_padded(&mut want, &r, taps);
             for &l in &levels() {
-                let mut a = vec![-9i64; n];
-                row_padded_wide(l, &mut a, &r, taps);
-                assert_eq!(a, want, "wide level {l} n {n}");
                 let mut a = vec![-9i32; n];
                 row_padded_narrow(l, &mut a, &r, taps);
                 let widened: Vec<i64> = a.iter().map(|&v| v as i64).collect();
@@ -1976,12 +1796,8 @@ mod tests {
     fn ch_mac_matches_scalar_for_all_levels() {
         for n in [1usize, 4, 7, 8, 9, 40, 101] {
             let s = row(n, 3);
-            let mut want = vec![17i64; n];
-            scalar_ch_mac_wide(&mut want, &s, -777);
+            let want: Vec<i64> = s.iter().map(|&v| 17 - 777 * v as i64).collect();
             for &l in &levels() {
-                let mut a = vec![17i64; n];
-                ch_mac_wide(l, &mut a, &s, -777);
-                assert_eq!(a, want, "wide level {l} n {n}");
                 let mut a = vec![17i32; n];
                 ch_mac_narrow(l, &mut a, &s, -777);
                 let widened: Vec<i64> = a.iter().map(|&v| v as i64).collect();
@@ -2267,7 +2083,7 @@ mod tests {
     }
 
     /// The `i64` oracle of one epilogue element: srcS aligned up, ReLU,
-    /// then the executor's wide `rescale_code` + `clamp_code`.
+    /// then the executor's `i64` `rescale_code` + `clamp_code`.
     fn epilogue_oracle(sum: i64, relu: bool, acc_frac: i32, q: QFormat) -> i16 {
         let v = if relu { sum.max(0) } else { sum };
         q.clamp_code(ecnn_tensor::qformat::rescale_code(

@@ -5,13 +5,12 @@
 //!
 //! * the *tensor-crate goldens*: random single-conv programs must match a
 //!   composition of the untouched `conv3x3_fixed` / `conv1x1_fixed`
-//!   reference kernels bit-for-bit — on the packed path, the SIMD path
-//!   (narrow-licensed) and the SIMD path forced wide, over both inference
-//!   kinds (zero-padded border rows and truncated-pyramid interiors) and
+//!   reference kernels bit-for-bit — on the packed path and the
+//!   (narrow-licensed) SIMD path, over both inference kinds (zero-padded border rows and truncated-pyramid interiors) and
 //!   sides that are never lane multiples;
 //! * the *kept reference path*: random ERNet programs with randomized
 //!   (and sparsified) parameters must execute bit-identically under the
-//!   full variant matrix `{Simd, Simd-forced-wide, Packed, Reference}`;
+//!   full variant matrix `{Simd, Packed, Reference}`;
 //! * the *work counters*: `ExecStats::work()` (mac3/mac1/traffic) must be
 //!   unchanged by the kernel selection, and warm packed/SIMD execution
 //!   must do zero kernel-prep allocations;
@@ -114,8 +113,6 @@ proptest! {
         let input = img.map(|v| qm.input_q.quantize(v));
 
         let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
-        let mut wide_plan = plan.clone();
-        wide_plan.force_wide();
         let mut pool = PlanePool::new();
         let out = execute_with(&plan, &mut pool, &input, Kernels::Packed)
             .unwrap()
@@ -124,13 +121,6 @@ proptest! {
         let simd_out = execute_with(&plan, &mut simd_pool, &input, Kernels::Simd)
             .unwrap()
             .clone();
-        let mut wide_pool = PlanePool::new();
-        let wide_out = execute_with(&wide_plan, &mut wide_pool, &input, Kernels::Simd)
-            .unwrap()
-            .clone();
-        // A cleared license means the SIMD path never enters the narrow
-        // i32 loops, whatever the verifier proved.
-        prop_assert_eq!(wide_pool.stats().narrow_instrs, 0);
 
         // Golden: hardware-padded 32ch input through the untouched
         // fixed-point reference kernels, layer by layer.
@@ -164,12 +154,11 @@ proptest! {
         );
         prop_assert_eq!(&out, &golden);
         prop_assert_eq!(&simd_out, &golden);
-        prop_assert_eq!(&wide_out, &golden);
     }
 
     /// Random ERNet programs execute bit-identically across the full
-    /// variant matrix (SIMD narrow-licensed, SIMD forced wide, packed,
-    /// reference), with identical deterministic work counters, and warm
+    /// variant matrix (SIMD, packed, reference), with identical
+    /// deterministic work counters, and warm
     /// packed execution performs zero kernel-prep allocations.
     #[test]
     fn packed_and_reference_paths_agree(
@@ -219,25 +208,14 @@ proptest! {
         prop_assert_eq!(steady.params_reused, c.program.instructions.len() as u64);
         prop_assert_eq!(ref_pool.stats().params_reused, 0);
 
-        // SIMD, both licensed and forced wide, joins the same equivalence
-        // class with the same work counters; the cleared license must pin
-        // the narrow counter to zero.
-        let golden = reference;
-        let golden_work = ref_pool.stats().work();
-        let mut wide_plan = plan.clone();
-        wide_plan.force_wide();
-        prop_assert_eq!(wide_plan.narrow_licensed(), 0);
-        for (vplan, label) in [(&plan, "simd"), (&wide_plan, "simd-wide")] {
-            let mut pool = PlanePool::new();
-            let out = execute_with(vplan, &mut pool, &input, Kernels::Simd)
-                .unwrap()
-                .clone();
-            prop_assert_eq!(&out, &golden);
-            prop_assert_eq!(pool.stats().work(), golden_work);
-            if label == "simd-wide" {
-                prop_assert_eq!(pool.stats().narrow_instrs, 0);
-            }
-        }
+        // SIMD joins the same equivalence class with the same work
+        // counters.
+        let mut simd_pool = PlanePool::new();
+        let simd = execute_with(&plan, &mut simd_pool, &input, Kernels::Simd)
+            .unwrap()
+            .clone();
+        prop_assert_eq!(&simd, &reference);
+        prop_assert_eq!(simd_pool.stats().work(), ref_pool.stats().work());
     }
 }
 
@@ -380,10 +358,11 @@ proptest! {
 /// forged program whose conv sums are tiny but whose srcS plane sits 25
 /// fractional bits below the accumulator (`Q0` into `Q25`) reaches
 /// 127·2²⁵ > `i32::MAX` only after the srcS add. That instruction must
-/// run wide — a narrow run would wrap in the fused epilogue — while its
-/// producer stays narrow, and the output must equal `Reference`.
+/// run on the `i64` packed kernels — a narrow run would wrap in the fused
+/// epilogue — while its producer stays narrow, and the output must equal
+/// `Reference`.
 #[test]
-fn srcs_upshift_past_i32_runs_wide() {
+fn srcs_upshift_past_i32_runs_packed() {
     let conv =
         |src: FeatLoc, dst: FeatLoc, src_q: QFormat, w3: QFormat, dst_q: QFormat| Instruction {
             opcode: Opcode::Conv,
@@ -461,7 +440,7 @@ fn srcs_upshift_past_i32_runs_wide() {
 
     let plan = BlockPlan::new(&program, &leafs).unwrap();
     let narrow: Vec<bool> = plan.packed().iter().map(|p| p.narrow_acc).collect();
-    assert_eq!(narrow, [true, false], "producer narrow, srcS consumer wide");
+    assert_eq!(narrow, [true, false], "producer narrow, consumer packed");
 
     // Full-scale input: the srcS codes reach 127, so the final sums
     // really exceed i32.
@@ -484,7 +463,8 @@ fn srcs_upshift_past_i32_runs_wide() {
 /// the wide stage's hull reaches ~2.4e9 > `i32::MAX` and loses its
 /// license while the narrow head stages keep theirs — the run must take
 /// the narrow path exactly on the licensed subset and still match the
-/// reference kernels bit-for-bit (the wide `i64` path is always exact).
+/// reference kernels bit-for-bit (the packed `i64` kernels the unproven
+/// instruction runs on are always exact).
 #[test]
 fn unproven_instructions_never_select_narrow() {
     let m = Model::new(
