@@ -22,6 +22,11 @@
 //!   named variant (repeatable; default all). `simd-avx2` is skipped on a
 //!   host without AVX2.
 //! * `--json PATH` — output path (default `BENCH_kernels.json`).
+//!
+//! `mac_per_frame` and every `mac_per_s` count the accelerator's MACs
+//! (`ExecStats`). `host_mac_per_frame` is what the `simd` variant
+//! executes: that count minus the dead channels it skips
+//! (`BlockPlan::dead_mac3`).
 
 use ecnn_isa::compile::compile;
 use ecnn_isa::params::QuantizedModel;
@@ -156,8 +161,9 @@ fn main() {
     ];
     let mut results: Vec<Measured> = Vec::new();
     let mut macs_per_block = 0u64;
-    let mut steady_allocs = u64::MAX;
-    let mut params_reused = 0u64;
+    // (steady-state allocations, packed instructions served) per block:
+    // from the packed variant when it ran, else the first that did.
+    let mut steady: Option<(u64, u64)> = None;
     for (name, vplan, kind, default_reps) in variants {
         if !only.is_empty() && !only.iter().any(|v| v == name) {
             continue;
@@ -181,9 +187,8 @@ fn main() {
         }
         let delta = pool.stats().delta_since(&warm).per_frame(reps as u64);
         macs_per_block = delta.mac3 + delta.mac1;
-        if kind == Kernels::Packed {
-            steady_allocs = delta.planes_allocated;
-            params_reused = delta.params_reused;
+        if kind == Kernels::Packed || steady.is_none() {
+            steady = Some((delta.planes_allocated, delta.params_reused));
         }
         let med = median(ns);
         let mac_per_s = macs_per_block as f64 / (med as f64 / 1e9);
@@ -205,6 +210,11 @@ fn main() {
         });
     }
 
+    if results.is_empty() {
+        eprintln!("no variant ran");
+        std::process::exit(1);
+    }
+    let (steady_allocs, params_reused) = steady.expect("every variant that ran recorded it");
     let find = |n: &str| results.iter().find(|r| r.name == n);
     let ratio = |a: Option<&Measured>, b: Option<&Measured>| -> Option<f64> {
         Some(a?.median_ns as f64 / b?.median_ns as f64)
@@ -215,11 +225,21 @@ fn main() {
         println!("packed vs reference: {s:.2}x");
     }
     if let Some(s) = speedup_simd {
-        println!(
-            "simd vs packed: {s:.2}x  steady-state allocs/block: {steady_allocs}  \
-             packed instructions served/block: {params_reused}"
-        );
+        println!("simd vs packed: {s:.2}x");
     }
+    println!(
+        "steady-state allocs/block: {steady_allocs}  \
+         packed instructions served/block: {params_reused}"
+    );
+    // GMAC/s above counts the accelerator's MACs (`ExecStats`); the
+    // `Simd` sweeps skip the dead channels of the RGB head and tail.
+    let dead_macs = plan.dead_mac3();
+    assert!(
+        dead_macs <= macs_per_block,
+        "dead MACs {dead_macs} exceed the block's {macs_per_block}"
+    );
+    let host_macs = macs_per_block - dead_macs;
+    println!("host MACs/block under simd: {host_macs} of {macs_per_block}");
 
     // Hand-rolled JSON (no serializer in the offline vendor set): the old
     // top-level fields are kept verbatim for trajectory comparison, the
@@ -228,6 +248,7 @@ fn main() {
     let mut json = format!(
         "{{\n  \"bench\": \"esr4k_block_execution\",\n  \"model\": \"{spec}\",\n  \
          \"block\": {xi},\n  \"mac_per_frame\": {macs_per_block},\n  \
+         \"host_mac_per_frame\": {host_macs},\n  \
          \"simd_level\": \"{}\",\n  \"cpu_features\": [{}],\n  \
          \"narrow_licensed_instrs\": {},\n  \"program_instrs\": {},\n",
         plan.simd_level(),

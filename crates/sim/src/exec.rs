@@ -35,12 +35,21 @@
 //! zero kernel-parameter preparation. [`execute_with`] can instead run
 //! the kept scalar [`Kernels::Reference`] path, which is bit-identical
 //! and serves as the measured baseline and parity oracle.
+//!
+//! The plan also derives each 3×3 instruction's live channel extents
+//! ([`BlockPlan::live_channels`]). The 3-channel RGB input and output
+//! ride in padded 32-channel DI and DO planes: the DI padding is zero,
+//! and the output assembly reads only the logical DO channels. Licensed
+//! [`Kernels::Simd`] executions on the register-blocked sweep skip the
+//! dead channels ([`BlockPlan::dead_mac3`]) and never requantize dead DO
+//! channels; pixels and the [`ExecStats`] work counters, which charge
+//! the accelerator's full 32-channel MACs, are unchanged.
 
 use crate::config::EcnnConfig;
 use crate::kernels;
-use crate::kernels::simd::{self, NarrowEpilogue};
+use crate::kernels::simd::{self, LiveChannels, NarrowEpilogue};
 use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, LEAF_CH};
-use ecnn_isa::params::{LeafParams, PackedKernelParams};
+use ecnn_isa::params::{LeafParams, PackedKernelParams, OC_BLOCK};
 use ecnn_isa::program::Program;
 use ecnn_isa::verify::memplan::MemoryPlan;
 use ecnn_isa::verify::{DiagCode, Diagnostic, VerifyReport};
@@ -448,6 +457,9 @@ pub struct BlockPlan<'a> {
     /// The SIMD tier [`Kernels::Simd`] dispatches to, resolved once at
     /// plan time by runtime feature detection.
     simd: kernels::simd::SimdLevel,
+    /// Per-instruction live channel extents (see
+    /// [`BlockPlan::live_channels`]).
+    live: Vec<LiveChannels>,
     /// The verifier-licensed coalesced memory layout, stamped at plan
     /// time only when verification found no hard errors (mirroring the
     /// `narrow_acc` license). `None` falls back to the keyed
@@ -603,6 +615,11 @@ impl<'a> BlockPlan<'a> {
         }
 
         let out_groups = program.do_channels.div_ceil(LEAF_CH);
+        let live_extents = program
+            .instructions
+            .iter()
+            .map(|ins| live_channels(program, ins))
+            .collect();
         let end = program.instructions.len();
         let mut do_idx = Vec::with_capacity(out_groups);
         for g in 0..out_groups {
@@ -673,6 +690,7 @@ impl<'a> BlockPlan<'a> {
             out_groups,
             packed,
             simd: kernels::simd::detect(),
+            live: live_extents,
             memplan,
             route,
         })
@@ -711,6 +729,50 @@ impl<'a> BlockPlan<'a> {
     /// to (resolved once at plan time by runtime feature detection).
     pub fn simd_level(&self) -> kernels::simd::SimdLevel {
         self.simd
+    }
+
+    /// Per-instruction live channel extents, in program order. A 3×3
+    /// instruction (`CONV`, `DNX2`, `UPX2`) reading DI group `g` has
+    /// `clamp(di_channels·s² − 32g, 0, 32)` live input channels per group
+    /// (`s` the input unshuffle factor): the streamed-in padding is zero.
+    /// One writing DO group `g` has `clamp(do_channels − 32g, 0, 32)` live
+    /// output channels, four times that pre-shuffle for `UPX2`: the
+    /// output assembly reads no others. Every other extent is full.
+    /// Licensed [`Kernels::Simd`] executions on the register-blocked
+    /// sweep compute only these extents ([`BlockPlan::dead_mac3`]); the
+    /// other kernels compute every channel.
+    pub fn live_channels(&self) -> &[LiveChannels] {
+        &self.live
+    }
+
+    /// The 3×3 MACs per block that channel liveness removes from a
+    /// [`Kernels::Simd`] execution of this plan: the dead input pairs and
+    /// output blocks of every licensed instruction the register-blocked
+    /// sweep runs at the plan's SIMD level. [`ExecStats::mac3`] still
+    /// counts the accelerator's MACs, dead ones included; the host
+    /// executes `mac3 − dead_mac3()`.
+    pub fn dead_mac3(&self) -> u64 {
+        self.program
+            .instructions
+            .iter()
+            .zip(&self.live)
+            .zip(&self.packed)
+            .filter(|((ins, _), pk)| {
+                matches!(ins.opcode, Opcode::Conv | Opcode::Dnx2 | Opcode::Upx2)
+                    && pk.narrow_acc
+                    && kernels::conv3_runs_blocked(ins, self.simd)
+            })
+            .map(|((ins, live), pk)| {
+                let pk = &pk.conv3[0];
+                let swept_in: usize = (0..pk.in_groups).map(|ig| 2 * live.pairs(ig)).sum();
+                let swept_out: usize = (0..pk.out_planes)
+                    .map(|op_| OC_BLOCK * live.blocks(op_))
+                    .sum();
+                let full = pk.in_groups * pk.out_planes * LEAF_CH * LEAF_CH;
+                let (cw, chh) = ins.conv_out_size();
+                ((full - swept_in * swept_out) * 9 * cw * chh) as u64
+            })
+            .sum()
     }
 
     /// How many instructions carry the verifier's narrow-accumulation
@@ -827,7 +889,8 @@ struct PlaneArena {
 #[derive(Debug, Default)]
 pub struct PlanePool {
     arena: PlaneArena,
-    /// Gathered (possibly multi-group) input scratch.
+    /// Multi-group source operands, gathered (single-group sources are
+    /// read in place).
     wide: Option<Tensor<i16>>,
     /// Main `i64` accumulator of the `Packed` and `Reference` paths (and
     /// of unlicensed instructions under `Simd`, which run `Packed`'s
@@ -1324,6 +1387,41 @@ pub fn crosscheck_plan(plan: &BlockPlan<'_>, report: &VerifyReport) -> Vec<Diagn
     out
 }
 
+/// The live channel extents of `ins` in `program` (see
+/// [`BlockPlan::live_channels`]).
+fn live_channels(program: &Program, ins: &Instruction) -> LiveChannels {
+    let upx2 = ins.opcode == Opcode::Upx2;
+    let full = LiveChannels::full(ins.in_groups, if upx2 { ins.out_groups } else { 1 });
+    if !matches!(ins.opcode, Opcode::Conv | Opcode::Dnx2 | Opcode::Upx2) {
+        return full;
+    }
+    let s = program.input_unshuffle.unwrap_or(1);
+    let input = match ins.src {
+        FeatLoc::Di { group } => {
+            (program.di_channels * s * s).saturating_sub(group as usize * LEAF_CH)
+        }
+        _ => full.input,
+    };
+    let output = match ins.dst {
+        FeatLoc::Do { group } => {
+            let read = program
+                .do_channels
+                .saturating_sub(group as usize * LEAF_CH)
+                .min(LEAF_CH);
+            if upx2 {
+                4 * read
+            } else {
+                read
+            }
+        }
+        _ => full.output,
+    };
+    LiveChannels {
+        input: input.min(full.input),
+        output: output.min(full.output),
+    }
+}
+
 /// Unpacks the DI stream into pooled 32-channel planes, applying the
 /// DI-side unshuffle (DnERNet-12ch) and zero-channel padding in place.
 fn stream_input(plan: &BlockPlan<'_>, pool: &mut PlanePool, input: &Tensor<i16>) {
@@ -1370,10 +1468,12 @@ fn stream_input(plan: &BlockPlan<'_>, pool: &mut PlanePool, input: &Tensor<i16>)
     }
 }
 
-/// Gathers `groups` consecutive planes into the pool's wide scratch,
-/// resolving each group through `route` when the plan is coalesced.
+/// The source operand of an instruction reading `groups` consecutive
+/// planes from `base`, each resolved through `route` when the plan is
+/// coalesced: the pooled plane itself for one group, else the planes
+/// gathered into the pool's wide scratch.
 fn gather<'m>(
-    arena: &PlaneArena,
+    arena: &'m PlaneArena,
     wide: &'m mut Option<Tensor<i16>>,
     stats: &mut ExecStats,
     base: FeatLoc,
@@ -1381,20 +1481,28 @@ fn gather<'m>(
     side: usize,
     route: Option<&[usize]>,
 ) -> Result<&'m Tensor<i16>, ExecError> {
-    let wide = ensure_overwrite(wide, stats, groups * LEAF_CH, side, side);
-    for g in 0..groups {
+    let group = |g: usize, stats: &mut ExecStats| -> Result<&'m Tensor<i16>, ExecError> {
         let plane = read_plane(arena, stats, base.offset(g), route.map(|r| r[g]))?;
-        if plane.height() != side || plane.width() != side {
+        if plane.shape() != (LEAF_CH, side, side) {
             return Err(ExecError::Shape(format!(
-                "plane {}x{} vs expected side {side}",
-                plane.height(),
-                plane.width()
+                "plane {:?} vs expected {LEAF_CH}x{side}x{side}",
+                plane.shape()
             )));
         }
+        Ok(plane)
+    };
+    if groups == 1 {
+        return group(0, stats);
+    }
+    let px = side * side;
+    let wide = ensure_overwrite(wide, stats, groups * LEAF_CH, side, side);
+    for (g, slab) in wide
+        .as_mut_slice()
+        .chunks_exact_mut(LEAF_CH * px)
+        .enumerate()
+    {
         // Groups are consecutive 32-channel slabs: one contiguous copy.
-        let px = side * side;
-        let base = g * LEAF_CH * px;
-        wide.as_mut_slice()[base..base + LEAF_CH * px].copy_from_slice(plane.as_slice());
+        slab.copy_from_slice(group(g, stats)?.as_slice());
     }
     Ok(wide)
 }
@@ -1454,7 +1562,8 @@ fn exec_conv3(
             chh,
             cw,
         );
-        kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], acc32, plan.simd);
+        let live = plan.live[idx];
+        kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], live, acc32, plan.simd);
         pool.stats.mac3 += macs;
         return finish_narrow(plan, idx, pool);
     }
@@ -1748,8 +1857,9 @@ fn exec_er(
             if !kernels::conv3_codes_packed_simd_narrow(ins, input, conv3, &mid_ep, mid, plan.simd)
             {
                 let acc3 = ensure_overwrite(&mut pool.acc_b32, &mut pool.stats, LEAF_CH, chh, cw);
-                kernels::conv3_acc_packed_simd_narrow(ins, input, conv3, acc3, plan.simd);
-                simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid);
+                let full = LiveChannels::full(conv3.in_groups, conv3.out_planes);
+                kernels::conv3_acc_packed_simd_narrow(ins, input, conv3, full, acc3, plan.simd);
+                simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid, LEAF_CH);
             }
             pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
             // LCONV1x1: plane's columns accumulate into the 32ch output.
@@ -1910,7 +2020,12 @@ fn dst_and_src(
 /// it; UPX2 without srcS requantizes the pre-shuffle accumulator and
 /// shuffles the codes, UPX2 with srcS shuffles the `i32` accumulator
 /// first (srcS accumulates in the shuffled domain). The `i64`
-/// accumulators are never touched.
+/// accumulators are never touched. Only the plan's live output channels
+/// are requantized (a quarter of them after a shuffle): the conv stage
+/// may have left the rest stale. In CHW layout the live channels are a
+/// contiguous prefix, so a direct store never writes the dead channels
+/// of a DO plane, and a shuffled or pooled store fills them with stale
+/// codes; nothing reads them.
 fn finish_narrow(plan: &BlockPlan<'_>, idx: usize, pool: &mut PlanePool) -> Result<(), ExecError> {
     let program = plan.program;
     let ins = &program.instructions[idx];
@@ -1932,12 +2047,13 @@ fn finish_narrow(plan: &BlockPlan<'_>, idx: usize, pool: &mut PlanePool) -> Resu
     let dst_key = PlaneKey::from(ins.dst);
     let dst_place = plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot);
     let shuffle_codes = ins.opcode == Opcode::Upx2 && ins.src_s.is_none();
-    let acc: &Tensor<i32> = if ins.opcode == Opcode::Upx2 && !shuffle_codes {
+    let live = plan.live[idx].output;
+    let (acc, live): (&Tensor<i32>, usize) = if ins.opcode == Opcode::Upx2 && !shuffle_codes {
         let shuffled = ensure_slot(acc_b32, stats, conv.len());
         conv.pixel_shuffle_into(2, shuffled);
-        shuffled
+        (shuffled, live / 4)
     } else {
-        conv
+        (conv, live)
     };
     let (ac, ah, aw) = acc.shape();
     let (oc, oh, ow) = match ins.opcode {
@@ -1962,7 +2078,7 @@ fn finish_narrow(plan: &BlockPlan<'_>, idx: usize, pool: &mut PlanePool) -> Resu
             }
             None => None,
         };
-        simd::epilogue_narrow(level, &ep, acc, srcs, codes);
+        simd::epilogue_narrow(level, &ep, acc, srcs, codes, live);
         let dst = checkout(arena, stats, dst_place, oc, oh, ow, false);
         if shuffle_codes {
             codes.pixel_shuffle_into(2, dst);
@@ -1977,7 +2093,7 @@ fn finish_narrow(plan: &BlockPlan<'_>, idx: usize, pool: &mut PlanePool) -> Resu
     let dst = match ins.src_s {
         None => {
             let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
-            simd::epilogue_narrow(level, &ep, acc, None, dst);
+            simd::epilogue_narrow(level, &ep, acc, None, dst, live);
             dst
         }
         Some(loc) => {
@@ -1991,13 +2107,13 @@ fn finish_narrow(plan: &BlockPlan<'_>, idx: usize, pool: &mut PlanePool) -> Resu
                 let copy = ensure_overwrite(srcs_copy, stats, pc, ph, pw);
                 copy.as_mut_slice().copy_from_slice(plane.as_slice());
                 let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
-                simd::epilogue_narrow(level, &ep, acc, Some(copy), dst);
+                simd::epilogue_narrow(level, &ep, acc, Some(copy), dst, live);
                 dst
             } else {
                 checkout(arena, stats, dst_place, ac, ah, aw, false);
                 let (dst, plane) = dst_and_src(arena, dst_place, src_place)
                     .expect("srcS was read and dst checked out above");
-                simd::epilogue_narrow(level, &ep, acc, Some(plane), dst);
+                simd::epilogue_narrow(level, &ep, acc, Some(plane), dst, live);
                 dst
             }
         }
@@ -2540,23 +2656,128 @@ mod tests {
     #[test]
     fn pool_reuse_does_not_leak_state_across_blocks() {
         // A warm pool must produce bit-identical output to a fresh one.
-        let m = ErNetSpec::new(ErNetTask::Sr2, 2, 1, 0).build().unwrap();
-        let qm = QuantizedModel::uniform(&m);
-        let c = compile(&qm, 32).unwrap();
-        let a = quantize_input(
-            &SyntheticImage::new(ecnn_tensor::ImageKind::Edges, 1).rgb(32, 32),
-            &c.program,
-        );
-        let b = quantize_input(
-            &SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 2).rgb(32, 32),
-            &c.program,
-        );
-        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
-        let mut warm = PlanePool::new();
-        execute_with(&plan, &mut warm, &a, Kernels::Simd).unwrap();
-        let warm_out = execute_with(&plan, &mut warm, &b, Kernels::Simd).unwrap();
-        let (fresh_out, _) = run_block(&c.program, &c.leafs, &b).unwrap();
-        assert_eq!(warm_out, &fresh_out);
+        // Dead DO channels and dead accumulator blocks keep block A's
+        // values under `Simd` (all of them after a `Packed` block A), so
+        // any reader of them fails here, in either layout: the eSR-4K and
+        // DnERNet picks (RGB head and tail) and DnERNet-12ch (12 live DI
+        // channels, UPX2 tail into DO). `Packed` is the pixel oracle.
+        for (spec, xi) in [
+            (ErNetSpec::new(ErNetTask::Sr2, 2, 1, 0), 32),
+            (ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1), 64),
+            (ErNetSpec::new(ErNetTask::Dn, 3, 1, 0), 128),
+            (ErNetSpec::new(ErNetTask::Dn12, 8, 2, 5), 128),
+        ] {
+            let m = spec.build().unwrap();
+            let qm = QuantizedModel::uniform(&m);
+            let c = compile(&qm, xi).unwrap();
+            let a = quantize_input(
+                &SyntheticImage::new(ecnn_tensor::ImageKind::Edges, 1).rgb(xi, xi),
+                &c.program,
+            );
+            let b = quantize_input(
+                &SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 2).rgb(xi, xi),
+                &c.program,
+            );
+            let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+            let mut keyed = plan.clone();
+            keyed.force_keyed();
+            let want = execute_with(&plan, &mut PlanePool::new(), &b, Kernels::Packed)
+                .unwrap()
+                .clone();
+            for plan in [&plan, &keyed] {
+                let fresh = execute_with(plan, &mut PlanePool::new(), &b, Kernels::Simd)
+                    .unwrap()
+                    .clone();
+                assert_eq!(fresh, want, "{spec} @ {xi}: Simd vs Packed");
+                for warm_up in [Kernels::Simd, Kernels::Packed] {
+                    let mut warm = PlanePool::new();
+                    execute_with(plan, &mut warm, &a, warm_up).unwrap();
+                    let out = execute_with(plan, &mut warm, &b, Kernels::Simd).unwrap();
+                    assert_eq!(out, &fresh, "{spec} @ {xi} after {warm_up:?}");
+                }
+            }
+        }
+    }
+
+    /// The plan's liveness table and dead-MAC count, pinned on the
+    /// eSR-4K and DnERNet paper picks and a DnERNet-12ch pick.
+    #[test]
+    fn liveness_table_and_dead_macs_are_pinned() {
+        let rgb_head = LiveChannels {
+            input: 3,
+            output: LEAF_CH,
+        };
+        let rgb_tail = LiveChannels {
+            input: LEAF_CH,
+            output: 3,
+        };
+        for (spec, xi, head, tail, dead, total) in [
+            (
+                ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1),
+                128,
+                rgb_head,
+                rgb_tail,
+                1_093_413_888u64,
+                9_024_827_392u64,
+            ),
+            (
+                ErNetSpec::new(ErNetTask::Dn, 3, 1, 0),
+                128,
+                rgb_head,
+                rgb_tail,
+                236_533_248,
+                855_965_696,
+            ),
+            (
+                ErNetSpec::new(ErNetTask::Dn12, 8, 2, 5),
+                256,
+                LiveChannels {
+                    input: 12,
+                    output: LEAF_CH,
+                },
+                // A UPX2 store of 3 post-shuffle channels: 12 pre-shuffle.
+                LiveChannels {
+                    input: LEAF_CH,
+                    output: 12,
+                },
+                156_165_120,
+                3_341_295_616,
+            ),
+        ] {
+            let m = spec.build().unwrap();
+            let qm = QuantizedModel::uniform(&m);
+            let c = compile(&qm, xi).unwrap();
+            let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+            let live = plan.live_channels();
+            let last = live.len() - 1;
+            assert_eq!(live[0], head, "{spec} head");
+            assert_eq!(live[last], tail, "{spec} tail");
+            for (i, l) in live.iter().enumerate().take(last).skip(1) {
+                let ins = &c.program.instructions[i];
+                let planes = if ins.opcode == Opcode::Upx2 {
+                    ins.out_groups
+                } else {
+                    1
+                };
+                assert_eq!(*l, LiveChannels::full(ins.in_groups, planes), "{spec} {i}");
+            }
+            let report = ecnn_isa::verify::verify_compiled(&c);
+            let cost = ecnn_isa::verify::memplan::cost_model(&c.program, &report);
+            assert_eq!(cost.mac3 + cost.mac1, total, "{spec} MACs");
+            // Every blocked rung skips the same channels; the row kernels
+            // skip none.
+            for level in kernels::simd::SimdLevel::ALL {
+                let Some(plan) = plan.clone().with_simd_level(level) else {
+                    continue;
+                };
+                let want = if kernels::simd::conv3_blocked_covers(level, 16) {
+                    dead
+                } else {
+                    0
+                };
+                assert_eq!(plan.dead_mac3(), want, "{spec} dead MACs at {level}");
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   input-channel pair and tap streams through a pairwise multiply-add —
 //!   each input load serves 4 output channels, and each accumulator is
 //!   stored once. The 3×3 kernel covers truncated-pyramid sweeps at least
-//!   [`simd::BLOCKED_MIN_WIDTH`] wide and writes the biases itself (for
-//!   the ER mid plane it can requantize in registers and store codes);
+//!   [`simd::BLOCKED_MIN_WIDTH`] wide, writes the biases itself (for
+//!   the ER mid plane it can requantize in registers and store codes)
+//!   and skips the plan's dead channels ([`simd::LiveChannels`]);
 //!   the 1×1 kernel covers planes of at least that many pixels.
 //!   Zero-padded sweeps, narrower planes, NEON and scalar keep the row
 //!   kernels.
@@ -46,7 +47,7 @@ use ecnn_tensor::Tensor;
 
 pub mod simd;
 
-use simd::SimdLevel;
+use simd::{LiveChannels, SimdLevel};
 
 /// Adds one fused 3-tap row into a fully interior accumulator span:
 /// `acc[x] += t0·row[x] + t1·row[x+1] + t2·row[x+2]`. No bounds branches;
@@ -190,17 +191,20 @@ pub(crate) fn fill_bias_narrow(acc: &mut Tensor<i32>, bias: &[i64]) {
 /// `narrow_acc` range proof; the executor enforces that precondition and
 /// finishes the instruction with [`simd::epilogue_narrow`].
 /// Truncated-pyramid sweeps at least [`simd::BLOCKED_MIN_WIDTH`] wide run
-/// the register-blocked kernel on AVX-512/AVX2/SSE2, which writes the biases
-/// itself; everything else runs the row kernels over a bias-filled `acc`.
+/// the register-blocked kernel on AVX-512/AVX2/SSE2 ([`conv3_runs_blocked`]),
+/// which writes the biases itself and computes only the `live` channel
+/// extents; everything else runs the row kernels over a bias-filled `acc`,
+/// every channel of it.
 pub(crate) fn conv3_acc_packed_simd_narrow(
     ins: &Instruction,
     input: &Tensor<i16>,
     packed: &PackedConv3,
+    live: LiveChannels,
     acc: &mut Tensor<i32>,
     level: SimdLevel,
 ) {
     if ins.inference == InferenceKind::TruncatedPyramid
-        && simd::conv3_blocked_narrow(level, input, packed, acc)
+        && simd::conv3_blocked_narrow(level, input, packed, live, acc)
     {
         return;
     }
@@ -246,6 +250,14 @@ pub(crate) fn conv3_acc_packed_simd_narrow(
             }
         }
     }
+}
+
+/// Whether [`conv3_acc_packed_simd_narrow`] runs `ins` on the
+/// register-blocked sweep at `level`, the one kernel that skips dead
+/// channels.
+pub(crate) fn conv3_runs_blocked(ins: &Instruction, level: SimdLevel) -> bool {
+    ins.inference == InferenceKind::TruncatedPyramid
+        && simd::conv3_blocked_covers(level, ins.conv_out_size().0)
 }
 
 /// [`conv3_acc_packed_simd_narrow`]'s register-blocked sweep with the

@@ -104,6 +104,14 @@
 //! * **Zero-skipping.** A plan-time mask per (4-channel output block,
 //!   input pair, `ky`) skips all-zero tap rows, so pruned models still
 //!   skip work.
+//! * **Channel liveness.** The 3×3 sweep takes the instruction's
+//!   [`LiveChannels`] from the plan: it skips input pairs past the live
+//!   source channels (the zero padding of a 3- or 12-channel DI plane)
+//!   and output blocks past the live output channels (a DO plane's
+//!   channels the output assembly never reads). A dead pair contributes
+//!   only zeros, and a dead block is never stored, so its accumulator
+//!   channels keep stale values that nothing reads. The work counters
+//!   still charge the accelerator's full 32-channel MACs.
 //! * **Fallbacks.** Zero-padded 3×3 sweeps, conv widths (3×3) or planes
 //!   (1×1) below [`BLOCKED_MIN_WIDTH`], NEON and scalar run the row
 //!   kernels below.
@@ -341,7 +349,7 @@ mod avx2 {
     pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, out: &mut super::Conv3Store<'_>) {
         for y in 0..s.out_h {
             for op_ in 0..s.out_planes {
-                for ocb in 0..OC_BLOCKS {
+                for ocb in 0..s.live.blocks(op_) {
                     for x in super::chunk_starts(s.out_w, LANES) {
                         // SAFETY: AVX2 is enabled here, and `chunk_starts`
                         // keeps `x + 16 <= out_w`.
@@ -355,14 +363,14 @@ mod avx2 {
     /// One chunk of [`conv3_blocked`]: output row `y`, columns
     /// `x..x + 16`, channels `4·ocb..4·ocb + 4` of output plane `op_`.
     /// 4 × 2 `i32` accumulators start from the bias, take every live
-    /// input pair and tap through `vpmaddwd`, and are stored once: raw,
-    /// or requantized and packed to codes.
+    /// input pair with a nonzero tap row through `vpmaddwd`, and are
+    /// stored once: raw, or requantized and packed to codes.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2, `y < out_h`, `op_ < out_planes`,
     /// `ocb < OC_BLOCKS` and `x + 16 <= out_w` (the sweep's shape checks
-    /// bound every other offset).
+    /// bound every other offset, the live pairs among them).
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn conv3_chunk(
@@ -382,7 +390,7 @@ mod avx2 {
         let mut hi = lo;
         for ig in 0..s.in_groups {
             let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
-            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
+            let masks = &s.block_mask[block * IC_PAIRS..][..s.live.pairs(ig)];
             let words = &s.words[block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
             for (p, &m) in masks.iter().enumerate() {
                 if m == 0 {
@@ -718,7 +726,7 @@ mod avx512 {
     pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, out: &mut super::Conv3Store<'_>) {
         for y in 0..s.out_h {
             for op_ in 0..s.out_planes {
-                for ocb in 0..OC_BLOCKS {
+                for ocb in 0..s.live.blocks(op_) {
                     for x in super::chunk_starts(s.out_w, LANES) {
                         // SAFETY: the features are enabled here, and
                         // `chunk_starts` keeps `x + 32 <= out_w` (the
@@ -757,7 +765,7 @@ mod avx512 {
         let mut hi = lo;
         for ig in 0..s.in_groups {
             let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
-            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
+            let masks = &s.block_mask[block * IC_PAIRS..][..s.live.pairs(ig)];
             let words = &s.words[block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
             for (p, &m) in masks.iter().enumerate() {
                 if m == 0 {
@@ -963,7 +971,7 @@ mod sse2 {
     pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, out: &mut super::Conv3Store<'_>) {
         for y in 0..s.out_h {
             for op_ in 0..s.out_planes {
-                for ocb in 0..OC_BLOCKS {
+                for ocb in 0..s.live.blocks(op_) {
                     for x in super::chunk_starts(s.out_w, 8) {
                         // SAFETY: SSE2 is enabled here, and `chunk_starts`
                         // keeps `x + 8 <= out_w`.
@@ -1000,7 +1008,7 @@ mod sse2 {
         let mut hi = lo;
         for ig in 0..s.in_groups {
             let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
-            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
+            let masks = &s.block_mask[block * IC_PAIRS..][..s.live.pairs(ig)];
             let words = &s.words[block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
             for (p, &m) in masks.iter().enumerate() {
                 if m == 0 {
@@ -1337,6 +1345,50 @@ pub fn ch_mac_narrow(level: SimdLevel, acc: &mut [i32], src: &[i16], w: i32) {
 /// register-blocked kernels take; narrower planes keep the row kernels.
 pub const BLOCKED_MIN_WIDTH: usize = 16;
 
+/// The live channel extents of one 3×3 instruction (`BlockPlan` derives
+/// them): the leading `input` channels of its gathered source that can
+/// be nonzero, and the leading `output` channels, pre-shuffle and
+/// counted across every output plane, that something reads. The
+/// register-blocked sweep skips input pair `p` of a source group once
+/// `2p` reaches that group's live count, and output block `ocb` of a
+/// plane once `4·ocb` does: a dead pair only multiplies zeros, and a
+/// dead block's accumulators are never stored, so nothing reads them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LiveChannels {
+    /// Leading source channels that can be nonzero.
+    pub input: usize,
+    /// Leading output channels (pre-shuffle for `UPX2`) that are read.
+    pub output: usize,
+}
+
+impl LiveChannels {
+    /// Every channel of a sweep from `in_groups` source groups into
+    /// `out_planes` 32-channel output planes.
+    pub fn full(in_groups: usize, out_planes: usize) -> Self {
+        Self {
+            input: in_groups * LEAF_CH,
+            output: out_planes * LEAF_CH,
+        }
+    }
+
+    /// Input pairs `(2p, 2p + 1)` of source group `ig` the sweep reads.
+    pub(crate) fn pairs(self, ig: usize) -> usize {
+        self.input
+            .saturating_sub(ig * LEAF_CH)
+            .min(LEAF_CH)
+            .div_ceil(2)
+    }
+
+    /// `OC_BLOCK`-channel output blocks of output plane `op_` the sweep
+    /// computes.
+    pub(crate) fn blocks(self, op_: usize) -> usize {
+        self.output
+            .saturating_sub(op_ * LEAF_CH)
+            .min(LEAF_CH)
+            .div_ceil(OC_BLOCK)
+    }
+}
+
 /// The bounds-checked operands of one register-blocked 3×3 sweep: every
 /// raw offset the kernels form stays inside these slices.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
@@ -1348,17 +1400,20 @@ struct Conv3Sweep<'a> {
     out_w: usize,
     out_planes: usize,
     in_groups: usize,
+    live: LiveChannels,
     words: &'a [i32],
     block_mask: &'a [u8],
     bias: &'a [i64],
 }
 
 impl<'a> Conv3Sweep<'a> {
-    /// The sweep writing an `out_c × out_h × out_w` output.
+    /// The sweep writing the `live` channels of an `out_c × out_h ×
+    /// out_w` output.
     fn new(
         input: &'a Tensor<i16>,
         packed: &'a PackedConv3,
         (out_c, out_h, out_w): (usize, usize, usize),
+        live: LiveChannels,
     ) -> Self {
         let (in_c, in_h, in_w) = input.shape();
         let planes = packed.out_planes * packed.in_groups;
@@ -1370,6 +1425,10 @@ impl<'a> Conv3Sweep<'a> {
         assert_eq!(packed.words.len(), planes * OC_BLOCKS * CONV3_BLOCK_WORDS);
         assert_eq!(packed.block_mask.len(), planes * OC_BLOCKS * IC_PAIRS);
         assert_eq!(packed.bias.len(), out_c);
+        assert!(
+            live.input <= packed.in_groups * LEAF_CH && live.output <= out_c,
+            "live extents {live:?} exceed the sweep"
+        );
         Self {
             input: input.as_slice(),
             in_h,
@@ -1378,6 +1437,7 @@ impl<'a> Conv3Sweep<'a> {
             out_w,
             out_planes: packed.out_planes,
             in_groups: packed.in_groups,
+            live,
             words: &packed.words,
             block_mask: &packed.block_mask,
             bias: &packed.bias,
@@ -1445,6 +1505,14 @@ fn chunk_starts(width: usize, lanes: usize) -> impl Iterator<Item = usize> {
     (0..width.div_ceil(lanes)).map(move |i| (i * lanes).min(width - lanes))
 }
 
+/// Whether [`conv3_blocked_narrow`] and [`conv3_blocked_codes`] run,
+/// rather than decline, a sweep `out_w` columns wide at `level`.
+pub(crate) fn conv3_blocked_covers(level: SimdLevel, out_w: usize) -> bool {
+    cfg!(target_arch = "x86_64")
+        && matches!(level, SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2)
+        && out_w >= BLOCKED_MIN_WIDTH
+}
+
 /// The rung dispatch of [`conv3_blocked_narrow`] and
 /// [`conv3_blocked_codes`]: AVX-512 for sweeps of at least 32 columns,
 /// AVX2 for narrower ones on that rung.
@@ -1453,13 +1521,14 @@ fn conv3_blocked(
     input: &Tensor<i16>,
     packed: &PackedConv3,
     shape: (usize, usize, usize),
+    live: LiveChannels,
     mut out: Conv3Store<'_>,
 ) -> bool {
-    if shape.2 < BLOCKED_MIN_WIDTH {
+    if !conv3_blocked_covers(level, shape.2) {
         return false;
     }
     assert!(level.is_available(), "{level} is not available on this CPU");
-    let sweep = Conv3Sweep::new(input, packed, shape);
+    let sweep = Conv3Sweep::new(input, packed, shape, live);
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` is available (asserted above): `detect` observed
@@ -1481,23 +1550,26 @@ fn conv3_blocked(
 }
 
 /// Register-blocked narrow 3×3 sweep of a truncated-pyramid conv:
-/// overwrites every element of `acc` (`out_planes·32 × chh × cw`) with
-/// the bias plus all taps, reading `input` rows `y..y+3`, columns
-/// `x..x+3` for output `(y, x)`. Returns `false`, leaving `acc`
-/// untouched, when `level` has no blocked kernel or `cw` is below
-/// [`BLOCKED_MIN_WIDTH`]; the caller then runs the row kernels. Exact
-/// under the same `narrow_acc` license as [`row_interior_narrow`] (see
-/// the module docs for the multiply-adds' one wrap).
+/// overwrites every element of the `live` output blocks of `acc`
+/// (`out_planes·32 × chh × cw`) with the bias plus the taps of the
+/// `live` input pairs, reading `input` rows `y..y+3`, columns `x..x+3`
+/// for output `(y, x)`; dead blocks keep whatever `acc` held. Returns
+/// `false`, leaving `acc` untouched, when `level` has no blocked kernel
+/// or `cw` is below [`BLOCKED_MIN_WIDTH`]; the caller then runs the row
+/// kernels. Exact under the same `narrow_acc` license as
+/// [`row_interior_narrow`] (see the module docs for the multiply-adds'
+/// one wrap), provided the source channels past `live.input` are zero.
 ///
 /// # Panics
 ///
 /// Panics if `input` is smaller than the pyramid geometry needs, the
-/// packed shapes disagree with `acc`, or this CPU cannot run `level`
-/// ([`SimdLevel::is_available`]).
+/// packed shapes disagree with `acc`, `live` exceeds them, or this CPU
+/// cannot run `level` ([`SimdLevel::is_available`]).
 pub fn conv3_blocked_narrow(
     level: SimdLevel,
     input: &Tensor<i16>,
     packed: &PackedConv3,
+    live: LiveChannels,
     acc: &mut Tensor<i32>,
 ) -> bool {
     let shape = acc.shape();
@@ -1506,6 +1578,7 @@ pub fn conv3_blocked_narrow(
         input,
         packed,
         shape,
+        live,
         Conv3Store::Acc(acc.as_mut_slice()),
     )
 }
@@ -1534,6 +1607,7 @@ pub fn conv3_blocked_codes(
         input,
         packed,
         shape,
+        LiveChannels::full(packed.in_groups, packed.out_planes),
         Conv3Store::Codes(ep, dst.as_mut_slice()),
     )
 }
@@ -1664,34 +1738,44 @@ fn epilogue_row(
 }
 
 /// The fused narrow epilogue of one instruction, straight from its `i32`
-/// accumulator into destination codes in one pass: every element gets
-/// the center-cropped srcS code (channels below the plane's channel
-/// count) shifted up by the alignment, the activation floor, a
+/// accumulator into destination codes in one pass, over the leading
+/// `channels` channels (the rest of `dst` is left as it is): every
+/// element gets the center-cropped srcS code (channels below the plane's
+/// channel count) shifted up by the alignment, the activation floor, a
 /// branch-free round half away from zero, and the clamp to the code
 /// range. Wrapping `i32` adds make the srcS step exact whenever the final
 /// sum fits `i32`, which the verifier's `narrow_acc` license proves.
 ///
 /// # Panics
 ///
-/// Panics if `dst` differs from `acc` in shape or `srcs` is smaller than
-/// `acc` spatially.
+/// Panics if `dst` differs from `acc` in shape, `channels` exceeds it, or
+/// `srcs` is smaller than `acc` spatially.
 pub fn epilogue_narrow(
     level: SimdLevel,
     ep: &NarrowEpilogue,
     acc: &Tensor<i32>,
     srcs: Option<&Tensor<i16>>,
     dst: &mut Tensor<i16>,
+    channels: usize,
 ) {
     let (ac, ah, aw) = acc.shape();
     assert_eq!(dst.shape(), (ac, ah, aw), "epilogue destination shape");
+    assert!(channels <= ac, "epilogue over {channels} of {ac} channels");
     let Some(plane) = srcs else {
-        epilogue_row(level, ep, acc.as_slice(), None, dst.as_mut_slice());
+        let n = channels * ah * aw;
+        epilogue_row(
+            level,
+            ep,
+            &acc.as_slice()[..n],
+            None,
+            &mut dst.as_mut_slice()[..n],
+        );
         return;
     };
     let (pc, ph, pw) = plane.shape();
     assert!(ph >= ah && pw >= aw, "srcS smaller than the accumulator");
     let (oy, ox) = ((ph - ah) / 2, (pw - aw) / 2);
-    for c in 0..ac {
+    for c in 0..channels {
         if c >= pc {
             epilogue_row(level, ep, acc.channel(c), None, dst.channel_mut(c));
         } else if (ph, pw) == (ah, aw) {
@@ -1934,10 +2018,65 @@ mod tests {
                 let want = scalar_conv3(&input, &p, chh, cw);
                 for &l in &levels() {
                     let mut acc = Tensor::from_fn(p.out_planes * LEAF_CH, chh, cw, |_, _, _| -7);
-                    let ran = conv3_blocked_narrow(l, &input, &p, &mut acc);
+                    let ran = conv3_blocked_narrow(l, &input, &p, full(&p), &mut acc);
                     assert_eq!(ran, has_blocked(l), "level {l} dispatch");
                     if ran {
                         assert_eq!(acc, want, "{opcode:?} ig {in_groups} level {l} width {cw}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn full(p: &PackedConv3) -> LiveChannels {
+        LiveChannels::full(p.in_groups, p.out_planes)
+    }
+
+    /// With live extents, the blocked sweep matches the scalar rows on
+    /// every live output block of a source whose dead channels are zero,
+    /// and never stores to a dead block.
+    #[test]
+    fn blocked_conv3_sweeps_only_live_channels() {
+        let cases = [
+            // The RGB head (3 live inputs) and a 3-channel tail.
+            (Opcode::Conv, 1, 1, vec![leaf(12)], 3, 3),
+            // 12 live inputs (unshuffled RGB) and a dead second group;
+            // a live count ending mid-block.
+            (Opcode::Conv, 2, 1, vec![leaf(13), leaf(14)], 12, 30),
+            // A half-live second group.
+            (Opcode::Conv, 2, 1, vec![leaf(18), leaf(19)], 48, 17),
+            // A UPX2 store with 3 post-shuffle channels read: 12
+            // pre-shuffle channels of plane 0, none of plane 1.
+            (Opcode::Upx2, 1, 2, vec![leaf(15), leaf(16)], 20, 12),
+            // Every channel live.
+            (Opcode::Conv, 1, 1, vec![leaf(17)], 32, 32),
+        ];
+        for (opcode, in_groups, out_groups, leafs, live_in, live_out) in cases {
+            let p = packed3(opcode, in_groups, out_groups, &leafs);
+            let live = LiveChannels {
+                input: live_in,
+                output: live_out,
+            };
+            for cw in [16, 33] {
+                let chh = 2;
+                let mut input = plane(in_groups * LEAF_CH, chh + 2, cw + 2, cw);
+                for c in live_in..input.channels() {
+                    input.channel_mut(c).fill(0);
+                }
+                let want = scalar_conv3(&input, &p, chh, cw);
+                for &l in &levels() {
+                    let mut acc = Tensor::from_fn(p.out_planes * LEAF_CH, chh, cw, |_, _, _| -7);
+                    if !conv3_blocked_narrow(l, &input, &p, live, &mut acc) {
+                        continue;
+                    }
+                    for c in 0..acc.channels() {
+                        let stored = c % LEAF_CH / OC_BLOCK < live.blocks(c / LEAF_CH);
+                        assert_eq!(stored, c < live_out.next_multiple_of(OC_BLOCK));
+                        if stored {
+                            assert_eq!(acc.channel(c), want.channel(c), "{opcode:?} level {l}");
+                        } else {
+                            assert!(acc.channel(c).iter().all(|&v| v == -7), "dead {c}");
+                        }
                     }
                 }
             }
@@ -1952,7 +2091,10 @@ mod tests {
         let mid = plane(LEAF_CH, 3, 5, 1);
         for &l in &levels() {
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, 3, 15);
-            assert!(!conv3_blocked_narrow(l, &input, &p, &mut acc), "level {l}");
+            assert!(
+                !conv3_blocked_narrow(l, &input, &p, full(&p), &mut acc),
+                "level {l}"
+            );
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, 3, 5);
             assert!(
                 !conv1_blocked_narrow(l, &p1, 0, &mid, 0, &mut acc),
@@ -2021,7 +2163,7 @@ mod tests {
         }
         for &lv in levels().iter().filter(|&&lv| has_blocked(lv)) {
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
-            assert!(conv3_blocked_narrow(lv, &input, &p3, &mut acc));
+            assert!(conv3_blocked_narrow(lv, &input, &p3, full(&p3), &mut acc));
             assert_eq!(acc, want3, "3x3 level {lv}");
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
             assert!(conv1_blocked_narrow(lv, &p1, 0, &mid, 0, &mut acc));
@@ -2047,7 +2189,7 @@ mod tests {
                     let q = QFormat::signed(4);
                     let ep = NarrowEpilogue::new(q.frac() as i32 + shift, q, relu, None).unwrap();
                     let mut want = Tensor::<i16>::zeros(LEAF_CH, chh, cw);
-                    epilogue_narrow(SimdLevel::Scalar, &ep, &acc, None, &mut want);
+                    epilogue_narrow(SimdLevel::Scalar, &ep, &acc, None, &mut want, LEAF_CH);
                     for &l in &levels() {
                         let mut dst = Tensor::from_fn(LEAF_CH, chh, cw, |_, _, _| 0x5555i16);
                         let ran = conv3_blocked_codes(l, &input, &p, &ep, &mut dst);
@@ -2180,13 +2322,22 @@ mod tests {
                                 let sum = acc.at(c, y, x) as i64 + up(c, y, x);
                                 epilogue_oracle(sum, relu, acc_frac, q)
                             });
-                            for &l in &levels() {
+                            // Every channel, and a one-channel prefix that
+                            // must leave the rest of `dst` as it was.
+                            for (l, live) in levels().into_iter().flat_map(|l| [(l, c), (l, 1)]) {
                                 let mut dst = Tensor::from_fn(c, h, w, |_, _, _| 0x5555i16);
-                                epilogue_narrow(l, &ep, &acc, srcs.as_ref(), &mut dst);
+                                epilogue_narrow(l, &ep, &acc, srcs.as_ref(), &mut dst, live);
+                                let want = Tensor::from_fn(c, h, w, |c, y, x| {
+                                    if c < live {
+                                        want.at(c, y, x)
+                                    } else {
+                                        0x5555
+                                    }
+                                });
                                 assert_eq!(
                                     dst, want,
                                     "level {l} {q} shift {shift} relu {relu} \
-                                     srcS {srcs_shift:?} width {w}"
+                                     srcS {srcs_shift:?} width {w} channels {live}"
                                 );
                             }
                         }

@@ -3,7 +3,8 @@
 //! * **differential cost model** — the static [`cost_model`] totals must
 //!   equal the observed `ExecStats` work counters of one block execution
 //!   exactly, on every shipped paper model (the Table 4 / Appendix A
-//!   matrix plus the style-transfer pair);
+//!   matrix plus the style-transfer pair), whose `Simd` pixels also equal
+//!   the `Packed` rung's;
 //! * **peak audit** — the pool's observed resident-plane high-water mark
 //!   never exceeds the planner's proven peak, in both the coalesced and
 //!   the keyed layout, and the coalesced saving is realized at runtime
@@ -127,7 +128,8 @@ fn input_for(program: &Program, xi: usize, seed: u64) -> Tensor<i16> {
 
 /// Differential oracle for the static cost model: on every shipped paper
 /// model the [`cost_model`] totals equal the observed work counters of
-/// one block execution field by field, the verifier-side keyed-peak
+/// one block execution field by field, its `Simd` output block equals
+/// the `Packed` rung's, the verifier-side keyed-peak
 /// estimate equals the simulator-side [`BlockPlan::peak_plane_bytes`],
 /// the observed resident peak stays under the proven coalesced peak, and
 /// the eSR-4K pick saves at least the 25% the plan promises.
@@ -167,7 +169,16 @@ fn static_cost_model_matches_observed_work_on_the_paper_matrix() {
         assert_eq!(plan.narrow_licensed(), instrs, "{name}: narrow licences");
         let input = input_for(&c.program, xi, 0x5eed ^ i as u64);
         let mut pool = PlanePool::new();
-        execute_with(&plan, &mut pool, &input, Kernels::Simd).expect(&name);
+        let out = execute_with(&plan, &mut pool, &input, Kernels::Simd)
+            .expect(&name)
+            .clone();
+        // Pixel oracle: `Packed` computes every channel in exact `i64`,
+        // `Simd` skips the dead ones (zero-padded DI inputs, unread DO
+        // outputs).
+        let packed = execute_with(&plan, &mut PlanePool::new(), &input, Kernels::Packed)
+            .expect(&name)
+            .clone();
+        assert_eq!(out, packed, "{name}: Simd vs Packed pixels");
         assert_eq!(
             pool.stats().narrow_instrs,
             instrs as u64,
