@@ -1206,9 +1206,18 @@ impl<'e> Session<'e> {
         let (out_h, out_w) = self.engine.out_dims(image)?;
         let (total_rows, cols) = self.engine.grid_dims(image)?;
         let p = &self.engine.compiled.program;
-        let scale = self.engine.workload.qm.model.output_scale();
+        let (num, den) = self.engine.workload.qm.model.output_scale_rational();
         let xo = p.do_side;
         let xi = p.di_side;
+        // Input-block origin of the output block at `b`: `b/scale − border`
+        // with the receptive border `(xi − xo/scale)/2` in input pixels,
+        // floored in exact integers. A fractional border (SR×2) then
+        // shifts every block alike, so neighbouring blocks read the same
+        // input grid.
+        let (num, den) = (num as isize, den as isize);
+        let origin = |b: usize| {
+            (2 * b as isize * den + xo as isize * den - xi as isize * num).div_euclid(2 * num)
+        };
         if rows.is_empty() || rows.end > total_rows {
             return Err(EngineError::Rows {
                 start: rows.start,
@@ -1227,8 +1236,6 @@ impl<'e> Session<'e> {
             None => self.frame = Some(Tensor::zeros(p.do_channels, band_h, out_w)),
         }
         let frame = self.frame.as_mut().expect("frame allocated above");
-        // Border of the receptive field, in input-image pixels.
-        let border = (xi as f64 - xo as f64 / scale) / 2.0;
         // Snapshot the pool counters at frame start (not carried over from
         // the previous frame) so a frame aborted by an executor error
         // cannot leak its partial work into the next frame's delta.
@@ -1240,10 +1247,7 @@ impl<'e> Session<'e> {
             let mut bx = 0usize;
             while bx < out_w {
                 self.last_block = Some(row * cols + bx / xo);
-                // Input-block origin for this output block.
-                let iy = (by as f64 / scale - border).round() as isize;
-                let ix = (bx as f64 / scale - border).round() as isize;
-                image.crop_padded_into(iy, ix, &mut self.block_f);
+                image.crop_padded_into(origin(by), origin(bx), &mut self.block_f);
                 self.block_f
                     .map_into(&mut self.codes, |v| p.di_q.quantize(v));
                 let out_codes =

@@ -8,8 +8,12 @@
 //!   `srcS = src` for the module residual.
 //! * CONV3×3 + PixelShuffle → `UPX2` (pre-shuffle output groups written in
 //!   shuffle order); wide inputs chain partial sums across `UPX2`
-//!   instructions in the *shuffled* domain (valid because the shuffle is a
-//!   linear reordering).
+//!   instructions in the *shuffled* domain (the shuffle is a pure
+//!   reordering, so the sums commute with it), with the layer's ReLU on
+//!   the last input group only. Like the chunked convolutions below, the
+//!   chain is exact only up to the partials' requantization: each
+//!   partial is stored at the layer's 8-bit `out_q`, so a wide UPX2 can
+//!   differ from an unsplit fixed-point convolution.
 //! * CONV3×3 + Downsample(s) → `DNX2` with the pool applied after the final
 //!   accumulation; consecutive model pools fold into `pool_factor`.
 //! * Wide convolutions split into ≤4-leaf instructions: one output group at
@@ -562,7 +566,9 @@ impl<'a> Compiler<'a> {
                         expansion: 1,
                         in_size: (src.side, src.side),
                         out_size: (out_side, out_side),
-                        relu: act == Activation::Relu,
+                        // Chained partials stay linear: only the last
+                        // input group's instruction applies the ReLU.
+                        relu: act == Activation::Relu && ci == in_groups - 1,
                         pool: None,
                         pool_factor: 1,
                         q,
@@ -745,6 +751,8 @@ fn er_leafs(p: &LayerParams, expansion: usize) -> Vec<LeafParams> {
 mod tests {
     use super::*;
     use ecnn_model::ernet::{ErNetSpec, ErNetTask};
+    use ecnn_model::layer::Layer;
+    use ecnn_model::model::Model;
     use ecnn_model::zoo;
 
     fn compile_ernet(task: ErNetTask, b: usize, r: usize, n: usize, xi: usize) -> CompiledProgram {
@@ -894,6 +902,37 @@ mod tests {
         {
             assert!(ins.leaf_modules() <= MAX_LEAF_MODULES);
         }
+    }
+
+    #[test]
+    fn chained_upx2_applies_relu_on_the_last_input_group_only() {
+        // 64 input channels (two groups) chain two UPX2 partial sums per
+        // post-shuffle group through srcS; a ReLU on the first would clamp
+        // a partial sum, not the layer's output.
+        let m = Model::new(
+            "wide-upx2-relu",
+            64,
+            64,
+            vec![
+                Layer::new(Op::Conv3x3 {
+                    in_c: 64,
+                    out_c: 256,
+                    act: Activation::Relu,
+                }),
+                Layer::new(Op::PixelShuffle { factor: 2 }),
+            ],
+        )
+        .unwrap();
+        let c = compile(&QuantizedModel::uniform(&m), 32).unwrap();
+        let relus: Vec<bool> = c
+            .program
+            .instructions
+            .iter()
+            .filter(|i| i.opcode == Opcode::Upx2)
+            .map(|i| i.relu)
+            .collect();
+        // Two post-shuffle groups, each chaining two input groups.
+        assert_eq!(relus, vec![false, true, false, true]);
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //! * the single output rounding happens at the Q-format of the destination
 //!   operand, then the Dst Reorder applies pixel-shuffle or pooling.
 //!
+//! Each opcode reads its source, runs its accumulation stage on the
+//! selected kernel rung, and ends in one tail shared by every opcode and
+//! rung: srcS read, ADDE, activation, rounding, Dst Reorder, destination
+//! store. Only the tail's rounding step differs by rung — the fused narrow
+//! epilogue over a licensed instruction's `i32` sums, or the exact `i64`
+//! add, ReLU and requantization everywhere else.
+//!
 //! The accumulation inner loops live in [`crate::kernels`]: the plan packs
 //! every instruction's parameters once
 //! ([`BlockPlan::packed`] — widened tap-major weights, pre-aligned biases,
@@ -896,8 +903,9 @@ pub struct PlanePool {
     /// of unlicensed instructions under `Simd`, which run `Packed`'s
     /// kernels); a licensed narrow execution never touches it.
     acc_a: Option<Tensor<i64>>,
-    /// Secondary `i64` accumulator: UPX2 shuffle target / ER per-leaf 3×3
-    /// stage.
+    /// Secondary `i64` accumulator: the shuffle target of a UPX2 with
+    /// srcS (srcS accumulates in the shuffled domain), and ER's per-leaf
+    /// 3×3 stage.
     acc_b: Option<Tensor<i64>>,
     /// Narrow (`i32`) twin of `acc_a`, used only by verifier-licensed
     /// [`Kernels::Simd`] executions, whose fused epilogue requantizes
@@ -910,11 +918,11 @@ pub struct PlanePool {
     acc_b32: Option<Tensor<i32>>,
     /// ER requantized expansion plane.
     mid: Option<Tensor<i16>>,
-    /// Pre-pool (DNX2) or pre-shuffle (srcS-free narrow UPX2) quantized
-    /// plane.
+    /// Pre-pool (DNX2) or pre-shuffle (srcS-free UPX2) codes, on every
+    /// rung.
     quant: Option<Tensor<i16>>,
-    /// Copy of a srcS plane that shares its storage with the narrow
-    /// epilogue's destination (the keyed layout's in-place chains).
+    /// Copy of a srcS plane that shares its storage with the destination
+    /// (the keyed layout's in-place chains).
     srcs_copy: Option<Tensor<i16>>,
     /// Assembled logical output block.
     out: Option<Tensor<i16>>,
@@ -945,22 +953,9 @@ fn ensure_slot<'s, T: Copy + Default>(
     slot.as_mut().expect("slot filled above")
 }
 
-/// [`ensure_slot`] plus an in-place [`Tensor::reset`] to `c×h×w`
-/// (zero-filled).
-fn ensure<'s, T: Copy + Default>(
-    slot: &'s mut Option<Tensor<T>>,
-    stats: &mut ExecStats,
-    c: usize,
-    h: usize,
-    w: usize,
-) -> &'s mut Tensor<T> {
-    let t = ensure_slot(slot, stats, c * h * w);
-    t.reset(c, h, w);
-    t
-}
-
-/// [`ensure`] without the zero-fill — for scratch whose every element the
-/// caller is about to overwrite (stale values may survive the reshape).
+/// [`ensure_slot`] plus an in-place [`Tensor::reset_no_fill`] to `c×h×w`
+/// — for scratch whose every element the caller is about to overwrite
+/// (stale values may survive the reshape).
 fn ensure_overwrite<'s, T: Copy + Default>(
     slot: &'s mut Option<Tensor<T>>,
     stats: &mut ExecStats,
@@ -996,14 +991,7 @@ fn checkout<'m>(
     zero: bool,
 ) -> &'m mut Tensor<i16> {
     let needed = c * h * w;
-    let displaced = match place {
-        Place::Slot(s) => arena
-            .slots
-            .get(s)
-            .and_then(Option::as_ref)
-            .map_or(0, Tensor::len),
-        Place::Key(key) => arena.planes.get(&key).map_or(0, Tensor::len),
-    };
+    let displaced = plane_at(arena, place).map_or(0, Tensor::len);
     arena.resident_bytes = arena.resident_bytes - displaced * std::mem::size_of::<i16>()
         + needed * std::mem::size_of::<i16>();
     arena.peak_resident_bytes = arena.peak_resident_bytes.max(arena.resident_bytes);
@@ -1056,6 +1044,14 @@ fn checkout<'m>(
     }
 }
 
+/// The plane stored at `place`, if any.
+fn plane_at(arena: &PlaneArena, place: Place) -> Option<&Tensor<i16>> {
+    match place {
+        Place::Slot(s) => arena.slots.get(s).and_then(Option::as_ref),
+        Place::Key(key) => arena.planes.get(&key),
+    }
+}
+
 /// Reads the pooled plane for `loc` — from `slot` when the plan routes it
 /// (coalesced), from the key map otherwise — charging block-buffer read
 /// traffic.
@@ -1068,11 +1064,8 @@ fn read_plane<'m>(
     if matches!(loc, FeatLoc::Do { .. }) {
         return Err(ExecError::ReadFromDo);
     }
-    let plane = match slot {
-        Some(s) => arena.slots.get(s).and_then(Option::as_ref),
-        None => arena.planes.get(&PlaneKey::from(loc)),
-    }
-    .ok_or(ExecError::MissingPlane(loc))?;
+    let place = slot.map_or(Place::Key(PlaneKey::from(loc)), Place::Slot);
+    let plane = plane_at(arena, place).ok_or(ExecError::MissingPlane(loc))?;
     if matches!(loc, FeatLoc::Bb { .. }) {
         stats.bb_read_bytes += plane.len() as u64;
     }
@@ -1175,9 +1168,10 @@ pub enum Kernels {
     /// same packed layout, dispatched at plan time by runtime feature
     /// detection ([`BlockPlan::simd_level`]); instructions whose plan
     /// entry carries the verifier's `narrow_acc` proof run in `i32` end
-    /// to end: the 8-wide accumulation and the fused requantizing
-    /// epilogue. Instructions without it run the exact `i64`
-    /// [`Kernels::Packed`] kernels.
+    /// to end: the `i32`-lane accumulation (register-blocked where the
+    /// rung and sweep allow) and the fused requantizing epilogue.
+    /// Instructions without it run the exact `i64` [`Kernels::Packed`]
+    /// kernels.
     Simd,
 }
 
@@ -1526,10 +1520,9 @@ fn exec_conv3(
     idx: usize,
     pool: &mut PlanePool,
     kind: Kernels,
-    mut trace: Option<&mut InstrTrace>,
+    trace: Option<&mut InstrTrace>,
 ) -> Result<(), ExecError> {
-    let program = plan.program;
-    let ins = &program.instructions[idx];
+    let ins = &plan.program.instructions[idx];
     let leafs = plan.leafs[idx].as_slice();
     let input = gather(
         &pool.arena,
@@ -1540,7 +1533,6 @@ fn exec_conv3(
         ins.in_size.0,
         plan.src_slots(idx),
     )?;
-    let prod_frac = ins.q.w3.frac() as i32 + ins.q.src.frac() as i32;
     // Leaf ordering (see compiler): UPX2 has one leaf per pre-shuffle
     // output plane; CONV/DNX2 have one leaf per input group.
     let out_planes = if ins.opcode == Opcode::Upx2 {
@@ -1549,13 +1541,13 @@ fn exec_conv3(
         1
     };
     let (cw, chh) = ins.conv_out_size();
-    let macs = (out_planes * ins.in_groups * LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
     let pk = &plan.packed[idx];
-    if kind == Kernels::Simd && pk.narrow_acc {
-        // Verifier-licensed narrow path: every conv-stage sum and the
-        // post-srcS sum provably fit `i32`, so the wrapping `i32`-lane
-        // accumulation and the fused epilogue are exact.
-        let acc32 = ensure_overwrite(
+    // Verifier-licensed narrow path: every conv-stage sum and the
+    // post-srcS sum provably fit `i32`, so the wrapping `i32`-lane
+    // accumulation and the fused epilogue are exact.
+    let narrow = kind == Kernels::Simd && pk.narrow_acc;
+    if narrow {
+        let acc = ensure_overwrite(
             &mut pool.acc_a32,
             &mut pool.stats,
             out_planes * LEAF_CH,
@@ -1563,22 +1555,16 @@ fn exec_conv3(
             cw,
         );
         let live = plan.live[idx];
-        kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], live, acc32, plan.simd);
-        pool.stats.mac3 += macs;
-        return finish_narrow(plan, idx, pool);
-    }
-    let conv_acc = ensure_overwrite(
-        &mut pool.acc_a,
-        &mut pool.stats,
-        out_planes * LEAF_CH,
-        chh,
-        cw,
-    );
-    match kind {
-        Kernels::Packed | Kernels::Simd => {
-            kernels::conv3_acc_packed(ins, input, &pk.conv3[0], conv_acc);
-        }
-        Kernels::Reference => {
+        kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], live, acc, plan.simd);
+    } else {
+        let acc = ensure_overwrite(
+            &mut pool.acc_a,
+            &mut pool.stats,
+            out_planes * LEAF_CH,
+            chh,
+            cw,
+        );
+        if kind == Kernels::Reference {
             let weights = |op_: usize, ig: usize| {
                 let leaf = if ins.opcode == Opcode::Upx2 {
                     &leafs[op_]
@@ -1587,114 +1573,44 @@ fn exec_conv3(
                 };
                 leaf.w3.as_slice()
             };
-            let b3_frac = ins.q.b3.frac() as i32;
+            let (b3_frac, frac) = (ins.q.b3.frac() as i32, acc_frac(ins));
             let biases = |op_: usize| -> Vec<i64> {
                 let mut b = vec![0i64; LEAF_CH];
                 if ins.opcode == Opcode::Upx2 {
                     for (oc, bv) in b.iter_mut().enumerate() {
-                        *bv = align_code(leafs[op_].b3[oc] as i64, b3_frac, prod_frac);
+                        *bv = align_code(leafs[op_].b3[oc] as i64, b3_frac, frac);
                     }
                 } else {
                     for leaf in leafs {
                         for (oc, bv) in b.iter_mut().enumerate() {
-                            *bv += align_code(leaf.b3[oc] as i64, b3_frac, prod_frac);
+                            *bv += align_code(leaf.b3[oc] as i64, b3_frac, frac);
                         }
                     }
                 }
                 b
             };
-            kernels::reference::conv3_acc_into(ins, input, &weights, &biases, out_planes, conv_acc);
+            kernels::reference::conv3_acc_into(ins, input, &weights, &biases, out_planes, acc);
+        } else {
+            kernels::conv3_acc_packed(ins, input, &pk.conv3[0], acc);
         }
     }
-    pool.stats.mac3 += macs;
+    pool.stats.mac3 += (out_planes * ins.in_groups * LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
+    finish(plan, idx, pool, narrow, trace)
+}
 
-    let acc: &mut Tensor<i64> = if ins.opcode == Opcode::Upx2 {
-        let shuffled = ensure_slot(&mut pool.acc_b, &mut pool.stats, conv_acc.len());
-        conv_acc.pixel_shuffle_into(2, shuffled);
-        shuffled
-    } else {
-        conv_acc
-    };
-    // srcS accumulation (ADDE) in the destination domain.
-    if let Some(srcs) = ins.src_s {
-        // INVARIANT: format presence validated by `BlockPlan::new`.
-        let sq = ins.q.src_s.expect("plan validated srcS format");
-        let plane = read_plane(&pool.arena, &mut pool.stats, srcs, plan.srcs_slot(idx))?;
-        check_srcs_domain(acc.shape(), plane)?;
-        add_aligned(acc, plane, sq.frac() as i32, prod_frac);
+/// Overwrites `acc` with the reference path's 1×1 biases: every leaf's,
+/// aligned to the accumulator and summed.
+fn reference_bias1(acc: &mut Tensor<i64>, ins: &Instruction, leafs: &[LeafParams]) {
+    // INVARIANT: format presence validated by `BlockPlan::new`.
+    let b1_frac = ins.q.b1.expect("plan validated the 1x1 bias format").frac() as i32;
+    let frac = acc_frac(ins);
+    for oc in 0..LEAF_CH {
+        let b = leafs
+            .iter()
+            .map(|leaf| align_code(leaf.b1[oc] as i64, b1_frac, frac))
+            .sum();
+        acc.channel_mut(oc).fill(b);
     }
-    if ins.relu {
-        for v in acc.as_mut_slice() {
-            if *v < 0 {
-                *v = 0;
-            }
-        }
-    }
-    if let Some(t) = trace.as_deref_mut() {
-        merge_extrema(&mut t.acc, scan_i64(acc));
-    }
-    // Requantize to the destination format, then Dst Reorder (pooling).
-    let dst_key = PlaneKey::from(ins.dst);
-    if ins.opcode == Opcode::Dnx2 {
-        let (qc, qh, qw) = acc.shape();
-        let quantized = ensure_overwrite(&mut pool.quant, &mut pool.stats, qc, qh, qw);
-        requantize_into(acc, prod_frac, ins.q.dst, quantized);
-        if let Some(t) = trace.as_deref_mut() {
-            merge_extrema(&mut t.dst, scan_i16(quantized));
-        }
-        let factor = ins.pool_factor;
-        if qh / factor != ins.out_size.1 || qw / factor != ins.out_size.0 {
-            return Err(ExecError::Shape(format!(
-                "produced {}x{} vs declared {:?}",
-                qw / factor,
-                qh / factor,
-                ins.out_size
-            )));
-        }
-        let dst = checkout(
-            &mut pool.arena,
-            &mut pool.stats,
-            plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot),
-            LEAF_CH,
-            ins.out_size.1,
-            ins.out_size.0,
-            false,
-        );
-        pool_into(
-            quantized,
-            ins.pool.expect("DNX2 carries a pool"),
-            factor,
-            dst,
-        );
-        let (len, px) = (dst.len(), dst.height() * dst.width());
-        count_write(&mut pool.stats, program, dst_key, len, px);
-    } else {
-        // Post-shuffle UPX2 planes carry out_groups·LEAF_CH/4 channels
-        // (8 for a 32→3ch upsampling tail); everything else is LEAF_CH.
-        let (ac, ah, aw) = acc.shape();
-        if ah != ins.out_size.1 || aw != ins.out_size.0 {
-            return Err(ExecError::Shape(format!(
-                "produced {aw}x{ah} vs declared {:?}",
-                ins.out_size
-            )));
-        }
-        let dst = checkout(
-            &mut pool.arena,
-            &mut pool.stats,
-            plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot),
-            ac,
-            ins.out_size.1,
-            ins.out_size.0,
-            false,
-        );
-        requantize_into(acc, prod_frac, ins.q.dst, dst);
-        if let Some(t) = trace {
-            merge_extrema(&mut t.dst, scan_i16(dst));
-        }
-        let (len, px) = (dst.len(), dst.height() * dst.width());
-        count_write(&mut pool.stats, program, dst_key, len, px);
-    }
-    Ok(())
 }
 
 fn exec_conv1(
@@ -1702,10 +1618,9 @@ fn exec_conv1(
     idx: usize,
     pool: &mut PlanePool,
     kind: Kernels,
-    mut trace: Option<&mut InstrTrace>,
+    trace: Option<&mut InstrTrace>,
 ) -> Result<(), ExecError> {
-    let program = plan.program;
-    let ins = &program.instructions[idx];
+    let ins = &plan.program.instructions[idx];
     let leafs = plan.leafs[idx].as_slice();
     let input = gather(
         &pool.arena,
@@ -1716,35 +1631,26 @@ fn exec_conv1(
         ins.in_size.0,
         plan.src_slots(idx),
     )?;
-    // INVARIANT: format presence validated by `Instruction::check` in
-    // `BlockPlan::new` (CONV1 requires the 1x1 formats).
-    let w1q = ins.q.w1.expect("plan validated the 1x1 weight format");
-    let b1q = ins.q.b1.expect("plan validated the 1x1 bias format");
-    let prod_frac = w1q.frac() as i32 + ins.q.src.frac() as i32;
     let side = input.height();
-    let macs = (leafs.len() * LEAF_CH * LEAF_CH * side * side) as u64;
     let pk = &plan.packed[idx];
-    if kind == Kernels::Simd && pk.narrow_acc {
-        // Licensed narrow path (see `exec_conv3`).
+    // Licensed narrow path (see `exec_conv3`).
+    let narrow = kind == Kernels::Simd && pk.narrow_acc;
+    if narrow {
         let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
-        let acc32 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, side, side);
-        kernels::fill_bias_narrow(acc32, &packed.bias);
+        let acc = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, side, side);
+        kernels::fill_bias(acc, &packed.bias);
         for leaf in 0..packed.leaves {
-            kernels::conv1_leaf_acc_packed_simd_narrow(
-                packed,
-                leaf,
-                input,
-                leaf * LEAF_CH,
-                acc32,
-                plan.simd,
-            );
+            let base = leaf * LEAF_CH;
+            kernels::conv1_leaf_acc_packed_simd_narrow(packed, leaf, input, base, acc, plan.simd);
         }
-        pool.stats.mac1 += macs;
-        return finish_narrow(plan, idx, pool);
-    }
-    let acc = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, side, side);
-    match kind {
-        Kernels::Packed | Kernels::Simd => {
+    } else {
+        let acc = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, side, side);
+        if kind == Kernels::Reference {
+            reference_bias1(acc, ins, leafs);
+            for (ig, leaf) in leafs.iter().enumerate() {
+                kernels::reference::conv1_leaf_acc(&leaf.w1, input, ig * LEAF_CH, acc);
+            }
+        } else {
             let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
             // Bias fill over row slices, zero columns hoisted to the
             // plan-time compaction.
@@ -1753,58 +1659,9 @@ fn exec_conv1(
                 kernels::conv1_leaf_acc_packed(packed, leaf, input, leaf * LEAF_CH, acc);
             }
         }
-        Kernels::Reference => {
-            for oc in 0..LEAF_CH {
-                let mut b = 0i64;
-                for leaf in leafs {
-                    b += align_code(leaf.b1[oc] as i64, b1q.frac() as i32, prod_frac);
-                }
-                for y in 0..side {
-                    for x in 0..side {
-                        *acc.at_mut(oc, y, x) = b;
-                    }
-                }
-            }
-            for (ig, leaf) in leafs.iter().enumerate() {
-                kernels::reference::conv1_leaf_acc(&leaf.w1, input, ig * LEAF_CH, acc);
-            }
-        }
     }
-    pool.stats.mac1 += macs;
-    if let Some(srcs) = ins.src_s {
-        // INVARIANT: format presence validated by `BlockPlan::new`.
-        let sq = ins.q.src_s.expect("plan validated srcS format");
-        let plane = read_plane(&pool.arena, &mut pool.stats, srcs, plan.srcs_slot(idx))?;
-        check_srcs_domain(acc.shape(), plane)?;
-        add_aligned(acc, plane, sq.frac() as i32, prod_frac);
-    }
-    if ins.relu {
-        for v in acc.as_mut_slice() {
-            if *v < 0 {
-                *v = 0;
-            }
-        }
-    }
-    if let Some(t) = trace.as_deref_mut() {
-        merge_extrema(&mut t.acc, scan_i64(acc));
-    }
-    let dst_key = PlaneKey::from(ins.dst);
-    let dst = checkout(
-        &mut pool.arena,
-        &mut pool.stats,
-        plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot),
-        LEAF_CH,
-        side,
-        side,
-        false,
-    );
-    requantize_into(acc, prod_frac, ins.q.dst, dst);
-    if let Some(t) = trace {
-        merge_extrema(&mut t.dst, scan_i16(dst));
-    }
-    let (len, px) = (dst.len(), dst.height() * dst.width());
-    count_write(&mut pool.stats, program, dst_key, len, px);
-    Ok(())
+    pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * side * side) as u64;
+    finish(plan, idx, pool, narrow, trace)
 }
 
 fn exec_er(
@@ -1814,15 +1671,11 @@ fn exec_er(
     kind: Kernels,
     mut trace: Option<&mut InstrTrace>,
 ) -> Result<(), ExecError> {
-    let program = plan.program;
-    let ins = &program.instructions[idx];
+    let ins = &plan.program.instructions[idx];
     let leafs = plan.leafs[idx].as_slice();
     // INVARIANT: format presence validated by `BlockPlan::new`.
     let midq = ins.q.mid.expect("plan validated the mid format");
-    let w1q = ins.q.w1.expect("plan validated the 1x1 weight format");
-    let b1q = ins.q.b1.expect("plan validated the 1x1 bias format");
     let prod3 = ins.q.w3.frac() as i32 + ins.q.src.frac() as i32;
-    let prod1 = w1q.frac() as i32 + midq.frac() as i32;
     let (cw, chh) = ins.conv_out_size();
     let input = gather(
         &pool.arena,
@@ -1833,9 +1686,10 @@ fn exec_er(
         ins.in_size.0,
         plan.src_slots(idx),
     )?;
-    let mac1 = (leafs.len() * LEAF_CH * LEAF_CH * cw * chh) as u64;
     let packed = &plan.packed[idx];
-    if kind == Kernels::Simd && packed.narrow_acc {
+    let mac3 = (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
+    let narrow = kind == Kernels::Simd && packed.narrow_acc;
+    if narrow {
         // Licensed narrow path. For ER the verifier's `narrow_acc` proves
         // *both* stages fit `i32`: the per-leaf 3×3 expansion accumulators
         // (which the mid requantizer consumes, so they must be exact, not
@@ -1846,7 +1700,7 @@ fn exec_er(
         let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
         {
             let acc1 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, chh, cw);
-            kernels::fill_bias_narrow(acc1, &p1.bias);
+            kernels::fill_bias(acc1, &p1.bias);
         }
         for li in 0..leafs.len() {
             // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
@@ -1861,48 +1715,24 @@ fn exec_er(
                 kernels::conv3_acc_packed_simd_narrow(ins, input, conv3, full, acc3, plan.simd);
                 simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid, LEAF_CH);
             }
-            pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
+            pool.stats.mac3 += mac3;
             // LCONV1x1: plane's columns accumulate into the 32ch output.
             let acc1 = pool.acc_a32.as_mut().expect("bias-filled above");
             kernels::conv1_leaf_acc_packed_simd_narrow(p1, li, mid, 0, acc1, plan.simd);
         }
-        pool.stats.mac1 += mac1;
-        return finish_narrow(plan, idx, pool);
-    }
-    let acc1 = match kind {
-        Kernels::Packed | Kernels::Simd => {
-            // Pre-aligned 1x1 biases, already summed across leaves.
+    } else {
+        {
             let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
-            let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-            kernels::fill_bias(acc1, &p1.bias);
-            acc1
-        }
-        Kernels::Reference => {
-            let acc1 = ensure(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
-            // 1x1 biases (first leaf only carries nonzero values).
-            for leaf in leafs {
-                for oc in 0..LEAF_CH {
-                    let b = align_code(leaf.b1[oc] as i64, b1q.frac() as i32, prod1);
-                    if b != 0 {
-                        for y in 0..chh {
-                            for x in 0..cw {
-                                *acc1.at_mut(oc, y, x) += b;
-                            }
-                        }
-                    }
-                }
+            match kind {
+                Kernels::Reference => reference_bias1(acc1, ins, leafs),
+                // Pre-aligned 1x1 biases, already summed across leaves.
+                _ => kernels::fill_bias(acc1, &packed.conv1.as_ref().expect("ER packs a 1x1").bias),
             }
-            acc1
         }
-    };
-    for (li, leaf) in leafs.iter().enumerate() {
-        // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
-        let acc3 = ensure_overwrite(&mut pool.acc_b, &mut pool.stats, LEAF_CH, chh, cw);
-        match kind {
-            Kernels::Packed | Kernels::Simd => {
-                kernels::conv3_acc_packed(ins, input, &packed.conv3[li], acc3)
-            }
-            Kernels::Reference => {
+        for (li, leaf) in leafs.iter().enumerate() {
+            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
+            let acc3 = ensure_overwrite(&mut pool.acc_b, &mut pool.stats, LEAF_CH, chh, cw);
+            if kind == Kernels::Reference {
                 let weights = |_: usize, _: usize| leaf.w3.as_slice();
                 let b3_frac = ins.q.b3.frac() as i32;
                 let biases = |_: usize| -> Vec<i64> {
@@ -1914,56 +1744,50 @@ fn exec_er(
                 single.in_groups = 1;
                 // The plane convolves the single 32ch input group.
                 kernels::reference::conv3_acc_into(&single, input, &weights, &biases, 1, acc3);
+            } else {
+                kernels::conv3_acc_packed(ins, input, &packed.conv3[li], acc3);
             }
-        }
-        pool.stats.mac3 += (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
-        if let Some(t) = trace.as_deref_mut() {
-            merge_extrema(&mut t.er_acc3, scan_i64(acc3));
-        }
-        let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
-        for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
-            let v = if a < 0 { 0 } else { a }; // ER's internal ReLU
-            *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
-        }
-        // LCONV1x1: plane's columns accumulate into the 32ch output.
-        match kind {
-            Kernels::Packed | Kernels::Simd => {
+            pool.stats.mac3 += mac3;
+            if let Some(t) = trace.as_deref_mut() {
+                merge_extrema(&mut t.er_acc3, scan_i64(acc3));
+            }
+            let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
+            for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
+                let v = if a < 0 { 0 } else { a }; // ER's internal ReLU
+                *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
+            }
+            // LCONV1x1: plane's columns accumulate into the 32ch output.
+            let acc1 = pool.acc_a.as_mut().expect("bias-filled above");
+            if kind == Kernels::Reference {
+                kernels::reference::conv1_leaf_acc(&leaf.w1, mid, 0, acc1);
+            } else {
                 let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
                 kernels::conv1_leaf_acc_packed(p1, li, mid, 0, acc1);
             }
-            Kernels::Reference => kernels::reference::conv1_leaf_acc(&leaf.w1, mid, 0, acc1),
         }
     }
-    pool.stats.mac1 += mac1;
-    let acc1 = pool.acc_a.as_mut().expect("accumulated above");
-    // Module residual via srcS.
-    if let Some(srcs) = ins.src_s {
-        // INVARIANT: format presence validated by `BlockPlan::new`.
-        let sq = ins.q.src_s.expect("plan validated srcS format");
-        let plane = read_plane(&pool.arena, &mut pool.stats, srcs, plan.srcs_slot(idx))?;
-        check_srcs_domain(acc1.shape(), plane)?;
-        add_aligned(acc1, plane, sq.frac() as i32, prod1);
-    }
-    if let Some(t) = trace.as_deref_mut() {
-        merge_extrema(&mut t.acc, scan_i64(acc1));
-    }
-    let dst_key = PlaneKey::from(ins.dst);
-    let dst = checkout(
-        &mut pool.arena,
-        &mut pool.stats,
-        plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot),
-        LEAF_CH,
-        chh,
-        cw,
-        false,
-    );
-    requantize_into(acc1, prod1, ins.q.dst, dst);
-    if let Some(t) = trace {
-        merge_extrema(&mut t.dst, scan_i16(dst));
-    }
-    let (len, px) = (dst.len(), dst.height() * dst.width());
-    count_write(&mut pool.stats, program, dst_key, len, px);
-    Ok(())
+    pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * cw * chh) as u64;
+    finish(plan, idx, pool, narrow, trace)
+}
+
+/// Fractional bits of `ins`'s final accumulator: the 3×3 products over the
+/// source codes (CONV, DNX2, UPX2), the 1×1 products over the source codes
+/// (CONV1) or over ER's mid codes.
+fn acc_frac(ins: &Instruction) -> i32 {
+    // INVARIANT: format presence validated by `BlockPlan::new`.
+    let w1 = || ins.q.w1.expect("plan validated the 1x1 weight format");
+    let (w, x) = match ins.opcode {
+        Opcode::Conv | Opcode::Dnx2 | Opcode::Upx2 => (ins.q.w3, ins.q.src),
+        Opcode::Conv1 => (w1(), ins.q.src),
+        Opcode::Er => (w1(), ins.q.mid.expect("plan validated the mid format")),
+    };
+    w.frac() as i32 + x.frac() as i32
+}
+
+/// Whether the instruction's final epilogue applies ReLU. ER's ReLU lives
+/// inside the leaf, before the mid quantizer.
+fn final_relu(ins: &Instruction) -> bool {
+    ins.relu && ins.opcode != Opcode::Er
 }
 
 /// The fused narrow epilogues of `ins`: the final one (srcS, ReLU and
@@ -1973,28 +1797,22 @@ fn exec_er(
 /// `BlockPlan::new` then leaves the instruction unlicensed, so `Simd` runs
 /// it on the `i64` packed kernels.
 fn narrow_epilogues(ins: &Instruction) -> Option<(NarrowEpilogue, Option<NarrowEpilogue>)> {
-    let src = ins.q.src.frac() as i32;
-    let conv3 = ins.q.w3.frac() as i32 + src;
-    let (acc_frac, mid) = match ins.opcode {
-        Opcode::Conv | Opcode::Dnx2 | Opcode::Upx2 => (conv3, None),
-        Opcode::Conv1 => (ins.q.w1?.frac() as i32 + src, None),
+    let mid = match ins.opcode {
         Opcode::Er => {
-            let midq = ins.q.mid?;
-            let mid = NarrowEpilogue::new(conv3, midq, true, None)?;
-            (ins.q.w1?.frac() as i32 + midq.frac() as i32, Some(mid))
+            let conv3 = ins.q.w3.frac() as i32 + ins.q.src.frac() as i32;
+            Some(NarrowEpilogue::new(conv3, ins.q.mid?, true, None)?)
         }
+        _ => None,
     };
-    // ER's ReLU lives inside the leaf, before the mid quantizer.
-    let relu = ins.relu && ins.opcode != Opcode::Er;
     let srcs_frac = ins.q.src_s.map(|q| q.frac() as i32);
-    let last = NarrowEpilogue::new(acc_frac, ins.q.dst, relu, srcs_frac)?;
+    let last = NarrowEpilogue::new(acc_frac(ins), ins.q.dst, final_relu(ins), srcs_frac)?;
     Some((last, mid))
 }
 
 /// Write access to the checked-out plane at `dst` together with read
-/// access to the distinct plane at `src`, both in the arena: the fused
-/// narrow epilogue writes one while it reads the other. `None` if either
-/// is absent (both places come from one layout, routed or keyed).
+/// access to the distinct plane at `src`, both in the arena: the final
+/// rounding writes one while it reads the other. `None` if either is
+/// absent (both places come from one layout, routed or keyed).
 fn dst_and_src(
     arena: &mut PlaneArena,
     dst: Place,
@@ -2013,29 +1831,58 @@ fn dst_and_src(
     }
 }
 
-/// Finishes a licensed narrow instruction from its `i32` conv
-/// accumulator in `pool.acc_a32` with one fused pass
-/// ([`simd::epilogue_narrow`]: srcS, ReLU, rounding, clamp) into the
-/// destination codes. DNX2 requantizes into the pre-pool plane and pools
-/// it; UPX2 without srcS requantizes the pre-shuffle accumulator and
-/// shuffles the codes, UPX2 with srcS shuffles the `i32` accumulator
-/// first (srcS accumulates in the shuffled domain). The `i64`
-/// accumulators are never touched. Only the plan's live output channels
-/// are requantized (a quarter of them after a shuffle): the conv stage
-/// may have left the rest stale. In CHW layout the live channels are a
-/// contiguous prefix, so a direct store never writes the dead channels
-/// of a DO plane, and a shuffled or pooled store fills them with stale
-/// codes; nothing reads them.
-fn finish_narrow(plan: &BlockPlan<'_>, idx: usize, pool: &mut PlanePool) -> Result<(), ExecError> {
+/// The accumulator an instruction's conv stage left in the pool.
+enum Acc<'a> {
+    /// A verifier-licensed narrow instruction's `i32` accumulator.
+    Narrow(&'a mut Tensor<i32>),
+    /// The exact `i64` accumulator of every other instruction.
+    Wide(&'a mut Tensor<i64>),
+}
+
+/// The accumulator in `acc`, or its ×2 pixel shuffle into `scratch` when
+/// `shuffle`.
+fn shuffled<'s, T: Copy + Default>(
+    acc: &'s mut Option<Tensor<T>>,
+    scratch: &'s mut Option<Tensor<T>>,
+    stats: &mut ExecStats,
+    shuffle: bool,
+) -> &'s mut Tensor<T> {
+    let acc = acc.as_mut().expect("the conv stage filled the accumulator");
+    if !shuffle {
+        return acc;
+    }
+    let out = ensure_slot(scratch, stats, acc.len());
+    acc.pixel_shuffle_into(2, out);
+    out
+}
+
+/// Finishes instruction `idx` from the accumulator its conv stage left in
+/// the pool (`acc_a32` when `narrow`, else `acc_a`): the ADDE, activation,
+/// single rounding and Dst Reorder tail every opcode and kernel rung
+/// shares. UPX2 with srcS shuffles the accumulator first (srcS accumulates
+/// in the shuffled domain). srcS is read once, through a copy when the
+/// destination overwrites it in place. The sum is rounded into the
+/// destination codes, or into scratch codes that DNX2 pools and srcS-free
+/// UPX2 pixel-shuffles into the destination. Only the rounding differs by
+/// rung: a narrow instruction runs the fused [`simd::epilogue_narrow`] over
+/// the plan's live output channels (a quarter of them after a shuffle; the
+/// conv stage may have left the rest stale, a direct store never writes
+/// them and nothing reads the stale codes a reordered store leaves), every
+/// other one adds srcS, applies ReLU and requantizes every channel in
+/// `i64`, recording `trace` extrema.
+fn finish(
+    plan: &BlockPlan<'_>,
+    idx: usize,
+    pool: &mut PlanePool,
+    narrow: bool,
+    mut trace: Option<&mut InstrTrace>,
+) -> Result<(), ExecError> {
     let program = plan.program;
     let ins = &program.instructions[idx];
-    // INVARIANT: `BlockPlan::new` licenses only instructions whose
-    // epilogues `narrow_epilogues` covers.
-    let (ep, _) = narrow_epilogues(ins).expect("plan licenses supported epilogues only");
-    let level = plan.simd;
-    pool.stats.narrow_instrs += 1;
     let PlanePool {
         arena,
+        acc_a,
+        acc_b,
         acc_a32,
         acc_b32,
         quant,
@@ -2043,77 +1890,97 @@ fn finish_narrow(plan: &BlockPlan<'_>, idx: usize, pool: &mut PlanePool) -> Resu
         stats,
         ..
     } = pool;
-    let conv = acc_a32.as_ref().expect("the conv stage filled acc_a32");
-    let dst_key = PlaneKey::from(ins.dst);
-    let dst_place = plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot);
     let shuffle_codes = ins.opcode == Opcode::Upx2 && ins.src_s.is_none();
-    let live = plan.live[idx].output;
-    let (acc, live): (&Tensor<i32>, usize) = if ins.opcode == Opcode::Upx2 && !shuffle_codes {
-        let shuffled = ensure_slot(acc_b32, stats, conv.len());
-        conv.pixel_shuffle_into(2, shuffled);
-        (shuffled, live / 4)
+    let shuffle_acc = ins.opcode == Opcode::Upx2 && !shuffle_codes;
+    let mut acc = if narrow {
+        stats.narrow_instrs += 1;
+        Acc::Narrow(shuffled(acc_a32, acc_b32, stats, shuffle_acc))
     } else {
-        (conv, live)
+        Acc::Wide(shuffled(acc_a, acc_b, stats, shuffle_acc))
     };
-    let (ac, ah, aw) = acc.shape();
+    let (ac, ah, aw) = match &acc {
+        Acc::Narrow(a) => a.shape(),
+        Acc::Wide(a) => a.shape(),
+    };
     let (oc, oh, ow) = match ins.opcode {
         Opcode::Upx2 if shuffle_codes => (ac / 4, 2 * ah, 2 * aw),
-        Opcode::Dnx2 => (LEAF_CH, ah / ins.pool_factor, aw / ins.pool_factor),
+        Opcode::Dnx2 => (ac, ah / ins.pool_factor, aw / ins.pool_factor),
         _ => (ac, ah, aw),
     };
-    if oh != ins.out_size.1 || ow != ins.out_size.0 {
+    if (ow, oh) != ins.out_size {
         return Err(ExecError::Shape(format!(
             "produced {ow}x{oh} vs declared {:?}",
             ins.out_size
         )));
     }
-    if ins.opcode == Opcode::Dnx2 || shuffle_codes {
-        // Requantize into scratch, then reorder the codes into dst.
-        let codes = ensure_overwrite(quant, stats, ac, ah, aw);
-        let srcs = match ins.src_s {
-            Some(loc) => {
-                let plane = read_plane(arena, stats, loc, plan.srcs_slot(idx))?;
-                check_srcs_domain((ac, ah, aw), plane)?;
-                Some(plane)
+    let live = plan.live[idx].output / if shuffle_acc { 4 } else { 1 };
+    let mut round = |srcs: Option<&Tensor<i16>>, codes: &mut Tensor<i16>| {
+        match &mut acc {
+            Acc::Narrow(a) => {
+                // INVARIANT: `BlockPlan::new` licenses only instructions
+                // whose epilogues `narrow_epilogues` covers.
+                let (ep, _) =
+                    narrow_epilogues(ins).expect("plan licenses supported epilogues only");
+                simd::epilogue_narrow(plan.simd, &ep, a, srcs, codes, live);
             }
-            None => None,
-        };
-        simd::epilogue_narrow(level, &ep, acc, srcs, codes, live);
-        let dst = checkout(arena, stats, dst_place, oc, oh, ow, false);
-        if shuffle_codes {
-            codes.pixel_shuffle_into(2, dst);
-        } else {
-            let pool_kind = ins.pool.expect("DNX2 carries a pool");
-            pool_into(codes, pool_kind, ins.pool_factor, dst);
+            Acc::Wide(a) => {
+                let frac = acc_frac(ins);
+                if let (Some(plane), Some(sq)) = (srcs, ins.q.src_s) {
+                    add_aligned(a, plane, sq.frac() as i32, frac);
+                }
+                if final_relu(ins) {
+                    a.as_mut_slice().iter_mut().for_each(|v| *v = (*v).max(0));
+                }
+                if let Some(t) = trace.as_deref_mut() {
+                    merge_extrema(&mut t.acc, scan_i64(a));
+                }
+                requantize_into(a, frac, ins.q.dst, codes);
+            }
         }
-        let (len, px) = (dst.len(), dst.height() * dst.width());
-        count_write(stats, program, dst_key, len, px);
-        return Ok(());
-    }
-    let dst = match ins.src_s {
-        None => {
-            let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
-            simd::epilogue_narrow(level, &ep, acc, None, dst, live);
-            dst
+        if let Some(t) = trace.as_deref_mut() {
+            merge_extrema(&mut t.dst, scan_i16(codes));
         }
+    };
+    let dst_key = PlaneKey::from(ins.dst);
+    let dst_place = plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot);
+    let srcs_place = match ins.src_s {
         Some(loc) => {
-            let src_slot = plan.srcs_slot(idx);
-            let src_place = src_slot.map_or(Place::Key(PlaneKey::from(loc)), Place::Slot);
-            let plane = read_plane(arena, stats, loc, src_slot)?;
-            check_srcs_domain((ac, ah, aw), plane)?;
-            if src_place == dst_place {
-                // dst overwrites srcS in place: read a copy.
-                let (pc, ph, pw) = plane.shape();
-                let copy = ensure_overwrite(srcs_copy, stats, pc, ph, pw);
-                copy.as_mut_slice().copy_from_slice(plane.as_slice());
-                let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
-                simd::epilogue_narrow(level, &ep, acc, Some(copy), dst, live);
+            let slot = plan.srcs_slot(idx);
+            check_srcs_domain((ac, ah, aw), read_plane(arena, stats, loc, slot)?)?;
+            Some(slot.map_or(Place::Key(PlaneKey::from(loc)), Place::Slot))
+        }
+        None => None,
+    };
+    let dst = if ins.opcode == Opcode::Dnx2 || shuffle_codes {
+        // Round into scratch, then reorder the codes into dst.
+        let codes = ensure_overwrite(quant, stats, ac, ah, aw);
+        round(srcs_place.and_then(|p| plane_at(arena, p)), codes);
+        let dst = checkout(arena, stats, dst_place, oc, oh, ow, false);
+        match ins.pool {
+            Some(kind) => pool_into(codes, kind, ins.pool_factor, dst),
+            None => codes.pixel_shuffle_into(2, dst),
+        }
+        dst
+    } else if srcs_place == Some(dst_place) {
+        // dst overwrites srcS in place: read a copy.
+        let plane = plane_at(arena, dst_place).expect("srcS was read above");
+        let (pc, ph, pw) = plane.shape();
+        let copy = ensure_overwrite(srcs_copy, stats, pc, ph, pw);
+        copy.as_mut_slice().copy_from_slice(plane.as_slice());
+        let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
+        round(Some(copy), dst);
+        dst
+    } else {
+        let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
+        match srcs_place {
+            None => {
+                round(None, dst);
                 dst
-            } else {
-                checkout(arena, stats, dst_place, ac, ah, aw, false);
+            }
+            Some(src_place) => {
                 let (dst, plane) = dst_and_src(arena, dst_place, src_place)
                     .expect("srcS was read and dst checked out above");
-                simd::epilogue_narrow(level, &ep, acc, Some(plane), dst, live);
+                round(Some(plane), dst);
                 dst
             }
         }
@@ -2139,10 +2006,11 @@ fn assemble_output<'p>(
         program.do_side,
     );
     for g in 0..plan.out_groups {
-        let plane = match plan.do_slot(g) {
-            Some(s) => pool.arena.slots.get(s).and_then(Option::as_ref),
-            None => pool.arena.planes.get(&PlaneKey::Do { group: g as u8 }),
-        }
+        let key = PlaneKey::Do { group: g as u8 };
+        let plane = plane_at(
+            &pool.arena,
+            plan.do_slot(g).map_or(Place::Key(key), Place::Slot),
+        )
         .ok_or(ExecError::MissingPlane(FeatLoc::Do { group: g as u8 }))?;
         if plane.height() != program.do_side || plane.width() != program.do_side {
             return Err(ExecError::Shape(format!(
@@ -2166,9 +2034,9 @@ fn assemble_output<'p>(
 /// Guards the srcS accumulation domain of an accumulator shaped
 /// `(channels, height, width)`: the plane must cover it spatially (it is
 /// center-cropped, never extended) and carry at least the accumulated
-/// channel count. Checked before every [`add_aligned`] call and every
-/// narrow epilogue with srcS, so the executor returns a structured error
-/// where it used to assert; `ecnn_isa::verify` proves the same property
+/// channel count. `finish` checks it before its rounding step reads
+/// srcS, so the executor returns a structured error where it used to
+/// assert; `ecnn_isa::verify` proves the same property
 /// statically (`shape-mismatch`).
 fn check_srcs_domain(
     (ac, ah, aw): (usize, usize, usize),

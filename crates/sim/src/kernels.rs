@@ -90,22 +90,50 @@ pub fn accum_row_padded(acc: &mut [i64], row: &[i16], taps: [i32; 3]) {
     acc[n - 1] += t0 * row[n - 2] as i64 + t1 * row[n - 1] as i64;
 }
 
-/// Overwrites each of `acc`'s channels with its pre-aligned bias.
-pub(crate) fn fill_bias(acc: &mut Tensor<i64>, bias: &[i64]) {
-    for (oc, &b) in bias.iter().enumerate() {
-        acc.channel_mut(oc).fill(b);
+/// An accumulator lane: exact `i64`, or `i32` wrapping modulo 2³² under
+/// the verifier's `narrow_acc` license.
+pub(crate) trait Lane: Copy + Default {
+    /// A pre-aligned bias as a lane value. The `i32` cast truncates, which
+    /// is exact modulo 2³² — all the narrow path needs: under the license
+    /// the *final* per-element sum fits `i32`, so the wrapped intermediate
+    /// recovers the exact value (a bias whose magnitude already exceeds
+    /// `i32` simply starts the modular accumulation from the congruent
+    /// residue).
+    fn bias(b: i64) -> Self;
+}
+
+impl Lane for i64 {
+    fn bias(b: i64) -> Self {
+        b
     }
 }
 
-/// Packed 3×3 accumulation of `input` into `acc` (already shaped to
-/// `out_planes·32 × chh × cw`; every element is overwritten, starting from
-/// the packed biases). Masked-out tap rows and channel pairs are skipped
+impl Lane for i32 {
+    fn bias(b: i64) -> Self {
+        b as i32
+    }
+}
+
+/// Overwrites each of `acc`'s channels with its pre-aligned bias.
+pub(crate) fn fill_bias<T: Lane>(acc: &mut Tensor<T>, bias: &[i64]) {
+    for (oc, &b) in bias.iter().enumerate() {
+        acc.channel_mut(oc).fill(T::bias(b));
+    }
+}
+
+/// The packed 3×3 row sweep: fills `acc` (already shaped to
+/// `out_planes·32 × chh × cw`) with the packed biases, then adds every
+/// unmasked `(oc, ic, ky)` tap row through `interior` (truncated-pyramid
+/// rows) or `padded` (zero-padded rows), the fused 3-tap row kernels of
+/// the lane type. Masked-out tap rows and channel pairs are skipped
 /// without touching the weights.
-pub(crate) fn conv3_acc_packed(
+fn conv3_row_sweep<T: Lane>(
     ins: &Instruction,
     input: &Tensor<i16>,
     packed: &PackedConv3,
-    acc: &mut Tensor<i64>,
+    acc: &mut Tensor<T>,
+    interior: impl Fn(&mut [T], &[i16], [i32; 3]),
+    padded: impl Fn(&mut [T], &[i16], [i32; 3]),
 ) {
     let (_, chh, _) = acc.shape();
     let ih = input.height();
@@ -114,7 +142,6 @@ pub(crate) fn conv3_acc_packed(
         InferenceKind::ZeroPadded => 0,
     };
     fill_bias(acc, &packed.bias);
-    let interior = origin == 1;
     for op_ in 0..packed.out_planes {
         for ig in 0..packed.in_groups {
             let plane = op_ * packed.in_groups + ig;
@@ -138,10 +165,10 @@ pub(crate) fn conv3_acc_packed(
                             }
                             let row = input.row(chan, sy as usize);
                             let arow = acc.row_mut(out_ch, y);
-                            if interior {
-                                accum_row_interior(arow, row, taps);
+                            if origin == 1 {
+                                interior(arow, row, taps);
                             } else {
-                                accum_row_padded(arow, row, taps);
+                                padded(arow, row, taps);
                             }
                         }
                     }
@@ -149,6 +176,25 @@ pub(crate) fn conv3_acc_packed(
             }
         }
     }
+}
+
+/// Packed 3×3 accumulation of `input` into `acc` in exact `i64`
+/// ([`conv3_row_sweep`] over [`accum_row_interior`] /
+/// [`accum_row_padded`]).
+pub(crate) fn conv3_acc_packed(
+    ins: &Instruction,
+    input: &Tensor<i16>,
+    packed: &PackedConv3,
+    acc: &mut Tensor<i64>,
+) {
+    conv3_row_sweep(
+        ins,
+        input,
+        packed,
+        acc,
+        accum_row_interior,
+        accum_row_padded,
+    );
 }
 
 /// Packed 1×1 accumulation of one leaf: for every output channel, only
@@ -170,18 +216,6 @@ pub(crate) fn conv1_leaf_acc_packed(
                 *a += wv * s as i64;
             }
         }
-    }
-}
-
-/// Overwrites each of `acc`'s channels with its pre-aligned bias,
-/// truncated to `i32`. The truncating cast is exact modulo 2³², which is
-/// all the narrow path needs: under the verifier's `narrow_acc` license
-/// the *final* per-element sum fits `i32`, so the wrapped intermediate
-/// recovers the exact value (biases whose magnitude already exceeds `i32`
-/// simply start the modular accumulation from the congruent residue).
-pub(crate) fn fill_bias_narrow(acc: &mut Tensor<i32>, bias: &[i64]) {
-    for (oc, &b) in bias.iter().enumerate() {
-        acc.channel_mut(oc).fill(b as i32);
     }
 }
 
@@ -208,48 +242,14 @@ pub(crate) fn conv3_acc_packed_simd_narrow(
     {
         return;
     }
-    let (_, chh, _) = acc.shape();
-    let ih = input.height();
-    let origin: isize = match ins.inference {
-        InferenceKind::TruncatedPyramid => 1,
-        InferenceKind::ZeroPadded => 0,
-    };
-    fill_bias_narrow(acc, &packed.bias);
-    let interior = origin == 1;
-    for op_ in 0..packed.out_planes {
-        for ig in 0..packed.in_groups {
-            let plane = op_ * packed.in_groups + ig;
-            for oc in 0..LEAF_CH {
-                let out_ch = op_ * LEAF_CH + oc;
-                for ic in 0..LEAF_CH {
-                    let m = packed.row_mask(plane, oc, ic);
-                    if m == 0 {
-                        continue;
-                    }
-                    let chan = ig * LEAF_CH + ic;
-                    for ky in 0..3usize {
-                        if m & (1 << ky) == 0 {
-                            continue;
-                        }
-                        let taps = packed.taps(plane, ky, oc, ic);
-                        for y in 0..chh {
-                            let sy = y as isize + ky as isize - 1 + origin;
-                            if sy < 0 || sy >= ih as isize {
-                                continue;
-                            }
-                            let row = input.row(chan, sy as usize);
-                            let arow = acc.row_mut(out_ch, y);
-                            if interior {
-                                simd::row_interior_narrow(level, arow, row, taps);
-                            } else {
-                                simd::row_padded_narrow(level, arow, row, taps);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    conv3_row_sweep(
+        ins,
+        input,
+        packed,
+        acc,
+        |a, r, t| simd::row_interior_narrow(level, a, r, t),
+        |a, r, t| simd::row_padded_narrow(level, a, r, t),
+    );
 }
 
 /// Whether [`conv3_acc_packed_simd_narrow`] runs `ins` on the

@@ -2,7 +2,8 @@
 //! inference with recomputed overlaps must equal the fixed-point reference
 //! run on the zero-extended whole frame, bit for bit, on every path that
 //! runs a frame: the serial session, one-shot sharding and the pipelined
-//! session.
+//! session. For SR×2, whose receptive border is a half-pixel, every block
+//! size must stitch the frame a single block computes.
 
 use ecnn_core::Engine;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
@@ -36,7 +37,7 @@ fn assert_bit_exact(out: &Tensor<f32>, reference: &Tensor<f32>, what: &str) {
         .count();
     assert_eq!(
         differing, 0,
-        "{what}: {differing} samples differ from the whole-frame reference"
+        "{what}: {differing} samples differ from the reference"
     );
 }
 
@@ -72,5 +73,42 @@ fn stitched_image_matches_whole_frame_reference_bit_exactly() {
         let ticket = pipelined.submit(img.clone()).unwrap();
         let (out, _) = pipelined.wait(ticket).unwrap();
         assert_bit_exact(&out, &reference, &format!("{spec} AsyncSession x2"));
+    }
+}
+
+#[test]
+fn sr2_stitching_is_block_size_invariant() {
+    // SR2ERNet-B2R1N0's receptive border is 5.5 input pixels: every
+    // block's crop origin must floor it alike, or neighbouring blocks
+    // read inputs one pixel apart.
+    let spec = ErNetSpec::new(ErNetTask::Sr2, 2, 1, 0);
+    let img = SyntheticImage::new(ImageKind::Mixed, 31).rgb(48, 64);
+    let whole = Engine::builder().ernet(spec).block(128).build().unwrap();
+    let mut session = whole.session();
+    let reference = session.process(&img).unwrap().clone();
+    assert_eq!(session.last_frame_stats().blocks, 1, "one block at 128");
+    assert_eq!(reference.shape(), (3, 96, 128));
+
+    for block in [41, 44, 57] {
+        let eng = Engine::builder().ernet(spec).block(block).build().unwrap();
+        let mut session = eng.session();
+        let out = session.process(&img).unwrap().clone();
+        assert!(
+            session.last_frame_stats().blocks > 1,
+            "block {block}: must exercise stitching"
+        );
+        assert_bit_exact(&out, &reference, &format!("block {block} Session::process"));
+
+        let (out, _) = eng.run_image_sharded(&img, 2).unwrap();
+        assert_bit_exact(
+            &out,
+            &reference,
+            &format!("block {block} run_image_sharded x2"),
+        );
+
+        let mut pipelined = eng.async_session(2);
+        let ticket = pipelined.submit(img.clone()).unwrap();
+        let (out, _) = pipelined.wait(ticket).unwrap();
+        assert_bit_exact(&out, &reference, &format!("block {block} AsyncSession x2"));
     }
 }

@@ -34,6 +34,7 @@ use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_model::layer::{Activation, Layer, Op, PoolKind, SkipRef};
 use ecnn_model::model::{InferenceKind, Model};
 use ecnn_model::RealTimeSpec;
+use ecnn_nn::quant::fixed_forward;
 use ecnn_sim::exec::{execute_with, quantize_input, BlockPlan, Kernels, PlanePool};
 use ecnn_sim::kernels::simd;
 use ecnn_tensor::conv::{conv1x1_fixed, conv3x3_fixed, FixedConvParams, Padding};
@@ -277,8 +278,13 @@ proptest! {
     /// domain (in place under the keyed layout); a residual conv into
     /// stride or max `Downsample`
     /// compiles to a DNX2 that adds a center-cropped srcS before pooling.
-    /// Both run narrow — licensed and counted — in the coalesced and the
-    /// keyed layout, and match `Reference` bit for bit.
+    /// Both run narrow under `Simd` — licensed and counted — and match
+    /// `Reference` bit for bit on `Simd` and `Packed`, in the coalesced
+    /// and the keyed layout. Every rung finishes through the executor's
+    /// one tail, so the DNX2 cases also meet the fixed-point golden
+    /// `fixed_forward`, which shares no code with it. The UPX2 cases
+    /// cannot: the compiler requantizes the chained partials to the
+    /// layer's 8-bit format, which an unsplit convolution never does.
     #[test]
     fn narrow_shuffle_and_pool_epilogues_match_reference(
         seed in 0u64..1_000_000,
@@ -343,13 +349,21 @@ proptest! {
         let reference = execute_with(&plan, &mut ref_pool, &input, Kernels::Reference)
             .unwrap()
             .clone();
+        if opcode == Opcode::Dnx2 {
+            prop_assert!(reference == fixed_forward(&qm, &input), "Reference vs fixed_forward");
+        }
         for (p, label) in [(&plan, "coalesced"), (&keyed, "keyed")] {
-            let mut pool = PlanePool::new();
-            let out = execute_with(p, &mut pool, &input, Kernels::Simd).unwrap().clone();
-            prop_assert!(out == reference, "{} layout", label);
-            prop_assert_eq!(pool.stats().work(), ref_pool.stats().work());
-            prop_assert!(pool.stats().narrow_instrs > 0);
-            prop_assert_eq!(pool.stats().narrow_instrs, plan.narrow_licensed() as u64);
+            for kernels in [Kernels::Simd, Kernels::Packed] {
+                let mut pool = PlanePool::new();
+                let out = execute_with(p, &mut pool, &input, kernels).unwrap().clone();
+                prop_assert!(out == reference, "{:?} in the {} layout", kernels, label);
+                prop_assert_eq!(pool.stats().work(), ref_pool.stats().work());
+                let narrow = match kernels {
+                    Kernels::Simd => plan.narrow_licensed() as u64,
+                    _ => 0,
+                };
+                prop_assert_eq!(pool.stats().narrow_instrs, narrow);
+            }
         }
     }
 }
