@@ -27,11 +27,16 @@
 //! (`ExecStats`). `host_mac_per_frame` is what the `simd` variant
 //! executes: that count minus the dead channels it skips
 //! (`BlockPlan::dead_mac3`).
+//!
+//! The `simd` variant also times the same block clipped to its top-left
+//! 248×344 (`simd-edge`): the corner block of the `esr4k_edge` frame,
+//! which `Session::process` runs through `BlockPlan::clipped`'s table.
+//! Its `edge_host_mac_per_frame` subtracts `BlockPlan::skipped_macs`.
 
 use ecnn_isa::compile::compile;
 use ecnn_isa::params::QuantizedModel;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
-use ecnn_sim::exec::{execute_with, quantize_input, BlockPlan, Kernels, PlanePool};
+use ecnn_sim::exec::{execute_at, quantize_input, BlockPlan, Extents, Kernels, PlanePool};
 use ecnn_sim::SimdLevel;
 use ecnn_tensor::{ImageKind, SyntheticImage};
 use std::time::Instant;
@@ -81,6 +86,9 @@ fn cpu_features() -> Vec<&'static str> {
     }
     f
 }
+
+/// The kept top-left `(rows, cols)` of the timed edge block.
+const EDGE_KEEP: (usize, usize) = (248, 344);
 
 struct Measured {
     name: &'static str,
@@ -138,6 +146,9 @@ fn main() {
     let compiled = compile(&qm, xi).expect("paper model compiles");
     let plan = BlockPlan::new(&compiled.program, &compiled.leafs).expect("plan");
     let avx2_plan = plan.clone().with_simd_level(SimdLevel::Avx2);
+    let edge = plan
+        .clipped(EDGE_KEEP)
+        .expect("the edge keep clips eSR-4K's block");
     let img = SyntheticImage::new(ImageKind::Mixed, 9).rgb(xi, xi);
     let codes = quantize_input(&img, &compiled.program);
 
@@ -164,24 +175,16 @@ fn main() {
     // (steady-state allocations, packed instructions served) per block:
     // from the packed variant when it ran, else the first that did.
     let mut steady: Option<(u64, u64)> = None;
-    for (name, vplan, kind, default_reps) in variants {
-        if !only.is_empty() && !only.iter().any(|v| v == name) {
-            continue;
-        }
-        let Some(vplan) = vplan else {
-            println!("{name:>9}: skipped (rung not available on this CPU)");
-            continue;
-        };
-        let reps = reps_override.unwrap_or(default_reps);
+    let mut run = |name: &'static str, vplan: &BlockPlan<'_>, ext: &Extents, kind, reps| {
         let mut pool = PlanePool::new();
         // Warm-up: grows the arena to its peak so timed blocks are
         // steady-state.
-        execute_with(vplan, &mut pool, &codes, kind).expect("warm-up");
+        execute_at(vplan, ext, &mut pool, &codes, kind).expect("warm-up");
         let warm = pool.stats();
         let mut ns = Vec::with_capacity(reps);
         for _ in 0..reps {
             let t0 = Instant::now();
-            let out = execute_with(vplan, &mut pool, &codes, kind).expect("block");
+            let out = execute_at(vplan, ext, &mut pool, &codes, kind).expect("block");
             ns.push(t0.elapsed().as_nanos());
             std::hint::black_box(out);
         }
@@ -208,6 +211,22 @@ fn main() {
             narrow_instrs: delta.narrow_instrs,
             variant_tag: delta.kernel_variant.name().to_string(),
         });
+    };
+    for (name, vplan, kind, default_reps) in variants {
+        if !only.is_empty() && !only.iter().any(|v| v == name) {
+            continue;
+        }
+        let Some(vplan) = vplan else {
+            println!("{name:>9}: skipped (rung not available on this CPU)");
+            continue;
+        };
+        let reps = reps_override.unwrap_or(default_reps);
+        run(name, vplan, vplan.extents(), kind, reps);
+        if name == "simd" {
+            // The same plan and codes at the edge keep; `mac_per_s`
+            // still counts the full block's MACs, as `ExecStats` does.
+            run("simd-edge", vplan, &edge, kind, reps);
+        }
     }
 
     if results.is_empty() {
@@ -221,11 +240,18 @@ fn main() {
     };
     let speedup_ref = ratio(find("reference"), find("packed"));
     let speedup_simd = ratio(find("packed"), find("simd"));
+    let speedup_edge = ratio(find("simd"), find("simd-edge"));
     if let Some(s) = speedup_ref {
         println!("packed vs reference: {s:.2}x");
     }
     if let Some(s) = speedup_simd {
         println!("simd vs packed: {s:.2}x");
+    }
+    if let Some(s) = speedup_edge {
+        println!(
+            "simd full vs {}x{} edge block: {s:.2}x",
+            EDGE_KEEP.0, EDGE_KEEP.1
+        );
     }
     println!(
         "steady-state allocs/block: {steady_allocs}  \
@@ -240,6 +266,18 @@ fn main() {
     );
     let host_macs = macs_per_block - dead_macs;
     println!("host MACs/block under simd: {host_macs} of {macs_per_block}");
+    let skipped = plan.skipped_macs(&edge);
+    assert!(
+        dead_macs < skipped && skipped <= macs_per_block,
+        "the edge block skips {skipped} MACs: not between the dead {dead_macs} and the block's {macs_per_block}"
+    );
+    let edge_host_macs = macs_per_block - skipped;
+    println!(
+        "host MACs/block under simd at {}x{}: {edge_host_macs} ({:.4} of the full block's)",
+        EDGE_KEEP.0,
+        EDGE_KEEP.1,
+        edge_host_macs as f64 / host_macs as f64
+    );
 
     // Hand-rolled JSON (no serializer in the offline vendor set): the old
     // top-level fields are kept verbatim for trajectory comparison, the
@@ -249,8 +287,11 @@ fn main() {
         "{{\n  \"bench\": \"esr4k_block_execution\",\n  \"model\": \"{spec}\",\n  \
          \"block\": {xi},\n  \"mac_per_frame\": {macs_per_block},\n  \
          \"host_mac_per_frame\": {host_macs},\n  \
+         \"edge_keep\": [{}, {}],\n  \"edge_host_mac_per_frame\": {edge_host_macs},\n  \
          \"simd_level\": \"{}\",\n  \"cpu_features\": [{}],\n  \
          \"narrow_licensed_instrs\": {},\n  \"program_instrs\": {},\n",
+        EDGE_KEEP.0,
+        EDGE_KEEP.1,
         plan.simd_level(),
         features
             .iter()
@@ -272,6 +313,9 @@ fn main() {
     }
     if let Some(s) = speedup_simd {
         json.push_str(&format!("  \"speedup_simd_vs_packed\": {s:.3},\n"));
+    }
+    if let Some(s) = speedup_edge {
+        json.push_str(&format!("  \"speedup_simd_full_vs_edge\": {s:.3},\n"));
     }
     json.push_str(&format!(
         "  \"steady_state_allocs_per_frame\": {steady_allocs},\n  \

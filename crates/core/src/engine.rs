@@ -26,7 +26,7 @@ use ecnn_isa::verify::{verify_compiled, VerifyMode, VerifyReport};
 use ecnn_model::ernet::ErNetSpec;
 use ecnn_model::{Model, ModelError, RealTimeSpec};
 use ecnn_sim::cost::PowerModel;
-use ecnn_sim::exec::{execute_with, BlockPlan, ExecError, ExecStats, Kernels, PlanePool};
+use ecnn_sim::exec::{execute_at, BlockPlan, ExecError, ExecStats, Extents, Kernels, PlanePool};
 use ecnn_sim::timing::simulate_frame;
 use ecnn_sim::EcnnConfig;
 use ecnn_tensor::Tensor;
@@ -1084,6 +1084,10 @@ pub struct Session<'e> {
     plan: BlockPlan<'e>,
     /// This worker's plane arena.
     pool: PlanePool,
+    /// Clipped extents tables of the edge blocks, keyed by kept output
+    /// `(rows, cols)`: at most the right edge, bottom edge and corner of
+    /// one frame geometry. `None` marks a keep that runs the full table.
+    edge_tables: Vec<((usize, usize), Option<Extents>)>,
     /// Receptive-field crop scratch, `di_channels × xi × xi`.
     block_f: Tensor<f32>,
     /// Quantized input codes scratch, same shape.
@@ -1119,6 +1123,7 @@ impl<'e> Session<'e> {
             engine,
             plan,
             pool: PlanePool::new(),
+            edge_tables: Vec::new(),
             block_f: Tensor::zeros(p.di_channels, p.di_side, p.di_side),
             codes: Tensor::zeros(p.di_channels, p.di_side, p.di_side),
             block_out: Tensor::zeros(p.do_channels, p.do_side, p.do_side),
@@ -1186,9 +1191,16 @@ impl<'e> Session<'e> {
 
     /// Processes only the block rows `rows` of `image`'s grid, stitching
     /// them into a band-sized frame — the building block the sharded
-    /// backend hands to each worker. Blocks are addressed in the *global*
-    /// grid, so a band's pixels are bit-identical to the same rows of a
-    /// whole-frame [`Session::process`].
+    /// backend and every pipelined worker run. Blocks are addressed in the
+    /// *global* grid, so a band's pixels are bit-identical to the same
+    /// rows of a whole-frame [`Session::process`].
+    ///
+    /// A block that crosses the right or bottom frame edge keeps only the
+    /// top-left of its output, so it runs the plan's clipped extents
+    /// table for that keep ([`BlockPlan::clipped`]): the right-edge,
+    /// bottom-edge or corner table, built on first use and cached (at
+    /// most three per frame geometry). Its pixels equal the full block's
+    /// cropped to the frame; the work counters still charge full blocks.
     ///
     /// # Errors
     ///
@@ -1250,9 +1262,13 @@ impl<'e> Session<'e> {
                 image.crop_padded_into(origin(by), origin(bx), &mut self.block_f);
                 self.block_f
                     .map_into(&mut self.codes, |v| p.di_q.quantize(v));
+                let keep = ((out_h - by).min(xo), (out_w - bx).min(xo));
+                let ext = edge_extents(&mut self.edge_tables, &self.plan, keep);
                 let out_codes =
-                    execute_with(&self.plan, &mut self.pool, &self.codes, self.kernels)?;
+                    execute_at(&self.plan, ext, &mut self.pool, &self.codes, self.kernels)?;
                 blocks += 1;
+                let (c, h, w) = out_codes.shape();
+                self.block_out.reset_no_fill(c, h, w);
                 out_codes.map_into(&mut self.block_out, |c| {
                     p.do_q.dequantize(c).clamp(0.0, 1.0)
                 });
@@ -1330,6 +1346,32 @@ impl<'e> Session<'e> {
                 .map_or(std::ptr::null(), |f| f.as_slice().as_ptr()),
         )
     }
+}
+
+/// The extents table a block keeping the top-left `keep` of its output
+/// runs: the plan's own for an interior block, else the clipped table
+/// cached in `cache`, derived on first use. The cache holds at most the
+/// three edge keeps of one frame geometry; a fourth keep (the geometry
+/// changed) starts it afresh.
+fn edge_extents<'t>(
+    cache: &'t mut Vec<((usize, usize), Option<Extents>)>,
+    plan: &'t BlockPlan<'_>,
+    keep: (usize, usize),
+) -> &'t Extents {
+    if keep == plan.extents().out() {
+        return plan.extents();
+    }
+    let i = match cache.iter().position(|(k, _)| *k == keep) {
+        Some(i) => i,
+        None => {
+            if cache.len() == 3 {
+                cache.clear();
+            }
+            cache.push((keep, plan.clipped(keep)));
+            cache.len() - 1
+        }
+    };
+    cache[i].1.as_ref().unwrap_or(plan.extents())
 }
 
 /// The eCNN simulator as a [`Backend`].

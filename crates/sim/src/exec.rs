@@ -51,6 +51,25 @@
 //! dead channels ([`BlockPlan::dead_mac3`]) and never requantize dead DO
 //! channels; pixels and the [`ExecStats`] work counters, which charge
 //! the accelerator's full 32-channel MACs, are unchanged.
+//!
+//! Every execution runs at one [`Extents`] table: per instruction, the
+//! rows×cols of its source, its conv output and its destination, and the
+//! srcS crop offset. The plan's own table ([`BlockPlan::extents`]) is the
+//! compiled geometry. A block at the right or bottom frame edge keeps
+//! only the top-left `kh×kw` of its output, and
+//! [`BlockPlan::clipped`] derives the table that computes just that: one
+//! backward pass from the kept DO extent, where a 3×3 reads its conv
+//! extent plus 2, `UPX2` needs half its destination rows pre-shuffle,
+//! `DNX2` the pool factor times them, a srcS producer must cover the
+//! crop offset plus the accumulated extent, and each plane's extent is
+//! the largest its consumers read, capped at the compiled one. The crop
+//! offsets stay the compiled ones, so a truncated-pyramid block is exact
+//! anchored at its top-left corner. [`execute_at`] runs any table on the
+//! same pool (planes are reshaped compactly inside their full-size
+//! storage); [`execute_with`] runs the plan's own. The [`ExecStats`]
+//! counters charge the compiled block either way: the accelerator
+//! sweeps whole blocks; [`BlockPlan::skipped_macs`] reports what the host
+//! leaves out.
 
 use crate::config::EcnnConfig;
 use crate::kernels;
@@ -61,6 +80,7 @@ use ecnn_isa::program::Program;
 use ecnn_isa::verify::memplan::MemoryPlan;
 use ecnn_isa::verify::{DiagCode, Diagnostic, VerifyReport};
 use ecnn_model::layer::PoolKind;
+use ecnn_model::model::InferenceKind;
 use ecnn_tensor::conv::align_code;
 use ecnn_tensor::qformat::rescale_code;
 use ecnn_tensor::{QFormat, Tensor};
@@ -412,6 +432,13 @@ pub struct PlaneInfo {
     pub last_use: Option<usize>,
 }
 
+impl PlaneInfo {
+    /// Elements (one byte each on the accelerator) of the compiled plane.
+    fn elems(&self) -> usize {
+        self.channels * self.height * self.width
+    }
+}
+
 /// Operand plane indices (into `BlockPlan::planes`) of one instruction —
 /// or, after mapping through a licensed [`MemoryPlan`], the physical slot
 /// of each operand. The executor routes every checkout/read through these
@@ -436,6 +463,74 @@ struct SlotRoute {
     out: Vec<usize>,
 }
 
+/// The spatial extents, as `(rows, cols)`, one instruction runs at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct InstrExtents {
+    /// The source planes it reads (at least the conv extent plus the 3×3
+    /// halo; equal to it for `CONV1`).
+    pub input: (usize, usize),
+    /// Its conv output: the accumulator, pre-shuffle for `UPX2` and
+    /// pre-pool for `DNX2`.
+    pub conv: (usize, usize),
+    /// The destination plane it writes.
+    pub dst: (usize, usize),
+    /// Where the accumulated extent starts inside the srcS plane: the
+    /// compiled center crop, `(0, 0)` without srcS.
+    pub srcs_offset: (usize, usize),
+}
+
+/// The extents one block execution runs at (see the module docs): the
+/// compiled geometry ([`BlockPlan::extents`]) or an edge block's clipped
+/// table ([`BlockPlan::clipped`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Extents {
+    di: (usize, usize),
+    instrs: Vec<InstrExtents>,
+    out: (usize, usize),
+}
+
+impl Extents {
+    /// One entry per instruction, in program order.
+    pub fn instrs(&self) -> &[InstrExtents] {
+        &self.instrs
+    }
+
+    /// The assembled output block (post-shuffle).
+    pub fn out(&self) -> (usize, usize) {
+        self.out
+    }
+}
+
+/// The extent `ins` accumulates srcS over: its conv output, or its
+/// shuffled destination for a `UPX2`.
+fn srcs_domain(ins: &Instruction, conv: (usize, usize)) -> (usize, usize) {
+    if ins.opcode == Opcode::Upx2 {
+        dst_extent(ins, conv)
+    } else {
+        conv
+    }
+}
+
+/// The rows (and columns) a conv output of `ins` reads beyond its own
+/// extent: 2 for a truncated-pyramid 3×3, none for a 1×1 or a
+/// zero-padded 3×3.
+fn halo(ins: &Instruction) -> usize {
+    if ins.opcode == Opcode::Conv1 || ins.inference == InferenceKind::ZeroPadded {
+        0
+    } else {
+        2
+    }
+}
+
+/// The destination extent of `ins` for a conv output `conv`.
+fn dst_extent(ins: &Instruction, conv: (usize, usize)) -> (usize, usize) {
+    match ins.opcode {
+        Opcode::Upx2 => (2 * conv.0, 2 * conv.1),
+        Opcode::Dnx2 => (conv.0 / ins.pool_factor, conv.1 / ins.pool_factor),
+        _ => conv,
+    }
+}
+
 /// The up-front execution plan for one [`Program`]: a single walk over the
 /// instruction stream that validates leaf bookkeeping and operand
 /// availability (write-before-read) and computes every plane's shape and
@@ -445,14 +540,18 @@ struct SlotRoute {
 pub struct BlockPlan<'a> {
     program: &'a Program,
     leafs: &'a [Vec<LeafParams>],
-    /// Post-unshuffle DI plane geometry.
+    /// Post-unshuffle DI plane count.
     di_groups: usize,
-    di_plane_side: usize,
     /// Every plane the program touches: DI planes first, then one entry
     /// per instruction write, in program order.
     planes: Vec<PlaneInfo>,
-    /// DO groups assembled into the logical output block.
-    out_groups: usize,
+    /// Each instruction's operand planes (indices into `planes`).
+    bindings: Vec<InstrSlots>,
+    /// The DO planes assembled into the logical output block, in group
+    /// order.
+    do_planes: Vec<usize>,
+    /// The compiled geometry as an extents table.
+    extents: Extents,
     /// Per-instruction packed kernel parameters: weights widened once to
     /// `i32` in tap-major order, biases pre-aligned to the accumulator's
     /// fractional position, zero taps/leaves masked. Built on the plan's
@@ -688,13 +787,40 @@ impl<'a> BlockPlan<'a> {
                 .collect(),
             out: do_idx.iter().map(|&i| m.plane_slots[i]).collect(),
         });
+        let extents = Extents {
+            di: (di_plane_side, di_plane_side),
+            instrs: program
+                .instructions
+                .iter()
+                .zip(&bindings)
+                .map(|(ins, b)| {
+                    let (cw, chh) = ins.conv_out_size();
+                    let srcs_offset = b.src_s.map_or((0, 0), |s| {
+                        let (ah, aw) = srcs_domain(ins, (chh, cw));
+                        let plane = &planes[s];
+                        (
+                            plane.height.saturating_sub(ah) / 2,
+                            plane.width.saturating_sub(aw) / 2,
+                        )
+                    });
+                    InstrExtents {
+                        input: (ins.in_size.1, ins.in_size.0),
+                        conv: (chh, cw),
+                        dst: (ins.out_size.1, ins.out_size.0),
+                        srcs_offset,
+                    }
+                })
+                .collect(),
+            out: (program.do_side, program.do_side),
+        };
         Ok(Self {
             program,
             leafs,
             di_groups,
-            di_plane_side,
             planes,
-            out_groups,
+            bindings,
+            do_planes: do_idx,
+            extents,
             packed,
             simd: kernels::simd::detect(),
             live: live_extents,
@@ -757,29 +883,189 @@ impl<'a> BlockPlan<'a> {
     /// output blocks of every licensed instruction the register-blocked
     /// sweep runs at the plan's SIMD level. [`ExecStats::mac3`] still
     /// counts the accelerator's MACs, dead ones included; the host
-    /// executes `mac3 − dead_mac3()`.
+    /// executes `mac3 − dead_mac3()`. Equal to
+    /// [`BlockPlan::skipped_macs`] of the plan's own extents.
     pub fn dead_mac3(&self) -> u64 {
-        self.program
-            .instructions
+        self.skipped_macs(&self.extents)
+    }
+
+    /// The MACs per block ([`ExecStats::mac3`] plus [`ExecStats::mac1`],
+    /// which charge the compiled block) that a [`Kernels::Simd`]
+    /// execution at `ext` leaves out: the dead channels of
+    /// [`BlockPlan::dead_mac3`], at `ext`'s conv extents, plus every MAC
+    /// outside those extents. The host executes `mac3 + mac1 −
+    /// skipped_macs(ext)`.
+    pub fn skipped_macs(&self, ext: &Extents) -> u64 {
+        let mut skipped = 0;
+        for (i, ins) in self.program.instructions.iter().enumerate() {
+            let (nh, nw) = self.extents.instrs[i].conv;
+            let (h, w) = ext.instrs[i].conv;
+            let leaves = ins.leaf_modules();
+            let (full, run) = match ins.opcode {
+                Opcode::Conv | Opcode::Dnx2 | Opcode::Upx2 => {
+                    let pk = &self.packed[i];
+                    let p3 = &pk.conv3[0];
+                    let full = p3.in_groups * p3.out_planes * LEAF_CH * LEAF_CH * 9;
+                    let swept = if pk.narrow_acc && kernels::conv3_runs_blocked(ins, w, self.simd) {
+                        let live = self.live[i];
+                        let swept_in: usize = (0..p3.in_groups).map(|ig| 2 * live.pairs(ig)).sum();
+                        let swept_out: usize = (0..p3.out_planes)
+                            .map(|op_| OC_BLOCK * live.blocks(op_))
+                            .sum();
+                        swept_in * swept_out * 9
+                    } else {
+                        full
+                    };
+                    (full * nh * nw, swept * h * w)
+                }
+                Opcode::Conv1 => {
+                    let per_px = leaves * LEAF_CH * LEAF_CH;
+                    (per_px * nh * nw, per_px * h * w)
+                }
+                Opcode::Er => {
+                    let per_px = leaves * LEAF_CH * LEAF_CH * 10;
+                    (per_px * nh * nw, per_px * h * w)
+                }
+            };
+            skipped += (full - run) as u64;
+        }
+        skipped
+    }
+
+    /// The compiled geometry as an extents table: what [`execute_with`]
+    /// runs.
+    pub fn extents(&self) -> &Extents {
+        &self.extents
+    }
+
+    /// Rejects a table the kernels cannot run on this plan's program:
+    /// one of another length, an extent past the compiled one, or a conv
+    /// extent its source cannot feed (a 3×3 reads 2 more rows and
+    /// columns, a 1×1 exactly as many). Plane extents that disagree
+    /// between producer and consumer surface as [`ExecError::Shape`]
+    /// during execution.
+    fn check_extents(&self, ext: &Extents) -> Result<(), ExecError> {
+        let within = |a: (usize, usize), b: (usize, usize)| a.0 <= b.0 && a.1 <= b.1;
+        let full = &self.extents;
+        let fits = ext.instrs.len() == full.instrs.len()
+            && within(ext.di, full.di)
+            && within(ext.out, full.out)
+            && self
+                .program
+                .instructions
+                .iter()
+                .zip(ext.instrs.iter().zip(&full.instrs))
+                .all(|(ins, (e, f))| {
+                    let halo = halo(ins);
+                    within(e.input, f.input)
+                        && within(e.conv, f.conv)
+                        && within((e.conv.0 + halo, e.conv.1 + halo), e.input)
+                        && (ins.opcode != Opcode::Conv1 || e.conv == e.input)
+                });
+        if fits {
+            Ok(())
+        } else {
+            Err(ExecError::Shape(
+                "extents table does not fit the planned program".into(),
+            ))
+        }
+    }
+
+    /// The extents table of a block whose kept output is its top-left
+    /// `keep = (rows, cols)` (see the module docs): every instruction
+    /// computes only what the kept output depends on. `None` when `keep`
+    /// covers the whole block, or is empty, and for zero-padded programs,
+    /// whose 3×3s would treat the clip line as padding; those run the
+    /// plan's own table. Also `None` when the derived table would not be
+    /// runnable (the groups of one gathered source or of the output
+    /// disagree in extent, or a `CONV1` run at its source's extent
+    /// outgrows its srcS), which the shipped models never hit.
+    pub fn clipped(&self, keep: (usize, usize)) -> Option<Extents> {
+        let p = self.program;
+        let keep = (keep.0.min(p.do_side), keep.1.min(p.do_side));
+        if p.inference == InferenceKind::ZeroPadded
+            || keep == self.extents.out
+            || keep.0 == 0
+            || keep.1 == 0
+        {
+            return None;
+        }
+        let grow = |e: &mut (usize, usize), (h, w): (usize, usize)| {
+            *e = (e.0.max(h), e.1.max(w));
+        };
+        // Backward: the extent each plane's consumers read.
+        let mut need = vec![(0, 0); self.planes.len()];
+        for &d in &self.do_planes {
+            grow(&mut need[d], keep);
+        }
+        let mut conv = vec![(0, 0); p.instructions.len()];
+        for (i, ins) in p.instructions.iter().enumerate().rev() {
+            let b = &self.bindings[i];
+            let full = self.extents.instrs[i];
+            // A written plane nobody reads still gets one pixel.
+            let d = (need[b.dst].0.max(1), need[b.dst].1.max(1));
+            let c = match ins.opcode {
+                Opcode::Upx2 => (d.0.div_ceil(2), d.1.div_ceil(2)),
+                Opcode::Dnx2 => (d.0 * ins.pool_factor, d.1 * ins.pool_factor),
+                _ => d,
+            };
+            let c = (c.0.min(full.conv.0), c.1.min(full.conv.1));
+            conv[i] = c;
+            let halo = halo(ins);
+            let input = (
+                (c.0 + halo).min(full.input.0),
+                (c.1 + halo).min(full.input.1),
+            );
+            for &s in &b.src {
+                grow(&mut need[s], input);
+            }
+            if let Some(s) = b.src_s {
+                let (ah, aw) = srcs_domain(ins, c);
+                let (oy, ox) = full.srcs_offset;
+                grow(&mut need[s], (oy + ah, ox + aw));
+            }
+        }
+        // Forward: each plane has the extent its producer writes. A CONV1
+        // maps pixels one to one, so it runs at its source's extent.
+        let mut extent = need;
+        let di = extent[..self.di_groups]
             .iter()
-            .zip(&self.live)
-            .zip(&self.packed)
-            .filter(|((ins, _), pk)| {
-                matches!(ins.opcode, Opcode::Conv | Opcode::Dnx2 | Opcode::Upx2)
-                    && pk.narrow_acc
-                    && kernels::conv3_runs_blocked(ins, self.simd)
-            })
-            .map(|((ins, live), pk)| {
-                let pk = &pk.conv3[0];
-                let swept_in: usize = (0..pk.in_groups).map(|ig| 2 * live.pairs(ig)).sum();
-                let swept_out: usize = (0..pk.out_planes)
-                    .map(|op_| OC_BLOCK * live.blocks(op_))
-                    .sum();
-                let full = pk.in_groups * pk.out_planes * LEAF_CH * LEAF_CH;
-                let (cw, chh) = ins.conv_out_size();
-                ((full - swept_in * swept_out) * 9 * cw * chh) as u64
-            })
-            .sum()
+            .fold((1, 1), |a, &e| (a.0.max(e.0), a.1.max(e.1)));
+        extent[..self.di_groups].fill(di);
+        let mut instrs = Vec::with_capacity(p.instructions.len());
+        for (i, ins) in p.instructions.iter().enumerate() {
+            let b = &self.bindings[i];
+            let full = self.extents.instrs[i];
+            let input = extent[b.src[0]];
+            if b.src.iter().any(|&s| extent[s] != input) {
+                return None;
+            }
+            let conv = if ins.opcode == Opcode::Conv1 {
+                input
+            } else {
+                conv[i]
+            };
+            if let Some(s) = b.src_s {
+                let (ah, aw) = srcs_domain(ins, conv);
+                let (oy, ox) = full.srcs_offset;
+                if extent[s].0 < oy + ah || extent[s].1 < ox + aw {
+                    return None;
+                }
+            }
+            let dst = dst_extent(ins, conv);
+            extent[b.dst] = dst;
+            instrs.push(InstrExtents {
+                input,
+                conv,
+                dst,
+                srcs_offset: full.srcs_offset,
+            });
+        }
+        let out = extent[self.do_planes[0]];
+        if self.do_planes.iter().any(|&d| extent[d] != out) {
+            return None;
+        }
+        Some(Extents { di, instrs, out })
     }
 
     /// How many instructions carry the verifier's narrow-accumulation
@@ -865,7 +1151,7 @@ impl<'a> BlockPlan<'a> {
         // shape ever taken per key.
         let mut peak: HashMap<PlaneKey, usize> = HashMap::new();
         for p in &self.planes {
-            let bytes = p.channels * p.height * p.width * std::mem::size_of::<i16>();
+            let bytes = p.elems() * std::mem::size_of::<i16>();
             let e = peak.entry(p.key).or_insert(0);
             *e = (*e).max(bytes);
         }
@@ -1054,12 +1340,13 @@ fn plane_at(arena: &PlaneArena, place: Place) -> Option<&Tensor<i16>> {
 
 /// Reads the pooled plane for `loc` — from `slot` when the plan routes it
 /// (coalesced), from the key map otherwise — charging block-buffer read
-/// traffic.
+/// traffic for the compiled plane `info`, whatever extent it runs at.
 fn read_plane<'m>(
     arena: &'m PlaneArena,
     stats: &mut ExecStats,
     loc: FeatLoc,
     slot: Option<usize>,
+    info: &PlaneInfo,
 ) -> Result<&'m Tensor<i16>, ExecError> {
     if matches!(loc, FeatLoc::Do { .. }) {
         return Err(ExecError::ReadFromDo);
@@ -1067,7 +1354,7 @@ fn read_plane<'m>(
     let place = slot.map_or(Place::Key(PlaneKey::from(loc)), Place::Slot);
     let plane = plane_at(arena, place).ok_or(ExecError::MissingPlane(loc))?;
     if matches!(loc, FeatLoc::Bb { .. }) {
-        stats.bb_read_bytes += plane.len() as u64;
+        stats.bb_read_bytes += info.elems() as u64;
     }
     Ok(plane)
 }
@@ -1243,7 +1530,27 @@ pub fn execute_with<'p>(
     input: &Tensor<i16>,
     kernels: Kernels,
 ) -> Result<&'p Tensor<i16>, ExecError> {
-    execute_inner(plan, pool, input, kernels, None)
+    execute_inner(plan, plan.extents(), pool, input, kernels, None)
+}
+
+/// [`execute_with`] at the extents table `ext`: the plan's own
+/// ([`BlockPlan::extents`]) or one of its clipped edge tables
+/// ([`BlockPlan::clipped`]). The output block is `ext.out()` large, the
+/// top-left of the full block's output exactly; the [`ExecStats`] work
+/// counters charge the full block whatever `ext` is.
+///
+/// # Errors
+///
+/// As [`execute_with`]; [`ExecError::Shape`] when `ext` is not a table of
+/// `plan`'s program the kernels can run.
+pub fn execute_at<'p>(
+    plan: &BlockPlan<'_>,
+    ext: &Extents,
+    pool: &'p mut PlanePool,
+    input: &Tensor<i16>,
+    kernels: Kernels,
+) -> Result<&'p Tensor<i16>, ExecError> {
+    execute_inner(plan, ext, pool, input, kernels, None)
 }
 
 /// [`execute_with`] on the reference kernels with per-instruction range
@@ -1266,6 +1573,7 @@ pub fn execute_traced(
     };
     let out = execute_inner(
         plan,
+        plan.extents(),
         pool,
         input,
         Kernels::Reference,
@@ -1277,12 +1585,14 @@ pub fn execute_traced(
 
 fn execute_inner<'p>(
     plan: &BlockPlan<'_>,
+    ext: &Extents,
     pool: &'p mut PlanePool,
     input: &Tensor<i16>,
     kernels: Kernels,
     mut traces: Option<&mut [InstrTrace]>,
 ) -> Result<&'p Tensor<i16>, ExecError> {
     let p = plan.program;
+    plan.check_extents(ext)?;
     if input.height() != p.di_side || input.width() != p.di_side {
         return Err(ExecError::Shape(format!(
             "input {}x{} vs DI side {}",
@@ -1298,16 +1608,17 @@ fn execute_inner<'p>(
             p.di_channels
         )));
     }
-    stream_input(plan, pool, input);
+    stream_input(plan, ext.di, pool, input);
     pool.stats.kernel_variant = pool.stats.kernel_variant.merge(kernels.variant(plan.simd));
     for (i, ins) in p.instructions.iter().enumerate() {
         let trace = traces.as_deref_mut().map(|t| &mut t[i]);
+        let e = &ext.instrs[i];
         match ins.opcode {
             Opcode::Conv | Opcode::Dnx2 | Opcode::Upx2 => {
-                exec_conv3(plan, i, pool, kernels, trace)?
+                exec_conv3(plan, i, e, pool, kernels, trace)?
             }
-            Opcode::Conv1 => exec_conv1(plan, i, pool, kernels, trace)?,
-            Opcode::Er => exec_er(plan, i, pool, kernels, trace)?,
+            Opcode::Conv1 => exec_conv1(plan, i, e, pool, kernels, trace)?,
+            Opcode::Er => exec_er(plan, i, e, pool, kernels, trace)?,
         }
         // Both fast paths consume the plan's packed parameter cache.
         if kernels != Kernels::Reference {
@@ -1315,7 +1626,7 @@ fn execute_inner<'p>(
         }
         pool.stats.instructions += 1;
     }
-    assemble_output(plan, pool)
+    assemble_output(plan, ext.out, pool)
 }
 
 /// Cross-checks the simulator's plan against the static verifier's
@@ -1416,12 +1727,17 @@ fn live_channels(program: &Program, ins: &Instruction) -> LiveChannels {
     }
 }
 
-/// Unpacks the DI stream into pooled 32-channel planes, applying the
-/// DI-side unshuffle (DnERNet-12ch) and zero-channel padding in place.
-fn stream_input(plan: &BlockPlan<'_>, pool: &mut PlanePool, input: &Tensor<i16>) {
+/// Unpacks the top-left `(h, w)` of the DI stream into pooled 32-channel
+/// planes, applying the DI-side unshuffle (DnERNet-12ch) and zero-channel
+/// padding in place. The DI bytes charged are the whole streamed block's.
+fn stream_input(
+    plan: &BlockPlan<'_>,
+    (h, w): (usize, usize),
+    pool: &mut PlanePool,
+    input: &Tensor<i16>,
+) {
     pool.stats.di_bytes += input.len() as u64;
     let s = plan.program.input_unshuffle.unwrap_or(1);
-    let side = plan.di_plane_side;
     let in_ch = input.channels();
     for g in 0..plan.di_groups {
         let plane = checkout(
@@ -1430,8 +1746,8 @@ fn stream_input(plan: &BlockPlan<'_>, pool: &mut PlanePool, input: &Tensor<i16>)
             plan.di_slot(g)
                 .map_or(Place::Key(PlaneKey::Di { group: g as u8 }), Place::Slot),
             LEAF_CH,
-            side,
-            side,
+            h,
+            w,
             false,
         );
         for c in 0..LEAF_CH {
@@ -1442,13 +1758,15 @@ fn stream_input(plan: &BlockPlan<'_>, pool: &mut PlanePool, input: &Tensor<i16>)
                 plane.channel_mut(c).fill(0);
                 continue;
             }
-            if s == 1 {
-                plane.channel_mut(c).copy_from_slice(input.channel(ic));
+            if s == 1 && w == input.width() {
+                plane
+                    .channel_mut(c)
+                    .copy_from_slice(&input.channel(ic)[..h * w]);
                 continue;
             }
             let rem = oc % (s * s);
             let (dy, dx) = (rem / s, rem % s);
-            for y in 0..side {
+            for y in 0..h {
                 let src = input.row(ic, y * s + dy);
                 for (d, &v) in plane
                     .row_mut(c, y)
@@ -1462,37 +1780,39 @@ fn stream_input(plan: &BlockPlan<'_>, pool: &mut PlanePool, input: &Tensor<i16>)
     }
 }
 
-/// The source operand of an instruction reading `groups` consecutive
-/// planes from `base`, each resolved through `route` when the plan is
-/// coalesced: the pooled plane itself for one group, else the planes
-/// gathered into the pool's wide scratch.
+/// The source operand of instruction `idx`, its `in_groups` consecutive
+/// planes at extent `(h, w)`, each resolved through the plan's routing
+/// when it is coalesced: the pooled plane itself for one group, else the
+/// planes gathered into the pool's wide scratch.
 fn gather<'m>(
     arena: &'m PlaneArena,
     wide: &'m mut Option<Tensor<i16>>,
     stats: &mut ExecStats,
-    base: FeatLoc,
-    groups: usize,
-    side: usize,
-    route: Option<&[usize]>,
+    plan: &BlockPlan<'_>,
+    idx: usize,
+    (h, w): (usize, usize),
 ) -> Result<&'m Tensor<i16>, ExecError> {
+    let ins = &plan.program.instructions[idx];
+    let route = plan.src_slots(idx);
+    let planes = &plan.bindings[idx].src;
     let group = |g: usize, stats: &mut ExecStats| -> Result<&'m Tensor<i16>, ExecError> {
-        let plane = read_plane(arena, stats, base.offset(g), route.map(|r| r[g]))?;
-        if plane.shape() != (LEAF_CH, side, side) {
+        let info = &plan.planes[planes[g]];
+        let plane = read_plane(arena, stats, ins.src.offset(g), route.map(|r| r[g]), info)?;
+        if plane.shape() != (LEAF_CH, h, w) {
             return Err(ExecError::Shape(format!(
-                "plane {:?} vs expected {LEAF_CH}x{side}x{side}",
+                "plane {:?} vs expected {LEAF_CH}x{h}x{w}",
                 plane.shape()
             )));
         }
         Ok(plane)
     };
-    if groups == 1 {
+    if ins.in_groups == 1 {
         return group(0, stats);
     }
-    let px = side * side;
-    let wide = ensure_overwrite(wide, stats, groups * LEAF_CH, side, side);
+    let wide = ensure_overwrite(wide, stats, ins.in_groups * LEAF_CH, h, w);
     for (g, slab) in wide
         .as_mut_slice()
-        .chunks_exact_mut(LEAF_CH * px)
+        .chunks_exact_mut(LEAF_CH * h * w)
         .enumerate()
     {
         // Groups are consecutive 32-channel slabs: one contiguous copy.
@@ -1501,9 +1821,11 @@ fn gather<'m>(
     Ok(wide)
 }
 
-/// Charges write traffic for a plane of `len` elements landing on `key`.
-fn count_write(stats: &mut ExecStats, program: &Program, key: PlaneKey, len: usize, px: usize) {
-    match key {
+/// Charges write traffic for the compiled destination plane `info`,
+/// whatever extent it was written at.
+fn count_write(stats: &mut ExecStats, program: &Program, info: &PlaneInfo) {
+    let (len, px) = (info.elems(), info.height * info.width);
+    match info.key {
         PlaneKey::Bb { .. } => stats.bb_write_bytes += len as u64,
         PlaneKey::Do { group } => {
             // Only logical channels leave the chip.
@@ -1518,6 +1840,7 @@ fn count_write(stats: &mut ExecStats, program: &Program, key: PlaneKey, len: usi
 fn exec_conv3(
     plan: &BlockPlan<'_>,
     idx: usize,
+    ext: &InstrExtents,
     pool: &mut PlanePool,
     kind: Kernels,
     trace: Option<&mut InstrTrace>,
@@ -1528,10 +1851,9 @@ fn exec_conv3(
         &pool.arena,
         &mut pool.wide,
         &mut pool.stats,
-        ins.src,
-        ins.in_groups,
-        ins.in_size.0,
-        plan.src_slots(idx),
+        plan,
+        idx,
+        ext.input,
     )?;
     // Leaf ordering (see compiler): UPX2 has one leaf per pre-shuffle
     // output plane; CONV/DNX2 have one leaf per input group.
@@ -1540,7 +1862,7 @@ fn exec_conv3(
     } else {
         1
     };
-    let (cw, chh) = ins.conv_out_size();
+    let (chh, cw) = ext.conv;
     let pk = &plan.packed[idx];
     // Verifier-licensed narrow path: every conv-stage sum and the
     // post-srcS sum provably fit `i32`, so the wrapping `i32`-lane
@@ -1594,8 +1916,10 @@ fn exec_conv3(
             kernels::conv3_acc_packed(ins, input, &pk.conv3[0], acc);
         }
     }
+    // The accelerator's MACs: the compiled block, whatever `ext` runs.
+    let (cw, chh) = ins.conv_out_size();
     pool.stats.mac3 += (out_planes * ins.in_groups * LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
-    finish(plan, idx, pool, narrow, trace)
+    finish(plan, idx, ext, pool, narrow, trace)
 }
 
 /// Overwrites `acc` with the reference path's 1×1 biases: every leaf's,
@@ -1616,6 +1940,7 @@ fn reference_bias1(acc: &mut Tensor<i64>, ins: &Instruction, leafs: &[LeafParams
 fn exec_conv1(
     plan: &BlockPlan<'_>,
     idx: usize,
+    ext: &InstrExtents,
     pool: &mut PlanePool,
     kind: Kernels,
     trace: Option<&mut InstrTrace>,
@@ -1626,25 +1951,24 @@ fn exec_conv1(
         &pool.arena,
         &mut pool.wide,
         &mut pool.stats,
-        ins.src,
-        ins.in_groups,
-        ins.in_size.0,
-        plan.src_slots(idx),
+        plan,
+        idx,
+        ext.input,
     )?;
-    let side = input.height();
+    let (h, w) = ext.conv;
     let pk = &plan.packed[idx];
     // Licensed narrow path (see `exec_conv3`).
     let narrow = kind == Kernels::Simd && pk.narrow_acc;
     if narrow {
         let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
-        let acc = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, side, side);
+        let acc = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, h, w);
         kernels::fill_bias(acc, &packed.bias);
         for leaf in 0..packed.leaves {
             let base = leaf * LEAF_CH;
             kernels::conv1_leaf_acc_packed_simd_narrow(packed, leaf, input, base, acc, plan.simd);
         }
     } else {
-        let acc = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, side, side);
+        let acc = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, h, w);
         if kind == Kernels::Reference {
             reference_bias1(acc, ins, leafs);
             for (ig, leaf) in leafs.iter().enumerate() {
@@ -1660,13 +1984,15 @@ fn exec_conv1(
             }
         }
     }
-    pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * side * side) as u64;
-    finish(plan, idx, pool, narrow, trace)
+    let (w, h) = ins.in_size;
+    pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * h * w) as u64;
+    finish(plan, idx, ext, pool, narrow, trace)
 }
 
 fn exec_er(
     plan: &BlockPlan<'_>,
     idx: usize,
+    ext: &InstrExtents,
     pool: &mut PlanePool,
     kind: Kernels,
     mut trace: Option<&mut InstrTrace>,
@@ -1676,18 +2002,19 @@ fn exec_er(
     // INVARIANT: format presence validated by `BlockPlan::new`.
     let midq = ins.q.mid.expect("plan validated the mid format");
     let prod3 = ins.q.w3.frac() as i32 + ins.q.src.frac() as i32;
-    let (cw, chh) = ins.conv_out_size();
+    let (chh, cw) = ext.conv;
     let input = gather(
         &pool.arena,
         &mut pool.wide,
         &mut pool.stats,
-        ins.src,
-        ins.in_groups,
-        ins.in_size.0,
-        plan.src_slots(idx),
+        plan,
+        idx,
+        ext.input,
     )?;
     let packed = &plan.packed[idx];
-    let mac3 = (LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
+    // The accelerator's MACs per leaf: the compiled block's.
+    let (nw, nh) = ins.conv_out_size();
+    let mac3 = (LEAF_CH * LEAF_CH * 9 * nw * nh) as u64;
     let narrow = kind == Kernels::Simd && packed.narrow_acc;
     if narrow {
         // Licensed narrow path. For ER the verifier's `narrow_acc` proves
@@ -1766,8 +2093,8 @@ fn exec_er(
             }
         }
     }
-    pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * cw * chh) as u64;
-    finish(plan, idx, pool, narrow, trace)
+    pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * nw * nh) as u64;
+    finish(plan, idx, ext, pool, narrow, trace)
 }
 
 /// Fractional bits of `ins`'s final accumulator: the 3×3 products over the
@@ -1873,12 +2200,14 @@ fn shuffled<'s, T: Copy + Default>(
 fn finish(
     plan: &BlockPlan<'_>,
     idx: usize,
+    ext: &InstrExtents,
     pool: &mut PlanePool,
     narrow: bool,
     mut trace: Option<&mut InstrTrace>,
 ) -> Result<(), ExecError> {
     let program = plan.program;
     let ins = &program.instructions[idx];
+    let binding = &plan.bindings[idx];
     let PlanePool {
         arena,
         acc_a,
@@ -1907,13 +2236,14 @@ fn finish(
         Opcode::Dnx2 => (ac, ah / ins.pool_factor, aw / ins.pool_factor),
         _ => (ac, ah, aw),
     };
-    if (ow, oh) != ins.out_size {
+    if (oh, ow) != ext.dst {
+        let (dh, dw) = ext.dst;
         return Err(ExecError::Shape(format!(
-            "produced {ow}x{oh} vs declared {:?}",
-            ins.out_size
+            "produced {ow}x{oh} vs declared {dw}x{dh}"
         )));
     }
     let live = plan.live[idx].output / if shuffle_acc { 4 } else { 1 };
+    let offset = ext.srcs_offset;
     let mut round = |srcs: Option<&Tensor<i16>>, codes: &mut Tensor<i16>| {
         match &mut acc {
             Acc::Narrow(a) => {
@@ -1921,12 +2251,12 @@ fn finish(
                 // whose epilogues `narrow_epilogues` covers.
                 let (ep, _) =
                     narrow_epilogues(ins).expect("plan licenses supported epilogues only");
-                simd::epilogue_narrow(plan.simd, &ep, a, srcs, codes, live);
+                simd::epilogue_narrow(plan.simd, &ep, a, srcs.map(|s| (s, offset)), codes, live);
             }
             Acc::Wide(a) => {
                 let frac = acc_frac(ins);
                 if let (Some(plane), Some(sq)) = (srcs, ins.q.src_s) {
-                    add_aligned(a, plane, sq.frac() as i32, frac);
+                    add_aligned(a, plane, offset, sq.frac() as i32, frac);
                 }
                 if final_relu(ins) {
                     a.as_mut_slice().iter_mut().for_each(|v| *v = (*v).max(0));
@@ -1943,15 +2273,16 @@ fn finish(
     };
     let dst_key = PlaneKey::from(ins.dst);
     let dst_place = plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot);
-    let srcs_place = match ins.src_s {
-        Some(loc) => {
+    let srcs_place = match (ins.src_s, binding.src_s) {
+        (Some(loc), Some(info)) => {
             let slot = plan.srcs_slot(idx);
-            check_srcs_domain((ac, ah, aw), read_plane(arena, stats, loc, slot)?)?;
+            let plane = read_plane(arena, stats, loc, slot, &plan.planes[info])?;
+            check_srcs_domain((ac, ah, aw), plane, offset)?;
             Some(slot.map_or(Place::Key(PlaneKey::from(loc)), Place::Slot))
         }
-        None => None,
+        _ => None,
     };
-    let dst = if ins.opcode == Opcode::Dnx2 || shuffle_codes {
+    if ins.opcode == Opcode::Dnx2 || shuffle_codes {
         // Round into scratch, then reorder the codes into dst.
         let codes = ensure_overwrite(quant, stats, ac, ah, aw);
         round(srcs_place.and_then(|p| plane_at(arena, p)), codes);
@@ -1960,7 +2291,6 @@ fn finish(
             Some(kind) => pool_into(codes, kind, ins.pool_factor, dst),
             None => codes.pixel_shuffle_into(2, dst),
         }
-        dst
     } else if srcs_place == Some(dst_place) {
         // dst overwrites srcS in place: read a copy.
         let plane = plane_at(arena, dst_place).expect("srcS was read above");
@@ -1969,55 +2299,44 @@ fn finish(
         copy.as_mut_slice().copy_from_slice(plane.as_slice());
         let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
         round(Some(copy), dst);
-        dst
     } else {
         let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
         match srcs_place {
-            None => {
-                round(None, dst);
-                dst
-            }
+            None => round(None, dst),
             Some(src_place) => {
                 let (dst, plane) = dst_and_src(arena, dst_place, src_place)
                     .expect("srcS was read and dst checked out above");
                 round(Some(plane), dst);
-                dst
             }
         }
-    };
-    let (len, px) = (dst.len(), dst.height() * dst.width());
-    count_write(stats, program, dst_key, len, px);
+    }
+    count_write(stats, program, &plan.planes[binding.dst]);
     Ok(())
 }
 
-/// Assembles the logical output block from the pooled DO planes.
+/// Assembles the logical output block, `(h, w)` large, from the pooled DO
+/// planes.
 fn assemble_output<'p>(
     plan: &BlockPlan<'_>,
+    (h, w): (usize, usize),
     pool: &'p mut PlanePool,
 ) -> Result<&'p Tensor<i16>, ExecError> {
     let program = plan.program;
     // Every (channel, y, x) is written below — the DO groups tile the
     // logical channel range — so stale contents need no clearing.
-    let out = ensure_overwrite(
-        &mut pool.out,
-        &mut pool.stats,
-        program.do_channels,
-        program.do_side,
-        program.do_side,
-    );
-    for g in 0..plan.out_groups {
+    let out = ensure_overwrite(&mut pool.out, &mut pool.stats, program.do_channels, h, w);
+    for g in 0..plan.do_planes.len() {
         let key = PlaneKey::Do { group: g as u8 };
         let plane = plane_at(
             &pool.arena,
             plan.do_slot(g).map_or(Place::Key(key), Place::Slot),
         )
         .ok_or(ExecError::MissingPlane(FeatLoc::Do { group: g as u8 }))?;
-        if plane.height() != program.do_side || plane.width() != program.do_side {
+        if (plane.height(), plane.width()) != (h, w) {
             return Err(ExecError::Shape(format!(
-                "DO plane {}x{} vs side {}",
-                plane.height(),
+                "DO plane {}x{} vs output {w}x{h}",
                 plane.width(),
-                program.do_side
+                plane.height(),
             )));
         }
         for c in 0..LEAF_CH {
@@ -2032,20 +2351,21 @@ fn assemble_output<'p>(
 }
 
 /// Guards the srcS accumulation domain of an accumulator shaped
-/// `(channels, height, width)`: the plane must cover it spatially (it is
-/// center-cropped, never extended) and carry at least the accumulated
-/// channel count. `finish` checks it before its rounding step reads
-/// srcS, so the executor returns a structured error where it used to
-/// assert; `ecnn_isa::verify` proves the same property
-/// statically (`shape-mismatch`).
+/// `(channels, height, width)` read at `(oy, ox)` inside the plane: the
+/// plane must cover it spatially (it is cropped, never extended) and
+/// carry at least the accumulated channel count. `finish` checks it
+/// before its rounding step reads srcS, so the executor returns a
+/// structured error where it used to assert; `ecnn_isa::verify` proves
+/// the same property statically (`shape-mismatch`).
 fn check_srcs_domain(
     (ac, ah, aw): (usize, usize, usize),
     plane: &Tensor<i16>,
+    (oy, ox): (usize, usize),
 ) -> Result<(), ExecError> {
     let (pc, ph, pw) = plane.shape();
-    if ph < ah || pw < aw {
+    if ph < oy + ah || pw < ox + aw {
         return Err(ExecError::Shape(format!(
-            "srcS plane {pw}x{ph} smaller than the {aw}x{ah} accumulator"
+            "srcS plane {pw}x{ph} smaller than the {aw}x{ah} accumulator at offset ({ox}, {oy})"
         )));
     }
     if pc < ac.min(LEAF_CH) {
@@ -2056,20 +2376,27 @@ fn check_srcs_domain(
     Ok(())
 }
 
-/// Adds a quantized plane into an accumulator tensor, center-cropping the
-/// plane when it is larger than the accumulator (truncated-pyramid skips).
-/// Row-sliced; the common upshift alignment is hoisted to one shift per
-/// element with no per-element branch.
+/// Adds a quantized plane into an accumulator tensor, cropping the plane
+/// at `(oy, ox)` when it is larger than the accumulator (truncated-pyramid
+/// skips). Row-sliced; the common upshift alignment is hoisted to one
+/// shift per element with no per-element branch.
 ///
 /// INVARIANT: callers run [`check_srcs_domain`] first, so the domain
 /// asserts below are unreachable from public entry points.
-fn add_aligned(acc: &mut Tensor<i64>, plane: &Tensor<i16>, plane_frac: i32, acc_frac: i32) {
+fn add_aligned(
+    acc: &mut Tensor<i64>,
+    plane: &Tensor<i16>,
+    (oy, ox): (usize, usize),
+    plane_frac: i32,
+    acc_frac: i32,
+) {
     let (ac, ah, aw) = acc.shape();
     let (pc, ph, pw) = plane.shape();
     assert!(pc >= ac.min(LEAF_CH), "srcS channel mismatch");
-    assert!(ph >= ah && pw >= aw, "srcS smaller than accumulator");
-    let oy = (ph - ah) / 2;
-    let ox = (pw - aw) / 2;
+    assert!(
+        ph >= oy + ah && pw >= ox + aw,
+        "srcS smaller than accumulator"
+    );
     let up = acc_frac >= plane_frac;
     let shift = (acc_frac - plane_frac).unsigned_abs();
     let mut add_rows = |dst: &mut [i64], src: &[i16]| {
@@ -2665,5 +2992,22 @@ mod tests {
         assert_eq!(s.planes_allocated, 2);
         assert_eq!(s.planes_reused, 1);
         assert_eq!(pool.resident_planes(), 2);
+    }
+
+    /// A table the kernels cannot run on the plan, here another block
+    /// size's compiled geometry, is a structured error, not a kernel
+    /// panic.
+    #[test]
+    fn execute_at_rejects_a_table_of_another_geometry() {
+        let m = ErNetSpec::new(ErNetTask::Dn, 2, 1, 0).build().unwrap();
+        let qm = QuantizedModel::uniform(&m);
+        let (small, large) = (compile(&qm, 40).unwrap(), compile(&qm, 64).unwrap());
+        let plan = BlockPlan::new(&small.program, &small.leafs).unwrap();
+        let other = BlockPlan::new(&large.program, &large.leafs).unwrap();
+        let input = Tensor::zeros(3, 40, 40);
+        let mut pool = PlanePool::new();
+        let run = execute_at(&plan, other.extents(), &mut pool, &input, Kernels::Simd);
+        assert!(matches!(run, Err(ExecError::Shape(_))), "{run:?}");
+        assert!(execute_at(&plan, plan.extents(), &mut pool, &input, Kernels::Simd).is_ok());
     }
 }

@@ -252,12 +252,11 @@ pub(crate) fn conv3_acc_packed_simd_narrow(
     );
 }
 
-/// Whether [`conv3_acc_packed_simd_narrow`] runs `ins` on the
-/// register-blocked sweep at `level`, the one kernel that skips dead
-/// channels.
-pub(crate) fn conv3_runs_blocked(ins: &Instruction, level: SimdLevel) -> bool {
-    ins.inference == InferenceKind::TruncatedPyramid
-        && simd::conv3_blocked_covers(level, ins.conv_out_size().0)
+/// Whether [`conv3_acc_packed_simd_narrow`] runs `ins` at a conv output
+/// `out_w` columns wide on the register-blocked sweep at `level`, the one
+/// kernel that skips dead channels.
+pub(crate) fn conv3_runs_blocked(ins: &Instruction, out_w: usize, level: SimdLevel) -> bool {
+    ins.inference == InferenceKind::TruncatedPyramid && simd::conv3_blocked_covers(level, out_w)
 }
 
 /// [`conv3_acc_packed_simd_narrow`]'s register-blocked sweep with the
@@ -311,7 +310,8 @@ pub mod reference {
 
     /// Full-precision 3×3 convolution of `input` (all groups) producing
     /// `out_planes × 32` channels of `i64` accumulators in `acc` (already
-    /// shaped by the caller; every element is overwritten).
+    /// shaped by the caller to the conv extent it runs at; every element
+    /// is overwritten).
     /// `weights(out_plane, in_group)` yields one leaf's 32×32×9 filter;
     /// `biases(out_plane)` yields accumulator-aligned biases.
     pub fn conv3_acc_into<'w>(
@@ -322,13 +322,13 @@ pub mod reference {
         out_planes: usize,
         acc: &mut Tensor<i64>,
     ) {
-        let (cw, chh) = ins.conv_out_size();
+        let (_, chh, cw) = acc.shape();
         let (ih, iw) = (input.height(), input.width());
         let origin: isize = match ins.inference {
             InferenceKind::TruncatedPyramid => 1,
             InferenceKind::ZeroPadded => 0,
         };
-        debug_assert_eq!(acc.shape(), (out_planes * LEAF_CH, chh, cw));
+        debug_assert_eq!(acc.channels(), out_planes * LEAF_CH);
         for op_ in 0..out_planes {
             let b = biases(op_);
             // `oc` addresses both the bias table and the plane offset.

@@ -1740,28 +1740,29 @@ fn epilogue_row(
 /// The fused narrow epilogue of one instruction, straight from its `i32`
 /// accumulator into destination codes in one pass, over the leading
 /// `channels` channels (the rest of `dst` is left as it is): every
-/// element gets the center-cropped srcS code (channels below the plane's
-/// channel count) shifted up by the alignment, the activation floor, a
-/// branch-free round half away from zero, and the clamp to the code
-/// range. Wrapping `i32` adds make the srcS step exact whenever the final
-/// sum fits `i32`, which the verifier's `narrow_acc` license proves.
+/// element gets the srcS code cropped at the plane's `(row, col)` offset
+/// (channels below the plane's channel count) shifted up by the
+/// alignment, the activation floor, a branch-free round half away from
+/// zero, and the clamp to the code range. Wrapping `i32` adds make the
+/// srcS step exact whenever the final sum fits `i32`, which the
+/// verifier's `narrow_acc` license proves.
 ///
 /// # Panics
 ///
 /// Panics if `dst` differs from `acc` in shape, `channels` exceeds it, or
-/// `srcs` is smaller than `acc` spatially.
+/// `srcs` does not cover `acc` spatially from its offset.
 pub fn epilogue_narrow(
     level: SimdLevel,
     ep: &NarrowEpilogue,
     acc: &Tensor<i32>,
-    srcs: Option<&Tensor<i16>>,
+    srcs: Option<(&Tensor<i16>, (usize, usize))>,
     dst: &mut Tensor<i16>,
     channels: usize,
 ) {
     let (ac, ah, aw) = acc.shape();
     assert_eq!(dst.shape(), (ac, ah, aw), "epilogue destination shape");
     assert!(channels <= ac, "epilogue over {channels} of {ac} channels");
-    let Some(plane) = srcs else {
+    let Some((plane, (oy, ox))) = srcs else {
         let n = channels * ah * aw;
         epilogue_row(
             level,
@@ -1773,8 +1774,10 @@ pub fn epilogue_narrow(
         return;
     };
     let (pc, ph, pw) = plane.shape();
-    assert!(ph >= ah && pw >= aw, "srcS smaller than the accumulator");
-    let (oy, ox) = ((ph - ah) / 2, (pw - aw) / 2);
+    assert!(
+        ph >= oy + ah && pw >= ox + aw,
+        "srcS smaller than the accumulator"
+    );
     for c in 0..channels {
         if c >= pc {
             epilogue_row(level, ep, acc.channel(c), None, dst.channel_mut(c));
@@ -2326,7 +2329,8 @@ mod tests {
                             // must leave the rest of `dst` as it was.
                             for (l, live) in levels().into_iter().flat_map(|l| [(l, c), (l, 1)]) {
                                 let mut dst = Tensor::from_fn(c, h, w, |_, _, _| 0x5555i16);
-                                epilogue_narrow(l, &ep, &acc, srcs.as_ref(), &mut dst, live);
+                                let srcs = srcs.as_ref().map(|p| (p, (1, 2)));
+                                epilogue_narrow(l, &ep, &acc, srcs, &mut dst, live);
                                 let want = Tensor::from_fn(c, h, w, |c, y, x| {
                                     if c < live {
                                         want.at(c, y, x)

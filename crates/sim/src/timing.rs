@@ -111,7 +111,11 @@ pub fn simulate_frame(
     let blocks = program.blocks_for_output(width, height);
     // Border blocks are narrower: FBISA's per-instruction block-size
     // attribute lets the host shorten the tile sweep at frame edges, so the
-    // effective block count is fractional.
+    // effective block count is fractional. This charges an edge block in
+    // proportion to its kept output. The host executor clips edge blocks
+    // too (`BlockPlan::clipped`), but each clipped instruction keeps its
+    // full overlap margin, so it runs more than that share: 0.7675 of a
+    // block for `esr4k_edge`'s 248×344 keep, where this charges 0.713.
     let eff_blocks =
         (width as f64 / program.do_side as f64) * (height as f64 / program.do_side as f64);
     let (cycles_per_block, busy3, busy1) = block_schedule(program);

@@ -13,9 +13,12 @@
 //!   keyed execution across random scrambled/sparsified ERNet programs,
 //!   both inference kinds, all kernel variants and shard counts 1/2/4;
 //!   and forged programs with overlapping lifetimes (or outright alias
-//!   hazards) never get their planes merged.
+//!   hazards) never get their planes merged;
+//! * **clipped edge blocks** — frames whose edge blocks run clipped
+//!   extents tables still charge the cost model's full blocks, and the
+//!   host MACs eSR-4K's edge block skips are pinned.
 
-use ecnn_core::engine::{Backend, EcnnBackend, Workload};
+use ecnn_core::engine::{Backend, EcnnBackend, Engine, ImageRunStats, Workload};
 use ecnn_core::sharded::ShardedBackend;
 use ecnn_isa::compile::compile;
 use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, QSpec};
@@ -28,6 +31,7 @@ use ecnn_model::model::InferenceKind;
 use ecnn_model::zoo;
 use ecnn_model::RealTimeSpec;
 use ecnn_sim::exec::{execute_with, quantize_input, BlockPlan, Kernels, PlanePool};
+use ecnn_sim::SimdLevel;
 use ecnn_tensor::{ImageKind, QFormat, SyntheticImage, Tensor};
 use proptest::prelude::*;
 
@@ -489,5 +493,73 @@ fn alias_hazard_suppresses_the_coalescing_license() {
     if let Ok(plan) = BlockPlan::new(&p, &l) {
         assert!(!plan.coalesced(), "unproven programs must stay keyed");
         assert!(plan.memory_plan().is_none());
+    }
+}
+
+/// Edge blocks run clipped extents tables, yet the work counters keep
+/// charging the compiled block: on a frame whose grid has right-edge,
+/// bottom-edge and corner blocks, executed work equals the static cost
+/// model's per-block counts times the block count, on the serial session
+/// and on a 2-worker pipelined session.
+#[test]
+fn clipped_edge_blocks_still_charge_the_compiled_block() {
+    let spec = ErNetSpec::new(ErNetTask::Dn, 2, 1, 0);
+    let eng = Engine::builder().ernet(spec).block(40).build().unwrap();
+    let xo = eng.compiled().program.do_side;
+    // Three block rows by two block columns, the last of each clipped.
+    let img = SyntheticImage::new(ImageKind::Mixed, 3).rgb(2 * xo + 5, xo + 7);
+    let cost = eng.cost_report();
+    let check = |stats: &ImageRunStats, what: &str| {
+        assert_eq!(stats.blocks, 6, "{what}: blocks");
+        let w = stats.exec.work();
+        let pairs = [
+            ("mac3", w.mac3, cost.mac3),
+            ("mac1", w.mac1, cost.mac1),
+            ("bb_read", w.bb_read_bytes, cost.bb_read_bytes),
+            ("bb_write", w.bb_write_bytes, cost.bb_write_bytes),
+            ("di", w.di_bytes, cost.di_bytes),
+            ("do", w.do_bytes, cost.do_bytes),
+            ("instructions", w.instructions, cost.instructions),
+        ];
+        for (name, got, per_block) in pairs {
+            assert_eq!(got, per_block * 6, "{what}: {name}");
+        }
+    };
+    let mut session = eng.session();
+    session.process(&img).unwrap();
+    check(&session.last_frame_stats(), "Session");
+    let mut pipelined = eng.async_session(2);
+    let ticket = pipelined.submit(img).unwrap();
+    let (_, stats) = pipelined.wait(ticket).unwrap();
+    check(&stats, "AsyncSession x2");
+}
+
+/// `esr4k_edge` keeps 248×344 of eSR-4K's one 346×346 output block. Its
+/// clipped table runs 0.7675 of the full block's host MACs (channel
+/// liveness counted): from 0.81 of the head instruction's area to 0.713
+/// of the tail's, against the timing model's proportional 0.713.
+#[test]
+fn esr4k_edge_block_host_macs_are_pinned() {
+    let spec = ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1);
+    let c = compile(&QuantizedModel::uniform(&spec.build().unwrap()), 128).unwrap();
+    let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+    let charged = cost_model(&c.program, &verify_compiled(&c)).block_macs();
+    assert_eq!(charged, 9_024_827_392);
+    let ext = plan.clipped((248, 344)).expect("the edge keep clips");
+    assert_eq!(ext.out(), (248, 344));
+    // Every instruction keeps its full overlap margin: the head conv runs
+    // 102×126 of its 126×126, the tail exactly the kept 248×344 of 346×346.
+    let (full, clipped) = (plan.extents().instrs(), ext.instrs());
+    assert_eq!((full[0].conv, clipped[0].conv), ((126, 126), (102, 126)));
+    let tail = clipped.len() - 1;
+    assert_eq!(
+        (full[tail].conv, clipped[tail].conv),
+        ((346, 346), (248, 344))
+    );
+    // The register-blocked sweep, which skips dead channels, runs on
+    // every x86 rung; other hosts skip no channels.
+    if let Some(plan) = plan.with_simd_level(SimdLevel::Sse2) {
+        assert_eq!(charged - plan.dead_mac3(), 7_931_413_504);
+        assert_eq!(charged - plan.skipped_macs(&ext), 6_087_502_336);
     }
 }
