@@ -10,8 +10,8 @@
 //! DRAM model: each layer's output feature map is written to DRAM once, and
 //! read back unless it still resides in the unified buffer (ER expanded
 //! features are treated as fused/consumed in place). This reproduces the
-//! magnitude and resolution scaling of the paper's SCALE-Sim numbers; see
-//! EXPERIMENTS.md for the residual gap.
+//! magnitude and resolution scaling of the paper's SCALE-Sim numbers; the
+//! residual gap is noted in the UHD30 test below.
 
 use ecnn_core::engine::{Backend, EngineError, FrameReport, Workload};
 use ecnn_model::layer::Op;
@@ -223,8 +223,8 @@ mod tests {
         assert!(r.fps < 30.0, "fps {}", r.fps);
         assert!(r.fps > 10.0 && r.fps < 40.0, "fps {}", r.fps);
         // Paper reports 12.2 GB/s; our model charges the x4 tail's huge
-        // post-shuffle map a second touch, landing ~2x higher (see
-        // EXPERIMENTS.md). Either way: an order of magnitude above eCNN.
+        // post-shuffle map a second touch, landing ~2x higher. Either
+        // way: an order of magnitude above eCNN.
         let gbps = r.dram_bps / 1e9;
         assert!(gbps > 5.0 && gbps < 30.0, "dram {gbps} GB/s");
     }

@@ -1,9 +1,9 @@
 //! `bench_autotune` — the autotuner acceptance run on eSR-4K.
 //!
 //! Tunes the paper's headline workload (UHD30 SR×4, the Table 4 pick) over
-//! the default [`ecnn_core::tune::TuneSpace`] (block side × worker count ×
-//! plane layout; the kernel axis is `Simd` alone, since `Packed` is >20×
-//! slower per block), prints the per-candidate report, asserts
+//! the default [`ecnn_core::tune::TuneSpace`] (block side × worker count;
+//! the kernel axis is `Simd` alone, since `Packed` is >20× slower per
+//! block), prints the per-candidate report, asserts
 //! the autotuner's two contracts —
 //!
 //! * at least half the candidate space is eliminated statically (strict
@@ -31,7 +31,7 @@ fn main() {
     // The full default options (shortlist 4, 1 warm-up + 2 timed frames
     // per candidate) are right for a deployment tune; here every timed
     // frame is ~1 min of simulated 4K inference, so the acceptance run
-    // keeps the full 18-candidate static space but times the minimum
+    // keeps the full 9-candidate static space but times the minimum
     // that still exercises both contracts: the top-2 shortlist plus the
     // always-included default, one frame each.
     let opts = TuneOptions {
@@ -40,16 +40,12 @@ fn main() {
         shortlist: 2,
         ..TuneOptions::default()
     };
-    let n_space = opts.space.blocks.len()
-        * opts.space.workers.len()
-        * opts.space.kernels.len()
-        * opts.space.coalesce.len();
+    let n_space = opts.space.blocks.len() * opts.space.workers.len() * opts.space.kernels.len();
     println!(
-        "space: {} blocks x {} workers x {} kernels x {} layouts = {} candidates, shortlist {}",
+        "space: {} blocks x {} workers x {} kernels = {} candidates, shortlist {}",
         opts.space.blocks.len(),
         opts.space.workers.len(),
         opts.space.kernels.len(),
-        opts.space.coalesce.len(),
         n_space,
         opts.shortlist,
     );

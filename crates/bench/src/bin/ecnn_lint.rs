@@ -270,7 +270,7 @@ fn tune_check(path: &str) -> i32 {
                 return 2;
             }
         };
-        let digest = CostDigest::of(&engine.cost_report(), record.config.coalesce);
+        let digest = CostDigest::of(&engine.cost_report());
         if digest != record.cost {
             eprintln!(
                 "ecnn-lint: record {path} is stale: cost digest {digest:?} != pinned {:?} \

@@ -1,6 +1,6 @@
 //! Table 4: PSNR of polished ERNet models per spec (CPU-scale training on
 //! synthetic data — absolute values differ from the paper; the orderings
-//! are the reproduced claim, see EXPERIMENTS.md).
+//! are the reproduced claim).
 
 use ecnn_bench::{bench_scale, section};
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};

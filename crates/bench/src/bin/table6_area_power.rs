@@ -1,4 +1,4 @@
-//! Table 6: area and power of eCNN (calibrated model — see DESIGN.md §4).
+//! Table 6: area and power of eCNN (calibrated model, see `ecnn_sim::cost`).
 
 use ecnn_bench::{model_matrix, report_row, section};
 use ecnn_sim::cost::AreaReport;

@@ -1,8 +1,9 @@
 //! Shared harness for the per-table / per-figure regeneration binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md §5 for the index). Training-based experiments
-//! read `ECNN_BENCH_SCALE` (default 1) to lengthen their runs.
+//! evaluation, named after it; `bench_all` runs them all (README,
+//! "Workspace layout"). Training-based experiments read
+//! `ECNN_BENCH_SCALE` (default 1) to lengthen their runs.
 //!
 //! All eCNN deployments go through the unified [`Engine`] API; the
 //! comparison binaries additionally run the baseline flows through the
@@ -27,7 +28,7 @@ pub fn bench_scale() -> usize {
 }
 
 /// The model picks evaluated per real-time spec (the paper's published
-/// picks where known, in-budget derivations elsewhere; see EXPERIMENTS.md).
+/// picks where known, in-budget derivations elsewhere).
 pub fn model_matrix() -> Vec<(RealTimeSpec, ErNetSpec, usize)> {
     vec![
         (

@@ -3,9 +3,9 @@
 //!
 //! Before this module the knobs were scattered — block size on the
 //! builder, kernel family on `EngineBuilder::kernels` /
-//! `EcnnBackend::with_kernels` / the `ECNN_KERNELS` env var, plane
-//! layout on `coalesce`, worker counts as ad-hoc per-call arguments.
-//! [`EngineConfig`] consolidates them into a single value that
+//! `EcnnBackend::with_kernels` / the `ECNN_KERNELS` env var, worker
+//! counts as ad-hoc per-call arguments. [`EngineConfig`] consolidates
+//! them into a single value that
 //!
 //! * the [`EngineBuilder`](crate::engine::EngineBuilder) setters are thin
 //!   sugar over (and [`Engine::config`](crate::engine::Engine::config)
@@ -24,8 +24,7 @@
 //! | variable        | values                          | overrides            |
 //! |-----------------|---------------------------------|----------------------|
 //! | `ECNN_KERNELS`  | `simd` \| `packed` \| `reference` | [`EngineConfig::kernels`]  |
-//! | `ECNN_COALESCE` | `1`/`true` \| `0`/`false`       | [`EngineConfig::coalesce`] |
-//! | `ECNN_WORKERS`  | positive integer                | [`EngineConfig::workers`]  |
+//! | `ECNN_WORKERS`  | `1..=`[`MAX_WORKERS`]            | [`EngineConfig::workers`]  |
 //! | `ECNN_VERIFY`   | `off` \| `lints` \| `strict`    | [`EngineConfig::verify`]   |
 //! | `ECNN_FAULTS`   | [fault-plan grammar](crate::faults) \| `off` | [`EngineConfig::faults`] |
 //!
@@ -33,12 +32,26 @@
 //! fatal) but recorded, and every applied or ignored override is
 //! surfaced in the engine's `FrameReport` note so an overridden fleet
 //! is observable.
+//!
+//! # Plane layout
+//!
+//! The plane layout is not a knob. A session runs coalesced (planes
+//! with disjoint lifetimes share pool slots) exactly when its plan's
+//! verification proves a `MemoryPlan`, under every [`VerifyMode`], as the
+//! narrow-accumulator license does; otherwise it runs the keyed table,
+//! one slot per `(buffer, group)`. The keyed table is also the
+//! supervisor's floor rung and the tests' reference layout.
 
 use crate::faults::FaultPlan;
 use crate::json::{escape, Json};
 use ecnn_isa::verify::VerifyMode;
 use ecnn_sim::Kernels;
 use std::fmt;
+
+/// The largest worker count an [`EngineConfig`] may carry: every worker
+/// of a pipelined session is one OS thread, so a larger count is a
+/// structured build error, and an `ECNN_WORKERS` above it is ignored.
+pub const MAX_WORKERS: usize = 256;
 
 /// Every plan-time knob of an eCNN engine, in one serializable value.
 ///
@@ -51,14 +64,11 @@ pub struct EngineConfig {
     pub block: usize,
     /// Worker parallelism sessions of this engine are meant to run at:
     /// the shard count of `Engine::run_image_auto` and the pool size of
-    /// `Engine::async_session_auto`. `1` means serial; must be nonzero.
+    /// `Engine::async_session_auto`. `1` means serial; must be in
+    /// `1..=`[`MAX_WORKERS`].
     pub workers: usize,
     /// Accumulation kernel family every execution path runs.
     pub kernels: Kernels,
-    /// Whether sessions run the verifier-licensed coalesced plane
-    /// layout. Incoherent with [`VerifyMode::Off`] (no license without a
-    /// verification): explicitly asking for both is a build error.
-    pub coalesce: bool,
     /// Static-verification mode run at build time.
     pub verify: VerifyMode,
     /// Deterministic fault-injection plan the supervision layer runs
@@ -70,14 +80,13 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// The default configuration at a given block size: serial, SIMD
-    /// kernels, coalesced layout, lint-level verification — exactly what
+    /// kernels, lint-level verification — exactly what
     /// an un-tuned `Engine::builder().block(xi)` resolves to.
     pub fn new(block: usize) -> Self {
         Self {
             block,
             workers: 1,
             kernels: Kernels::Simd,
-            coalesce: true,
             verify: VerifyMode::default(),
             faults: None,
         }
@@ -92,11 +101,10 @@ impl EngineConfig {
             None => String::new(),
         };
         format!(
-            "{{\"block\": {}, \"workers\": {}, \"kernels\": {}, \"coalesce\": {}, \"verify\": {}{}}}",
+            "{{\"block\": {}, \"workers\": {}, \"kernels\": {}, \"verify\": {}{}}}",
             self.block,
             self.workers,
             escape(self.kernels.as_str()),
-            self.coalesce,
             escape(self.verify.as_str()),
             faults,
         )
@@ -120,7 +128,6 @@ impl EngineConfig {
             workers: v.require("workers")?.as_usize()?,
             kernels: Kernels::parse(kernels)
                 .ok_or_else(|| format!("unknown kernels {kernels:?}"))?,
-            coalesce: v.require("coalesce")?.as_bool()?,
             verify: VerifyMode::parse(verify)
                 .ok_or_else(|| format!("unknown verify mode {verify:?}"))?,
             faults: match v.get("faults") {
@@ -135,15 +142,9 @@ impl EngineConfig {
     /// the [module docs](self) for the table).
     pub fn from_env_overrides() -> EnvOverrides {
         EnvOverrides::parse(
-            [
-                "ECNN_KERNELS",
-                "ECNN_COALESCE",
-                "ECNN_WORKERS",
-                "ECNN_VERIFY",
-                "ECNN_FAULTS",
-            ]
-            .into_iter()
-            .filter_map(|name| std::env::var(name).ok().map(|v| (name, v))),
+            ["ECNN_KERNELS", "ECNN_WORKERS", "ECNN_VERIFY", "ECNN_FAULTS"]
+                .into_iter()
+                .filter_map(|name| std::env::var(name).ok().map(|v| (name, v))),
         )
     }
 }
@@ -152,11 +153,10 @@ impl fmt::Display for EngineConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "block {} workers {} kernels {} {} verify {}",
+            "block {} workers {} kernels {} verify {}",
             self.block,
             self.workers,
             self.kernels.as_str(),
-            if self.coalesce { "coalesced" } else { "keyed" },
             self.verify.as_str(),
         )?;
         if let Some(plan) = self.faults.as_ref().filter(|p| !p.is_empty()) {
@@ -172,9 +172,7 @@ impl fmt::Display for EngineConfig {
 pub struct EnvOverrides {
     /// `ECNN_KERNELS`, when set to a valid kernel name.
     pub kernels: Option<Kernels>,
-    /// `ECNN_COALESCE`, when set to a valid boolean.
-    pub coalesce: Option<bool>,
-    /// `ECNN_WORKERS`, when set to a positive integer.
+    /// `ECNN_WORKERS`, when set to an integer in `1..=`[`MAX_WORKERS`].
     pub workers: Option<usize>,
     /// `ECNN_VERIFY`, when set to a valid mode name.
     pub verify: Option<VerifyMode>,
@@ -206,12 +204,11 @@ impl EnvOverrides {
                     o.kernels = Kernels::parse(&value);
                     o.kernels.is_some()
                 }
-                "ECNN_COALESCE" => {
-                    o.coalesce = parse_bool(&value);
-                    o.coalesce.is_some()
-                }
                 "ECNN_WORKERS" => {
-                    o.workers = value.parse::<usize>().ok().filter(|&n| n > 0);
+                    o.workers = value
+                        .parse::<usize>()
+                        .ok()
+                        .filter(|n| (1..=MAX_WORKERS).contains(n));
                     o.workers.is_some()
                 }
                 "ECNN_VERIFY" => {
@@ -237,7 +234,6 @@ impl EnvOverrides {
     /// Whether any override knob is set.
     pub fn any(&self) -> bool {
         self.kernels.is_some()
-            || self.coalesce.is_some()
             || self.workers.is_some()
             || self.verify.is_some()
             || self.faults.is_some()
@@ -248,9 +244,6 @@ impl EnvOverrides {
     pub fn apply(&self, cfg: &mut EngineConfig) {
         if let Some(k) = self.kernels {
             cfg.kernels = k;
-        }
-        if let Some(c) = self.coalesce {
-            cfg.coalesce = c;
         }
         if let Some(w) = self.workers {
             cfg.workers = w;
@@ -266,14 +259,6 @@ impl EnvOverrides {
     }
 }
 
-fn parse_bool(value: &str) -> Option<bool> {
-    match value.to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,7 +269,6 @@ mod tests {
             block: 128,
             workers: 4,
             kernels: Kernels::Packed,
-            coalesce: false,
             verify: VerifyMode::Strict,
             faults: None,
         };
@@ -309,11 +293,11 @@ mod tests {
     #[test]
     fn config_json_rejects_unknown_tokens() {
         let bad = "{\"block\": 64, \"workers\": 1, \"kernels\": \"cuda\", \
-                   \"coalesce\": true, \"verify\": \"lints\"}";
+                   \"verify\": \"lints\"}";
         assert!(EngineConfig::from_json(bad).unwrap_err().contains("cuda"));
         assert!(EngineConfig::from_json("{}").unwrap_err().contains("block"));
         let bad_plan = "{\"block\": 64, \"workers\": 1, \"kernels\": \"simd\", \
-                        \"coalesce\": true, \"verify\": \"lints\", \"faults\": \"explode@1\"}";
+                        \"verify\": \"lints\", \"faults\": \"explode@1\"}";
         assert!(EngineConfig::from_json(bad_plan)
             .unwrap_err()
             .contains("faults"));
@@ -323,13 +307,11 @@ mod tests {
     fn env_overrides_parse_the_unified_namespace() {
         let o = EnvOverrides::parse([
             ("ECNN_KERNELS", "Reference".to_string()),
-            ("ECNN_COALESCE", "0".to_string()),
             ("ECNN_WORKERS", "4".to_string()),
             ("ECNN_VERIFY", "strict".to_string()),
             ("ECNN_FAULTS", "seed=5;delay@100:ms=3".to_string()),
         ]);
         assert_eq!(o.kernels, Some(Kernels::Reference));
-        assert_eq!(o.coalesce, Some(false));
         assert_eq!(o.workers, Some(4));
         assert_eq!(o.verify, Some(VerifyMode::Strict));
         assert_eq!(
@@ -337,12 +319,11 @@ mod tests {
             Some(FaultPlan::parse("seed=5;delay@100:ms=3").unwrap())
         );
         assert!(o.any());
-        assert_eq!(o.notes.len(), 5);
+        assert_eq!(o.notes.len(), 4);
 
         let mut cfg = EngineConfig::new(128);
         o.apply(&mut cfg);
         assert_eq!(cfg.kernels, Kernels::Reference);
-        assert!(!cfg.coalesce);
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.verify, VerifyMode::Strict);
         assert!(cfg.faults.is_some());
@@ -353,11 +334,12 @@ mod tests {
         let o = EnvOverrides::parse([
             ("ECNN_KERNELS", "cuda".to_string()),
             ("ECNN_WORKERS", "0".to_string()),
+            ("ECNN_WORKERS", (MAX_WORKERS + 1).to_string()),
             ("ECNN_VERIFY", "paranoid".to_string()),
             ("ECNN_FAULTS", "explode@10".to_string()),
         ]);
         assert!(!o.any());
-        assert_eq!(o.notes.len(), 4);
+        assert_eq!(o.notes.len(), 5);
         assert!(o.notes.iter().all(|n| n.contains("ignored")));
         let mut cfg = EngineConfig::new(128);
         let before = cfg.clone();

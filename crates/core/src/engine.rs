@@ -13,7 +13,7 @@
 //! * [`EngineError`] is the one structured error type for the whole
 //!   surface, with [`std::error::Error::source`] chaining.
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, MAX_WORKERS};
 use crate::faults::FaultPlan;
 use crate::report::SystemReport;
 use crate::supervise::{DegradeRung, SupervisorCounters};
@@ -118,12 +118,12 @@ pub enum EngineError {
     /// Static verification rejected the program (see
     /// [`mod@ecnn_isa::verify`]); the report carries the ranked diagnostics.
     Verify(Box<VerifyReport>),
-    /// The resolved [`EngineConfig`] is incoherent (zero workers, a
-    /// coalesced layout with verification off, a tuning record whose
+    /// The resolved [`EngineConfig`] is incoherent (zero block, a worker
+    /// count outside `1..=`[`MAX_WORKERS`], a tuning record whose
     /// fingerprint does not match the model/resolution, …): a structured
     /// build-time rejection instead of a silent fallback.
     Config {
-        /// Which knob is at fault (`"workers"`, `"coalesce"`,
+        /// Which knob is at fault (`"block"`, `"workers"`,
         /// `"tuning-record"`, …).
         param: &'static str,
         /// Human-readable description of the conflict.
@@ -440,8 +440,8 @@ pub trait Backend {
 /// size → real-time spec → machine/power/DRAM models, with paper defaults
 /// for everything but the model and block size.
 ///
-/// Every plan-time knob — block size, worker count, kernel family, plane
-/// layout, verification mode — resolves into one canonical
+/// Every plan-time knob — block size, worker count, kernel family,
+/// verification mode, fault plan — resolves into one canonical
 /// [`EngineConfig`]; the per-knob setters below are thin sugar over it.
 /// Resolution order, weakest first: defaults, a
 /// [`TuningRecord`] from
@@ -462,7 +462,6 @@ pub struct EngineBuilder {
     dram_power: Option<DramPowerModel>,
     verify: Option<VerifyMode>,
     kernels: Option<Kernels>,
-    coalesce: Option<bool>,
     workers: Option<usize>,
     faults: Option<FaultPlan>,
     record: Option<TuningRecord>,
@@ -553,24 +552,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Whether sessions run the verifier-licensed coalesced plane layout
-    /// (lifetime-disjoint planes sharing physical slots; see
-    /// `BlockPlan::memory_plan`). Defaults to `true`; output is
-    /// bit-identical either way, only the pool's peak resident bytes
-    /// differ. `false` forces the keyed one-slot-per-plane layout — for
-    /// A/B measurement and as an ops escape hatch. Programs without an
-    /// error-free verification always run keyed, regardless of this
-    /// knob.
-    pub fn coalesce(mut self, on: bool) -> Self {
-        self.coalesce = Some(on);
-        self
-    }
-
     /// Worker parallelism the engine's auto paths run at:
     /// [`Engine::run_image_auto`] shards by it,
     /// [`Engine::async_session_auto`] sizes its pool with it, and the
-    /// autotuner searches over it. Defaults to `1` (serial); zero is a
-    /// structured [`EngineError::Config`] at build.
+    /// autotuner searches over it. Defaults to `1` (serial); zero or more
+    /// than [`MAX_WORKERS`] is a structured [`EngineError::Config`] at
+    /// build.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = Some(n);
         self
@@ -588,13 +575,12 @@ impl EngineBuilder {
     /// Sets every plan-time knob at once from a resolved
     /// [`EngineConfig`] — equivalent to calling [`EngineBuilder::block`],
     /// [`EngineBuilder::workers`], [`EngineBuilder::kernels`],
-    /// [`EngineBuilder::coalesce`], [`EngineBuilder::verify`] and
-    /// [`EngineBuilder::faults`] explicitly.
+    /// [`EngineBuilder::verify`] and [`EngineBuilder::faults`]
+    /// explicitly.
     pub fn engine_config(mut self, cfg: EngineConfig) -> Self {
         self.block = Some(cfg.block);
         self.workers = Some(cfg.workers);
         self.kernels = Some(cfg.kernels);
-        self.coalesce = Some(cfg.coalesce);
         self.verify = Some(cfg.verify);
         self.faults = cfg.faults;
         self
@@ -618,8 +604,8 @@ impl EngineBuilder {
     ///
     /// [`EngineError::Missing`] without a model or block size;
     /// [`EngineError::Config`] for an incoherent resolved
-    /// [`EngineConfig`] (zero block or workers, `coalesce(true)` with
-    /// [`VerifyMode::Off`]) or a tuning-record fingerprint mismatch;
+    /// [`EngineConfig`] (zero block, a worker count outside
+    /// `1..=`[`MAX_WORKERS`]) or a tuning-record fingerprint mismatch;
     /// [`EngineError::Model`] / [`EngineError::Compile`] for invalid specs
     /// or infeasible geometry; [`EngineError::Verify`] when the static
     /// verifier rejects the compiled program under the selected
@@ -647,23 +633,18 @@ impl EngineBuilder {
                 .kernels
                 .or(base.map(|c| c.kernels))
                 .unwrap_or(Kernels::Simd),
-            coalesce: true, // resolved below, against the verify mode
             verify: self.verify.or(base.map(|c| c.verify)).unwrap_or_default(),
             faults: self
                 .faults
                 .clone()
                 .or_else(|| base.and_then(|c| c.faults.clone())),
         };
-        let mut coalesce = self.coalesce.or(base.map(|c| c.coalesce));
         let env = if self.skip_env {
             crate::config::EnvOverrides::default()
         } else {
             EngineConfig::from_env_overrides()
         };
         env.apply(&mut cfg);
-        if let Some(c) = env.coalesce {
-            coalesce = Some(c);
-        }
         // Coherence checks: reject contradictions instead of silently
         // falling back.
         if cfg.block == 0 {
@@ -672,26 +653,15 @@ impl EngineBuilder {
                 detail: "block size must be nonzero".into(),
             });
         }
-        if cfg.workers == 0 {
+        if !(1..=MAX_WORKERS).contains(&cfg.workers) {
             return Err(EngineError::Config {
                 param: "workers",
-                detail: "worker count must be nonzero (1 = serial)".into(),
+                detail: format!(
+                    "worker count {} outside 1..={MAX_WORKERS} (1 = serial)",
+                    cfg.workers
+                ),
             });
         }
-        cfg.coalesce = match (coalesce, cfg.verify) {
-            (Some(true), VerifyMode::Off) => {
-                return Err(EngineError::Config {
-                    param: "coalesce",
-                    detail: "the coalesced plane layout requires a verification license; \
-                             use verify(Lints|Strict) or coalesce(false)"
-                        .into(),
-                })
-            }
-            // Unset coalesce with the verifier off resolves to the keyed
-            // layout: there is no license to coalesce under.
-            (None, VerifyMode::Off) => false,
-            (explicit, _) => explicit.unwrap_or(true),
-        };
         let mut workload = Workload::new(qm, cfg.block, self.spec.unwrap_or(RealTimeSpec::UHD30));
         if let Some(bits) = self.feature_bits {
             workload = workload.with_feature_bits(bits);
@@ -717,20 +687,20 @@ impl EngineBuilder {
                 return Err(EngineError::Verify(Box::new(rpt.clone())));
             }
         }
-        {
-            // Plan once up front so structurally invalid programs surface
-            // here as a structured error rather than on the first frame —
-            // and cross-check the plan's plane table against the
-            // verifier's independent derivation (differential oracle).
-            let plan = BlockPlan::new(&compiled.program, &compiled.leafs)?;
-            if let Some(rpt) = report.as_mut() {
-                let divergences = ecnn_sim::exec::crosscheck_plan(&plan, rpt);
-                rpt.diagnostics.extend(divergences);
-                if !rpt.passes(cfg.verify) {
-                    return Err(EngineError::Verify(Box::new(rpt.clone())));
-                }
+        // Plan once up front so structurally invalid programs surface here
+        // as a structured error rather than on the first frame — and
+        // cross-check the plan's plane table against the verifier's
+        // independent derivation (differential oracle). The plan's own
+        // verification decides the plane layout sessions run.
+        let plan = BlockPlan::new(&compiled.program, &compiled.leafs)?;
+        if let Some(rpt) = report.as_mut() {
+            let divergences = ecnn_sim::exec::crosscheck_plan(&plan, rpt);
+            rpt.diagnostics.extend(divergences);
+            if !rpt.passes(cfg.verify) {
+                return Err(EngineError::Verify(Box::new(rpt.clone())));
             }
         }
+        let coalesced = plan.coalesced();
         Ok(Engine {
             machine: self.machine.unwrap_or_else(EcnnConfig::paper),
             power: self.power.unwrap_or_else(PowerModel::paper_40nm),
@@ -739,6 +709,7 @@ impl EngineBuilder {
             compiled,
             verify_report: report,
             resolved: cfg,
+            coalesced,
             env_notes: env.notes,
         })
     }
@@ -755,6 +726,9 @@ pub struct Engine {
     compiled: CompiledProgram,
     verify_report: Option<VerifyReport>,
     resolved: EngineConfig,
+    /// Whether the program's plan proved a `MemoryPlan`, so sessions run
+    /// coalesced.
+    coalesced: bool,
     env_notes: Vec<String>,
 }
 
@@ -809,12 +783,12 @@ impl Engine {
         self.resolved.kernels
     }
 
-    /// Whether sessions of this engine run the coalesced plane layout
-    /// (see [`EngineBuilder::coalesce`]). `true` only states intent — a
-    /// program without an error-free verification still falls back to
-    /// the keyed layout at plan time.
+    /// Whether sessions of this engine run the coalesced plane layout:
+    /// `true` exactly when the program's plan proved a `MemoryPlan` at
+    /// build (see [`crate::config`]'s plane-layout rule), else they run
+    /// the keyed layout.
     pub fn coalesced(&self) -> bool {
-        self.resolved.coalesce
+        self.coalesced
     }
 
     /// The resolved worker parallelism ([`EngineBuilder::workers`]):
@@ -1023,7 +997,7 @@ impl Engine {
     pub fn frame_report_at(&self, spec: RealTimeSpec) -> FrameReport {
         let sr = self.system_report_at(spec);
         let cost = self.cost_report();
-        let (mem_bytes, mem_mode) = match (&cost.memory, self.resolved.coalesce) {
+        let (mem_bytes, mem_mode) = match (&cost.memory, self.coalesced) {
             (Some(m), true) => (m.peak_bytes, "coalesced"),
             _ => (cost.keyed_peak_bytes, "keyed"),
         };
@@ -1109,14 +1083,14 @@ pub struct Session<'e> {
 
 impl<'e> Session<'e> {
     fn new(engine: &'e Engine) -> Self {
-        Self::new_with(engine, engine.resolved.kernels, engine.resolved.coalesce)
+        Self::new_with(engine, engine.resolved.kernels, engine.coalesced)
     }
 
-    fn new_with(engine: &'e Engine, kernels: Kernels, coalesce: bool) -> Self {
+    fn new_with(engine: &'e Engine, kernels: Kernels, coalesced: bool) -> Self {
         let p = &engine.compiled.program;
         let mut plan = BlockPlan::new(&engine.compiled.program, &engine.compiled.leafs)
             .expect("engine build validated the plan");
-        if !coalesce {
+        if !coalesced {
             plan.force_keyed();
         }
         Self {
@@ -1381,7 +1355,6 @@ pub struct EcnnBackend {
     power: PowerModel,
     dram_power: DramPowerModel,
     kernels: Option<Kernels>,
-    coalesce: Option<bool>,
 }
 
 impl EcnnBackend {
@@ -1392,7 +1365,6 @@ impl EcnnBackend {
             power: PowerModel::paper_40nm(),
             dram_power: DramPowerModel::DDR4_3200,
             kernels: None,
-            coalesce: None,
         }
     }
 
@@ -1404,16 +1376,6 @@ impl EcnnBackend {
     #[must_use]
     pub fn with_kernels(mut self, kernels: Kernels) -> Self {
         self.kernels = Some(kernels);
-        self
-    }
-
-    /// Pins the plane-layout choice (see [`EngineBuilder::coalesce`]) for
-    /// every engine this backend builds, so sharded and pipelined paths
-    /// that construct sessions internally honor it. Unset, engines take
-    /// the default: the verifier-licensed coalesced layout.
-    #[must_use]
-    pub fn with_coalesce(mut self, on: bool) -> Self {
-        self.coalesce = Some(on);
         self
     }
 
@@ -1433,9 +1395,6 @@ impl EcnnBackend {
             .dram_power(self.dram_power);
         if let Some(k) = self.kernels {
             b = b.kernels(k);
-        }
-        if let Some(on) = self.coalesce {
-            b = b.coalesce(on);
         }
         b.build()
     }
@@ -1596,7 +1555,7 @@ mod tests {
         assert_eq!(p.inference, ecnn_model::model::InferenceKind::ZeroPadded);
         assert_eq!(p.do_side, 1);
         // Wide features exceed the strict 3x512KB buffers: recorded, not
-        // fatal (DESIGN.md §4).
+        // fatal.
         assert!(p.bb_overflow);
     }
 

@@ -72,14 +72,6 @@ impl Json {
         self.as_u64()
             .and_then(|n| usize::try_from(n).map_err(|_| format!("{n} out of usize range")))
     }
-
-    /// The value as a bool.
-    pub(crate) fn as_bool(&self) -> Result<bool, String> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!("expected bool, got {other:?}")),
-        }
-    }
 }
 
 /// JSON string escaping for the deterministic writers.
@@ -307,7 +299,7 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
-        assert!(!v.get("e").unwrap().as_bool().unwrap());
+        assert_eq!(v.get("e").unwrap(), &Json::Bool(false));
     }
 
     #[test]

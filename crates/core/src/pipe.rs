@@ -64,6 +64,7 @@
 //! [`EngineError::Frame`] carrying the frame's submission index, the
 //! worker and the failing block — earliest failing band wins.
 
+use crate::config::MAX_WORKERS;
 use crate::engine::{Engine, EngineError, ImageRunStats};
 use crate::faults::Fault;
 use crate::report::SupervisionReport;
@@ -280,13 +281,14 @@ pub struct AsyncSession {
 impl AsyncSession {
     /// Pipelined session on `workers` threads with the default in-flight
     /// window of `2 * workers` frames and the default
-    /// [`SupervisorPolicy`].
+    /// [`SupervisorPolicy`]. Every constructor clamps `workers` to
+    /// `1..=`[`MAX_WORKERS`]: each worker is one OS thread.
     ///
     /// The engine is cloned once into the session (the worker threads
     /// outlive the borrow a scoped approach could offer) — open one
     /// session per stream and keep it, rather than one per frame.
     pub fn new(engine: &Engine, workers: usize) -> Self {
-        let workers = workers.max(1);
+        let workers = workers.clamp(1, MAX_WORKERS);
         Self::with_capacity(engine, workers, 2 * workers)
     }
 
@@ -306,7 +308,7 @@ impl AsyncSession {
         capacity: usize,
         policy: SupervisorPolicy,
     ) -> Self {
-        let workers = workers.max(1);
+        let workers = workers.clamp(1, MAX_WORKERS);
         let engine = Arc::new(engine.clone());
         let shared = Arc::new(Shared {
             state: Mutex::new(State::default()),
@@ -317,7 +319,7 @@ impl AsyncSession {
         let ctx = Ctx {
             engine: engine.clone(),
             shared: shared.clone(),
-            ladder: Arc::new(ladder(engine.config())),
+            ladder: Arc::new(ladder(engine.kernels(), engine.coalesced())),
             policy: Arc::new(policy),
             tx: tx.clone(),
             rx,

@@ -139,7 +139,7 @@ mod tests {
     fn supervision_report_displays_policy_ladder_and_stats() {
         let r = SupervisionReport {
             policy: SupervisorPolicy::default(),
-            ladder: crate::supervise::ladder(&crate::config::EngineConfig::new(64)),
+            ladder: crate::supervise::ladder(ecnn_sim::Kernels::Simd, true),
             stats: SupervisorStats::default(),
             workers: 2,
         };

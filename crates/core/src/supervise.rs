@@ -28,7 +28,6 @@
 //! histogram) behind [`AsyncSession::supervisor_stats`](crate::pipe::AsyncSession::supervisor_stats)
 //! / [`SupervisionReport`](crate::report::SupervisionReport).
 
-use crate::config::EngineConfig;
 use crate::engine::EngineError;
 use ecnn_sim::Kernels;
 use std::fmt;
@@ -55,27 +54,25 @@ impl fmt::Display for DegradeRung {
     }
 }
 
-/// The degradation ladder for a resolved config, fastest rung first —
-/// always non-empty, starting at the config's own kernels/layout. Kernel
+/// The degradation ladder of an engine running `kernels` on its proven
+/// layout (`coalesced`, see `Engine::coalesced`), fastest rung first —
+/// always non-empty, starting at those kernels and that layout. Kernel
 /// families degrade along [`Kernels::ALL`] (fastest → reference), then
-/// the coalesced layout falls back to keyed. A config already at
-/// Reference+keyed yields the single-rung ladder (nowhere to fall).
-pub fn ladder(cfg: &EngineConfig) -> Vec<DegradeRung> {
-    let mut rungs = vec![DegradeRung {
-        kernels: cfg.kernels,
-        coalesce: cfg.coalesce,
-    }];
+/// the coalesced layout falls back to keyed. An engine already at
+/// Reference+keyed gets the single-rung ladder (nowhere to fall).
+pub fn ladder(kernels: Kernels, coalesced: bool) -> Vec<DegradeRung> {
     let pos = Kernels::ALL
         .iter()
-        .position(|&k| k == cfg.kernels)
+        .position(|&k| k == kernels)
         .unwrap_or(Kernels::ALL.len() - 1);
-    for &k in &Kernels::ALL[pos + 1..] {
-        rungs.push(DegradeRung {
-            kernels: k,
-            coalesce: cfg.coalesce,
-        });
-    }
-    if cfg.coalesce {
+    let mut rungs: Vec<DegradeRung> = Kernels::ALL[pos..]
+        .iter()
+        .map(|&kernels| DegradeRung {
+            kernels,
+            coalesce: coalesced,
+        })
+        .collect();
+    if coalesced {
         rungs.push(DegradeRung {
             kernels: Kernels::Reference,
             coalesce: false,
@@ -283,10 +280,7 @@ mod tests {
 
     #[test]
     fn ladder_walks_kernels_then_layout() {
-        let cfg = EngineConfig::new(64);
-        assert_eq!(cfg.kernels, Kernels::Simd);
-        assert!(cfg.coalesce);
-        let rungs = ladder(&cfg);
+        let rungs = ladder(Kernels::Simd, true);
         assert_eq!(
             rungs,
             vec![
@@ -309,10 +303,7 @@ mod tests {
             ]
         );
         // Already at the bottom: single-rung ladder.
-        let mut floor = EngineConfig::new(64);
-        floor.kernels = Kernels::Reference;
-        floor.coalesce = false;
-        assert_eq!(ladder(&floor).len(), 1);
+        assert_eq!(ladder(Kernels::Reference, false).len(), 1);
         assert_eq!(format!("{}", rungs[3]), "reference+keyed");
     }
 

@@ -2,7 +2,7 @@
 //! micro-bench only a shortlist, pin the winner as a replayable record.
 //!
 //! The paper hand-picks its deployment knobs (block size, worker count,
-//! kernel family, plane layout) per model and resolution.
+//! kernel family) per model and resolution.
 //! [`EngineBuilder::autotune`] automates that choice in three stages:
 //!
 //! 1. **Admit** — every enumerated candidate builds a real engine under
@@ -159,18 +159,18 @@ pub struct CostDigest {
     pub macs: u64,
     /// Total BB + DRAM bytes per block ([`CostReport::block_traffic`]).
     pub traffic: u64,
-    /// Peak plane-pool bytes under the record's layout
+    /// Peak plane-pool bytes of the layout the program runs
     /// ([`CostReport::planned_peak_bytes`]).
     pub peak_bytes: u64,
 }
 
 impl CostDigest {
-    /// Digest of `cost` under a plane-layout choice.
-    pub fn of(cost: &CostReport, coalesce: bool) -> Self {
+    /// Digest of `cost`.
+    pub fn of(cost: &CostReport) -> Self {
         Self {
             macs: cost.block_macs(),
             traffic: cost.block_traffic(),
-            peak_bytes: cost.planned_peak_bytes(coalesce) as u64,
+            peak_bytes: cost.planned_peak_bytes() as u64,
         }
     }
 
@@ -248,8 +248,6 @@ pub struct TuneSpace {
     pub workers: Vec<usize>,
     /// Kernel families to try.
     pub kernels: Vec<Kernels>,
-    /// Plane layouts to try (`true` = coalesced).
-    pub coalesce: Vec<bool>,
 }
 
 impl Default for TuneSpace {
@@ -260,7 +258,6 @@ impl Default for TuneSpace {
             // `Packed` is over 20× slower per block than `Simd` and cannot
             // win; it stays a degradation rung, not a tuning candidate.
             kernels: vec![Kernels::Simd],
-            coalesce: vec![true, false],
         }
     }
 }
@@ -272,18 +269,15 @@ impl TuneSpace {
         for &block in &self.blocks {
             for &workers in &self.workers {
                 for &kernels in &self.kernels {
-                    for &coalesce in &self.coalesce {
-                        out.push(EngineConfig {
-                            block,
-                            workers,
-                            kernels,
-                            coalesce,
-                            verify: VerifyMode::Strict,
-                            // Tuning never embeds a fault plan: records
-                            // describe production configs.
-                            faults: None,
-                        });
-                    }
+                    out.push(EngineConfig {
+                        block,
+                        workers,
+                        kernels,
+                        verify: VerifyMode::Strict,
+                        // Tuning never embeds a fault plan: records
+                        // describe production configs.
+                        faults: None,
+                    });
                 }
             }
         }
@@ -486,7 +480,7 @@ impl EngineBuilder {
     /// Candidates bypass the `ECNN_*` environment overrides (a tuning
     /// run must measure what it says it measures) and are always
     /// admitted under [`VerifyMode::Strict`]; the builder's own
-    /// `verify`, `kernels`, `coalesce` and `workers` settings are
+    /// `verify`, `kernels` and `workers` settings are
     /// superseded by each candidate. The default configuration
     /// ([`EngineConfig::new`] at the builder's block size, strict) is
     /// always timed, so the winner is measured no slower than the
@@ -614,7 +608,7 @@ impl EngineBuilder {
         let record = TuningRecord {
             fingerprint: Fingerprint::of(engine.quantized_model(), spec),
             config: candidates[win].config.clone(),
-            cost: CostDigest::of(&engine.cost_report(), candidates[win].config.coalesce),
+            cost: CostDigest::of(&engine.cost_report()),
             measured_ns_per_frame: win_ns,
         };
         let timed = shortlist.len();
@@ -650,7 +644,6 @@ mod tests {
                 block: 128,
                 workers: 4,
                 kernels: Kernels::Packed,
-                coalesce: true,
                 verify: VerifyMode::Strict,
                 faults: None,
             },
@@ -677,9 +670,9 @@ mod tests {
     fn space_enumerates_cross_product_strict() {
         let space = TuneSpace::default();
         let configs = space.enumerate();
-        // 3 blocks × 3 worker counts × 1 kernel family × 2 layouts.
+        // 3 blocks × 3 worker counts × 1 kernel family.
         assert_eq!(space.kernels, [Kernels::Simd]);
-        assert_eq!(configs.len(), 18);
+        assert_eq!(configs.len(), 9);
         assert!(configs.iter().all(|c| c.verify == VerifyMode::Strict));
     }
 

@@ -10,8 +10,7 @@
 //! * [`DramPowerModel`] — a Micron-power-calculator-style DDR4 model
 //!   (background + activate + read/write energy) used for Fig. 21. The
 //!   constants are calibrated to the paper's reported operating point
-//!   (≲120 mW dynamic at ≤1.66 GB/s, 267 mW leakage on DDR4-3200); see
-//!   DESIGN.md §4.
+//!   (≲120 mW dynamic at ≤1.66 GB/s, 267 mW leakage on DDR4-3200).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -1,7 +1,7 @@
 //! The FBISA compiler: lowers a [`QuantizedModel`] to a [`Program`] plus
 //! packed parameters.
 //!
-//! Lowering rules (Section 5.1 and DESIGN.md §6):
+//! Lowering rules (Section 5.1):
 //!
 //! * 32ch→32ch CONV3×3 → one `CONV` instruction (one leaf-module).
 //! * ERModule(Rm) → one `ER` instruction with `Rm` leaf-modules and
@@ -827,7 +827,7 @@ mod tests {
             .count();
         assert_eq!(n_up, 2);
         // head + 34 ER + bodyend + 2 UPX2 + tail = 39 (paper quotes 45 for
-        // its exact variant; see EXPERIMENTS.md).
+        // its exact variant).
         assert_eq!(c.program.instructions.len(), 39);
         // Output block side: LR 128 -> 54 after 37 convs, x2 -> 108 -> conv
         // -> 106 -> x2 -> 212 -> tail conv -> 210.

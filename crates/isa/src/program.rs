@@ -33,9 +33,8 @@ pub struct Program {
     /// Space-to-depth factor applied while streaming `DI` (DnERNet-12ch).
     pub input_unshuffle: Option<usize>,
     /// True when some tensor exceeded the strict 3×512 KB block-buffer
-    /// budget and was placed with relaxed capacity (see DESIGN.md §4 — the
-    /// CV case studies and SR tails stream through line FIFOs on real
-    /// hardware).
+    /// budget and was placed with relaxed capacity (the CV case studies
+    /// and SR tails stream through line FIFOs on real hardware).
     pub bb_overflow: bool,
 }
 

@@ -219,15 +219,13 @@ impl CostReport {
             .saturating_add(self.do_bytes)
     }
 
-    /// Peak plane bytes the executor would hold under the given layout
-    /// intent: the coalesced plan's bytes when one was licensed *and*
-    /// `coalesce` asks for it, the keyed fallback otherwise — exactly
-    /// the resolution the plan-time executor applies.
-    pub fn planned_peak_bytes(&self, coalesce: bool) -> usize {
-        match (&self.memory, coalesce) {
-            (Some(m), true) => m.peak_bytes,
-            _ => self.keyed_peak_bytes,
-        }
+    /// Peak plane bytes the executor holds: the coalesced plan's bytes
+    /// when one was licensed, the keyed layout's otherwise — the rule
+    /// the plan-time executor applies.
+    pub fn planned_peak_bytes(&self) -> usize {
+        self.memory
+            .as_ref()
+            .map_or(self.keyed_peak_bytes, |m| m.peak_bytes)
     }
 
     /// Static ranking score for the plan-time autotuner: estimated work

@@ -1,6 +1,6 @@
 //! ERNet model builders (paper Section 4 and Appendix A).
 //!
-//! The template follows Fig. 7 / Fig. 18 (see DESIGN.md §6):
+//! The template follows Fig. 7 / Fig. 18:
 //!
 //! ```text
 //! [unshuffle]  PixelUnshuffle ×2            (DnERNet-12ch only)

@@ -161,7 +161,7 @@ pub fn style_transfer() -> (Model, Model) {
 /// classifier that avoids 512-channel ResBlocks and "puts more computation
 /// in thinner layers", totalling ≈5M parameters like the paper's model
 /// (69.7% top-1 on ImageNet in the original; evaluated on synthetic data
-/// here — see DESIGN.md §4).
+/// here).
 ///
 /// Uses zero-padded inference: the whole 224×224 frame is one block.
 pub fn recognition(num_classes: usize) -> Model {

@@ -1,5 +1,5 @@
 //! Synthetic training/validation data (the offline stand-in for
-//! DIV2K / Waterloo Exploration / Set5 / CBSD68 — see DESIGN.md §4).
+//! DIV2K / Waterloo Exploration / Set5 / CBSD68).
 
 use ecnn_tensor::image::{add_gaussian_noise, downsample_box};
 use ecnn_tensor::{ImageKind, SyntheticImage, Tensor};

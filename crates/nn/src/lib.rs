@@ -1,7 +1,7 @@
 //! Training substrate for the eCNN reproduction.
 //!
 //! The paper trains ERNets on GPU farms over DIV2K/Waterloo; this crate is
-//! the offline, from-scratch CPU equivalent (see DESIGN.md §4): a small but
+//! the offline, from-scratch CPU equivalent: a small but
 //! real CNN trainer covering exactly the FBISA-supported layer set, plus the
 //! paper's three-stage procedure (Section 4.2/4.3):
 //!

@@ -4,7 +4,7 @@
 //! We cannot re-run Synopsys IC Compiler, so absolute constants are pinned
 //! to the published totals and breakdown percentages; everything that
 //! *varies across experiments* (engine busy fractions, SRAM activity, frame
-//! times) comes from the cycle simulator. See DESIGN.md §4.
+//! times) comes from the cycle simulator.
 
 use crate::timing::FrameReport;
 use serde::{Deserialize, Serialize};

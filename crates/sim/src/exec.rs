@@ -4,9 +4,11 @@
 //! [`BlockPlan`] walks a [`Program`] once up front: it validates leaf
 //! bookkeeping and operand availability (write-before-read) and computes
 //! every feature plane's shape and lifetime. [`execute_with`] then runs the
-//! plan against a [`PlanePool`] — a reusable arena of planes keyed by
-//! `(buffer, group)` plus the scratch accumulators — writing results in
-//! place, so steady-state block execution allocates nothing. One pool
+//! plan against a [`PlanePool`] — a reusable arena of plane slots plus the
+//! scratch accumulators — writing results in place, so steady-state block
+//! execution allocates nothing. The plan maps every plane to one slot:
+//! the verifier-licensed [`MemoryPlan`] when it proves one (coalesced),
+//! else one slot per `(buffer, group)` (keyed). One pool
 //! serves one worker: the streaming `Session` keeps one per stream and each
 //! pipelined worker thread one of its own.
 //!
@@ -84,7 +86,6 @@ use ecnn_model::model::InferenceKind;
 use ecnn_tensor::conv::align_code;
 use ecnn_tensor::qformat::rescale_code;
 use ecnn_tensor::{QFormat, Tensor};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -376,46 +377,12 @@ fn merge_extrema(slot: &mut Option<(i64, i64)>, obs: Option<(i64, i64)>) {
     }
 }
 
-/// Identity of one pooled 32-channel plane: the logical buffer it lives in
-/// plus its group offset — the `(buffer, group)` key the arena recycles
-/// storage by.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PlaneKey {
-    /// A block-buffer plane.
-    Bb {
-        /// Buffer index.
-        id: u8,
-        /// 32-channel group inside the buffer.
-        group: u8,
-    },
-    /// A streamed-input plane (post-unshuffle).
-    Di {
-        /// 32-channel group within the streamed input.
-        group: u8,
-    },
-    /// A streamed-output plane.
-    Do {
-        /// 32-channel group within the streamed output.
-        group: u8,
-    },
-}
-
-impl From<FeatLoc> for PlaneKey {
-    fn from(loc: FeatLoc) -> Self {
-        match loc {
-            FeatLoc::Bb { id, group } => PlaneKey::Bb { id, group },
-            FeatLoc::Di { group } => PlaneKey::Di { group },
-            FeatLoc::Do { group } => PlaneKey::Do { group },
-        }
-    }
-}
-
 /// Planning-time record of one plane: where it lives, its shape, and its
 /// lifetime in instruction indices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlaneInfo {
     /// The `(buffer, group)` the plane occupies.
-    pub key: PlaneKey,
+    pub loc: FeatLoc,
     /// Channel count: [`LEAF_CH`] for every plane except post-shuffle
     /// `UPX2` destinations, which carry `out_groups·LEAF_CH/4` channels.
     pub channels: usize,
@@ -439,28 +406,15 @@ impl PlaneInfo {
     }
 }
 
-/// Operand plane indices (into `BlockPlan::planes`) of one instruction —
-/// or, after mapping through a licensed [`MemoryPlan`], the physical slot
-/// of each operand. The executor routes every checkout/read through these
-/// so coalesced execution needs no per-access table lookups.
+/// Operand plane indices (into `BlockPlan::planes`) of one instruction.
 #[derive(Clone, Debug)]
-struct InstrSlots {
+struct Operands {
     /// One entry per gathered source group, in group order.
     src: Vec<usize>,
     /// The srcS operand, when present.
     src_s: Option<usize>,
     /// The destination plane.
     dst: usize,
-}
-
-/// Slot routing for one whole program under a licensed [`MemoryPlan`]:
-/// where each DI plane streams in, where each instruction's operands
-/// live, and where the output assembly reads the DO planes.
-#[derive(Clone, Debug)]
-struct SlotRoute {
-    di: Vec<usize>,
-    instr: Vec<InstrSlots>,
-    out: Vec<usize>,
 }
 
 /// The spatial extents, as `(rows, cols)`, one instruction runs at.
@@ -546,7 +500,7 @@ pub struct BlockPlan<'a> {
     /// per instruction write, in program order.
     planes: Vec<PlaneInfo>,
     /// Each instruction's operand planes (indices into `planes`).
-    bindings: Vec<InstrSlots>,
+    bindings: Vec<Operands>,
     /// The DO planes assembled into the logical output block, in group
     /// order.
     do_planes: Vec<usize>,
@@ -568,12 +522,12 @@ pub struct BlockPlan<'a> {
     live: Vec<LiveChannels>,
     /// The verifier-licensed coalesced memory layout, stamped at plan
     /// time only when verification found no hard errors (mirroring the
-    /// `narrow_acc` license). `None` falls back to the keyed
-    /// one-slot-per-`(buffer, group)` layout.
+    /// `narrow_acc` license). `None` means the keyed layout.
     memplan: Option<MemoryPlan>,
-    /// Operand→slot routing derived from `memplan`; present iff the plan
-    /// is licensed, absent in the keyed fallback.
-    route: Option<SlotRoute>,
+    /// The physical pool slot of each entry of `planes`: `memplan`'s
+    /// slots when it is licensed, else the keyed table ([`keyed_slots`]).
+    /// Every checkout and read goes through it.
+    slots: Vec<usize>,
 }
 
 impl<'a> BlockPlan<'a> {
@@ -605,13 +559,13 @@ impl<'a> BlockPlan<'a> {
         let di_groups = (program.di_channels * s * s).div_ceil(LEAF_CH);
 
         let mut planes: Vec<PlaneInfo> = Vec::new();
-        // Latest write per key (index into `planes`).
-        let mut live: HashMap<PlaneKey, usize> = HashMap::new();
+        // Latest write per location (index into `planes`).
+        let mut live: HashMap<FeatLoc, usize> = HashMap::new();
         for g in 0..di_groups {
-            let key = PlaneKey::Di { group: g as u8 };
-            live.insert(key, planes.len());
+            let loc = FeatLoc::Di { group: g as u8 };
+            live.insert(loc, planes.len());
             planes.push(PlaneInfo {
-                key,
+                loc,
                 channels: LEAF_CH,
                 height: di_plane_side,
                 width: di_plane_side,
@@ -621,7 +575,7 @@ impl<'a> BlockPlan<'a> {
         }
 
         let mark_read = |planes: &mut Vec<PlaneInfo>,
-                         live: &HashMap<PlaneKey, usize>,
+                         live: &HashMap<FeatLoc, usize>,
                          loc: FeatLoc,
                          at: usize,
                          expect_side: Option<usize>|
@@ -629,9 +583,7 @@ impl<'a> BlockPlan<'a> {
             if matches!(loc, FeatLoc::Do { .. }) {
                 return Err(ExecError::ReadFromDo);
             }
-            let idx = *live
-                .get(&PlaneKey::from(loc))
-                .ok_or(ExecError::MissingPlane(loc))?;
+            let idx = *live.get(&loc).ok_or(ExecError::MissingPlane(loc))?;
             let info = &mut planes[idx];
             if let Some(side) = expect_side {
                 if info.height != side || info.width != side {
@@ -646,9 +598,8 @@ impl<'a> BlockPlan<'a> {
         };
 
         // Plane-table indices of every instruction's operands, recorded on
-        // the same walk so a licensed memory plan can be turned into
-        // direct slot routing without a second resolution pass.
-        let mut bindings: Vec<InstrSlots> = Vec::with_capacity(program.instructions.len());
+        // the same walk.
+        let mut bindings: Vec<Operands> = Vec::with_capacity(program.instructions.len());
 
         for (i, (ins, leafset)) in program.instructions.iter().zip(leafs).enumerate() {
             // Structural invariants first, so the executor's `expect`
@@ -697,15 +648,14 @@ impl<'a> BlockPlan<'a> {
             if matches!(ins.dst, FeatLoc::Di { .. }) {
                 return Err(ExecError::Shape("cannot write to DI".into()));
             }
-            let key = PlaneKey::from(ins.dst);
-            bindings.push(InstrSlots {
+            bindings.push(Operands {
                 src: src_idx,
                 src_s: srcs_idx,
                 dst: planes.len(),
             });
-            live.insert(key, planes.len());
+            live.insert(ins.dst, planes.len());
             planes.push(PlaneInfo {
-                key,
+                loc: ins.dst,
                 // Post-shuffle UPX2 planes pack out_groups·LEAF_CH pre-
                 // shuffle channels into out_groups·LEAF_CH/4 at 2× side.
                 channels: if ins.opcode == Opcode::Upx2 {
@@ -729,10 +679,8 @@ impl<'a> BlockPlan<'a> {
         let end = program.instructions.len();
         let mut do_idx = Vec::with_capacity(out_groups);
         for g in 0..out_groups {
-            let key = PlaneKey::Do { group: g as u8 };
-            let idx = *live
-                .get(&key)
-                .ok_or(ExecError::MissingPlane(FeatLoc::Do { group: g as u8 }))?;
+            let loc = FeatLoc::Do { group: g as u8 };
+            let idx = *live.get(&loc).ok_or(ExecError::MissingPlane(loc))?;
             if planes[idx].height != program.do_side {
                 return Err(ExecError::Shape(format!(
                     "DO plane side {} vs {}",
@@ -775,18 +723,9 @@ impl<'a> BlockPlan<'a> {
             // the plan — no proof, no coalescing.
             memplan = MemoryPlan::build(&report).filter(|m| m.plane_slots.len() == planes.len());
         }
-        let route = memplan.as_ref().map(|m| SlotRoute {
-            di: m.plane_slots[..di_groups].to_vec(),
-            instr: bindings
-                .iter()
-                .map(|b| InstrSlots {
-                    src: b.src.iter().map(|&i| m.plane_slots[i]).collect(),
-                    src_s: b.src_s.map(|i| m.plane_slots[i]),
-                    dst: m.plane_slots[b.dst],
-                })
-                .collect(),
-            out: do_idx.iter().map(|&i| m.plane_slots[i]).collect(),
-        });
+        let slots = memplan
+            .as_ref()
+            .map_or_else(|| keyed_slots(&planes), |m| m.plane_slots.clone());
         let extents = Extents {
             di: (di_plane_side, di_plane_side),
             instrs: program
@@ -825,7 +764,7 @@ impl<'a> BlockPlan<'a> {
             simd: kernels::simd::detect(),
             live: live_extents,
             memplan,
-            route,
+            slots,
         })
     }
 
@@ -1088,7 +1027,7 @@ impl<'a> BlockPlan<'a> {
     }
 
     /// The verifier-licensed coalesced memory layout, when one was proven
-    /// at plan time (`None` means executions fall back to the keyed
+    /// at plan time (`None` means executions run the keyed
     /// one-slot-per-`(buffer, group)` layout).
     pub fn memory_plan(&self) -> Option<&MemoryPlan> {
         self.memplan.as_ref()
@@ -1097,16 +1036,15 @@ impl<'a> BlockPlan<'a> {
     /// Whether executions of this plan run coalesced (a licensed
     /// [`MemoryPlan`] routes every plane onto shared physical slots).
     pub fn coalesced(&self) -> bool {
-        self.route.is_some()
+        self.memplan.is_some()
     }
 
-    /// Revokes the coalesced memory plan, forcing executions onto the
-    /// keyed one-slot-per-plane layout. For parity tests, benchmarks
-    /// isolating the coalescing effect, and `EngineBuilder::coalesce
-    /// (false)`.
+    /// Revokes the coalesced memory plan, swapping in the keyed slot
+    /// table: one slot per `(buffer, group)`. For parity tests, memory
+    /// benchmarks and the supervisor's floor rung.
     pub fn force_keyed(&mut self) {
         self.memplan = None;
-        self.route = None;
+        self.slots = keyed_slots(&self.planes);
     }
 
     /// Peak plane bytes one block execution of *this* plan needs: the
@@ -1120,26 +1058,6 @@ impl<'a> BlockPlan<'a> {
             .map_or_else(|| self.peak_plane_bytes(), |m| m.peak_bytes)
     }
 
-    fn di_slot(&self, g: usize) -> Option<usize> {
-        self.route.as_ref().map(|r| r.di[g])
-    }
-
-    fn src_slots(&self, idx: usize) -> Option<&[usize]> {
-        self.route.as_ref().map(|r| r.instr[idx].src.as_slice())
-    }
-
-    fn srcs_slot(&self, idx: usize) -> Option<usize> {
-        self.route.as_ref().and_then(|r| r.instr[idx].src_s)
-    }
-
-    fn dst_slot(&self, idx: usize) -> Option<usize> {
-        self.route.as_ref().map(|r| r.instr[idx].dst)
-    }
-
-    fn do_slot(&self, g: usize) -> Option<usize> {
-        self.route.as_ref().map(|r| r.out[g])
-    }
-
     /// Peak bytes of *keyed* `(buffer, group)` plane storage one block
     /// execution needs. Scratch buffers (the gather input, the
     /// accumulators, the ER mid plane, the pre-pool / pre-shuffle plane and
@@ -1147,38 +1065,47 @@ impl<'a> BlockPlan<'a> {
     /// warm pool's total footprint is larger, dominated by the 4-byte
     /// (narrow) or 8-byte (`i64`) accumulator elements.
     pub fn peak_plane_bytes(&self) -> usize {
-        // Keys are recycled in place, so the pool's footprint is the max
-        // shape ever taken per key.
-        let mut peak: HashMap<PlaneKey, usize> = HashMap::new();
-        for p in &self.planes {
-            let bytes = p.elems() * std::mem::size_of::<i16>();
-            let e = peak.entry(p.key).or_insert(0);
-            *e = (*e).max(bytes);
+        // Slots are recycled in place, so the pool's footprint is the max
+        // shape ever taken per slot.
+        let mut peak = vec![0; self.planes.len()];
+        for (p, s) in self.planes.iter().zip(keyed_slots(&self.planes)) {
+            peak[s] = peak[s].max(p.elems() * std::mem::size_of::<i16>());
         }
-        peak.values().sum()
+        peak.iter().sum()
     }
 }
 
+/// The keyed slot table: one slot per distinct `(buffer, group)`, in order
+/// of first appearance, so an in-place srcS chain (dst and srcS at one
+/// location) shares one slot, which `finish` reads through a copy.
+fn keyed_slots(planes: &[PlaneInfo]) -> Vec<usize> {
+    let mut first: HashMap<FeatLoc, usize> = HashMap::new();
+    planes
+        .iter()
+        .map(|p| {
+            let next = first.len();
+            *first.entry(p.loc).or_insert(next)
+        })
+        .collect()
+}
+
 /// The plane storage half of a [`PlanePool`], split out so the executor
-/// can borrow it alongside the scratch accumulators. Keyed executions
-/// store planes in the `(buffer, group)` map; coalesced executions (a
-/// licensed [`MemoryPlan`]) store them in the slot vector instead. The
-/// arena tracks a resident-bytes high-water mark across both, so the
-/// observed peak can be audited against the planner's proven peak.
+/// can borrow it alongside the scratch accumulators: one plane per
+/// physical slot of the plan's slot table. The arena tracks a
+/// resident-bytes high-water mark, so the observed peak can be audited
+/// against the planner's proven peak.
 #[derive(Debug, Default)]
 struct PlaneArena {
-    planes: HashMap<PlaneKey, Tensor<i16>>,
     slots: Vec<Option<Tensor<i16>>>,
     resident_bytes: usize,
     peak_resident_bytes: usize,
 }
 
-/// A reusable arena of feature planes (keyed by [`PlaneKey`] or, under a
-/// licensed [`MemoryPlan`], routed onto shared physical slots) and
-/// scratch accumulators. One pool serves one executor worker; after the
-/// first block has warmed every buffer to its peak size, [`execute_with`]
-/// performs zero allocations per block. The pool also owns the
-/// [`ExecStats`] counters its executions accumulate.
+/// A reusable arena of feature planes, one per physical slot of a plan's
+/// slot table, and scratch accumulators. One pool serves one executor
+/// worker; after the first block has warmed every buffer to its peak
+/// size, [`execute_with`] performs zero allocations per block. The pool
+/// also owns the [`ExecStats`] counters its executions accumulate.
 #[derive(Debug, Default)]
 pub struct PlanePool {
     arena: PlaneArena,
@@ -1254,15 +1181,7 @@ fn ensure_overwrite<'s, T: Copy + Default>(
     t
 }
 
-/// Where a plane lives in the arena: a routed physical slot (a licensed
-/// coalesced layout) or its `(buffer, group)` key (the keyed fallback).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Place {
-    Slot(usize),
-    Key(PlaneKey),
-}
-
-/// Checks out the pooled plane at `place` with shape `c×h×w`, recycling
+/// Checks out the pooled plane in `slot` with shape `c×h×w`, recycling
 /// its storage when capacity allows, and maintaining the arena's
 /// resident-bytes high-water mark. `zero` selects whether recycled
 /// contents are cleared; pass `false` only when every element will be
@@ -1270,89 +1189,48 @@ enum Place {
 fn checkout<'m>(
     arena: &'m mut PlaneArena,
     stats: &mut ExecStats,
-    place: Place,
+    slot: usize,
     c: usize,
     h: usize,
     w: usize,
     zero: bool,
 ) -> &'m mut Tensor<i16> {
     let needed = c * h * w;
-    let displaced = plane_at(arena, place).map_or(0, Tensor::len);
+    let displaced = plane_at(arena, slot).map_or(0, Tensor::len);
     arena.resident_bytes = arena.resident_bytes - displaced * std::mem::size_of::<i16>()
         + needed * std::mem::size_of::<i16>();
     arena.peak_resident_bytes = arena.peak_resident_bytes.max(arena.resident_bytes);
-    match place {
-        Place::Slot(s) => {
-            if arena.slots.len() <= s {
-                arena.slots.resize_with(s + 1, || None);
-            }
-            let entry = &mut arena.slots[s];
-            match entry {
-                Some(t) => {
-                    if t.capacity() < needed {
-                        stats.planes_allocated += 1;
-                    } else {
-                        stats.planes_reused += 1;
-                    }
-                    if zero {
-                        t.reset(c, h, w);
-                    } else {
-                        t.reset_no_fill(c, h, w);
-                    }
-                    t
-                }
-                None => {
-                    stats.planes_allocated += 1;
-                    entry.insert(Tensor::zeros(c, h, w))
-                }
-            }
-        }
-        Place::Key(key) => match arena.planes.entry(key) {
-            Entry::Occupied(e) => {
-                let t = e.into_mut();
-                if t.capacity() < needed {
-                    stats.planes_allocated += 1;
-                } else {
-                    stats.planes_reused += 1;
-                }
-                if zero {
-                    t.reset(c, h, w);
-                } else {
-                    t.reset_no_fill(c, h, w);
-                }
-                t
-            }
-            Entry::Vacant(v) => {
-                stats.planes_allocated += 1;
-                v.insert(Tensor::zeros(c, h, w))
-            }
-        },
+    if arena.slots.len() <= slot {
+        arena.slots.resize_with(slot + 1, || None);
     }
+    let t = ensure_slot(&mut arena.slots[slot], stats, needed);
+    if zero {
+        t.reset(c, h, w);
+    } else {
+        t.reset_no_fill(c, h, w);
+    }
+    t
 }
 
-/// The plane stored at `place`, if any.
-fn plane_at(arena: &PlaneArena, place: Place) -> Option<&Tensor<i16>> {
-    match place {
-        Place::Slot(s) => arena.slots.get(s).and_then(Option::as_ref),
-        Place::Key(key) => arena.planes.get(&key),
-    }
+/// The plane stored in `slot`, if any.
+fn plane_at(arena: &PlaneArena, slot: usize) -> Option<&Tensor<i16>> {
+    arena.slots.get(slot).and_then(Option::as_ref)
 }
 
-/// Reads the pooled plane for `loc` — from `slot` when the plan routes it
-/// (coalesced), from the key map otherwise — charging block-buffer read
-/// traffic for the compiled plane `info`, whatever extent it runs at.
+/// Reads the pooled plane for `loc` from its `slot`, charging
+/// block-buffer read traffic for the compiled plane `info`, whatever
+/// extent it runs at.
 fn read_plane<'m>(
     arena: &'m PlaneArena,
     stats: &mut ExecStats,
     loc: FeatLoc,
-    slot: Option<usize>,
+    slot: usize,
     info: &PlaneInfo,
 ) -> Result<&'m Tensor<i16>, ExecError> {
     if matches!(loc, FeatLoc::Do { .. }) {
         return Err(ExecError::ReadFromDo);
     }
-    let place = slot.map_or(Place::Key(PlaneKey::from(loc)), Place::Slot);
-    let plane = plane_at(arena, place).ok_or(ExecError::MissingPlane(loc))?;
+    let plane = plane_at(arena, slot).ok_or(ExecError::MissingPlane(loc))?;
     if matches!(loc, FeatLoc::Bb { .. }) {
         stats.bb_read_bytes += info.elems() as u64;
     }
@@ -1365,13 +1243,13 @@ impl PlanePool {
         Self::default()
     }
 
-    /// Checks out the plane for `key` with shape `channels×height×width`
+    /// Checks out the plane in `slot` with shape `channels×height×width`
     /// (zero-filled), recycling its storage when capacity allows. Every
-    /// key owns disjoint storage: a checked-out plane never aliases
+    /// slot owns disjoint storage: a checked-out plane never aliases
     /// another live plane.
     pub fn checkout(
         &mut self,
-        key: PlaneKey,
+        slot: usize,
         channels: usize,
         height: usize,
         width: usize,
@@ -1379,7 +1257,7 @@ impl PlanePool {
         checkout(
             &mut self.arena,
             &mut self.stats,
-            Place::Key(key),
+            slot,
             channels,
             height,
             width,
@@ -1387,11 +1265,9 @@ impl PlanePool {
         )
     }
 
-    /// The plane currently pooled for `key`, if any. Coalesced executions
-    /// (a plan with a licensed [`MemoryPlan`]) store planes by slot, not
-    /// by key, so this only reflects keyed checkouts.
-    pub fn plane(&self, key: PlaneKey) -> Option<&Tensor<i16>> {
-        self.arena.planes.get(&key)
+    /// The plane currently pooled in `slot`, if any.
+    pub fn plane(&self, slot: usize) -> Option<&Tensor<i16>> {
+        plane_at(&self.arena, slot)
     }
 
     /// Counters accumulated by executions (and checkouts) on this pool.
@@ -1399,15 +1275,13 @@ impl PlanePool {
         self.stats
     }
 
-    /// Number of pooled planes currently resident (keyed planes plus
-    /// occupied coalesced slots).
+    /// Number of pooled planes currently resident (occupied slots).
     pub fn resident_planes(&self) -> usize {
-        self.arena.planes.len() + self.arena.slots.iter().filter(|s| s.is_some()).count()
+        self.arena.slots.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Plane bytes currently resident (keyed planes plus occupied
-    /// coalesced slots, at their current logical shapes; scratch
-    /// accumulators are not counted).
+    /// Plane bytes currently resident (occupied slots, at their current
+    /// logical shapes; scratch accumulators are not counted).
     pub fn resident_bytes(&self) -> usize {
         self.arena.resident_bytes
     }
@@ -1424,7 +1298,6 @@ impl PlanePool {
     /// output) while keeping the counters and the resident-bytes
     /// high-water mark.
     pub fn clear(&mut self) {
-        self.arena.planes.clear();
         self.arena.slots.clear();
         self.arena.resident_bytes = 0;
         self.wide = None;
@@ -1657,10 +1530,10 @@ pub fn crosscheck_plan(plan: &BlockPlan<'_>, report: &VerifyReport) -> Vec<Diagn
         return out;
     }
     for (info, rec) in planned.iter().zip(&report.planes) {
-        if info.key != PlaneKey::from(rec.loc) {
+        if info.loc != rec.loc {
             diverge(
                 rec.born,
-                format!("plane key {:?} vs verifier {}", info.key, rec.loc),
+                format!("plane {} vs verifier {}", info.loc, rec.loc),
             );
             continue;
         }
@@ -1743,8 +1616,7 @@ fn stream_input(
         let plane = checkout(
             &mut pool.arena,
             &mut pool.stats,
-            plan.di_slot(g)
-                .map_or(Place::Key(PlaneKey::Di { group: g as u8 }), Place::Slot),
+            plan.slots[g],
             LEAF_CH,
             h,
             w,
@@ -1781,9 +1653,9 @@ fn stream_input(
 }
 
 /// The source operand of instruction `idx`, its `in_groups` consecutive
-/// planes at extent `(h, w)`, each resolved through the plan's routing
-/// when it is coalesced: the pooled plane itself for one group, else the
-/// planes gathered into the pool's wide scratch.
+/// planes at extent `(h, w)`, each read from its slot: the pooled plane
+/// itself for one group, else the planes gathered into the pool's wide
+/// scratch.
 fn gather<'m>(
     arena: &'m PlaneArena,
     wide: &'m mut Option<Tensor<i16>>,
@@ -1793,11 +1665,16 @@ fn gather<'m>(
     (h, w): (usize, usize),
 ) -> Result<&'m Tensor<i16>, ExecError> {
     let ins = &plan.program.instructions[idx];
-    let route = plan.src_slots(idx);
     let planes = &plan.bindings[idx].src;
     let group = |g: usize, stats: &mut ExecStats| -> Result<&'m Tensor<i16>, ExecError> {
-        let info = &plan.planes[planes[g]];
-        let plane = read_plane(arena, stats, ins.src.offset(g), route.map(|r| r[g]), info)?;
+        let p = planes[g];
+        let plane = read_plane(
+            arena,
+            stats,
+            ins.src.offset(g),
+            plan.slots[p],
+            &plan.planes[p],
+        )?;
         if plane.shape() != (LEAF_CH, h, w) {
             return Err(ExecError::Shape(format!(
                 "plane {:?} vs expected {LEAF_CH}x{h}x{w}",
@@ -1825,15 +1702,15 @@ fn gather<'m>(
 /// whatever extent it was written at.
 fn count_write(stats: &mut ExecStats, program: &Program, info: &PlaneInfo) {
     let (len, px) = (info.elems(), info.height * info.width);
-    match info.key {
-        PlaneKey::Bb { .. } => stats.bb_write_bytes += len as u64,
-        PlaneKey::Do { group } => {
+    match info.loc {
+        FeatLoc::Bb { .. } => stats.bb_write_bytes += len as u64,
+        FeatLoc::Do { group } => {
             // Only logical channels leave the chip.
             stats.do_bytes += len
                 .min(LEAF_CH.min(program.do_channels.saturating_sub(group as usize * LEAF_CH)) * px)
                 as u64;
         }
-        PlaneKey::Di { .. } => unreachable!("plan rejects DI writes"),
+        FeatLoc::Di { .. } => unreachable!("plan rejects DI writes"),
     }
 }
 
@@ -2136,26 +2013,16 @@ fn narrow_epilogues(ins: &Instruction) -> Option<(NarrowEpilogue, Option<NarrowE
     Some((last, mid))
 }
 
-/// Write access to the checked-out plane at `dst` together with read
-/// access to the distinct plane at `src`, both in the arena: the final
-/// rounding writes one while it reads the other. `None` if either is
-/// absent (both places come from one layout, routed or keyed).
+/// Write access to the checked-out plane in slot `dst` together with read
+/// access to the distinct plane in slot `src`: the final rounding writes
+/// one while it reads the other. `None` if either is absent.
 fn dst_and_src(
     arena: &mut PlaneArena,
-    dst: Place,
-    src: Place,
+    dst: usize,
+    src: usize,
 ) -> Option<(&mut Tensor<i16>, &Tensor<i16>)> {
-    match (dst, src) {
-        (Place::Slot(d), Place::Slot(s)) => {
-            let [d, s] = arena.slots.get_disjoint_mut([d, s]).ok()?;
-            Some((d.as_mut()?, s.as_ref()?))
-        }
-        (Place::Key(d), Place::Key(s)) => {
-            let [d, s] = arena.planes.get_disjoint_mut([&d, &s]);
-            Some((d?, s?))
-        }
-        _ => None,
-    }
+    let [d, s] = arena.slots.get_disjoint_mut([dst, src]).ok()?;
+    Some((d.as_mut()?, s.as_ref()?))
 }
 
 /// The accumulator an instruction's conv stage left in the pool.
@@ -2271,40 +2138,39 @@ fn finish(
             merge_extrema(&mut t.dst, scan_i16(codes));
         }
     };
-    let dst_key = PlaneKey::from(ins.dst);
-    let dst_place = plan.dst_slot(idx).map_or(Place::Key(dst_key), Place::Slot);
-    let srcs_place = match (ins.src_s, binding.src_s) {
-        (Some(loc), Some(info)) => {
-            let slot = plan.srcs_slot(idx);
-            let plane = read_plane(arena, stats, loc, slot, &plan.planes[info])?;
+    let dst_slot = plan.slots[binding.dst];
+    let srcs_slot = match (ins.src_s, binding.src_s) {
+        (Some(loc), Some(p)) => {
+            let slot = plan.slots[p];
+            let plane = read_plane(arena, stats, loc, slot, &plan.planes[p])?;
             check_srcs_domain((ac, ah, aw), plane, offset)?;
-            Some(slot.map_or(Place::Key(PlaneKey::from(loc)), Place::Slot))
+            Some(slot)
         }
         _ => None,
     };
     if ins.opcode == Opcode::Dnx2 || shuffle_codes {
         // Round into scratch, then reorder the codes into dst.
         let codes = ensure_overwrite(quant, stats, ac, ah, aw);
-        round(srcs_place.and_then(|p| plane_at(arena, p)), codes);
-        let dst = checkout(arena, stats, dst_place, oc, oh, ow, false);
+        round(srcs_slot.and_then(|s| plane_at(arena, s)), codes);
+        let dst = checkout(arena, stats, dst_slot, oc, oh, ow, false);
         match ins.pool {
             Some(kind) => pool_into(codes, kind, ins.pool_factor, dst),
             None => codes.pixel_shuffle_into(2, dst),
         }
-    } else if srcs_place == Some(dst_place) {
+    } else if srcs_slot == Some(dst_slot) {
         // dst overwrites srcS in place: read a copy.
-        let plane = plane_at(arena, dst_place).expect("srcS was read above");
+        let plane = plane_at(arena, dst_slot).expect("srcS was read above");
         let (pc, ph, pw) = plane.shape();
         let copy = ensure_overwrite(srcs_copy, stats, pc, ph, pw);
         copy.as_mut_slice().copy_from_slice(plane.as_slice());
-        let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
+        let dst = checkout(arena, stats, dst_slot, ac, ah, aw, false);
         round(Some(copy), dst);
     } else {
-        let dst = checkout(arena, stats, dst_place, ac, ah, aw, false);
-        match srcs_place {
+        let dst = checkout(arena, stats, dst_slot, ac, ah, aw, false);
+        match srcs_slot {
             None => round(None, dst),
-            Some(src_place) => {
-                let (dst, plane) = dst_and_src(arena, dst_place, src_place)
+            Some(src_slot) => {
+                let (dst, plane) = dst_and_src(arena, dst_slot, src_slot)
                     .expect("srcS was read and dst checked out above");
                 round(Some(plane), dst);
             }
@@ -2325,13 +2191,9 @@ fn assemble_output<'p>(
     // Every (channel, y, x) is written below — the DO groups tile the
     // logical channel range — so stale contents need no clearing.
     let out = ensure_overwrite(&mut pool.out, &mut pool.stats, program.do_channels, h, w);
-    for g in 0..plan.do_planes.len() {
-        let key = PlaneKey::Do { group: g as u8 };
-        let plane = plane_at(
-            &pool.arena,
-            plan.do_slot(g).map_or(Place::Key(key), Place::Slot),
-        )
-        .ok_or(ExecError::MissingPlane(FeatLoc::Do { group: g as u8 }))?;
+    for (g, &p) in plan.do_planes.iter().enumerate() {
+        let plane = plane_at(&pool.arena, plan.slots[p])
+            .ok_or(ExecError::MissingPlane(FeatLoc::Do { group: g as u8 }))?;
         if (plane.height(), plane.width()) != (h, w) {
             return Err(ExecError::Shape(format!(
                 "DO plane {}x{} vs output {w}x{h}",
@@ -2699,7 +2561,7 @@ mod tests {
         let end = c.program.instructions.len();
         assert!(planes
             .iter()
-            .any(|p| matches!(p.key, PlaneKey::Do { .. }) && p.last_use == Some(end)));
+            .any(|p| matches!(p.loc, FeatLoc::Do { .. }) && p.last_use == Some(end)));
         assert!(plan.peak_plane_bytes() > 0);
     }
 
@@ -2978,15 +2840,11 @@ mod tests {
     #[test]
     fn checkout_recycles_storage_per_key() {
         let mut pool = PlanePool::new();
-        let key = PlaneKey::Bb { id: 0, group: 0 };
-        let ptr = pool.checkout(key, LEAF_CH, 10, 10).as_slice().as_ptr();
-        // Shrinking reuses the same storage; a different key gets its own.
-        let ptr2 = pool.checkout(key, LEAF_CH, 8, 8).as_slice().as_ptr();
+        let ptr = pool.checkout(0, LEAF_CH, 10, 10).as_slice().as_ptr();
+        // Shrinking reuses the same storage; a different slot gets its own.
+        let ptr2 = pool.checkout(0, LEAF_CH, 8, 8).as_slice().as_ptr();
         assert_eq!(ptr, ptr2);
-        let other = pool
-            .checkout(PlaneKey::Bb { id: 1, group: 0 }, LEAF_CH, 8, 8)
-            .as_slice()
-            .as_ptr();
+        let other = pool.checkout(1, LEAF_CH, 8, 8).as_slice().as_ptr();
         assert_ne!(ptr, other);
         let s = pool.stats();
         assert_eq!(s.planes_allocated, 2);

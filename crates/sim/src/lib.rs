@@ -23,8 +23,8 @@
 //!   256 decode cycles per leaf-module in the IDU, per-frame block counts
 //!   and DRAM traffic.
 //! * [`cost`] — the **area/power** model calibrated to the paper's Table 6
-//!   layout results (55.23 mm², 6.94 W average at 40 nm; see DESIGN.md §4
-//!   for the substitution rationale), plus the eight-bank block-buffer
+//!   layout results (55.23 mm², 6.94 W average at 40 nm), plus the
+//!   eight-bank block-buffer
 //!   conflict model of Fig. 17 in [`banking`].
 //!
 //! [`config`] holds the Table 2 machine constants shared by all views.
@@ -46,7 +46,7 @@ pub use config::EcnnConfig;
 pub use cost::{AreaReport, PowerReport};
 pub use exec::{
     crosscheck_plan, execute_traced, execute_with, BlockPlan, ExecError, ExecStats, ExecTrace,
-    InstrTrace, KernelVariant, Kernels, PlaneInfo, PlaneKey, PlanePool, RangeViolation,
+    InstrTrace, KernelVariant, Kernels, PlaneInfo, PlanePool, RangeViolation,
 };
 pub use kernels::simd::SimdLevel;
 pub use timing::{simulate_frame, FrameReport};

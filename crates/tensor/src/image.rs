@@ -5,7 +5,7 @@
 //! module synthesizes deterministic multi-octave textures with edges and
 //! gradients — content that, like natural images, mixes smooth regions with
 //! high-frequency detail, which is what super-resolution and denoising models
-//! must trade off. See DESIGN.md §4 for the substitution rationale.
+//! must trade off.
 
 use crate::tensor::Tensor;
 use rand::prelude::*;

@@ -20,6 +20,7 @@
 
 use ecnn_core::engine::{Backend, EcnnBackend, Engine, ImageRunStats, Workload};
 use ecnn_core::sharded::ShardedBackend;
+use ecnn_core::supervise::ladder;
 use ecnn_isa::compile::compile;
 use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, QSpec};
 use ecnn_isa::params::{LeafParams, QuantizedModel};
@@ -249,10 +250,10 @@ fn observed_peak_never_exceeds_planned_in_either_layout() {
 }
 
 /// The layout choice survives the engine / sharding plumbing
-/// bit-identically: a coalesced engine, a keyed engine
-/// (`with_coalesce(false)`) and sharded backends of both layouts at
-/// shard counts 1/2/4 all produce the same image, and the engine's cost
-/// report surfaces both layouts' peaks.
+/// bit-identically: a coalesced engine, a session on the keyed floor rung
+/// (`Engine::session_at`) and sharded backends at shard counts 1/2/4 all
+/// produce the same image, and the engine's cost report surfaces both
+/// layouts' peaks.
 #[test]
 fn layout_choice_survives_engines_and_shards_bit_identically() {
     let w = Workload::ernet(
@@ -264,34 +265,33 @@ fn layout_choice_survives_engines_and_shards_bit_identically() {
     let img = SyntheticImage::new(ImageKind::Edges, 31).rgb(80, 80);
 
     let ce = EcnnBackend::paper().engine(&w).unwrap();
-    let ke = EcnnBackend::paper()
-        .with_coalesce(false)
-        .engine(&w)
-        .unwrap();
     assert!(ce.coalesced());
-    assert!(!ke.coalesced());
     let (cout, _) = ce.run_image(&img).unwrap();
-    let (kout, _) = ke.run_image(&img).unwrap();
-    assert_eq!(cout, kout, "run_image layout parity");
+    let floor = *ladder(ce.kernels(), ce.coalesced())
+        .last()
+        .expect("ladders are non-empty");
+    assert!(!floor.coalesce, "the floor rung is keyed");
+    let mut keyed = ce.session_at(floor);
+    assert_eq!(
+        keyed.process(&img).unwrap(),
+        &cout,
+        "keyed floor-rung parity"
+    );
 
     for shards in [1usize, 2, 4] {
         let sc = ShardedBackend::new(EcnnBackend::paper(), shards);
         let (a, _) = sc.run_image(&w, &img).unwrap();
         assert_eq!(a, cout, "coalesced x{shards} parity");
-        let sk = ShardedBackend::new(EcnnBackend::paper().with_coalesce(false), shards);
-        let (b, _) = sk.run_image(&w, &img).unwrap();
-        assert_eq!(b, cout, "keyed x{shards} parity");
     }
 
-    // Both engines agree on the static picture: one licensed plan, the
-    // keyed fallback peak identical across layout choices.
+    // The static picture: one licensed plan, below the keyed peak.
     let cost = ce.cost_report();
     let mem = cost
         .memory
         .as_ref()
         .expect("clean workload licenses a plan");
     assert!(mem.peak_bytes < cost.keyed_peak_bytes);
-    assert_eq!(ke.cost_report().keyed_peak_bytes, cost.keyed_peak_bytes);
+    assert_eq!(cost.planned_peak_bytes(), mem.peak_bytes);
 }
 
 proptest! {

@@ -8,7 +8,7 @@ use ecnn_model::blockflow::{nbr, ncr, plain_nbr, plain_ncr, FootprintWalk};
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_model::layer::{Activation, Layer, Op};
 use ecnn_model::{ChannelMode, Model};
-use ecnn_sim::exec::{PlaneKey, PlanePool};
+use ecnn_sim::exec::PlanePool;
 use ecnn_tensor::QFormat;
 use proptest::prelude::*;
 
@@ -84,43 +84,36 @@ proptest! {
     }
 
     /// The plane pool never hands out an aliased live plane: however the
-    /// arena recycles storage across checkouts (same key, shrinking or
-    /// growing shapes), the planes of distinct keys occupy disjoint
+    /// arena recycles storage across checkouts (same slot, shrinking or
+    /// growing shapes), the planes of distinct slots occupy disjoint
     /// memory, and every checkout's accounting lands in exactly one of
     /// the two pool counters.
     #[test]
     fn plane_pool_never_aliases_live_planes(
         seeds in proptest::collection::vec(0usize..1_000_000, 1..32)
     ) {
+        // As many slots as the 3 buffers x 4 groups plus 4 DI and 4 DO
+        // groups a keyed table could hold.
+        const SLOTS: usize = 20;
         let mut pool = PlanePool::new();
         let mut checkouts = 0u64;
-        // Two passes: the second revisits every key and recycles storage.
+        // Two passes: the second revisits every slot and recycles storage.
         for _pass in 0..2 {
             for &s in &seeds {
-                // Decode a key and a shape from the seed: a handful of
-                // buffers/groups, sides 1..=24.
-                let key = match s % 3 {
-                    0 => PlaneKey::Bb { id: (s / 3 % 3) as u8, group: (s / 9 % 4) as u8 },
-                    1 => PlaneKey::Di { group: (s / 3 % 4) as u8 },
-                    _ => PlaneKey::Do { group: (s / 3 % 4) as u8 },
-                };
+                // Decode a slot and a shape from the seed: a handful of
+                // slots, sides 1..=24.
+                let slot = s % SLOTS;
                 let side = 1 + s / 37 % 24;
-                pool.checkout(key, 32, side, side);
+                pool.checkout(slot, 32, side, side);
                 checkouts += 1;
             }
-            // Every pair of live planes with distinct keys must occupy
+            // Every pair of live planes in distinct slots must occupy
             // disjoint storage.
-            let keys: Vec<PlaneKey> = (0..3u8)
-                .flat_map(|id| (0..4u8).map(move |group| PlaneKey::Bb { id, group }))
-                .chain((0..4u8).map(|group| PlaneKey::Di { group }))
-                .chain((0..4u8).map(|group| PlaneKey::Do { group }))
-                .collect();
-            let live: Vec<(PlaneKey, usize, usize)> = keys
-                .iter()
-                .filter_map(|&k| {
-                    pool.plane(k).map(|t| {
+            let live: Vec<(usize, usize, usize)> = (0..SLOTS)
+                .filter_map(|slot| {
+                    pool.plane(slot).map(|t| {
                         let ptr = t.as_slice().as_ptr() as usize;
-                        (k, ptr, ptr + std::mem::size_of_val(t.as_slice()))
+                        (slot, ptr, ptr + std::mem::size_of_val(t.as_slice()))
                     })
                 })
                 .collect();
@@ -136,7 +129,7 @@ proptest! {
         }
         let stats = pool.stats();
         prop_assert_eq!(stats.planes_allocated + stats.planes_reused, checkouts);
-        // The second pass found every key resident.
+        // The second pass found every slot resident.
         prop_assert!(stats.planes_reused >= seeds.len() as u64);
     }
 

@@ -278,14 +278,13 @@ fn persistent_corruption_walks_the_full_ladder() {
     assert_eq!(frame_stats.supervisor.attempts[3], 1, "band took 4 tries");
 }
 
-/// A session already at Reference+keyed has a single-rung ladder:
-/// persistent corruption cannot degrade further and fails the frame as a
-/// structured `Corrupt` error after the attempt budget.
+/// A Reference engine has only the keyed layout below it: persistent
+/// corruption takes that one step, then cannot degrade further and fails
+/// the frame as a structured `Corrupt` error after the attempt budget.
 #[test]
 fn corruption_without_a_lower_rung_fails_structurally() {
     let eng = builder()
         .kernels(Kernels::Reference)
-        .coalesce(false)
         .faults(FaultPlan::parse("seed=6;corrupt@1000:persistent").unwrap())
         .build()
         .unwrap();
@@ -313,8 +312,17 @@ fn corruption_without_a_lower_rung_fails_structurally() {
         other => panic!("expected a corrupt frame failure, got {other:?}"),
     }
     let stats = session.supervisor_stats();
-    assert_eq!(stats.degradations.len(), 0, "nowhere to fall: {stats}");
-    assert_eq!(stats.rung, 0);
+    let steps: Vec<String> = stats
+        .degradations
+        .iter()
+        .map(|ev| format!("{}->{}", ev.from, ev.to))
+        .collect();
+    assert_eq!(
+        steps,
+        ["reference+coalesced->reference+keyed"],
+        "only the layout is left to fall: {stats}"
+    );
+    assert_eq!(stats.rung, 1, "the session ends on the keyed floor");
     assert_eq!(stats.counters.retries, 2, "3 attempts = 2 retries");
 }
 

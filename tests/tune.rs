@@ -6,6 +6,7 @@
 //! the full eSR-4K acceptance run lives in the release-mode
 //! `bench_autotune` binary.
 
+use ecnn_repro::core::config::MAX_WORKERS;
 use ecnn_repro::core::tune::CandidateStatus;
 use ecnn_repro::core::{Kernels, VerifyMode};
 use ecnn_repro::prelude::*;
@@ -29,10 +30,12 @@ fn tiny_builder() -> EngineBuilder {
 
 fn tiny_space() -> TuneSpace {
     TuneSpace {
-        blocks: vec![48],
+        // On the 96x96 target, 32 (16 blocks of 24x24 output) ranks
+        // above the builder's 48 (9 blocks of 40x40, a third of it
+        // off-frame), so the shortlist can leave the default block size.
+        blocks: vec![48, 32],
         workers: vec![1, 2],
         kernels: vec![Kernels::Simd, Kernels::Reference],
-        coalesce: vec![true, false],
     }
 }
 
@@ -52,9 +55,10 @@ fn tiny_options() -> TuneOptions {
 fn autotune_culls_statically_and_pins_a_measured_winner() {
     let (engine, report) = tiny_builder().autotune(&tiny_options()).unwrap();
 
-    // 1 block x 2 workers x 2 kernels x 2 layouts; the default config
-    // (48, serial, SIMD, coalesced) is part of the cross product.
+    // 2 blocks x 2 workers x 2 kernels; the default config (48, serial,
+    // SIMD) is part of the cross product.
     assert_eq!(report.enumerated, 8);
+    assert_eq!(report.rejected, 0, "both block sizes admit: {report}");
     assert_eq!(
         report.rejected + report.culled + report.timed,
         report.enumerated,
@@ -99,7 +103,14 @@ fn tuning_record_replays_to_identical_config_and_output() {
     let record = TuningRecord::from_json(&json).unwrap();
     assert_eq!(record, report.record);
 
-    let replayed = tiny_builder().tuned(record.clone()).build().unwrap();
+    // No block setter: an explicit one would beat the record's, and the
+    // winner may sit at either block size of the space.
+    let replayed = Engine::builder()
+        .ernet(ErNetSpec::new(ErNetTask::Dn, 1, 1, 0))
+        .realtime(TINY)
+        .tuned(record.clone())
+        .build()
+        .unwrap();
     assert_eq!(replayed.config(), engine.config());
 
     let img = SyntheticImage::new(ImageKind::Mixed, 11).rgb(96, 96);
@@ -160,7 +171,6 @@ fn autotune_never_times_a_rejected_candidate() {
             blocks: vec![48, 7],
             workers: vec![1, 0],
             kernels: vec![Kernels::Simd],
-            coalesce: vec![true],
         },
         shortlist: 8,
         ..TuneOptions::default()
@@ -186,19 +196,16 @@ fn autotune_never_times_a_rejected_candidate() {
 /// structured error instead of silently falling back.
 #[test]
 fn build_rejects_incoherent_config_combinations() {
-    // Explicit coalescing with the verifier off: no license to coalesce.
-    let err = tiny_builder()
-        .coalesce(true)
-        .verify(VerifyMode::Off)
-        .build()
-        .unwrap_err();
+    // Zero workers, and more than one OS thread each could sensibly
+    // take: both are rejected before any session (or thread) exists.
+    let err = tiny_builder().workers(0).build().unwrap_err();
+    assert!(matches!(err, EngineError::Config { param, .. } if param == "workers"));
+    let err = tiny_builder().workers(MAX_WORKERS + 1).build().unwrap_err();
     assert!(
-        matches!(err, EngineError::Config { param, .. } if param == "coalesce"),
+        matches!(err, EngineError::Config { param, .. } if param == "workers"),
         "got {err:?}"
     );
-
-    // Zero workers.
-    let err = tiny_builder().workers(0).build().unwrap_err();
+    let err = tiny_builder().workers(100_000).build().unwrap_err();
     assert!(matches!(err, EngineError::Config { param, .. } if param == "workers"));
 
     // Zero block size, via the all-at-once setter.
@@ -212,10 +219,10 @@ fn build_rejects_incoherent_config_combinations() {
         .unwrap_err();
     assert!(matches!(err, EngineError::Config { param, .. } if param == "block"));
 
-    // Verify(Off) with coalesce left *unset* is coherent: it resolves to
-    // the keyed layout rather than erroring.
+    // Verify(Off) is coherent, and the layout follows the plan's own
+    // proof, as the narrow-accumulator license does: still coalesced.
     let engine = tiny_builder().verify(VerifyMode::Off).build().unwrap();
-    assert!(!engine.coalesced());
+    assert!(engine.coalesced());
     assert!(engine.verify_report().is_none());
 }
 
@@ -227,14 +234,12 @@ fn resolved_config_reflects_every_knob() {
         block: 48,
         workers: 3,
         kernels: Kernels::Reference,
-        coalesce: false,
         verify: VerifyMode::Strict,
         faults: None,
     };
     let via_setters = tiny_builder()
         .workers(3)
         .kernels(Kernels::Reference)
-        .coalesce(false)
         .verify(VerifyMode::Strict)
         .build()
         .unwrap();
@@ -248,7 +253,7 @@ fn resolved_config_reflects_every_knob() {
     assert_eq!(via_struct.config(), &cfg);
     assert_eq!(via_setters.workers(), 3);
     assert_eq!(via_setters.kernels(), Kernels::Reference);
-    assert!(!via_setters.coalesced());
+    assert!(via_setters.coalesced());
     // The machine (hardware) config is a separate axis.
     assert_eq!(
         via_setters.machine().total_bb_bytes(),
@@ -285,19 +290,34 @@ fn env_override_namespace_parses_and_applies() {
     let overrides = EnvOverrides::parse([
         ("ECNN_KERNELS", "reference".to_string()),
         ("ECNN_WORKERS", "2".to_string()),
-        ("ECNN_COALESCE", "false".to_string()),
+        ("ECNN_COALESCE", "false".to_string()), // no such knob: noted, ignored
         ("ECNN_VERIFY", "strict".to_string()),
         ("ECNN_WORKERS", "banana".to_string()), // later invalid value: noted, ignored
     ]);
     assert_eq!(overrides.kernels, Some(Kernels::Reference));
-    assert_eq!(overrides.coalesce, Some(false));
     assert_eq!(overrides.verify, Some(VerifyMode::Strict));
     assert_eq!(overrides.notes.len(), 5);
-    assert!(overrides.notes.iter().any(|n| n.contains("ignored")));
+    assert!(overrides
+        .notes
+        .contains(&"ECNN_COALESCE=false ignored (invalid)".to_string()));
+    assert!(overrides.notes.iter().any(|n| n.contains("banana")));
 
     let mut cfg = EngineConfig::new(48);
     overrides.apply(&mut cfg);
     assert_eq!(cfg.kernels, Kernels::Reference);
-    assert!(!cfg.coalesce);
     assert_eq!(cfg.verify, VerifyMode::Strict);
+
+    // A worker count is bounded by the thread ceiling: the largest
+    // allowed value applies, one more is noted and ignored like `0`.
+    let at_cap = EnvOverrides::parse([("ECNN_WORKERS", MAX_WORKERS.to_string())]);
+    assert_eq!(at_cap.workers, Some(MAX_WORKERS));
+    for too_many in [MAX_WORKERS + 1, 100_000] {
+        let over = EnvOverrides::parse([("ECNN_WORKERS", too_many.to_string())]);
+        assert_eq!(over.workers, None);
+        assert!(!over.any());
+        assert_eq!(
+            over.notes,
+            [format!("ECNN_WORKERS={too_many} ignored (invalid)")]
+        );
+    }
 }
