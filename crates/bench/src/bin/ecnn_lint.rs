@@ -3,7 +3,9 @@
 //! Runs the [`mod@ecnn_isa::verify`] pass (plane re-derivation, fixed-point
 //! interval analysis, liveness/aliasing checks) plus the plan cross-check
 //! over every compiled paper model: the Table 4 / Appendix A ERNet matrix
-//! and the Section 7.3 style-transfer pair.
+//! and the Section 7.3 style-transfer pair. Each model's coded parameter
+//! image is also decoded segment by segment (`PackedParams::unpack`); an
+//! image that does not decode to the compiler's leaves is a hard error.
 //!
 //! Flags:
 //!
@@ -32,11 +34,10 @@
 
 use ecnn_core::engine::Engine;
 use ecnn_core::tune::{CostDigest, Fingerprint, TuningRecord};
-use ecnn_isa::compile::compile;
+use ecnn_isa::compile::{compile, CompiledProgram};
 use ecnn_isa::params::QuantizedModel;
 use ecnn_isa::verify::memplan::{cost_model, CostReport};
-use ecnn_isa::verify::{verify_compiled, DiagCode, Diagnostic, Severity, VerifyReport};
-use ecnn_model::zoo;
+use ecnn_isa::verify::{DiagCode, Diagnostic, Proven, Severity, VerifyReport};
 use ecnn_sim::exec::{crosscheck_plan, BlockPlan};
 use std::fmt::Write as _;
 
@@ -75,8 +76,12 @@ fn lint_one(name: &str, qm: &QuantizedModel, block: usize, want_cost: bool) -> M
             };
         }
     };
-    let mut report = verify_compiled(&compiled);
-    match BlockPlan::new(&compiled.program, &compiled.leafs) {
+    let proof = Proven::new(compiled);
+    let mut report = proof.report().clone();
+    report
+        .diagnostics
+        .extend(image_mismatch(proof.compiled()).map(harness_error));
+    match BlockPlan::proven(&proof) {
         Ok(plan) => {
             let divergences = crosscheck_plan(&plan, &report);
             report.diagnostics.extend(divergences);
@@ -86,13 +91,38 @@ fn lint_one(name: &str, qm: &QuantizedModel, block: usize, want_cost: bool) -> M
         ))),
     }
     report.rank();
-    let cost = want_cost.then(|| cost_model(&compiled.program, &report));
+    let program = &proof.compiled().program;
+    let cost = want_cost.then(|| cost_model(program, &report));
     ModelReport {
         name: name.to_string(),
-        instructions: compiled.program.instructions.len(),
+        instructions: program.instructions.len(),
         report,
         cost,
     }
+}
+
+/// Decodes every instruction's segment of the coded parameter image, as
+/// the IDU would, and names the first one that does not give back the
+/// compiler's leaves.
+fn image_mismatch(compiled: &CompiledProgram) -> Option<String> {
+    for (i, (ins, leafs)) in compiled
+        .program
+        .instructions
+        .iter()
+        .zip(&compiled.leafs)
+        .enumerate()
+    {
+        match compiled.packed.unpack(ins.param_restart as usize) {
+            Ok(decoded) if decoded == *leafs => {}
+            Ok(_) => {
+                return Some(format!(
+                    "instr {i}: the coded image decodes to other leaves"
+                ))
+            }
+            Err(e) => return Some(format!("instr {i}: the coded image does not decode: {e}")),
+        }
+    }
+    None
 }
 
 fn print_text(m: &ModelReport) {
@@ -317,31 +347,7 @@ fn main() {
         }
     }
 
-    let mut models: Vec<(String, QuantizedModel, usize)> = Vec::new();
-    for (rt, spec, xi) in ecnn_bench::model_matrix()
-        .into_iter()
-        .chain(ecnn_bench::dn12_matrix())
-    {
-        let model = spec.build().expect("paper matrix specs are valid");
-        models.push((
-            format!("{spec} @ {}", rt.name),
-            QuantizedModel::uniform(&model),
-            xi,
-        ));
-    }
-    let (enc, dec) = zoo::style_transfer();
-    let qenc = QuantizedModel::uniform(&enc);
-    let enc_do_side = compile(&qenc, 256)
-        .expect("style encoder compiles")
-        .program
-        .do_side;
-    models.push(("style-encoder".into(), qenc, 256));
-    models.push((
-        "style-decoder".into(),
-        QuantizedModel::uniform(&dec),
-        enc_do_side,
-    ));
-
+    let models = ecnn_bench::paper_models();
     let mut reports = Vec::with_capacity(models.len());
     let mut worst: Option<Severity> = None;
     for (name, qm, xi) in &models {

@@ -13,8 +13,10 @@
 #![deny(missing_docs)]
 use ecnn_core::engine::{Engine, Workload};
 use ecnn_core::SystemReport;
+use ecnn_isa::compile::compile;
+use ecnn_isa::params::QuantizedModel;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
-use ecnn_model::RealTimeSpec;
+use ecnn_model::{zoo, RealTimeSpec};
 
 /// Effective eCNN peak used for budgets (matches `EcnnConfig::paper()`).
 pub const ECNN_TOPS: f64 = 40.96;
@@ -98,6 +100,39 @@ pub fn dn12_matrix() -> Vec<(RealTimeSpec, ErNetSpec, usize)> {
             256,
         ),
     ]
+}
+
+/// The 14 shipped paper models with deterministic demo parameters, as
+/// `(name, quantized model, block size)`: the nine Table 4 ERNet picks
+/// ([`model_matrix`]), the three Appendix A DnERNet-12ch picks
+/// ([`dn12_matrix`]) and the Section 7.3 style-transfer pair, whose
+/// decoder runs on the encoder's output block.
+pub fn paper_models() -> Vec<(String, QuantizedModel, usize)> {
+    let mut models: Vec<_> = model_matrix()
+        .into_iter()
+        .chain(dn12_matrix())
+        .map(|(rt, spec, xi)| {
+            let model = spec.build().expect("paper matrix specs are valid");
+            (
+                format!("{spec} @ {}", rt.name),
+                QuantizedModel::uniform(&model),
+                xi,
+            )
+        })
+        .collect();
+    let (enc, dec) = zoo::style_transfer();
+    let qenc = QuantizedModel::uniform(&enc);
+    let enc_do_side = compile(&qenc, 256)
+        .expect("style encoder compiles")
+        .program
+        .do_side;
+    models.push(("style-encoder".into(), qenc, 256));
+    models.push((
+        "style-decoder".into(),
+        QuantizedModel::uniform(&dec),
+        enc_do_side,
+    ));
+    models
 }
 
 /// Builds the paper-configuration engine for a spec with deterministic

@@ -22,7 +22,7 @@ use ecnn_dram::{DramConfig, DramPowerModel};
 use ecnn_isa::compile::{compile, CompileError, CompiledProgram};
 use ecnn_isa::params::QuantizedModel;
 use ecnn_isa::verify::memplan::{cost_model, CostReport};
-use ecnn_isa::verify::{verify_compiled, VerifyMode, VerifyReport};
+use ecnn_isa::verify::{Proven, VerifyMode, VerifyReport};
 use ecnn_model::ernet::ErNetSpec;
 use ecnn_model::{Model, ModelError, RealTimeSpec};
 use ecnn_sim::cost::PowerModel;
@@ -610,6 +610,13 @@ impl EngineBuilder {
     /// or infeasible geometry; [`EngineError::Verify`] when the static
     /// verifier rejects the compiled program under the selected
     /// [`VerifyMode`].
+    ///
+    /// The build runs the static verifier exactly once, under every
+    /// [`VerifyMode`]. The engine keeps that report with the program
+    /// ([`Proven`]), and every plan its sessions build — serial,
+    /// per degradation rung, per [`crate::pipe::AsyncSession`] worker and
+    /// respawn — takes its narrow and memory-plan licences from it
+    /// ([`BlockPlan::proven`]) instead of proving the program again.
     pub fn build(self) -> Result<Engine, EngineError> {
         let qm = match (self.qm, self.model, self.ernet) {
             (Some(qm), _, _) => qm,
@@ -678,26 +685,29 @@ impl EngineBuilder {
                 });
             }
         }
-        let compiled = compile(&workload.qm, workload.block)?;
-        // Static verification before planning: a rejected program never
-        // reaches the executor.
-        let mut report = (cfg.verify != VerifyMode::Off).then(|| verify_compiled(&compiled));
-        if let Some(rpt) = &report {
-            if rpt.has_errors() {
-                return Err(EngineError::Verify(Box::new(rpt.clone())));
-            }
+        // The build's one verification: every plan of this engine's
+        // sessions takes its licences from `proof`. `VerifyMode::Off`
+        // skips the rejection below, not the proof.
+        let proof = Proven::new(compile(&workload.qm, workload.block)?);
+        let reject = |divergences: Vec<_>| {
+            let mut rpt = proof.report().clone();
+            rpt.diagnostics.extend(divergences);
+            Err(EngineError::Verify(Box::new(rpt)))
+        };
+        // A program with hard errors never reaches the planner.
+        if cfg.verify != VerifyMode::Off && proof.report().has_errors() {
+            return reject(Vec::new());
         }
         // Plan once up front so structurally invalid programs surface here
         // as a structured error rather than on the first frame — and
         // cross-check the plan's plane table against the verifier's
-        // independent derivation (differential oracle). The plan's own
-        // verification decides the plane layout sessions run.
-        let plan = BlockPlan::new(&compiled.program, &compiled.leafs)?;
-        if let Some(rpt) = report.as_mut() {
-            let divergences = ecnn_sim::exec::crosscheck_plan(&plan, rpt);
-            rpt.diagnostics.extend(divergences);
-            if !rpt.passes(cfg.verify) {
-                return Err(EngineError::Verify(Box::new(rpt.clone())));
+        // independent derivation (differential oracle). The plan's
+        // licences decide the plane layout sessions run.
+        let plan = BlockPlan::proven(&proof)?;
+        if cfg.verify != VerifyMode::Off {
+            let divergences = ecnn_sim::exec::crosscheck_plan(&plan, proof.report());
+            if !divergences.is_empty() || !proof.report().passes(cfg.verify) {
+                return reject(divergences);
             }
         }
         let coalesced = plan.coalesced();
@@ -706,8 +716,7 @@ impl EngineBuilder {
             power: self.power.unwrap_or_else(PowerModel::paper_40nm),
             dram_power: self.dram_power.unwrap_or(DramPowerModel::DDR4_3200),
             workload,
-            compiled,
-            verify_report: report,
+            proof,
             resolved: cfg,
             coalesced,
             env_notes: env.notes,
@@ -723,8 +732,8 @@ pub struct Engine {
     power: PowerModel,
     dram_power: DramPowerModel,
     workload: Workload,
-    compiled: CompiledProgram,
-    verify_report: Option<VerifyReport>,
+    /// The compiled program and the report of its one verification.
+    proof: Proven,
     resolved: EngineConfig,
     /// Whether the program's plan proved a `MemoryPlan`, so sessions run
     /// coalesced.
@@ -767,14 +776,15 @@ impl Engine {
 
     /// The compiled program.
     pub fn compiled(&self) -> &CompiledProgram {
-        &self.compiled
+        self.proof.compiled()
     }
 
     /// The build-time static-verification report (plane table, proven
     /// value ranges, surviving lints). `None` when the engine was built
-    /// with [`VerifyMode::Off`].
+    /// with [`VerifyMode::Off`], which proves the program all the same
+    /// but does not vouch for it.
     pub fn verify_report(&self) -> Option<&VerifyReport> {
-        self.verify_report.as_ref()
+        (self.resolved.verify != VerifyMode::Off).then(|| self.proof.report())
     }
 
     /// The kernel selection every session/worker/shard of this engine
@@ -810,19 +820,10 @@ impl Engine {
     /// execution's observed [`ExecStats`] work counters), the keyed peak
     /// plane bytes, and — when verification licensed one — the coalesced
     /// [`ecnn_isa::verify::memplan::MemoryPlan`]. Computed on demand from
-    /// the build-time verification report (re-verifying only when the
-    /// engine was built with [`VerifyMode::Off`]); this is the autotuner's
-    /// static ranking signal — no frame needs to run.
+    /// the build's verification report, under every [`VerifyMode`]; this
+    /// is the autotuner's static ranking signal — no frame needs to run.
     pub fn cost_report(&self) -> CostReport {
-        let fresh;
-        let report = match &self.verify_report {
-            Some(r) => r,
-            None => {
-                fresh = verify_compiled(&self.compiled);
-                &fresh
-            }
-        };
-        cost_model(&self.compiled.program, report)
+        cost_model(&self.compiled().program, self.proof.report())
     }
 
     /// The source model.
@@ -897,7 +898,7 @@ impl Engine {
     /// Frame-level timing / traffic / power report at an explicit spec.
     pub fn system_report_at(&self, spec: RealTimeSpec) -> SystemReport {
         let frame = simulate_frame(
-            &self.compiled,
+            self.compiled(),
             &self.workload.qm.model,
             &self.machine,
             spec.width,
@@ -935,7 +936,7 @@ impl Engine {
     /// when the output would be empty (zero output rows or columns), so
     /// every downstream grid has at least one block row.
     pub fn out_dims(&self, image: &Tensor<f32>) -> Result<(usize, usize), EngineError> {
-        let p = &self.compiled.program;
+        let p = &self.compiled().program;
         if image.channels() != p.di_channels {
             return Err(EngineError::Image(ImageMismatch {
                 width: image.width(),
@@ -971,7 +972,7 @@ impl Engine {
     /// for frames whose output grid would be empty.
     pub fn grid_dims(&self, image: &Tensor<f32>) -> Result<(usize, usize), EngineError> {
         let (out_h, out_w) = self.out_dims(image)?;
-        let xo = self.compiled.program.do_side;
+        let xo = self.compiled().program.do_side;
         Ok((out_h.div_ceil(xo), out_w.div_ceil(xo)))
     }
 
@@ -1087,9 +1088,8 @@ impl<'e> Session<'e> {
     }
 
     fn new_with(engine: &'e Engine, kernels: Kernels, coalesced: bool) -> Self {
-        let p = &engine.compiled.program;
-        let mut plan = BlockPlan::new(&engine.compiled.program, &engine.compiled.leafs)
-            .expect("engine build validated the plan");
+        let p = &engine.compiled().program;
+        let mut plan = BlockPlan::proven(&engine.proof).expect("engine build validated the plan");
         if !coalesced {
             plan.force_keyed();
         }
@@ -1120,6 +1120,12 @@ impl<'e> Session<'e> {
     /// [`Engine::kernels`] at open).
     pub fn kernels(&self) -> Kernels {
         self.kernels
+    }
+
+    /// The plan this session executes: the engine's proven program with
+    /// the build's licences, on this session's plane layout.
+    pub fn plan(&self) -> &BlockPlan<'e> {
+        &self.plan
     }
 
     /// Processes one frame; the returned reference points at the
@@ -1191,7 +1197,7 @@ impl<'e> Session<'e> {
         self.last_block = None;
         let (out_h, out_w) = self.engine.out_dims(image)?;
         let (total_rows, cols) = self.engine.grid_dims(image)?;
-        let p = &self.engine.compiled.program;
+        let p = &self.engine.compiled().program;
         let (num, den) = self.engine.workload.qm.model.output_scale_rational();
         let xo = p.do_side;
         let xi = p.di_side;
@@ -1471,6 +1477,29 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EngineError::Compile(_)));
         assert!(std::error::Error::source(&err).is_some());
+    }
+
+    #[test]
+    fn out_of_range_parameter_codes_fail_the_build_structurally() {
+        // A code the parameter coder has no category for used to panic
+        // inside the image encoder; it is a compile error naming the
+        // layer and the value.
+        let model = ErNetSpec::new(ErNetTask::Dn, 3, 1, 0).build().unwrap();
+        let mut qm = QuantizedModel::uniform(&model);
+        let layer = qm.layers.iter().position(Option::is_some).unwrap();
+        qm.layers[layer].as_mut().unwrap().b3[0] = 4000;
+        let err = Engine::builder()
+            .quantized(qm)
+            .block(128)
+            .build()
+            .unwrap_err();
+        match err {
+            EngineError::Compile(CompileError::BadParams(msg)) => {
+                assert!(msg.contains(&format!("layer {layer}")), "{msg}");
+                assert!(msg.contains("b3[0] = 4000"), "{msg}");
+            }
+            other => panic!("expected a BadParams compile error, got {other}"),
+        }
     }
 
     #[test]

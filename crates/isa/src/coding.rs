@@ -16,14 +16,19 @@ use std::fmt;
 /// but we allow the full JPEG DC range for robustness.
 pub const MAX_CATEGORY: usize = 11;
 
-/// MSB-first bit writer.
+/// MSB-first bit writer. Bits gather in a 64-bit accumulator and leave it
+/// a whole byte at a time, so a `put` of up to 32 bits costs a shift, an
+/// OR and at most five byte pushes.
 #[derive(Clone, Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits already used in the final byte (0..8).
-    bit_pos: u8,
+    /// Pending bits: the low `pending` bits, MSB first.
+    acc: u64,
+    /// Bits in `acc` not yet in `bytes` (0..8 between calls).
+    pending: u32,
 }
 
+#[deny(clippy::arithmetic_side_effects)]
 impl BitWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
@@ -37,29 +42,32 @@ impl BitWriter {
     /// Panics if `count > 32`.
     pub fn put(&mut self, value: u32, count: u8) {
         assert!(count <= 32);
-        for i in (0..count).rev() {
-            let bit = (value >> i) & 1;
-            if self.bit_pos == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.last_mut().expect("pushed above");
-            *last |= (bit as u8) << (7 - self.bit_pos);
-            self.bit_pos = (self.bit_pos + 1) % 8;
+        let count = u32::from(count);
+        let mask = u64::MAX.checked_shl(count).map_or(u64::MAX, |m| !m);
+        // At most 7 + 32 bits are pending here, well inside the 64.
+        self.acc = self.acc.wrapping_shl(count) | (u64::from(value) & mask);
+        self.pending = self.pending.wrapping_add(count);
+        while self.pending >= 8 {
+            self.pending = self.pending.wrapping_sub(8);
+            self.bytes.push(self.acc.wrapping_shr(self.pending) as u8);
         }
     }
 
     /// Pads with zero bits to the next byte boundary.
     pub fn byte_align(&mut self) {
-        self.bit_pos = 0;
+        if self.pending > 0 {
+            let pad = 8u32.wrapping_sub(self.pending);
+            self.bytes.push(self.acc.wrapping_shl(pad) as u8);
+            self.pending = 0;
+        }
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.bytes.len() * 8
-        } else {
-            (self.bytes.len() - 1) * 8 + self.bit_pos as usize
-        }
+        self.bytes
+            .len()
+            .saturating_mul(8)
+            .saturating_add(self.pending as usize)
     }
 
     /// Finishes (byte-aligning) and returns the bytes.
@@ -336,25 +344,77 @@ impl HuffTable {
     }
 }
 
-/// Encodes one restart segment: Huffman table header followed by
-/// category+magnitude codes for every value; byte-aligned at the end.
-pub fn encode_segment(values: &[i16]) -> Vec<u8> {
-    let mut freqs = vec![0u64; MAX_CATEGORY + 1];
+/// Per-category value counts of a value set: the statistics a segment's
+/// Huffman table is built from.
+pub(crate) type Histogram = [u64; MAX_CATEGORY + 1];
+
+/// The category [`Histogram`] of `values`.
+///
+/// # Panics
+///
+/// Panics if a value's category exceeds [`MAX_CATEGORY`] (`|v| ≥ 2048`);
+/// [`QuantizedModel::check`](crate::params::QuantizedModel::check) rejects
+/// such codes before they reach the coder.
+pub(crate) fn histogram(values: &[i16]) -> Histogram {
+    let mut h = [0u64; MAX_CATEGORY + 1];
     for &v in values {
-        freqs[category(v as i32) as usize] += 1;
+        let slot = h
+            .get_mut(category(v.into()) as usize)
+            .unwrap_or_else(|| panic!("code {v} is outside the coder's range ±2047"));
+        *slot += 1;
     }
-    if values.is_empty() {
+    h
+}
+
+/// The Huffman table a segment with category histogram `h` carries (an
+/// empty segment still carries a one-symbol table).
+fn segment_table(h: &Histogram) -> HuffTable {
+    let mut freqs = *h;
+    if freqs.iter().all(|&f| f == 0) {
         freqs[0] = 1;
     }
-    let table = HuffTable::build(&freqs);
-    let mut w = BitWriter::new();
+    HuffTable::build(&freqs)
+}
+
+/// Bytes of an encoded segment with histogram `h` and table `table`: the
+/// table header (16 length counts plus one byte per coded symbol), then
+/// every value's code and magnitude bits, padded to a byte.
+fn segment_bytes(h: &Histogram, table: &HuffTable) -> usize {
+    let symbols = table.lengths.iter().filter(|&&l| l > 0).count();
+    let bits: u64 = h
+        .iter()
+        .zip(&table.lengths)
+        .enumerate()
+        .map(|(cat, (&n, &len))| n * (u64::from(len) + cat as u64))
+        .sum();
+    16 + symbols + bits.div_ceil(8) as usize
+}
+
+/// Encodes one restart segment: Huffman table header followed by
+/// category+magnitude codes for every value; byte-aligned at the end.
+///
+/// # Panics
+///
+/// Panics if a value lies outside `±2047` (see [`MAX_CATEGORY`]).
+pub fn encode_segment(values: &[i16]) -> Vec<u8> {
+    encode_counted(values, &histogram(values))
+}
+
+/// [`encode_segment`] with the values' histogram already counted.
+pub(crate) fn encode_counted(values: &[i16], h: &Histogram) -> Vec<u8> {
+    let table = segment_table(h);
+    let mut w = BitWriter {
+        bytes: Vec::with_capacity(segment_bytes(h, &table)),
+        ..BitWriter::default()
+    };
     table.write(&mut w);
     for &v in values {
-        let cat = category(v as i32);
-        table.encode(cat as usize, &mut w);
-        if cat > 0 {
-            w.put(magnitude_bits(v as i32, cat), cat);
-        }
+        let cat = category(v.into());
+        let len = table.lengths[cat as usize];
+        // One put per value: the category's code, then its magnitude
+        // bits (at most 16 + 11 bits).
+        let code = (u32::from(table.codes[cat as usize]) << cat) | magnitude_bits(v.into(), cat);
+        w.put(code, len + cat);
     }
     w.into_bytes()
 }
@@ -392,23 +452,26 @@ pub struct EntropyStats {
 
 /// Computes [`EntropyStats`] for `values` (assuming one segment).
 pub fn entropy_stats(values: &[i16]) -> EntropyStats {
-    let mut freqs = vec![0u64; MAX_CATEGORY + 1];
-    let mut magnitude_bits_total = 0u64;
-    for &v in values {
-        let c = category(v as i32);
-        freqs[c as usize] += 1;
-        magnitude_bits_total += c as u64;
-    }
-    let n = values.len().max(1) as f64;
+    stats_of(&histogram(values))
+}
+
+/// [`EntropyStats`] of a one-segment value set with histogram `h`. The
+/// encoded size is counted from the histogram and the table's code
+/// lengths, which gives exactly [`encode_segment`]'s length without
+/// encoding.
+pub(crate) fn stats_of(h: &Histogram) -> EntropyStats {
+    let count: u64 = h.iter().sum();
+    let magnitude_bits_total: u64 = h.iter().enumerate().map(|(c, &f)| f * c as u64).sum();
+    let n = count.max(1) as f64;
     let mut cat_entropy = 0.0;
-    for &f in &freqs {
+    for &f in h {
         if f > 0 {
             let p = f as f64 / n;
             cat_entropy -= p * p.log2();
         }
     }
     let shannon = cat_entropy + magnitude_bits_total as f64 / n;
-    let encoded = encode_segment(values).len() as f64 * 8.0 / n;
+    let encoded = segment_bytes(h, &segment_table(h)) as f64 * 8.0 / n;
     EntropyStats {
         shannon_bits: shannon,
         encoded_bits: encoded,
@@ -558,6 +621,58 @@ mod tests {
         assert!(decoded.is_empty());
     }
 
+    /// The bit-at-a-time writer the accumulator replaces: the model the
+    /// property below checks [`BitWriter`] against.
+    #[derive(Default)]
+    struct BitModel {
+        bytes: Vec<u8>,
+        bit_pos: u8,
+    }
+
+    impl BitModel {
+        fn put(&mut self, value: u32, count: u8) {
+            for i in (0..count).rev() {
+                if self.bit_pos == 0 {
+                    self.bytes.push(0);
+                }
+                let bit = ((value >> i) & 1) as u8;
+                *self.bytes.last_mut().unwrap() |= bit << (7 - self.bit_pos);
+                self.bit_pos = (self.bit_pos + 1) % 8;
+            }
+        }
+
+        fn bit_len(&self) -> usize {
+            (self.bytes.len() * 8 + usize::from(self.bit_pos))
+                - if self.bit_pos == 0 { 0 } else { 8 }
+        }
+    }
+
+    #[test]
+    fn entropy_stats_size_matches_the_encoded_segment() {
+        let cases: [&[i16]; 5] = [
+            &[],
+            &[0; 9],
+            &[5],
+            &[-2047, 2047, 0, 1, -1],
+            &[3, -3, 3, 100],
+        ];
+        for values in cases {
+            let n = values.len().max(1) as f64;
+            let bytes = encode_segment(values).len() as f64;
+            assert_eq!(
+                entropy_stats(values).encoded_bits,
+                bytes * 8.0 / n,
+                "{values:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the coder's range")]
+    fn uncodable_values_panic_with_a_message() {
+        encode_segment(&[1, 2048]);
+    }
+
     proptest! {
         #[test]
         fn prop_segment_round_trip(values in proptest::collection::vec(-128i16..=127, 0..600)) {
@@ -565,6 +680,45 @@ mod tests {
             let (decoded, used) = decode_segment(&bytes, values.len()).unwrap();
             prop_assert_eq!(decoded, values);
             prop_assert_eq!(used, bytes.len());
+        }
+
+        /// The accumulator writer emits exactly the bit-at-a-time
+        /// model's bytes, over runs of puts of 0..=32 bits of arbitrary
+        /// values (high bits beyond `count` set too), separated by byte
+        /// alignments.
+        #[test]
+        fn prop_bit_writer_matches_the_bit_model(
+            runs in proptest::collection::vec(
+                proptest::collection::vec(0u64..=u64::MAX, 0..40),
+                1..5,
+            ),
+        ) {
+            let mut w = BitWriter::new();
+            let mut model = BitModel::default();
+            for run in &runs {
+                for &draw in run {
+                    // Low half: the value; high half: the count, 0..=32.
+                    let (value, count) = (draw as u32, ((draw >> 32) % 33) as u8);
+                    w.put(value, count);
+                    model.put(value, count);
+                    prop_assert_eq!(w.bit_len(), model.bit_len());
+                }
+                w.byte_align();
+                model.bit_pos = 0;
+                prop_assert_eq!(w.bit_len(), model.bit_len());
+            }
+            prop_assert_eq!(w.into_bytes(), model.bytes);
+        }
+
+        /// The counted size equals the encoder's output on random
+        /// segments across the whole codable range.
+        #[test]
+        fn prop_counted_size_matches_encode_segment(
+            values in proptest::collection::vec(-2047i16..=2047, 0..300),
+        ) {
+            let n = values.len().max(1) as f64;
+            let bytes = encode_segment(&values).len() as f64;
+            prop_assert_eq!(entropy_stats(&values).encoded_bits, bytes * 8.0 / n);
         }
 
         #[test]

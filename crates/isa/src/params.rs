@@ -9,7 +9,7 @@
 //! the instruction's parameter operand carries the segment index (the
 //! paper's byte-aligned restart attribute).
 
-use crate::coding::{decode_segment, encode_segment, entropy_stats, CodingError, EntropyStats};
+use crate::coding::{self, decode_segment, CodingError, EntropyStats, Histogram, MAX_CATEGORY};
 use crate::instr::{Instruction, Opcode, LEAF_CH};
 use ecnn_model::layer::Op;
 use ecnn_model::model::Model;
@@ -83,11 +83,13 @@ impl LayerParams {
         }
     }
 
-    /// Validates the parameter-vector lengths against an op.
+    /// Validates the parameter-vector lengths against an op, and that
+    /// every code lies in the parameter coder's range (`|v| ≤ 2047`,
+    /// categories up to [`MAX_CATEGORY`]).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first mismatch.
+    /// Returns a description of the first mismatch or out-of-range code.
     pub fn check(&self, op: &Op) -> Result<(), String> {
         let want_w3 = Self::w3_len(op);
         if self.w3.len() != want_w3 {
@@ -111,6 +113,23 @@ impl LayerParams {
         };
         if self.b3.len() != want_b3 {
             return Err(format!("b3 length {} != {}", self.b3.len(), want_b3));
+        }
+        // The parameter coder's categories stop at MAX_CATEGORY.
+        for (name, codes) in [
+            ("w3", &self.w3),
+            ("b3", &self.b3),
+            ("w1", &self.w1),
+            ("b1", &self.b1),
+        ] {
+            if let Some((i, v)) = codes
+                .iter()
+                .enumerate()
+                .find(|&(_, &v)| usize::from(coding::category(v.into())) > MAX_CATEGORY)
+            {
+                return Err(format!(
+                    "{name}[{i}] = {v} is outside the parameter coder's range ±2047"
+                ));
+            }
         }
         Ok(())
     }
@@ -175,7 +194,8 @@ impl QuantizedModel {
         }
     }
 
-    /// Validates every layer's parameter shapes.
+    /// Validates every layer's parameter shapes and code ranges (see
+    /// [`LayerParams::check`]).
     ///
     /// # Errors
     ///
@@ -604,7 +624,15 @@ impl PackedParams {
         let mut w1_streams: Vec<Vec<u8>> = vec![Vec::new(); W1_STREAMS];
         let mut bias_stream: Vec<u8> = Vec::new();
         let mut segments = Vec::with_capacity(instr_leafs.len());
-        let mut all_coeffs: Vec<i16> = Vec::new();
+        // Category histogram over every coefficient, for the stats.
+        let mut total: Histogram = Default::default();
+        let mut encode = |vals: &[i16]| {
+            let h = coding::histogram(vals);
+            for (t, n) in total.iter_mut().zip(h) {
+                *t += n;
+            }
+            coding::encode_counted(vals, &h)
+        };
 
         for (leafs, &(has_w3, has_w1)) in instr_leafs.iter().zip(kinds) {
             let seg = SegmentInfo {
@@ -628,8 +656,7 @@ impl PackedParams {
                             }
                         }
                     }
-                    all_coeffs.extend_from_slice(&vals);
-                    encoded.push(encode_segment(&vals));
+                    encoded.push(encode(&vals));
                 }
                 // Synchronize: pad all 18 segments to the longest.
                 let max = encoded.iter().map(Vec::len).max().unwrap_or(0);
@@ -649,8 +676,7 @@ impl PackedParams {
                             }
                         }
                     }
-                    all_coeffs.extend_from_slice(&vals);
-                    encoded.push(encode_segment(&vals));
+                    encoded.push(encode(&vals));
                 }
                 let max = encoded.iter().map(Vec::len).max().unwrap_or(0);
                 for (half, mut e) in encoded.into_iter().enumerate() {
@@ -664,13 +690,12 @@ impl PackedParams {
                     vals.extend_from_slice(&leaf.b3);
                     vals.extend_from_slice(&leaf.b1);
                 }
-                all_coeffs.extend_from_slice(&vals);
-                bias_stream.extend_from_slice(&encode_segment(&vals));
+                bias_stream.extend_from_slice(&encode(&vals));
             }
             segments.push(seg);
         }
 
-        let stats = entropy_stats(&all_coeffs);
+        let stats = coding::stats_of(&total);
         Self {
             w3_streams,
             w1_streams,
@@ -833,6 +858,21 @@ mod tests {
             p.w3.pop();
         }
         assert!(qm.check().is_err());
+    }
+
+    #[test]
+    fn layer_params_check_rejects_codes_the_coder_cannot_code() {
+        let m = ErNetSpec::new(ErNetTask::Dn, 1, 1, 0).build().unwrap();
+        let mut qm = QuantizedModel::uniform(&m);
+        let (li, p) = (qm.layers.iter_mut().enumerate())
+            .find_map(|(i, p)| p.as_mut().map(|p| (i, p)))
+            .unwrap();
+        p.b3[0] = 2047;
+        assert!(qm.check().is_ok(), "category 11 is codable");
+        qm.layers[li].as_mut().unwrap().b3[0] = -2048;
+        let (at, msg) = qm.check().unwrap_err();
+        assert_eq!(at, li);
+        assert!(msg.contains("b3[0] = -2048"), "{msg}");
     }
 
     #[test]

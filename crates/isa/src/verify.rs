@@ -37,17 +37,25 @@ use ecnn_model::model::InferenceKind;
 use ecnn_tensor::QFormat;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How strictly the engine treats verification results.
+/// How strictly the engine treats verification results. Under every mode
+/// an engine build verifies its program exactly once ([`Proven`]), and
+/// that one report licenses the narrow kernels and the coalesced plane
+/// layout of all its sessions; the mode only decides which findings
+/// reject the build.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum VerifyMode {
-    /// Do not run the verifier.
+    /// Reject nothing. The program is still proven once per build, so a
+    /// clean program runs licensed as under the other modes, and one
+    /// with hard errors runs unlicensed (wide accumulators, keyed
+    /// layout); the engine exposes no report.
     Off,
-    /// Run the verifier; hard errors are fatal, lints are recorded on the
-    /// report but tolerated. The default.
+    /// Hard errors are fatal, lints are recorded on the report but
+    /// tolerated. The default.
     #[default]
     Lints,
-    /// Run the verifier; both hard errors and lints are fatal.
+    /// Both hard errors and lints are fatal.
     Strict,
 }
 
@@ -490,6 +498,49 @@ pub fn verify_compiled(compiled: &CompiledProgram) -> VerifyReport {
     verify(&compiled.program, &compiled.leafs)
 }
 
+/// A compiled program together with the report of its one verification.
+///
+/// Only [`Proven::new`] makes one, by running [`verify`], and the program
+/// stays read-only afterwards, so the report licenses — narrow
+/// accumulation, the coalesced memory plan — exactly the program and
+/// leaves it proved. An engine holds one per build, and every plan its
+/// sessions build takes its licences from it instead of re-verifying.
+#[derive(Clone, Debug)]
+pub struct Proven {
+    compiled: CompiledProgram,
+    report: VerifyReport,
+}
+
+impl Proven {
+    /// Verifies `compiled` and keeps the report with it. The report may
+    /// carry hard errors: a proof records what holds, and deciding
+    /// whether the program may run is the caller's [`VerifyMode`].
+    pub fn new(compiled: CompiledProgram) -> Self {
+        let report = verify_compiled(&compiled);
+        Self { compiled, report }
+    }
+
+    /// The proven program.
+    pub fn compiled(&self) -> &CompiledProgram {
+        &self.compiled
+    }
+
+    /// The report of its verification.
+    pub fn report(&self) -> &VerifyReport {
+        &self.report
+    }
+}
+
+/// Calls of [`verify`] in this process.
+static RUNS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times [`verify`] has run in this process — how a caller
+/// checks that a build proves its program once and that nothing after it
+/// proves it again.
+pub fn runs() -> u64 {
+    RUNS.load(Ordering::Relaxed)
+}
+
 /// Statically verifies `program` with its IDU-decoded leaf parameters
 /// (one `Vec<LeafParams>` per instruction, as produced by the compiler or
 /// `PackedParams::unpack`).
@@ -499,6 +550,7 @@ pub fn verify_compiled(compiled: &CompiledProgram) -> VerifyReport {
 /// conditions under which the executor itself would panic (srcS domain
 /// underflow, out-of-range shift amounts, missing Q-formats).
 pub fn verify(program: &Program, leafs: &[Vec<LeafParams>]) -> VerifyReport {
+    RUNS.fetch_add(1, Ordering::Relaxed);
     let mut rpt = VerifyReport::default();
     if leafs.len() != program.instructions.len() {
         rpt.push(

@@ -3,7 +3,13 @@
 //!
 //! [`BlockPlan`] walks a [`Program`] once up front: it validates leaf
 //! bookkeeping and operand availability (write-before-read) and computes
-//! every feature plane's shape and lifetime. [`execute_with`] then runs the
+//! every feature plane's shape and lifetime. Its licences — each
+//! instruction's narrow path and the coalesced memory plan — come from the
+//! static verifier's report of that exact program: [`BlockPlan::new`]
+//! verifies the program itself, while [`BlockPlan::proven`] takes the
+//! report a [`Proven`] program carries. An engine proves its program once
+//! per build and plans every session through the latter, so no session,
+//! degradation rung or worker proves it again. [`execute_with`] then runs the
 //! plan against a [`PlanePool`] — a reusable arena of plane slots plus the
 //! scratch accumulators — writing results in place, so steady-state block
 //! execution allocates nothing. The plan maps every plane to one slot:
@@ -80,7 +86,7 @@ use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, LEAF_CH};
 use ecnn_isa::params::{LeafParams, PackedKernelParams, OC_BLOCK};
 use ecnn_isa::program::Program;
 use ecnn_isa::verify::memplan::MemoryPlan;
-use ecnn_isa::verify::{DiagCode, Diagnostic, VerifyReport};
+use ecnn_isa::verify::{DiagCode, Diagnostic, Proven, VerifyReport};
 use ecnn_model::layer::PoolKind;
 use ecnn_model::model::InferenceKind;
 use ecnn_tensor::conv::align_code;
@@ -532,7 +538,12 @@ pub struct BlockPlan<'a> {
 
 impl<'a> BlockPlan<'a> {
     /// Plans `program` with the IDU-decoded `leafs` (one vector per
-    /// instruction, as produced by the compiler or `PackedParams::unpack`).
+    /// instruction, as produced by the compiler or `PackedParams::unpack`):
+    /// verifies them ([`ecnn_isa::verify::verify`]) and stamps the
+    /// report's licences on the plan. This is the self-verifying
+    /// constructor; an engine's sessions plan through
+    /// [`BlockPlan::proven`] instead, so a program is proven once per
+    /// build.
     ///
     /// # Errors
     ///
@@ -541,6 +552,28 @@ impl<'a> BlockPlan<'a> {
     /// that are read before any instruction writes them, and
     /// [`ExecError::Shape`] for statically inconsistent plane geometry.
     pub fn new(program: &'a Program, leafs: &'a [Vec<LeafParams>]) -> Result<Self, ExecError> {
+        Self::licensed(program, leafs, &ecnn_isa::verify::verify(program, leafs))
+    }
+
+    /// Plans a [`Proven`] program with the licences of the verification
+    /// it carries, without verifying again.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockPlan::new`].
+    pub fn proven(proof: &'a Proven) -> Result<Self, ExecError> {
+        let c = proof.compiled();
+        Self::licensed(&c.program, &c.leafs, proof.report())
+    }
+
+    /// The plan walk shared by both constructors; `report` must be the
+    /// verification of exactly `program` and `leafs`, which both callers
+    /// guarantee.
+    fn licensed(
+        program: &'a Program,
+        leafs: &'a [Vec<LeafParams>],
+        report: &VerifyReport,
+    ) -> Result<Self, ExecError> {
         if leafs.len() != program.instructions.len() {
             return Err(ExecError::Leafs(format!(
                 "{} leaf sets for {} instructions",
@@ -705,7 +738,6 @@ impl<'a> BlockPlan<'a> {
         // cover runs the `i64` packed kernels instead, as does every
         // instruction of a report with errors (or an unanalyzable one,
         // `ranges[i] == None`) — no proof, no narrow path.
-        let report = ecnn_isa::verify::verify(program, leafs);
         let mut memplan = None;
         if !report.has_errors() {
             for ((p, r), ins) in packed
@@ -721,7 +753,7 @@ impl<'a> BlockPlan<'a> {
             // planes share a slot. A divergent plane table (the verifier
             // derived a different plane count than this walk) also drops
             // the plan — no proof, no coalescing.
-            memplan = MemoryPlan::build(&report).filter(|m| m.plane_slots.len() == planes.len());
+            memplan = MemoryPlan::build(report).filter(|m| m.plane_slots.len() == planes.len());
         }
         let slots = memplan
             .as_ref()

@@ -29,7 +29,6 @@ use ecnn_isa::verify::memplan::{cost_model, MemoryPlan};
 use ecnn_isa::verify::{verify, verify_compiled};
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_model::model::InferenceKind;
-use ecnn_model::zoo;
 use ecnn_model::RealTimeSpec;
 use ecnn_sim::exec::{execute_with, quantize_input, BlockPlan, Kernels, PlanePool};
 use ecnn_sim::SimdLevel;
@@ -73,37 +72,6 @@ fn image_kind(sel: u64) -> ImageKind {
     }
 }
 
-/// The 14 shipped paper models, exactly as `ecnn-lint` enumerates them:
-/// the nine Table 4 ERNet picks, the three Appendix A DnERNet-12ch
-/// picks, and the Section 7.3 style-transfer pair.
-fn paper_models() -> Vec<(String, QuantizedModel, usize)> {
-    let mut models = Vec::new();
-    for (rt, spec, xi) in ecnn_bench::model_matrix()
-        .into_iter()
-        .chain(ecnn_bench::dn12_matrix())
-    {
-        let model = spec.build().expect("paper matrix specs are valid");
-        models.push((
-            format!("{spec} @ {}", rt.name),
-            QuantizedModel::uniform(&model),
-            xi,
-        ));
-    }
-    let (enc, dec) = zoo::style_transfer();
-    let qenc = QuantizedModel::uniform(&enc);
-    let enc_do_side = compile(&qenc, 256)
-        .expect("style encoder compiles")
-        .program
-        .do_side;
-    models.push(("style-encoder".into(), qenc, 256));
-    models.push((
-        "style-decoder".into(),
-        QuantizedModel::uniform(&dec),
-        enc_do_side,
-    ));
-    models
-}
-
 /// A deterministic valid input block for `program`, compiled at block
 /// size `xi`: a synthetic RGB block for camera-facing models (the
 /// executor pixel-unshuffles internally where the program asks for it),
@@ -141,7 +109,7 @@ fn input_for(program: &Program, xi: usize, seed: u64) -> Tensor<i16> {
 #[test]
 fn static_cost_model_matches_observed_work_on_the_paper_matrix() {
     let mut checked_esr4k = false;
-    for (i, (name, qm, xi)) in paper_models().into_iter().enumerate() {
+    for (i, (name, qm, xi)) in ecnn_bench::paper_models().into_iter().enumerate() {
         let c = compile(&qm, xi).expect(&name);
         let report = verify_compiled(&c);
         assert!(!report.has_errors(), "{name}: {:?}", report.diagnostics);
