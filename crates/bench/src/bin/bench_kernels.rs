@@ -32,6 +32,12 @@
 //! 248×344 (`simd-edge`): the corner block of the `esr4k_edge` frame,
 //! which `Session::process` runs through `BlockPlan::clipped`'s table.
 //! Its `edge_host_mac_per_frame` subtracts `BlockPlan::skipped_macs`.
+//!
+//! Every variant also records its pool's memory after the timed blocks:
+//! `plane_bytes`, the feature planes' high-water mark
+//! (`PlanePool::peak_resident_bytes`), and `scratch_bytes`, the
+//! accumulators and other scratch at capacity
+//! (`PlanePool::scratch_bytes`).
 
 use ecnn_isa::compile::compile;
 use ecnn_isa::params::QuantizedModel;
@@ -97,6 +103,10 @@ struct Measured {
     reps: usize,
     narrow_instrs: u64,
     variant_tag: String,
+    /// The pool's plane high-water mark (`PlanePool::peak_resident_bytes`).
+    plane_bytes: usize,
+    /// The pool's scratch at capacity (`PlanePool::scratch_bytes`).
+    scratch_bytes: usize,
 }
 
 fn usage() -> ! {
@@ -195,13 +205,16 @@ fn main() {
         }
         let med = median(ns);
         let mac_per_s = macs_per_block as f64 / (med as f64 / 1e9);
+        let (plane_bytes, scratch_bytes) = (pool.peak_resident_bytes(), pool.scratch_bytes());
         println!(
             "{name:>9}: median {:.3} ms/block  {:.2} GMAC/s  ({reps} reps, variant {}, \
-             narrow instrs/block {})",
+             narrow instrs/block {}, planes {:.2} MB, scratch {:.2} MB)",
             med as f64 / 1e6,
             mac_per_s / 1e9,
             delta.kernel_variant,
             delta.narrow_instrs,
+            plane_bytes as f64 / 1e6,
+            scratch_bytes as f64 / 1e6,
         );
         results.push(Measured {
             name,
@@ -210,6 +223,8 @@ fn main() {
             reps,
             narrow_instrs: delta.narrow_instrs,
             variant_tag: delta.kernel_variant.name().to_string(),
+            plane_bytes,
+            scratch_bytes,
         });
     };
     for (name, vplan, kind, default_reps) in variants {
@@ -304,8 +319,16 @@ fn main() {
     for r in &results {
         json.push_str(&format!(
             "  \"{}\": {{ \"median_ns_per_frame\": {}, \"mac_per_s\": {:.0}, \"reps\": {}, \
-             \"variant\": \"{}\", \"narrow_instrs_per_frame\": {} }},\n",
-            r.name, r.median_ns, r.mac_per_s, r.reps, r.variant_tag, r.narrow_instrs
+             \"variant\": \"{}\", \"narrow_instrs_per_frame\": {}, \"plane_bytes\": {}, \
+             \"scratch_bytes\": {} }},\n",
+            r.name,
+            r.median_ns,
+            r.mac_per_s,
+            r.reps,
+            r.variant_tag,
+            r.narrow_instrs,
+            r.plane_bytes,
+            r.scratch_bytes
         ));
     }
     if let Some(s) = speedup_ref {

@@ -118,6 +118,26 @@ impl<'a> BitReader<'a> {
         Ok(v)
     }
 
+    /// The bits from the current position on, MSB-aligned in a `u64`:
+    /// at least 57 of them, zero past the end of the input.
+    fn window(&self) -> u64 {
+        let tail = self.bytes.get(self.pos / 8..).unwrap_or(&[]);
+        let word = match tail.first_chunk::<8>() {
+            Some(b) => u64::from_be_bytes(*b),
+            None => {
+                let mut buf = [0u8; 8];
+                buf[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(buf)
+            }
+        };
+        word << (self.pos % 8)
+    }
+
+    /// Bits left to read.
+    fn remaining(&self) -> usize {
+        (self.bytes.len() * 8).saturating_sub(self.pos)
+    }
+
     /// Skips to the next byte boundary.
     pub fn byte_align(&mut self) {
         self.pos = self.pos.div_ceil(8) * 8;
@@ -321,26 +341,72 @@ impl HuffTable {
         w.put(self.codes[sym] as u32, len);
     }
 
-    /// Decodes one symbol.
+    /// The first-code-per-length tables that decode this table's codes.
+    fn decoder(&self) -> HuffDecoder {
+        let mut symbols: Vec<usize> = (0..self.lengths.len())
+            .filter(|&i| self.lengths[i] > 0)
+            .collect();
+        symbols.sort_by_key(|&i| (self.lengths[i], i));
+        let mut d = HuffDecoder {
+            first: [0; 16],
+            count: [0; 16],
+            offset: [0; 16],
+            symbols: symbols.iter().map(|&s| s as u8).collect(),
+        };
+        for (k, &s) in symbols.iter().enumerate().rev() {
+            let l = usize::from(self.lengths[s]) - 1;
+            d.first[l] = u32::from(self.codes[s]);
+            d.count[l] += 1;
+            d.offset[l] = k;
+        }
+        d
+    }
+}
+
+/// Canonical Huffman decoding tables (JPEG's `MAXCODE`/`VALPTR` scheme):
+/// the codes of one length are consecutive integers in symbol order, so
+/// an `l`-bit prefix is a code exactly when it lies in length `l`'s
+/// range, and its offset in that range picks the symbol. A symbol then
+/// costs one window read and at most 16 range checks, instead of one
+/// bit read and a scan of every symbol per code bit.
+struct HuffDecoder {
+    /// Per code length `1..=16` (index `length − 1`): its first code,
+    first: [u32; 16],
+    /// its number of codes,
+    count: [u32; 16],
+    /// and the index of its first symbol in `symbols`.
+    offset: [usize; 16],
+    /// The coded symbols in canonical order (by length, then symbol).
+    symbols: Vec<u8>,
+}
+
+impl HuffDecoder {
+    /// The symbol whose code starts `window` (a reader's next bits, of
+    /// which `left` are input), and the code's length.
     ///
     /// # Errors
     ///
-    /// Returns [`CodingError`] on invalid codes or exhausted input.
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<usize, CodingError> {
-        let mut code = 0u16;
-        let mut len = 0u8;
-        loop {
-            code = (code << 1) | r.bit()? as u16;
-            len += 1;
-            if len > 16 {
-                return Err(CodingError::BadCode);
+    /// [`CodingError::OutOfBits`] when the input ends before a code does,
+    /// and [`CodingError::BadCode`] when no code of at most 16 bits
+    /// matches and a 17th bit follows.
+    fn decode(&self, window: u64, left: usize) -> Result<(usize, usize), CodingError> {
+        for len in 1..=16usize {
+            if len > left {
+                return Err(CodingError::OutOfBits);
             }
-            for (s, (&l, &c)) in self.lengths.iter().zip(&self.codes).enumerate() {
-                if l == len && c == code {
-                    return Ok(s);
-                }
+            let k = ((window >> (64 - len)) as u32).wrapping_sub(self.first[len - 1]);
+            if k < self.count[len - 1] {
+                let sym = self.symbols[self.offset[len - 1] + k as usize];
+                return Ok((usize::from(sym), len));
             }
         }
+        // A bit-serial decoder reads a 17th bit before it finds no code;
+        // its errors are kept.
+        Err(if left > 16 {
+            CodingError::BadCode
+        } else {
+            CodingError::OutOfBits
+        })
     }
 }
 
@@ -427,12 +493,22 @@ pub(crate) fn encode_counted(values: &[i16], h: &Histogram) -> Vec<u8> {
 /// Returns [`CodingError`] on malformed input.
 pub fn decode_segment(bytes: &[u8], count: usize) -> Result<(Vec<i16>, usize), CodingError> {
     let mut r = BitReader::new(bytes);
-    let table = HuffTable::read(&mut r)?;
+    let table = HuffTable::read(&mut r)?.decoder();
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let cat = table.decode(&mut r)? as u8;
-        let bits = r.bits(cat)?;
-        out.push(value_from_bits(bits, cat) as i16);
+        // One window holds a value's code and its magnitude bits: at
+        // most 16 + 11 of its 57.
+        let (window, left) = (r.window(), r.remaining());
+        let (cat, len) = table.decode(window, left)?;
+        if len + cat > left {
+            return Err(CodingError::OutOfBits);
+        }
+        let bits = match cat {
+            0 => 0,
+            _ => ((window << len) >> (64 - cat)) as u32,
+        };
+        r.pos += len + cat;
+        out.push(value_from_bits(bits, cat as u8) as i16);
     }
     r.byte_align();
     Ok((out, r.bit_pos() / 8))
@@ -647,6 +723,24 @@ mod tests {
         }
     }
 
+    /// The decoder the canonical tables replace: one bit at a time, each
+    /// step scanning every symbol for a code of that length and value.
+    fn scan_decode(t: &HuffTable, r: &mut BitReader<'_>) -> Result<usize, CodingError> {
+        let (mut code, mut len) = (0u16, 0u8);
+        loop {
+            code = (code << 1) | r.bit()? as u16;
+            len += 1;
+            if len > 16 {
+                return Err(CodingError::BadCode);
+            }
+            for (s, (&l, &c)) in t.lengths.iter().zip(&t.codes).enumerate() {
+                if l == len && c == code {
+                    return Ok(s);
+                }
+            }
+        }
+    }
+
     #[test]
     fn entropy_stats_size_matches_the_encoded_segment() {
         let cases: [&[i16]; 5] = [
@@ -719,6 +813,34 @@ mod tests {
             let n = values.len().max(1) as f64;
             let bytes = encode_segment(&values).len() as f64;
             prop_assert_eq!(entropy_stats(&values).encoded_bits, bytes * 8.0 / n);
+        }
+
+        /// The canonical decoder returns what a bit-at-a-time scan of
+        /// every symbol's code returns — the symbol or the error — and
+        /// leaves the reader at the same bit, on random tables and bit
+        /// strings (including truncated and unmatched codes).
+        #[test]
+        fn prop_decoder_matches_the_bit_at_a_time_scan(
+            freqs in proptest::collection::vec(0u64..50, 1..MAX_CATEGORY + 2),
+            bytes in proptest::collection::vec(0u8..=255, 0..6),
+            skip in 0usize..8,
+        ) {
+            prop_assume!(freqs.iter().any(|&f| f > 0));
+            let table = HuffTable::build(&freqs);
+            let decoder = table.decoder();
+            let (mut a, mut b) = (BitReader::new(&bytes), BitReader::new(&bytes));
+            for _ in 0..skip.min(bytes.len() * 8) {
+                a.bit().unwrap();
+                b.bit().unwrap();
+            }
+            loop {
+                let want = scan_decode(&table, &mut a);
+                let got = decoder.decode(b.window(), b.remaining());
+                prop_assert_eq!(got.map(|(sym, _)| sym), want);
+                let Ok((_, len)) = got else { break };
+                b.pos += len;
+                prop_assert_eq!(a.bit_pos(), b.bit_pos());
+            }
         }
 
         #[test]

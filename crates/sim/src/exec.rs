@@ -1154,7 +1154,10 @@ pub struct PlanePool {
     acc_b: Option<Tensor<i64>>,
     /// Narrow (`i32`) twin of `acc_a`, used only by verifier-licensed
     /// [`Kernels::Simd`] executions, whose fused epilogue requantizes
-    /// straight from it into the destination codes.
+    /// straight from it into the destination codes: ER's and CONV1's 1×1
+    /// accumulator, and the 3×3 sweeps that do not store their codes
+    /// from registers (srcS instructions, DNX2, and sweeps the
+    /// register-blocked kernels do not cover).
     acc_a32: Option<Tensor<i32>>,
     /// Narrow twin of `acc_b`: UPX2 shuffle target when srcS accumulates
     /// in the shuffled domain, and the ER per-leaf 3×3 stage of the sweeps
@@ -1163,8 +1166,9 @@ pub struct PlanePool {
     acc_b32: Option<Tensor<i32>>,
     /// ER requantized expansion plane.
     mid: Option<Tensor<i16>>,
-    /// Pre-pool (DNX2) or pre-shuffle (srcS-free UPX2) codes, on every
-    /// rung.
+    /// Pre-pool (DNX2) codes on every rung, and pre-shuffle (srcS-free
+    /// UPX2) codes of the UPX2 sweeps that do not store their codes from
+    /// registers.
     quant: Option<Tensor<i16>>,
     /// Copy of a srcS plane that shares its storage with the destination
     /// (the keyed layout's in-place chains).
@@ -1313,9 +1317,30 @@ impl PlanePool {
     }
 
     /// Plane bytes currently resident (occupied slots, at their current
-    /// logical shapes; scratch accumulators are not counted).
+    /// logical shapes; scratch is counted by
+    /// [`PlanePool::scratch_bytes`]).
     pub fn resident_bytes(&self) -> usize {
         self.arena.resident_bytes
+    }
+
+    /// Bytes allocated for the pool's scratch, at capacity: the gathered
+    /// source, the `i64` and `i32` accumulators, the ER mid plane, the
+    /// pre-pool and pre-shuffle codes, the srcS copy and the assembled
+    /// output block. With the planes' storage it is the pool's memory.
+    pub fn scratch_bytes(&self) -> usize {
+        fn bytes<T: Copy + Default>(t: &Option<Tensor<T>>) -> usize {
+            t.as_ref()
+                .map_or(0, |t| t.capacity() * std::mem::size_of::<T>())
+        }
+        bytes(&self.wide)
+            + bytes(&self.acc_a)
+            + bytes(&self.acc_b)
+            + bytes(&self.acc_a32)
+            + bytes(&self.acc_b32)
+            + bytes(&self.mid)
+            + bytes(&self.quant)
+            + bytes(&self.srcs_copy)
+            + bytes(&self.out)
     }
 
     /// High-water mark of [`PlanePool::resident_bytes`] over every
@@ -1756,79 +1781,133 @@ fn exec_conv3(
 ) -> Result<(), ExecError> {
     let ins = &plan.program.instructions[idx];
     let leafs = plan.leafs[idx].as_slice();
-    let input = gather(
-        &pool.arena,
-        &mut pool.wide,
-        &mut pool.stats,
-        plan,
-        idx,
-        ext.input,
-    )?;
     // Leaf ordering (see compiler): UPX2 has one leaf per pre-shuffle
     // output plane; CONV/DNX2 have one leaf per input group.
-    let out_planes = if ins.opcode == Opcode::Upx2 {
-        ins.out_groups
-    } else {
-        1
-    };
+    let upx2 = ins.opcode == Opcode::Upx2;
+    let out_planes = if upx2 { ins.out_groups } else { 1 };
     let (chh, cw) = ext.conv;
     let pk = &plan.packed[idx];
+    let live = plan.live[idx];
     // Verifier-licensed narrow path: every conv-stage sum and the
     // post-srcS sum provably fit `i32`, so the wrapping `i32`-lane
     // accumulation and the fused epilogue are exact.
     let narrow = kind == Kernels::Simd && pk.narrow_acc;
-    if narrow {
-        let acc = ensure_overwrite(
-            &mut pool.acc_a32,
+    // Register-resident finish: a licensed srcS-free CONV or UPX2 sweep
+    // on the register-blocked kernels stores its final codes straight
+    // into the destination plane (pixel-shuffled for UPX2), checked out
+    // at the live output channels only, so no `i32` accumulator and no
+    // pre-shuffle codes are written. An in-place sweep keeps the
+    // accumulator.
+    let dst_slot = plan.slots[plan.bindings[idx].dst];
+    let stores = narrow
+        && ins.src_s.is_none()
+        && matches!(ins.opcode, Opcode::Conv | Opcode::Upx2)
+        && kernels::conv3_runs_blocked(ins, cw, plan.simd)
+        && plan.bindings[idx]
+            .src
+            .iter()
+            .all(|&p| plan.slots[p] != dst_slot);
+    let stage = if stores {
+        let f = if upx2 { 2 } else { 1 };
+        let c = live.output.next_multiple_of(OC_BLOCK) / (f * f);
+        checkout(
+            &mut pool.arena,
             &mut pool.stats,
-            out_planes * LEAF_CH,
-            chh,
-            cw,
+            dst_slot,
+            c,
+            f * chh,
+            f * cw,
+            false,
         );
-        let live = plan.live[idx];
-        kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], live, acc, plan.simd);
+        // INVARIANT: `BlockPlan::new` licenses only instructions whose
+        // epilogues `narrow_epilogues` covers.
+        let (ep, _) = narrow_epilogues(ins).expect("plan licenses supported epilogues only");
+        // Out of its slot while the sweep reads the source planes, and
+        // back before any error leaves.
+        let mut dst = pool.arena.slots[dst_slot]
+            .take()
+            .expect("checked out above");
+        let ran = gather(
+            &pool.arena,
+            &mut pool.wide,
+            &mut pool.stats,
+            plan,
+            idx,
+            ext.input,
+        )
+        .map(|input| {
+            kernels::conv3_codes_packed_simd_narrow(
+                ins,
+                input,
+                &pk.conv3[0],
+                live,
+                &ep,
+                &mut dst,
+                plan.simd,
+            )
+        });
+        pool.arena.slots[dst_slot] = Some(dst);
+        assert!(ran?, "conv3_runs_blocked admitted the sweep");
+        Stage::Stored
     } else {
-        let acc = ensure_overwrite(
-            &mut pool.acc_a,
+        let input = gather(
+            &pool.arena,
+            &mut pool.wide,
             &mut pool.stats,
-            out_planes * LEAF_CH,
-            chh,
-            cw,
-        );
-        if kind == Kernels::Reference {
-            let weights = |op_: usize, ig: usize| {
-                let leaf = if ins.opcode == Opcode::Upx2 {
-                    &leafs[op_]
-                } else {
-                    &leafs[ig]
+            plan,
+            idx,
+            ext.input,
+        )?;
+        if narrow {
+            let acc = ensure_overwrite(
+                &mut pool.acc_a32,
+                &mut pool.stats,
+                out_planes * LEAF_CH,
+                chh,
+                cw,
+            );
+            kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], live, acc, plan.simd);
+            Stage::Narrow
+        } else {
+            let acc = ensure_overwrite(
+                &mut pool.acc_a,
+                &mut pool.stats,
+                out_planes * LEAF_CH,
+                chh,
+                cw,
+            );
+            if kind == Kernels::Reference {
+                let weights = |op_: usize, ig: usize| {
+                    let leaf = if upx2 { &leafs[op_] } else { &leafs[ig] };
+                    leaf.w3.as_slice()
                 };
-                leaf.w3.as_slice()
-            };
-            let (b3_frac, frac) = (ins.q.b3.frac() as i32, acc_frac(ins));
-            let biases = |op_: usize| -> Vec<i64> {
-                let mut b = vec![0i64; LEAF_CH];
-                if ins.opcode == Opcode::Upx2 {
-                    for (oc, bv) in b.iter_mut().enumerate() {
-                        *bv = align_code(leafs[op_].b3[oc] as i64, b3_frac, frac);
-                    }
-                } else {
-                    for leaf in leafs {
+                let (b3_frac, frac) = (ins.q.b3.frac() as i32, acc_frac(ins));
+                let biases = |op_: usize| -> Vec<i64> {
+                    let mut b = vec![0i64; LEAF_CH];
+                    if upx2 {
                         for (oc, bv) in b.iter_mut().enumerate() {
-                            *bv += align_code(leaf.b3[oc] as i64, b3_frac, frac);
+                            *bv = align_code(leafs[op_].b3[oc] as i64, b3_frac, frac);
+                        }
+                    } else {
+                        for leaf in leafs {
+                            for (oc, bv) in b.iter_mut().enumerate() {
+                                *bv += align_code(leaf.b3[oc] as i64, b3_frac, frac);
+                            }
                         }
                     }
-                }
-                b
-            };
-            kernels::reference::conv3_acc_into(ins, input, &weights, &biases, out_planes, acc);
-        } else {
-            kernels::conv3_acc_packed(ins, input, &pk.conv3[0], acc);
+                    b
+                };
+                kernels::reference::conv3_acc_into(ins, input, &weights, &biases, out_planes, acc);
+            } else {
+                kernels::conv3_acc_packed(ins, input, &pk.conv3[0], acc);
+            }
+            Stage::Wide
         }
-    }
+    };
     // The accelerator's MACs: the compiled block, whatever `ext` runs.
     let (cw, chh) = ins.conv_out_size();
     pool.stats.mac3 += (out_planes * ins.in_groups * LEAF_CH * LEAF_CH * 9 * cw * chh) as u64;
-    finish(plan, idx, ext, pool, narrow, trace)
+    finish(plan, idx, ext, pool, stage, trace)
 }
 
 /// Overwrites `acc` with the reference path's 1×1 biases: every leaf's,
@@ -1895,7 +1974,8 @@ fn exec_conv1(
     }
     let (w, h) = ins.in_size;
     pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * h * w) as u64;
-    finish(plan, idx, ext, pool, narrow, trace)
+    let stage = if narrow { Stage::Narrow } else { Stage::Wide };
+    finish(plan, idx, ext, pool, stage, trace)
 }
 
 fn exec_er(
@@ -1943,11 +2023,12 @@ fn exec_er(
             // The register-blocked sweep does it in registers and stores
             // codes; the row-kernel sweeps go through an `i32` plane.
             let conv3 = &packed.conv3[li];
+            let full = LiveChannels::full(conv3.in_groups, conv3.out_planes);
             let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
-            if !kernels::conv3_codes_packed_simd_narrow(ins, input, conv3, &mid_ep, mid, plan.simd)
-            {
+            if !kernels::conv3_codes_packed_simd_narrow(
+                ins, input, conv3, full, &mid_ep, mid, plan.simd,
+            ) {
                 let acc3 = ensure_overwrite(&mut pool.acc_b32, &mut pool.stats, LEAF_CH, chh, cw);
-                let full = LiveChannels::full(conv3.in_groups, conv3.out_planes);
                 kernels::conv3_acc_packed_simd_narrow(ins, input, conv3, full, acc3, plan.simd);
                 simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid, LEAF_CH);
             }
@@ -2003,7 +2084,8 @@ fn exec_er(
         }
     }
     pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * nw * nh) as u64;
-    finish(plan, idx, ext, pool, narrow, trace)
+    let stage = if narrow { Stage::Narrow } else { Stage::Wide };
+    finish(plan, idx, ext, pool, stage, trace)
 }
 
 /// Fractional bits of `ins`'s final accumulator: the 3×3 products over the
@@ -2057,6 +2139,18 @@ fn dst_and_src(
     Some((d.as_mut()?, s.as_ref()?))
 }
 
+/// What an instruction's conv stage left for [`finish`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stage {
+    /// The exact `i64` accumulator in `acc_a`.
+    Wide,
+    /// A licensed instruction's `i32` accumulator in `acc_a32`.
+    Narrow,
+    /// A licensed instruction's final codes, already in its destination
+    /// plane (the register-resident finish of `exec_conv3`).
+    Stored,
+}
+
 /// The accumulator an instruction's conv stage left in the pool.
 enum Acc<'a> {
     /// A verifier-licensed narrow instruction's `i32` accumulator.
@@ -2082,16 +2176,31 @@ fn shuffled<'s, T: Copy + Default>(
     out
 }
 
-/// Finishes instruction `idx` from the accumulator its conv stage left in
-/// the pool (`acc_a32` when `narrow`, else `acc_a`): the ADDE, activation,
-/// single rounding and Dst Reorder tail every opcode and kernel rung
-/// shares. UPX2 with srcS shuffles the accumulator first (srcS accumulates
-/// in the shuffled domain). srcS is read once, through a copy when the
-/// destination overwrites it in place. The sum is rounded into the
-/// destination codes, or into scratch codes that DNX2 pools and srcS-free
-/// UPX2 pixel-shuffles into the destination. Only the rounding differs by
-/// rung: a narrow instruction runs the fused [`simd::epilogue_narrow`] over
-/// the plan's live output channels (a quarter of them after a shuffle; the
+/// Checks the `(height, width)` an instruction produced against the
+/// destination extent its table declares.
+fn check_produced((oh, ow): (usize, usize), ext: &InstrExtents) -> Result<(), ExecError> {
+    if (oh, ow) != ext.dst {
+        let (dh, dw) = ext.dst;
+        return Err(ExecError::Shape(format!(
+            "produced {ow}x{oh} vs declared {dw}x{dh}"
+        )));
+    }
+    Ok(())
+}
+
+/// Finishes instruction `idx` from what its conv stage left (`stage`):
+/// the ADDE, activation, single rounding and Dst Reorder tail every
+/// opcode and kernel rung shares. Codes the stage already stored in the
+/// destination (a srcS-free CONV or UPX2 on the register-blocked kernels)
+/// only take the produced-size check and the traffic count. Otherwise
+/// UPX2 with srcS shuffles the accumulator (`acc_a32` or `acc_a`) first
+/// (srcS accumulates in the shuffled domain). srcS is read once, through
+/// a copy when the destination overwrites it in place. The sum is rounded
+/// into the destination codes, or into scratch codes that DNX2 pools and
+/// the remaining srcS-free UPX2 (row kernels, `Packed`, `Reference`)
+/// pixel-shuffle into the destination. Only the rounding differs by rung:
+/// a narrow instruction runs the fused [`simd::epilogue_narrow`] over the
+/// plan's live output channels (a quarter of them after a shuffle; the
 /// conv stage may have left the rest stale, a direct store never writes
 /// them and nothing reads the stale codes a reordered store leaves), every
 /// other one adds srcS, applies ReLU and requantizes every channel in
@@ -2101,7 +2210,7 @@ fn finish(
     idx: usize,
     ext: &InstrExtents,
     pool: &mut PlanePool,
-    narrow: bool,
+    stage: Stage,
     mut trace: Option<&mut InstrTrace>,
 ) -> Result<(), ExecError> {
     let program = plan.program;
@@ -2118,13 +2227,25 @@ fn finish(
         stats,
         ..
     } = pool;
+    let dst_slot = plan.slots[binding.dst];
     let shuffle_codes = ins.opcode == Opcode::Upx2 && ins.src_s.is_none();
     let shuffle_acc = ins.opcode == Opcode::Upx2 && !shuffle_codes;
-    let mut acc = if narrow {
-        stats.narrow_instrs += 1;
-        Acc::Narrow(shuffled(acc_a32, acc_b32, stats, shuffle_acc))
-    } else {
-        Acc::Wide(shuffled(acc_a, acc_b, stats, shuffle_acc))
+    let mut acc = match stage {
+        Stage::Stored => {
+            stats.narrow_instrs += 1;
+            let dst = plane_at(arena, dst_slot).expect("the conv stage stored dst");
+            check_produced((dst.height(), dst.width()), ext)?;
+            if let Some(t) = trace {
+                merge_extrema(&mut t.dst, scan_i16(dst));
+            }
+            count_write(stats, program, &plan.planes[binding.dst]);
+            return Ok(());
+        }
+        Stage::Narrow => {
+            stats.narrow_instrs += 1;
+            Acc::Narrow(shuffled(acc_a32, acc_b32, stats, shuffle_acc))
+        }
+        Stage::Wide => Acc::Wide(shuffled(acc_a, acc_b, stats, shuffle_acc)),
     };
     let (ac, ah, aw) = match &acc {
         Acc::Narrow(a) => a.shape(),
@@ -2135,12 +2256,7 @@ fn finish(
         Opcode::Dnx2 => (ac, ah / ins.pool_factor, aw / ins.pool_factor),
         _ => (ac, ah, aw),
     };
-    if (oh, ow) != ext.dst {
-        let (dh, dw) = ext.dst;
-        return Err(ExecError::Shape(format!(
-            "produced {ow}x{oh} vs declared {dw}x{dh}"
-        )));
-    }
+    check_produced((oh, ow), ext)?;
     let live = plan.live[idx].output / if shuffle_acc { 4 } else { 1 };
     let offset = ext.srcs_offset;
     let mut round = |srcs: Option<&Tensor<i16>>, codes: &mut Tensor<i16>| {
@@ -2170,7 +2286,6 @@ fn finish(
             merge_extrema(&mut t.dst, scan_i16(codes));
         }
     };
-    let dst_slot = plan.slots[binding.dst];
     let srcs_slot = match (ins.src_s, binding.src_s) {
         (Some(loc), Some(p)) => {
             let slot = plan.slots[p];
@@ -2687,6 +2802,71 @@ mod tests {
             let blocked = cfg!(target_arch = "x86_64") && level != kernels::simd::SimdLevel::Scalar;
             assert_eq!(pool.acc_b32.is_none(), blocked, "{level}: i32 ER plane");
             assert_eq!(pool.stats().kernel_variant, Kernels::Simd.variant(level));
+        }
+    }
+
+    /// A licensed `Simd` block on every register-blocked rung finishes
+    /// its srcS-free CONV and UPX2 sweeps in registers: no pre-shuffle
+    /// codes, no `i32` plane larger than ER's 1×1 accumulators, and DO
+    /// planes at their live channels (rounded up to `OC_BLOCK`). Pixels
+    /// and work equal `Packed`'s, on a full DnERNet block and a clipped
+    /// eSR-4K edge block.
+    #[test]
+    fn register_finish_keeps_only_er_accumulators_and_live_do_channels() {
+        use kernels::simd::{SimdLevel, BLOCKED_MIN_WIDTH};
+        let cases = [
+            (ErNetSpec::new(ErNetTask::Dn, 3, 1, 0), None),
+            // eSR-4K's do_side at block 64 is 90: an edge block whose
+            // clipped sweeps all stay at least 16 wide.
+            (ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1), Some((60, 70))),
+        ];
+        for (spec, keep) in cases {
+            let m = spec.build().unwrap();
+            let c = compile(&QuantizedModel::uniform(&m), 64).unwrap();
+            let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+            assert_eq!(plan.narrow_licensed(), c.program.instructions.len());
+            let ext = match keep {
+                Some(k) => plan.clipped(k).expect("an edge keep clips"),
+                None => plan.extents().clone(),
+            };
+            let instrs = || c.program.instructions.iter().zip(ext.instrs());
+            assert!(instrs()
+                .filter(|(i, _)| matches!(i.opcode, Opcode::Conv | Opcode::Upx2))
+                .all(|(_, e)| e.conv.1 >= BLOCKED_MIN_WIDTH));
+            let er_acc = instrs()
+                .filter(|(i, _)| i.opcode == Opcode::Er)
+                .map(|(_, e)| LEAF_CH * e.conv.0 * e.conv.1)
+                .max()
+                .expect("an ER module");
+            let img = SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 4).rgb(64, 64);
+            let input = quantize_input(&img, &c.program);
+            let mut pool = PlanePool::new();
+            let want = execute_at(&plan, &ext, &mut pool, &input, Kernels::Packed)
+                .unwrap()
+                .clone();
+            let work = pool.stats().work();
+            let blocked = SimdLevel::ALL
+                .into_iter()
+                .filter(|&l| l.is_available() && simd::conv3_blocked_covers(l, BLOCKED_MIN_WIDTH));
+            for level in blocked {
+                let p = plan.clone().with_simd_level(level).unwrap();
+                let mut pool = PlanePool::new();
+                let out = execute_at(&p, &ext, &mut pool, &input, Kernels::Simd).unwrap();
+                assert_eq!(out, &want, "{spec} {level}");
+                assert_eq!(pool.stats().work(), work, "{spec} {level}");
+                assert!(pool.quant.is_none(), "{spec} {level}: pre-shuffle codes");
+                let acc = pool.acc_a32.as_ref().map_or(0, Tensor::capacity);
+                assert_eq!(acc, er_acc, "{spec} {level}: i32 scratch");
+                for (g, &d) in plan.do_planes.iter().enumerate() {
+                    let live = c.program.do_channels - g * LEAF_CH;
+                    let plane = pool.plane(plan.slots[d]).expect("DO plane");
+                    assert_eq!(
+                        plane.channels(),
+                        live.min(LEAF_CH).next_multiple_of(OC_BLOCK),
+                        "{spec} {level}: DO group {g}"
+                    );
+                }
+            }
         }
     }
 

@@ -40,7 +40,7 @@
 //! verbatim: they are the baseline `bench_kernels` measures speedups
 //! against (see `BENCH_kernels.json`) and the oracle of the parity suite.
 
-use ecnn_isa::instr::{Instruction, LEAF_CH};
+use ecnn_isa::instr::{Instruction, Opcode, LEAF_CH};
 use ecnn_isa::params::{PackedConv1, PackedConv3};
 use ecnn_model::model::InferenceKind;
 use ecnn_tensor::Tensor;
@@ -261,19 +261,23 @@ pub(crate) fn conv3_runs_blocked(ins: &Instruction, out_w: usize, level: SimdLev
 
 /// [`conv3_acc_packed_simd_narrow`]'s register-blocked sweep with the
 /// srcS-free epilogue `ep` fused into its store
-/// ([`simd::conv3_blocked_codes`]): writes `dst` codes and returns `true`,
-/// or returns `false`, leaving `dst` untouched, for the sweeps that run
-/// the row kernels (the caller then goes through an `i32` plane).
+/// ([`simd::conv3_blocked_codes`]): writes the `live` channels of `dst`
+/// codes, through the ×2 pixel shuffle for `UPX2`, and returns `true`, or
+/// returns `false`, leaving `dst` untouched, for the sweeps that run the
+/// row kernels ([`conv3_runs_blocked`] is `false`; the caller then goes
+/// through an `i32` plane).
 pub(crate) fn conv3_codes_packed_simd_narrow(
     ins: &Instruction,
     input: &Tensor<i16>,
     packed: &PackedConv3,
+    live: LiveChannels,
     ep: &simd::NarrowEpilogue,
     dst: &mut Tensor<i16>,
     level: SimdLevel,
 ) -> bool {
+    let shuffle = ins.opcode == Opcode::Upx2;
     ins.inference == InferenceKind::TruncatedPyramid
-        && simd::conv3_blocked_codes(level, input, packed, ep, dst)
+        && simd::conv3_blocked_codes(level, input, packed, live, ep, shuffle, dst)
 }
 
 /// The verifier-licensed narrow variant of [`conv1_leaf_acc_packed`]

@@ -93,14 +93,21 @@
 //!   chunk simply starts at `cw − chunk` and recomputes the overlap. The
 //!   1×1 kernel accumulates, so its last `px mod chunk` pixels run the
 //!   scalar loop over the compacted nonzero columns.
-//! * **Fused mid store.** [`conv3_blocked_codes`] is the 3×3 sweep in
+//! * **Fused codes store.** [`conv3_blocked_codes`] is the 3×3 sweep in
 //!   codes mode: it applies a srcS-free [`NarrowEpilogue`] to the
 //!   registers (floor, branch-free round, clamp) and `packs_epi32(lo, hi)`
 //!   writes `i16` codes. Per 128-bit lane that pack emits `lo`'s 4 pixels
 //!   and then `hi`'s, which is already pixel order, so no permute is
-//!   needed. The executor's ER instruction uses it to store each leaf's
-//!   mid plane without an `i32` expansion plane; sweeps the blocked
-//!   kernels do not cover still go through one and [`epilogue_narrow`].
+//!   needed. In shuffle mode (`UPX2`) the 4 output channels of a block
+//!   are the 4 phases `(dy, dx)` of one shuffled channel: the packed
+//!   phase codes are interleaved with `unpacklo/hi_epi16` into rows `2y`
+//!   and `2y + 1` (one `permute2x128` pair on AVX2, `to_pixel_order` on
+//!   AVX-512, none on SSE2). The store writes only the live blocks, so a
+//!   destination needs only the live channels. The executor uses it for
+//!   each ER leaf's mid plane and for the final codes of srcS-free CONV
+//!   and UPX2 instructions, which then need no `i32` plane and no
+//!   pre-shuffle codes; sweeps the blocked kernels do not cover still go
+//!   through an `i32` plane and [`epilogue_narrow`].
 //! * **Zero-skipping.** A plan-time mask per (4-channel output block,
 //!   input pair, `ky`) skips all-zero tap rows, so pruned models still
 //!   skip work.
@@ -458,9 +465,42 @@ mod avx2 {
                     // Per 128-bit lane the pack emits lo's 4 pixels, then
                     // hi's: pixels 0-7 / 8-15, already in order.
                     let v = _mm256_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
-                    // SAFETY: as for the accumulator stores, on the
-                    // same-shaped `i16` plane.
+                    // SAFETY: as for the accumulator stores, on an `i16`
+                    // plane of the same rows that `Conv3Sweep::new`
+                    // checked holds every live block's channels.
                     unsafe { _mm256_storeu_si256(codes.as_mut_ptr().add(dst) as *mut __m256i, v) };
+                }
+            }
+            super::Conv3Store::Shuffled(ep, codes) => {
+                let k = EpilogueVecs::new(ep);
+                let mut v = [_mm256_setzero_si256(); OC_BLOCK];
+                for o in 0..OC_BLOCK {
+                    // Phase o's 16 codes, in pixel order.
+                    v[o] = _mm256_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                }
+                let c = op_ * OC_BLOCKS + ocb;
+                for dy in 0..2 {
+                    // Row 2y + dy alternates phases (dy, 0) and (dy, 1):
+                    // per 128-bit lane the unpacks pair up pixels 0-3 /
+                    // 8-11 and 4-7 / 12-15, so one `permute2x128` pair
+                    // puts the 32 codes in column order.
+                    let a = _mm256_unpacklo_epi16(v[2 * dy], v[2 * dy + 1]);
+                    let b = _mm256_unpackhi_epi16(v[2 * dy], v[2 * dy + 1]);
+                    let dst = (c * 2 * chh + 2 * y + dy) * 2 * cw + 2 * x;
+                    // SAFETY: `Conv3Sweep::new` checked the plane holds
+                    // one channel per live block, channel `c` among them;
+                    // `2y + dy < 2chh` and `2x + 32 <= 2cw` keep both
+                    // stores inside row `2y + dy` of channel `c`.
+                    unsafe {
+                        _mm256_storeu_si256(
+                            codes.as_mut_ptr().add(dst) as *mut __m256i,
+                            _mm256_permute2x128_si256::<0x20>(a, b),
+                        );
+                        _mm256_storeu_si256(
+                            codes.as_mut_ptr().add(dst + 16) as *mut __m256i,
+                            _mm256_permute2x128_si256::<0x31>(a, b),
+                        );
+                    }
                 }
             }
         }
@@ -821,9 +861,36 @@ mod avx512 {
                     // Per 128-bit lane the pack emits lo's 4 pixels, then
                     // hi's: all 32 codes come out in pixel order.
                     let v = _mm512_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
-                    // SAFETY: as for the accumulator stores, on the
-                    // same-shaped `i16` plane.
+                    // SAFETY: as for the accumulator stores, on an `i16`
+                    // plane of the same rows that `Conv3Sweep::new`
+                    // checked holds every live block's channels.
                     unsafe { _mm512_storeu_si512(codes.as_mut_ptr().add(dst) as *mut _, v) };
+                }
+            }
+            super::Conv3Store::Shuffled(ep, codes) => {
+                let k = EpilogueVecs::new(ep);
+                let mut v = [_mm512_setzero_si512(); OC_BLOCK];
+                for o in 0..OC_BLOCK {
+                    // Phase o's 32 codes, in pixel order.
+                    v[o] = _mm512_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                }
+                let c = op_ * OC_BLOCKS + ocb;
+                for dy in 0..2 {
+                    // Row 2y + dy alternates phases (dy, 0) and (dy, 1):
+                    // per 128-bit lane the unpacks pair up pixels 0-3 and
+                    // 4-7 of each 8, the lane order `to_pixel_order`
+                    // restores.
+                    let (a, b) = to_pixel_order(
+                        _mm512_unpacklo_epi16(v[2 * dy], v[2 * dy + 1]),
+                        _mm512_unpackhi_epi16(v[2 * dy], v[2 * dy + 1]),
+                    );
+                    let dst = (c * 2 * chh + 2 * y + dy) * 2 * cw + 2 * x;
+                    // SAFETY: as in the AVX2 kernel, with
+                    // `2x + 64 <= 2cw`.
+                    unsafe {
+                        _mm512_storeu_si512(codes.as_mut_ptr().add(dst) as *mut _, a);
+                        _mm512_storeu_si512(codes.as_mut_ptr().add(dst + 32) as *mut _, b);
+                    }
                 }
             }
         }
@@ -1059,9 +1126,35 @@ mod sse2 {
                 for o in 0..OC_BLOCK {
                     let dst = ((oc0 + o) * chh + y) * cw + x;
                     let v = _mm_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
-                    // SAFETY: as for the accumulator stores, on the
-                    // same-shaped `i16` plane.
+                    // SAFETY: as for the accumulator stores, on an `i16`
+                    // plane of the same rows that `Conv3Sweep::new`
+                    // checked holds every live block's channels.
                     unsafe { _mm_storeu_si128(codes.as_mut_ptr().add(dst) as *mut __m128i, v) };
+                }
+            }
+            super::Conv3Store::Shuffled(ep, codes) => {
+                let k = EpilogueVecs::new(ep);
+                let mut v = [_mm_setzero_si128(); OC_BLOCK];
+                for o in 0..OC_BLOCK {
+                    // Phase o's 8 codes, in pixel order.
+                    v[o] = _mm_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                }
+                let c = op_ * OC_BLOCKS + ocb;
+                for dy in 0..2 {
+                    // Row 2y + dy alternates phases (dy, 0) and (dy, 1).
+                    let dst = (c * 2 * chh + 2 * y + dy) * 2 * cw + 2 * x;
+                    // SAFETY: as in the AVX2 kernel, with
+                    // `2x + 16 <= 2cw`.
+                    unsafe {
+                        _mm_storeu_si128(
+                            codes.as_mut_ptr().add(dst) as *mut __m128i,
+                            _mm_unpacklo_epi16(v[2 * dy], v[2 * dy + 1]),
+                        );
+                        _mm_storeu_si128(
+                            codes.as_mut_ptr().add(dst + 8) as *mut __m128i,
+                            _mm_unpackhi_epi16(v[2 * dy], v[2 * dy + 1]),
+                        );
+                    }
                 }
             }
         }
@@ -1407,27 +1500,38 @@ struct Conv3Sweep<'a> {
 }
 
 impl<'a> Conv3Sweep<'a> {
-    /// The sweep writing the `live` channels of an `out_c × out_h ×
-    /// out_w` output.
+    /// The sweep computing the `live` channels of an `out_h × out_w` conv
+    /// output into `out`, which must hold every chunk the sweep stores.
     fn new(
         input: &'a Tensor<i16>,
         packed: &'a PackedConv3,
-        (out_c, out_h, out_w): (usize, usize, usize),
+        (out_h, out_w): (usize, usize),
         live: LiveChannels,
+        out: &Conv3Store<'_>,
     ) -> Self {
         let (in_c, in_h, in_w) = input.shape();
-        let planes = packed.out_planes * packed.in_groups;
+        let (planes, out_c) = (
+            packed.out_planes * packed.in_groups,
+            packed.out_planes * LEAF_CH,
+        );
         assert!(
             out_w >= BLOCKED_MIN_WIDTH && in_h >= out_h + 2 && in_w >= out_w + 2,
             "blocked 3x3 needs truncated-pyramid geometry: {in_h}x{in_w} -> {out_h}x{out_w}"
         );
-        assert!(in_c >= packed.in_groups * LEAF_CH && out_c == packed.out_planes * LEAF_CH);
+        assert!(in_c >= packed.in_groups * LEAF_CH);
         assert_eq!(packed.words.len(), planes * OC_BLOCKS * CONV3_BLOCK_WORDS);
         assert_eq!(packed.block_mask.len(), planes * OC_BLOCKS * IC_PAIRS);
         assert_eq!(packed.bias.len(), out_c);
         assert!(
             live.input <= packed.in_groups * LEAF_CH && live.output <= out_c,
             "live extents {live:?} exceed the sweep"
+        );
+        // Every store layout spends `out_h · out_w` elements per
+        // pre-shuffle channel, and the chunks store the live channels
+        // rounded up to whole blocks.
+        assert!(
+            out.len() >= live.output.next_multiple_of(OC_BLOCK) * out_h * out_w,
+            "the store cannot hold the live channels {live:?} at {out_h}x{out_w}"
         );
         Self {
             input: input.as_slice(),
@@ -1484,16 +1588,37 @@ impl<'a> Conv1Sweep<'a> {
     }
 }
 
-/// Where a register-blocked 3×3 sweep stores each finished chunk, in the
-/// `out_planes·32 × chh × cw` output layout.
+/// Where a register-blocked 3×3 sweep of a `chh × cw` conv output stores
+/// each finished chunk. Every layout holds at least the live output
+/// channels rounded up to whole `OC_BLOCK`s.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 enum Conv3Store<'a> {
-    /// The raw `i32` accumulators.
+    /// The raw `i32` accumulators, `channels × chh × cw`.
     Acc(&'a mut [i32]),
-    /// Destination codes: the srcS-free epilogue applied to the
-    /// registers, then a saturating pack to `i16` (exact, since the lanes
-    /// are already clamped to the code range).
+    /// Destination codes, `channels × chh × cw`: the srcS-free epilogue
+    /// applied to the registers, then a saturating pack to `i16` (exact,
+    /// since the lanes are already clamped to the code range).
     Codes(&'a NarrowEpilogue, &'a mut [i16]),
+    /// [`Conv3Store::Codes`] through the ×2 pixel shuffle of `UPX2`,
+    /// `channels / 4 × 2chh × 2cw`. The shuffle takes pre-shuffle channel
+    /// `4c + 2dy + dx` to phase `(dy, dx)` of channel `c`, so the 4
+    /// accumulators of output block `ocb` of plane `op_` are the 4 phases
+    /// of channel `8·op_ + ocb`: each chunk interleaves them into rows
+    /// `2y` and `2y + 1` of that channel.
+    Shuffled(&'a NarrowEpilogue, &'a mut [i16]),
+}
+
+// The shuffled store's 4 phases per block.
+const _: () = assert!(OC_BLOCK == 4);
+
+impl Conv3Store<'_> {
+    /// Elements the store can hold.
+    fn len(&self) -> usize {
+        match self {
+            Conv3Store::Acc(a) => a.len(),
+            Conv3Store::Codes(_, c) | Conv3Store::Shuffled(_, c) => c.len(),
+        }
+    }
 }
 
 /// Column starts of `lanes`-wide chunks covering `width >= lanes`
@@ -1506,7 +1631,8 @@ fn chunk_starts(width: usize, lanes: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Whether [`conv3_blocked_narrow`] and [`conv3_blocked_codes`] run,
-/// rather than decline, a sweep `out_w` columns wide at `level`.
+/// rather than decline, a sweep whose conv output is `out_w` columns wide
+/// at `level`.
 pub(crate) fn conv3_blocked_covers(level: SimdLevel, out_w: usize) -> bool {
     cfg!(target_arch = "x86_64")
         && matches!(level, SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2)
@@ -1520,21 +1646,21 @@ fn conv3_blocked(
     level: SimdLevel,
     input: &Tensor<i16>,
     packed: &PackedConv3,
-    shape: (usize, usize, usize),
+    (out_h, out_w): (usize, usize),
     live: LiveChannels,
     mut out: Conv3Store<'_>,
 ) -> bool {
-    if !conv3_blocked_covers(level, shape.2) {
+    if !conv3_blocked_covers(level, out_w) {
         return false;
     }
     assert!(level.is_available(), "{level} is not available on this CPU");
-    let sweep = Conv3Sweep::new(input, packed, shape, live);
+    let sweep = Conv3Sweep::new(input, packed, (out_h, out_w), live, &out);
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` is available (asserted above): `detect` observed
         // AVX2, AVX-512F/BW and AVX-512 VNNI. The guard is the kernel's
         // 32-column minimum.
-        SimdLevel::Avx512 if shape.2 >= avx512::LANES => unsafe {
+        SimdLevel::Avx512 if out_w >= avx512::LANES => unsafe {
             avx512::conv3_blocked(&sweep, &mut out)
         },
         #[cfg(target_arch = "x86_64")]
@@ -1572,12 +1698,13 @@ pub fn conv3_blocked_narrow(
     live: LiveChannels,
     acc: &mut Tensor<i32>,
 ) -> bool {
-    let shape = acc.shape();
+    let (out_c, out_h, out_w) = acc.shape();
+    assert_eq!(out_c, packed.out_planes * LEAF_CH, "accumulator channels");
     conv3_blocked(
         level,
         input,
         packed,
-        shape,
+        (out_h, out_w),
         live,
         Conv3Store::Acc(acc.as_mut_slice()),
     )
@@ -1587,29 +1714,40 @@ pub fn conv3_blocked_narrow(
 /// store: each chunk's accumulators are floored, rounded and clamped in
 /// registers and packed straight into `dst` codes, equal to
 /// [`epilogue_narrow`] (without srcS) of the accumulators
-/// [`conv3_blocked_narrow`] would store — no `i32` plane is written.
-/// Returns `false`, leaving `dst` untouched, exactly when
-/// [`conv3_blocked_narrow`] would.
+/// [`conv3_blocked_narrow`] would store — no `i32` plane is written. With
+/// `shuffle`, the codes go through `UPX2`'s ×2 pixel shuffle on the way
+/// ([`Tensor::pixel_shuffle_into`] order), so `dst` is the shuffled
+/// plane, twice the conv output in each dimension. `dst` needs only the
+/// `live` output channels, rounded up to whole `OC_BLOCK`s (each block
+/// is one channel after a shuffle); the sweep writes every element of
+/// those and nothing else. Returns `false`, leaving `dst` untouched,
+/// exactly when [`conv3_blocked_narrow`] would.
 ///
 /// # Panics
 ///
-/// As [`conv3_blocked_narrow`], with `dst` in place of `acc`.
+/// As [`conv3_blocked_narrow`], with `dst` in place of `acc`, and if
+/// `dst` has fewer channels than the live blocks or, with `shuffle`, odd
+/// dimensions.
 pub fn conv3_blocked_codes(
     level: SimdLevel,
     input: &Tensor<i16>,
     packed: &PackedConv3,
+    live: LiveChannels,
     ep: &NarrowEpilogue,
+    shuffle: bool,
     dst: &mut Tensor<i16>,
 ) -> bool {
-    let shape = dst.shape();
-    conv3_blocked(
-        level,
-        input,
-        packed,
-        shape,
-        LiveChannels::full(packed.in_groups, packed.out_planes),
-        Conv3Store::Codes(ep, dst.as_mut_slice()),
-    )
+    let (_, h, w) = dst.shape();
+    if !shuffle {
+        let codes = Conv3Store::Codes(ep, dst.as_mut_slice());
+        return conv3_blocked(level, input, packed, (h, w), live, codes);
+    }
+    assert!(
+        h % 2 == 0 && w % 2 == 0,
+        "a shuffled plane has even dimensions, not {h}x{w}"
+    );
+    let codes = Conv3Store::Shuffled(ep, dst.as_mut_slice());
+    conv3_blocked(level, input, packed, (h / 2, w / 2), live, codes)
 }
 
 /// Register-blocked narrow 1×1 accumulation of leaf `leaf`:
@@ -2174,14 +2312,34 @@ mod tests {
         }
     }
 
+    /// The fused store writes exactly the live blocks' codes of the
+    /// epilogue over the stored accumulators — pixel-shuffled for `UPX2`,
+    /// one post-shuffle channel per block — into a plane holding only
+    /// those channels, every element of it.
     #[test]
     fn fused_codes_store_matches_the_epilogue_of_the_stored_accumulators() {
         let cases = [
-            (Opcode::Conv, 1, 1, vec![leaf(9)]),
-            (Opcode::Conv, 2, 1, vec![leaf(10), leaf(11)]),
+            (Opcode::Conv, 1, 1, vec![leaf(9)], 32),
+            (Opcode::Conv, 2, 1, vec![leaf(10), leaf(11)], 32),
+            // A 3-channel DO tail: one block, 4 stored channels.
+            (Opcode::Conv, 1, 1, vec![leaf(20)], 3),
+            // Shuffled: every channel of 2 planes, and a 3-channel DO
+            // tail (12 pre-shuffle channels, 3 blocks of plane 0).
+            (Opcode::Upx2, 1, 2, vec![leaf(21), leaf(22)], 64),
+            (Opcode::Upx2, 2, 4, (23..27).map(leaf).collect(), 12),
         ];
-        for (opcode, in_groups, out_groups, leafs) in cases {
+        for (opcode, in_groups, out_groups, leafs, live_out) in cases {
             let p = packed3(opcode, in_groups, out_groups, &leafs);
+            let live = LiveChannels {
+                input: in_groups * LEAF_CH,
+                output: live_out,
+            };
+            let shuffle = opcode == Opcode::Upx2;
+            let (f, stored) = (
+                if shuffle { 2 } else { 1 },
+                live_out.next_multiple_of(OC_BLOCK),
+            );
+            let c = stored / (f * f);
             for cw in BLOCKED_WIDTHS {
                 let chh = 2;
                 let input = plane(in_groups * LEAF_CH, chh + 2, cw + 2, cw + 5);
@@ -2191,16 +2349,23 @@ mod tests {
                 for (shift, relu) in [(1, true), (18, true), (18, false), (30, false)] {
                     let q = QFormat::signed(4);
                     let ep = NarrowEpilogue::new(q.frac() as i32 + shift, q, relu, None).unwrap();
-                    let mut want = Tensor::<i16>::zeros(LEAF_CH, chh, cw);
-                    epilogue_narrow(SimdLevel::Scalar, &ep, &acc, None, &mut want, LEAF_CH);
+                    let mut codes = Tensor::<i16>::zeros(acc.channels(), chh, cw);
+                    epilogue_narrow(SimdLevel::Scalar, &ep, &acc, None, &mut codes, stored);
+                    let codes = if shuffle {
+                        codes.pixel_shuffle(2)
+                    } else {
+                        codes
+                    };
+                    let want = codes.with_channels(c);
                     for &l in &levels() {
-                        let mut dst = Tensor::from_fn(LEAF_CH, chh, cw, |_, _, _| 0x5555i16);
-                        let ran = conv3_blocked_codes(l, &input, &p, &ep, &mut dst);
+                        let mut dst = Tensor::from_fn(c, f * chh, f * cw, |_, _, _| 0x5555i16);
+                        let ran = conv3_blocked_codes(l, &input, &p, live, &ep, shuffle, &mut dst);
                         assert_eq!(ran, has_blocked(l), "level {l} dispatch");
                         if ran {
                             assert_eq!(
                                 dst, want,
-                                "ig {in_groups} level {l} width {cw} shift {shift} relu {relu}"
+                                "{opcode:?} ig {in_groups} live {live_out} level {l} \
+                                 width {cw} shift {shift} relu {relu}"
                             );
                         } else {
                             assert!(dst.as_slice().iter().all(|&v| v == 0x5555), "untouched");
@@ -2209,6 +2374,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[should_panic(expected = "cannot hold the live channels")]
+    fn fused_codes_store_refuses_a_plane_short_of_the_live_blocks() {
+        let p = packed3(Opcode::Upx2, 1, 2, &[leaf(1), leaf(2)]);
+        let ep = NarrowEpilogue::new(10, QFormat::signed(4), false, None).unwrap();
+        let live = LiveChannels {
+            input: LEAF_CH,
+            output: 13,
+        };
+        let input = plane(LEAF_CH, 4, 18, 0);
+        // 13 live pre-shuffle channels are 4 blocks: 4 shuffled channels.
+        let mut dst = Tensor::<i16>::zeros(3, 4, 32);
+        conv3_blocked_codes(SimdLevel::Sse2, &input, &p, live, &ep, true, &mut dst);
     }
 
     #[test]

@@ -102,7 +102,8 @@ fn input_for(program: &Program, xi: usize, seed: u64) -> Tensor<i16> {
 /// Differential oracle for the static cost model: on every shipped paper
 /// model the [`cost_model`] totals equal the observed work counters of
 /// one block execution field by field, its `Simd` output block equals
-/// the `Packed` rung's, the verifier-side keyed-peak
+/// the `Packed` rung's on every available SIMD level, the verifier-side
+/// keyed-peak
 /// estimate equals the simulator-side [`BlockPlan::peak_plane_bytes`],
 /// the observed resident peak stays under the proven coalesced peak, and
 /// the eSR-4K pick saves at least the 25% the plan promises.
@@ -152,6 +153,16 @@ fn static_cost_model_matches_observed_work_on_the_paper_matrix() {
             .expect(&name)
             .clone();
         assert_eq!(out, packed, "{name}: Simd vs Packed pixels");
+        // Every other available rung, the scalar one included, agrees too.
+        for level in SimdLevel::ALL {
+            let Some(rung) = plan.clone().with_simd_level(level) else {
+                continue;
+            };
+            let out = execute_with(&rung, &mut PlanePool::new(), &input, Kernels::Simd)
+                .expect(&name)
+                .clone();
+            assert_eq!(out, packed, "{name}: Simd at {level} vs Packed pixels");
+        }
         assert_eq!(
             pool.stats().narrow_instrs,
             instrs as u64,
