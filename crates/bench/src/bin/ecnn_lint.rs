@@ -38,7 +38,7 @@ use ecnn_isa::compile::{compile, CompiledProgram};
 use ecnn_isa::params::QuantizedModel;
 use ecnn_isa::verify::memplan::{cost_model, CostReport};
 use ecnn_isa::verify::{DiagCode, Diagnostic, Proven, Severity, VerifyReport};
-use ecnn_sim::exec::{crosscheck_plan, BlockPlan};
+use ecnn_sim::exec::crosscheck_proven;
 use std::fmt::Write as _;
 
 /// A program-level finding raised by the harness itself (compile or plan
@@ -81,11 +81,8 @@ fn lint_one(name: &str, qm: &QuantizedModel, block: usize, want_cost: bool) -> M
     report
         .diagnostics
         .extend(image_mismatch(proof.compiled()).map(harness_error));
-    match BlockPlan::proven(&proof) {
-        Ok(plan) => {
-            let divergences = crosscheck_plan(&plan, &report);
-            report.diagnostics.extend(divergences);
-        }
+    match crosscheck_proven(&proof) {
+        Ok((_, divergences)) => report.diagnostics.extend(divergences),
         Err(e) => report.diagnostics.push(harness_error(format!(
             "BlockPlan rejected a verifier-admitted program: {e}"
         ))),

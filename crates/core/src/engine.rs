@@ -698,19 +698,18 @@ impl EngineBuilder {
         if cfg.verify != VerifyMode::Off && proof.report().has_errors() {
             return reject(Vec::new());
         }
-        // Plan once up front so structurally invalid programs surface here
-        // as a structured error rather than on the first frame — and
-        // cross-check the plan's plane table against the verifier's
-        // independent derivation (differential oracle). The plan's
-        // licences decide the plane layout sessions run.
-        let plan = BlockPlan::proven(&proof)?;
-        if cfg.verify != VerifyMode::Off {
-            let divergences = ecnn_sim::exec::crosscheck_plan(&plan, proof.report());
-            if !divergences.is_empty() || !proof.report().passes(cfg.verify) {
-                return reject(divergences);
-            }
+        // Walk the plan up front so structurally invalid programs surface
+        // here as a structured error rather than on the first frame — and
+        // cross-check its plane table against the verifier's independent
+        // derivation (differential oracle). Its licences decide the plane
+        // layout sessions run; each session packs its own plan's kernel
+        // parameters, so the walk packs none.
+        let (coalesced, divergences) = ecnn_sim::exec::crosscheck_proven(&proof)?;
+        if cfg.verify != VerifyMode::Off
+            && (!divergences.is_empty() || !proof.report().passes(cfg.verify))
+        {
+            return reject(divergences);
         }
-        let coalesced = plan.coalesced();
         Ok(Engine {
             machine: self.machine.unwrap_or_else(EcnnConfig::paper),
             power: self.power.unwrap_or_else(PowerModel::paper_40nm),

@@ -17,14 +17,14 @@ use std::fmt;
 pub const MAX_CATEGORY: usize = 11;
 
 /// MSB-first bit writer. Bits gather in a 64-bit accumulator and leave it
-/// a whole byte at a time, so a `put` of up to 32 bits costs a shift, an
-/// OR and at most five byte pushes.
+/// 32 at a time, so a `put` of up to 32 bits costs a shift, an OR and at
+/// most one four-byte store.
 #[derive(Clone, Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
     /// Pending bits: the low `pending` bits, MSB first.
     acc: u64,
-    /// Bits in `acc` not yet in `bytes` (0..8 between calls).
+    /// Bits in `acc` not yet in `bytes` (0..32 between calls).
     pending: u32,
 }
 
@@ -40,21 +40,27 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `count > 32`.
+    #[inline]
     pub fn put(&mut self, value: u32, count: u8) {
         assert!(count <= 32);
         let count = u32::from(count);
-        let mask = u64::MAX.checked_shl(count).map_or(u64::MAX, |m| !m);
-        // At most 7 + 32 bits are pending here, well inside the 64.
+        let mask = 1u64.wrapping_shl(count).wrapping_sub(1);
+        // At most 31 + 32 bits are pending here, inside the 64.
         self.acc = self.acc.wrapping_shl(count) | (u64::from(value) & mask);
         self.pending = self.pending.wrapping_add(count);
-        while self.pending >= 8 {
-            self.pending = self.pending.wrapping_sub(8);
-            self.bytes.push(self.acc.wrapping_shr(self.pending) as u8);
+        if self.pending >= 32 {
+            self.pending = self.pending.wrapping_sub(32);
+            let word = self.acc.wrapping_shr(self.pending) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
         }
     }
 
     /// Pads with zero bits to the next byte boundary.
     pub fn byte_align(&mut self) {
+        while self.pending >= 8 {
+            self.pending = self.pending.wrapping_sub(8);
+            self.bytes.push(self.acc.wrapping_shr(self.pending) as u8);
+        }
         if self.pending > 0 {
             let pad = 8u32.wrapping_sub(self.pending);
             self.bytes.push(self.acc.wrapping_shl(pad) as u8);
@@ -119,7 +125,10 @@ impl<'a> BitReader<'a> {
     }
 
     /// The bits from the current position on, MSB-aligned in a `u64`:
-    /// at least 57 of them, zero past the end of the input.
+    /// at least 57 of them, zero past the end of the input. The decoder
+    /// tests feed [`HuffDecoder::decode`] from a reader at any bit
+    /// position through this; [`decode_segment`] reads a `BitBuffer`.
+    #[cfg(test)]
     fn window(&self) -> u64 {
         let tail = self.bytes.get(self.pos / 8..).unwrap_or(&[]);
         let word = match tail.first_chunk::<8>() {
@@ -134,6 +143,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Bits left to read.
+    #[cfg(test)]
     fn remaining(&self) -> usize {
         (self.bytes.len() * 8).saturating_sub(self.pos)
     }
@@ -182,23 +192,19 @@ pub fn category(v: i32) -> u8 {
 /// The `cat` magnitude bits of `v` (one's complement for negatives).
 #[inline]
 pub fn magnitude_bits(v: i32, cat: u8) -> u32 {
-    if v >= 0 {
-        v as u32
-    } else {
-        (v + (1 << cat) - 1) as u32
-    }
+    // `v >> 31` is all ones exactly for a negative `v`, which adds
+    // 2^cat − 1: a mask, not a branch, since signs are unpredictable.
+    (v + ((v >> 31) & ((1 << cat) - 1))) as u32
 }
 
 /// Inverse of [`magnitude_bits`].
 #[inline]
 pub fn value_from_bits(bits: u32, cat: u8) -> i32 {
-    if cat == 0 {
-        0
-    } else if bits >> (cat - 1) != 0 {
-        bits as i32
-    } else {
-        bits as i32 - (1 << cat) + 1
-    }
+    // Bits below 2^(cat − 1) are a negative value's one's complement
+    // (none for category 0). A select, not a branch: signs are
+    // unpredictable.
+    let negative = bits < (1 << cat) >> 1;
+    bits as i32 - if negative { (1 << cat) - 1 } else { 0 }
 }
 
 /// A canonical Huffman table over category symbols.
@@ -257,13 +263,13 @@ impl HuffTable {
             }
             walk(&heap[0].1, 0, &mut lengths);
         }
-        // Limit lengths to 16 (cannot trigger with ≤ 12 symbols, kept for
-        // dependability).
-        for l in &mut lengths {
-            if *l > 16 {
-                *l = 16;
-            }
-        }
+        // A code is at most 16 bits. The coder's 12 category symbols give
+        // a tree at most 11 deep, so only an oversized alphabet gets here;
+        // clamping its lengths would make an over-subscribed code.
+        assert!(
+            lengths.iter().all(|&l| l <= 16),
+            "Huffman code longer than 16 bits ({n} symbols)"
+        );
         Self::from_lengths(lengths)
     }
 
@@ -307,14 +313,24 @@ impl HuffTable {
     ///
     /// # Errors
     ///
-    /// Returns [`CodingError`] on truncated or inconsistent input.
+    /// Returns [`CodingError`] on truncated or inconsistent input:
+    /// [`CodingError::BadTable`] for a header declaring no symbol, more
+    /// symbols than there are categories, a symbol twice or out of range,
+    /// or more codes of some lengths than a prefix code has room for (a
+    /// Kraft sum above 1, such as three 1-bit codes).
     pub fn read(r: &mut BitReader<'_>) -> Result<Self, CodingError> {
         let mut counts = [0usize; 16];
         for c in &mut counts {
             *c = r.bits(8)? as usize;
         }
         let total: usize = counts.iter().sum();
-        if total == 0 || total > MAX_CATEGORY + 1 {
+        // Kraft sum in units of 2⁻¹⁶: a length-`l` code takes 2^(16 − l).
+        let kraft: usize = counts
+            .iter()
+            .enumerate()
+            .map(|(len_idx, &cnt)| cnt << (15 - len_idx))
+            .sum();
+        if total == 0 || total > MAX_CATEGORY + 1 || kraft > 1 << 16 {
             return Err(CodingError::BadTable);
         }
         let mut lengths = vec![0u8; MAX_CATEGORY + 1];
@@ -341,35 +357,65 @@ impl HuffTable {
         w.put(self.codes[sym] as u32, len);
     }
 
-    /// The first-code-per-length tables that decode this table's codes.
+    /// The decoding tables of this table's codes. The table must be a
+    /// prefix code, as every table [`HuffTable::build`] makes and
+    /// [`HuffTable::read`] accepts is: the lookahead entries of its codes
+    /// then tile disjoint ranges of `0..256`.
     fn decoder(&self) -> HuffDecoder {
         let mut symbols: Vec<usize> = (0..self.lengths.len())
             .filter(|&i| self.lengths[i] > 0)
             .collect();
         symbols.sort_by_key(|&i| (self.lengths[i], i));
         let mut d = HuffDecoder {
+            lookahead: [Lookahead::default(); 256],
             first: [0; 16],
             count: [0; 16],
             offset: [0; 16],
             symbols: symbols.iter().map(|&s| s as u8).collect(),
         };
         for (k, &s) in symbols.iter().enumerate().rev() {
-            let l = usize::from(self.lengths[s]) - 1;
+            let len = self.lengths[s];
+            let l = usize::from(len) - 1;
             d.first[l] = u32::from(self.codes[s]);
             d.count[l] += 1;
             d.offset[l] = k;
+            if len <= LOOKAHEAD_BITS {
+                // Every 8-bit window that starts with this code.
+                let free = LOOKAHEAD_BITS - len;
+                let base = usize::from(self.codes[s]) << free;
+                d.lookahead[base..base + (1 << free)].fill(Lookahead {
+                    symbol: s as u8,
+                    len,
+                });
+            }
         }
         d
     }
 }
 
-/// Canonical Huffman decoding tables (JPEG's `MAXCODE`/`VALPTR` scheme):
-/// the codes of one length are consecutive integers in symbol order, so
-/// an `l`-bit prefix is a code exactly when it lies in length `l`'s
-/// range, and its offset in that range picks the symbol. A symbol then
-/// costs one window read and at most 16 range checks, instead of one
-/// bit read and a scan of every symbol per code bit.
+/// Code lengths the [`HuffDecoder`]'s lookahead table resolves in one
+/// step (JPEG's `HUFF_LOOKAHEAD`).
+const LOOKAHEAD_BITS: u8 = 8;
+
+/// One lookahead entry: the symbol whose code starts the 8-bit window
+/// and the code's length, or `len == 0` when no code of at most 8 bits
+/// does.
+#[derive(Clone, Copy, Debug, Default)]
+struct Lookahead {
+    symbol: u8,
+    len: u8,
+}
+
+/// Canonical Huffman decoding tables. A code of at most 8 bits is found
+/// by indexing a 256-entry table with the next 8 input bits (JPEG's
+/// `LOOKUP`). A longer one uses the first-code-per-length scheme
+/// (JPEG's `MAXCODE`/`VALPTR`): the codes of one length are consecutive
+/// integers in symbol order, so an `l`-bit prefix is a code exactly when
+/// it lies in length `l`'s range, and its offset in that range picks the
+/// symbol.
 struct HuffDecoder {
+    /// The code of at most 8 bits starting each 8-bit window.
+    lookahead: [Lookahead; 256],
     /// Per code length `1..=16` (index `length − 1`): its first code,
     first: [u32; 16],
     /// its number of codes,
@@ -382,7 +428,7 @@ struct HuffDecoder {
 
 impl HuffDecoder {
     /// The symbol whose code starts `window` (a reader's next bits, of
-    /// which `left` are input), and the code's length.
+    /// which `left` are input, zero past them), and the code's length.
     ///
     /// # Errors
     ///
@@ -390,7 +436,19 @@ impl HuffDecoder {
     /// and [`CodingError::BadCode`] when no code of at most 16 bits
     /// matches and a 17th bit follows.
     fn decode(&self, window: u64, left: usize) -> Result<(usize, usize), CodingError> {
-        for len in 1..=16usize {
+        let hit = self.lookahead[(window >> (64 - LOOKAHEAD_BITS)) as usize];
+        if hit.len > 0 {
+            // A prefix code has no other code that is a prefix of these
+            // bits, so a bit-serial decoder runs out of input before it
+            // matches anything when the code is cut off.
+            let len = usize::from(hit.len);
+            return if len <= left {
+                Ok((usize::from(hit.symbol), len))
+            } else {
+                Err(CodingError::OutOfBits)
+            };
+        }
+        for len in usize::from(LOOKAHEAD_BITS) + 1..=16 {
             if len > left {
                 return Err(CodingError::OutOfBits);
             }
@@ -424,12 +482,22 @@ pub(crate) type Histogram = [u64; MAX_CATEGORY + 1];
 pub(crate) fn histogram(values: &[i16]) -> Histogram {
     let mut h = [0u64; MAX_CATEGORY + 1];
     for &v in values {
-        let slot = h
-            .get_mut(category(v.into()) as usize)
-            .unwrap_or_else(|| panic!("code {v} is outside the coder's range ±2047"));
-        *slot += 1;
+        count(&mut h, v);
     }
     h
+}
+
+/// Counts `v` into its category's slot of `h`.
+///
+/// # Panics
+///
+/// As [`histogram`].
+#[inline]
+pub(crate) fn count(h: &mut Histogram, v: i16) {
+    let slot = h
+        .get_mut(category(v.into()) as usize)
+        .unwrap_or_else(|| panic!("code {v} is outside the coder's range ±2047"));
+    *slot += 1;
 }
 
 /// The Huffman table a segment with category histogram `h` carries (an
@@ -463,26 +531,36 @@ fn segment_bytes(h: &Histogram, table: &HuffTable) -> usize {
 ///
 /// Panics if a value lies outside `±2047` (see [`MAX_CATEGORY`]).
 pub fn encode_segment(values: &[i16]) -> Vec<u8> {
-    encode_counted(values, &histogram(values))
+    let mut out = Vec::new();
+    encode_counted(values, &histogram(values), &mut out);
+    out
 }
 
-/// [`encode_segment`] with the values' histogram already counted.
-pub(crate) fn encode_counted(values: &[i16], h: &Histogram) -> Vec<u8> {
+/// [`encode_segment`] with the values' histogram already counted,
+/// appended to `out`.
+pub(crate) fn encode_counted(values: &[i16], h: &Histogram, out: &mut Vec<u8>) {
     let table = segment_table(h);
+    // Per category: its code shifted past the magnitude bits, and the
+    // bits a value of that category takes (at most 16 + 11).
+    let mut prefix = [(0u32, 0u8); MAX_CATEGORY + 1];
+    for (cat, p) in prefix.iter_mut().enumerate() {
+        let len = table.lengths[cat];
+        if len > 0 {
+            *p = (u32::from(table.codes[cat]) << cat, len + cat as u8);
+        }
+    }
+    out.reserve(segment_bytes(h, &table));
     let mut w = BitWriter {
-        bytes: Vec::with_capacity(segment_bytes(h, &table)),
+        bytes: std::mem::take(out),
         ..BitWriter::default()
     };
     table.write(&mut w);
     for &v in values {
         let cat = category(v.into());
-        let len = table.lengths[cat as usize];
-        // One put per value: the category's code, then its magnitude
-        // bits (at most 16 + 11 bits).
-        let code = (u32::from(table.codes[cat as usize]) << cat) | magnitude_bits(v.into(), cat);
-        w.put(code, len + cat);
+        let (code, len) = prefix[usize::from(cat)];
+        w.put(code | magnitude_bits(v.into(), cat), len);
     }
-    w.into_bytes()
+    *out = w.into_bytes();
 }
 
 /// Decodes a segment produced by [`encode_segment`], returning `count`
@@ -494,24 +572,87 @@ pub(crate) fn encode_counted(values: &[i16], h: &Histogram) -> Vec<u8> {
 pub fn decode_segment(bytes: &[u8], count: usize) -> Result<(Vec<i16>, usize), CodingError> {
     let mut r = BitReader::new(bytes);
     let table = HuffTable::read(&mut r)?.decoder();
+    // The header is whole bytes; the values follow it.
+    let header = r.bit_pos() / 8;
+    let mut buf = BitBuffer::new(&bytes[header..]);
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         // One window holds a value's code and its magnitude bits: at
-        // most 16 + 11 of its 57.
-        let (window, left) = (r.window(), r.remaining());
+        // most 16 + 11 bits.
+        buf.refill();
+        let (window, left) = (buf.acc, buf.left());
         let (cat, len) = table.decode(window, left)?;
         if len + cat > left {
             return Err(CodingError::OutOfBits);
         }
-        let bits = match cat {
-            0 => 0,
-            _ => ((window << len) >> (64 - cat)) as u32,
-        };
-        r.pos += len + cat;
+        // The `cat` bits after the code; none for category 0.
+        let bits = ((window << len) >> 1 >> (63 - cat)) as u32;
+        buf.consume(len + cat);
         out.push(value_from_bits(bits, cat as u8) as i16);
     }
-    r.byte_align();
-    Ok((out, r.bit_pos() / 8))
+    Ok((out, header + buf.consumed().div_ceil(8)))
+}
+
+/// A byte slice's next unread bits, held MSB-first in a register and
+/// refilled 32 bits at a time, so reading a value depends on the last one
+/// only through a shift of the register.
+struct BitBuffer<'a> {
+    bytes: &'a [u8],
+    /// Bytes of `bytes` loaded into `acc`.
+    next: usize,
+    /// The unread loaded bits, MSB-aligned, zero below them.
+    acc: u64,
+    /// How many bits of `acc` are unread.
+    bits: usize,
+}
+
+impl<'a> BitBuffer<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            next: 0,
+            acc: 0,
+            bits: 0,
+        }
+    }
+
+    /// Loads bytes until at least 32 bits are held or the input is all
+    /// loaded.
+    #[inline]
+    fn refill(&mut self) {
+        if self.bits >= 32 {
+            return;
+        }
+        if let Some(word) = self.bytes[self.next..].first_chunk::<4>() {
+            self.acc |= u64::from(u32::from_be_bytes(*word)) << (32 - self.bits);
+            self.bits += 32;
+            self.next += 4;
+        } else {
+            while let Some(&b) = self.bytes.get(self.next).filter(|_| self.bits <= 56) {
+                self.acc |= u64::from(b) << (56 - self.bits);
+                self.bits += 8;
+                self.next += 1;
+            }
+        }
+    }
+
+    /// Bits left to read, loaded or not.
+    #[inline]
+    fn left(&self) -> usize {
+        self.bits + 8 * (self.bytes.len() - self.next)
+    }
+
+    /// Drops the next `n` bits, which must be loaded.
+    #[inline]
+    fn consume(&mut self, n: usize) {
+        self.acc <<= n;
+        self.bits -= n;
+    }
+
+    /// Bits read so far.
+    fn consumed(&self) -> usize {
+        8 * self.next - self.bits
+    }
 }
 
 /// Entropy statistics of a value set under the category+magnitude model.
@@ -639,6 +780,51 @@ mod tests {
         for (i, (&l, &l2)) in t.lengths.iter().zip(&t2.lengths).enumerate() {
             assert_eq!(l, l2, "symbol {i}");
         }
+    }
+
+    /// A serialized header: `counts[l]` codes of length `l + 1`, then
+    /// `symbols`.
+    fn header(counts: &[(usize, u8)], symbols: &[u8]) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        let mut per_len = [0u8; 16];
+        for &(l, c) in counts {
+            per_len[l] = c;
+        }
+        for c in per_len {
+            w.put(c.into(), 8);
+        }
+        for &s in symbols {
+            w.put(s.into(), 8);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn over_subscribed_headers_are_bad_tables() {
+        // Three 1-bit codes: a Kraft sum of 3/2, no prefix code.
+        let mut bytes = header(&[(0, 3)], &[0, 1, 2]);
+        bytes.extend([0x5a; 4]);
+        assert_eq!(
+            HuffTable::read(&mut BitReader::new(&bytes)),
+            Err(CodingError::BadTable)
+        );
+        assert_eq!(decode_segment(&bytes, 2), Err(CodingError::BadTable));
+        // One 1-bit, one 2-bit and two 3-bit codes fill the code space
+        // exactly; one more 3-bit code over-fills it.
+        let full = header(&[(0, 1), (1, 1), (2, 2)], &[0, 1, 2, 3]);
+        let t = HuffTable::read(&mut BitReader::new(&full)).unwrap();
+        assert_eq!(t.codes[..4], [0b0, 0b10, 0b110, 0b111]);
+        let over = header(&[(0, 1), (1, 1), (2, 3)], &[0, 1, 2, 3, 4]);
+        assert_eq!(
+            HuffTable::read(&mut BitReader::new(&over)),
+            Err(CodingError::BadTable)
+        );
+        // A 16-bit code on top of a full code space is one too many.
+        let deep = header(&[(0, 2), (15, 1)], &[0, 1, 2]);
+        assert_eq!(
+            HuffTable::read(&mut BitReader::new(&deep)),
+            Err(CodingError::BadTable)
+        );
     }
 
     #[test]

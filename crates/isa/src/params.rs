@@ -599,6 +599,52 @@ pub struct SegmentInfo {
     pub has_w1: bool,
 }
 
+/// One restart segment's values of a group of synchronized streams,
+/// gathered in one walk with each stream's category histogram counted on
+/// the way.
+struct Gather<const N: usize> {
+    values: [Vec<i16>; N],
+    hists: [Histogram; N],
+}
+
+impl<const N: usize> Gather<N> {
+    /// Empty buffers for `N` streams of `per_stream` values each.
+    fn new(per_stream: usize) -> Self {
+        Self {
+            values: std::array::from_fn(|_| Vec::with_capacity(per_stream)),
+            hists: [Histogram::default(); N],
+        }
+    }
+
+    /// Appends `v` to stream `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `|v| ≥ 2048`, which the coder cannot code.
+    #[inline]
+    fn push(&mut self, s: usize, v: i16) {
+        coding::count(&mut self.hists[s], v);
+        self.values[s].push(v);
+    }
+
+    /// Encodes each stream's segment onto the end of its stream (`N` of
+    /// them), pads every segment to the longest one's length (the streams
+    /// stay synchronized at segment boundaries), and adds the histograms
+    /// to `total`.
+    fn encode_synchronized(self, streams: &mut [Vec<u8>], total: &mut Histogram) {
+        for ((stream, values), h) in streams.iter_mut().zip(&self.values).zip(&self.hists) {
+            coding::encode_counted(values, h, stream);
+            for (t, n) in total.iter_mut().zip(h) {
+                *t += n;
+            }
+        }
+        let end = streams.iter().map(Vec::len).max().unwrap_or(0);
+        for stream in streams {
+            stream.resize(end, 0);
+        }
+    }
+}
+
 /// The packed 21-stream parameter image plus a segment directory.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PackedParams {
@@ -626,73 +672,49 @@ impl PackedParams {
         let mut segments = Vec::with_capacity(instr_leafs.len());
         // Category histogram over every coefficient, for the stats.
         let mut total: Histogram = Default::default();
-        let mut encode = |vals: &[i16]| {
-            let h = coding::histogram(vals);
-            for (t, n) in total.iter_mut().zip(h) {
-                *t += n;
-            }
-            coding::encode_counted(vals, &h)
-        };
 
         for (leafs, &(has_w3, has_w1)) in instr_leafs.iter().zip(kinds) {
-            let seg = SegmentInfo {
+            segments.push(SegmentInfo {
                 leaf_count: leafs.len(),
                 w3_offset: w3_streams[0].len(),
                 w1_offset: w1_streams[0].len(),
                 bias_offset: bias_stream.len(),
                 has_w3,
                 has_w1,
-            };
-            // Gather per-stream value vectors for this segment.
+            });
+            // One walk over each leaf's weights in memory order deals
+            // every value to its stream: CONV3×3 filter `f = oc·32 + ic`,
+            // tap `p`, goes to stream `2p + oc/16`; CONV1×1 weight
+            // `oc·32 + ic` to stream `oc/16`. Within a stream, values stay
+            // in (leaf, oc, ic) order.
             if has_w3 {
-                let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(W3_STREAMS);
-                for s in 0..W3_STREAMS {
-                    let (p, half) = (s / 2, s % 2);
-                    let mut vals = Vec::with_capacity(leafs.len() * W3_PER_LEAF);
-                    for leaf in leafs {
-                        for oc in half * 16..half * 16 + 16 {
-                            for ic in 0..LEAF_CH {
-                                vals.push(leaf.w3[(oc * LEAF_CH + ic) * 9 + p]);
-                            }
+                let mut g = Gather::<W3_STREAMS>::new(leafs.len() * W3_PER_LEAF);
+                for leaf in leafs {
+                    for (f, taps) in leaf.w3.chunks_exact(9).enumerate() {
+                        let half = f / (16 * LEAF_CH);
+                        for (p, &v) in taps.iter().enumerate() {
+                            g.push(2 * p + half, v);
                         }
                     }
-                    encoded.push(encode(&vals));
                 }
-                // Synchronize: pad all 18 segments to the longest.
-                let max = encoded.iter().map(Vec::len).max().unwrap_or(0);
-                for (s, mut e) in encoded.into_iter().enumerate() {
-                    e.resize(max, 0);
-                    w3_streams[s].extend_from_slice(&e);
-                }
+                g.encode_synchronized(&mut w3_streams, &mut total);
             }
             if has_w1 {
-                let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(W1_STREAMS);
-                for half in 0..W1_STREAMS {
-                    let mut vals = Vec::with_capacity(leafs.len() * W1_PER_LEAF);
-                    for leaf in leafs {
-                        for oc in half * 16..half * 16 + 16 {
-                            for ic in 0..LEAF_CH {
-                                vals.push(leaf.w1[oc * LEAF_CH + ic]);
-                            }
-                        }
-                    }
-                    encoded.push(encode(&vals));
-                }
-                let max = encoded.iter().map(Vec::len).max().unwrap_or(0);
-                for (half, mut e) in encoded.into_iter().enumerate() {
-                    e.resize(max, 0);
-                    w1_streams[half].extend_from_slice(&e);
-                }
-            }
-            {
-                let mut vals = Vec::with_capacity(leafs.len() * BIAS_PER_LEAF);
+                let mut g = Gather::<W1_STREAMS>::new(leafs.len() * W1_PER_LEAF);
                 for leaf in leafs {
-                    vals.extend_from_slice(&leaf.b3);
-                    vals.extend_from_slice(&leaf.b1);
+                    for (i, &v) in leaf.w1.iter().enumerate() {
+                        g.push(i / (16 * LEAF_CH), v);
+                    }
                 }
-                bias_stream.extend_from_slice(&encode(&vals));
+                g.encode_synchronized(&mut w1_streams, &mut total);
             }
-            segments.push(seg);
+            let mut g = Gather::<1>::new(leafs.len() * BIAS_PER_LEAF);
+            for leaf in leafs {
+                for &v in leaf.b3.iter().chain(&leaf.b1) {
+                    g.push(0, v);
+                }
+            }
+            g.encode_synchronized(std::slice::from_mut(&mut bias_stream), &mut total);
         }
 
         let stats = coding::stats_of(&total);

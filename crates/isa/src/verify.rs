@@ -367,11 +367,22 @@ fn iv_hull(a: Iv, b: Iv) -> Iv {
     (a.0.min(b.0), a.1.max(b.1))
 }
 
-fn iv_mul(w: i128, r: Iv) -> Iv {
+/// `a·b`, saturating at the `i128` range like `i128::saturating_mul`. A
+/// weight (or a filter's weight sum) times a stored code fits `i64`, and
+/// then one checked `i64` multiply gives the product; only a factor or
+/// product outside `i64` takes the far slower `i128` multiply.
+fn mul(a: i64, b: i128) -> i128 {
+    i64::try_from(b)
+        .ok()
+        .and_then(|b| a.checked_mul(b))
+        .map_or_else(|| i128::from(a).saturating_mul(b), i128::from)
+}
+
+fn iv_mul(w: i64, r: Iv) -> Iv {
     if w >= 0 {
-        (w.saturating_mul(r.0), w.saturating_mul(r.1))
+        (mul(w, r.0), mul(w, r.1))
     } else {
-        (w.saturating_mul(r.1), w.saturating_mul(r.0))
+        (mul(w, r.1), mul(w, r.0))
     }
 }
 
@@ -381,6 +392,38 @@ fn iv_relu(a: Iv) -> Iv {
 
 fn iv_abs_bound(a: Iv) -> i128 {
     a.0.abs().max(a.1.abs())
+}
+
+/// The interval and magnitude bound of one 3×3 filter's contribution
+/// `Σₖ wₖ·xₖ` over sources `xₖ ∈ r`: the tap-by-tap fold of
+/// [`iv_mul`] and [`iv_add`] (with each tap hulled with zero when
+/// `zero_pad`, since border pixels lose it), and the sum of the taps'
+/// [`iv_abs_bound`]s, computed in one step.
+///
+/// With `P` the sum of the positive taps and `N` that of the negative
+/// ones, the fold is `(P·lo + N·hi, P·hi + N·lo)`: every positive tap
+/// contributes `(w·lo, w·hi)` and every negative one `(w·hi, w·lo)`.
+/// Hulling a tap's product with zero is the product over
+/// `(min(lo, 0), max(hi, 0))`, and each tap's magnitude bound is
+/// `|w|·max(|lo|, |hi|)`, so the bounds sum to `(P − N)·max(|lo|, |hi|)`.
+/// Taps are 16-bit and codes far below 2⁶⁴, so no step comes near the
+/// `i128` saturation point and the result equals the per-tap fold in
+/// any order, bit for bit.
+fn fold_taps(taps: &[i16], r: Iv, zero_pad: bool) -> (Iv, i128) {
+    let (p, n) = taps.iter().fold((0i64, 0i64), |(p, n), &w| {
+        let w = i64::from(w);
+        (p.saturating_add(w.max(0)), n.saturating_add(w.min(0)))
+    });
+    let (lo, hi) = if zero_pad {
+        (r.0.min(0), r.1.max(0))
+    } else {
+        r
+    };
+    let iv = (
+        mul(p, lo).saturating_add(mul(n, hi)),
+        mul(p, hi).saturating_add(mul(n, lo)),
+    );
+    (iv, mul(p.saturating_sub(n), iv_abs_bound((lo, hi))))
 }
 
 fn fits_i64(a: Iv) -> bool {
@@ -1141,24 +1184,11 @@ fn analyze(
                         } else {
                             &leafset[ig]
                         };
-                        for (ic, &r) in chunk.iter().enumerate() {
-                            let wbase = oc
-                                .saturating_mul(LEAF_CH)
-                                .saturating_add(ic)
-                                .saturating_mul(9);
-                            for k in 0..9 {
-                                let w = leaf.w3[wbase.saturating_add(k)] as i128;
-                                if w == 0 {
-                                    continue;
-                                }
-                                let mut c = iv_mul(w, r);
-                                if zero_pad {
-                                    // Border pixels lose this tap.
-                                    c = iv_hull(c, (0, 0));
-                                }
-                                sum = iv_add(sum, c);
-                                abs_sum = abs_sum.saturating_add(iv_abs_bound(c));
-                            }
+                        let filters = leaf.w3.chunks_exact(9).skip(oc.saturating_mul(LEAF_CH));
+                        for (taps, &r) in filters.zip(chunk) {
+                            let (c, abs) = fold_taps(taps, r, zero_pad);
+                            sum = iv_add(sum, c);
+                            abs_sum = abs_sum.saturating_add(abs);
                         }
                     }
                     if abs_sum > i64::MAX as i128 {
@@ -1216,7 +1246,7 @@ fn analyze(
                 for (ig, chunk) in src_ranges.chunks_exact(LEAF_CH).enumerate() {
                     let leaf = &leafset[ig.min(leafset.len().saturating_sub(1))];
                     for (ic, &r) in chunk.iter().enumerate() {
-                        let w = leaf.w1[oc.saturating_mul(LEAF_CH).saturating_add(ic)] as i128;
+                        let w = i64::from(leaf.w1[oc.saturating_mul(LEAF_CH).saturating_add(ic)]);
                         if w == 0 {
                             continue;
                         }
@@ -1285,23 +1315,11 @@ fn analyze(
                         }
                     };
                     let mut abs_sum = iv_abs_bound(sum);
-                    for (ic, &r) in src_ranges.iter().take(LEAF_CH).enumerate() {
-                        let wbase = oc
-                            .saturating_mul(LEAF_CH)
-                            .saturating_add(ic)
-                            .saturating_mul(9);
-                        for k in 0..9 {
-                            let w = leaf.w3[wbase.saturating_add(k)] as i128;
-                            if w == 0 {
-                                continue;
-                            }
-                            let mut c = iv_mul(w, r);
-                            if zero_pad {
-                                c = iv_hull(c, (0, 0));
-                            }
-                            sum = iv_add(sum, c);
-                            abs_sum = abs_sum.saturating_add(iv_abs_bound(c));
-                        }
+                    let filters = leaf.w3.chunks_exact(9).skip(oc.saturating_mul(LEAF_CH));
+                    for (taps, &r) in filters.zip(src_ranges.iter().take(LEAF_CH)) {
+                        let (c, abs) = fold_taps(taps, r, zero_pad);
+                        sum = iv_add(sum, c);
+                        abs_sum = abs_sum.saturating_add(abs);
                     }
                     if abs_sum > i64::MAX as i128 {
                         overflow(
@@ -1327,7 +1345,7 @@ fn analyze(
                 // LCONV1x1 reduction of this leaf's mid plane.
                 for oc in 0..LEAF_CH {
                     for (ic, &r) in mid.iter().enumerate() {
-                        let w = leaf.w1[oc.saturating_mul(LEAF_CH).saturating_add(ic)] as i128;
+                        let w = i64::from(leaf.w1[oc.saturating_mul(LEAF_CH).saturating_add(ic)]);
                         if w == 0 {
                             continue;
                         }
@@ -1513,5 +1531,74 @@ mod tests {
         assert!(rpt.ranges.iter().all(Option::is_some));
         assert!(!rpt.planes.is_empty());
         assert!(rpt.passes(VerifyMode::Strict));
+    }
+
+    /// The tap-by-tap fold [`fold_taps`] replaces, kept as its oracle:
+    /// each tap's product interval (in plain saturating `i128`), hulled
+    /// with zero under zero padding, added one at a time, with the taps'
+    /// magnitude bounds summed.
+    fn per_tap_fold(taps: &[i16], r: Iv, zero_pad: bool) -> (Iv, i128) {
+        let (mut sum, mut abs) = ((0, 0), 0);
+        for &w in taps {
+            let w = i128::from(w);
+            let mut c = if w >= 0 {
+                (w.saturating_mul(r.0), w.saturating_mul(r.1))
+            } else {
+                (w.saturating_mul(r.1), w.saturating_mul(r.0))
+            };
+            if zero_pad {
+                c = iv_hull(c, (0, 0));
+            }
+            sum = iv_add(sum, c);
+            abs += iv_abs_bound(c);
+        }
+        (sum, abs)
+    }
+
+    #[test]
+    fn mul_saturates_like_i128() {
+        let wide = [
+            0,
+            1,
+            -1,
+            i128::from(i64::MAX),
+            i128::from(i64::MIN),
+            i128::from(i64::MAX) + 1,
+            i128::from(i64::MIN) - 1,
+            i128::MAX,
+            i128::MIN,
+        ];
+        for a in [0, 1, -1, 2047, -2047, i64::MAX, i64::MIN] {
+            for b in wide {
+                assert_eq!(mul(a, b), i128::from(a).saturating_mul(b), "{a} * {b}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The folded interval and magnitude bound equal the per-tap
+        /// fold for random 9-tap filters across the whole codable range
+        /// (with a random subset of taps zeroed), source ranges of
+        /// either sign or straddling zero, and zero padding on and off.
+        #[test]
+        fn prop_folded_taps_equal_the_per_tap_fold(
+            weights in proptest::collection::vec(-2047i16..=2047, 9..10),
+            zeros in 0u32..512,
+            a in -(1i64 << 31)..(1i64 << 31),
+            b in -(1i64 << 31)..(1i64 << 31),
+            pad in 0u8..2,
+        ) {
+            let taps: Vec<i16> = weights
+                .iter()
+                .enumerate()
+                .map(|(k, &w)| if zeros >> k & 1 == 1 { 0 } else { w })
+                .collect();
+            let r = (i128::from(a.min(b)), i128::from(a.max(b)));
+            let zero_pad = pad == 1;
+            proptest::prop_assert_eq!(
+                fold_taps(&taps, r, zero_pad),
+                per_tap_fold(&taps, r, zero_pad)
+            );
+        }
     }
 }

@@ -9,7 +9,9 @@
 //! verifies the program itself, while [`BlockPlan::proven`] takes the
 //! report a [`Proven`] program carries. An engine proves its program once
 //! per build and plans every session through the latter, so no session,
-//! degradation rung or worker proves it again. [`execute_with`] then runs the
+//! degradation rung or worker proves it again; the build itself only walks
+//! the plan's plane table ([`crosscheck_proven`]) and packs no kernel
+//! parameter, which each session's plan does. [`execute_with`] then runs the
 //! plan against a [`PlanePool`] — a reusable arena of plane slots plus the
 //! scratch accumulators — writing results in place, so steady-state block
 //! execution allocates nothing. The plan maps every plane to one slot:
@@ -566,10 +568,49 @@ impl<'a> BlockPlan<'a> {
         Self::licensed(&c.program, &c.leafs, proof.report())
     }
 
-    /// The plan walk shared by both constructors; `report` must be the
-    /// verification of exactly `program` and `leafs`, which both callers
-    /// guarantee.
+    /// The plan walk shared by both constructors plus the packed kernel
+    /// parameters, each stamped with its narrow licence; `report` must be
+    /// the verification of exactly `program` and `leafs`, which both
+    /// callers guarantee.
     fn licensed(
+        program: &'a Program,
+        leafs: &'a [Vec<LeafParams>],
+        report: &VerifyReport,
+    ) -> Result<Self, ExecError> {
+        let mut plan = Self::walk(program, leafs, report)?;
+        plan.packed = program
+            .instructions
+            .iter()
+            .zip(leafs)
+            .map(|(ins, l)| PackedKernelParams::pack(ins, l))
+            .collect();
+        // Stamp each instruction's narrow license from the verifier's
+        // interval analysis: `narrow_acc` proves every convolution-stage
+        // accumulator and the post-srcS accumulator fit `i32`, which
+        // licenses the SIMD kernels' `i32` path end to end. An
+        // instruction whose shifts the fused narrow epilogue does not
+        // cover runs the `i64` packed kernels instead, as does every
+        // instruction of a report with errors (or an unanalyzable one,
+        // `ranges[i] == None`) — no proof, no narrow path.
+        if !report.has_errors() {
+            for ((p, r), ins) in plan
+                .packed
+                .iter_mut()
+                .zip(&report.ranges)
+                .zip(&program.instructions)
+            {
+                p.narrow_acc =
+                    r.as_ref().is_some_and(|r| r.narrow_acc) && narrow_epilogues(ins).is_some();
+            }
+        }
+        Ok(plan)
+    }
+
+    /// The plan walk: structural checks, the plane table, operand
+    /// bindings, extents, live channels and the memory-plan licence —
+    /// everything but the packed kernel parameters, which it leaves
+    /// empty, so the plan it returns cannot execute.
+    fn walk(
         program: &'a Program,
         leafs: &'a [Vec<LeafParams>],
         report: &VerifyReport,
@@ -724,37 +765,16 @@ impl<'a> BlockPlan<'a> {
             do_idx.push(idx);
         }
 
-        let mut packed: Vec<PackedKernelParams> = program
-            .instructions
-            .iter()
-            .zip(leafs)
-            .map(|(ins, l)| PackedKernelParams::pack(ins, l))
-            .collect();
-        // Stamp each instruction's narrow license from the verifier's
-        // interval analysis: `narrow_acc` proves every convolution-stage
-        // accumulator and the post-srcS accumulator fit `i32`, which
-        // licenses the SIMD kernels' `i32` path end to end. An
-        // instruction whose shifts the fused narrow epilogue does not
-        // cover runs the `i64` packed kernels instead, as does every
-        // instruction of a report with errors (or an unanalyzable one,
-        // `ranges[i] == None`) — no proof, no narrow path.
-        let mut memplan = None;
-        if !report.has_errors() {
-            for ((p, r), ins) in packed
-                .iter_mut()
-                .zip(&report.ranges)
-                .zip(&program.instructions)
-            {
-                p.narrow_acc =
-                    r.as_ref().is_some_and(|r| r.narrow_acc) && narrow_epilogues(ins).is_some();
-            }
-            // Coalesced plane layout, under the same license: only an
-            // error-free verification proves no two simultaneously-live
-            // planes share a slot. A divergent plane table (the verifier
-            // derived a different plane count than this walk) also drops
-            // the plan — no proof, no coalescing.
-            memplan = MemoryPlan::build(report).filter(|m| m.plane_slots.len() == planes.len());
-        }
+        // Coalesced plane layout, under the narrow licence's rule: only
+        // an error-free verification proves no two simultaneously-live
+        // planes share a slot. A divergent plane table (the verifier
+        // derived a different plane count than this walk) also drops the
+        // plan — no proof, no coalescing.
+        let memplan = if report.has_errors() {
+            None
+        } else {
+            MemoryPlan::build(report).filter(|m| m.plane_slots.len() == planes.len())
+        };
         let slots = memplan
             .as_ref()
             .map_or_else(|| keyed_slots(&planes), |m| m.plane_slots.clone());
@@ -792,7 +812,7 @@ impl<'a> BlockPlan<'a> {
             bindings,
             do_planes: do_idx,
             extents,
-            packed,
+            packed: Vec::new(),
             simd: kernels::simd::detect(),
             live: live_extents,
             memplan,
@@ -1557,6 +1577,21 @@ fn execute_inner<'p>(
         pool.stats.instructions += 1;
     }
     assemble_output(plan, ext.out, pool)
+}
+
+/// Checks the plan of a [`Proven`] program without building it: the
+/// structural checks and plane table of [`BlockPlan::proven`], with no
+/// kernel parameter packed, cross-checked against the proof's report
+/// ([`crosscheck_plan`]). Returns whether plans of the program run
+/// coalesced ([`BlockPlan::coalesced`]) and the divergences.
+///
+/// # Errors
+///
+/// As [`BlockPlan::proven`].
+pub fn crosscheck_proven(proof: &Proven) -> Result<(bool, Vec<Diagnostic>), ExecError> {
+    let c = proof.compiled();
+    let plan = BlockPlan::walk(&c.program, &c.leafs, proof.report())?;
+    Ok((plan.coalesced(), crosscheck_plan(&plan, proof.report())))
 }
 
 /// Cross-checks the simulator's plan against the static verifier's

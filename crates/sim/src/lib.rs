@@ -45,8 +45,8 @@ pub mod timing;
 pub use config::EcnnConfig;
 pub use cost::{AreaReport, PowerReport};
 pub use exec::{
-    crosscheck_plan, execute_traced, execute_with, BlockPlan, ExecError, ExecStats, ExecTrace,
-    InstrTrace, KernelVariant, Kernels, PlaneInfo, PlanePool, RangeViolation,
+    crosscheck_plan, crosscheck_proven, execute_traced, execute_with, BlockPlan, ExecError,
+    ExecStats, ExecTrace, InstrTrace, KernelVariant, Kernels, PlaneInfo, PlanePool, RangeViolation,
 };
 pub use kernels::simd::SimdLevel;
 pub use timing::{simulate_frame, FrameReport};
