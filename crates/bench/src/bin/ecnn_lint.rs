@@ -161,25 +161,6 @@ fn print_text(m: &ModelReport) {
     }
 }
 
-/// Minimal JSON string escaping (the emitted names/details are ASCII).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Hand-rolled JSON (no serializer in the offline vendor set). Key order
 /// and formatting are deterministic so CI can diff the output against the
 /// checked-in `BENCH_memory.json` snapshot byte for byte.
@@ -190,7 +171,7 @@ fn print_json(models: &[ModelReport], exit: i32) {
         let _ = write!(
             out,
             "    {{\n      \"name\": {},\n      \"instructions\": {},\n      \"errors\": {},\n      \"lints\": {},\n      \"diagnostics\": [",
-            json_str(&m.name),
+            ecnn_bench::json_str(&m.name),
             m.instructions,
             m.report.errors().count(),
             m.report.lints().count(),
@@ -204,9 +185,9 @@ fn print_json(models: &[ModelReport], exit: i32) {
                 out,
                 "{}\n        {{\"code\": {}, \"severity\": \"{sev}\", \"instr\": {}, \"detail\": {}}}",
                 if j == 0 { "" } else { "," },
-                json_str(d.code.as_str()),
+                ecnn_bench::json_str(d.code.as_str()),
                 d.instr.map_or("null".to_string(), |n| n.to_string()),
-                json_str(&d.detail),
+                ecnn_bench::json_str(&d.detail),
             );
         }
         if !m.report.diagnostics.is_empty() {

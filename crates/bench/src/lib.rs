@@ -1,12 +1,16 @@
-//! Shared harness for the per-table / per-figure regeneration binaries.
+//! The paper-claims ledger and the shared harness of the bench binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper's
-//! evaluation, named after it; `bench_all` runs them all (README,
-//! "Workspace layout"). Training-based experiments read
-//! `ECNN_BENCH_SCALE` (default 1) to lengthen their runs.
+//! [`paper`] holds every table and figure of the paper's evaluation as a
+//! section that returns typed rows beside the paper's values; the
+//! `bench_paper` binary runs them and writes `BENCH_paper.json` (README,
+//! "Paper claims"). Trained sections read `ECNN_BENCH_SCALE` (default 1,
+//! see [`bench_scale`]) to lengthen their runs. The other binaries time
+//! the kernels (`bench_kernels`), tune block sizes (`bench_autotune`),
+//! lint the shipped programs (`ecnn_lint`) and sweep fault plans
+//! (`fault_matrix`).
 //!
 //! All eCNN deployments go through the unified [`Engine`] API; the
-//! comparison binaries additionally run the baseline flows through the
+//! comparison sections additionally run the baseline flows through the
 //! shared [`Backend`](ecnn_core::engine::Backend) registry.
 
 #![forbid(unsafe_code)]
@@ -17,16 +21,49 @@ use ecnn_isa::compile::compile;
 use ecnn_isa::params::QuantizedModel;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_model::{zoo, RealTimeSpec};
+use std::fmt::Write as _;
+
+pub mod paper;
 
 /// Effective eCNN peak used for budgets (matches `EcnnConfig::paper()`).
 pub const ECNN_TOPS: f64 = 40.96;
 
-/// Step-count multiplier for training experiments.
+/// Step-count multiplier for the trained sections: `ECNN_BENCH_SCALE`,
+/// a positive integer, default 1. As with the engine's `ECNN_*`
+/// overrides, an invalid value (`0` or unparseable) is ignored with a
+/// one-line note on stderr.
 pub fn bench_scale() -> usize {
-    std::env::var("ECNN_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+    let value = std::env::var("ECNN_BENCH_SCALE").ok();
+    parse_scale(value.as_deref()).unwrap_or_else(|| {
+        if let Some(v) = value {
+            eprintln!("ECNN_BENCH_SCALE={v} ignored (invalid), using 1");
+        }
+        1
+    })
+}
+
+/// A valid `ECNN_BENCH_SCALE` value: a positive integer.
+fn parse_scale(value: Option<&str>) -> Option<usize> {
+    value?.parse().ok().filter(|&n| n > 0)
+}
+
+/// A JSON string literal (the deterministic writers' escaping).
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// The model picks evaluated per real-time spec (the paper's published
@@ -170,6 +207,15 @@ pub fn section(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_scale_accepts_only_positive_integers() {
+        assert_eq!(parse_scale(None), None);
+        assert_eq!(parse_scale(Some("3")), Some(3));
+        assert_eq!(parse_scale(Some("0")), None);
+        assert_eq!(parse_scale(Some("ten")), None);
+        assert_eq!(parse_scale(Some("-1")), None);
+    }
 
     #[test]
     fn all_matrix_models_meet_their_specs() {

@@ -198,6 +198,10 @@ fn batch_grads(model: &FloatModel, batch: &[&Sample], threads: usize) -> (f32, V
 /// Trains `model` on `data` with MSE loss.
 pub fn train(model: &mut FloatModel, data: &[Sample], cfg: TrainConfig) -> TrainStats {
     assert!(!data.is_empty(), "empty dataset");
+    assert!(
+        cfg.steps > 0,
+        "zero training steps: nothing to train or report"
+    );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut adam = AdamState::new(model);
     let mut losses = Vec::with_capacity(cfg.steps);
@@ -221,6 +225,10 @@ pub fn train_classifier(
     cfg: TrainConfig,
 ) -> TrainStats {
     assert!(!data.is_empty(), "empty dataset");
+    assert!(
+        cfg.steps > 0,
+        "zero training steps: nothing to train or report"
+    );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut adam = AdamState::new(model);
     let mut losses = Vec::with_capacity(cfg.steps);
@@ -355,6 +363,33 @@ mod tests {
         assert!(loss_true < loss_false);
         assert!(grad.at(2, 0, 0) < 0.0); // push the true logit up
         assert!(grad.at(0, 0, 0) > 0.0);
+    }
+
+    fn zero_steps() -> TrainConfig {
+        TrainConfig {
+            steps: 0,
+            batch: 1,
+            lr: 1e-3,
+            seed: 1,
+            threads: 1,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zero training steps")]
+    fn train_rejects_zero_steps() {
+        let ir = ErNetSpec::new(ErNetTask::Dn, 1, 1, 0).build().unwrap();
+        let mut fm = FloatModel::from_model(&ir, 1);
+        let data = make_dataset(TaskKind::denoise25(), 1, 16, 1);
+        train(&mut fm, &data, zero_steps());
+    }
+
+    #[test]
+    #[should_panic(expected = "zero training steps")]
+    fn train_classifier_rejects_zero_steps() {
+        let mut fm = FloatModel::from_model(&ecnn_model::zoo::recognition_tiny(4), 1);
+        let data = crate::data::make_classification_dataset(1, 32, 4, 1);
+        train_classifier(&mut fm, &data, zero_steps());
     }
 
     #[test]
