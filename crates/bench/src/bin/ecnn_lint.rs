@@ -16,15 +16,6 @@
 //!   (diagnostics embedded; with `--cost` also the cost/memory table) and
 //!   nothing else, for CI consumption. `BENCH_memory.json` is the checked-
 //!   in snapshot of `ecnn-lint --json --cost`.
-//! * `--tune-check <record.json>` — standalone mode: validate a
-//!   checked-in autotuning record (`bench_autotune`'s `TUNE_*.json`)
-//!   instead of linting the matrix. The record must parse, its
-//!   fingerprint must match a paper-matrix workload, the pinned
-//!   `EngineConfig` must still build under strict verification via
-//!   `EngineBuilder::tuned`, and the static cost digest must match the
-//!   current cost model — all without timing a single frame, so the
-//!   check is cheap enough for every CI run. Exit 0 on success, 2 on
-//!   any mismatch (a stale record: re-run `bench_autotune`).
 //!
 //! Exit codes (CI-friendly, independent of flags):
 //!
@@ -32,8 +23,7 @@
 //! * `1` — lints only (warnings printed, hard guarantees hold),
 //! * `2` — at least one hard error (overflow, aliasing, shape, …).
 
-use ecnn_core::engine::Engine;
-use ecnn_core::tune::{CostDigest, Fingerprint, TuningRecord};
+use ecnn_core::json::escape;
 use ecnn_isa::compile::{compile, CompiledProgram};
 use ecnn_isa::params::QuantizedModel;
 use ecnn_isa::verify::memplan::{cost_model, CostReport};
@@ -171,7 +161,7 @@ fn print_json(models: &[ModelReport], exit: i32) {
         let _ = write!(
             out,
             "    {{\n      \"name\": {},\n      \"instructions\": {},\n      \"errors\": {},\n      \"lints\": {},\n      \"diagnostics\": [",
-            ecnn_bench::json_str(&m.name),
+            escape(&m.name),
             m.instructions,
             m.report.errors().count(),
             m.report.lints().count(),
@@ -185,9 +175,9 @@ fn print_json(models: &[ModelReport], exit: i32) {
                 out,
                 "{}\n        {{\"code\": {}, \"severity\": \"{sev}\", \"instr\": {}, \"detail\": {}}}",
                 if j == 0 { "" } else { "," },
-                ecnn_bench::json_str(d.code.as_str()),
+                escape(d.code.as_str()),
                 d.instr.map_or("null".to_string(), |n| n.to_string()),
-                ecnn_bench::json_str(&d.detail),
+                escape(&d.detail),
             );
         }
         if !m.report.diagnostics.is_empty() {
@@ -237,89 +227,15 @@ fn print_json(models: &[ModelReport], exit: i32) {
     println!("{out}");
 }
 
-/// `--tune-check`: validates a checked-in [`TuningRecord`] against the
-/// current compiler, verifier and cost model. Static only — no frame is
-/// ever timed here.
-fn tune_check(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ecnn-lint: cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    let record = match TuningRecord::from_json(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("ecnn-lint: malformed tuning record {path}: {e}");
-            return 2;
-        }
-    };
-    for (rt, spec, _xi) in ecnn_bench::model_matrix()
-        .into_iter()
-        .chain(ecnn_bench::dn12_matrix())
-    {
-        let model = spec.build().expect("paper matrix specs are valid");
-        let qm = QuantizedModel::uniform(&model);
-        if Fingerprint::of(&qm, rt) != record.fingerprint {
-            continue;
-        }
-        // The record's own replay path is the check: `tuned` re-verifies
-        // the fingerprint and builds under the pinned (strict) config.
-        let engine = match Engine::builder()
-            .quantized(qm)
-            .realtime(rt)
-            .tuned(record.clone())
-            .build()
-        {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("ecnn-lint: record {path} no longer builds: {e}");
-                return 2;
-            }
-        };
-        let digest = CostDigest::of(&engine.cost_report());
-        if digest != record.cost {
-            eprintln!(
-                "ecnn-lint: record {path} is stale: cost digest {digest:?} != pinned {:?} \
-                 -- re-run bench_autotune",
-                record.cost
-            );
-            return 2;
-        }
-        println!(
-            "ecnn-lint: tune record {path} ok: {} -> {} ({} MACs, {} B traffic, {} B peak)",
-            record.fingerprint, record.config, digest.macs, digest.traffic, digest.peak_bytes,
-        );
-        return 0;
-    }
-    eprintln!(
-        "ecnn-lint: record {path} matches no paper-matrix workload (fingerprint {})",
-        record.fingerprint
-    );
-    2
-}
-
 fn main() {
     let mut json = false;
     let mut want_cost = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
             "--cost" => want_cost = true,
-            "--tune-check" => {
-                let Some(path) = args.next() else {
-                    eprintln!("ecnn-lint: --tune-check needs a record path");
-                    std::process::exit(2);
-                };
-                std::process::exit(tune_check(&path));
-            }
             other => {
-                eprintln!(
-                    "ecnn-lint: unknown flag {other} \
-                     (expected --json, --cost and/or --tune-check <record.json>)"
-                );
+                eprintln!("ecnn-lint: unknown flag {other} (expected --json and/or --cost)");
                 std::process::exit(2);
             }
         }

@@ -5,9 +5,8 @@
 //! `bench_paper` binary runs them and writes `BENCH_paper.json` (README,
 //! "Paper claims"). Trained sections read `ECNN_BENCH_SCALE` (default 1,
 //! see [`bench_scale`]) to lengthen their runs. The other binaries time
-//! the kernels (`bench_kernels`), tune block sizes (`bench_autotune`),
-//! lint the shipped programs (`ecnn_lint`) and sweep fault plans
-//! (`fault_matrix`).
+//! the kernels (`bench_kernels`), lint the shipped programs
+//! (`ecnn_lint`) and sweep fault plans (`fault_matrix`).
 //!
 //! All eCNN deployments go through the unified [`Engine`] API; the
 //! comparison sections additionally run the baseline flows through the
@@ -21,7 +20,6 @@ use ecnn_isa::compile::compile;
 use ecnn_isa::params::QuantizedModel;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_model::{zoo, RealTimeSpec};
-use std::fmt::Write as _;
 
 pub mod paper;
 
@@ -45,25 +43,6 @@ pub fn bench_scale() -> usize {
 /// A valid `ECNN_BENCH_SCALE` value: a positive integer.
 fn parse_scale(value: Option<&str>) -> Option<usize> {
     value?.parse().ok().filter(|&n| n > 0)
-}
-
-/// A JSON string literal (the deterministic writers' escaping).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The model picks evaluated per real-time spec (the paper's published

@@ -25,6 +25,7 @@
 //! `BENCH_paper_trained.json`, unpinned.
 
 use crate::bench_scale;
+use ecnn_core::json::escape;
 use std::fmt::Write as _;
 
 mod analytic;
@@ -311,7 +312,7 @@ impl Ledger {
                     .iter()
                     .map(|r| format!("        {}", r.to_json()))
                     .collect();
-                let name = crate::json_str(name);
+                let name = escape(name);
                 format!(
                     "    {{\n      \"name\": {name},\n      \"rows\": [\n{}\n      ]\n    }}",
                     rows.join(",\n")
@@ -361,14 +362,14 @@ impl Row {
                 num(Some(p.hi))
             )
         });
-        let reason = self.reason.map_or(String::new(), |r| {
-            format!(", \"reason\": {}", crate::json_str(r))
-        });
+        let reason = self
+            .reason
+            .map_or(String::new(), |r| format!(", \"reason\": {}", escape(r)));
         format!(
             "{{\"id\": {}, \"value\": {}, \"unit\": {}, \"paper\": {paper}, \"status\": \"{}\"{reason}}}",
-            crate::json_str(&self.id),
+            escape(&self.id),
             num(self.value),
-            crate::json_str(self.unit),
+            escape(self.unit),
             self.status.as_str(),
         )
     }

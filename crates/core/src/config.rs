@@ -1,19 +1,18 @@
 //! The canonical plan-time configuration surface: one serializable
-//! [`EngineConfig`] holding every knob the paper tuned by hand.
+//! [`EngineConfig`] holding every knob of a compiled engine.
 //!
-//! Before this module the knobs were scattered — block size on the
-//! builder, kernel family on `EngineBuilder::kernels` /
-//! `EcnnBackend::with_kernels` / the `ECNN_KERNELS` env var, worker
-//! counts as ad-hoc per-call arguments. [`EngineConfig`] consolidates
-//! them into a single value that
+//! [`EngineConfig`] is a single value that
 //!
 //! * the [`EngineBuilder`](crate::engine::EngineBuilder) setters are thin
 //!   sugar over (and [`Engine::config`](crate::engine::Engine::config)
 //!   returns resolved),
-//! * the plan-time autotuner ([`crate::tune`]) searches over and embeds
-//!   verbatim in its [`TuningRecord`](crate::tune::TuningRecord),
 //! * the documented `ECNN_*` environment namespace overrides in exactly
 //!   one place ([`EngineConfig::from_env_overrides`]).
+//!
+//! Parallelism is not a knob: it is an argument of the call that spawns
+//! the threads ([`Engine::async_session`](crate::engine::Engine::async_session),
+//! [`Engine::run_image_sharded`](crate::engine::Engine::run_image_sharded)),
+//! since a worker count describes the host, not the compiled program.
 //!
 //! # Environment overrides
 //!
@@ -24,7 +23,6 @@
 //! | variable        | values                          | overrides            |
 //! |-----------------|---------------------------------|----------------------|
 //! | `ECNN_KERNELS`  | `simd` \| `packed` \| `reference` | [`EngineConfig::kernels`]  |
-//! | `ECNN_WORKERS`  | `1..=`[`MAX_WORKERS`]            | [`EngineConfig::workers`]  |
 //! | `ECNN_VERIFY`   | `off` \| `lints` \| `strict`    | [`EngineConfig::verify`]   |
 //! | `ECNN_FAULTS`   | [fault-plan grammar](crate::faults) \| `off` | [`EngineConfig::faults`] |
 //!
@@ -43,30 +41,19 @@
 //! supervisor's floor rung and the tests' reference layout.
 
 use crate::faults::FaultPlan;
-use crate::json::{escape, Json};
+use crate::json::escape;
 use ecnn_isa::verify::VerifyMode;
 use ecnn_sim::Kernels;
 use std::fmt;
 
-/// The largest worker count an [`EngineConfig`] may carry: every worker
-/// of a pipelined session is one OS thread, so a larger count is a
-/// structured build error, and an `ECNN_WORKERS` above it is ignored.
-pub const MAX_WORKERS: usize = 256;
-
 /// Every plan-time knob of an eCNN engine, in one serializable value.
 ///
-/// `PartialEq`/`Eq` make resolved configs directly comparable (the
-/// tuning-record round-trip test relies on it); the JSON form is
-/// deterministic and stable across releases.
+/// `PartialEq`/`Eq` make resolved configs directly comparable; the JSON
+/// form ([`EngineConfig::to_json`]) is deterministic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Input block side (`xi`) the program is compiled for.
     pub block: usize,
-    /// Worker parallelism sessions of this engine are meant to run at:
-    /// the shard count of `Engine::run_image_auto` and the pool size of
-    /// `Engine::async_session_auto`. `1` means serial; must be in
-    /// `1..=`[`MAX_WORKERS`].
-    pub workers: usize,
     /// Accumulation kernel family every execution path runs.
     pub kernels: Kernels,
     /// Static-verification mode run at build time.
@@ -79,13 +66,12 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default configuration at a given block size: serial, SIMD
-    /// kernels, lint-level verification — exactly what
-    /// an un-tuned `Engine::builder().block(xi)` resolves to.
+    /// The default configuration at a given block size: SIMD kernels,
+    /// lint-level verification, no fault plan — exactly what
+    /// `Engine::builder().block(xi)` resolves to.
     pub fn new(block: usize) -> Self {
         Self {
             block,
-            workers: 1,
             kernels: Kernels::Simd,
             verify: VerifyMode::default(),
             faults: None,
@@ -93,48 +79,19 @@ impl EngineConfig {
     }
 
     /// Deterministic single-line JSON encoding, stable key order. The
-    /// `faults` key is emitted only when a plan is set, so records
-    /// written before fault injection existed stay byte-identical.
+    /// `faults` key is emitted only when a plan is set.
     pub fn to_json(&self) -> String {
         let faults = match &self.faults {
             Some(plan) => format!(", \"faults\": {}", escape(&plan.to_string())),
             None => String::new(),
         };
         format!(
-            "{{\"block\": {}, \"workers\": {}, \"kernels\": {}, \"verify\": {}{}}}",
+            "{{\"block\": {}, \"kernels\": {}, \"verify\": {}{}}}",
             self.block,
-            self.workers,
             escape(self.kernels.as_str()),
             escape(self.verify.as_str()),
             faults,
         )
-    }
-
-    /// Parses the [`EngineConfig::to_json`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed field.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        Self::from_json_value(&Json::parse(text)?)
-    }
-
-    pub(crate) fn from_json_value(v: &Json) -> Result<Self, String> {
-        let block = v.require("block")?.as_usize()?;
-        let kernels = v.require("kernels")?.as_str()?;
-        let verify = v.require("verify")?.as_str()?;
-        Ok(Self {
-            block,
-            workers: v.require("workers")?.as_usize()?,
-            kernels: Kernels::parse(kernels)
-                .ok_or_else(|| format!("unknown kernels {kernels:?}"))?,
-            verify: VerifyMode::parse(verify)
-                .ok_or_else(|| format!("unknown verify mode {verify:?}"))?,
-            faults: match v.get("faults") {
-                Some(j) => Some(FaultPlan::parse(j.as_str()?).map_err(|e| format!("faults: {e}"))?),
-                None => None,
-            },
-        })
     }
 
     /// Reads the unified `ECNN_*` override namespace from the process
@@ -142,7 +99,7 @@ impl EngineConfig {
     /// the [module docs](self) for the table).
     pub fn from_env_overrides() -> EnvOverrides {
         EnvOverrides::parse(
-            ["ECNN_KERNELS", "ECNN_WORKERS", "ECNN_VERIFY", "ECNN_FAULTS"]
+            ["ECNN_KERNELS", "ECNN_VERIFY", "ECNN_FAULTS"]
                 .into_iter()
                 .filter_map(|name| std::env::var(name).ok().map(|v| (name, v))),
         )
@@ -153,9 +110,8 @@ impl fmt::Display for EngineConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "block {} workers {} kernels {} verify {}",
+            "block {} kernels {} verify {}",
             self.block,
-            self.workers,
             self.kernels.as_str(),
             self.verify.as_str(),
         )?;
@@ -172,8 +128,6 @@ impl fmt::Display for EngineConfig {
 pub struct EnvOverrides {
     /// `ECNN_KERNELS`, when set to a valid kernel name.
     pub kernels: Option<Kernels>,
-    /// `ECNN_WORKERS`, when set to an integer in `1..=`[`MAX_WORKERS`].
-    pub workers: Option<usize>,
     /// `ECNN_VERIFY`, when set to a valid mode name.
     pub verify: Option<VerifyMode>,
     /// `ECNN_FAULTS`, when set to a valid fault-plan string. `off` /
@@ -182,7 +136,7 @@ pub struct EnvOverrides {
     /// kill switch for a fault-injection canary.
     pub faults: Option<FaultPlan>,
     /// One human-readable note per `ECNN_*` variable observed, e.g.
-    /// `"ECNN_KERNELS=packed"` or `"ECNN_WORKERS=zero ignored (invalid)"`.
+    /// `"ECNN_KERNELS=packed"` or `"ECNN_VERIFY=paranoid ignored (invalid)"`.
     pub notes: Vec<String>,
 }
 
@@ -203,13 +157,6 @@ impl EnvOverrides {
                 "ECNN_KERNELS" => {
                     o.kernels = Kernels::parse(&value);
                     o.kernels.is_some()
-                }
-                "ECNN_WORKERS" => {
-                    o.workers = value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| (1..=MAX_WORKERS).contains(n));
-                    o.workers.is_some()
                 }
                 "ECNN_VERIFY" => {
                     o.verify = VerifyMode::parse(&value);
@@ -233,10 +180,7 @@ impl EnvOverrides {
 
     /// Whether any override knob is set.
     pub fn any(&self) -> bool {
-        self.kernels.is_some()
-            || self.workers.is_some()
-            || self.verify.is_some()
-            || self.faults.is_some()
+        self.kernels.is_some() || self.verify.is_some() || self.faults.is_some()
     }
 
     /// Applies the set knobs onto `cfg` (env beats everything else —
@@ -244,9 +188,6 @@ impl EnvOverrides {
     pub fn apply(&self, cfg: &mut EngineConfig) {
         if let Some(k) = self.kernels {
             cfg.kernels = k;
-        }
-        if let Some(w) = self.workers {
-            cfg.workers = w;
         }
         if let Some(v) = self.verify {
             cfg.verify = v;
@@ -263,68 +204,52 @@ impl EnvOverrides {
 mod tests {
     use super::*;
 
+    /// The exact JSON form run manifests embed: a reader keyed on it
+    /// must not see it drift silently.
     #[test]
-    fn config_json_round_trips() {
+    fn config_json_is_pinned() {
         let cfg = EngineConfig {
             block: 128,
-            workers: 4,
             kernels: Kernels::Packed,
             verify: VerifyMode::Strict,
             faults: None,
         };
-        let json = cfg.to_json();
-        assert!(
-            !json.contains("faults"),
-            "no faults key without a plan (pre-existing records must stay parseable)"
+        assert_eq!(
+            cfg.to_json(),
+            "{\"block\": 128, \"kernels\": \"packed\", \"verify\": \"strict\"}"
         );
-        assert_eq!(EngineConfig::from_json(&json).unwrap(), cfg);
-        // Default shape too.
-        let d = EngineConfig::new(64);
-        assert_eq!(EngineConfig::from_json(&d.to_json()).unwrap(), d);
-        // With a plan, the key round-trips through the plan grammar.
         let mut with_plan = EngineConfig::new(64);
         with_plan.faults = Some(FaultPlan::parse("seed=9;panic@250").unwrap());
-        let json = with_plan.to_json();
-        assert!(json.contains("\"faults\": \"seed=9;panic@250\""));
-        assert_eq!(EngineConfig::from_json(&json).unwrap(), with_plan);
-        assert!(with_plan.to_string().contains("faults[seed=9;panic@250]"));
-    }
-
-    #[test]
-    fn config_json_rejects_unknown_tokens() {
-        let bad = "{\"block\": 64, \"workers\": 1, \"kernels\": \"cuda\", \
-                   \"verify\": \"lints\"}";
-        assert!(EngineConfig::from_json(bad).unwrap_err().contains("cuda"));
-        assert!(EngineConfig::from_json("{}").unwrap_err().contains("block"));
-        let bad_plan = "{\"block\": 64, \"workers\": 1, \"kernels\": \"simd\", \
-                        \"verify\": \"lints\", \"faults\": \"explode@1\"}";
-        assert!(EngineConfig::from_json(bad_plan)
-            .unwrap_err()
-            .contains("faults"));
+        assert_eq!(
+            with_plan.to_json(),
+            "{\"block\": 64, \"kernels\": \"simd\", \"verify\": \"lints\", \
+             \"faults\": \"seed=9;panic@250\"}"
+        );
+        assert_eq!(
+            with_plan.to_string(),
+            "block 64 kernels simd verify lints faults[seed=9;panic@250]"
+        );
     }
 
     #[test]
     fn env_overrides_parse_the_unified_namespace() {
         let o = EnvOverrides::parse([
             ("ECNN_KERNELS", "Reference".to_string()),
-            ("ECNN_WORKERS", "4".to_string()),
             ("ECNN_VERIFY", "strict".to_string()),
             ("ECNN_FAULTS", "seed=5;delay@100:ms=3".to_string()),
         ]);
         assert_eq!(o.kernels, Some(Kernels::Reference));
-        assert_eq!(o.workers, Some(4));
         assert_eq!(o.verify, Some(VerifyMode::Strict));
         assert_eq!(
             o.faults,
             Some(FaultPlan::parse("seed=5;delay@100:ms=3").unwrap())
         );
         assert!(o.any());
-        assert_eq!(o.notes.len(), 4);
+        assert_eq!(o.notes.len(), 3);
 
         let mut cfg = EngineConfig::new(128);
         o.apply(&mut cfg);
         assert_eq!(cfg.kernels, Kernels::Reference);
-        assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.verify, VerifyMode::Strict);
         assert!(cfg.faults.is_some());
     }
@@ -333,13 +258,11 @@ mod tests {
     fn env_overrides_tolerate_invalid_values() {
         let o = EnvOverrides::parse([
             ("ECNN_KERNELS", "cuda".to_string()),
-            ("ECNN_WORKERS", "0".to_string()),
-            ("ECNN_WORKERS", (MAX_WORKERS + 1).to_string()),
             ("ECNN_VERIFY", "paranoid".to_string()),
             ("ECNN_FAULTS", "explode@10".to_string()),
         ]);
         assert!(!o.any());
-        assert_eq!(o.notes.len(), 5);
+        assert_eq!(o.notes.len(), 3);
         assert!(o.notes.iter().all(|n| n.contains("ignored")));
         let mut cfg = EngineConfig::new(128);
         let before = cfg.clone();

@@ -13,11 +13,10 @@
 //! * [`EngineError`] is the one structured error type for the whole
 //!   surface, with [`std::error::Error::source`] chaining.
 
-use crate::config::{EngineConfig, MAX_WORKERS};
+use crate::config::EngineConfig;
 use crate::faults::FaultPlan;
 use crate::report::SystemReport;
 use crate::supervise::{DegradeRung, SupervisorCounters};
-use crate::tune::{Fingerprint, TuningRecord};
 use ecnn_dram::{DramConfig, DramPowerModel};
 use ecnn_isa::compile::{compile, CompileError, CompiledProgram};
 use ecnn_isa::params::QuantizedModel;
@@ -118,13 +117,10 @@ pub enum EngineError {
     /// Static verification rejected the program (see
     /// [`mod@ecnn_isa::verify`]); the report carries the ranked diagnostics.
     Verify(Box<VerifyReport>),
-    /// The resolved [`EngineConfig`] is incoherent (zero block, a worker
-    /// count outside `1..=`[`MAX_WORKERS`], a tuning record whose
-    /// fingerprint does not match the model/resolution, …): a structured
-    /// build-time rejection instead of a silent fallback.
+    /// The resolved [`EngineConfig`] is incoherent (a zero block size):
+    /// a structured build-time rejection instead of a silent fallback.
     Config {
-        /// Which knob is at fault (`"block"`, `"workers"`,
-        /// `"tuning-record"`, …).
+        /// Which knob is at fault (`"block"`).
         param: &'static str,
         /// Human-readable description of the conflict.
         detail: String,
@@ -440,15 +436,14 @@ pub trait Backend {
 /// size → real-time spec → machine/power/DRAM models, with paper defaults
 /// for everything but the model and block size.
 ///
-/// Every plan-time knob — block size, worker count, kernel family,
-/// verification mode, fault plan — resolves into one canonical
-/// [`EngineConfig`]; the per-knob setters below are thin sugar over it.
-/// Resolution order, weakest first: defaults, a
-/// [`TuningRecord`] from
-/// [`EngineBuilder::tuned`], the explicit setters (or
+/// Every plan-time knob — block size, kernel family, verification mode,
+/// fault plan — resolves into one canonical [`EngineConfig`]; the
+/// per-knob setters below are thin sugar over it. Resolution order,
+/// weakest first: defaults, the explicit setters (or
 /// [`EngineBuilder::engine_config`]), and the `ECNN_*` environment
 /// overrides (see [`crate::config`]). [`Engine::config`] returns the
-/// resolved value.
+/// resolved value. Parallelism is not plan-time: pass the worker count
+/// to [`Engine::async_session`] or [`Engine::run_image_sharded`].
 #[derive(Clone, Debug, Default)]
 pub struct EngineBuilder {
     pub(crate) ernet: Option<ErNetSpec>,
@@ -462,12 +457,7 @@ pub struct EngineBuilder {
     dram_power: Option<DramPowerModel>,
     verify: Option<VerifyMode>,
     kernels: Option<Kernels>,
-    workers: Option<usize>,
     faults: Option<FaultPlan>,
-    record: Option<TuningRecord>,
-    /// Candidate builds inside the autotuner must be exact: they bypass
-    /// the `ECNN_*` environment overrides.
-    pub(crate) skip_env: bool,
 }
 
 impl EngineBuilder {
@@ -552,17 +542,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Worker parallelism the engine's auto paths run at:
-    /// [`Engine::run_image_auto`] shards by it,
-    /// [`Engine::async_session_auto`] sizes its pool with it, and the
-    /// autotuner searches over it. Defaults to `1` (serial); zero or more
-    /// than [`MAX_WORKERS`] is a structured [`EngineError::Config`] at
-    /// build.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
-        self
-    }
-
     /// Deterministic fault-injection plan the supervision layer runs
     /// under (see [`crate::faults`]); default none. The `ECNN_FAULTS`
     /// environment variable overrides whatever is set here (and
@@ -574,27 +553,13 @@ impl EngineBuilder {
 
     /// Sets every plan-time knob at once from a resolved
     /// [`EngineConfig`] — equivalent to calling [`EngineBuilder::block`],
-    /// [`EngineBuilder::workers`], [`EngineBuilder::kernels`],
-    /// [`EngineBuilder::verify`] and [`EngineBuilder::faults`]
-    /// explicitly.
+    /// [`EngineBuilder::kernels`], [`EngineBuilder::verify`] and
+    /// [`EngineBuilder::faults`] explicitly.
     pub fn engine_config(mut self, cfg: EngineConfig) -> Self {
         self.block = Some(cfg.block);
-        self.workers = Some(cfg.workers);
         self.kernels = Some(cfg.kernels);
         self.verify = Some(cfg.verify);
         self.faults = cfg.faults;
-        self
-    }
-
-    /// Replays a pinned autotuning result: the record's embedded
-    /// [`EngineConfig`] becomes the baseline (explicit setters and
-    /// `ECNN_*` overrides still win), and [`EngineBuilder::build`]
-    /// rejects the build with [`EngineError::Config`] unless the
-    /// record's fingerprint matches the resolved model, quantized
-    /// parameters and real-time resolution — a record tuned for one
-    /// deployment cannot silently misconfigure another.
-    pub fn tuned(mut self, record: TuningRecord) -> Self {
-        self.record = Some(record);
         self
     }
 
@@ -604,8 +569,7 @@ impl EngineBuilder {
     ///
     /// [`EngineError::Missing`] without a model or block size;
     /// [`EngineError::Config`] for an incoherent resolved
-    /// [`EngineConfig`] (zero block, a worker count outside
-    /// `1..=`[`MAX_WORKERS`]) or a tuning-record fingerprint mismatch;
+    /// [`EngineConfig`] (zero block);
     /// [`EngineError::Model`] / [`EngineError::Compile`] for invalid specs
     /// or infeasible geometry; [`EngineError::Verify`] when the static
     /// verifier rejects the compiled program under the selected
@@ -624,33 +588,17 @@ impl EngineBuilder {
             (None, None, Some(spec)) => QuantizedModel::uniform(&spec.build()?),
             (None, None, None) => return Err(EngineError::Missing("model")),
         };
-        // Resolve the canonical plan-time config: defaults ← tuning
-        // record ← explicit setters ← ECNN_* environment overrides (the
-        // ops escape hatch, so a deployed binary can be steered onto a
-        // known-good path without a rebuild).
-        let base = self.record.as_ref().map(|r| &r.config);
-        let block = self
-            .block
-            .or(base.map(|c| c.block))
-            .ok_or(EngineError::Missing("block size"))?;
+        // Resolve the canonical plan-time config: defaults ← explicit
+        // setters ← ECNN_* environment overrides (the ops escape hatch, so
+        // a deployed binary can be steered onto a known-good path without
+        // a rebuild).
         let mut cfg = EngineConfig {
-            block,
-            workers: self.workers.or(base.map(|c| c.workers)).unwrap_or(1),
-            kernels: self
-                .kernels
-                .or(base.map(|c| c.kernels))
-                .unwrap_or(Kernels::Simd),
-            verify: self.verify.or(base.map(|c| c.verify)).unwrap_or_default(),
-            faults: self
-                .faults
-                .clone()
-                .or_else(|| base.and_then(|c| c.faults.clone())),
+            block: self.block.ok_or(EngineError::Missing("block size"))?,
+            kernels: self.kernels.unwrap_or(Kernels::Simd),
+            verify: self.verify.unwrap_or_default(),
+            faults: self.faults,
         };
-        let env = if self.skip_env {
-            crate::config::EnvOverrides::default()
-        } else {
-            EngineConfig::from_env_overrides()
-        };
+        let env = EngineConfig::from_env_overrides();
         env.apply(&mut cfg);
         // Coherence checks: reject contradictions instead of silently
         // falling back.
@@ -660,30 +608,9 @@ impl EngineBuilder {
                 detail: "block size must be nonzero".into(),
             });
         }
-        if !(1..=MAX_WORKERS).contains(&cfg.workers) {
-            return Err(EngineError::Config {
-                param: "workers",
-                detail: format!(
-                    "worker count {} outside 1..={MAX_WORKERS} (1 = serial)",
-                    cfg.workers
-                ),
-            });
-        }
         let mut workload = Workload::new(qm, cfg.block, self.spec.unwrap_or(RealTimeSpec::UHD30));
         if let Some(bits) = self.feature_bits {
             workload = workload.with_feature_bits(bits);
-        }
-        if let Some(record) = &self.record {
-            let fp = Fingerprint::of(&workload.qm, workload.spec);
-            if fp != record.fingerprint {
-                return Err(EngineError::Config {
-                    param: "tuning-record",
-                    detail: format!(
-                        "fingerprint mismatch: record tuned for {}, building {}",
-                        record.fingerprint, fp
-                    ),
-                });
-            }
         }
         // The build's one verification: every plan of this engine's
         // sessions takes its licences from `proof`. `VerifyMode::Off`
@@ -747,9 +674,8 @@ impl Engine {
     }
 
     /// The resolved plan-time [`EngineConfig`] this engine runs under —
-    /// every knob after defaults, tuning record, explicit setters and
-    /// `ECNN_*` overrides were folded together. This is the value a
-    /// [`TuningRecord`] embeds verbatim.
+    /// every knob after defaults, explicit setters and `ECNN_*` overrides
+    /// were folded together.
     pub fn config(&self) -> &EngineConfig {
         &self.resolved
     }
@@ -800,13 +726,6 @@ impl Engine {
         self.coalesced
     }
 
-    /// The resolved worker parallelism ([`EngineBuilder::workers`]):
-    /// what [`Engine::run_image_auto`] and
-    /// [`Engine::async_session_auto`] run at.
-    pub fn workers(&self) -> usize {
-        self.resolved.workers
-    }
-
     /// The active fault-injection plan, when one is configured and
     /// non-empty (see [`crate::faults`]). `None` — the production case —
     /// means supervised dispatch skips injection entirely.
@@ -819,8 +738,8 @@ impl Engine {
     /// execution's observed [`ExecStats`] work counters), the keyed peak
     /// plane bytes, and — when verification licensed one — the coalesced
     /// [`ecnn_isa::verify::memplan::MemoryPlan`]. Computed on demand from
-    /// the build's verification report, under every [`VerifyMode`]; this
-    /// is the autotuner's static ranking signal — no frame needs to run.
+    /// the build's verification report, under every [`VerifyMode`]; no
+    /// frame needs to run.
     pub fn cost_report(&self) -> CostReport {
         cost_model(&self.compiled().program, self.proof.report())
     }
@@ -855,17 +774,11 @@ impl Engine {
     /// submitted frames are quantized, executed and stitched as
     /// overlapping band stages, and results come back through poll-based
     /// tickets. Output pixels are bit-identical to [`Session::run_frames`]
-    /// at any worker count; see [`crate::pipe::AsyncSession`].
+    /// at any worker count, which is clamped to
+    /// `1..=`[`MAX_WORKERS`](crate::pipe::MAX_WORKERS); see
+    /// [`crate::pipe::AsyncSession`].
     pub fn async_session(&self, workers: usize) -> crate::pipe::AsyncSession {
         crate::pipe::AsyncSession::new(self, workers)
-    }
-
-    /// Opens a pipelined session sized by the engine's resolved worker
-    /// count ([`EngineBuilder::workers`], a replayed tuning record, or
-    /// `ECNN_WORKERS`) — [`Engine::async_session`] at
-    /// [`Engine::workers`].
-    pub fn async_session_auto(&self) -> crate::pipe::AsyncSession {
-        self.async_session(self.resolved.workers)
     }
 
     /// Runs a single image through the block pipeline (partition →

@@ -1,81 +1,14 @@
-//! Minimal deterministic JSON support for the serializable config
-//! surface ([`crate::config::EngineConfig`], `TuningRecord`).
-//!
-//! The offline vendor set's `serde` stub generates no real codegen, so
-//! records are written with deterministic hand-rolled formatting (the
-//! same idiom `ecnn-lint --json` uses) and read back through this tiny
-//! recursive-descent parser. The dialect is the subset the records
-//! emit: objects, arrays, strings, booleans, `null` and *integer*
-//! numbers — fractions and exponents are a parse error, which keeps
-//! round-trips exact (no `f64` precision cliff for large counters).
+//! JSON string escaping for the deterministic hand-rolled writers:
+//! [`crate::config::EngineConfig::to_json`], the paper ledger and
+//! `ecnn-lint --json`. The offline vendor set's `serde` stub generates no
+//! real codegen, so every JSON document in the workspace is formatted by
+//! hand around this one escaper.
 
 use std::fmt::Write as _;
 
-/// A parsed JSON value (integer-only numbers).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Int(i128),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON document (trailing whitespace allowed).
-    pub(crate) fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Object member lookup.
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Required object member, as a structured error.
-    pub(crate) fn require(&self, key: &str) -> Result<&Json, String> {
-        self.get(key)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    /// The value as a string slice.
-    pub(crate) fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("expected string, got {other:?}")),
-        }
-    }
-
-    /// The value as a `u64`.
-    pub(crate) fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Json::Int(n) => u64::try_from(*n).map_err(|_| format!("{n} out of u64 range")),
-            other => Err(format!("expected integer, got {other:?}")),
-        }
-    }
-
-    /// The value as a `usize`.
-    pub(crate) fn as_usize(&self) -> Result<usize, String> {
-        self.as_u64()
-            .and_then(|n| usize::try_from(n).map_err(|_| format!("{n} out of usize range")))
-    }
-}
-
-/// JSON string escaping for the deterministic writers.
-pub(crate) fn escape(s: &str) -> String {
+/// `s` as a JSON string literal: quoted, with `"`, `\` and control
+/// characters escaped.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -93,227 +26,17 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {:?}", other.map(|c| c as char))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(format!(
-                "non-integer number at byte {start} (records carry integers only)"
-            ));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<i128>()
-            .map(Json::Int)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_nested_document() {
-        let v = Json::parse(
-            "{\"a\": 1, \"b\": [true, null, \"x\\ny\"], \"c\": {\"d\": -7}, \"e\": false}",
-        )
-        .unwrap();
-        assert_eq!(v.require("a").unwrap().as_u64().unwrap(), 1);
-        assert_eq!(v.get("c").unwrap().require("d").unwrap(), &Json::Int(-7));
-        match v.get("b").unwrap() {
-            Json::Arr(items) => {
-                assert_eq!(items.len(), 3);
-                assert_eq!(items[2].as_str().unwrap(), "x\ny");
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
-        assert_eq!(v.get("e").unwrap(), &Json::Bool(false));
-    }
-
-    #[test]
-    fn escape_round_trips() {
-        let raw = "quote \" slash \\ newline \n tab \t";
-        let parsed = Json::parse(&escape(raw)).unwrap();
-        assert_eq!(parsed.as_str().unwrap(), raw);
-    }
-
-    #[test]
-    fn rejects_floats_and_trailing_garbage() {
-        assert!(Json::parse("1.5").is_err());
-        assert!(Json::parse("1e3").is_err());
-        assert!(Json::parse("{} x").is_err());
-        assert!(Json::parse("{\"a\":}").is_err());
+    fn escape_quotes_backslashes_and_controls() {
+        assert_eq!(escape("plain"), "\"plain\"");
+        assert_eq!(
+            escape("quote \" back \\ nl \n tab \t bell \u{7}"),
+            "\"quote \\\" back \\\\ nl \\n tab \\u0009 bell \\u0007\""
+        );
+        assert_eq!(escape("µs ✓"), "\"µs ✓\"");
     }
 }

@@ -58,12 +58,11 @@
 pub mod config;
 pub mod engine;
 pub mod faults;
-mod json;
+pub mod json;
 pub mod pipe;
 pub mod report;
 pub mod sharded;
 pub mod supervise;
-pub mod tune;
 
 pub use config::{EngineConfig, EnvOverrides};
 pub use ecnn_isa::verify::{VerifyMode, VerifyReport};
@@ -80,4 +79,3 @@ pub use supervise::{
     ladder, DegradeEvent, DegradeRung, FailureClass, SupervisorCounters, SupervisorPolicy,
     SupervisorStats,
 };
-pub use tune::{TuneOptions, TuneReport, TuneSpace, TuningRecord};

@@ -64,7 +64,6 @@
 //! [`EngineError::Frame`] carrying the frame's submission index, the
 //! worker and the failing block — earliest failing band wins.
 
-use crate::config::MAX_WORKERS;
 use crate::engine::{Engine, EngineError, ImageRunStats};
 use crate::faults::Fault;
 use crate::report::SupervisionReport;
@@ -81,6 +80,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The most worker threads one [`AsyncSession`] spawns: every constructor
+/// clamps its `workers` argument to `1..=MAX_WORKERS`, since each worker
+/// is one OS thread.
+pub const MAX_WORKERS: usize = 256;
 
 /// Claim check for one submitted frame; redeem it with
 /// [`AsyncSession::poll`]. Tickets are cheap copies — the frame index

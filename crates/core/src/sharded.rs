@@ -30,23 +30,6 @@ use ecnn_model::RealTimeSpec;
 use ecnn_tensor::Tensor;
 
 impl Engine {
-    /// Runs one image at the engine's resolved worker count
-    /// ([`EngineBuilder::workers`](crate::engine::EngineBuilder::workers),
-    /// a replayed tuning record, or `ECNN_WORKERS`): serial
-    /// [`Engine::run_image`] at `workers == 1`, otherwise
-    /// [`Engine::run_image_sharded`] at that count. Bit-identical pixels
-    /// either way.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_image_sharded`].
-    pub fn run_image_auto(
-        &self,
-        image: &Tensor<f32>,
-    ) -> Result<(Tensor<f32>, ImageRunStats), EngineError> {
-        self.run_image_sharded(image, self.config().workers)
-    }
-
     /// Runs one image with the frame's block grid partitioned row-wise
     /// across `shards` workers: a one-frame submit/wait on a supervised
     /// [`Engine::async_session`], so band retries, worker respawn and the

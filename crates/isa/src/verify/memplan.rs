@@ -23,8 +23,7 @@
 //!   counters term by term, so the totals must equal the observed
 //!   `ExecStats` work counters of one block execution exactly — a
 //!   differential test pins this for every shipped paper model. The
-//!   report also carries both memory layouts' peak bytes, giving the
-//!   plan-time autotuner a complete static ranking signal.
+//!   report also carries both memory layouts' peak bytes.
 //!
 //! Interval conservatism: lifetimes are *closed* at both ends, so a plane
 //! read by instruction `i` interferes with the plane `i` writes even
@@ -204,19 +203,9 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Total multiply-accumulates per block across both engines — the
-    /// dominant term of the autotuner's static ranking.
+    /// Total multiply-accumulates per block across both engines.
     pub fn block_macs(&self) -> u64 {
         self.mac3.saturating_add(self.mac1)
-    }
-
-    /// Total traffic elements per block (block-buffer reads and writes
-    /// plus both stream directions), the secondary ranking term.
-    pub fn block_traffic(&self) -> u64 {
-        self.bb_read_bytes
-            .saturating_add(self.bb_write_bytes)
-            .saturating_add(self.di_bytes)
-            .saturating_add(self.do_bytes)
     }
 
     /// Peak plane bytes the executor holds: the coalesced plan's bytes
@@ -226,24 +215,6 @@ impl CostReport {
         self.memory
             .as_ref()
             .map_or(self.keyed_peak_bytes, |m| m.peak_bytes)
-    }
-
-    /// Static ranking score for the plan-time autotuner: estimated work
-    /// per frame, in MAC-equivalent units. Per-block cost is
-    /// [`CostReport::block_macs`] plus [`CostReport::block_traffic`]
-    /// charged at a quarter MAC per element (traffic is cheap relative
-    /// to a multiply but not free), multiplied by the frame's block
-    /// count and divided by the worker count (ideal-scaling
-    /// approximation — the micro-bench shortlist, not this score,
-    /// decides between closely ranked configs). Lower is better; the
-    /// score orders candidates, it does not predict wall time.
-    pub fn rank_score(&self, blocks_per_frame: u64, workers: u64) -> u128 {
-        let per_block = (self.block_macs() as u128)
-            .saturating_add((self.block_traffic() as u128).checked_div(4).unwrap_or(0));
-        per_block
-            .saturating_mul(blocks_per_frame.max(1) as u128)
-            .checked_div(workers.max(1) as u128)
-            .unwrap_or(u128::MAX)
     }
 }
 

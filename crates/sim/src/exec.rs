@@ -1414,13 +1414,12 @@ pub enum Kernels {
 
 impl Kernels {
     /// Every selectable kernel family, fastest first — the supervisor's
-    /// degradation-ladder order (`supervise::ladder`). The autotuner's
-    /// default kernel axis is `Simd` alone (`TuneSpace::default`).
+    /// degradation-ladder order (`supervise::ladder`).
     pub const ALL: [Kernels; 3] = [Kernels::Simd, Kernels::Packed, Kernels::Reference];
 
     /// Stable lowercase name (`"simd"`, `"packed"`, `"reference"`), the
     /// inverse of [`Kernels::parse`] — the serialization token used by
-    /// `EngineConfig` records and the `ECNN_KERNELS` override.
+    /// `EngineConfig::to_json` and the `ECNN_KERNELS` override.
     pub fn as_str(self) -> &'static str {
         match self {
             Kernels::Packed => "packed",

@@ -26,7 +26,6 @@ pub mod prelude {
     };
     pub use ecnn_core::pipe::{AsyncSession, FramePoll, FrameTicket};
     pub use ecnn_core::sharded::ShardedBackend;
-    pub use ecnn_core::tune::{TuneOptions, TuneReport, TuneSpace, TuningRecord};
     pub use ecnn_core::SystemReport;
     pub use ecnn_isa::params::QuantizedModel;
     pub use ecnn_isa::verify::{VerifyMode, VerifyReport};

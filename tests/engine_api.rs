@@ -1,8 +1,25 @@
-//! The unified engine/backend API: cross-backend smoke coverage and
-//! streaming-session buffer reuse.
+//! The unified engine/backend API: cross-backend smoke coverage,
+//! streaming-session buffer reuse and the `EngineConfig` surface
+//! (setters, struct and environment overrides resolve to one value).
 
+use ecnn_repro::core::{Kernels, VerifyMode};
 use ecnn_repro::prelude::*;
 use ecnn_repro::tensor::{ImageKind, SyntheticImage};
+
+/// A 96x96 output target for the tiny config-surface engines.
+const TINY: RealTimeSpec = RealTimeSpec {
+    name: "tiny96",
+    width: 96,
+    height: 96,
+    fps: 30.0,
+};
+
+fn tiny_builder() -> EngineBuilder {
+    Engine::builder()
+        .ernet(ErNetSpec::new(ErNetTask::Dn, 1, 1, 0))
+        .block(48)
+        .realtime(TINY)
+}
 
 /// Every registered backend answers the same workload through the shared
 /// trait surface.
@@ -127,4 +144,90 @@ fn session_streams_without_per_frame_reallocation() {
         0,
         "no per-frame block-buffer reallocation"
     );
+}
+
+/// `EngineBuilder::build` rejects incoherent knob combinations with a
+/// structured error instead of silently falling back.
+#[test]
+fn build_rejects_incoherent_config_combinations() {
+    // Zero block size, via the all-at-once setter.
+    let err = Engine::builder()
+        .ernet(ErNetSpec::new(ErNetTask::Dn, 1, 1, 0))
+        .engine_config(EngineConfig {
+            block: 0,
+            ..EngineConfig::new(48)
+        })
+        .build()
+        .unwrap_err();
+    assert!(matches!(err, EngineError::Config { param, .. } if param == "block"));
+
+    // Verify(Off) is coherent, and the layout follows the plan's own
+    // proof, as the narrow-accumulator license does: still coalesced.
+    let engine = tiny_builder().verify(VerifyMode::Off).build().unwrap();
+    assert!(engine.coalesced());
+    assert!(engine.verify_report().is_none());
+}
+
+/// The builder setters, `engine_config` and the resolved `Engine::config`
+/// agree: one struct is the source of truth.
+#[test]
+fn resolved_config_reflects_every_knob() {
+    let cfg = EngineConfig {
+        block: 48,
+        kernels: Kernels::Reference,
+        verify: VerifyMode::Strict,
+        faults: None,
+    };
+    let via_setters = tiny_builder()
+        .kernels(Kernels::Reference)
+        .verify(VerifyMode::Strict)
+        .build()
+        .unwrap();
+    let via_struct = Engine::builder()
+        .ernet(ErNetSpec::new(ErNetTask::Dn, 1, 1, 0))
+        .realtime(TINY)
+        .engine_config(cfg.clone())
+        .build()
+        .unwrap();
+    assert_eq!(via_setters.config(), &cfg);
+    assert_eq!(via_struct.config(), &cfg);
+    assert_eq!(via_setters.kernels(), Kernels::Reference);
+    assert!(via_setters.coalesced());
+    // The machine (hardware) config is a separate axis.
+    assert_eq!(
+        via_setters.machine().total_bb_bytes(),
+        via_struct.machine().total_bb_bytes()
+    );
+}
+
+/// The unified `ECNN_*` override namespace: parsed in one place, pure,
+/// invalid values and retired variables tolerated but recorded.
+#[test]
+fn env_override_namespace_parses_and_applies() {
+    let overrides = EnvOverrides::parse([
+        ("ECNN_KERNELS", "reference".to_string()),
+        ("ECNN_WORKERS", "2".to_string()), // retired knob: noted, ignored
+        ("ECNN_COALESCE", "false".to_string()), // retired knob: noted, ignored
+        ("ECNN_VERIFY", "strict".to_string()),
+        ("ECNN_FAULTS", "explode@1".to_string()), // invalid value: noted, ignored
+    ]);
+    assert_eq!(overrides.kernels, Some(Kernels::Reference));
+    assert_eq!(overrides.verify, Some(VerifyMode::Strict));
+    assert_eq!(overrides.notes.len(), 5);
+    for retired in ["ECNN_WORKERS=2", "ECNN_COALESCE=false"] {
+        assert!(
+            overrides
+                .notes
+                .contains(&format!("{retired} ignored (invalid)")),
+            "{:?}",
+            overrides.notes
+        );
+    }
+    assert!(overrides.notes.iter().any(|n| n.contains("explode@1")));
+    assert_eq!(overrides.faults, None);
+
+    let mut cfg = EngineConfig::new(48);
+    overrides.apply(&mut cfg);
+    assert_eq!(cfg.kernels, Kernels::Reference);
+    assert_eq!(cfg.verify, VerifyMode::Strict);
 }

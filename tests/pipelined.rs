@@ -261,7 +261,10 @@ fn out_dims_are_integer_exact_on_ragged_non_pow2_frames() {
     assert_eq!(eng.out_dims(&img).unwrap(), (16, 12));
     let (reference, ref_stats) = eng.run_image(&img).unwrap();
     assert_eq!(reference.shape(), (3, 16, 12));
-    for n in [2usize, 3] {
+    // The grid has 2 block rows, so 3 and `usize::MAX` shards clamp to 2
+    // workers: the thread bound lives in the call, and no count spawns
+    // more threads than there are bands.
+    for n in [2usize, 3, usize::MAX] {
         let (out, stats) = eng.run_image_sharded(&img, n).unwrap();
         assert_eq!(out, reference, "x{n} sharded pixels");
         assert_eq!(stats.exec.work(), ref_stats.exec.work(), "x{n} work");
