@@ -20,21 +20,18 @@ pub mod fusion;
 pub mod tpu;
 
 use ecnn_core::engine::{Backend, EcnnBackend};
-use ecnn_core::sharded::ShardedBackend;
 
 pub use diffy::DiffyBackend;
 pub use framebased::{frame_based_feature_bandwidth, FrameBasedBackend};
 pub use fusion::{fused_line_buffer_bytes, FusionBackend};
 pub use tpu::{TpuBackend, TpuConfig, TpuReport};
 
-/// Every registered backend in paper order: the eCNN simulator first
-/// (plus its 2- and 4-way sharded multi-accelerator variants), then the
-/// four comparison flows, all in their default (paper) configurations.
+/// Every registered backend in paper order: the eCNN simulator first,
+/// then the four comparison flows, all in their default (paper)
+/// configurations.
 pub fn registry() -> Vec<Box<dyn Backend>> {
     vec![
         Box::new(EcnnBackend::paper()),
-        Box::new(ShardedBackend::new(EcnnBackend::paper(), 2)),
-        Box::new(ShardedBackend::new(EcnnBackend::paper(), 4)),
         Box::new(FrameBasedBackend::default()),
         Box::new(FusionBackend::default()),
         Box::new(TpuBackend::classic()),
@@ -55,15 +52,7 @@ mod tests {
         let names: Vec<_> = backends.iter().map(|b| b.name().to_string()).collect();
         assert_eq!(
             names,
-            [
-                "ecnn",
-                "ecnn[x2]",
-                "ecnn[x4]",
-                "frame-based",
-                "fused-layer",
-                "tpu",
-                "diffy"
-            ]
+            ["ecnn", "frame-based", "fused-layer", "tpu", "diffy"]
         );
     }
 
@@ -82,12 +71,6 @@ mod tests {
             assert_eq!(r.backend, backend.name());
             assert!(r.fps > 0.0, "{}: fps {}", backend.name(), r.fps);
             assert!(r.dram_bytes_per_frame > 0.0, "{}", backend.name());
-            // Only the bit-exact eCNN flow (and its sharded variants)
-            // runs real images.
-            assert_eq!(
-                backend.supports_run_image(),
-                backend.name().starts_with("ecnn")
-            );
         }
     }
 

@@ -153,21 +153,14 @@ impl EnvOverrides {
     {
         let mut o = Self::default();
         for (name, value) in vars {
+            // An invalid value leaves an earlier valid one in place.
             let applied = match name {
-                "ECNN_KERNELS" => {
-                    o.kernels = Kernels::parse(&value);
-                    o.kernels.is_some()
-                }
-                "ECNN_VERIFY" => {
-                    o.verify = VerifyMode::parse(&value);
-                    o.verify.is_some()
-                }
-                "ECNN_FAULTS" => {
-                    o.faults = FaultPlan::parse(&value).ok();
-                    o.faults.is_some()
-                }
-                _ => false,
-            };
+                "ECNN_KERNELS" => Kernels::parse(&value).map(|k| o.kernels = Some(k)),
+                "ECNN_VERIFY" => VerifyMode::parse(&value).map(|v| o.verify = Some(v)),
+                "ECNN_FAULTS" => FaultPlan::parse(&value).ok().map(|p| o.faults = Some(p)),
+                _ => None,
+            }
+            .is_some();
             if applied {
                 o.notes
                     .push(format!("{name}={}", value.to_ascii_lowercase()));

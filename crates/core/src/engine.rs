@@ -3,13 +3,13 @@
 //!
 //! * [`Workload`] bundles what to run: a quantized model, an input block
 //!   size and a [`RealTimeSpec`] target.
-//! * [`Backend`] is the capability surface every inference flow implements
+//! * [`Backend`] is the reporting surface every inference flow implements
 //!   (the eCNN simulator here, the frame-based / fused-layer / TPU / Diffy
-//!   flows in `ecnn-baselines`): a [`FrameReport`] for any workload, and —
-//!   for bit-exact backends — [`Backend::run_image`].
+//!   flows in `ecnn-baselines`): a [`FrameReport`] for any workload.
 //! * [`EngineBuilder`] is the fluent front door to the eCNN simulator;
-//!   [`Engine`] the built instance; [`Session`] a streaming handle that
-//!   reuses its block/stitch buffers across frames.
+//!   [`Engine`] the built instance and the one entry to bit-exact
+//!   execution; [`Session`] a streaming handle that reuses its
+//!   block/stitch buffers across frames.
 //! * [`EngineError`] is the one structured error type for the whole
 //!   surface, with [`std::error::Error::source`] chaining.
 
@@ -127,13 +127,6 @@ pub enum EngineError {
     },
     /// The image cannot be processed by this deployment.
     Image(ImageMismatch),
-    /// The backend does not implement the requested capability.
-    Unsupported {
-        /// Backend name.
-        backend: String,
-        /// The capability that was requested (e.g. `"run_image"`).
-        capability: &'static str,
-    },
     /// A worker panicked while running a band — the source of the
     /// [`EngineError::Frame`] that names the worker.
     Worker {
@@ -211,12 +204,6 @@ impl fmt::Display for EngineError {
                 write!(f, "config: {param}: {detail}")
             }
             EngineError::Image(m) => write!(f, "image: {m}"),
-            EngineError::Unsupported {
-                backend,
-                capability,
-            } => {
-                write!(f, "backend {backend} does not support {capability}")
-            }
             EngineError::Worker { message } => match message {
                 Some(msg) => write!(f, "worker panicked: {msg}"),
                 None => write!(f, "worker panicked"),
@@ -304,7 +291,7 @@ impl ImageRunStats {
         self.exec.accumulate(&s);
     }
 
-    /// Adds another run's counters into this one (sharded-band merging).
+    /// Adds another run's counters into this one (band merging).
     pub fn merge(&mut self, other: &ImageRunStats) {
         self.absorb(other.exec, other.blocks);
         self.supervisor.absorb(&other.supervisor);
@@ -386,11 +373,11 @@ impl fmt::Display for FrameReport {
 }
 
 /// One inference flow: the eCNN block-based simulator or any of the
-/// comparison baselines. Minimal capability is an analytical
-/// [`FrameReport`]; bit-exact flows additionally run real images.
+/// comparison baselines, as an analytical [`FrameReport`]. Bit-exact
+/// images run on [`Engine`] ([`EcnnBackend::engine`] builds one from a
+/// [`Workload`]).
 pub trait Backend {
-    /// Short stable identifier (`"ecnn"`, `"frame-based"`, `"ecnn[x2]"`,
-    /// …).
+    /// Short stable identifier (`"ecnn"`, `"frame-based"`, …).
     fn name(&self) -> &str;
 
     /// Frame-level throughput / traffic / power for `workload`.
@@ -399,37 +386,6 @@ pub trait Backend {
     ///
     /// Backend-specific; the eCNN backend propagates compilation errors.
     fn frame_report(&self, workload: &Workload) -> Result<FrameReport, EngineError>;
-
-    /// Whether [`Backend::run_image`] is implemented.
-    fn supports_run_image(&self) -> bool {
-        false
-    }
-
-    /// Runs one image through the flow bit-exactly, if supported.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Unsupported`] unless the backend overrides this.
-    fn run_image(
-        &self,
-        workload: &Workload,
-        image: &Tensor<f32>,
-    ) -> Result<(Tensor<f32>, ImageRunStats), EngineError> {
-        let _ = (workload, image);
-        Err(EngineError::Unsupported {
-            backend: self.name().to_string(),
-            capability: "run_image",
-        })
-    }
-
-    /// Builds the bit-exact [`Engine`] that executes `workload` block by
-    /// block, when the flow has one (`None` for purely analytical flows).
-    /// [`crate::sharded::ShardedBackend`] uses it to partition
-    /// `run_image`'s block grid across workers.
-    fn block_engine(&self, workload: &Workload) -> Option<Result<Engine, EngineError>> {
-        let _ = workload;
-        None
-    }
 }
 
 /// Fluent constructor for [`Engine`]: model spec → quantization → block
@@ -531,7 +487,7 @@ impl EngineBuilder {
 
     /// Accumulation kernels every execution path of this engine runs
     /// ([`Session`], [`crate::pipe::AsyncSession`] workers,
-    /// [`crate::sharded::ShardedBackend`] shards). Defaults to
+    /// [`Engine::run_image_sharded`] shards). Defaults to
     /// [`Kernels::Simd`] — runtime-dispatched explicit SIMD with the
     /// verifier-licensed narrow path, bit-identical to the other
     /// variants. The `ECNN_KERNELS` environment variable
@@ -804,11 +760,7 @@ impl Engine {
     /// Frame-level timing / traffic / power report at the workload's
     /// real-time spec.
     pub fn system_report(&self) -> SystemReport {
-        self.system_report_at(self.workload.spec)
-    }
-
-    /// Frame-level timing / traffic / power report at an explicit spec.
-    pub fn system_report_at(&self, spec: RealTimeSpec) -> SystemReport {
+        let spec = self.workload.spec;
         let frame = simulate_frame(
             self.compiled(),
             &self.workload.qm.model,
@@ -888,27 +840,9 @@ impl Engine {
         Ok((out_h.div_ceil(xo), out_w.div_ceil(xo)))
     }
 
-    /// Number of block rows in the frame grid for `image` — the unit the
-    /// sharded backend partitions across workers (see
-    /// [`Engine::grid_dims`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::grid_dims`].
-    pub fn grid_rows(&self, image: &Tensor<f32>) -> Result<usize, EngineError> {
-        Ok(self.grid_dims(image)?.0)
-    }
-
     /// The unified cross-backend view of [`Engine::system_report`].
     pub fn frame_report(&self) -> FrameReport {
-        self.frame_report_at(self.workload.spec)
-    }
-
-    /// [`Engine::frame_report`] evaluated at an explicit real-time spec
-    /// (the sharded backend reports each worker's band this way without
-    /// rebuilding the engine).
-    pub fn frame_report_at(&self, spec: RealTimeSpec) -> FrameReport {
-        let sr = self.system_report_at(spec);
+        let sr = self.system_report();
         let cost = self.cost_report();
         let (mem_bytes, mem_mode) = match (&cost.memory, self.coalesced) {
             (Some(m), true) => (m.peak_bytes, "coalesced"),
@@ -1048,7 +982,7 @@ impl<'e> Session<'e> {
     /// [`EngineError::Image`] for geometry mismatches; propagates
     /// simulator errors.
     pub fn process(&mut self, image: &Tensor<f32>) -> Result<&Tensor<f32>, EngineError> {
-        let rows = self.grid_rows(image)?;
+        let rows = self.engine.grid_dims(image)?.0;
         self.process_rows(image, 0..rows)
     }
 
@@ -1071,21 +1005,11 @@ impl<'e> Session<'e> {
             .collect()
     }
 
-    /// Number of block rows in the frame grid for `image` (see
-    /// [`Engine::grid_rows`]).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Image`] for geometry mismatches.
-    pub fn grid_rows(&self, image: &Tensor<f32>) -> Result<usize, EngineError> {
-        self.engine.grid_rows(image)
-    }
-
     /// Processes only the block rows `rows` of `image`'s grid, stitching
-    /// them into a band-sized frame — the building block the sharded
-    /// backend and every pipelined worker run. Blocks are addressed in the
-    /// *global* grid, so a band's pixels are bit-identical to the same
-    /// rows of a whole-frame [`Session::process`].
+    /// them into a band-sized frame — the building block every pipelined
+    /// worker runs. Blocks are addressed in the *global* grid, so a
+    /// band's pixels are bit-identical to the same rows of a whole-frame
+    /// [`Session::process`].
     ///
     /// A block that crosses the right or bottom frame edge keeps only the
     /// top-left of its output, so it runs the plan's clipped extents
@@ -1272,7 +1196,6 @@ pub struct EcnnBackend {
     config: EcnnConfig,
     power: PowerModel,
     dram_power: DramPowerModel,
-    kernels: Option<Kernels>,
 }
 
 impl EcnnBackend {
@@ -1282,19 +1205,7 @@ impl EcnnBackend {
             config: EcnnConfig::paper(),
             power: PowerModel::paper_40nm(),
             dram_power: DramPowerModel::DDR4_3200,
-            kernels: None,
         }
-    }
-
-    /// Pins the kernel family for every engine this backend builds, so
-    /// sharded and pipelined paths that construct sessions internally
-    /// (e.g. [`ShardedBackend`](crate::sharded::ShardedBackend)) honor
-    /// the choice. Unset, engines follow the usual resolution
-    /// (`ECNN_KERNELS` env override, else SIMD dispatch).
-    #[must_use]
-    pub fn with_kernels(mut self, kernels: Kernels) -> Self {
-        self.kernels = Some(kernels);
-        self
     }
 
     /// Builds the engine for `workload` on this machine.
@@ -1303,18 +1214,15 @@ impl EcnnBackend {
     ///
     /// Propagates compilation errors.
     pub fn engine(&self, workload: &Workload) -> Result<Engine, EngineError> {
-        let mut b = Engine::builder()
+        Engine::builder()
             .quantized(workload.qm.clone())
             .block(workload.block)
             .realtime(workload.spec)
             .feature_bits(workload.feature_bits)
             .machine(self.config)
             .power(self.power)
-            .dram_power(self.dram_power);
-        if let Some(k) = self.kernels {
-            b = b.kernels(k);
-        }
-        b.build()
+            .dram_power(self.dram_power)
+            .build()
     }
 }
 
@@ -1331,22 +1239,6 @@ impl Backend for EcnnBackend {
 
     fn frame_report(&self, workload: &Workload) -> Result<FrameReport, EngineError> {
         Ok(self.engine(workload)?.frame_report())
-    }
-
-    fn supports_run_image(&self) -> bool {
-        true
-    }
-
-    fn run_image(
-        &self,
-        workload: &Workload,
-        image: &Tensor<f32>,
-    ) -> Result<(Tensor<f32>, ImageRunStats), EngineError> {
-        self.engine(workload)?.run_image(image)
-    }
-
-    fn block_engine(&self, workload: &Workload) -> Option<Result<Engine, EngineError>> {
-        Some(self.engine(workload))
     }
 }
 
@@ -1509,10 +1401,14 @@ mod tests {
         )
         .unwrap();
         let be = EcnnBackend::paper();
-        assert!(be.supports_run_image());
         let r = be.frame_report(&w).unwrap();
         assert_eq!(r.backend, "ecnn");
         assert!(r.meets_realtime, "fps {}", r.fps);
         assert!(r.power_w.unwrap() > 5.0);
+        // The backend's engine runs the workload's images bit-exactly.
+        let img = SyntheticImage::new(ImageKind::Smooth, 5).rgb(56, 56);
+        let (out, stats) = be.engine(&w).unwrap().run_image(&img).unwrap();
+        assert_eq!(out.shape(), (3, 56, 56));
+        assert!(stats.blocks > 0);
     }
 }

@@ -8,8 +8,8 @@
 //! * stream real images through the bit-exact simulator with block
 //!   partitioning, overlap recomputation and stitching, reusing buffers
 //!   across frames ([`Engine::session`] / [`Session::process`]);
-//! * produce frame-rate / bandwidth / power reports for any output
-//!   resolution ([`Engine::system_report`]).
+//! * produce frame-rate / bandwidth / power reports at its real-time
+//!   target ([`Engine::system_report`]).
 //!
 //! The same workload runs on every comparison flow through the
 //! [`Backend`] trait (`ecnn-baselines` implements it for the frame-based,
@@ -19,8 +19,7 @@
 //! There is one serial executor, [`Session`], and one parallel executor,
 //! the supervised [`AsyncSession`] (see [`pipe`]): it pipelines frame
 //! queues over a persistent worker pool with poll-based tickets, and
-//! one-shot parallel runs — [`Engine::run_image_sharded`] and the
-//! [`ShardedBackend`] wrapper (see [`sharded`]) — are a one-frame
+//! one-shot parallel runs ([`Engine::run_image_sharded`]) are a one-frame
 //! submit/wait on it. A failed band surfaces as [`EngineError::Frame`] on
 //! every parallel path.
 //!
@@ -61,7 +60,6 @@ pub mod faults;
 pub mod json;
 pub mod pipe;
 pub mod report;
-pub mod sharded;
 pub mod supervise;
 
 pub use config::{EngineConfig, EnvOverrides};
@@ -72,9 +70,8 @@ pub use engine::{
     ImageRunStats, Session, Workload,
 };
 pub use faults::{Fault, FaultKind, FaultPlan, FaultRule};
-pub use pipe::{AsyncSession, FramePoll, FrameTicket};
+pub use pipe::{partition_rows, AsyncSession, FramePoll, FrameTicket};
 pub use report::{SupervisionReport, SystemReport};
-pub use sharded::{partition_rows, ShardedBackend};
 pub use supervise::{
     ladder, DegradeEvent, DegradeRung, FailureClass, SupervisorCounters, SupervisorPolicy,
     SupervisorStats,

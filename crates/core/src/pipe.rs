@@ -12,8 +12,7 @@
 //! ([`partition_rows`]), and lets the stages of different frames
 //! overlap: while one worker stitches the tail band of frame `i`, others
 //! are already quantizing and executing the head bands of frame `i+1`.
-//! One-shot parallel runs ([`Engine::run_image_sharded`] and the
-//! [`ShardedBackend`](crate::sharded::ShardedBackend) built on it) are a
+//! One-shot parallel runs ([`Engine::run_image_sharded`]) are a
 //! one-frame submit/wait on the same session.
 //!
 //! A serving-style caller pipelines decode → inference → encode without
@@ -67,7 +66,6 @@
 use crate::engine::{Engine, EngineError, ImageRunStats};
 use crate::faults::Fault;
 use crate::report::SupervisionReport;
-use crate::sharded::partition_rows;
 use crate::supervise::{
     classify, ladder, panic_message, DegradeEvent, DegradeRung, FailureClass, SupervisorCounters,
     SupervisorPolicy, SupervisorStats,
@@ -85,6 +83,62 @@ use std::time::{Duration, Instant};
 /// clamps its `workers` argument to `1..=MAX_WORKERS`, since each worker
 /// is one OS thread.
 pub const MAX_WORKERS: usize = 256;
+
+impl Engine {
+    /// Runs one image with the frame's block grid partitioned row-wise
+    /// across `shards` workers: a one-frame submit/wait on a supervised
+    /// [`Engine::async_session`], so band retries, worker respawn and the
+    /// engine's [`FaultPlan`](crate::faults::FaultPlan) apply. Bit-identical
+    /// pixels and identical summed work counters vs [`Engine::run_image`]
+    /// at any shard count: every worker executes exactly the blocks the
+    /// whole-frame flow would, against the same full input image, so no
+    /// halo recompute is needed. `shards` is clamped to the grid's block
+    /// rows, and one shard runs the serial path.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Image`] / [`EngineError::Rows`] for frames the engine
+    /// cannot grid, before any worker spawns; [`EngineError::Frame`] (frame
+    /// 0, with the failing worker and block) when a band exhausts its
+    /// attempts.
+    pub fn run_image_sharded(
+        &self,
+        image: &Tensor<f32>,
+        shards: usize,
+    ) -> Result<(Tensor<f32>, ImageRunStats), EngineError> {
+        let n = shards.clamp(1, self.grid_dims(image)?.0);
+        if n == 1 {
+            return self.run_image(image);
+        }
+        let mut session = self.async_session(n);
+        let ticket = session.submit(image.clone())?;
+        session.wait(ticket)
+    }
+}
+
+/// Splits `rows` block rows into `min(n, rows)` contiguous, non-empty,
+/// near-equal ranges covering `0..rows` (earlier ranges take the
+/// remainder). Total over every input: zero rows yield zero ranges —
+/// never a single empty one — so a worker can never be handed a band
+/// with no blocks; callers that require work reject empty grids up
+/// front ([`Engine::out_dims`] returns [`EngineError::Rows`]).
+pub fn partition_rows(rows: usize, n: usize) -> Vec<Range<usize>> {
+    if rows == 0 {
+        return Vec::new();
+    }
+    let n = n.clamp(1, rows);
+    let base = rows / n;
+    let rem = rows % n;
+    let mut start = 0;
+    (0..n)
+        .map(|i| {
+            let len = base + usize::from(i < rem);
+            let r = start..start + len;
+            start += len;
+            r
+        })
+        .collect()
+}
 
 /// Claim check for one submitted frame; redeem it with
 /// [`AsyncSession::poll`]. Tickets are cheap copies — the frame index
@@ -1236,5 +1290,118 @@ fn fail_bands_running_on(state: &mut State, ctx: &Ctx, worker: usize, message: O
             },
             None,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{EcnnBackend, Workload};
+    use crate::faults::FaultPlan;
+    use ecnn_model::ernet::{ErNetSpec, ErNetTask};
+    use ecnn_model::RealTimeSpec;
+    use ecnn_tensor::{ImageKind, SyntheticImage};
+
+    fn engine() -> Engine {
+        let w = Workload::ernet(
+            ErNetSpec::new(ErNetTask::Dn, 2, 1, 0),
+            40,
+            RealTimeSpec::HD30,
+        )
+        .unwrap();
+        EcnnBackend::paper().engine(&w).unwrap()
+    }
+
+    #[test]
+    fn partition_rows_is_exact_and_contiguous() {
+        for rows in 1..12 {
+            for n in 1..6 {
+                let ranges = partition_rows(rows, n);
+                assert_eq!(ranges.len(), n.min(rows));
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges.last().unwrap().end, rows);
+                for w in ranges.windows(2) {
+                    assert_eq!(w[0].end, w[1].start);
+                    assert!(!w[0].is_empty() && !w[1].is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn worker_failure_carries_shard_and_block() {
+        // Band 1 panics on every attempt: the error names the frame, the
+        // worker and band 1's first block, chained to the worker panic.
+        let engine = Engine::builder()
+            .ernet(ErNetSpec::new(ErNetTask::Dn, 2, 1, 0))
+            .block(40)
+            .realtime(RealTimeSpec::HD30)
+            .faults(FaultPlan::parse("seed=1;panic@1000:band=1").unwrap())
+            .build()
+            .unwrap();
+        let img = SyntheticImage::new(ImageKind::Smooth, 1).rgb(56, 72);
+        let (rows, cols) = engine.grid_dims(&img).unwrap();
+        let first_block = partition_rows(rows, 2)[1].start * cols;
+        let e = engine.run_image_sharded(&img, 2).unwrap_err();
+        let msg = e.to_string();
+        assert!(msg.contains("worker"), "{msg}");
+        assert!(msg.contains(&format!("block {first_block}")), "{msg}");
+        assert!(std::error::Error::source(&e).is_some());
+        match e {
+            EngineError::Frame {
+                frame: 0,
+                worker,
+                block,
+                ..
+            } => {
+                assert!(worker < 2, "worker {worker} outside a 2-worker pool");
+                assert_eq!(block, first_block);
+            }
+            other => panic!("expected a Frame error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rows_outside_the_grid_are_a_structured_error() {
+        let engine = engine();
+        let img = SyntheticImage::new(ImageKind::Smooth, 1).rgb(56, 56);
+        let mut session = engine.session();
+        match session.process_rows(&img, 9..12) {
+            Err(EngineError::Rows {
+                start,
+                end,
+                available,
+            }) => {
+                assert_eq!((start, end), (9, 12));
+                assert!(available < 9);
+            }
+            other => {
+                let _ = other.map(|_| ());
+                panic!("expected a Rows error");
+            }
+        }
+        assert!(matches!(
+            session.process_rows(&img, 1..1),
+            Err(EngineError::Rows { .. })
+        ));
+    }
+
+    #[test]
+    fn sharded_image_run_is_bit_identical() {
+        let engine = engine();
+        let img = SyntheticImage::new(ImageKind::Mixed, 11).rgb(56, 72);
+        let (plain, plain_stats) = engine.run_image(&img).unwrap();
+        for n in [1, 2, 4] {
+            let (out, stats) = engine.run_image_sharded(&img, n).unwrap();
+            assert_eq!(out, plain, "x{n} pixels must be bit-identical");
+            assert_eq!(stats.blocks, plain_stats.blocks, "x{n} block totals");
+            // Work totals are shard-invariant (no halo recompute); only
+            // the pool counters differ (one cold arena per worker).
+            assert_eq!(
+                stats.exec.work(),
+                plain_stats.exec.work(),
+                "x{n} work totals must match"
+            );
+        }
     }
 }

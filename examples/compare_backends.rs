@@ -1,7 +1,6 @@
 //! One workload, every flow: run the paper's UHD30 denoiser and x4
-//! super-resolver through every registered backend — the eCNN simulator,
-//! its x2/x4 sharded variants and the four comparison baselines — and
-//! print one shared table.
+//! super-resolver through every registered backend — the eCNN simulator
+//! and the four comparison baselines — and print one shared table.
 //!
 //! ```sh
 //! cargo run --release --example compare_backends

@@ -25,7 +25,6 @@ pub mod prelude {
         Backend, EcnnBackend, Engine, EngineBuilder, EngineError, FrameReport, Session, Workload,
     };
     pub use ecnn_core::pipe::{AsyncSession, FramePoll, FrameTicket};
-    pub use ecnn_core::sharded::ShardedBackend;
     pub use ecnn_core::SystemReport;
     pub use ecnn_isa::params::QuantizedModel;
     pub use ecnn_isa::verify::{VerifyMode, VerifyReport};

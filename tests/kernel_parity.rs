@@ -20,12 +20,11 @@
 //! * the *narrow license*: unproven programs must never select the
 //!   `i32` accumulation path, the untouched uniform paper model must be
 //!   fully licensed, and the license must survive the Session /
-//!   AsyncSession / ShardedBackend plumbing bit-identically;
+//!   AsyncSession / `run_image_sharded` plumbing bit-identically;
 //! * the *SIMD rungs*: eSR-4K and DnERNet-B3R1N0 blocks match `Packed` at
 //!   every level the host can run (AVX-512, AVX2, SSE2, scalar on x86).
 
-use ecnn_core::engine::{Backend, EcnnBackend, Workload};
-use ecnn_core::sharded::ShardedBackend;
+use ecnn_core::engine::Engine;
 use ecnn_isa::compile::compile;
 use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, QSpec};
 use ecnn_isa::params::{LeafParams, QuantizedModel};
@@ -625,23 +624,22 @@ fn every_available_simd_level_matches_packed_on_paper_models() {
 
 /// The kernel selection survives every execution surface bit-identically:
 /// for each `Kernels` choice, `Engine::run_image`, a two-worker
-/// `AsyncSession` and a two-shard `ShardedBackend` (over
-/// `EcnnBackend::with_kernels`) all agree with each other and across
-/// kernel choices, and the plumbing reports the choice it was given.
+/// `AsyncSession` and a two-shard `Engine::run_image_sharded` all agree
+/// with each other and across kernel choices, and the plumbing reports
+/// the choice it was given.
 #[test]
 fn kernel_choice_is_honored_across_session_pipeline_and_shards() {
-    let w = Workload::ernet(
-        ErNetSpec::new(ErNetTask::Dn, 2, 1, 0),
-        40,
-        RealTimeSpec::HD30,
-    )
-    .unwrap();
     let img = SyntheticImage::new(ImageKind::Edges, 31).rgb(80, 80);
 
     let mut baseline: Option<(ecnn_tensor::Tensor<f32>, u64)> = None;
     for k in [Kernels::Reference, Kernels::Packed, Kernels::Simd] {
-        let backend = EcnnBackend::paper().with_kernels(k);
-        let engine = backend.engine(&w).unwrap();
+        let engine = Engine::builder()
+            .ernet(ErNetSpec::new(ErNetTask::Dn, 2, 1, 0))
+            .block(40)
+            .realtime(RealTimeSpec::HD30)
+            .kernels(k)
+            .build()
+            .unwrap();
         assert_eq!(engine.kernels(), k);
         assert_eq!(engine.session().kernels(), k);
 
@@ -670,11 +668,9 @@ fn kernel_choice_is_honored_across_session_pipeline_and_shards() {
             assert_eq!(fstats.exec.kernel_variant, expect_variant);
         }
 
-        // Sharded path: each shard worker sessions off an engine built by
-        // the backend, so `with_kernels` is the only way the choice can
-        // reach it.
-        let sharded = ShardedBackend::new(EcnnBackend::paper().with_kernels(k), 2);
-        let (sout, sstats) = sharded.run_image(&w, &img).unwrap();
+        // Sharded path: each shard worker sessions off the same engine and
+        // must inherit the choice.
+        let (sout, sstats) = engine.run_image_sharded(&img, 2).unwrap();
         assert_eq!(&sout, ref_out, "{k:?} sharded parity");
         assert_eq!(sstats.exec.kernel_variant, expect_variant);
     }

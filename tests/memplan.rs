@@ -18,8 +18,7 @@
 //!   extents tables still charge the cost model's full blocks, and the
 //!   host MACs eSR-4K's edge block skips are pinned.
 
-use ecnn_core::engine::{Backend, EcnnBackend, Engine, ImageRunStats, Workload};
-use ecnn_core::sharded::ShardedBackend;
+use ecnn_core::engine::{EcnnBackend, Engine, ImageRunStats, Workload};
 use ecnn_core::supervise::ladder;
 use ecnn_isa::compile::compile;
 use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, QSpec};
@@ -230,9 +229,9 @@ fn observed_peak_never_exceeds_planned_in_either_layout() {
 
 /// The layout choice survives the engine / sharding plumbing
 /// bit-identically: a coalesced engine, a session on the keyed floor rung
-/// (`Engine::session_at`) and sharded backends at shard counts 1/2/4 all
-/// produce the same image, and the engine's cost report surfaces both
-/// layouts' peaks.
+/// (`Engine::session_at`) and `Engine::run_image_sharded` at shard counts
+/// 1/2/4 all produce the same image, and the engine's cost report
+/// surfaces both layouts' peaks.
 #[test]
 fn layout_choice_survives_engines_and_shards_bit_identically() {
     let w = Workload::ernet(
@@ -258,8 +257,7 @@ fn layout_choice_survives_engines_and_shards_bit_identically() {
     );
 
     for shards in [1usize, 2, 4] {
-        let sc = ShardedBackend::new(EcnnBackend::paper(), shards);
-        let (a, _) = sc.run_image(&w, &img).unwrap();
+        let (a, _) = ce.run_image_sharded(&img, shards).unwrap();
         assert_eq!(a, cout, "coalesced x{shards} parity");
     }
 

@@ -5,8 +5,7 @@
 
 use ecnn_core::engine::{EngineError, Workload};
 use ecnn_core::pipe::{AsyncSession, FramePoll};
-use ecnn_core::sharded::ShardedBackend;
-use ecnn_core::{Backend, EcnnBackend, Engine};
+use ecnn_core::{EcnnBackend, Engine};
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_model::layer::{Activation, Layer, Op, PoolKind};
 use ecnn_model::{Model, RealTimeSpec};
@@ -275,8 +274,7 @@ fn out_dims_are_integer_exact_on_ragged_non_pow2_frames() {
     assert_eq!(out, reference, "pipelined pixels");
 }
 
-/// And the same regression through the ragged SR path the sharded
-/// backend ships in the registry.
+/// And the same regression through a ragged SR frame.
 #[test]
 fn sr_ragged_sharded_dims_match_serial() {
     let w = Workload::ernet(
@@ -288,13 +286,11 @@ fn sr_ragged_sharded_dims_match_serial() {
     // 53x41 is odd in both dimensions: x2 output (106, 82) is ragged
     // against the 42px output block.
     let img = SyntheticImage::new(ImageKind::Edges, 31).rgb(53, 41);
-    let plain = EcnnBackend::paper();
-    let (reference, _) = plain.run_image(&w, &img).unwrap();
+    let eng = EcnnBackend::paper().engine(&w).unwrap();
+    let (reference, _) = eng.run_image(&img).unwrap();
     assert_eq!(reference.shape(), (3, 106, 82));
     for n in [2usize, 4] {
-        let (out, _) = ShardedBackend::new(EcnnBackend::paper(), n)
-            .run_image(&w, &img)
-            .unwrap();
+        let (out, _) = eng.run_image_sharded(&img, n).unwrap();
         assert_eq!(out, reference, "x{n}");
     }
 }

@@ -1,10 +1,8 @@
-//! Integration tests for the plan/execute split and the sharded backend:
-//! parity of the sharded paths against the plain engine, and the plane
-//! pool's zero-allocation steady state.
+//! Integration tests for the plan/execute split and one-shot sharding:
+//! parity of [`Engine::run_image_sharded`] against the plain engine, and
+//! the plane pool's zero-allocation steady state.
 
-use ecnn_baselines::registry;
-use ecnn_core::engine::{Backend, EcnnBackend, Engine, Workload};
-use ecnn_core::sharded::ShardedBackend;
+use ecnn_core::engine::{EcnnBackend, Engine, Workload};
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_model::RealTimeSpec;
 use ecnn_tensor::{ImageKind, SyntheticImage};
@@ -22,22 +20,18 @@ fn engine() -> Engine {
     EcnnBackend::paper().engine(&workload()).unwrap()
 }
 
-/// The headline parity claim: at N = 1, 2, 4 the sharded backend produces
-/// bit-identical output pixels and identical merged report totals vs the
-/// plain single-engine path.
+/// The headline parity claim: at N = 1, 2, 4 one-shot sharding produces
+/// bit-identical output pixels and identical block and work totals vs
+/// the plain single-engine path.
 #[test]
 fn sharded_backend_parity_at_1_2_4() {
-    let w = workload();
+    let eng = engine();
     let img = SyntheticImage::new(ImageKind::Texture, 23).rgb(72, 96);
-    let plain = EcnnBackend::paper();
-    let (ref_out, ref_stats) = plain.run_image(&w, &img).unwrap();
-    let ref_report = plain.frame_report(&w).unwrap();
+    let (ref_out, ref_stats) = eng.run_image(&img).unwrap();
     for n in [1usize, 2, 4] {
-        let sharded = ShardedBackend::new(EcnnBackend::paper(), n);
-
         // Pixels: bit-identical (the block grid is partitioned, never
         // recomputed differently).
-        let (out, stats) = sharded.run_image(&w, &img).unwrap();
+        let (out, stats) = eng.run_image_sharded(&img, n).unwrap();
         assert_eq!(out, ref_out, "x{n}: pixels must be bit-identical");
         assert_eq!(stats.blocks, ref_stats.blocks, "x{n}: block totals");
         assert_eq!(
@@ -45,21 +39,6 @@ fn sharded_backend_parity_at_1_2_4() {
             ref_stats.exec.work(),
             "x{n}: per-frame work totals (MACs, bytes, instructions)"
         );
-
-        // Reports: summed totals equal the unsharded report (up to the
-        // sub-byte truncation each shard's analytic count applies).
-        let merged = sharded.frame_report(&w).unwrap();
-        let drift = (merged.dram_bytes_per_frame - ref_report.dram_bytes_per_frame).abs();
-        assert!(drift <= 2.0 * n as f64, "x{n}: DRAM bytes drift {drift}");
-        assert!(
-            merged.fps >= ref_report.fps,
-            "x{n}: sharding cannot slow down"
-        );
-        if n == 1 {
-            assert_eq!(merged.fps, ref_report.fps);
-            assert_eq!(merged.power_w, ref_report.power_w);
-            assert_eq!(merged.feature_sram_bytes, ref_report.feature_sram_bytes);
-        }
     }
 }
 
@@ -75,12 +54,11 @@ fn sharded_parity_on_sr_with_ragged_grid() {
     .unwrap();
     // 50x38: neither dimension is a multiple of the 42px output block.
     let img = SyntheticImage::new(ImageKind::Edges, 5).rgb(50, 38);
-    let (ref_out, _) = EcnnBackend::paper().run_image(&w, &img).unwrap();
+    let eng = EcnnBackend::paper().engine(&w).unwrap();
+    let (ref_out, _) = eng.run_image(&img).unwrap();
     assert_eq!(ref_out.shape(), (3, 100, 76));
     for n in [2usize, 3, 4] {
-        let (out, _) = ShardedBackend::new(EcnnBackend::paper(), n)
-            .run_image(&w, &img)
-            .unwrap();
+        let (out, _) = eng.run_image_sharded(&img, n).unwrap();
         assert_eq!(out, ref_out, "x{n}");
     }
 }
@@ -130,24 +108,4 @@ fn run_frames_matches_sequential_processing() {
     let mut probe = eng.session();
     probe.run_frames(frames.iter()).unwrap();
     assert_eq!(probe.last_frame_stats().exec.planes_allocated, 0);
-}
-
-/// The registry's sharded variants run real images through the same
-/// unified API as every other backend.
-#[test]
-fn registry_sharded_variants_run_images() {
-    let w = workload();
-    let img = SyntheticImage::new(ImageKind::Smooth, 3).rgb(56, 56);
-    let (ref_out, _) = EcnnBackend::paper().run_image(&w, &img).unwrap();
-    let mut seen = 0;
-    for backend in registry() {
-        if !backend.name().contains("[x") {
-            continue;
-        }
-        seen += 1;
-        assert!(backend.supports_run_image(), "{}", backend.name());
-        let (out, _) = backend.run_image(&w, &img).unwrap();
-        assert_eq!(out, ref_out, "{}", backend.name());
-    }
-    assert_eq!(seen, 2, "registry carries the x2 and x4 variants");
 }
