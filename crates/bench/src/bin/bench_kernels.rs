@@ -17,10 +17,11 @@
 //! Flags:
 //!
 //! * `--reps N` — timed repetitions per variant (default 7 fast / 3
-//!   reference; `ECNN_BENCH_REPS` kept as a fallback).
-//! * `--variant simd|simd-avx2|packed|reference` — run only the
+//!   reference / 9 per lane count for `lanes`; `ECNN_BENCH_REPS` kept as
+//!   a fallback).
+//! * `--variant simd|simd-avx2|packed|reference|lanes` — run only the
 //!   named variant (repeatable; default all). `simd-avx2` is skipped on a
-//!   host without AVX2.
+//!   host without AVX2. Every variant but `lanes` runs one lane.
 //! * `--json PATH` — output path (default `BENCH_kernels.json`).
 //!
 //! `mac_per_frame` and every `mac_per_s` count the accelerator's MACs
@@ -38,13 +39,24 @@
 //! (`PlanePool::peak_resident_bytes`), and `scratch_bytes`, the
 //! accumulators and other scratch at capacity
 //! (`PlanePool::scratch_bytes`).
+//!
+//! The `lanes` variant (`simd-edge-lanes` in the JSON; it selects
+//! `simd` too, for the block's MAC counts) times the edge
+//! block at one lane and at the host's lanes (`BlockPlan::with_lanes`,
+//! `available_parallelism`), alternating the two every rep, and times a
+//! fixed integer MAC chunk ([`Calibration`]) right before each block.
+//! Each block time is also reported scaled to the chunk's nominal speed,
+//! so runs on a host whose speed drifts compare. It records the lane
+//! forks per block and the cost of one fork (a scoped spawn and join of
+//! `lanes − 1` idle threads) as a share of the N-lane block.
 
 use ecnn_isa::compile::compile;
 use ecnn_isa::params::QuantizedModel;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_sim::exec::{execute_at, quantize_input, BlockPlan, Extents, Kernels, PlanePool};
 use ecnn_sim::SimdLevel;
-use ecnn_tensor::{ImageKind, SyntheticImage};
+use ecnn_tensor::{ImageKind, SyntheticImage, Tensor};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn median(mut ns: Vec<u128>) -> u128 {
@@ -96,6 +108,146 @@ fn cpu_features() -> Vec<&'static str> {
 /// The kept top-left `(rows, cols)` of the timed edge block.
 const EDGE_KEEP: (usize, usize) = (248, 344);
 
+/// Host-speed calibration: a fixed integer multiply-accumulate chunk,
+/// `i16` samples times `i16` weights into wrapping `i32` sums over 4 MB
+/// of buffers, about a third of the edge block's planes. A neighbour on a
+/// shared host slows every core for seconds at a time; a block time
+/// divided by the chunk time taken just before it cancels that drift to
+/// the degree the two slow alike. The chunk runs on one thread, so it
+/// tracks the calling core, not whether the others are free for lanes.
+struct Calibration {
+    x: Vec<i16>,
+    w: Vec<i16>,
+    acc: Vec<i32>,
+}
+
+impl Calibration {
+    /// Samples per buffer.
+    const LEN: usize = 1 << 19;
+    /// Chunk time on the idle 2-core AVX-512 VNNI VM `BENCH_kernels.json`
+    /// was recorded on (the lowest of four 9-rep medians), ns.
+    const NOMINAL_NS: f64 = 1_700_000.0;
+
+    fn new() -> Self {
+        Self {
+            x: (0..Self::LEN).map(|i| (i % 509) as i16 - 254).collect(),
+            w: (0..Self::LEN).map(|i| (i % 17) as i16 - 8).collect(),
+            acc: vec![0; Self::LEN],
+        }
+    }
+
+    /// Runs the chunk once and returns its time in ns.
+    fn chunk_ns(&mut self) -> u128 {
+        let t0 = Instant::now();
+        for pass in 0..4i32 {
+            let k = black_box(pass + 1);
+            for ((a, &x), &w) in self.acc.iter_mut().zip(&self.x).zip(&self.w) {
+                *a = a.wrapping_add(i32::from(x).wrapping_mul(i32::from(w) + k));
+            }
+        }
+        black_box(&mut self.acc);
+        t0.elapsed().as_nanos()
+    }
+
+    /// `ns` as if the chunk beside it had run at its nominal speed.
+    fn scaled(ns: u128, chunk_ns: u128) -> u128 {
+        (ns as f64 * Self::NOMINAL_NS / chunk_ns as f64) as u128
+    }
+}
+
+/// The median cost of one lane fork: a scoped spawn and join of
+/// `lanes − 1` threads that do nothing, as `BlockPlan::with_lanes` forks
+/// them once per instruction.
+fn fork_ns(lanes: usize) -> u128 {
+    let ns = (0..201)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::thread::scope(|s| {
+                for _ in 1..lanes {
+                    s.spawn(|| black_box(0));
+                }
+            });
+            t0.elapsed().as_nanos()
+        })
+        .collect();
+    median(ns)
+}
+
+/// Times the edge block `ext` of `plan` on the SIMD rung at one lane and
+/// at `lanes`, alternating which runs first every rep, with a calibration
+/// chunk before each block; checks that both lane counts produce the same
+/// block.
+fn time_lanes(
+    plan: &BlockPlan<'_>,
+    ext: &Extents,
+    codes: &Tensor<i16>,
+    lanes: usize,
+    reps: usize,
+) -> LaneTiming {
+    let plans = [plan.clone().with_lanes(1), plan.clone().with_lanes(lanes)];
+    let mut pools = [PlanePool::new(), PlanePool::new()];
+    let mut calib = Calibration::new();
+    let warm: Vec<_> = plans
+        .iter()
+        .zip(&mut pools)
+        .map(|(p, pool)| {
+            execute_at(p, ext, pool, codes, Kernels::Simd)
+                .expect("warm-up")
+                .clone()
+        })
+        .collect();
+    assert_eq!(warm[0], warm[1], "{lanes} lanes change the edge block");
+    let mark = pools[1].stats();
+    let (mut raw, mut scaled, mut chunks) = ([vec![], vec![]], [vec![], vec![]], vec![]);
+    for rep in 0..reps {
+        for k in [rep % 2, 1 - rep % 2] {
+            let chunk = calib.chunk_ns();
+            let t0 = Instant::now();
+            let out =
+                execute_at(&plans[k], ext, &mut pools[k], codes, Kernels::Simd).expect("block");
+            let ns = t0.elapsed().as_nanos();
+            black_box(out);
+            raw[k].push(ns);
+            scaled[k].push(Calibration::scaled(ns, chunk));
+            chunks.push(chunk);
+        }
+    }
+    let [raw1, rawn] = raw;
+    let [scaled1, scaledn] = scaled;
+    LaneTiming {
+        lanes,
+        reps,
+        one: (median(raw1), median(scaled1)),
+        many: (median(rawn), median(scaledn)),
+        chunk_ns: median(chunks),
+        forks_per_block: pools[1]
+            .stats()
+            .delta_since(&mark)
+            .per_frame(reps as u64)
+            .lane_forks,
+        fork_ns: fork_ns(lanes),
+    }
+}
+
+/// The `lanes` variant's result.
+struct LaneTiming {
+    lanes: usize,
+    reps: usize,
+    /// Median raw and scaled ns per block, at one lane and at `lanes`.
+    one: (u128, u128),
+    many: (u128, u128),
+    chunk_ns: u128,
+    forks_per_block: u64,
+    fork_ns: u128,
+}
+
+impl LaneTiming {
+    /// The forks' cost as a share of the N-lane block.
+    fn fork_share(&self) -> f64 {
+        (self.forks_per_block as u128 * self.fork_ns) as f64 / self.many.0 as f64
+    }
+}
+
 struct Measured {
     name: &'static str,
     median_ns: u128,
@@ -112,7 +264,7 @@ struct Measured {
 fn usage() -> ! {
     eprintln!(
         "usage: bench_kernels [--reps N] \
-         [--variant simd|simd-avx2|packed|reference]... \
+         [--variant simd|simd-avx2|packed|reference|lanes]... \
          [--json PATH]"
     );
     std::process::exit(2);
@@ -142,8 +294,14 @@ fn main() {
             _ => usage(),
         }
     }
+    if only.iter().any(|v| v == "lanes") && !only.iter().any(|v| v == "simd") {
+        only.push("simd".into());
+    }
     for v in &only {
-        if !matches!(v.as_str(), "simd" | "simd-avx2" | "packed" | "reference") {
+        if !matches!(
+            v.as_str(),
+            "simd" | "simd-avx2" | "packed" | "reference" | "lanes"
+        ) {
             eprintln!("unknown variant: {v}");
             usage();
         }
@@ -244,6 +402,40 @@ fn main() {
         }
     }
 
+    let lane_timing = (only.is_empty() || only.iter().any(|v| v == "lanes")).then(|| {
+        let lanes = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let t = time_lanes(
+            &plan,
+            &edge,
+            &codes,
+            lanes,
+            reps_override.unwrap_or(env_reps(9)),
+        );
+        let ms = |ns: u128| ns as f64 / 1e6;
+        println!(
+            "{:>9}: 1 lane {:.3} ms/block (scaled {:.3})  {} lanes {:.3} ms/block (scaled {:.3})  \
+             {:.2}x (scaled {:.2}x)  ({} reps, chunk {:.3} ms)",
+            "lanes",
+            ms(t.one.0),
+            ms(t.one.1),
+            t.lanes,
+            ms(t.many.0),
+            ms(t.many.1),
+            t.one.0 as f64 / t.many.0 as f64,
+            t.one.1 as f64 / t.many.1 as f64,
+            t.reps,
+            ms(t.chunk_ns),
+        );
+        println!(
+            "{:>9}: {} forks/block, {:.1} us per fork: {:.2}% of the {}-lane block",
+            "",
+            t.forks_per_block,
+            t.fork_ns as f64 / 1e3,
+            100.0 * t.fork_share(),
+            t.lanes,
+        );
+        t
+    });
     if results.is_empty() {
         eprintln!("no variant ran");
         std::process::exit(1);
@@ -339,6 +531,29 @@ fn main() {
     }
     if let Some(s) = speedup_edge {
         json.push_str(&format!("  \"speedup_simd_full_vs_edge\": {s:.3},\n"));
+    }
+    if let Some(t) = &lane_timing {
+        json.push_str(&format!(
+            "  \"simd-edge-lanes\": {{ \"lanes\": {}, \"reps\": {}, \
+             \"median_ns_1_lane\": {}, \"median_ns_n_lanes\": {}, \
+             \"scaled_ns_1_lane\": {}, \"scaled_ns_n_lanes\": {}, \
+             \"calib_chunk_ns\": {}, \"calib_nominal_ns\": {}, \
+             \"lane_forks_per_block\": {}, \"fork_ns\": {}, \"fork_share\": {:.5} }},\n  \
+             \"speedup_lanes\": {:.3},\n  \"speedup_lanes_scaled\": {:.3},\n",
+            t.lanes,
+            t.reps,
+            t.one.0,
+            t.many.0,
+            t.one.1,
+            t.many.1,
+            t.chunk_ns,
+            Calibration::NOMINAL_NS,
+            t.forks_per_block,
+            t.fork_ns,
+            t.fork_share(),
+            t.one.0 as f64 / t.many.0 as f64,
+            t.one.1 as f64 / t.many.1 as f64,
+        ));
     }
     json.push_str(&format!(
         "  \"steady_state_allocs_per_frame\": {steady_allocs},\n  \

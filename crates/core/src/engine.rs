@@ -712,8 +712,19 @@ impl Engine {
 
     /// Opens a streaming session that reuses block/stitch buffers across
     /// frames — the hot path for multi-frame traffic.
+    ///
+    /// The session runs on the calling thread, and each block's heavy
+    /// sweeps split their output rows across the host's cores
+    /// (`std::thread::available_parallelism`, at most
+    /// [`MAX_WORKERS`](crate::pipe::MAX_WORKERS)) through
+    /// [`BlockPlan::with_lanes`]; a sweep too small to pay for a thread
+    /// runs on the calling thread alone. Pixels and
+    /// [`ExecStats::work`] do not depend on the lane count.
     pub fn session(&self) -> Session<'_> {
-        Session::new(self)
+        let lanes = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(crate::pipe::MAX_WORKERS);
+        Session::new_with(self, self.resolved.kernels, self.coalesced, lanes)
     }
 
     /// Opens a session executing on an explicit degradation rung —
@@ -721,9 +732,11 @@ impl Engine {
     /// (program, plan geometry, quantization) unchanged. This is how the
     /// supervisor's workers fall Simd → Packed → Reference and coalesced
     /// → keyed without rebuilding the engine; every rung is
-    /// verifier-licensed and bit-identical.
+    /// verifier-licensed and bit-identical. The session runs every sweep
+    /// on one lane: a pipe worker is one of several threads that already
+    /// fill the cores with bands.
     pub fn session_at(&self, rung: DegradeRung) -> Session<'_> {
-        Session::new_with(self, rung.kernels, rung.coalesce)
+        Session::new_with(self, rung.kernels, rung.coalesce, 1)
     }
 
     /// Opens a pipelined session on `workers` long-lived worker threads:
@@ -899,6 +912,13 @@ impl Engine {
 /// — are allocated once and reused across blocks *and* frames, so
 /// steady-state streaming performs zero per-block allocations (observable
 /// via [`ExecStats::planes_allocated`]).
+///
+/// Blocks run one after another on the thread that calls
+/// [`Session::process`]. Within a block, the plan's lanes
+/// ([`BlockPlan::lanes`]) split each heavy sweep's rows across scoped
+/// threads joined before the next instruction: the host's cores for a
+/// session from [`Engine::session`], one lane for a pipe worker's
+/// ([`Engine::session_at`]). [`ExecStats::lane_forks`] counts the forks.
 pub struct Session<'e> {
     engine: &'e Engine,
     /// The engine program's execution plan (shape/lifetime of every plane).
@@ -929,13 +949,11 @@ pub struct Session<'e> {
 }
 
 impl<'e> Session<'e> {
-    fn new(engine: &'e Engine) -> Self {
-        Self::new_with(engine, engine.resolved.kernels, engine.coalesced)
-    }
-
-    fn new_with(engine: &'e Engine, kernels: Kernels, coalesced: bool) -> Self {
+    fn new_with(engine: &'e Engine, kernels: Kernels, coalesced: bool, lanes: usize) -> Self {
         let p = &engine.compiled().program;
-        let mut plan = BlockPlan::proven(&engine.proof).expect("engine build validated the plan");
+        let mut plan = BlockPlan::proven(&engine.proof)
+            .expect("engine build validated the plan")
+            .with_lanes(lanes);
         if !coalesced {
             plan.force_keyed();
         }

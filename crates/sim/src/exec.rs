@@ -217,6 +217,13 @@ pub struct ExecStats {
     /// [`Kernels::Simd`] ran *and* the plan carried `narrow_acc` range
     /// proofs.
     pub narrow_instrs: u64,
+    /// Instruction executions whose register-blocked sweep split its rows
+    /// across the plan's lanes ([`BlockPlan::with_lanes`]) on scoped
+    /// threads: one fork and one join each. Zero with one lane, and for
+    /// every sweep under [`FAN_OUT_MIN_MACS`] host MACs.
+    ///
+    /// [`FAN_OUT_MIN_MACS`]: kernels::simd::FAN_OUT_MIN_MACS
+    pub lane_forks: u64,
     /// Which kernel implementation produced these counters (merged across
     /// executions; [`KernelVariant::Mixed`] when they disagreed).
     pub kernel_variant: KernelVariant,
@@ -236,21 +243,23 @@ impl ExecStats {
         self.planes_reused += other.planes_reused;
         self.params_reused += other.params_reused;
         self.narrow_instrs += other.narrow_instrs;
+        self.lane_forks += other.lane_forks;
         self.kernel_variant = self.kernel_variant.merge(other.kernel_variant);
     }
 
-    /// The deterministic work counters alone: the pool-recycling and
-    /// packed-cache counters (which depend on arena warm-up state and
-    /// kernel path, not on the input) are zeroed. This is the subset that
-    /// is comparable across differently-warmed workers — e.g. a cold
-    /// one-shot run vs a streaming session, or differently sharded
-    /// executions of the same frame.
+    /// The deterministic work counters alone: the pool-recycling,
+    /// packed-cache and lane-fork counters (which depend on arena warm-up
+    /// state, kernel path and lane count, not on the input) are zeroed.
+    /// This is the subset that is comparable across differently-warmed
+    /// workers — e.g. a cold one-shot run vs a streaming session, or
+    /// differently sharded executions of the same frame.
     pub fn work(&self) -> ExecStats {
         ExecStats {
             planes_allocated: 0,
             planes_reused: 0,
             params_reused: 0,
             narrow_instrs: 0,
+            lane_forks: 0,
             kernel_variant: KernelVariant::None,
             ..*self
         }
@@ -278,6 +287,7 @@ impl ExecStats {
             planes_reused: self.planes_reused / frames,
             params_reused: self.params_reused / frames,
             narrow_instrs: self.narrow_instrs / frames,
+            lane_forks: self.lane_forks / frames,
             kernel_variant: self.kernel_variant,
         }
     }
@@ -298,6 +308,7 @@ impl ExecStats {
             planes_reused: self.planes_reused - mark.planes_reused,
             params_reused: self.params_reused - mark.params_reused,
             narrow_instrs: self.narrow_instrs - mark.narrow_instrs,
+            lane_forks: self.lane_forks - mark.lane_forks,
             kernel_variant: self.kernel_variant,
         }
     }
@@ -525,6 +536,9 @@ pub struct BlockPlan<'a> {
     /// The SIMD tier [`Kernels::Simd`] dispatches to, resolved once at
     /// plan time by runtime feature detection.
     simd: kernels::simd::SimdLevel,
+    /// The threads a register-blocked sweep splits its rows across (see
+    /// [`BlockPlan::with_lanes`]).
+    lanes: usize,
     /// Per-instruction live channel extents (see
     /// [`BlockPlan::live_channels`]).
     live: Vec<LiveChannels>,
@@ -814,6 +828,7 @@ impl<'a> BlockPlan<'a> {
             extents,
             packed: Vec::new(),
             simd: kernels::simd::detect(),
+            lanes: 1,
             live: live_extents,
             memplan,
             slots,
@@ -1076,6 +1091,31 @@ impl<'a> BlockPlan<'a> {
             self.simd = level;
             self
         })
+    }
+
+    /// This plan with every register-blocked sweep of a [`Kernels::Simd`]
+    /// execution (the 3×3 sweeps, the 1×1 accumulations and each `ER`'s
+    /// leaves) splitting its output rows across `lanes` threads: the
+    /// calling thread and `lanes − 1` scoped ones, joined once per
+    /// instruction ([`ExecStats::lane_forks`] counts the forks). Every
+    /// row is computed by the same code from the same complete input
+    /// plane, and the lanes write disjoint rows of the pool's planes, so
+    /// output blocks and [`ExecStats::work`] are the same at every lane
+    /// count. A sweep under [`FAN_OUT_MIN_MACS`] host MACs, and every
+    /// other kernel, runs on the calling thread. Plans start at one lane
+    /// (`0` is taken as one); `Engine::session` gives its plan the host's
+    /// cores.
+    ///
+    /// [`FAN_OUT_MIN_MACS`]: kernels::simd::FAN_OUT_MIN_MACS
+    pub fn with_lanes(mut self, lanes: usize) -> Self {
+        self.lanes = lanes.max(1);
+        self
+    }
+
+    /// The lanes a register-blocked sweep of this plan splits its rows
+    /// across ([`BlockPlan::with_lanes`]).
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
     /// The verifier-licensed coalesced memory layout, when one was proven
@@ -1878,10 +1918,12 @@ fn exec_conv3(
                 &ep,
                 &mut dst,
                 plan.simd,
+                plan.lanes,
             )
         });
         pool.arena.slots[dst_slot] = Some(dst);
-        assert!(ran?, "conv3_runs_blocked admitted the sweep");
+        let forked = ran?.expect("conv3_runs_blocked admitted the sweep");
+        pool.stats.lane_forks += u64::from(forked);
         Stage::Stored
     } else {
         let input = gather(
@@ -1900,7 +1942,16 @@ fn exec_conv3(
                 chh,
                 cw,
             );
-            kernels::conv3_acc_packed_simd_narrow(ins, input, &pk.conv3[0], live, acc, plan.simd);
+            let forked = kernels::conv3_acc_packed_simd_narrow(
+                ins,
+                input,
+                &pk.conv3[0],
+                live,
+                acc,
+                plan.simd,
+                plan.lanes,
+            );
+            pool.stats.lane_forks += u64::from(forked);
             Stage::Narrow
         } else {
             let acc = ensure_overwrite(
@@ -1985,10 +2036,15 @@ fn exec_conv1(
         let packed = pk.conv1.as_ref().expect("CONV1 packs a 1x1");
         let acc = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, h, w);
         kernels::fill_bias(acc, &packed.bias);
-        for leaf in 0..packed.leaves {
-            let base = leaf * LEAF_CH;
-            kernels::conv1_leaf_acc_packed_simd_narrow(packed, leaf, input, base, acc, plan.simd);
-        }
+        let forked = kernels::conv1_acc_packed_simd_narrow(
+            packed,
+            0..packed.leaves,
+            input,
+            acc,
+            plan.simd,
+            plan.lanes,
+        );
+        pool.stats.lane_forks += u64::from(forked);
     } else {
         let acc = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, h, w);
         if kind == Kernels::Reference {
@@ -2048,29 +2104,36 @@ fn exec_er(
         let (_, mid_ep) = narrow_epilogues(ins).expect("plan licenses supported epilogues only");
         let mid_ep = mid_ep.expect("ER carries a mid epilogue");
         let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-        {
-            let acc1 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, chh, cw);
-            kernels::fill_bias(acc1, &p1.bias);
-        }
-        for li in 0..leafs.len() {
-            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
-            // The register-blocked sweep does it in registers and stores
-            // codes; the row-kernel sweeps go through an `i32` plane.
-            let conv3 = &packed.conv3[li];
-            let full = LiveChannels::full(conv3.in_groups, conv3.out_planes);
-            let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
-            if !kernels::conv3_codes_packed_simd_narrow(
-                ins, input, conv3, full, &mid_ep, mid, plan.simd,
-            ) {
+        let acc1 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, chh, cw);
+        kernels::fill_bias(acc1, &p1.bias);
+        let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
+        if kernels::conv3_runs_blocked(ins, cw, plan.simd) {
+            // Expansion planes: CONV3x3 -> ReLU -> quantize to mid format
+            // in registers, stored as codes, then each leaf's LCONV1x1
+            // into the 32ch output; one fan-out runs every leaf.
+            let forked = simd::er_blocked_narrow(
+                plan.simd,
+                plan.lanes,
+                input,
+                &packed.conv3,
+                &mid_ep,
+                p1,
+                mid,
+                acc1,
+            )
+            .expect("conv3_runs_blocked admitted the sweep");
+            pool.stats.lane_forks += u64::from(forked);
+        } else {
+            // The row-kernel sweeps go through an `i32` plane.
+            for (li, conv3) in packed.conv3.iter().enumerate() {
+                let full = LiveChannels::full(conv3.in_groups, conv3.out_planes);
                 let acc3 = ensure_overwrite(&mut pool.acc_b32, &mut pool.stats, LEAF_CH, chh, cw);
-                kernels::conv3_acc_packed_simd_narrow(ins, input, conv3, full, acc3, plan.simd);
+                kernels::conv3_acc_packed_simd_narrow(ins, input, conv3, full, acc3, plan.simd, 1);
                 simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid, LEAF_CH);
+                kernels::conv1_acc_packed_simd_narrow(p1, li..li + 1, mid, acc1, plan.simd, 1);
             }
-            pool.stats.mac3 += mac3;
-            // LCONV1x1: plane's columns accumulate into the 32ch output.
-            let acc1 = pool.acc_a32.as_mut().expect("bias-filled above");
-            kernels::conv1_leaf_acc_packed_simd_narrow(p1, li, mid, 0, acc1, plan.simd);
         }
+        pool.stats.mac3 += mac3 * leafs.len() as u64;
     } else {
         {
             let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);

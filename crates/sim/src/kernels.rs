@@ -23,9 +23,10 @@
 //!   [`simd::BLOCKED_MIN_WIDTH`] wide, writes the biases itself (for
 //!   the ER mid plane it can requantize in registers and store codes)
 //!   and skips the plan's dead channels ([`simd::LiveChannels`]);
-//!   the 1×1 kernel covers planes of at least that many pixels.
-//!   Zero-padded sweeps, narrower planes, NEON and scalar keep the row
-//!   kernels.
+//!   the 1×1 kernel covers planes of at least that many pixels. Both
+//!   split a large sweep's rows across the plan's lanes (see
+//!   [`simd`]'s "Lanes"). Zero-padded sweeps, narrower planes, NEON and
+//!   scalar keep the row kernels, on the calling thread.
 //!
 //! The packed kernels accumulate in exact `i64` arithmetic, so any
 //! summation order produces bit-identical results; narrow kernels wrap
@@ -226,9 +227,10 @@ pub(crate) fn conv1_leaf_acc_packed(
 /// finishes the instruction with [`simd::epilogue_narrow`].
 /// Truncated-pyramid sweeps at least [`simd::BLOCKED_MIN_WIDTH`] wide run
 /// the register-blocked kernel on AVX-512/AVX2/SSE2 ([`conv3_runs_blocked`]),
-/// which writes the biases itself and computes only the `live` channel
-/// extents; everything else runs the row kernels over a bias-filled `acc`,
-/// every channel of it.
+/// which writes the biases itself, computes only the `live` channel
+/// extents and splits its rows across `lanes`; everything else runs the
+/// row kernels over a bias-filled `acc`, every channel of it, on this
+/// thread. Returns whether the sweep forked.
 pub(crate) fn conv3_acc_packed_simd_narrow(
     ins: &Instruction,
     input: &Tensor<i16>,
@@ -236,11 +238,12 @@ pub(crate) fn conv3_acc_packed_simd_narrow(
     live: LiveChannels,
     acc: &mut Tensor<i32>,
     level: SimdLevel,
-) {
-    if ins.inference == InferenceKind::TruncatedPyramid
-        && simd::conv3_blocked_narrow(level, input, packed, live, acc)
-    {
-        return;
+    lanes: usize,
+) -> bool {
+    if ins.inference == InferenceKind::TruncatedPyramid {
+        if let Some(forked) = simd::conv3_blocked_narrow(level, lanes, input, packed, live, acc) {
+            return forked;
+        }
     }
     conv3_row_sweep(
         ins,
@@ -250,6 +253,7 @@ pub(crate) fn conv3_acc_packed_simd_narrow(
         |a, r, t| simd::row_interior_narrow(level, a, r, t),
         |a, r, t| simd::row_padded_narrow(level, a, r, t),
     );
+    false
 }
 
 /// Whether [`conv3_acc_packed_simd_narrow`] runs `ins` at a conv output
@@ -262,10 +266,10 @@ pub(crate) fn conv3_runs_blocked(ins: &Instruction, out_w: usize, level: SimdLev
 /// [`conv3_acc_packed_simd_narrow`]'s register-blocked sweep with the
 /// srcS-free epilogue `ep` fused into its store
 /// ([`simd::conv3_blocked_codes`]): writes the `live` channels of `dst`
-/// codes, through the ×2 pixel shuffle for `UPX2`, and returns `true`, or
-/// returns `false`, leaving `dst` untouched, for the sweeps that run the
-/// row kernels ([`conv3_runs_blocked`] is `false`; the caller then goes
-/// through an `i32` plane).
+/// codes, through the ×2 pixel shuffle for `UPX2`, and returns whether it
+/// forked, or returns `None`, leaving `dst` untouched, for the sweeps
+/// that run the row kernels ([`conv3_runs_blocked`] is `false`).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn conv3_codes_packed_simd_narrow(
     ins: &Instruction,
     input: &Tensor<i16>,
@@ -274,34 +278,44 @@ pub(crate) fn conv3_codes_packed_simd_narrow(
     ep: &simd::NarrowEpilogue,
     dst: &mut Tensor<i16>,
     level: SimdLevel,
-) -> bool {
+    lanes: usize,
+) -> Option<bool> {
+    if ins.inference != InferenceKind::TruncatedPyramid {
+        return None;
+    }
     let shuffle = ins.opcode == Opcode::Upx2;
-    ins.inference == InferenceKind::TruncatedPyramid
-        && simd::conv3_blocked_codes(level, input, packed, live, ep, shuffle, dst)
+    simd::conv3_blocked_codes(level, lanes, input, packed, live, ep, shuffle, dst)
 }
 
-/// The verifier-licensed narrow variant of [`conv1_leaf_acc_packed`]
-/// (same license and exactness argument as
+/// The verifier-licensed narrow variant of [`conv1_leaf_acc_packed`] over
+/// the leaves `leaves`, leaf `leaves.start + k` reading `input` channels
+/// `32k..32k + 32` (same license and exactness argument as
 /// [`conv3_acc_packed_simd_narrow`]): the register-blocked kernel on
-/// AVX-512/AVX2/SSE2 for planes of at least [`simd::BLOCKED_MIN_WIDTH`] pixels,
-/// else one flat channel MAC per nonzero column.
-pub(crate) fn conv1_leaf_acc_packed_simd_narrow(
+/// AVX-512/AVX2/SSE2 for planes of at least [`simd::BLOCKED_MIN_WIDTH`]
+/// pixels, its pixels split across `lanes`, else one flat channel MAC per
+/// nonzero column on this thread. Returns whether it forked.
+pub(crate) fn conv1_acc_packed_simd_narrow(
     packed: &PackedConv1,
-    leaf: usize,
+    leaves: std::ops::Range<usize>,
     input: &Tensor<i16>,
-    chan_base: usize,
     acc: &mut Tensor<i32>,
     level: SimdLevel,
-) {
-    if simd::conv1_blocked_narrow(level, packed, leaf, input, chan_base, acc) {
-        return;
+    lanes: usize,
+) -> bool {
+    if let Some(forked) =
+        simd::conv1_blocked_narrow(level, lanes, packed, leaves.clone(), input, acc)
+    {
+        return forked;
     }
-    for oc in 0..LEAF_CH {
-        for &(ic, wv) in packed.row(leaf, oc) {
-            let src = input.channel(chan_base + ic as usize);
-            simd::ch_mac_narrow(level, acc.channel_mut(oc), src, wv);
+    for (k, leaf) in leaves.enumerate() {
+        for oc in 0..LEAF_CH {
+            for &(ic, wv) in packed.row(leaf, oc) {
+                let src = input.channel(k * LEAF_CH + ic as usize);
+                simd::ch_mac_narrow(level, acc.channel_mut(oc), src, wv);
+            }
         }
     }
+    false
 }
 
 /// The pre-packing scalar kernels, kept verbatim: per-MAC bounds-checked

@@ -123,12 +123,28 @@
 //!   (1×1) below [`BLOCKED_MIN_WIDTH`], NEON and scalar run the row
 //!   kernels below.
 //!
+//! # Lanes
+//!
+//! The register-blocked entry points take a lane count and split one
+//! sweep's output rows (the 1×1's pixels) into contiguous ranges, a few
+//! per lane. The calling thread and up to `lanes − 1` scoped threads
+//! (`std::thread::scope`) claim ranges until none is left, so a lane
+//! whose core is busy elsewhere takes fewer, and all are joined before
+//! the entry point returns. [`er_blocked_narrow`] runs a whole `ER`
+//! instruction in one such fan-out: for each range, a lane runs every
+//! leaf's 3×3 expansion and 1×1 reduction over those rows, so the mid
+//! rows it reads back are ones it wrote. Every row is computed by the
+//! same code from the same complete input plane as on one lane, so the
+//! split is bit-identical by construction; the lanes write disjoint rows
+//! of the caller's planes and allocate nothing. A sweep under
+//! [`FAN_OUT_MIN_MACS`] host MACs runs on the calling thread alone.
+//!
 //! # Safety
 //!
 //! This is the single module in the workspace allowed to contain `unsafe`
 //! (the crate root relaxes `forbid(unsafe_code)` to `deny`, and CI greps
 //! that the keyword appears nowhere else). All unsafe code is of exactly
-//! two shapes, each with a `SAFETY` comment at the block:
+//! three shapes, each with a `SAFETY` comment at the block:
 //!
 //! 1. calling a `#[target_feature]` function after [`detect`] confirmed
 //!    the feature at runtime;
@@ -136,7 +152,11 @@
 //!    condition establishes (`j + LANES <= n`, with the row-slice length
 //!    contracts documented on each public wrapper; the blocked kernels'
 //!    plane offsets are bounded by the shape checks of their safe
-//!    wrappers).
+//!    wrappers);
+//! 3. the lanes' shared planes: the blocked kernels store to (and the 1×1
+//!    reads from) a caller's plane through the raw pointer of a private
+//!    `LanePlane`, which is `Send` and `Sync` because each lane touches
+//!    only the rows of the ranges it claimed.
 #![allow(unsafe_code)]
 
 use ecnn_isa::instr::LEAF_CH;
@@ -144,6 +164,9 @@ use ecnn_isa::params::{
     PackedConv1, PackedConv3, CONV3_BLOCK_WORDS, IC_PAIRS, OC_BLOCK, OC_BLOCKS,
 };
 use ecnn_tensor::{QFormat, Tensor};
+use std::marker::PhantomData;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The instruction-set tier the row kernels dispatch on. All variants
@@ -346,15 +369,20 @@ mod avx2 {
     /// Pixels per register-blocked chunk.
     const LANES: usize = 16;
 
-    /// Register-blocked narrow 3×3 sweep (see [`super::conv3_blocked_narrow`])
-    /// over 16-pixel chunks.
+    /// Output rows `rows` of a register-blocked narrow 3×3 sweep (see
+    /// [`super::conv3_blocked_narrow`]) over 16-pixel chunks.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2.
+    /// The CPU must support AVX2, `rows.end <= s.out_h`, and no other
+    /// thread may touch `rows` of `out` meanwhile.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, out: &mut super::Conv3Store<'_>) {
-        for y in 0..s.out_h {
+    pub unsafe fn conv3_blocked(
+        s: &super::Conv3Sweep<'_>,
+        out: &super::Conv3Store<'_>,
+        rows: std::ops::Range<usize>,
+    ) {
+        for y in rows {
             for op_ in 0..s.out_planes {
                 for ocb in 0..s.live.blocks(op_) {
                     for x in super::chunk_starts(s.out_w, LANES) {
@@ -382,7 +410,7 @@ mod avx2 {
     #[inline]
     unsafe fn conv3_chunk(
         s: &super::Conv3Sweep<'_>,
-        out: &mut super::Conv3Store<'_>,
+        out: &super::Conv3Store<'_>,
         y: usize,
         op_: usize,
         ocb: usize,
@@ -445,14 +473,14 @@ mod avx2 {
                     let dst = ((oc0 + o) * chh + y) * cw + x;
                     // SAFETY: `oc0 + o < out_planes · 32`, `y < chh` and
                     // `x + 16 <= cw` bound both stores to row `y` of
-                    // channel `oc0 + o` of `acc`.
+                    // channel `oc0 + o` of `acc`, a row the caller owns.
                     unsafe {
                         _mm256_storeu_si256(
-                            acc.as_mut_ptr().add(dst) as *mut __m256i,
+                            acc.ptr.add(dst) as *mut __m256i,
                             _mm256_permute2x128_si256::<0x20>(lo[o], hi[o]),
                         );
                         _mm256_storeu_si256(
-                            acc.as_mut_ptr().add(dst + 8) as *mut __m256i,
+                            acc.ptr.add(dst + 8) as *mut __m256i,
                             _mm256_permute2x128_si256::<0x31>(lo[o], hi[o]),
                         );
                     }
@@ -468,7 +496,7 @@ mod avx2 {
                     // SAFETY: as for the accumulator stores, on an `i16`
                     // plane of the same rows that `Conv3Sweep::new`
                     // checked holds every live block's channels.
-                    unsafe { _mm256_storeu_si256(codes.as_mut_ptr().add(dst) as *mut __m256i, v) };
+                    unsafe { _mm256_storeu_si256(codes.ptr.add(dst) as *mut __m256i, v) };
                 }
             }
             super::Conv3Store::Shuffled(ep, codes) => {
@@ -493,11 +521,11 @@ mod avx2 {
                     // stores inside row `2y + dy` of channel `c`.
                     unsafe {
                         _mm256_storeu_si256(
-                            codes.as_mut_ptr().add(dst) as *mut __m256i,
+                            codes.ptr.add(dst) as *mut __m256i,
                             _mm256_permute2x128_si256::<0x20>(a, b),
                         );
                         _mm256_storeu_si256(
-                            codes.as_mut_ptr().add(dst + 16) as *mut __m256i,
+                            codes.ptr.add(dst + 16) as *mut __m256i,
                             _mm256_permute2x128_si256::<0x31>(a, b),
                         );
                     }
@@ -508,17 +536,18 @@ mod avx2 {
 
     /// Register-blocked narrow 1×1 accumulation of one leaf (see
     /// [`super::conv1_blocked_narrow`]) over every whole 16-pixel chunk of
-    /// the flat channel planes from pixel `from` on; returns the pixels
-    /// covered.
+    /// pixels `from..to` of the flat channel planes; returns the pixel
+    /// after the last chunk.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2.
+    /// The CPU must support AVX2, `to <= s.px`, and no other thread may
+    /// touch pixels `from..to` of the sweep's planes meanwhile.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, acc: &mut [i32], from: usize) -> usize {
+    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, from: usize, to: usize) -> usize {
         let n = s.px;
         let mut j = from;
-        while j + LANES <= n {
+        while j + LANES <= to {
             for ocb in 0..OC_BLOCKS {
                 let block = s.leaf * OC_BLOCKS + ocb;
                 let (mut lo, mut hi) = (
@@ -527,12 +556,13 @@ mod avx2 {
                 );
                 for o in 0..OC_BLOCK {
                     let a = (ocb * OC_BLOCK + o) * n + j;
-                    // SAFETY: `Conv1Sweep::new` checked `acc.len() == 32 · n`
-                    // and `j + 16 <= n` here.
+                    // SAFETY: `Conv1Sweep::new` checked the accumulator
+                    // holds 32 planes of `n` pixels, and `j + 16 <= to <= n`;
+                    // the caller owns pixels `from..to`.
                     let (a0, a1) = unsafe {
                         (
-                            _mm256_loadu_si256(acc.as_ptr().add(a) as *const __m256i),
-                            _mm256_loadu_si256(acc.as_ptr().add(a + 8) as *const __m256i),
+                            _mm256_loadu_si256(s.acc.add(a) as *const __m256i),
+                            _mm256_loadu_si256(s.acc.add(a + 8) as *const __m256i),
                         )
                     };
                     // Into the interleaved pixel order `madd` produces.
@@ -546,11 +576,11 @@ mod avx2 {
                     let even = (s.chan_base + 2 * p) * n + j;
                     // SAFETY: `Conv1Sweep::new` checked the input holds
                     // channels `chan_base..chan_base + 32` of `n` samples,
-                    // and `j + 16 <= n`.
+                    // and `j + 16 <= to <= n`.
                     let (a, b) = unsafe {
                         (
-                            _mm256_loadu_si256(s.input.as_ptr().add(even) as *const __m256i),
-                            _mm256_loadu_si256(s.input.as_ptr().add(even + n) as *const __m256i),
+                            _mm256_loadu_si256(s.input.add(even) as *const __m256i),
+                            _mm256_loadu_si256(s.input.add(even + n) as *const __m256i),
                         )
                     };
                     let il = _mm256_unpacklo_epi16(a, b);
@@ -567,11 +597,11 @@ mod avx2 {
                     // SAFETY: the same in-bounds span the loads above read.
                     unsafe {
                         _mm256_storeu_si256(
-                            acc.as_mut_ptr().add(a) as *mut __m256i,
+                            s.acc.add(a) as *mut __m256i,
                             _mm256_permute2x128_si256::<0x20>(lo[o], hi[o]),
                         );
                         _mm256_storeu_si256(
-                            acc.as_mut_ptr().add(a + 8) as *mut __m256i,
+                            s.acc.add(a + 8) as *mut __m256i,
                             _mm256_permute2x128_si256::<0x31>(lo[o], hi[o]),
                         );
                     }
@@ -755,16 +785,21 @@ mod avx512 {
         _mm512_min_epi32(_mm512_max_epi32(r, k.min), k.max)
     }
 
-    /// Register-blocked narrow 3×3 sweep (see
+    /// Output rows `rows` of a register-blocked narrow 3×3 sweep (see
     /// [`super::conv3_blocked_narrow`]) over 32-pixel chunks.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2, AVX-512F/BW and AVX-512 VNNI, and the
-    /// sweep must be at least 32 pixels wide.
+    /// The CPU must support AVX2, AVX-512F/BW and AVX-512 VNNI, the sweep
+    /// must be at least 32 pixels wide, `rows.end <= s.out_h`, and no
+    /// other thread may touch `rows` of `out` meanwhile.
     #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
-    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, out: &mut super::Conv3Store<'_>) {
-        for y in 0..s.out_h {
+    pub unsafe fn conv3_blocked(
+        s: &super::Conv3Sweep<'_>,
+        out: &super::Conv3Store<'_>,
+        rows: std::ops::Range<usize>,
+    ) {
+        for y in rows {
             for op_ in 0..s.out_planes {
                 for ocb in 0..s.live.blocks(op_) {
                     for x in super::chunk_starts(s.out_w, LANES) {
@@ -790,7 +825,7 @@ mod avx512 {
     #[inline]
     unsafe fn conv3_chunk(
         s: &super::Conv3Sweep<'_>,
-        out: &mut super::Conv3Store<'_>,
+        out: &super::Conv3Store<'_>,
         y: usize,
         op_: usize,
         ocb: usize,
@@ -849,8 +884,8 @@ mod avx512 {
                     // SAFETY: `x + 32 <= cw` bounds both stores to row `y`
                     // of channel `oc0 + o` of `acc`.
                     unsafe {
-                        _mm512_storeu_si512(acc.as_mut_ptr().add(dst) as *mut _, p0);
-                        _mm512_storeu_si512(acc.as_mut_ptr().add(dst + 16) as *mut _, p1);
+                        _mm512_storeu_si512(acc.ptr.add(dst) as *mut _, p0);
+                        _mm512_storeu_si512(acc.ptr.add(dst + 16) as *mut _, p1);
                     }
                 }
             }
@@ -864,7 +899,7 @@ mod avx512 {
                     // SAFETY: as for the accumulator stores, on an `i16`
                     // plane of the same rows that `Conv3Sweep::new`
                     // checked holds every live block's channels.
-                    unsafe { _mm512_storeu_si512(codes.as_mut_ptr().add(dst) as *mut _, v) };
+                    unsafe { _mm512_storeu_si512(codes.ptr.add(dst) as *mut _, v) };
                 }
             }
             super::Conv3Store::Shuffled(ep, codes) => {
@@ -888,38 +923,36 @@ mod avx512 {
                     // SAFETY: as in the AVX2 kernel, with
                     // `2x + 64 <= 2cw`.
                     unsafe {
-                        _mm512_storeu_si512(codes.as_mut_ptr().add(dst) as *mut _, a);
-                        _mm512_storeu_si512(codes.as_mut_ptr().add(dst + 32) as *mut _, b);
+                        _mm512_storeu_si512(codes.ptr.add(dst) as *mut _, a);
+                        _mm512_storeu_si512(codes.ptr.add(dst + 32) as *mut _, b);
                     }
                 }
             }
         }
     }
 
-    /// Register-blocked narrow 1×1 accumulation of one leaf (see
-    /// [`super::conv1_blocked_narrow`]) over every whole 32-pixel chunk of
-    /// the flat channel planes; returns the pixels covered.
+    /// The AVX2 `conv1_blocked` over whole 32-pixel chunks.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F/BW and VNNI.
+    /// As the AVX2 `conv1_blocked`, with AVX-512F/BW and VNNI for AVX2.
     #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
-    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, acc: &mut [i32]) -> usize {
+    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, from: usize, to: usize) -> usize {
         let n = s.px;
-        let mut j = 0usize;
-        while j + LANES <= n {
+        let mut j = from;
+        while j + LANES <= to {
             for ocb in 0..OC_BLOCKS {
                 let block = s.leaf * OC_BLOCKS + ocb;
                 let mut lo = [_mm512_setzero_si512(); OC_BLOCK];
                 let mut hi = lo;
                 for o in 0..OC_BLOCK {
                     let a = (ocb * OC_BLOCK + o) * n + j;
-                    // SAFETY: `Conv1Sweep::new` checked `acc.len() == 32 · n`
-                    // and `j + 32 <= n` here.
+                    // SAFETY: as in the AVX2 kernel, with
+                    // `j + 32 <= to <= n`.
                     let (a0, a1) = unsafe {
                         (
-                            _mm512_loadu_si512(acc.as_ptr().add(a) as *const _),
-                            _mm512_loadu_si512(acc.as_ptr().add(a + 16) as *const _),
+                            _mm512_loadu_si512(s.acc.add(a) as *const _),
+                            _mm512_loadu_si512(s.acc.add(a + 16) as *const _),
                         )
                     };
                     (lo[o], hi[o]) = from_pixel_order(a0, a1);
@@ -929,12 +962,12 @@ mod avx512 {
                         continue;
                     }
                     let even = (s.chan_base + 2 * p) * n + j;
-                    // SAFETY: input channels `chan_base..chan_base + 32` hold
-                    // `n` samples each and `j + 32 <= n`.
+                    // SAFETY: as in the AVX2 kernel, with
+                    // `j + 32 <= to <= n`.
                     let (a, b) = unsafe {
                         (
-                            _mm512_loadu_si512(s.input.as_ptr().add(even) as *const _),
-                            _mm512_loadu_si512(s.input.as_ptr().add(even + n) as *const _),
+                            _mm512_loadu_si512(s.input.add(even) as *const _),
+                            _mm512_loadu_si512(s.input.add(even + n) as *const _),
                         )
                     };
                     let il = _mm512_unpacklo_epi16(a, b);
@@ -951,8 +984,8 @@ mod avx512 {
                     let (p0, p1) = to_pixel_order(lo[o], hi[o]);
                     // SAFETY: the same in-bounds span the loads above read.
                     unsafe {
-                        _mm512_storeu_si512(acc.as_mut_ptr().add(a) as *mut _, p0);
-                        _mm512_storeu_si512(acc.as_mut_ptr().add(a + 16) as *mut _, p1);
+                        _mm512_storeu_si512(s.acc.add(a) as *mut _, p0);
+                        _mm512_storeu_si512(s.acc.add(a + 16) as *mut _, p1);
                     }
                 }
             }
@@ -1033,10 +1066,14 @@ mod sse2 {
     ///
     /// # Safety
     ///
-    /// The CPU must support SSE2.
+    /// As the AVX2 `conv3_blocked`, with SSE2 for AVX2.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn conv3_blocked(s: &super::Conv3Sweep<'_>, out: &mut super::Conv3Store<'_>) {
-        for y in 0..s.out_h {
+    pub unsafe fn conv3_blocked(
+        s: &super::Conv3Sweep<'_>,
+        out: &super::Conv3Store<'_>,
+        rows: std::ops::Range<usize>,
+    ) {
+        for y in rows {
             for op_ in 0..s.out_planes {
                 for ocb in 0..s.live.blocks(op_) {
                     for x in super::chunk_starts(s.out_w, 8) {
@@ -1060,7 +1097,7 @@ mod sse2 {
     #[inline]
     unsafe fn conv3_chunk(
         s: &super::Conv3Sweep<'_>,
-        out: &mut super::Conv3Store<'_>,
+        out: &super::Conv3Store<'_>,
         y: usize,
         op_: usize,
         ocb: usize,
@@ -1116,8 +1153,8 @@ mod sse2 {
                     // SAFETY: `x + 8 <= cw` bounds both stores to row `y`
                     // of channel `oc0 + o`.
                     unsafe {
-                        _mm_storeu_si128(acc.as_mut_ptr().add(dst) as *mut __m128i, lo[o]);
-                        _mm_storeu_si128(acc.as_mut_ptr().add(dst + 4) as *mut __m128i, hi[o]);
+                        _mm_storeu_si128(acc.ptr.add(dst) as *mut __m128i, lo[o]);
+                        _mm_storeu_si128(acc.ptr.add(dst + 4) as *mut __m128i, hi[o]);
                     }
                 }
             }
@@ -1129,7 +1166,7 @@ mod sse2 {
                     // SAFETY: as for the accumulator stores, on an `i16`
                     // plane of the same rows that `Conv3Sweep::new`
                     // checked holds every live block's channels.
-                    unsafe { _mm_storeu_si128(codes.as_mut_ptr().add(dst) as *mut __m128i, v) };
+                    unsafe { _mm_storeu_si128(codes.ptr.add(dst) as *mut __m128i, v) };
                 }
             }
             super::Conv3Store::Shuffled(ep, codes) => {
@@ -1147,11 +1184,11 @@ mod sse2 {
                     // `2x + 16 <= 2cw`.
                     unsafe {
                         _mm_storeu_si128(
-                            codes.as_mut_ptr().add(dst) as *mut __m128i,
+                            codes.ptr.add(dst) as *mut __m128i,
                             _mm_unpacklo_epi16(v[2 * dy], v[2 * dy + 1]),
                         );
                         _mm_storeu_si128(
-                            codes.as_mut_ptr().add(dst + 8) as *mut __m128i,
+                            codes.ptr.add(dst + 8) as *mut __m128i,
                             _mm_unpackhi_epi16(v[2 * dy], v[2 * dy + 1]),
                         );
                     }
@@ -1161,12 +1198,16 @@ mod sse2 {
     }
 
     /// SSE2 form of the AVX2 `conv1_blocked` over 8-pixel chunks.
+    ///
+    /// # Safety
+    ///
+    /// As the AVX2 `conv1_blocked`, with SSE2 for AVX2.
     #[target_feature(enable = "sse2")]
-    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, acc: &mut [i32]) -> usize {
+    pub unsafe fn conv1_blocked(s: &super::Conv1Sweep<'_>, from: usize, to: usize) -> usize {
         const LANES: usize = 8;
         let n = s.px;
-        let mut j = 0usize;
-        while j + LANES <= n {
+        let mut j = from;
+        while j + LANES <= to {
             for ocb in 0..OC_BLOCKS {
                 let block = s.leaf * OC_BLOCKS + ocb;
                 let (mut lo, mut hi) = (
@@ -1175,10 +1216,11 @@ mod sse2 {
                 );
                 for o in 0..OC_BLOCK {
                     let a = (ocb * OC_BLOCK + o) * n + j;
-                    // SAFETY: `acc.len() == 32 · n` and `j + 8 <= n`.
+                    // SAFETY: as in the AVX2 kernel, with
+                    // `j + 8 <= to <= n`.
                     unsafe {
-                        lo[o] = _mm_loadu_si128(acc.as_ptr().add(a) as *const __m128i);
-                        hi[o] = _mm_loadu_si128(acc.as_ptr().add(a + 4) as *const __m128i);
+                        lo[o] = _mm_loadu_si128(s.acc.add(a) as *const __m128i);
+                        hi[o] = _mm_loadu_si128(s.acc.add(a + 4) as *const __m128i);
                     }
                 }
                 for p in 0..IC_PAIRS {
@@ -1186,12 +1228,12 @@ mod sse2 {
                         continue;
                     }
                     let even = (s.chan_base + 2 * p) * n + j;
-                    // SAFETY: input channels `chan_base..chan_base + 32` hold
-                    // `n` samples each and `j + 8 <= n`.
+                    // SAFETY: as in the AVX2 kernel, with
+                    // `j + 8 <= to <= n`.
                     let (a, b) = unsafe {
                         (
-                            _mm_loadu_si128(s.input.as_ptr().add(even) as *const __m128i),
-                            _mm_loadu_si128(s.input.as_ptr().add(even + n) as *const __m128i),
+                            _mm_loadu_si128(s.input.add(even) as *const __m128i),
+                            _mm_loadu_si128(s.input.add(even + n) as *const __m128i),
                         )
                     };
                     let il = _mm_unpacklo_epi16(a, b);
@@ -1207,8 +1249,8 @@ mod sse2 {
                     let a = (ocb * OC_BLOCK + o) * n + j;
                     // SAFETY: the same in-bounds span the loads above read.
                     unsafe {
-                        _mm_storeu_si128(acc.as_mut_ptr().add(a) as *mut __m128i, lo[o]);
-                        _mm_storeu_si128(acc.as_mut_ptr().add(a + 4) as *mut __m128i, hi[o]);
+                        _mm_storeu_si128(s.acc.add(a) as *mut __m128i, lo[o]);
+                        _mm_storeu_si128(s.acc.add(a + 4) as *mut __m128i, hi[o]);
                     }
                 }
             }
@@ -1549,10 +1591,48 @@ impl<'a> Conv3Sweep<'a> {
     }
 }
 
+/// A plane the lanes of one row fan-out ([`fan_out`]) write, and read
+/// back, through a raw pointer. Each lane touches only the output rows
+/// (or pixels) of the ranges it claimed, so no element is touched by two
+/// lanes, and the `&mut` borrow the plane was made from keeps every other
+/// access out for `'a`.
+#[derive(Clone, Copy)]
+struct LanePlane<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _plane: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: a `LanePlane` crosses threads only into the lanes of one
+// fan-out, which touch disjoint rows of it (see the type's docs), and
+// `T: Send` lets its elements be written from those threads.
+unsafe impl<T: Send> Send for LanePlane<'_, T> {}
+// SAFETY: as for `Send`: the lanes sharing it never touch one element.
+unsafe impl<T: Send> Sync for LanePlane<'_, T> {}
+
+impl<'a, T> LanePlane<'a, T> {
+    fn new(plane: &'a mut [T]) -> Self {
+        Self {
+            ptr: plane.as_mut_ptr(),
+            len: plane.len(),
+            _plane: PhantomData,
+        }
+    }
+
+    /// The plane as a read-only input, for a lane to read back what it
+    /// wrote.
+    fn input(&self) -> (*const T, usize) {
+        (self.ptr.cast_const(), self.len)
+    }
+}
+
 /// The bounds-checked operands of one leaf's register-blocked 1×1 pass.
+/// Both planes are raw: in an `ER` fan-out the input is the mid plane,
+/// other rows of which other lanes are writing.
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 struct Conv1Sweep<'a> {
-    input: &'a [i16],
+    input: *const i16,
+    acc: *mut i32,
     /// Pixels per channel plane (input and accumulator alike).
     px: usize,
     chan_base: usize,
@@ -1562,23 +1642,27 @@ struct Conv1Sweep<'a> {
 }
 
 impl<'a> Conv1Sweep<'a> {
+    /// Leaf `leaf` of `packed`, from the `input_len` samples at `input`
+    /// (channels `chan_base..chan_base + 32` read) into the 32 planes of
+    /// `acc`; every plane holds the same number of pixels.
     fn new(
         packed: &'a PackedConv1,
         leaf: usize,
-        input: &'a Tensor<i16>,
+        (input, input_len): (*const i16, usize),
         chan_base: usize,
-        acc: &Tensor<i32>,
+        acc: LanePlane<'_, i32>,
     ) -> Self {
-        let px = acc.height() * acc.width();
-        assert!(acc.channels() == LEAF_CH && input.height() * input.width() == px);
-        assert!(input.channels() >= chan_base + LEAF_CH && leaf < packed.leaves);
+        let px = acc.len / LEAF_CH;
+        assert!(acc.len == LEAF_CH * px && input_len >= (chan_base + LEAF_CH) * px);
+        assert!(leaf < packed.leaves);
         assert_eq!(packed.words.len(), packed.leaves * LEAF_CH * IC_PAIRS);
         assert_eq!(
             packed.block_mask.len(),
             packed.leaves * OC_BLOCKS * IC_PAIRS
         );
         Self {
-            input: input.as_slice(),
+            input,
+            acc: acc.ptr,
             px,
             chan_base,
             leaf,
@@ -1594,18 +1678,18 @@ impl<'a> Conv1Sweep<'a> {
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 enum Conv3Store<'a> {
     /// The raw `i32` accumulators, `channels × chh × cw`.
-    Acc(&'a mut [i32]),
+    Acc(LanePlane<'a, i32>),
     /// Destination codes, `channels × chh × cw`: the srcS-free epilogue
     /// applied to the registers, then a saturating pack to `i16` (exact,
     /// since the lanes are already clamped to the code range).
-    Codes(&'a NarrowEpilogue, &'a mut [i16]),
+    Codes(&'a NarrowEpilogue, LanePlane<'a, i16>),
     /// [`Conv3Store::Codes`] through the ×2 pixel shuffle of `UPX2`,
     /// `channels / 4 × 2chh × 2cw`. The shuffle takes pre-shuffle channel
     /// `4c + 2dy + dx` to phase `(dy, dx)` of channel `c`, so the 4
     /// accumulators of output block `ocb` of plane `op_` are the 4 phases
     /// of channel `8·op_ + ocb`: each chunk interleaves them into rows
     /// `2y` and `2y + 1` of that channel.
-    Shuffled(&'a NarrowEpilogue, &'a mut [i16]),
+    Shuffled(&'a NarrowEpilogue, LanePlane<'a, i16>),
 }
 
 // The shuffled store's 4 phases per block.
@@ -1615,8 +1699,8 @@ impl Conv3Store<'_> {
     /// Elements the store can hold.
     fn len(&self) -> usize {
         match self {
-            Conv3Store::Acc(a) => a.len(),
-            Conv3Store::Codes(_, c) | Conv3Store::Shuffled(_, c) => c.len(),
+            Conv3Store::Acc(a) => a.len,
+            Conv3Store::Codes(_, c) | Conv3Store::Shuffled(_, c) => c.len,
         }
     }
 }
@@ -1630,61 +1714,130 @@ fn chunk_starts(width: usize, lanes: usize) -> impl Iterator<Item = usize> {
     (0..width.div_ceil(lanes)).map(move |i| (i * lanes).min(width - lanes))
 }
 
+/// Whether `level` has register-blocked kernels at all.
+fn blocked_rung(level: SimdLevel) -> bool {
+    cfg!(target_arch = "x86_64")
+        && matches!(level, SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2)
+}
+
 /// Whether [`conv3_blocked_narrow`] and [`conv3_blocked_codes`] run,
 /// rather than decline, a sweep whose conv output is `out_w` columns wide
 /// at `level`.
 pub(crate) fn conv3_blocked_covers(level: SimdLevel, out_w: usize) -> bool {
-    cfg!(target_arch = "x86_64")
-        && matches!(level, SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2)
-        && out_w >= BLOCKED_MIN_WIDTH
+    blocked_rung(level) && out_w >= BLOCKED_MIN_WIDTH
 }
 
-/// The rung dispatch of [`conv3_blocked_narrow`] and
-/// [`conv3_blocked_codes`]: AVX-512 for sweeps of at least 32 columns,
-/// AVX2 for narrower ones on that rung.
-fn conv3_blocked(
-    level: SimdLevel,
-    input: &Tensor<i16>,
-    packed: &PackedConv3,
-    (out_h, out_w): (usize, usize),
-    live: LiveChannels,
-    mut out: Conv3Store<'_>,
-) -> bool {
-    if !conv3_blocked_covers(level, out_w) {
+/// Host MACs below which a fanned-out sweep runs on the calling thread
+/// alone. A scoped spawn and join costs about 20 µs; a sweep of this size
+/// takes about 0.6 ms on one core, so splitting it pays that back.
+pub const FAN_OUT_MIN_MACS: u64 = 1 << 25;
+
+/// Ranges per lane a fan-out splits its rows into.
+const RANGES_PER_LANE: usize = 8;
+
+/// Runs `lane` over `0..rows` in contiguous ranges, `RANGES_PER_LANE`
+/// per lane (one row each when the rows are fewer), on at most `lanes`
+/// threads: the calling one and scoped ones, all joined before it returns
+/// (a lane's panic resumes here). Each thread claims the next range until
+/// none is left, so a lane whose core is busy elsewhere takes fewer and
+/// the sweep does not wait on it. One lane, a single row, or fewer than
+/// [`FAN_OUT_MIN_MACS`] `macs` runs inline. Returns whether it forked.
+fn fan_out(lanes: usize, rows: usize, macs: u64, lane: impl Fn(Range<usize>) + Sync) -> bool {
+    let lanes = lanes.min(rows);
+    if lanes < 2 || macs < FAN_OUT_MIN_MACS {
+        lane(0..rows);
         return false;
     }
+    let ranges = rows.min(lanes * RANGES_PER_LANE);
+    // Only hands out range indices; the join publishes the lanes' writes.
+    let next = AtomicUsize::new(0);
+    let claim = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= ranges {
+            break;
+        }
+        lane(rows * i / ranges..rows * (i + 1) / ranges);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..lanes {
+            // The threads already running claim what a refused one would.
+            if std::thread::Builder::new().spawn_scoped(s, claim).is_err() {
+                break;
+            }
+        }
+        claim();
+    });
+    true
+}
+
+/// Output rows `rows` of the sweep `s` into `out` at `level`, which
+/// [`conv3_blocked_covers`] admitted; no other lane may touch those rows
+/// of `out` meanwhile.
+///
+/// # Panics
+///
+/// Panics if `rows` ends past the sweep or this CPU cannot run `level`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn conv3_rows(level: SimdLevel, s: &Conv3Sweep<'_>, out: &Conv3Store<'_>, rows: Range<usize>) {
+    assert!(rows.end <= s.out_h, "rows {rows:?} of {}", s.out_h);
     assert!(level.is_available(), "{level} is not available on this CPU");
-    let sweep = Conv3Sweep::new(input, packed, (out_h, out_w), live, &out);
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` is available (asserted above): `detect` observed
         // AVX2, AVX-512F/BW and AVX-512 VNNI. The guard is the kernel's
-        // 32-column minimum.
-        SimdLevel::Avx512 if out_w >= avx512::LANES => unsafe {
-            avx512::conv3_blocked(&sweep, &mut out)
+        // 32-column minimum; `rows` lies in the sweep (asserted above) and
+        // is the caller's own.
+        SimdLevel::Avx512 if s.out_w >= avx512::LANES => unsafe {
+            avx512::conv3_blocked(s, out, rows)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an available `Avx512` or `Avx2` level means `detect`
-        // observed AVX2.
-        SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::conv3_blocked(&sweep, &mut out) },
+        // observed AVX2; `rows` as above.
+        SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::conv3_blocked(s, out, rows) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: an available `Sse2` level means `detect` observed SSE2.
-        SimdLevel::Sse2 => unsafe { sse2::conv3_blocked(&sweep, &mut out) },
-        _ => return false,
+        // SAFETY: an available `Sse2` level means `detect` observed SSE2;
+        // `rows` as above.
+        SimdLevel::Sse2 => unsafe { sse2::conv3_blocked(s, out, rows) },
+        _ => unreachable!("{level} has no register-blocked 3x3 kernel"),
     }
-    true
+}
+
+/// The rung dispatch of [`conv3_blocked_narrow`] and
+/// [`conv3_blocked_codes`]: AVX-512 for sweeps of at least 32 columns,
+/// AVX2 for narrower ones on that rung, the output rows fanned out
+/// across `lanes`.
+fn conv3_blocked(
+    level: SimdLevel,
+    lanes: usize,
+    input: &Tensor<i16>,
+    packed: &PackedConv3,
+    (out_h, out_w): (usize, usize),
+    live: LiveChannels,
+    out: Conv3Store<'_>,
+) -> Option<bool> {
+    if !conv3_blocked_covers(level, out_w) {
+        return None;
+    }
+    let sweep = Conv3Sweep::new(input, packed, (out_h, out_w), live, &out);
+    let macs = (live.input * live.output * 9 * out_h * out_w) as u64;
+    Some(fan_out(lanes, out_h, macs, |rows| {
+        conv3_rows(level, &sweep, &out, rows)
+    }))
 }
 
 /// Register-blocked narrow 3×3 sweep of a truncated-pyramid conv:
 /// overwrites every element of the `live` output blocks of `acc`
 /// (`out_planes·32 × chh × cw`) with the bias plus the taps of the
 /// `live` input pairs, reading `input` rows `y..y+3`, columns `x..x+3`
-/// for output `(y, x)`; dead blocks keep whatever `acc` held. Returns
-/// `false`, leaving `acc` untouched, when `level` has no blocked kernel
-/// or `cw` is below [`BLOCKED_MIN_WIDTH`]; the caller then runs the row
-/// kernels. Exact under the same `narrow_acc` license as
-/// [`row_interior_narrow`] (see the module docs for the multiply-adds'
-/// one wrap), provided the source channels past `live.input` are zero.
+/// for output `(y, x)`; dead blocks keep whatever `acc` held. The output
+/// rows are split across `lanes` threads ([`FAN_OUT_MIN_MACS`] keeps
+/// small sweeps on this one), each computing its rows exactly as one
+/// thread would. Returns whether it forked, or `None`, leaving `acc`
+/// untouched, when `level` has no blocked kernel or `cw` is below
+/// [`BLOCKED_MIN_WIDTH`]; the caller then runs the row kernels. Exact
+/// under the same `narrow_acc` license as [`row_interior_narrow`] (see
+/// the module docs for the multiply-adds' one wrap), provided the source
+/// channels past `live.input` are zero.
 ///
 /// # Panics
 ///
@@ -1693,21 +1846,16 @@ fn conv3_blocked(
 /// cannot run `level` ([`SimdLevel::is_available`]).
 pub fn conv3_blocked_narrow(
     level: SimdLevel,
+    lanes: usize,
     input: &Tensor<i16>,
     packed: &PackedConv3,
     live: LiveChannels,
     acc: &mut Tensor<i32>,
-) -> bool {
+) -> Option<bool> {
     let (out_c, out_h, out_w) = acc.shape();
     assert_eq!(out_c, packed.out_planes * LEAF_CH, "accumulator channels");
-    conv3_blocked(
-        level,
-        input,
-        packed,
-        (out_h, out_w),
-        live,
-        Conv3Store::Acc(acc.as_mut_slice()),
-    )
+    let store = Conv3Store::Acc(LanePlane::new(acc.as_mut_slice()));
+    conv3_blocked(level, lanes, input, packed, (out_h, out_w), live, store)
 }
 
 /// [`conv3_blocked_narrow`] with the srcS-free fused epilogue in its
@@ -1720,85 +1868,175 @@ pub fn conv3_blocked_narrow(
 /// plane, twice the conv output in each dimension. `dst` needs only the
 /// `live` output channels, rounded up to whole `OC_BLOCK`s (each block
 /// is one channel after a shuffle); the sweep writes every element of
-/// those and nothing else. Returns `false`, leaving `dst` untouched,
-/// exactly when [`conv3_blocked_narrow`] would.
+/// those and nothing else. Lanes and the return value are as for
+/// [`conv3_blocked_narrow`].
 ///
 /// # Panics
 ///
 /// As [`conv3_blocked_narrow`], with `dst` in place of `acc`, and if
 /// `dst` has fewer channels than the live blocks or, with `shuffle`, odd
 /// dimensions.
+#[allow(clippy::too_many_arguments)]
 pub fn conv3_blocked_codes(
     level: SimdLevel,
+    lanes: usize,
     input: &Tensor<i16>,
     packed: &PackedConv3,
     live: LiveChannels,
     ep: &NarrowEpilogue,
     shuffle: bool,
     dst: &mut Tensor<i16>,
-) -> bool {
+) -> Option<bool> {
     let (_, h, w) = dst.shape();
+    let codes = LanePlane::new(dst.as_mut_slice());
     if !shuffle {
-        let codes = Conv3Store::Codes(ep, dst.as_mut_slice());
-        return conv3_blocked(level, input, packed, (h, w), live, codes);
+        let store = Conv3Store::Codes(ep, codes);
+        return conv3_blocked(level, lanes, input, packed, (h, w), live, store);
     }
     assert!(
         h % 2 == 0 && w % 2 == 0,
         "a shuffled plane has even dimensions, not {h}x{w}"
     );
-    let codes = Conv3Store::Shuffled(ep, dst.as_mut_slice());
-    conv3_blocked(level, input, packed, (h / 2, w / 2), live, codes)
+    let store = Conv3Store::Shuffled(ep, codes);
+    conv3_blocked(level, lanes, input, packed, (h / 2, w / 2), live, store)
 }
 
-/// Register-blocked narrow 1×1 accumulation of leaf `leaf`:
-/// `acc[oc] += Σ_ic w[oc][ic] · input[chan_base + ic]` over the flat
-/// channel planes. Whole chunks run blocked; the last `px mod chunk`
-/// pixels run the scalar loop over the compacted nonzero columns.
-/// Returns `false`, leaving `acc` untouched, when `level` has no blocked
-/// kernel or a plane has fewer than [`BLOCKED_MIN_WIDTH`] pixels.
+/// Pixels `pixels` of the 1×1 pass `s` of `packed` at `level`: whole
+/// chunks blocked, the rest scalar over the compacted nonzero columns.
+/// No other lane may touch those pixels of either plane meanwhile.
+///
+/// # Panics
+///
+/// Panics if `pixels` ends past the planes or `level` has no blocked
+/// kernel this CPU can run.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unreachable_code, unused_variables))]
+fn conv1_pixels(level: SimdLevel, s: &Conv1Sweep<'_>, packed: &PackedConv1, pixels: Range<usize>) {
+    let (from, to) = (pixels.start, pixels.end);
+    assert!(from <= to && to <= s.px, "pixels {pixels:?} of {}", s.px);
+    assert!(level.is_available(), "{level} is not available on this CPU");
+    let done = match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level` is available (asserted above): `detect` observed
+        // AVX2, AVX-512F/BW and AVX-512 VNNI. `from..to` lies in the planes
+        // (asserted above) and is the caller's own. AVX2 takes one more
+        // 16-pixel chunk when at least 16 pixels are left.
+        SimdLevel::Avx512 => unsafe {
+            let done = avx512::conv1_blocked(s, from, to);
+            avx2::conv1_blocked(s, done, to)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an available `Avx2` level means `detect` observed AVX2;
+        // the pixels as above.
+        SimdLevel::Avx2 => unsafe { avx2::conv1_blocked(s, from, to) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an available `Sse2` level means `detect` observed SSE2;
+        // the pixels as above.
+        SimdLevel::Sse2 => unsafe { sse2::conv1_blocked(s, from, to) },
+        _ => unreachable!("{level} has no register-blocked 1x1 kernel"),
+    };
+    for oc in 0..LEAF_CH {
+        for &(ic, w) in packed.row(s.leaf, oc) {
+            let src = (s.chan_base + ic as usize) * s.px + done;
+            // SAFETY: `Conv1Sweep::new` checked that both planes hold `px`
+            // pixels of these channels, `done..to` lies in `pixels`, and
+            // no other lane touches those pixels meanwhile.
+            let (acc, src) = unsafe {
+                (
+                    std::slice::from_raw_parts_mut(s.acc.add(oc * s.px + done), to - done),
+                    std::slice::from_raw_parts(s.input.add(src), to - done),
+                )
+            };
+            scalar_ch_mac_narrow(acc, src, w);
+        }
+    }
+}
+
+/// Register-blocked narrow 1×1 accumulation of the leaves `leaves`,
+/// leaf `leaves.start + k` reading `input` channels `32k..32k + 32`:
+/// `acc[oc] += Σ_ic w[oc][ic] · input[32k + ic]` over the flat channel
+/// planes, leaf by leaf. The pixels are split across `lanes` threads as
+/// [`conv3_blocked_narrow`] splits rows. Whole chunks run blocked; the
+/// last `n mod chunk` pixels of a lane's `n` run the scalar loop over
+/// the compacted nonzero columns, which wraps to the same `i32` sums.
+/// Returns whether it forked, or `None`, leaving `acc` untouched, when
+/// `level` has no blocked kernel or a plane has fewer than
+/// [`BLOCKED_MIN_WIDTH`] pixels.
 ///
 /// # Panics
 ///
 /// Panics if the input and accumulator planes differ in size, `input`
-/// lacks channels `chan_base..chan_base + 32`, or this CPU cannot run
-/// `level` ([`SimdLevel::is_available`]).
+/// lacks a leaf's channels, `leaves` exceeds `packed`, or this CPU
+/// cannot run `level` ([`SimdLevel::is_available`]).
 pub fn conv1_blocked_narrow(
     level: SimdLevel,
+    lanes: usize,
     packed: &PackedConv1,
-    leaf: usize,
+    leaves: Range<usize>,
     input: &Tensor<i16>,
-    chan_base: usize,
     acc: &mut Tensor<i32>,
-) -> bool {
-    if acc.height() * acc.width() < BLOCKED_MIN_WIDTH {
-        return false;
+) -> Option<bool> {
+    let px = acc.height() * acc.width();
+    if px < BLOCKED_MIN_WIDTH || !blocked_rung(level) {
+        return None;
     }
-    assert!(level.is_available(), "{level} is not available on this CPU");
-    let sweep = Conv1Sweep::new(packed, leaf, input, chan_base, acc);
-    let done = match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level` is available (asserted above): `detect` observed
-        // AVX2, AVX-512F/BW and AVX-512 VNNI. AVX2 takes one more
-        // 16-pixel chunk when at least 16 pixels are left.
-        SimdLevel::Avx512 => unsafe {
-            let done = avx512::conv1_blocked(&sweep, acc.as_mut_slice());
-            avx2::conv1_blocked(&sweep, acc.as_mut_slice(), done)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an available `Avx2` level means `detect` observed AVX2.
-        SimdLevel::Avx2 => unsafe { avx2::conv1_blocked(&sweep, acc.as_mut_slice(), 0) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an available `Sse2` level means `detect` observed SSE2.
-        SimdLevel::Sse2 => unsafe { sse2::conv1_blocked(&sweep, acc.as_mut_slice()) },
-        _ => return false,
-    };
-    for oc in 0..LEAF_CH {
-        for &(ic, w) in packed.row(leaf, oc) {
-            let src = &input.channel(chan_base + ic as usize)[done..];
-            scalar_ch_mac_narrow(&mut acc.channel_mut(oc)[done..], src, w);
+    assert!(acc.channels() == LEAF_CH && input.height() * input.width() == px);
+    assert!(leaves.end <= packed.leaves && input.channels() >= leaves.len() * LEAF_CH);
+    let acc = LanePlane::new(acc.as_mut_slice());
+    let macs = (leaves.len() * LEAF_CH * LEAF_CH * px) as u64;
+    Some(fan_out(lanes, px, macs, |pixels| {
+        let raw = (input.as_slice().as_ptr(), input.as_slice().len());
+        for (k, leaf) in leaves.clone().enumerate() {
+            let s = Conv1Sweep::new(packed, leaf, raw, k * LEAF_CH, acc);
+            conv1_pixels(level, &s, packed, pixels.clone());
         }
+    }))
+}
+
+/// The register-blocked narrow body of an `ER` instruction: for each
+/// leaf, the 3×3 expansion of `input` with the mid requantizer `ep`
+/// fused into its store (as [`conv3_blocked_codes`] into `mid`), then
+/// that leaf's 1×1 accumulation of `mid` into `acc`, which the caller
+/// bias-filled (as [`conv1_blocked_narrow`]). One fan-out across `lanes`
+/// covers every leaf: a lane runs all of them over its own conv rows, so
+/// the `mid` rows it reads back are the ones it wrote. Returns whether it
+/// forked, or `None`, leaving both planes untouched, exactly when
+/// [`conv3_blocked_codes`] would decline the sweep.
+///
+/// # Panics
+///
+/// As [`conv3_blocked_codes`] and [`conv1_blocked_narrow`], and if `mid`
+/// or `acc` is not 32 channels of the conv output, or `conv3` and
+/// `conv1` disagree on the leaves.
+#[allow(clippy::too_many_arguments)]
+pub fn er_blocked_narrow(
+    level: SimdLevel,
+    lanes: usize,
+    input: &Tensor<i16>,
+    conv3: &[PackedConv3],
+    ep: &NarrowEpilogue,
+    conv1: &PackedConv1,
+    mid: &mut Tensor<i16>,
+    acc: &mut Tensor<i32>,
+) -> Option<bool> {
+    let (_, h, w) = acc.shape();
+    if !conv3_blocked_covers(level, w) {
+        return None;
     }
-    true
+    assert!(acc.channels() == LEAF_CH && mid.shape() == (LEAF_CH, h, w));
+    assert_eq!(conv3.len(), conv1.leaves, "ER leaves");
+    let mid = LanePlane::new(mid.as_mut_slice());
+    let acc = LanePlane::new(acc.as_mut_slice());
+    let store = Conv3Store::Codes(ep, mid);
+    let macs = (conv3.len() * LEAF_CH * LEAF_CH * 10 * h * w) as u64;
+    Some(fan_out(lanes, h, macs, |rows| {
+        for (leaf, c3) in conv3.iter().enumerate() {
+            let live = LiveChannels::full(c3.in_groups, c3.out_planes);
+            let sweep = Conv3Sweep::new(input, c3, (h, w), live, &store);
+            conv3_rows(level, &sweep, &store, rows.clone());
+            let s = Conv1Sweep::new(conv1, leaf, mid.input(), 0, acc);
+            conv1_pixels(level, &s, conv1, rows.start * w..rows.end * w);
+        }
+    }))
 }
 
 /// The constants of one fused narrow epilogue ([`epilogue_narrow`]): the
@@ -2159,9 +2397,9 @@ mod tests {
                 let want = scalar_conv3(&input, &p, chh, cw);
                 for &l in &levels() {
                     let mut acc = Tensor::from_fn(p.out_planes * LEAF_CH, chh, cw, |_, _, _| -7);
-                    let ran = conv3_blocked_narrow(l, &input, &p, full(&p), &mut acc);
-                    assert_eq!(ran, has_blocked(l), "level {l} dispatch");
-                    if ran {
+                    let ran = conv3_blocked_narrow(l, 1, &input, &p, full(&p), &mut acc);
+                    assert_eq!(ran.is_some(), has_blocked(l), "level {l} dispatch");
+                    if ran.is_some() {
                         assert_eq!(acc, want, "{opcode:?} ig {in_groups} level {l} width {cw}");
                     }
                 }
@@ -2207,7 +2445,7 @@ mod tests {
                 let want = scalar_conv3(&input, &p, chh, cw);
                 for &l in &levels() {
                     let mut acc = Tensor::from_fn(p.out_planes * LEAF_CH, chh, cw, |_, _, _| -7);
-                    if !conv3_blocked_narrow(l, &input, &p, live, &mut acc) {
+                    if conv3_blocked_narrow(l, 1, &input, &p, live, &mut acc).is_none() {
                         continue;
                     }
                     for c in 0..acc.channels() {
@@ -2224,6 +2462,28 @@ mod tests {
         }
     }
 
+    /// `fan_out` hands each row to exactly one range, never an empty one,
+    /// `RANGES_PER_LANE` per lane or one per row, and runs one lane or a
+    /// sweep under the floor inline.
+    #[test]
+    fn fan_out_partitions_the_rows() {
+        for (lanes, rows) in [(1, 5), (2, 5), (3, 70), (4, 3), (8, 1), (3, 0)] {
+            for macs in [FAN_OUT_MIN_MACS - 1, FAN_OUT_MIN_MACS] {
+                let seen = std::sync::Mutex::new(Vec::new());
+                let forked = fan_out(lanes, rows, macs, |r| seen.lock().unwrap().push(r));
+                let mut seen = seen.into_inner().unwrap();
+                seen.sort_by_key(|r| r.start);
+                let split = lanes.min(rows);
+                assert_eq!(forked, macs >= FAN_OUT_MIN_MACS && split > 1);
+                let ranges = rows.min(split * RANGES_PER_LANE);
+                assert_eq!(seen.len(), if forked { ranges } else { 1 });
+                assert!(rows == 0 || seen.iter().all(|r| !r.is_empty()));
+                let flat: Vec<usize> = seen.into_iter().flatten().collect();
+                assert_eq!(flat, (0..rows).collect::<Vec<_>>(), "{lanes} lanes");
+            }
+        }
+    }
+
     #[test]
     fn blocked_kernels_decline_narrow_planes() {
         let p = packed3(Opcode::Conv, 1, 1, &[leaf(6)]);
@@ -2232,13 +2492,15 @@ mod tests {
         let mid = plane(LEAF_CH, 3, 5, 1);
         for &l in &levels() {
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, 3, 15);
-            assert!(
-                !conv3_blocked_narrow(l, &input, &p, full(&p), &mut acc),
+            assert_eq!(
+                conv3_blocked_narrow(l, 2, &input, &p, full(&p), &mut acc),
+                None,
                 "level {l}"
             );
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, 3, 5);
-            assert!(
-                !conv1_blocked_narrow(l, &p1, 0, &mid, 0, &mut acc),
+            assert_eq!(
+                conv1_blocked_narrow(l, 2, &p1, 0..1, &mid, &mut acc),
+                None,
                 "level {l}"
             );
         }
@@ -2269,10 +2531,8 @@ mod tests {
             }
             for &l in &levels() {
                 let mut acc = start.clone();
-                for li in 0..leafs.len() {
-                    let ran = conv1_blocked_narrow(l, &p, li, &input, li * LEAF_CH, &mut acc);
-                    assert_eq!(ran, has_blocked(l), "level {l} dispatch");
-                }
+                let ran = conv1_blocked_narrow(l, 1, &p, 0..leafs.len(), &input, &mut acc);
+                assert_eq!(ran.is_some(), has_blocked(l), "level {l} dispatch");
                 if has_blocked(l) {
                     assert_eq!(acc, want, "level {l} plane {h}x{w}");
                 }
@@ -2304,10 +2564,10 @@ mod tests {
         }
         for &lv in levels().iter().filter(|&&lv| has_blocked(lv)) {
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
-            assert!(conv3_blocked_narrow(lv, &input, &p3, full(&p3), &mut acc));
+            assert!(conv3_blocked_narrow(lv, 1, &input, &p3, full(&p3), &mut acc).is_some());
             assert_eq!(acc, want3, "3x3 level {lv}");
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
-            assert!(conv1_blocked_narrow(lv, &p1, 0, &mid, 0, &mut acc));
+            assert!(conv1_blocked_narrow(lv, 1, &p1, 0..1, &mid, &mut acc).is_some());
             assert_eq!(acc, want1, "1x1 level {lv}");
         }
     }
@@ -2359,9 +2619,10 @@ mod tests {
                     let want = codes.with_channels(c);
                     for &l in &levels() {
                         let mut dst = Tensor::from_fn(c, f * chh, f * cw, |_, _, _| 0x5555i16);
-                        let ran = conv3_blocked_codes(l, &input, &p, live, &ep, shuffle, &mut dst);
-                        assert_eq!(ran, has_blocked(l), "level {l} dispatch");
-                        if ran {
+                        let ran =
+                            conv3_blocked_codes(l, 1, &input, &p, live, &ep, shuffle, &mut dst);
+                        assert_eq!(ran.is_some(), has_blocked(l), "level {l} dispatch");
+                        if ran.is_some() {
                             assert_eq!(
                                 dst, want,
                                 "{opcode:?} ig {in_groups} live {live_out} level {l} \
@@ -2389,7 +2650,7 @@ mod tests {
         let input = plane(LEAF_CH, 4, 18, 0);
         // 13 live pre-shuffle channels are 4 blocks: 4 shuffled channels.
         let mut dst = Tensor::<i16>::zeros(3, 4, 32);
-        conv3_blocked_codes(SimdLevel::Sse2, &input, &p, live, &ep, true, &mut dst);
+        conv3_blocked_codes(SimdLevel::Sse2, 1, &input, &p, live, &ep, true, &mut dst);
     }
 
     #[test]

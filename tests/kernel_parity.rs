@@ -22,20 +22,25 @@
 //!   fully licensed, and the license must survive the Session /
 //!   AsyncSession / `run_image_sharded` plumbing bit-identically;
 //! * the *SIMD rungs*: eSR-4K and DnERNet-B3R1N0 blocks match `Packed` at
-//!   every level the host can run (AVX-512, AVX2, SSE2, scalar on x86).
+//!   every level the host can run (AVX-512, AVX2, SSE2, scalar on x86);
+//! * the *lanes*: splitting each sweep's rows across 1–4 threads
+//!   (`BlockPlan::with_lanes`) leaves every paper model's block codes and
+//!   work counters unchanged, and a caller-thread `Engine::session` on the
+//!   host's cores matches a one-lane pipe worker's frames.
 
 use ecnn_core::engine::Engine;
+use ecnn_core::supervise::DegradeRung;
 use ecnn_isa::compile::compile;
-use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, QSpec};
-use ecnn_isa::params::{LeafParams, QuantizedModel};
+use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, QSpec, LEAF_CH};
+use ecnn_isa::params::{LeafParams, PackedConv1, PackedConv3, QuantizedModel};
 use ecnn_isa::program::Program;
 use ecnn_model::ernet::{ErNetSpec, ErNetTask};
 use ecnn_model::layer::{Activation, Layer, Op, PoolKind, SkipRef};
 use ecnn_model::model::{InferenceKind, Model};
 use ecnn_model::RealTimeSpec;
 use ecnn_nn::quant::fixed_forward;
-use ecnn_sim::exec::{execute_with, quantize_input, BlockPlan, Kernels, PlanePool};
-use ecnn_sim::kernels::simd;
+use ecnn_sim::exec::{execute_at, execute_with, quantize_input, BlockPlan, Kernels, PlanePool};
+use ecnn_sim::kernels::simd::{self, LiveChannels, NarrowEpilogue};
 use ecnn_tensor::conv::{conv1x1_fixed, conv3x3_fixed, FixedConvParams, Padding};
 use ecnn_tensor::{ImageKind, QFormat, SyntheticImage, Tensor};
 use proptest::prelude::*;
@@ -673,5 +678,258 @@ fn kernel_choice_is_honored_across_session_pipeline_and_shards() {
         let (sout, sstats) = engine.run_image_sharded(&img, 2).unwrap();
         assert_eq!(&sout, ref_out, "{k:?} sharded parity");
         assert_eq!(sstats.exec.kernel_variant, expect_variant);
+    }
+}
+
+/// A valid input block for `program`: a synthetic RGB block for
+/// camera-facing models, pseudo-random in-format codes for feature-space
+/// inputs (the style decoder's).
+fn block_input(program: &Program, seed: u64) -> Tensor<i16> {
+    if program.di_channels == 3 || program.input_unshuffle.is_some() {
+        let img = SyntheticImage::new(image_kind(seed), seed).rgb(program.di_side, program.di_side);
+        return quantize_input(&img, program);
+    }
+    let (lo, hi) = (program.di_q.min_code(), program.di_q.max_code());
+    Tensor::from_fn(
+        program.di_channels,
+        program.di_side,
+        program.di_side,
+        |c, y, x| {
+            let h = (c * 7919 + y * 104_729 + x * 31 + seed as usize) % 65_521;
+            (lo + (h as i32).rem_euclid(hi - lo + 1)) as i16
+        },
+    )
+}
+
+/// Whether `level` has the register-blocked kernels, the only ones that
+/// split their rows across lanes.
+fn fans_out(level: simd::SimdLevel) -> bool {
+    matches!(
+        level,
+        simd::SimdLevel::Avx512 | simd::SimdLevel::Avx2 | simd::SimdLevel::Sse2
+    )
+}
+
+/// A block's codes and work counters do not depend on the lanes its
+/// sweeps split their rows across: every one of the 14 paper models, one
+/// block on the detected SIMD rung at 1–4 lanes, on the full extents
+/// table and on a clipped edge table (eSR-4K's at `esr4k_edge`'s
+/// 248×344 keep).
+#[test]
+fn lanes_are_bit_identical_on_the_paper_models() {
+    let mut forked = false;
+    for (name, qm, xi) in ecnn_bench::paper_models() {
+        let c = compile(&qm, xi).unwrap();
+        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+        let input = block_input(&c.program, xi as u64);
+        let d = c.program.do_side;
+        // Elsewhere a corner keep, which also keeps the test's time down.
+        let keep = if name.starts_with("SR4ERNet-B17R3N1 ") {
+            (248, 344)
+        } else {
+            (d / 2, d / 3)
+        };
+        let clipped = plan.clipped(keep);
+        for ext in std::iter::once(plan.extents()).chain(clipped.as_ref()) {
+            let mut pool = PlanePool::new();
+            let want = execute_at(&plan, ext, &mut pool, &input, Kernels::Simd)
+                .unwrap()
+                .clone();
+            let work = pool.stats().work();
+            for lanes in 2..=4 {
+                let p = plan.clone().with_lanes(lanes);
+                let mut pool = PlanePool::new();
+                let out = execute_at(&p, ext, &mut pool, &input, Kernels::Simd).unwrap();
+                let at = format!("{name}: {lanes} lanes, output {:?}", ext.out());
+                assert_eq!(out, &want, "{at}");
+                assert_eq!(pool.stats().work(), work, "{at}");
+                forked |= pool.stats().lane_forks > 0;
+            }
+        }
+    }
+    assert!(
+        forked || !fans_out(simd::detect()),
+        "no paper block forked, so the lanes went untested"
+    );
+}
+
+/// Sweeps over the fan-out floor split exactly: a 3×3 sweep with more
+/// lanes than output rows runs one row per lane on each of its stores
+/// (accumulators, codes, pixel-shuffled codes), as does the `ER` body,
+/// and a 1×1 accumulation splits its pixels with a scalar tail per lane;
+/// each stores what one lane stores.
+#[test]
+fn sweeps_with_more_lanes_than_rows_match_one_lane() {
+    let level = simd::detect();
+    if !fans_out(level) {
+        return;
+    }
+    // 3 rows of 1400 columns: 39 M MACs per 32-channel 3x3 sweep.
+    let (chh, cw, lanes) = (3, 1400, 8);
+    assert!((LEAF_CH * LEAF_CH * 9 * chh * cw) as u64 >= simd::FAN_OUT_MIN_MACS);
+    let leafs: Vec<LeafParams> = (0..3u64)
+        .map(|seed| {
+            let mut qm_leaf = LeafParams::zero();
+            let mut state = seed + 1;
+            for w in qm_leaf
+                .w3
+                .iter_mut()
+                .chain(qm_leaf.w1.iter_mut())
+                .chain(qm_leaf.b3.iter_mut())
+                .chain(qm_leaf.b1.iter_mut())
+            {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                *w = ((state >> 40) % 33) as i16 - 16;
+            }
+            qm_leaf
+        })
+        .collect();
+    let p3 = PackedConv3::pack_leaf(&leafs[0], 7, 9);
+    let input = Tensor::from_fn(LEAF_CH, chh + 2, cw + 2, |c, y, x| {
+        ((c * 131 + y * 71 + x * 7) % 255) as i16 - 127
+    });
+    let live = LiveChannels::full(1, 1);
+
+    let acc = |lanes| {
+        let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
+        let forked = simd::conv3_blocked_narrow(level, lanes, &input, &p3, live, &mut acc);
+        (forked, acc)
+    };
+    let (one, want) = acc(1);
+    assert_eq!(one, Some(false));
+    assert_eq!(acc(lanes), (Some(true), want), "accumulator store");
+
+    let ep = NarrowEpilogue::new(16, QFormat::signed(4), true, None).unwrap();
+    for shuffle in [false, true] {
+        let f = if shuffle { 2 } else { 1 };
+        let codes = |lanes| {
+            let mut dst = Tensor::<i16>::zeros(LEAF_CH / (f * f), f * chh, f * cw);
+            let forked =
+                simd::conv3_blocked_codes(level, lanes, &input, &p3, live, &ep, shuffle, &mut dst);
+            (forked, dst)
+        };
+        let (one, want) = codes(1);
+        assert_eq!(one, Some(false));
+        assert_eq!(
+            codes(lanes),
+            (Some(true), want),
+            "codes store, shuffle {shuffle}"
+        );
+    }
+
+    // The 1x1: 32813 pixels of 3 leaves, 8 ragged ranges.
+    let p1 = PackedConv1::pack(&leafs, 5, 11);
+    let (h1, w1) = (1, 32_813);
+    let src = Tensor::from_fn(3 * LEAF_CH, h1, w1, |c, _, x| {
+        ((c * 31 + x * 17) % 255) as i16 - 127
+    });
+    let conv1 = |lanes| {
+        let mut acc = Tensor::from_fn(LEAF_CH, h1, w1, |c, _, x| (c * 1000 + x) as i32);
+        let forked = simd::conv1_blocked_narrow(level, lanes, &p1, 0..3, &src, &mut acc);
+        (forked, acc)
+    };
+    let (one, want) = conv1(1);
+    assert_eq!(one, Some(false));
+    assert_eq!(conv1(lanes), (Some(true), want), "1x1");
+
+    let conv3: Vec<PackedConv3> = leafs
+        .iter()
+        .map(|l| PackedConv3::pack_leaf(l, 7, 9))
+        .collect();
+    let mid_ep = NarrowEpilogue::new(9, QFormat::signed(4), true, None).unwrap();
+    let er = |lanes| {
+        let mut mid = Tensor::<i16>::zeros(LEAF_CH, chh, cw);
+        let mut acc = Tensor::from_fn(LEAF_CH, chh, cw, |c, _, _| c as i32 * 3);
+        let forked = simd::er_blocked_narrow(
+            level, lanes, &input, &conv3, &mid_ep, &p1, &mut mid, &mut acc,
+        );
+        (forked, mid, acc)
+    };
+    let (one, mid, want) = er(1);
+    assert_eq!(one, Some(false));
+    assert_eq!(er(lanes), (Some(true), mid, want), "ER body");
+}
+
+/// `Engine::session` runs on the host's cores and `session_at` on one
+/// lane, and their frames agree: the 86×62 eSR-4K frame (one clipped
+/// edge block) and a 2×2-block DnERNet frame.
+#[test]
+fn caller_thread_session_matches_the_one_lane_rung() {
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cases = [
+        (ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1), (62, 86)),
+        (ErNetSpec::new(ErNetTask::Dn, 3, 1, 0), (232, 232)),
+    ];
+    for (spec, (h, w)) in cases {
+        let engine = Engine::builder()
+            .ernet(spec)
+            .block(128)
+            .realtime(RealTimeSpec::UHD30)
+            .build()
+            .unwrap();
+        let img = SyntheticImage::new(ImageKind::Mixed, 5).rgb(h, w);
+        let mut session = engine.session();
+        assert_eq!(session.plan().lanes(), host, "{spec}");
+        let out = session.process(&img).unwrap().clone();
+        let rung = DegradeRung {
+            kernels: Kernels::Simd,
+            coalesce: engine.coalesced(),
+        };
+        let mut worker = engine.session_at(rung);
+        assert_eq!(worker.plan().lanes(), 1, "{spec}");
+        assert_eq!(worker.process(&img).unwrap(), &out, "{spec}");
+        assert_eq!(
+            worker.last_frame_stats().exec.work(),
+            session.last_frame_stats().exec.work(),
+            "{spec}"
+        );
+    }
+}
+
+/// `ExecStats::lane_forks` counts fan-outs, and the work floor keeps
+/// small sweeps inline: a DnERNet-B2R1N0 block-40 session never forks,
+/// nor does its block at four lanes, while one eSR-4K block at two lanes
+/// forks.
+#[test]
+fn lane_forks_count_only_sweeps_over_the_floor() {
+    let spec = ErNetSpec::new(ErNetTask::Dn, 2, 1, 0);
+    let engine = Engine::builder()
+        .ernet(spec)
+        .block(40)
+        .realtime(RealTimeSpec::HD30)
+        .build()
+        .unwrap();
+    let mut session = engine.session();
+    session
+        .process(&SyntheticImage::new(ImageKind::Edges, 3).rgb(80, 80))
+        .unwrap();
+    let stats = session.last_frame_stats();
+    assert!(stats.blocks > 1);
+    assert_eq!(stats.exec.lane_forks, 0, "{spec} block 40 session");
+
+    for (spec, xi, lanes, forks) in [
+        (spec, 40, 4, false),
+        (
+            ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1),
+            128,
+            2,
+            fans_out(simd::detect()),
+        ),
+    ] {
+        let qm = QuantizedModel::uniform(&spec.build().unwrap());
+        let c = compile(&qm, xi).unwrap();
+        let plan = BlockPlan::new(&c.program, &c.leafs)
+            .unwrap()
+            .with_lanes(lanes);
+        let mut pool = PlanePool::new();
+        let input = block_input(&c.program, 1);
+        execute_with(&plan, &mut pool, &input, Kernels::Simd).unwrap();
+        let n = pool.stats().lane_forks;
+        assert_eq!(
+            n > 0,
+            forks,
+            "{spec} block {xi} at {lanes} lanes forked {n} times"
+        );
+        assert_eq!(pool.stats().work().lane_forks, 0, "forks are not work");
     }
 }
