@@ -37,8 +37,14 @@
 //! Every variant also records its pool's memory after the timed blocks:
 //! `plane_bytes`, the feature planes' high-water mark
 //! (`PlanePool::peak_resident_bytes`), and `scratch_bytes`, the
-//! accumulators and other scratch at capacity
-//! (`PlanePool::scratch_bytes`).
+//! accumulators, lane band buffers and other scratch at capacity
+//! (`PlanePool::scratch_bytes`), and the 3×3 sweeps per block that ran
+//! on byte lanes (`ExecStats::byte_lane_sweeps`).
+//!
+//! The `simd` variant also times one DnERNet-B3R1N0 block at 128 on one
+//! lane (`simd-dnernet`): the block each pipe worker of a streaming
+//! denoiser runs, so its pool's `plane_bytes` and `scratch_bytes` are
+//! the memory each such worker holds.
 //!
 //! The `lanes` variant (`simd-edge-lanes` in the JSON; it selects
 //! `simd` too, for the block's MAC counts) times the edge
@@ -259,6 +265,8 @@ struct Measured {
     plane_bytes: usize,
     /// The pool's scratch at capacity (`PlanePool::scratch_bytes`).
     scratch_bytes: usize,
+    /// 3×3 sweeps per block on byte lanes (`ExecStats::byte_lane_sweeps`).
+    byte_lane_sweeps: u64,
 }
 
 fn usage() -> ! {
@@ -319,6 +327,9 @@ fn main() {
         .expect("the edge keep clips eSR-4K's block");
     let img = SyntheticImage::new(ImageKind::Mixed, 9).rgb(xi, xi);
     let codes = quantize_input(&img, &compiled.program);
+    let dn_spec = ErNetSpec::new(ErNetTask::Dn, 3, 1, 0);
+    let dn_model = dn_spec.build().expect("paper model builds");
+    let dnernet = compile(&QuantizedModel::uniform(&dn_model), xi).expect("paper model compiles");
 
     ecnn_bench::section(&format!("kernel bench: {spec} block {xi}"));
     let features = cpu_features();
@@ -343,34 +354,43 @@ fn main() {
     // (steady-state allocations, packed instructions served) per block:
     // from the packed variant when it ran, else the first that did.
     let mut steady: Option<(u64, u64)> = None;
-    let mut run = |name: &'static str, vplan: &BlockPlan<'_>, ext: &Extents, kind, reps| {
+    // Times `reps` blocks of `vplan` at `ext` on `codes`; returns the
+    // accelerator's MACs per block.
+    let mut run = |name: &'static str,
+                   vplan: &BlockPlan<'_>,
+                   ext: &Extents,
+                   codes: &Tensor<i16>,
+                   kind,
+                   reps| {
         let mut pool = PlanePool::new();
         // Warm-up: grows the arena to its peak so timed blocks are
         // steady-state.
-        execute_at(vplan, ext, &mut pool, &codes, kind).expect("warm-up");
+        execute_at(vplan, ext, &mut pool, codes, kind).expect("warm-up");
         let warm = pool.stats();
         let mut ns = Vec::with_capacity(reps);
         for _ in 0..reps {
             let t0 = Instant::now();
-            let out = execute_at(vplan, ext, &mut pool, &codes, kind).expect("block");
+            let out = execute_at(vplan, ext, &mut pool, codes, kind).expect("block");
             ns.push(t0.elapsed().as_nanos());
             std::hint::black_box(out);
         }
         let delta = pool.stats().delta_since(&warm).per_frame(reps as u64);
-        macs_per_block = delta.mac3 + delta.mac1;
+        let macs = delta.mac3 + delta.mac1;
         if kind == Kernels::Packed || steady.is_none() {
             steady = Some((delta.planes_allocated, delta.params_reused));
         }
         let med = median(ns);
-        let mac_per_s = macs_per_block as f64 / (med as f64 / 1e9);
+        let mac_per_s = macs as f64 / (med as f64 / 1e9);
         let (plane_bytes, scratch_bytes) = (pool.peak_resident_bytes(), pool.scratch_bytes());
         println!(
             "{name:>9}: median {:.3} ms/block  {:.2} GMAC/s  ({reps} reps, variant {}, \
-             narrow instrs/block {}, planes {:.2} MB, scratch {:.2} MB)",
+             narrow instrs/block {}, byte-lane sweeps/block {}, planes {:.2} MB, \
+             scratch {:.2} MB)",
             med as f64 / 1e6,
             mac_per_s / 1e9,
             delta.kernel_variant,
             delta.narrow_instrs,
+            delta.byte_lane_sweeps,
             plane_bytes as f64 / 1e6,
             scratch_bytes as f64 / 1e6,
         );
@@ -383,7 +403,9 @@ fn main() {
             variant_tag: delta.kernel_variant.name().to_string(),
             plane_bytes,
             scratch_bytes,
+            byte_lane_sweeps: delta.byte_lane_sweeps,
         });
+        macs
     };
     for (name, vplan, kind, default_reps) in variants {
         if !only.is_empty() && !only.iter().any(|v| v == name) {
@@ -394,11 +416,16 @@ fn main() {
             continue;
         };
         let reps = reps_override.unwrap_or(default_reps);
-        run(name, vplan, vplan.extents(), kind, reps);
+        macs_per_block = run(name, vplan, vplan.extents(), &codes, kind, reps);
         if name == "simd" {
             // The same plan and codes at the edge keep; `mac_per_s`
             // still counts the full block's MACs, as `ExecStats` does.
-            run("simd-edge", vplan, &edge, kind, reps);
+            run("simd-edge", vplan, &edge, &codes, kind, reps);
+            let dn = &dnernet;
+            let plan = BlockPlan::new(&dn.program, &dn.leafs).expect("plan");
+            let img = SyntheticImage::new(ImageKind::Mixed, 9).rgb(xi, xi);
+            let dn_codes = quantize_input(&img, &dn.program);
+            run("simd-dnernet", &plan, plan.extents(), &dn_codes, kind, reps);
         }
     }
 
@@ -511,14 +538,15 @@ fn main() {
     for r in &results {
         json.push_str(&format!(
             "  \"{}\": {{ \"median_ns_per_frame\": {}, \"mac_per_s\": {:.0}, \"reps\": {}, \
-             \"variant\": \"{}\", \"narrow_instrs_per_frame\": {}, \"plane_bytes\": {}, \
-             \"scratch_bytes\": {} }},\n",
+             \"variant\": \"{}\", \"narrow_instrs_per_frame\": {}, \
+             \"byte_lane_sweeps_per_frame\": {}, \"plane_bytes\": {}, \"scratch_bytes\": {} }},\n",
             r.name,
             r.median_ns,
             r.mac_per_s,
             r.reps,
             r.variant_tag,
             r.narrow_instrs,
+            r.byte_lane_sweeps,
             r.plane_bytes,
             r.scratch_bytes
         ));

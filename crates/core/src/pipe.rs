@@ -161,8 +161,9 @@ impl FrameTicket {
 /// Result of a non-blocking [`AsyncSession::poll`].
 #[derive(Debug)]
 pub enum FramePoll {
-    /// The frame finished: its stitched output and per-frame stats.
-    Ready(Tensor<f32>, ImageRunStats),
+    /// The frame finished: its stitched output and per-frame stats
+    /// (boxed, so a `Pending` poll stays small).
+    Ready(Tensor<f32>, Box<ImageRunStats>),
     /// The frame is still in flight; poll again later.
     Pending,
 }
@@ -563,7 +564,7 @@ impl AsyncSession {
         if let Some(result) = state.done.remove(&ticket.frame) {
             drop(state);
             self.order.retain(|&id| id != ticket.frame);
-            return result.map(|(out, stats)| FramePoll::Ready(out, stats));
+            return result.map(|(out, stats)| FramePoll::Ready(out, Box::new(stats)));
         }
         if state.inflight.contains_key(&ticket.frame) {
             return Ok(FramePoll::Pending);

@@ -258,7 +258,8 @@ impl LeafParams {
 /// * weights are packed once into pair words (two input channels' `i16`
 ///   weights per `i32`) in the order the register-blocked SIMD kernels
 ///   stream them; the row kernels decode single-pair taps from the same
-///   table;
+///   table; the 3×3 stages also pack quad words (four `i8` weights per
+///   `i32`) for the byte-lane kernel when every weight fits `i8`;
 /// * biases are pre-aligned to the accumulator's fractional position
 ///   (`prod_frac`), already summed across leaf-modules where the datapath
 ///   sums them;
@@ -330,7 +331,15 @@ impl PackedKernelParams {
     pub fn bytes(&self) -> usize {
         self.conv3
             .iter()
-            .map(|c| c.bias.len() * 8 + c.words.len() * 4 + c.mask.len() + c.block_mask.len())
+            .map(|c| {
+                c.bias.len() * 8
+                    + c.words.len() * 4
+                    + c.mask.len()
+                    + c.block_mask.len()
+                    + c.quads.len() * 4
+                    + c.quad_sums.len() * 4
+                    + c.bytes.as_ref().map_or(0, |b| b.bias.len() * 8)
+            })
             .sum::<usize>()
             + self.conv1.as_ref().map_or(0, |c| {
                 c.bias.len() * 8
@@ -351,6 +360,11 @@ pub const IC_PAIRS: usize = LEAF_CH / 2;
 /// Pair words of one `(plane, output block)` of a [`PackedConv3`]:
 /// `IC_PAIRS` pairs × 9 taps × `OC_BLOCK` output channels.
 pub const CONV3_BLOCK_WORDS: usize = IC_PAIRS * 9 * OC_BLOCK;
+/// Input-channel quads `4q..4q + 4` per leaf-module.
+pub const IC_QUADS: usize = LEAF_CH / 4;
+/// Quad words of one `(plane, output block)` of a [`PackedConv3`]:
+/// `IC_QUADS` quads × 9 taps × `OC_BLOCK` output channels.
+pub const CONV3_BLOCK_QUADS: usize = IC_QUADS * 9 * OC_BLOCK;
 
 /// Packs the weights of input channels `2p` (low half) and `2p + 1`
 /// (high half) into one 32-bit word, the operand layout of a
@@ -364,6 +378,43 @@ pub fn pair_word(even: i16, odd: i16) -> i32 {
 #[inline]
 pub fn pair_half(word: i32, half: usize) -> i32 {
     (word >> (16 * half)) as i16 as i32
+}
+
+/// Packs the weights of input channels `4q..4q + 4` (channel `4q` in the
+/// low byte) into one 32-bit word of `i8`s, the signed operand of a
+/// byte multiply-add (`vpdpbusd`) against quad-interleaved `u8` samples;
+/// `None` when a weight does not fit `i8`.
+#[inline]
+pub fn quad_word(w: [i16; 4]) -> Option<i32> {
+    let mut bytes = [0u8; 4];
+    for (b, &v) in bytes.iter_mut().zip(&w) {
+        *b = i8::try_from(v).ok()? as u8;
+    }
+    Some(i32::from_le_bytes(bytes))
+}
+
+/// The weight of input channel `4q + k` stored in a [`quad_word`].
+#[inline]
+pub fn quad_byte(word: i32, k: usize) -> i32 {
+    (word >> (8 * k)) as i8 as i32
+}
+
+/// The byte-lane licence of a [`PackedConv3`], which the planner stamps
+/// once it has proven the sweep's source codes fit `u8` after `offset`:
+/// the kernel then reads `code + offset` as unsigned bytes, and
+/// `bias` already subtracts what the offset adds.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ByteLanes {
+    /// Added to every source code: 128 for signed codes of at most 8
+    /// bits, 0 for unsigned ones.
+    pub offset: i16,
+    /// The leading live source channels the sweep reads, in whole quads
+    /// (see [`PackedConv3::license_bytes`]).
+    pub live_input: usize,
+    /// Per output channel, the pre-aligned bias minus `offset` times the
+    /// sum of every weight the kernel multiplies: all taps of the quads
+    /// holding the live input channels.
+    pub bias: Vec<i64>,
 }
 
 /// One packed 3×3 sweep: `out_planes × in_groups` leaf filters as
@@ -393,6 +444,17 @@ pub struct PackedConv3 {
     /// block's 4 output × 2 input channels — the register-blocked
     /// kernels' zero-skip granularity.
     pub block_mask: Vec<u8>,
+    /// The same weights as [`quad_word`]s for the byte-lane kernel,
+    /// index `(((plane · OC_BLOCKS + ocb) · IC_QUADS + q) · 9 + ky · 3 +
+    /// kx) · OC_BLOCK + o`; empty when a weight does not fit `i8`.
+    pub quads: Vec<i32>,
+    /// Per `(plane, oc, q)`: the sum of the 36 weights of output channel
+    /// `oc` against input quad `q`, all taps (the byte-lane licence's
+    /// offset correction); empty with [`PackedConv3::quads`].
+    pub quad_sums: Vec<i32>,
+    /// The byte-lane licence: `None` until the planner stamps one
+    /// ([`PackedConv3::license_bytes`]).
+    pub bytes: Option<ByteLanes>,
 }
 
 impl PackedConv3 {
@@ -427,6 +489,7 @@ impl PackedConv3 {
                 packed.fill_plane(op_ * in_groups + ig, w);
             }
         }
+        packed.fill_quads();
         packed
     }
 
@@ -438,6 +501,7 @@ impl PackedConv3 {
             packed.bias[oc] = align_code(leaf.b3[oc] as i64, b3_frac, prod3);
         }
         packed.fill_plane(0, &leaf.w3);
+        packed.fill_quads();
         packed
     }
 
@@ -450,6 +514,9 @@ impl PackedConv3 {
             words: vec![0; planes * OC_BLOCKS * CONV3_BLOCK_WORDS],
             mask: vec![0; planes * LEAF_CH * LEAF_CH],
             block_mask: vec![0; planes * OC_BLOCKS * IC_PAIRS],
+            quads: vec![0; planes * OC_BLOCKS * CONV3_BLOCK_QUADS],
+            quad_sums: vec![0; planes * LEAF_CH * IC_QUADS],
+            bytes: None,
         }
     }
 
@@ -462,14 +529,29 @@ impl PackedConv3 {
     }
 
     /// Pair-packs one leaf filter (layout `[oc][ic][9]`) into plane
-    /// `plane`'s slots, flagging nonzero tap rows.
+    /// `plane`'s slots, flagging nonzero tap rows, and sums each quad's
+    /// weights; a weight outside `i8` drops the quad words of every
+    /// plane.
     fn fill_plane(&mut self, plane: usize, w3: &[i16]) {
+        if w3.iter().any(|&v| v != v as i8 as i16) {
+            self.quads = Vec::new();
+            self.quad_sums = Vec::new();
+        }
+        // Channels `4q..4q + 4` of output channel `oc` are 36 contiguous
+        // weights, `oc`-major like the sums.
+        let sums = self
+            .quad_sums
+            .chunks_exact_mut(LEAF_CH * IC_QUADS)
+            .nth(plane);
+        for (sum, w) in sums.into_iter().flatten().zip(w3.chunks_exact(4 * 9)) {
+            *sum = w.iter().map(|&v| i32::from(v)).sum();
+        }
         for oc in 0..LEAF_CH {
+            let tap = |ic: usize, k: usize| w3[(oc * LEAF_CH + ic) * 9 + k];
             for p in 0..IC_PAIRS {
-                let (even, odd) = ((oc * LEAF_CH + 2 * p) * 9, (oc * LEAF_CH + 2 * p + 1) * 9);
                 for k in 0..9 {
                     self.words[Self::word_index(plane, oc, p, k / 3, k % 3)] =
-                        pair_word(w3[even + k], w3[odd + k]);
+                        pair_word(tap(2 * p, k), tap(2 * p + 1, k));
                 }
             }
             for ic in 0..LEAF_CH {
@@ -479,6 +561,31 @@ impl PackedConv3 {
                     .fold(0u8, |m, ky| m | 1 << ky);
                 self.mask[(plane * LEAF_CH + oc) * LEAF_CH + ic] = m;
                 self.block_mask[(plane * OC_BLOCKS + oc / OC_BLOCK) * IC_PAIRS + ic / 2] |= m;
+            }
+        }
+    }
+
+    /// Fills the quad words from the pair words, once every plane is
+    /// filled and kept them (every weight fits `i8`): quad `q` of a tap
+    /// is the low bytes of pairs `2q` and `2q + 1`, the same
+    /// [`quad_word`] of channels `4q..4q + 4`.
+    fn fill_quads(&mut self) {
+        if self.quads.is_empty() {
+            return;
+        }
+        let pairs = self.words.chunks_exact(CONV3_BLOCK_WORDS);
+        for (quads, pairs) in self.quads.chunks_exact_mut(CONV3_BLOCK_QUADS).zip(pairs) {
+            let taps = 9 * OC_BLOCK;
+            for (q, out) in quads.chunks_exact_mut(taps).enumerate() {
+                let (even, odd) = (
+                    &pairs[2 * q * taps..][..taps],
+                    &pairs[(2 * q + 1) * taps..][..taps],
+                );
+                for ((o, &a), &b) in out.iter_mut().zip(even).zip(odd) {
+                    let (a, b) = (a as u32, b as u32);
+                    *o = (a & 0xFF | (a >> 8) & 0xFF00 | (b & 0xFF) << 16 | (b << 8) & 0xFF00_0000)
+                        as i32;
+                }
             }
         }
     }
@@ -499,6 +606,50 @@ impl PackedConv3 {
     #[inline]
     pub fn row_mask(&self, plane: usize, oc: usize, ic: usize) -> u8 {
         self.mask[plane * LEAF_CH * LEAF_CH + oc * LEAF_CH + ic]
+    }
+
+    /// Input quads of source group `ig` a sweep over the leading
+    /// `live_input` source channels reads: the quads holding a live
+    /// channel.
+    #[inline]
+    pub fn live_quads(live_input: usize, ig: usize) -> usize {
+        live_input
+            .saturating_sub(ig * LEAF_CH)
+            .min(LEAF_CH)
+            .div_ceil(4)
+    }
+
+    /// Stamps the byte-lane licence for source codes read as `code +
+    /// offset` over the leading `live_input` channels: every output
+    /// channel's bias loses `offset` times the sum of the weights of the
+    /// quads [`PackedConv3::live_quads`] reads, so the kernel's sum over
+    /// offset codes equals the sum over the codes. Dead channels inside
+    /// a read quad carry zero codes, which read as `offset`, and their
+    /// weights are in the sum; quads past them are skipped by kernel and
+    /// sum alike. Leaves the licence `None` when the weights do not fit
+    /// `i8` (no quad words).
+    pub fn license_bytes(&mut self, offset: i16, live_input: usize) {
+        if self.quads.is_empty() {
+            return;
+        }
+        let mut bias = self.bias.clone();
+        for (c, b) in bias.iter_mut().enumerate() {
+            let (op_, oc) = (c / LEAF_CH, c % LEAF_CH);
+            for ig in 0..self.in_groups {
+                let sums =
+                    &self.quad_sums[((op_ * self.in_groups + ig) * LEAF_CH + oc) * IC_QUADS..];
+                let sum: i64 = sums[..Self::live_quads(live_input, ig)]
+                    .iter()
+                    .map(|&v| i64::from(v))
+                    .sum();
+                *b -= i64::from(offset) * sum;
+            }
+        }
+        self.bytes = Some(ByteLanes {
+            offset,
+            live_input,
+            bias,
+        });
     }
 }
 

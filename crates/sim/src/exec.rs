@@ -83,9 +83,11 @@
 
 use crate::config::EcnnConfig;
 use crate::kernels;
-use crate::kernels::simd::{self, LiveChannels, NarrowEpilogue};
+use crate::kernels::simd::{
+    self, BandScratch, ErFinish, Lanes, LiveChannels, NarrowEpilogue, Swept,
+};
 use ecnn_isa::instr::{FeatLoc, Instruction, Opcode, LEAF_CH};
-use ecnn_isa::params::{LeafParams, PackedKernelParams, OC_BLOCK};
+use ecnn_isa::params::{LeafParams, PackedConv3, PackedKernelParams, OC_BLOCK};
 use ecnn_isa::program::Program;
 use ecnn_isa::verify::memplan::MemoryPlan;
 use ecnn_isa::verify::{DiagCode, Diagnostic, Proven, VerifyReport};
@@ -224,6 +226,11 @@ pub struct ExecStats {
     ///
     /// [`FAN_OUT_MIN_MACS`]: kernels::simd::FAN_OUT_MIN_MACS
     pub lane_forks: u64,
+    /// Instruction executions whose 3×3 sweep ran on byte lanes: the
+    /// AVX-512 VNNI `vpdpbusd` kernel over quad-interleaved `u8` source
+    /// codes, for sweeps the plan licensed (8-bit source formats, `i8`
+    /// weights) at least 32 columns wide. Zero on every other rung.
+    pub byte_lane_sweeps: u64,
     /// Which kernel implementation produced these counters (merged across
     /// executions; [`KernelVariant::Mixed`] when they disagreed).
     pub kernel_variant: KernelVariant,
@@ -244,12 +251,14 @@ impl ExecStats {
         self.params_reused += other.params_reused;
         self.narrow_instrs += other.narrow_instrs;
         self.lane_forks += other.lane_forks;
+        self.byte_lane_sweeps += other.byte_lane_sweeps;
         self.kernel_variant = self.kernel_variant.merge(other.kernel_variant);
     }
 
     /// The deterministic work counters alone: the pool-recycling,
-    /// packed-cache and lane-fork counters (which depend on arena warm-up
-    /// state, kernel path and lane count, not on the input) are zeroed.
+    /// packed-cache, lane-fork and byte-lane counters (which depend on
+    /// arena warm-up state, kernel path and lane count, not on the input)
+    /// are zeroed.
     /// This is the subset that is comparable across differently-warmed
     /// workers — e.g. a cold one-shot run vs a streaming session, or
     /// differently sharded executions of the same frame.
@@ -260,6 +269,7 @@ impl ExecStats {
             params_reused: 0,
             narrow_instrs: 0,
             lane_forks: 0,
+            byte_lane_sweeps: 0,
             kernel_variant: KernelVariant::None,
             ..*self
         }
@@ -288,6 +298,7 @@ impl ExecStats {
             params_reused: self.params_reused / frames,
             narrow_instrs: self.narrow_instrs / frames,
             lane_forks: self.lane_forks / frames,
+            byte_lane_sweeps: self.byte_lane_sweeps / frames,
             kernel_variant: self.kernel_variant,
         }
     }
@@ -309,8 +320,15 @@ impl ExecStats {
             params_reused: self.params_reused - mark.params_reused,
             narrow_instrs: self.narrow_instrs - mark.narrow_instrs,
             lane_forks: self.lane_forks - mark.lane_forks,
+            byte_lane_sweeps: self.byte_lane_sweeps - mark.byte_lane_sweeps,
             kernel_variant: self.kernel_variant,
         }
+    }
+
+    /// Counts what one register-blocked sweep did.
+    fn record(&mut self, swept: Swept) {
+        self.lane_forks += u64::from(swept.forked);
+        self.byte_lane_sweeps += u64::from(swept.bytes);
     }
 }
 
@@ -539,6 +557,9 @@ pub struct BlockPlan<'a> {
     /// The threads a register-blocked sweep splits its rows across (see
     /// [`BlockPlan::with_lanes`]).
     lanes: usize,
+    /// What one lane's band buffers must hold for a `Simd` execution at
+    /// `simd` (see [`BlockPlan::band_scratch`]).
+    band: BandScratch,
     /// Per-instruction live channel extents (see
     /// [`BlockPlan::live_channels`]).
     live: Vec<LiveChannels>,
@@ -617,7 +638,73 @@ impl<'a> BlockPlan<'a> {
                     r.as_ref().is_some_and(|r| r.narrow_acc) && narrow_epilogues(ins).is_some();
             }
         }
+        // Stamp each licensed 3×3 sweep's byte-lane licence where its
+        // source codes provably fit `u8` after a fixed offset; packing
+        // left the quad words out where a weight does not fit `i8`.
+        let offsets: Vec<Option<i16>> = (0..plan.packed.len())
+            .map(|i| plan.byte_offset(i))
+            .collect();
+        for ((p, offset), live) in plan.packed.iter_mut().zip(offsets).zip(&plan.live) {
+            if let (true, Some(offset)) = (p.narrow_acc, offset) {
+                for c3 in &mut p.conv3 {
+                    c3.license_bytes(offset, live.input);
+                }
+            }
+        }
+        plan.band = plan.band_scratch();
         Ok(plan)
+    }
+
+    /// The offset that takes every source code of instruction `i` into
+    /// `u8`: 0 when the declared source format and the formats its
+    /// source planes were stored in (their producers' destination
+    /// formats, or the DI format, whose zero padding fits too) are all
+    /// unsigned of at most 8 bits, 128 when they all fit signed 8 bits,
+    /// `None` otherwise. Every stored code is clamped to its format, so
+    /// the offset codes fit whatever the pixels.
+    fn byte_offset(&self, i: usize) -> Option<i16> {
+        let program = self.program;
+        let stored = self.bindings[i]
+            .src
+            .iter()
+            .map(|&p| match self.planes[p].born {
+                Some(j) => program.instructions[j].q.dst,
+                None => program.di_q,
+            });
+        let (lo, hi) = std::iter::once(program.instructions[i].q.src)
+            .chain(stored)
+            .fold((0, 0), |(lo, hi), q| {
+                (q.min_code().min(lo), q.max_code().max(hi))
+            });
+        match (lo, hi) {
+            (0, ..=255) => Some(0),
+            (-128.., ..=127) => Some(128),
+            _ => None,
+        }
+    }
+
+    /// What one lane's band buffers must hold for a [`Kernels::Simd`]
+    /// execution at the plan's SIMD level, at most: a byte-lane sweep's
+    /// repacked source band, and an `ER` band's mid codes and 1×1
+    /// accumulators, at the compiled extents (clipped ones are smaller).
+    /// The pool sizes each lane's buffers to it once.
+    fn band_scratch(&self) -> BandScratch {
+        let mut need = BandScratch::default();
+        for (i, ins) in self.program.instructions.iter().enumerate() {
+            let (pk, conv) = (&self.packed[i], self.extents.instrs[i].conv);
+            if !pk.narrow_acc || !kernels::conv3_runs_blocked(ins, conv.1, self.simd) {
+                continue;
+            }
+            if let Some(c3) = pk.conv3.first() {
+                if kernels::conv3_runs_bytes(ins, c3, conv.1, self.simd) {
+                    need = need.max(BandScratch::bytes(self.live[i], c3.in_groups, conv));
+                }
+            }
+            if ins.opcode == Opcode::Er {
+                need = need.max(BandScratch::er(conv));
+            }
+        }
+        need
     }
 
     /// The plan walk: structural checks, the plane table, operand
@@ -829,6 +916,7 @@ impl<'a> BlockPlan<'a> {
             packed: Vec::new(),
             simd: kernels::simd::detect(),
             lanes: 1,
+            band: BandScratch::default(),
             live: live_extents,
             memplan,
             slots,
@@ -885,8 +973,9 @@ impl<'a> BlockPlan<'a> {
     }
 
     /// The 3×3 MACs per block that channel liveness removes from a
-    /// [`Kernels::Simd`] execution of this plan: the dead input pairs and
-    /// output blocks of every licensed instruction the register-blocked
+    /// [`Kernels::Simd`] execution of this plan: the dead input pairs
+    /// (quads, on byte lanes) and output blocks of every licensed
+    /// instruction the register-blocked
     /// sweep runs at the plan's SIMD level. [`ExecStats::mac3`] still
     /// counts the accelerator's MACs, dead ones included; the host
     /// executes `mac3 − dead_mac3()`. Equal to
@@ -913,8 +1002,15 @@ impl<'a> BlockPlan<'a> {
                     let p3 = &pk.conv3[0];
                     let full = p3.in_groups * p3.out_planes * LEAF_CH * LEAF_CH * 9;
                     let swept = if pk.narrow_acc && kernels::conv3_runs_blocked(ins, w, self.simd) {
+                        // Byte lanes read whole quads, pair words pairs.
                         let live = self.live[i];
-                        let swept_in: usize = (0..p3.in_groups).map(|ig| 2 * live.pairs(ig)).sum();
+                        let bytes = kernels::conv3_runs_bytes(ins, p3, w, self.simd);
+                        let swept_in: usize = (0..p3.in_groups)
+                            .map(|ig| match bytes {
+                                true => 4 * PackedConv3::live_quads(live.input, ig),
+                                false => 2 * live.pairs(ig),
+                            })
+                            .sum();
                         let swept_out: usize = (0..p3.out_planes)
                             .map(|op_| OC_BLOCK * live.blocks(op_))
                             .sum();
@@ -1089,6 +1185,7 @@ impl<'a> BlockPlan<'a> {
     pub fn with_simd_level(mut self, level: kernels::simd::SimdLevel) -> Option<Self> {
         level.is_available().then(|| {
             self.simd = level;
+            self.band = self.band_scratch();
             self
         })
     }
@@ -1214,17 +1311,19 @@ pub struct PlanePool {
     acc_b: Option<Tensor<i64>>,
     /// Narrow (`i32`) twin of `acc_a`, used only by verifier-licensed
     /// [`Kernels::Simd`] executions, whose fused epilogue requantizes
-    /// straight from it into the destination codes: ER's and CONV1's 1×1
-    /// accumulator, and the 3×3 sweeps that do not store their codes
-    /// from registers (srcS instructions, DNX2, and sweeps the
-    /// register-blocked kernels do not cover).
+    /// straight from it into the destination codes: CONV1's 1×1
+    /// accumulator, and the CONV, UPX2 and ER instructions that do not
+    /// finish from registers or bands (DNX2, a srcS UPX2, a keyed
+    /// in-place chain, and sweeps the register-blocked kernels do not
+    /// cover).
     acc_a32: Option<Tensor<i32>>,
     /// Narrow twin of `acc_b`: UPX2 shuffle target when srcS accumulates
     /// in the shuffled domain, and the ER per-leaf 3×3 stage of the sweeps
-    /// the register-blocked kernels do not cover (they store mid codes
-    /// directly).
+    /// the register-blocked kernels do not cover (their bands store mid
+    /// codes directly).
     acc_b32: Option<Tensor<i32>>,
-    /// ER requantized expansion plane.
+    /// ER requantized expansion plane of the sweeps the register-blocked
+    /// kernels do not cover (theirs is a lane's band buffer).
     mid: Option<Tensor<i16>>,
     /// Pre-pool (DNX2) codes on every rung, and pre-shuffle (srcS-free
     /// UPX2) codes of the UPX2 sweeps that do not store their codes from
@@ -1235,6 +1334,10 @@ pub struct PlanePool {
     srcs_copy: Option<Tensor<i16>>,
     /// Assembled logical output block.
     out: Option<Tensor<i16>>,
+    /// The lanes of the register-blocked sweeps and their band buffers
+    /// (a byte-lane sweep's repacked source, an `ER` band's mid codes and
+    /// 1×1 accumulators), sized from the plan before a `Simd` block.
+    lanes: Lanes,
     stats: ExecStats,
 }
 
@@ -1385,8 +1488,9 @@ impl PlanePool {
 
     /// Bytes allocated for the pool's scratch, at capacity: the gathered
     /// source, the `i64` and `i32` accumulators, the ER mid plane, the
-    /// pre-pool and pre-shuffle codes, the srcS copy and the assembled
-    /// output block. With the planes' storage it is the pool's memory.
+    /// pre-pool and pre-shuffle codes, the srcS copy, the assembled
+    /// output block and every lane's band buffers. With the planes'
+    /// storage it is the pool's memory.
     pub fn scratch_bytes(&self) -> usize {
         fn bytes<T: Copy + Default>(t: &Option<Tensor<T>>) -> usize {
             t.as_ref()
@@ -1401,6 +1505,7 @@ impl PlanePool {
             + bytes(&self.quant)
             + bytes(&self.srcs_copy)
             + bytes(&self.out)
+            + self.lanes.bytes()
     }
 
     /// High-water mark of [`PlanePool::resident_bytes`] over every
@@ -1426,6 +1531,7 @@ impl PlanePool {
         self.quant = None;
         self.srcs_copy = None;
         self.out = None;
+        self.lanes = Lanes::default();
     }
 }
 
@@ -1598,6 +1704,9 @@ fn execute_inner<'p>(
         )));
     }
     stream_input(plan, ext.di, pool, input);
+    if kernels == Kernels::Simd {
+        pool.stats.planes_allocated += pool.lanes.reserve(plan.lanes, plan.band);
+    }
     pool.stats.kernel_variant = pool.stats.kernel_variant.merge(kernels.variant(plan.simd));
     for (i, ins) in p.instructions.iter().enumerate() {
         let trace = traces.as_deref_mut().map(|t| &mut t[i]);
@@ -1866,20 +1975,27 @@ fn exec_conv3(
     // post-srcS sum provably fit `i32`, so the wrapping `i32`-lane
     // accumulation and the fused epilogue are exact.
     let narrow = kind == Kernels::Simd && pk.narrow_acc;
-    // Register-resident finish: a licensed srcS-free CONV or UPX2 sweep
-    // on the register-blocked kernels stores its final codes straight
-    // into the destination plane (pixel-shuffled for UPX2), checked out
-    // at the live output channels only, so no `i32` accumulator and no
-    // pre-shuffle codes are written. An in-place sweep keeps the
-    // accumulator.
-    let dst_slot = plan.slots[plan.bindings[idx].dst];
+    // Register-resident finish: a licensed CONV (srcS added in the
+    // store) or srcS-free UPX2 sweep on the register-blocked kernels
+    // stores its final codes straight into the destination plane
+    // (pixel-shuffled for UPX2), checked out at the live output channels
+    // only, so no `i32` accumulator and no pre-shuffle codes are
+    // written. A sweep whose destination shares a slot with a source or
+    // its srcS (a keyed in-place chain) keeps the accumulator.
+    let binding = &plan.bindings[idx];
+    let dst_slot = plan.slots[binding.dst];
+    let srcs = binding.src_s.map(|p| (p, plan.slots[p]));
     let stores = narrow
-        && ins.src_s.is_none()
-        && matches!(ins.opcode, Opcode::Conv | Opcode::Upx2)
+        && match ins.opcode {
+            Opcode::Conv => true,
+            Opcode::Upx2 => srcs.is_none(),
+            _ => false,
+        }
         && kernels::conv3_runs_blocked(ins, cw, plan.simd)
-        && plan.bindings[idx]
+        && binding
             .src
             .iter()
+            .chain(srcs.as_ref().map(|(p, _)| p))
             .all(|&p| plan.slots[p] != dst_slot);
     let stage = if stores {
         let f = if upx2 { 2 } else { 1 };
@@ -1909,21 +2025,30 @@ fn exec_conv3(
             idx,
             ext.input,
         )
-        .map(|input| {
-            kernels::conv3_codes_packed_simd_narrow(
+        .and_then(|input| {
+            let srcs = srcs_plane(
+                plan,
+                idx,
+                &pool.arena,
+                &mut pool.stats,
+                (LEAF_CH, chh, cw),
+                ext,
+            )?;
+            Ok(kernels::conv3_codes_packed_simd_narrow(
                 ins,
                 input,
                 &pk.conv3[0],
                 live,
                 &ep,
+                srcs.map(|(_, p)| (p, ext.srcs_offset)),
                 &mut dst,
                 plan.simd,
-                plan.lanes,
-            )
+                &mut pool.lanes,
+            ))
         });
         pool.arena.slots[dst_slot] = Some(dst);
-        let forked = ran?.expect("conv3_runs_blocked admitted the sweep");
-        pool.stats.lane_forks += u64::from(forked);
+        pool.stats
+            .record(ran?.expect("conv3_runs_blocked admitted the sweep"));
         Stage::Stored
     } else {
         let input = gather(
@@ -1942,16 +2067,16 @@ fn exec_conv3(
                 chh,
                 cw,
             );
-            let forked = kernels::conv3_acc_packed_simd_narrow(
+            let swept = kernels::conv3_acc_packed_simd_narrow(
                 ins,
                 input,
                 &pk.conv3[0],
                 live,
                 acc,
                 plan.simd,
-                plan.lanes,
+                &mut pool.lanes,
             );
-            pool.stats.lane_forks += u64::from(forked);
+            pool.stats.record(swept);
             Stage::Narrow
         } else {
             let acc = ensure_overwrite(
@@ -2042,7 +2167,7 @@ fn exec_conv1(
             input,
             acc,
             plan.simd,
-            plan.lanes,
+            &mut pool.lanes,
         );
         pool.stats.lane_forks += u64::from(forked);
     } else {
@@ -2077,6 +2202,67 @@ fn exec_er(
     mut trace: Option<&mut InstrTrace>,
 ) -> Result<(), ExecError> {
     let ins = &plan.program.instructions[idx];
+    let (chh, cw) = ext.conv;
+    // A licensed ER on the register-blocked kernels finishes band by band
+    // straight into its destination rows, unless the destination shares
+    // a slot with its source or srcS (a keyed in-place chain), which then
+    // finishes from `acc_a32`. The destination is out of its slot while
+    // the bands read the source, and back before any error leaves.
+    let binding = &plan.bindings[idx];
+    let dst_slot = plan.slots[binding.dst];
+    let to_dst = kind == Kernels::Simd
+        && plan.packed[idx].narrow_acc
+        && kernels::conv3_runs_blocked(ins, cw, plan.simd)
+        && binding
+            .src
+            .iter()
+            .chain(&binding.src_s)
+            .all(|&p| plan.slots[p] != dst_slot);
+    let mut dst = to_dst.then(|| {
+        checkout(
+            &mut pool.arena,
+            &mut pool.stats,
+            dst_slot,
+            LEAF_CH,
+            chh,
+            cw,
+            false,
+        );
+        pool.arena.slots[dst_slot]
+            .take()
+            .expect("checked out above")
+    });
+    let stage = er_stage(
+        plan,
+        idx,
+        ext,
+        pool,
+        kind,
+        dst.as_mut(),
+        trace.as_deref_mut(),
+    );
+    if let Some(d) = dst {
+        pool.arena.slots[dst_slot] = Some(d);
+    }
+    let stage = stage?;
+    let (nw, nh) = ins.conv_out_size();
+    pool.stats.mac1 += (plan.leafs[idx].len() * LEAF_CH * LEAF_CH * nw * nh) as u64;
+    finish(plan, idx, ext, pool, stage, trace)
+}
+
+/// The accumulation stage of `ER` instruction `idx`: into `dst` when the
+/// caller took it out of its slot for a band finish, else into the `i32`
+/// or `i64` accumulator [`finish`] rounds.
+fn er_stage(
+    plan: &BlockPlan<'_>,
+    idx: usize,
+    ext: &InstrExtents,
+    pool: &mut PlanePool,
+    kind: Kernels,
+    dst: Option<&mut Tensor<i16>>,
+    mut trace: Option<&mut InstrTrace>,
+) -> Result<Stage, ExecError> {
+    let ins = &plan.program.instructions[idx];
     let leafs = plan.leafs[idx].as_slice();
     // INVARIANT: format presence validated by `BlockPlan::new`.
     let midq = ins.q.mid.expect("plan validated the mid format");
@@ -2094,95 +2280,129 @@ fn exec_er(
     // The accelerator's MACs per leaf: the compiled block's.
     let (nw, nh) = ins.conv_out_size();
     let mac3 = (LEAF_CH * LEAF_CH * 9 * nw * nh) as u64;
-    let narrow = kind == Kernels::Simd && packed.narrow_acc;
-    if narrow {
+    if kind == Kernels::Simd && packed.narrow_acc {
         // Licensed narrow path. For ER the verifier's `narrow_acc` proves
         // *both* stages fit `i32`: the per-leaf 3×3 expansion accumulators
         // (which the mid requantizer consumes, so they must be exact, not
         // merely congruent) and the 1×1 reduction accumulator, before and
         // after the srcS add.
-        let (_, mid_ep) = narrow_epilogues(ins).expect("plan licenses supported epilogues only");
+        let (ep, mid_ep) = narrow_epilogues(ins).expect("plan licenses supported epilogues only");
         let mid_ep = mid_ep.expect("ER carries a mid epilogue");
         let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-        let acc1 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, chh, cw);
-        kernels::fill_bias(acc1, &p1.bias);
-        let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
+        pool.stats.mac3 += mac3 * leafs.len() as u64;
         if kernels::conv3_runs_blocked(ins, cw, plan.simd) {
             // Expansion planes: CONV3x3 -> ReLU -> quantize to mid format
-            // in registers, stored as codes, then each leaf's LCONV1x1
-            // into the 32ch output; one fan-out runs every leaf.
-            let forked = simd::er_blocked_narrow(
+            // in registers, each leaf's LCONV1x1 into the 32ch output,
+            // band by band in one fan-out, then the final epilogue.
+            let (finish, stage) = match dst {
+                Some(dst) => {
+                    let shape = (LEAF_CH, chh, cw);
+                    let srcs = srcs_plane(plan, idx, &pool.arena, &mut pool.stats, shape, ext)?;
+                    let srcs = srcs.map(|(_, p)| (p, ext.srcs_offset));
+                    (ErFinish::Codes { ep: &ep, srcs, dst }, Stage::Stored)
+                }
+                None => {
+                    let acc1 =
+                        ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, chh, cw);
+                    (ErFinish::Acc(acc1), Stage::Narrow)
+                }
+            };
+            let lanes = &mut pool.lanes;
+            let swept = simd::er_blocked_narrow(
                 plan.simd,
-                plan.lanes,
+                lanes,
                 input,
                 &packed.conv3,
                 &mid_ep,
                 p1,
-                mid,
-                acc1,
-            )
-            .expect("conv3_runs_blocked admitted the sweep");
-            pool.stats.lane_forks += u64::from(forked);
-        } else {
-            // The row-kernel sweeps go through an `i32` plane.
-            for (li, conv3) in packed.conv3.iter().enumerate() {
-                let full = LiveChannels::full(conv3.in_groups, conv3.out_planes);
-                let acc3 = ensure_overwrite(&mut pool.acc_b32, &mut pool.stats, LEAF_CH, chh, cw);
-                kernels::conv3_acc_packed_simd_narrow(ins, input, conv3, full, acc3, plan.simd, 1);
-                simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid, LEAF_CH);
-                kernels::conv1_acc_packed_simd_narrow(p1, li..li + 1, mid, acc1, plan.simd, 1);
-            }
+                finish,
+            );
+            pool.stats
+                .record(swept.expect("conv3_runs_blocked admitted the sweep"));
+            return Ok(stage);
         }
-        pool.stats.mac3 += mac3 * leafs.len() as u64;
-    } else {
-        {
-            let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
-            match kind {
-                Kernels::Reference => reference_bias1(acc1, ins, leafs),
-                // Pre-aligned 1x1 biases, already summed across leaves.
-                _ => kernels::fill_bias(acc1, &packed.conv1.as_ref().expect("ER packs a 1x1").bias),
-            }
+        // The row-kernel sweeps go through an `i32` plane.
+        let acc1 = ensure_overwrite(&mut pool.acc_a32, &mut pool.stats, LEAF_CH, chh, cw);
+        kernels::fill_bias(acc1, &p1.bias);
+        let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
+        let one = &mut Lanes::default();
+        for (li, conv3) in packed.conv3.iter().enumerate() {
+            let full = LiveChannels::full(conv3.in_groups, conv3.out_planes);
+            let acc3 = ensure_overwrite(&mut pool.acc_b32, &mut pool.stats, LEAF_CH, chh, cw);
+            kernels::conv3_acc_packed_simd_narrow(ins, input, conv3, full, acc3, plan.simd, one);
+            simd::epilogue_narrow(plan.simd, &mid_ep, acc3, None, mid, LEAF_CH);
+            kernels::conv1_acc_packed_simd_narrow(p1, li..li + 1, mid, acc1, plan.simd, one);
         }
-        for (li, leaf) in leafs.iter().enumerate() {
-            // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
-            let acc3 = ensure_overwrite(&mut pool.acc_b, &mut pool.stats, LEAF_CH, chh, cw);
-            if kind == Kernels::Reference {
-                let weights = |_: usize, _: usize| leaf.w3.as_slice();
-                let b3_frac = ins.q.b3.frac() as i32;
-                let biases = |_: usize| -> Vec<i64> {
-                    (0..LEAF_CH)
-                        .map(|oc| align_code(leaf.b3[oc] as i64, b3_frac, prod3))
-                        .collect()
-                };
-                let mut single = Instruction::clone(ins);
-                single.in_groups = 1;
-                // The plane convolves the single 32ch input group.
-                kernels::reference::conv3_acc_into(&single, input, &weights, &biases, 1, acc3);
-            } else {
-                kernels::conv3_acc_packed(ins, input, &packed.conv3[li], acc3);
-            }
-            pool.stats.mac3 += mac3;
-            if let Some(t) = trace.as_deref_mut() {
-                merge_extrema(&mut t.er_acc3, scan_i64(acc3));
-            }
-            let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
-            for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
-                let v = if a < 0 { 0 } else { a }; // ER's internal ReLU
-                *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
-            }
-            // LCONV1x1: plane's columns accumulate into the 32ch output.
-            let acc1 = pool.acc_a.as_mut().expect("bias-filled above");
-            if kind == Kernels::Reference {
-                kernels::reference::conv1_leaf_acc(&leaf.w1, mid, 0, acc1);
-            } else {
-                let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
-                kernels::conv1_leaf_acc_packed(p1, li, mid, 0, acc1);
-            }
+        return Ok(Stage::Narrow);
+    }
+    {
+        let acc1 = ensure_overwrite(&mut pool.acc_a, &mut pool.stats, LEAF_CH, chh, cw);
+        match kind {
+            Kernels::Reference => reference_bias1(acc1, ins, leafs),
+            // Pre-aligned 1x1 biases, already summed across leaves.
+            _ => kernels::fill_bias(acc1, &packed.conv1.as_ref().expect("ER packs a 1x1").bias),
         }
     }
-    pool.stats.mac1 += (leafs.len() * LEAF_CH * LEAF_CH * nw * nh) as u64;
-    let stage = if narrow { Stage::Narrow } else { Stage::Wide };
-    finish(plan, idx, ext, pool, stage, trace)
+    for (li, leaf) in leafs.iter().enumerate() {
+        // Expansion plane: CONV3x3 -> ReLU -> quantize to mid format.
+        let acc3 = ensure_overwrite(&mut pool.acc_b, &mut pool.stats, LEAF_CH, chh, cw);
+        if kind == Kernels::Reference {
+            let weights = |_: usize, _: usize| leaf.w3.as_slice();
+            let b3_frac = ins.q.b3.frac() as i32;
+            let biases = |_: usize| -> Vec<i64> {
+                (0..LEAF_CH)
+                    .map(|oc| align_code(leaf.b3[oc] as i64, b3_frac, prod3))
+                    .collect()
+            };
+            let mut single = Instruction::clone(ins);
+            single.in_groups = 1;
+            // The plane convolves the single 32ch input group.
+            kernels::reference::conv3_acc_into(&single, input, &weights, &biases, 1, acc3);
+        } else {
+            kernels::conv3_acc_packed(ins, input, &packed.conv3[li], acc3);
+        }
+        pool.stats.mac3 += mac3;
+        if let Some(t) = trace.as_deref_mut() {
+            merge_extrema(&mut t.er_acc3, scan_i64(acc3));
+        }
+        let mid = ensure_overwrite(&mut pool.mid, &mut pool.stats, LEAF_CH, chh, cw);
+        for (m, &a) in mid.as_mut_slice().iter_mut().zip(acc3.as_slice()) {
+            let v = if a < 0 { 0 } else { a }; // ER's internal ReLU
+            *m = midq.clamp_code(rescale_code(v, prod3, midq.frac() as i32));
+        }
+        // LCONV1x1: plane's columns accumulate into the 32ch output.
+        let acc1 = pool.acc_a.as_mut().expect("bias-filled above");
+        if kind == Kernels::Reference {
+            kernels::reference::conv1_leaf_acc(&leaf.w1, mid, 0, acc1);
+        } else {
+            let p1 = packed.conv1.as_ref().expect("ER packs a 1x1");
+            kernels::conv1_leaf_acc_packed(p1, li, mid, 0, acc1);
+        }
+    }
+    Ok(Stage::Wide)
+}
+
+/// The slot and plane of instruction `idx`'s srcS, read once (charging
+/// its block-buffer traffic) and checked to cover an accumulator shaped
+/// `acc` at the table's offset; `None` without srcS.
+fn srcs_plane<'m>(
+    plan: &BlockPlan<'_>,
+    idx: usize,
+    arena: &'m PlaneArena,
+    stats: &mut ExecStats,
+    acc: (usize, usize, usize),
+    ext: &InstrExtents,
+) -> Result<Option<(usize, &'m Tensor<i16>)>, ExecError> {
+    let (Some(loc), Some(p)) = (
+        plan.program.instructions[idx].src_s,
+        plan.bindings[idx].src_s,
+    ) else {
+        return Ok(None);
+    };
+    let slot = plan.slots[p];
+    let plane = read_plane(arena, stats, loc, slot, &plan.planes[p])?;
+    check_srcs_domain(acc, plane, ext.srcs_offset)?;
+    Ok(Some((slot, plane)))
 }
 
 /// Fractional bits of `ins`'s final accumulator: the 3×3 products over the
@@ -2244,7 +2464,8 @@ enum Stage {
     /// A licensed instruction's `i32` accumulator in `acc_a32`.
     Narrow,
     /// A licensed instruction's final codes, already in its destination
-    /// plane (the register-resident finish of `exec_conv3`).
+    /// plane (the register finish of `exec_conv3`, the band finish of
+    /// `er_stage`).
     Stored,
 }
 
@@ -2288,8 +2509,9 @@ fn check_produced((oh, ow): (usize, usize), ext: &InstrExtents) -> Result<(), Ex
 /// Finishes instruction `idx` from what its conv stage left (`stage`):
 /// the ADDE, activation, single rounding and Dst Reorder tail every
 /// opcode and kernel rung shares. Codes the stage already stored in the
-/// destination (a srcS-free CONV or UPX2 on the register-blocked kernels)
-/// only take the produced-size check and the traffic count. Otherwise
+/// destination (a CONV, srcS-free UPX2 or ER on the register-blocked
+/// kernels, srcS read and added there) only take the produced-size check
+/// and the traffic count. Otherwise
 /// UPX2 with srcS shuffles the accumulator (`acc_a32` or `acc_a`) first
 /// (srcS accumulates in the shuffled domain). srcS is read once, through
 /// a copy when the destination overwrites it in place. The sum is rounded
@@ -2383,15 +2605,7 @@ fn finish(
             merge_extrema(&mut t.dst, scan_i16(codes));
         }
     };
-    let srcs_slot = match (ins.src_s, binding.src_s) {
-        (Some(loc), Some(p)) => {
-            let slot = plan.slots[p];
-            let plane = read_plane(arena, stats, loc, slot, &plan.planes[p])?;
-            check_srcs_domain((ac, ah, aw), plane, offset)?;
-            Some(slot)
-        }
-        _ => None,
-    };
+    let srcs_slot = srcs_plane(plan, idx, arena, stats, (ac, ah, aw), ext)?.map(|(slot, _)| slot);
     if ins.opcode == Opcode::Dnx2 || shuffle_codes {
         // Round into scratch, then reorder the codes into dst.
         let codes = ensure_overwrite(quant, stats, ac, ah, aw);
@@ -2903,11 +3117,12 @@ mod tests {
     }
 
     /// A licensed `Simd` block on every register-blocked rung finishes
-    /// its srcS-free CONV and UPX2 sweeps in registers: no pre-shuffle
-    /// codes, no `i32` plane larger than ER's 1×1 accumulators, and DO
-    /// planes at their live channels (rounded up to `OC_BLOCK`). Pixels
-    /// and work equal `Packed`'s, on a full DnERNet block and a clipped
-    /// eSR-4K edge block.
+    /// its CONV (srcS included) and srcS-free UPX2 sweeps in registers
+    /// and its ERs from their bands: no pre-shuffle codes, no `i32`
+    /// accumulator plane and no ER mid plane is ever allocated, and DO
+    /// planes hold their live channels (rounded up to `OC_BLOCK`).
+    /// Pixels and work equal `Packed`'s, on a full DnERNet block and a
+    /// clipped eSR-4K edge block.
     #[test]
     fn register_finish_keeps_only_er_accumulators_and_live_do_channels() {
         use kernels::simd::{SimdLevel, BLOCKED_MIN_WIDTH};
@@ -2930,11 +3145,7 @@ mod tests {
             assert!(instrs()
                 .filter(|(i, _)| matches!(i.opcode, Opcode::Conv | Opcode::Upx2))
                 .all(|(_, e)| e.conv.1 >= BLOCKED_MIN_WIDTH));
-            let er_acc = instrs()
-                .filter(|(i, _)| i.opcode == Opcode::Er)
-                .map(|(_, e)| LEAF_CH * e.conv.0 * e.conv.1)
-                .max()
-                .expect("an ER module");
+            assert!(instrs().any(|(i, _)| i.opcode == Opcode::Er));
             let img = SyntheticImage::new(ecnn_tensor::ImageKind::Texture, 4).rgb(64, 64);
             let input = quantize_input(&img, &c.program);
             let mut pool = PlanePool::new();
@@ -2952,8 +3163,8 @@ mod tests {
                 assert_eq!(out, &want, "{spec} {level}");
                 assert_eq!(pool.stats().work(), work, "{spec} {level}");
                 assert!(pool.quant.is_none(), "{spec} {level}: pre-shuffle codes");
-                let acc = pool.acc_a32.as_ref().map_or(0, Tensor::capacity);
-                assert_eq!(acc, er_acc, "{spec} {level}: i32 scratch");
+                assert!(pool.acc_a32.is_none(), "{spec} {level}: i32 accumulators");
+                assert!(pool.mid.is_none(), "{spec} {level}: ER mid plane");
                 for (g, &d) in plan.do_planes.iter().enumerate() {
                     let live = c.program.do_channels - g * LEAF_CH;
                     let plane = pool.plane(plan.slots[d]).expect("DO plane");
@@ -3063,6 +3274,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A keyed in-place srcS chain (destination and srcS in one slot)
+    /// cannot finish from registers or bands, which would overwrite the
+    /// srcS codes they still read: it keeps the `i32` accumulator and
+    /// matches `Packed`, while the coalesced layout never allocates one.
+    /// Byte lanes run on both layouts alike.
+    #[test]
+    fn keyed_in_place_chains_finish_from_the_accumulator() {
+        // DnERNet-B3R1N0 rewired so that its second ER and its srcS CONV
+        // write the buffer they read their srcS from (never their
+        // source, which the verifier rejects).
+        let m = ErNetSpec::new(ErNetTask::Dn, 3, 1, 0).build().unwrap();
+        let mut c = compile(&QuantizedModel::uniform(&m), 64).unwrap();
+        let ins = &mut c.program.instructions;
+        let bb0 = ins[1].src;
+        assert_eq!(ins[4].src_s, Some(bb0));
+        (ins[2].src_s, ins[2].dst) = (Some(bb0), bb0);
+        (ins[3].src, ins[3].src_s) = (bb0, Some(bb0));
+        ins[4].dst = bb0;
+        ins[5].src = bb0;
+        let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+        assert!(plan.coalesced());
+        let mut keyed = plan.clone();
+        keyed.force_keyed();
+        let in_place = |p: &BlockPlan<'_>| {
+            p.bindings
+                .iter()
+                .any(|b| b.src_s.is_some_and(|s| p.slots[s] == p.slots[b.dst]))
+        };
+        assert!(in_place(&keyed) && !in_place(&plan));
+        let img = SyntheticImage::new(ecnn_tensor::ImageKind::Edges, 6).rgb(64, 64);
+        let input = quantize_input(&img, &c.program);
+        let want = execute_with(&plan, &mut PlanePool::new(), &input, Kernels::Packed)
+            .unwrap()
+            .clone();
+        let mut bytes = Vec::new();
+        for p in [&plan, &keyed] {
+            let mut pool = PlanePool::new();
+            let out = execute_with(p, &mut pool, &input, Kernels::Simd).unwrap();
+            assert_eq!(out, &want, "keyed {}", !p.coalesced());
+            let blocked = kernels::simd::conv3_blocked_covers(p.simd_level(), 16);
+            assert_eq!(pool.acc_a32.is_some(), !p.coalesced() && blocked);
+            bytes.push(pool.stats().byte_lane_sweeps);
+        }
+        assert_eq!(bytes[0], bytes[1], "byte lanes on both layouts");
     }
 
     /// The plan's liveness table and dead-MAC count, pinned on the

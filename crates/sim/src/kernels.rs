@@ -20,13 +20,14 @@
 //!   input-channel pair and tap streams through a pairwise multiply-add —
 //!   each input load serves 4 output channels, and each accumulator is
 //!   stored once. The 3×3 kernel covers truncated-pyramid sweeps at least
-//!   [`simd::BLOCKED_MIN_WIDTH`] wide, writes the biases itself (for
-//!   the ER mid plane it can requantize in registers and store codes)
-//!   and skips the plan's dead channels ([`simd::LiveChannels`]);
-//!   the 1×1 kernel covers planes of at least that many pixels. Both
-//!   split a large sweep's rows across the plan's lanes (see
-//!   [`simd`]'s "Lanes"). Zero-padded sweeps, narrower planes, NEON and
-//!   scalar keep the row kernels, on the calling thread.
+//!   [`simd::BLOCKED_MIN_WIDTH`] wide, writes the biases itself (it can
+//!   also requantize in registers and store codes), skips the plan's
+//!   dead channels ([`simd::LiveChannels`]) and, on the AVX-512 rung,
+//!   multiplies bytes where the plan licenses it ([`simd`]'s "Byte
+//!   lanes"); the 1×1 kernel covers planes of at least that many pixels.
+//!   Both split a large sweep's rows across the plan's lanes (see
+//!   [`simd`]'s "Lanes and bands"). Zero-padded sweeps, narrower planes,
+//!   NEON and scalar keep the row kernels, on the calling thread.
 //!
 //! The packed kernels accumulate in exact `i64` arithmetic, so any
 //! summation order produces bit-identical results; narrow kernels wrap
@@ -48,7 +49,7 @@ use ecnn_tensor::Tensor;
 
 pub mod simd;
 
-use simd::{LiveChannels, SimdLevel};
+use simd::{Lanes, LiveChannels, SimdLevel, Swept};
 
 /// Adds one fused 3-tap row into a fully interior accumulator span:
 /// `acc[x] += t0·row[x] + t1·row[x+1] + t2·row[x+2]`. No bounds branches;
@@ -228,9 +229,10 @@ pub(crate) fn conv1_leaf_acc_packed(
 /// Truncated-pyramid sweeps at least [`simd::BLOCKED_MIN_WIDTH`] wide run
 /// the register-blocked kernel on AVX-512/AVX2/SSE2 ([`conv3_runs_blocked`]),
 /// which writes the biases itself, computes only the `live` channel
-/// extents and splits its rows across `lanes`; everything else runs the
-/// row kernels over a bias-filled `acc`, every channel of it, on this
-/// thread. Returns whether the sweep forked.
+/// extents, splits its rows across `lanes` and runs byte lanes where
+/// `packed` is licensed for them; everything else runs the row kernels
+/// over a bias-filled `acc`, every channel of it, on this thread.
+/// Returns what the sweep did.
 pub(crate) fn conv3_acc_packed_simd_narrow(
     ins: &Instruction,
     input: &Tensor<i16>,
@@ -238,11 +240,11 @@ pub(crate) fn conv3_acc_packed_simd_narrow(
     live: LiveChannels,
     acc: &mut Tensor<i32>,
     level: SimdLevel,
-    lanes: usize,
-) -> bool {
+    lanes: &mut Lanes,
+) -> Swept {
     if ins.inference == InferenceKind::TruncatedPyramid {
-        if let Some(forked) = simd::conv3_blocked_narrow(level, lanes, input, packed, live, acc) {
-            return forked;
+        if let Some(swept) = simd::conv3_blocked_narrow(level, lanes, input, packed, live, acc) {
+            return swept;
         }
     }
     conv3_row_sweep(
@@ -253,7 +255,7 @@ pub(crate) fn conv3_acc_packed_simd_narrow(
         |a, r, t| simd::row_interior_narrow(level, a, r, t),
         |a, r, t| simd::row_padded_narrow(level, a, r, t),
     );
-    false
+    Swept::default()
 }
 
 /// Whether [`conv3_acc_packed_simd_narrow`] runs `ins` at a conv output
@@ -263,12 +265,24 @@ pub(crate) fn conv3_runs_blocked(ins: &Instruction, out_w: usize, level: SimdLev
     ins.inference == InferenceKind::TruncatedPyramid && simd::conv3_blocked_covers(level, out_w)
 }
 
+/// Whether that register-blocked sweep of `packed` also runs on byte
+/// lanes ([`simd`]'s "Byte lanes").
+pub(crate) fn conv3_runs_bytes(
+    ins: &Instruction,
+    packed: &PackedConv3,
+    out_w: usize,
+    level: SimdLevel,
+) -> bool {
+    conv3_runs_blocked(ins, out_w, level) && simd::runs_bytes(level, out_w, packed.bytes.is_some())
+}
+
 /// [`conv3_acc_packed_simd_narrow`]'s register-blocked sweep with the
-/// srcS-free epilogue `ep` fused into its store
-/// ([`simd::conv3_blocked_codes`]): writes the `live` channels of `dst`
-/// codes, through the ×2 pixel shuffle for `UPX2`, and returns whether it
-/// forked, or returns `None`, leaving `dst` untouched, for the sweeps
-/// that run the row kernels ([`conv3_runs_blocked`] is `false`).
+/// epilogue `ep` fused into its store ([`simd::conv3_blocked_codes`]):
+/// writes the `live` channels of `dst` codes, adding the srcS plane
+/// `srcs` for a `CONV`, through the ×2 pixel shuffle for `UPX2`, and
+/// returns what the sweep did, or returns `None`, leaving `dst`
+/// untouched, for the sweeps that run the row kernels
+/// ([`conv3_runs_blocked`] is `false`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv3_codes_packed_simd_narrow(
     ins: &Instruction,
@@ -276,15 +290,16 @@ pub(crate) fn conv3_codes_packed_simd_narrow(
     packed: &PackedConv3,
     live: LiveChannels,
     ep: &simd::NarrowEpilogue,
+    srcs: Option<(&Tensor<i16>, (usize, usize))>,
     dst: &mut Tensor<i16>,
     level: SimdLevel,
-    lanes: usize,
-) -> Option<bool> {
+    lanes: &mut Lanes,
+) -> Option<Swept> {
     if ins.inference != InferenceKind::TruncatedPyramid {
         return None;
     }
     let shuffle = ins.opcode == Opcode::Upx2;
-    simd::conv3_blocked_codes(level, lanes, input, packed, live, ep, shuffle, dst)
+    simd::conv3_blocked_codes(level, lanes, input, packed, live, ep, shuffle, srcs, dst)
 }
 
 /// The verifier-licensed narrow variant of [`conv1_leaf_acc_packed`] over
@@ -300,7 +315,7 @@ pub(crate) fn conv1_acc_packed_simd_narrow(
     input: &Tensor<i16>,
     acc: &mut Tensor<i32>,
     level: SimdLevel,
-    lanes: usize,
+    lanes: &mut Lanes,
 ) -> bool {
     if let Some(forked) =
         simd::conv1_blocked_narrow(level, lanes, packed, leaves.clone(), input, acc)

@@ -7,10 +7,11 @@
 //! [`detect`] probes the CPU once (cached) and returns the best
 //! [`SimdLevel`] available: AVX-512 → AVX2 → SSE2 on `x86_64`, NEON on
 //! `aarch64`, scalar everywhere else. The AVX-512 rung needs AVX2,
-//! AVX-512F, AVX-512BW and AVX-512 VNNI together; only the
-//! register-blocked narrow conv kernels have AVX-512 bodies, and every
-//! other kernel on that rung (the row kernels and the epilogue) runs the
-//! AVX2 body. The level is resolved at *plan* time (`BlockPlan`
+//! AVX-512F, AVX-512BW and AVX-512 VNNI together; only the byte-lane 3×3
+//! kernel (with its source repack) and the register-blocked 1×1 kernel
+//! have AVX-512 bodies, and every other kernel on that rung (the
+//! pair-word 3×3 kernel, the row kernels and the epilogue) runs the AVX2
+//! body. The level is resolved at *plan* time (`BlockPlan`
 //! stores it; `BlockPlan::with_simd_level` pins any rung
 //! [`SimdLevel::is_available`] admits, for tests and benches) and
 //! threaded into every kernel, so the per-row dispatch is a predictable
@@ -55,16 +56,18 @@
 //! # Register-blocked narrow conv kernels
 //!
 //! On AVX-512, AVX2 and SSE2 the narrow 3×3 and 1×1 stages run
-//! [`conv3_blocked_narrow`] / [`conv1_blocked_narrow`] instead of one row
+//! [`conv3_blocked_narrow`] / [`conv3_blocked_codes`] /
+//! [`er_blocked_narrow`] / [`conv1_blocked_narrow`] instead of one row
 //! kernel call per channel pair:
 //!
 //! * **Layout.** Per output row and pixel chunk (32 pixels on AVX-512, 16
 //!   on AVX2, 8 on SSE2), 4 output channels × 2 vectors of `i32`
 //!   accumulators stay in registers. The 3×3 kernel starts them from the
 //!   bias, the 1×1 kernel from the current `acc` (it accumulates across
-//!   ER leaves). On the AVX-512 rung, 3×3 sweeps of 16–31 columns run
-//!   the AVX2 kernel, and 1×1 planes take one more AVX2 chunk when at
-//!   least 16 pixels are left after the 32-pixel chunks.
+//!   ER leaves). On the AVX-512 rung, licensed 3×3 sweeps of at least 32
+//!   columns run on byte lanes (below), every other 3×3 sweep runs the
+//!   AVX2 kernel, and 1×1 planes take one more AVX2 chunk when at least
+//!   16 pixels are left after the 32-pixel chunks.
 //! * **Pair words.** For each input-channel pair `(2p, 2p + 1)` and tap,
 //!   the kernel loads a chunk of samples from both channel rows and
 //!   interleaves them with `unpacklo/hi_epi16`, so each 32-bit lane holds
@@ -72,13 +75,14 @@
 //!   one 32-bit word per `(output channel, pair, tap)`
 //!   ([`ecnn_isa::params::pair_word`]: channel `2p` in the low half), so
 //!   one broadcast word and one `madd_epi16` (`vpmaddwd`) apply 2 taps
-//!   to every pixel of the vector; AVX-512 VNNI's `dpwssd_epi32`
-//!   (`vpdpwssd`) fuses that multiply-add with the accumulate. The
-//!   unpacked halves come out in 128-bit-lane order: on AVX2 pixels 0–3 /
-//!   8–11 and 4–7 / 12–15, and one `permute2x128` pair per output channel
-//!   restores pixel order at the store; on AVX-512 pixels 0–3 / 8–11 /
-//!   16–19 / 24–27 and the 4 after each, and one `permutex2var_epi64`
-//!   pair does it. The 1×1 kernels apply the inverse on their loads.
+//!   to every pixel of the vector; the AVX-512 1×1 kernel's
+//!   `dpwssd_epi32` (`vpdpwssd`) fuses that multiply-add with the
+//!   accumulate. The unpacked halves come out in 128-bit-lane order: on
+//!   AVX2 pixels 0–3 / 8–11 and 4–7 / 12–15, and one `permute2x128` pair
+//!   per output channel restores pixel order at the store; on AVX-512
+//!   pixels 0–3 / 8–11 / 16–19 / 24–27 and the 4 after each, and one
+//!   `permutex2var_epi64` pair does it. The 1×1 kernels apply the
+//!   inverse on their loads.
 //! * **Exactness.** `vpmaddwd` computes `a₀b₀ + a₁b₁` of `i16` pairs into
 //!   `i32`. Each product fits `i32`; the sum overflows only when both are
 //!   (−32768)·(−32768), and then wraps to −2³¹, the residue of 2³¹ modulo
@@ -94,49 +98,100 @@
 //!   1×1 kernel accumulates, so its last `px mod chunk` pixels run the
 //!   scalar loop over the compacted nonzero columns.
 //! * **Fused codes store.** [`conv3_blocked_codes`] is the 3×3 sweep in
-//!   codes mode: it applies a srcS-free [`NarrowEpilogue`] to the
-//!   registers (floor, branch-free round, clamp) and `packs_epi32(lo, hi)`
-//!   writes `i16` codes. Per 128-bit lane that pack emits `lo`'s 4 pixels
-//!   and then `hi`'s, which is already pixel order, so no permute is
-//!   needed. In shuffle mode (`UPX2`) the 4 output channels of a block
-//!   are the 4 phases `(dy, dx)` of one shuffled channel: the packed
-//!   phase codes are interleaved with `unpacklo/hi_epi16` into rows `2y`
-//!   and `2y + 1` (one `permute2x128` pair on AVX2, `to_pixel_order` on
-//!   AVX-512, none on SSE2). The store writes only the live blocks, so a
-//!   destination needs only the live channels. The executor uses it for
-//!   each ER leaf's mid plane and for the final codes of srcS-free CONV
-//!   and UPX2 instructions, which then need no `i32` plane and no
-//!   pre-shuffle codes; sweeps the blocked kernels do not cover still go
-//!   through an `i32` plane and [`epilogue_narrow`].
+//!   codes mode: it adds a `CONV`'s srcS codes (sign-extended and
+//!   shifted up to the accumulator, for the channels the srcS plane has),
+//!   applies the rest of the [`NarrowEpilogue`] to the registers (floor,
+//!   branch-free round, clamp) and `packs_epi32(lo, hi)` writes `i16`
+//!   codes. Per 128-bit lane that pack emits `lo`'s 4 pixels and then
+//!   `hi`'s, which is already pixel order for the pair-word kernels (the
+//!   byte kernel, whose accumulators are in pixel order, permutes qwords
+//!   once). In shuffle mode (`UPX2`, srcS-free) the 4 output channels of
+//!   a block are the 4 phases `(dy, dx)` of one shuffled channel: the
+//!   packed phase codes are interleaved with `unpacklo/hi_epi16` into
+//!   rows `2y` and `2y + 1` (one `permute2x128` pair on AVX2,
+//!   `to_pixel_order` on AVX-512, none on SSE2). The store writes only
+//!   the live blocks, so a destination needs only the live channels. The
+//!   executor uses it for each ER band's mid codes and for the final
+//!   codes of every CONV and srcS-free UPX2 whose destination has a slot
+//!   of its own, which then need no `i32` plane and no pre-shuffle codes;
+//!   sweeps the blocked kernels do not cover still go through an `i32`
+//!   plane and [`epilogue_narrow`].
 //! * **Zero-skipping.** A plan-time mask per (4-channel output block,
 //!   input pair, `ky`) skips all-zero tap rows, so pruned models still
-//!   skip work.
+//!   skip work; the byte kernel skips a quad's tap row when both of its
+//!   pairs' masks do.
 //! * **Channel liveness.** The 3×3 sweep takes the instruction's
-//!   [`LiveChannels`] from the plan: it skips input pairs past the live
-//!   source channels (the zero padding of a 3- or 12-channel DI plane)
-//!   and output blocks past the live output channels (a DO plane's
-//!   channels the output assembly never reads). A dead pair contributes
-//!   only zeros, and a dead block is never stored, so its accumulator
-//!   channels keep stale values that nothing reads. The work counters
-//!   still charge the accelerator's full 32-channel MACs.
+//!   [`LiveChannels`] from the plan: it skips input pairs (quads, on byte
+//!   lanes) past the live source channels (the zero padding of a 3- or
+//!   12-channel DI plane) and output blocks past the live output channels
+//!   (a DO plane's channels the output assembly never reads). A dead pair
+//!   contributes only zeros, and a dead block is never stored, so its
+//!   accumulator channels keep stale values that nothing reads. The work
+//!   counters still charge the accelerator's full 32-channel MACs.
 //! * **Fallbacks.** Zero-padded 3×3 sweeps, conv widths (3×3) or planes
 //!   (1×1) below [`BLOCKED_MIN_WIDTH`], NEON and scalar run the row
 //!   kernels below.
 //!
-//! # Lanes
+//! # Byte lanes
 //!
-//! The register-blocked entry points take a lane count and split one
+//! Every shipped model's feature codes and weights have at most 8 bits,
+//! so on the AVX-512 rung a licensed 3×3 sweep multiplies bytes: one
+//! `vpdpbusd` adds 4 `u8 × i8` products to each 32-bit lane, twice the
+//! MACs of a pair-word `vpdpwssd`.
+//!
+//! * **Licence.** On top of `narrow_acc`, the plan stamps a byte-lane
+//!   licence ([`ecnn_isa::params::ByteLanes`]) on a 3×3 stage whose
+//!   weights all fit `i8` (packing left its quad words out otherwise) and
+//!   whose source codes fit `u8` after a fixed offset: 128 when the
+//!   declared source format and the stored formats of its source planes
+//!   are signed of at most 8 bits, 0 when they are unsigned of at most 8
+//!   bits. Every stored code is clamped to its format, so this is a
+//!   plan-time check. Sweeps of at least [`BYTE_LANES_MIN_WIDTH`]
+//!   columns run on byte lanes, which `ExecStats::byte_lane_sweeps`
+//!   counts.
+//! * **Repack.** A lane repacks the source rows each band reads into its
+//!   own buffer as quad-interleaved `u8` rows: per pixel one 32-bit word
+//!   holding channels `4q..4q + 4` plus the offset (`packus`, then byte
+//!   and word unpacks, then `to_pixel_order`). An `ER` band's leaves
+//!   share one repack. A band whose offset codes do not all fit `u8`
+//!   (only an input block outside its format can hold one) runs the
+//!   pair-word kernel instead.
+//! * **Quad words and correction.** The plan packs each `(output
+//!   channel, quad, tap)`'s four `i8` weights into one word
+//!   ([`ecnn_isa::params::quad_word`]) on the same walk as the pair
+//!   words, and folds the offset's term into the licence's bias:
+//!   `Σ w·(x + o) = Σ w·x + o·Σ w`, so the bias loses `o` times the sum
+//!   of every weight the kernel multiplies — all taps of the quads
+//!   holding a live channel. A dead channel inside such a quad reads as
+//!   `o` and its weights are in the sum; skipped quads and all-zero tap
+//!   rows are in neither.
+//! * **Exactness.** Each `u8 × i8` product and their sum of 4 fit `i32`,
+//!   and the kernel uses the wrapping `vpdpbusd` (never the saturating
+//!   `vpdpbusds`), so the lane is congruent modulo 2³² to the corrected
+//!   bias plus the offset-code products, which is congruent to the exact
+//!   sum. Under `narrow_acc` that sum fits `i32`: the result is exact,
+//!   by the same argument as the pair words.
+//!
+//! # Lanes and bands
+//!
+//! The register-blocked entry points take a [`Lanes`] and split one
 //! sweep's output rows (the 1×1's pixels) into contiguous ranges, a few
 //! per lane. The calling thread and up to `lanes − 1` scoped threads
 //! (`std::thread::scope`) claim ranges until none is left, so a lane
 //! whose core is busy elsewhere takes fewer, and all are joined before
-//! the entry point returns. [`er_blocked_narrow`] runs a whole `ER`
-//! instruction in one such fan-out: for each range, a lane runs every
-//! leaf's 3×3 expansion and 1×1 reduction over those rows, so the mid
-//! rows it reads back are ones it wrote. Every row is computed by the
-//! same code from the same complete input plane as on one lane, so the
-//! split is bit-identical by construction; the lanes write disjoint rows
-//! of the caller's planes and allocate nothing. A sweep under
+//! the entry point returns. Each lane owns a [`LaneScratch`] of band
+//! buffers: byte-lane sweeps and `ER` instructions run each range in
+//! bands of [`BAND_ROWS`] rows. [`er_blocked_narrow`] runs a whole `ER`
+//! instruction in one fan-out, and per band every leaf's 3×3 expansion
+//! stores mid codes into the lane's mid band, that leaf's 1×1
+//! accumulates them into the lane's `i32` band, and the final epilogue
+//! (srcS, ReLU, rounding) writes the band's destination rows — so the
+//! epilogue runs on every lane and no instruction-sized mid or `i32`
+//! plane exists. Every row is computed by the same code from the same
+//! complete input plane as on one lane, so the split is bit-identical by
+//! construction; the lanes write disjoint rows of the caller's planes.
+//! The pool sizes the band buffers once from the plan
+//! ([`BandScratch`]), so warm blocks allocate nothing. A sweep under
 //! [`FAN_OUT_MIN_MACS`] host MACs runs on the calling thread alone.
 //!
 //! # Safety
@@ -154,14 +209,15 @@
 //!    plane offsets are bounded by the shape checks of their safe
 //!    wrappers);
 //! 3. the lanes' shared planes: the blocked kernels store to (and the 1×1
-//!    reads from) a caller's plane through the raw pointer of a private
-//!    `LanePlane`, which is `Send` and `Sync` because each lane touches
-//!    only the rows of the ranges it claimed.
+//!    reads from) a caller's plane, or a lane's band buffer, through the
+//!    raw pointer of a private `LanePlane`, which is `Send` and `Sync`
+//!    because each lane touches only the rows of the ranges it claimed.
 #![allow(unsafe_code)]
 
 use ecnn_isa::instr::LEAF_CH;
 use ecnn_isa::params::{
-    PackedConv1, PackedConv3, CONV3_BLOCK_WORDS, IC_PAIRS, OC_BLOCK, OC_BLOCKS,
+    ByteLanes, PackedConv1, PackedConv3, CONV3_BLOCK_QUADS, CONV3_BLOCK_WORDS, IC_PAIRS, IC_QUADS,
+    OC_BLOCK, OC_BLOCKS,
 };
 use ecnn_tensor::{QFormat, Tensor};
 use std::marker::PhantomData;
@@ -175,9 +231,10 @@ use std::sync::OnceLock;
 /// and [`detect`] never returns them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// 512-bit AVX-512F/BW with VNNI: the register-blocked narrow conv
-    /// kernels run 32-pixel chunks through `vpdpwssd`; every other kernel
-    /// runs the AVX2 body (the level implies AVX2).
+    /// 512-bit AVX-512F/BW with VNNI: licensed 3×3 sweeps run 32-pixel
+    /// chunks of byte lanes through `vpdpbusd`, the 1×1 kernel through
+    /// `vpdpwssd`; every other kernel runs the AVX2 body (the level
+    /// implies AVX2).
     Avx512,
     /// 256-bit AVX2: 8×`i32` narrow lanes.
     Avx2,
@@ -416,7 +473,7 @@ mod avx2 {
         ocb: usize,
         x: usize,
     ) {
-        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
+        let (ih, iw, cw) = (s.in_h, s.in_w, s.out_w);
         let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
         let mut lo = [_mm256_setzero_si256(); OC_BLOCK];
         for (l, &v) in lo.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
@@ -467,12 +524,13 @@ mod avx2 {
                 }
             }
         }
-        match out {
-            super::Conv3Store::Acc(acc) => {
+        let (chh, yy) = (out.height, y - out.row0);
+        match &out.kind {
+            super::StoreKind::Acc(acc) => {
                 for o in 0..OC_BLOCK {
-                    let dst = ((oc0 + o) * chh + y) * cw + x;
-                    // SAFETY: `oc0 + o < out_planes · 32`, `y < chh` and
-                    // `x + 16 <= cw` bound both stores to row `y` of
+                    let dst = ((oc0 + o) * chh + yy) * cw + x;
+                    // SAFETY: `oc0 + o < out_planes · 32`, `yy < height`
+                    // and `x + 16 <= cw` bound both stores to row `yy` of
                     // channel `oc0 + o` of `acc`, a row the caller owns.
                     unsafe {
                         _mm256_storeu_si256(
@@ -486,20 +544,35 @@ mod avx2 {
                     }
                 }
             }
-            super::Conv3Store::Codes(ep, codes) => {
+            super::StoreKind::Codes(ep, codes, srcs) => {
                 let k = EpilogueVecs::new(ep);
                 for o in 0..OC_BLOCK {
-                    let dst = ((oc0 + o) * chh + y) * cw + x;
+                    let (mut a, mut b) = (lo[o], hi[o]);
+                    if let Some(sr) = srcs.filter(|sr| oc0 + o < sr.channels) {
+                        // SAFETY: `SrcS::new` checked the plane covers
+                        // every output pixel at its offset, and
+                        // `x + 16 <= cw`.
+                        let v =
+                            unsafe { _mm256_loadu_si256(sr.at(oc0 + o, y, x) as *const __m256i) };
+                        // Pixels 0-7 and 8-15, then into the lo/hi order.
+                        let s0 = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(v));
+                        let s1 = _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(v));
+                        let sl = _mm256_permute2x128_si256::<0x20>(s0, s1);
+                        let sh = _mm256_permute2x128_si256::<0x31>(s0, s1);
+                        a = _mm256_add_epi32(a, _mm256_sll_epi32(sl, k.up));
+                        b = _mm256_add_epi32(b, _mm256_sll_epi32(sh, k.up));
+                    }
+                    let dst = ((oc0 + o) * chh + yy) * cw + x;
                     // Per 128-bit lane the pack emits lo's 4 pixels, then
                     // hi's: pixels 0-7 / 8-15, already in order.
-                    let v = _mm256_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                    let v = _mm256_packs_epi32(round_clamp(a, &k), round_clamp(b, &k));
                     // SAFETY: as for the accumulator stores, on an `i16`
                     // plane of the same rows that `Conv3Sweep::new`
                     // checked holds every live block's channels.
                     unsafe { _mm256_storeu_si256(codes.ptr.add(dst) as *mut __m256i, v) };
                 }
             }
-            super::Conv3Store::Shuffled(ep, codes) => {
+            super::StoreKind::Shuffled(ep, codes) => {
                 let k = EpilogueVecs::new(ep);
                 let mut v = [_mm256_setzero_si256(); OC_BLOCK];
                 for o in 0..OC_BLOCK {
@@ -514,11 +587,11 @@ mod avx2 {
                     // puts the 32 codes in column order.
                     let a = _mm256_unpacklo_epi16(v[2 * dy], v[2 * dy + 1]);
                     let b = _mm256_unpackhi_epi16(v[2 * dy], v[2 * dy + 1]);
-                    let dst = (c * 2 * chh + 2 * y + dy) * 2 * cw + 2 * x;
+                    let dst = (c * 2 * chh + 2 * yy + dy) * 2 * cw + 2 * x;
                     // SAFETY: `Conv3Sweep::new` checked the plane holds
                     // one channel per live block, channel `c` among them;
-                    // `2y + dy < 2chh` and `2x + 32 <= 2cw` keep both
-                    // stores inside row `2y + dy` of channel `c`.
+                    // `2yy + dy < 2height` and `2x + 32 <= 2cw` keep both
+                    // stores inside row `2yy + dy` of channel `c`.
                     unsafe {
                         _mm256_storeu_si256(
                             codes.ptr.add(dst) as *mut __m256i,
@@ -612,8 +685,9 @@ mod avx2 {
         j
     }
 
-    /// The srcS-free epilogue constants, splatted once per row or chunk.
+    /// The epilogue constants, splatted once per row or chunk.
     struct EpilogueVecs {
+        up: __m128i,
         floor: __m256i,
         half: __m256i,
         shift: __m128i,
@@ -628,6 +702,7 @@ mod avx2 {
         #[target_feature(enable = "avx2")]
         unsafe fn new(ep: &super::NarrowEpilogue) -> Self {
             Self {
+                up: _mm_cvtsi32_si128(ep.srcs_shift as i32),
                 floor: _mm256_set1_epi32(ep.floor),
                 half: _mm256_set1_epi32(ep.half()),
                 shift: _mm_cvtsi32_si128(ep.shift as i32),
@@ -673,7 +748,6 @@ mod avx2 {
         dst: &mut [i16],
     ) {
         let n = acc.len();
-        let up = _mm_cvtsi32_si128(ep.srcs_shift as i32);
         let k = EpilogueVecs::new(ep);
         let mut j = 0usize;
         while j + 8 <= n {
@@ -686,7 +760,7 @@ mod avx2 {
                 if let Some(s) = srcs {
                     let v =
                         _mm256_cvtepi16_epi32(_mm_loadu_si128(s.as_ptr().add(j) as *const __m128i));
-                    a = _mm256_add_epi32(a, _mm256_sll_epi32(v, up));
+                    a = _mm256_add_epi32(a, _mm256_sll_epi32(v, k.up));
                 }
                 let r = round_clamp(a, &k);
                 let codes = _mm256_permute4x64_epi64::<0b00_00_10_00>(_mm256_packs_epi32(r, r));
@@ -707,7 +781,7 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{CONV3_BLOCK_WORDS, IC_PAIRS, LEAF_CH, OC_BLOCK, OC_BLOCKS};
+    use super::{PackedConv3, CONV3_BLOCK_QUADS, IC_PAIRS, IC_QUADS, LEAF_CH, OC_BLOCK, OC_BLOCKS};
     use std::arch::x86_64::*;
 
     /// Pixels per register-blocked chunk.
@@ -745,8 +819,9 @@ mod avx512 {
         )
     }
 
-    /// The srcS-free epilogue constants, splatted once per chunk.
+    /// The epilogue constants, splatted once per chunk.
     struct EpilogueVecs {
+        up: __m128i,
         floor: __m512i,
         half: __m512i,
         shift: __m128i,
@@ -761,6 +836,7 @@ mod avx512 {
         #[target_feature(enable = "avx512f")]
         unsafe fn new(ep: &super::NarrowEpilogue) -> Self {
             Self {
+                up: _mm_cvtsi32_si128(ep.srcs_shift as i32),
                 floor: _mm512_set1_epi32(ep.floor),
                 half: _mm512_set1_epi32(ep.half()),
                 shift: _mm_cvtsi32_si128(ep.shift as i32),
@@ -785,129 +861,219 @@ mod avx512 {
         _mm512_min_epi32(_mm512_max_epi32(r, k.min), k.max)
     }
 
-    /// Output rows `rows` of a register-blocked narrow 3×3 sweep (see
-    /// [`super::conv3_blocked_narrow`]) over 32-pixel chunks.
+    /// Repacks input rows `rows` of the sweep's source into `dst` as
+    /// quad-interleaved `u8` rows (see [`super::QuadRows`]): per pixel
+    /// one 32-bit word holding channels `4q..4q + 4`, each code plus
+    /// `offset`, channel `4q` in the low byte. Returns whether every
+    /// offset code fit `u8`; the caller must not read `dst` otherwise.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F/BW, the sweep must be at least 32
+    /// pixels wide, `rows.end <= s.in_h`, and `dst` must hold
+    /// [`super::QuadRows::len`] words for `rows.len()` rows.
+    #[target_feature(enable = "avx2,avx512f,avx512bw")]
+    pub unsafe fn repack(
+        s: &super::Conv3Sweep<'_>,
+        offset: i16,
+        rows: std::ops::Range<usize>,
+        dst: &mut [u32],
+    ) -> bool {
+        let (ih, iw) = (s.in_h, s.in_w);
+        let q = super::QuadRows::new(s, rows.len());
+        let off = _mm512_set1_epi16(offset);
+        let max = _mm512_set1_epi16(255);
+        let mut bad = 0u32;
+        for qi in 0..q.quads {
+            for (r, y) in rows.clone().enumerate() {
+                let src = |j: usize| ((4 * qi + j) * ih + y) * iw;
+                let row = q.at(qi, r, 0);
+                for x in super::chunk_starts(q.width, LANES) {
+                    let mut c = [_mm512_setzero_si512(); 4];
+                    for (j, c) in c.iter_mut().enumerate() {
+                        // SAFETY: channel `4qi + j` is one of the
+                        // sweep's source channels (`Conv3Sweep::new`),
+                        // `y < in_h`, and `x + 32 <= width <= in_w`.
+                        let v = unsafe {
+                            _mm512_loadu_si512(s.input.as_ptr().add(src(j) + x) as *const _)
+                        };
+                        *c = _mm512_add_epi16(v, off);
+                        bad |= _mm512_cmpgt_epu16_mask(*c, max);
+                    }
+                    // Per 128-bit lane k: channels 0/2 and 1/3 of pixels
+                    // 8k..8k+8 as bytes, then byte pairs (0, 1) and (2, 3),
+                    // then words: pixels 8k..8k+4 (lo) and 8k+4..8k+8 (hi).
+                    let p02 = _mm512_packus_epi16(c[0], c[2]);
+                    let p13 = _mm512_packus_epi16(c[1], c[3]);
+                    let a = _mm512_unpacklo_epi8(p02, p13);
+                    let b = _mm512_unpackhi_epi8(p02, p13);
+                    let (w0, w1) =
+                        to_pixel_order(_mm512_unpacklo_epi16(a, b), _mm512_unpackhi_epi16(a, b));
+                    // SAFETY: the caller sized `dst` for these rows, and
+                    // `x + 32 <= width` keeps both stores in row `r`.
+                    unsafe {
+                        _mm512_storeu_si512(dst.as_mut_ptr().add(row + x) as *mut _, w0);
+                        _mm512_storeu_si512(dst.as_mut_ptr().add(row + x + 16) as *mut _, w1);
+                    }
+                }
+            }
+        }
+        bad == 0
+    }
+
+    /// Output rows `rows` of a licensed byte-lane 3×3 sweep over 32-pixel
+    /// chunks, reading the source from `quads`, which [`repack`] filled
+    /// with input rows `rows.start..rows.end + 2`.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2, AVX-512F/BW and AVX-512 VNNI, the sweep
-    /// must be at least 32 pixels wide, `rows.end <= s.out_h`, and no
-    /// other thread may touch `rows` of `out` meanwhile.
+    /// must carry a byte-lane licence and be at least 32 pixels wide,
+    /// `rows` must lie in the sweep and in `out`'s rows, `quads` must
+    /// hold those repacked rows, and no other thread may touch `rows` of
+    /// `out` meanwhile.
     #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
-    pub unsafe fn conv3_blocked(
+    pub unsafe fn conv3_bytes(
         s: &super::Conv3Sweep<'_>,
+        quads: &[u32],
         out: &super::Conv3Store<'_>,
         rows: std::ops::Range<usize>,
     ) {
-        for y in rows {
+        let q = super::QuadRows::new(s, rows.len() + 2);
+        for y in rows.clone() {
             for op_ in 0..s.out_planes {
                 for ocb in 0..s.live.blocks(op_) {
                     for x in super::chunk_starts(s.out_w, LANES) {
                         // SAFETY: the features are enabled here, and
-                        // `chunk_starts` keeps `x + 32 <= out_w` (the
-                        // caller guarantees `out_w >= 32`).
-                        unsafe { conv3_chunk(s, out, y, op_, ocb, x) };
+                        // `chunk_starts` keeps `x + 32 <= out_w`.
+                        unsafe { bytes_chunk(s, quads, &q, y - rows.start, out, y, op_, ocb, x) };
                     }
                 }
             }
         }
     }
 
-    /// One chunk of [`conv3_blocked`] (see the AVX2 `conv3_chunk`): 4 × 2
-    /// `zmm` accumulators, one `vpdpwssd` per output channel, input pair
-    /// and tap for each half.
+    /// One chunk of [`conv3_bytes`]: output row `y` (row `r` of the
+    /// repacked band starts its taps), columns `x..x + 32`, channels
+    /// `4·ocb..4·ocb + 4` of output plane `op_`. 4 × 2 `zmm` accumulators
+    /// start from the offset-corrected bias and take one wrapping
+    /// `vpdpbusd` (4 byte products per 32-bit lane) per output channel,
+    /// read quad and tap for each 16-pixel half; the accumulators are in
+    /// pixel order.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX-512F/BW and VNNI, `y < out_h`,
-    /// `op_ < out_planes`, `ocb < OC_BLOCKS` and `x + 32 <= out_w`.
+    /// As [`conv3_bytes`], with `y` one of its rows, `op_ < out_planes`,
+    /// `ocb < OC_BLOCKS` and `x + 32 <= out_w`.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,avx512f,avx512bw,avx512vnni")]
     #[inline]
-    unsafe fn conv3_chunk(
+    unsafe fn bytes_chunk(
         s: &super::Conv3Sweep<'_>,
+        quads: &[u32],
+        q: &super::QuadRows,
+        r: usize,
         out: &super::Conv3Store<'_>,
         y: usize,
         op_: usize,
         ocb: usize,
         x: usize,
     ) {
-        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
+        let bytes = s.bytes.expect("a licensed byte-lane sweep");
         let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
         let mut lo = [_mm512_setzero_si512(); OC_BLOCK];
-        for (l, &v) in lo.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
+        for (l, &v) in lo.iter_mut().zip(&bytes.bias[oc0..oc0 + OC_BLOCK]) {
             *l = _mm512_set1_epi32(v as i32);
         }
         let mut hi = lo;
         for ig in 0..s.in_groups {
             let block = (op_ * s.in_groups + ig) * OC_BLOCKS + ocb;
-            let masks = &s.block_mask[block * IC_PAIRS..][..s.live.pairs(ig)];
-            let words = &s.words[block * CONV3_BLOCK_WORDS..(block + 1) * CONV3_BLOCK_WORDS];
-            for (p, &m) in masks.iter().enumerate() {
+            let masks = &s.block_mask[block * IC_PAIRS..(block + 1) * IC_PAIRS];
+            let words = &s.quads[block * CONV3_BLOCK_QUADS..(block + 1) * CONV3_BLOCK_QUADS];
+            for qi in 0..PackedConv3::live_quads(s.live.input, ig) {
+                let m = masks[2 * qi] | masks[2 * qi + 1];
                 if m == 0 {
                     continue;
                 }
-                let even = ((ig * LEAF_CH + 2 * p) * ih + y) * iw + x;
-                let odd = even + ih * iw;
+                let row = q.at(ig * IC_QUADS + qi, r, x);
                 for ky in 0..3 {
                     if m & (1 << ky) == 0 {
                         continue;
                     }
                     for kx in 0..3 {
-                        let off = ky * iw + kx;
-                        let w = &words[(p * 9 + ky * 3 + kx) * OC_BLOCK..][..OC_BLOCK];
-                        // SAFETY: as in the AVX2 kernel, with
-                        // `x + kx + 32 <= cw + 2 <= iw`.
-                        let (a, b) = unsafe {
+                        let off = row + ky * q.width + kx;
+                        let w = &words[(qi * 9 + ky * 3 + kx) * OC_BLOCK..][..OC_BLOCK];
+                        // SAFETY: `QuadRows::new` counted quad
+                        // `ig·8 + qi` among the repacked ones, `r + ky`
+                        // is a repacked row, and
+                        // `x + kx + 32 <= cw + 2 = width`.
+                        let (a0, a1) = unsafe {
                             (
-                                _mm512_loadu_si512(s.input.as_ptr().add(even + off) as *const _),
-                                _mm512_loadu_si512(s.input.as_ptr().add(odd + off) as *const _),
+                                _mm512_loadu_si512(quads.as_ptr().add(off) as *const _),
+                                _mm512_loadu_si512(quads.as_ptr().add(off + 16) as *const _),
                             )
                         };
-                        let il = _mm512_unpacklo_epi16(a, b);
-                        let ih_ = _mm512_unpackhi_epi16(a, b);
                         for o in 0..OC_BLOCK {
-                            // The wrapping `vpdpwssd`: lane + a₀b₀ + a₁b₁
-                            // modulo 2³² (never the saturating form).
+                            // The wrapping `vpdpbusd`: lane + Σ u8·i8 over
+                            // the quad, modulo 2³² (never `vpdpbusds`).
                             let wv = _mm512_set1_epi32(w[o]);
-                            lo[o] = _mm512_dpwssd_epi32(lo[o], il, wv);
-                            hi[o] = _mm512_dpwssd_epi32(hi[o], ih_, wv);
+                            lo[o] = _mm512_dpbusd_epi32(lo[o], a0, wv);
+                            hi[o] = _mm512_dpbusd_epi32(hi[o], a1, wv);
                         }
                     }
                 }
             }
         }
-        match out {
-            super::Conv3Store::Acc(acc) => {
+        let (chh, cw, yy) = (out.height, s.out_w, y - out.row0);
+        // `packs_epi32(a, b)` emits a's 4 pixels then b's per 128-bit
+        // lane; this qword order puts pixels 0-15 of `a` and 16-31 of `b`
+        // back in order.
+        let order = _mm512_setr_epi64(0, 2, 4, 6, 1, 3, 5, 7);
+        match &out.kind {
+            super::StoreKind::Acc(acc) => {
                 for o in 0..OC_BLOCK {
-                    let dst = ((oc0 + o) * chh + y) * cw + x;
-                    let (p0, p1) = to_pixel_order(lo[o], hi[o]);
-                    // SAFETY: `x + 32 <= cw` bounds both stores to row `y`
-                    // of channel `oc0 + o` of `acc`.
+                    let dst = ((oc0 + o) * chh + yy) * cw + x;
+                    // SAFETY: `x + 32 <= cw` bounds both stores to row
+                    // `yy` of channel `oc0 + o` of `acc`.
                     unsafe {
-                        _mm512_storeu_si512(acc.ptr.add(dst) as *mut _, p0);
-                        _mm512_storeu_si512(acc.ptr.add(dst + 16) as *mut _, p1);
+                        _mm512_storeu_si512(acc.ptr.add(dst) as *mut _, lo[o]);
+                        _mm512_storeu_si512(acc.ptr.add(dst + 16) as *mut _, hi[o]);
                     }
                 }
             }
-            super::Conv3Store::Codes(ep, codes) => {
+            super::StoreKind::Codes(ep, codes, srcs) => {
                 let k = EpilogueVecs::new(ep);
                 for o in 0..OC_BLOCK {
-                    let dst = ((oc0 + o) * chh + y) * cw + x;
-                    // Per 128-bit lane the pack emits lo's 4 pixels, then
-                    // hi's: all 32 codes come out in pixel order.
-                    let v = _mm512_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                    let (mut a, mut b) = (lo[o], hi[o]);
+                    if let Some(sr) = srcs.filter(|sr| oc0 + o < sr.channels) {
+                        // SAFETY: as in the AVX2 kernel, with
+                        // `x + 32 <= cw`.
+                        let v = unsafe { _mm512_loadu_si512(sr.at(oc0 + o, y, x) as *const _) };
+                        let s0 = _mm512_cvtepi16_epi32(_mm512_castsi512_si256(v));
+                        let s1 = _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64::<1>(v));
+                        a = _mm512_add_epi32(a, _mm512_sll_epi32(s0, k.up));
+                        b = _mm512_add_epi32(b, _mm512_sll_epi32(s1, k.up));
+                    }
+                    let dst = ((oc0 + o) * chh + yy) * cw + x;
+                    let v = _mm512_packs_epi32(round_clamp(a, &k), round_clamp(b, &k));
                     // SAFETY: as for the accumulator stores, on an `i16`
                     // plane of the same rows that `Conv3Sweep::new`
                     // checked holds every live block's channels.
-                    unsafe { _mm512_storeu_si512(codes.ptr.add(dst) as *mut _, v) };
+                    unsafe {
+                        _mm512_storeu_si512(
+                            codes.ptr.add(dst) as *mut _,
+                            _mm512_permutexvar_epi64(order, v),
+                        )
+                    };
                 }
             }
-            super::Conv3Store::Shuffled(ep, codes) => {
+            super::StoreKind::Shuffled(ep, codes) => {
                 let k = EpilogueVecs::new(ep);
                 let mut v = [_mm512_setzero_si512(); OC_BLOCK];
                 for o in 0..OC_BLOCK {
                     // Phase o's 32 codes, in pixel order.
-                    v[o] = _mm512_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                    let p = _mm512_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                    v[o] = _mm512_permutexvar_epi64(order, p);
                 }
                 let c = op_ * OC_BLOCKS + ocb;
                 for dy in 0..2 {
@@ -919,7 +1085,7 @@ mod avx512 {
                         _mm512_unpacklo_epi16(v[2 * dy], v[2 * dy + 1]),
                         _mm512_unpackhi_epi16(v[2 * dy], v[2 * dy + 1]),
                     );
-                    let dst = (c * 2 * chh + 2 * y + dy) * 2 * cw + 2 * x;
+                    let dst = (c * 2 * chh + 2 * yy + dy) * 2 * cw + 2 * x;
                     // SAFETY: as in the AVX2 kernel, with
                     // `2x + 64 <= 2cw`.
                     unsafe {
@@ -1103,7 +1269,7 @@ mod sse2 {
         ocb: usize,
         x: usize,
     ) {
-        let (ih, iw, chh, cw) = (s.in_h, s.in_w, s.out_h, s.out_w);
+        let (ih, iw, cw) = (s.in_h, s.in_w, s.out_w);
         let oc0 = op_ * LEAF_CH + ocb * OC_BLOCK;
         let mut lo = [_mm_setzero_si128(); OC_BLOCK];
         for (l, &v) in lo.iter_mut().zip(&s.bias[oc0..oc0 + OC_BLOCK]) {
@@ -1146,11 +1312,12 @@ mod sse2 {
                 }
             }
         }
-        match out {
-            super::Conv3Store::Acc(acc) => {
+        let (chh, yy) = (out.height, y - out.row0);
+        match &out.kind {
+            super::StoreKind::Acc(acc) => {
                 for o in 0..OC_BLOCK {
-                    let dst = ((oc0 + o) * chh + y) * cw + x;
-                    // SAFETY: `x + 8 <= cw` bounds both stores to row `y`
+                    let dst = ((oc0 + o) * chh + yy) * cw + x;
+                    // SAFETY: `x + 8 <= cw` bounds both stores to row `yy`
                     // of channel `oc0 + o`.
                     unsafe {
                         _mm_storeu_si128(acc.ptr.add(dst) as *mut __m128i, lo[o]);
@@ -1158,18 +1325,26 @@ mod sse2 {
                     }
                 }
             }
-            super::Conv3Store::Codes(ep, codes) => {
+            super::StoreKind::Codes(ep, codes, srcs) => {
                 let k = EpilogueVecs::new(ep);
                 for o in 0..OC_BLOCK {
-                    let dst = ((oc0 + o) * chh + y) * cw + x;
-                    let v = _mm_packs_epi32(round_clamp(lo[o], &k), round_clamp(hi[o], &k));
+                    let (mut a, mut b) = (lo[o], hi[o]);
+                    if let Some(sr) = srcs.filter(|sr| oc0 + o < sr.channels) {
+                        // SAFETY: as in the AVX2 kernel, with `x + 8 <= cw`.
+                        let v = unsafe { _mm_loadu_si128(sr.at(oc0 + o, y, x) as *const __m128i) };
+                        a = _mm_add_epi32(a, _mm_sll_epi32(extend_lo_epi16(v), k.up));
+                        let s1 = _mm_srai_epi32(_mm_unpackhi_epi16(v, v), 16);
+                        b = _mm_add_epi32(b, _mm_sll_epi32(s1, k.up));
+                    }
+                    let dst = ((oc0 + o) * chh + yy) * cw + x;
+                    let v = _mm_packs_epi32(round_clamp(a, &k), round_clamp(b, &k));
                     // SAFETY: as for the accumulator stores, on an `i16`
                     // plane of the same rows that `Conv3Sweep::new`
                     // checked holds every live block's channels.
                     unsafe { _mm_storeu_si128(codes.ptr.add(dst) as *mut __m128i, v) };
                 }
             }
-            super::Conv3Store::Shuffled(ep, codes) => {
+            super::StoreKind::Shuffled(ep, codes) => {
                 let k = EpilogueVecs::new(ep);
                 let mut v = [_mm_setzero_si128(); OC_BLOCK];
                 for o in 0..OC_BLOCK {
@@ -1179,7 +1354,7 @@ mod sse2 {
                 let c = op_ * OC_BLOCKS + ocb;
                 for dy in 0..2 {
                     // Row 2y + dy alternates phases (dy, 0) and (dy, 1).
-                    let dst = (c * 2 * chh + 2 * y + dy) * 2 * cw + 2 * x;
+                    let dst = (c * 2 * chh + 2 * yy + dy) * 2 * cw + 2 * x;
                     // SAFETY: as in the AVX2 kernel, with
                     // `2x + 16 <= 2cw`.
                     unsafe {
@@ -1537,8 +1712,11 @@ struct Conv3Sweep<'a> {
     in_groups: usize,
     live: LiveChannels,
     words: &'a [i32],
+    quads: &'a [i32],
     block_mask: &'a [u8],
     bias: &'a [i64],
+    /// The byte-lane licence, when the plan stamped one.
+    bytes: Option<&'a ByteLanes>,
 }
 
 impl<'a> Conv3Sweep<'a> {
@@ -1568,12 +1746,21 @@ impl<'a> Conv3Sweep<'a> {
             live.input <= packed.in_groups * LEAF_CH && live.output <= out_c,
             "live extents {live:?} exceed the sweep"
         );
-        // Every store layout spends `out_h · out_w` elements per
+        if let Some(b) = &packed.bytes {
+            assert_eq!(
+                b.live_input, live.input,
+                "the byte-lane licence's live inputs"
+            );
+            assert_eq!(b.bias.len(), out_c);
+            assert_eq!(packed.quads.len(), planes * OC_BLOCKS * CONV3_BLOCK_QUADS);
+        }
+        // Every store layout spends `height · out_w` elements per
         // pre-shuffle channel, and the chunks store the live channels
         // rounded up to whole blocks.
         assert!(
-            out.len() >= live.output.next_multiple_of(OC_BLOCK) * out_h * out_w,
-            "the store cannot hold the live channels {live:?} at {out_h}x{out_w}"
+            out.len() >= live.output.next_multiple_of(OC_BLOCK) * out.height * out_w,
+            "the store cannot hold the live channels {live:?} at {}x{out_w}",
+            out.height
         );
         Self {
             input: input.as_slice(),
@@ -1585,9 +1772,108 @@ impl<'a> Conv3Sweep<'a> {
             in_groups: packed.in_groups,
             live,
             words: &packed.words,
+            quads: &packed.quads,
             block_mask: &packed.block_mask,
             bias: &packed.bias,
+            bytes: packed.bytes.as_ref(),
         }
+    }
+
+    /// Whether the sweep runs on byte lanes at `level` ([`runs_bytes`]).
+    fn runs_bytes(&self, level: SimdLevel) -> bool {
+        runs_bytes(level, self.out_w, self.bytes.is_some())
+    }
+}
+
+/// The layout of a lane's repacked source band (see
+/// [`LaneScratch`]): `quads` quad-interleaved rows of `rows` rows each,
+/// `width` 32-bit words per row (the conv width plus the 2-column halo),
+/// quad `q` holding source channels `4q..4q + 4`. The live quads of a
+/// sweep are the leading ones, since only the last live source group can
+/// be partly live.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct QuadRows {
+    quads: usize,
+    rows: usize,
+    width: usize,
+}
+
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+impl QuadRows {
+    fn new(s: &Conv3Sweep<'_>, rows: usize) -> Self {
+        Self {
+            quads: total_quads(s.live, s.in_groups),
+            rows,
+            width: s.out_w + 2,
+        }
+    }
+
+    /// Words the band holds.
+    fn len(&self) -> usize {
+        self.quads * self.rows * self.width
+    }
+
+    /// The word of column `x` of row `r` of quad `q`.
+    fn at(&self, q: usize, r: usize, x: usize) -> usize {
+        (q * self.rows + r) * self.width + x
+    }
+}
+
+/// Input quads a sweep over `in_groups` source groups with `live`
+/// channels reads.
+fn total_quads(live: LiveChannels, in_groups: usize) -> usize {
+    (0..in_groups)
+        .map(|ig| PackedConv3::live_quads(live.input, ig))
+        .sum()
+}
+
+/// A srcS plane a fused codes store adds, read at `offset` from each
+/// conv output pixel: `channels × height × width` codes.
+#[derive(Clone, Copy)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct SrcS<'a> {
+    plane: &'a [i16],
+    channels: usize,
+    height: usize,
+    width: usize,
+    offset: (usize, usize),
+}
+
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+impl<'a> SrcS<'a> {
+    /// The plane `(plane, offset)` read by an `out_h × out_w` conv output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane does not cover the output at the offset.
+    fn new(
+        (plane, offset): (&'a Tensor<i16>, (usize, usize)),
+        (out_h, out_w): (usize, usize),
+    ) -> Self {
+        let (channels, height, width) = plane.shape();
+        assert!(
+            height >= offset.0 + out_h && width >= offset.1 + out_w,
+            "srcS smaller than the conv output"
+        );
+        Self {
+            plane: plane.as_slice(),
+            channels,
+            height,
+            width,
+            offset,
+        }
+    }
+
+    /// The srcS code read by output pixel `(y, x)` of channel `c`.
+    fn at(&self, c: usize, y: usize, x: usize) -> *const i16 {
+        let (oy, ox) = self.offset;
+        self.plane[(c * self.height + y + oy) * self.width + ox + x..].as_ptr()
+    }
+
+    /// The srcS row read by `width` outputs of row `y` of channel `c`.
+    fn row(&self, c: usize, y: usize, width: usize) -> &'a [i16] {
+        let (oy, ox) = self.offset;
+        &self.plane[(c * self.height + y + oy) * self.width + ox..][..width]
     }
 }
 
@@ -1624,11 +1910,30 @@ impl<'a, T> LanePlane<'a, T> {
     fn input(&self) -> (*const T, usize) {
         (self.ptr.cast_const(), self.len)
     }
+
+    /// Elements `start..start + len` as a slice.
+    ///
+    /// # Safety
+    ///
+    /// No other lane may touch those elements while the slice lives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span ends past the plane.
+    // The lanes share the plane by `&`; the contract above rules out the
+    // aliasing this lint guards against.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn span(&self, start: usize, len: usize) -> &mut [T] {
+        assert!(start + len <= self.len, "span past the plane");
+        // SAFETY: in bounds (asserted above) of the plane the `&mut`
+        // borrow of `'a` holds, and exclusive by the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
+    }
 }
 
 /// The bounds-checked operands of one leaf's register-blocked 1×1 pass.
-/// Both planes are raw: in an `ER` fan-out the input is the mid plane,
-/// other rows of which other lanes are writing.
+/// Both planes are raw: in an `ER` band the input is the lane's mid
+/// band, which the same lane wrote through a [`LanePlane`].
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 struct Conv1Sweep<'a> {
     input: *const i16,
@@ -1673,34 +1978,54 @@ impl<'a> Conv1Sweep<'a> {
 }
 
 /// Where a register-blocked 3×3 sweep of a `chh × cw` conv output stores
-/// each finished chunk. Every layout holds at least the live output
-/// channels rounded up to whole `OC_BLOCK`s.
+/// each finished chunk: `height` rows of a plane whose first row is
+/// output row `row0` (the whole conv output, or a lane's band of it).
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-enum Conv3Store<'a> {
-    /// The raw `i32` accumulators, `channels × chh × cw`.
+struct Conv3Store<'a> {
+    height: usize,
+    row0: usize,
+    kind: StoreKind<'a>,
+}
+
+/// The layout of a [`Conv3Store`]. Every layout holds at least the live
+/// output channels rounded up to whole `OC_BLOCK`s.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum StoreKind<'a> {
+    /// The raw `i32` accumulators, `channels × height × cw`.
     Acc(LanePlane<'a, i32>),
-    /// Destination codes, `channels × chh × cw`: the srcS-free epilogue
-    /// applied to the registers, then a saturating pack to `i16` (exact,
-    /// since the lanes are already clamped to the code range).
-    Codes(&'a NarrowEpilogue, LanePlane<'a, i16>),
-    /// [`Conv3Store::Codes`] through the ×2 pixel shuffle of `UPX2`,
-    /// `channels / 4 × 2chh × 2cw`. The shuffle takes pre-shuffle channel
-    /// `4c + 2dy + dx` to phase `(dy, dx)` of channel `c`, so the 4
-    /// accumulators of output block `ocb` of plane `op_` are the 4 phases
-    /// of channel `8·op_ + ocb`: each chunk interleaves them into rows
-    /// `2y` and `2y + 1` of that channel.
+    /// Destination codes, `channels × height × cw`: the srcS plane (if
+    /// any, for the channels it has) shifted up and added, then the rest
+    /// of the epilogue applied to the registers and a saturating pack to
+    /// `i16` (exact, since the lanes are already clamped to the code
+    /// range).
+    Codes(&'a NarrowEpilogue, LanePlane<'a, i16>, Option<SrcS<'a>>),
+    /// srcS-free [`StoreKind::Codes`] through the ×2 pixel shuffle of
+    /// `UPX2`, `channels / 4 × 2·height × 2cw`. The shuffle takes
+    /// pre-shuffle channel `4c + 2dy + dx` to phase `(dy, dx)` of channel
+    /// `c`, so the 4 accumulators of output block `ocb` of plane `op_`
+    /// are the 4 phases of channel `8·op_ + ocb`: each chunk interleaves
+    /// them into rows `2y` and `2y + 1` of that channel.
     Shuffled(&'a NarrowEpilogue, LanePlane<'a, i16>),
 }
 
 // The shuffled store's 4 phases per block.
 const _: () = assert!(OC_BLOCK == 4);
 
-impl Conv3Store<'_> {
+impl<'a> Conv3Store<'a> {
+    /// A store over the whole `height`-row conv output.
+    fn whole(height: usize, kind: StoreKind<'a>) -> Self {
+        Self {
+            height,
+            row0: 0,
+            kind,
+        }
+    }
+
     /// Elements the store can hold.
     fn len(&self) -> usize {
-        match self {
-            Conv3Store::Acc(a) => a.len,
-            Conv3Store::Codes(_, c) | Conv3Store::Shuffled(_, c) => c.len,
+        match &self.kind {
+            StoreKind::Acc(a) => a.len,
+            StoreKind::Codes(_, c, _) | StoreKind::Shuffled(_, c) => c.len,
         }
     }
 }
@@ -1720,11 +2045,161 @@ fn blocked_rung(level: SimdLevel) -> bool {
         && matches!(level, SimdLevel::Avx512 | SimdLevel::Avx2 | SimdLevel::Sse2)
 }
 
-/// Whether [`conv3_blocked_narrow`] and [`conv3_blocked_codes`] run,
-/// rather than decline, a sweep whose conv output is `out_w` columns wide
-/// at `level`.
+/// Whether [`conv3_blocked_narrow`], [`conv3_blocked_codes`] and
+/// [`er_blocked_narrow`] run, rather than decline, a sweep whose conv
+/// output is `out_w` columns wide at `level`.
 pub(crate) fn conv3_blocked_covers(level: SimdLevel, out_w: usize) -> bool {
     blocked_rung(level) && out_w >= BLOCKED_MIN_WIDTH
+}
+
+/// Narrowest conv output the byte-lane kernel takes: its 32-pixel chunk.
+/// Narrower licensed sweeps on the AVX-512 rung run the AVX2 pair-word
+/// kernel.
+pub const BYTE_LANES_MIN_WIDTH: usize = 32;
+
+/// Whether a licensed (`licensed`) 3×3 sweep of an `out_w`-column conv
+/// output runs on byte lanes at `level`: the AVX-512 rung and at least
+/// [`BYTE_LANES_MIN_WIDTH`] columns.
+pub(crate) fn runs_bytes(level: SimdLevel, out_w: usize, licensed: bool) -> bool {
+    level == SimdLevel::Avx512 && out_w >= BYTE_LANES_MIN_WIDTH && licensed
+}
+
+/// Output rows a lane computes per band of an `ER` instruction or a
+/// byte-lane sweep (see the module docs' "Bands").
+pub const BAND_ROWS: usize = 8;
+
+/// What a register-blocked sweep did: whether it forked across lanes and
+/// whether its 3×3 stage ran on byte lanes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Swept {
+    /// The rows were split across lanes on scoped threads.
+    pub forked: bool,
+    /// The 3×3 stage ran `vpdpbusd` over repacked byte quads.
+    pub bytes: bool,
+}
+
+/// One lane's band buffers: the repacked byte quads of its current band,
+/// and an `ER` band's mid codes and 1×1 accumulators. A lane grows them
+/// on first use; `PlanePool` sizes them once from the plan
+/// ([`BandScratch`]), so warm blocks allocate nothing.
+#[derive(Clone, Debug, Default)]
+struct LaneScratch {
+    quads: Vec<u32>,
+    mid: Vec<i16>,
+    acc: Vec<i32>,
+}
+
+/// The leading `len` elements of `buf`, grown (zero-filled) first if it
+/// is shorter.
+fn grown<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    &mut buf[..len]
+}
+
+/// Elements one lane's band buffers need for a plan (the maximum over its
+/// sweeps): the repacked quad words, the `ER` mid codes and the `ER` 1×1
+/// accumulators.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct BandScratch {
+    /// `u32` quad words of a repacked source band.
+    quads: usize,
+    /// `i16` mid codes of an `ER` band.
+    mid: usize,
+    /// `i32` 1×1 accumulators of an `ER` band.
+    acc: usize,
+}
+
+impl BandScratch {
+    /// The larger of each buffer.
+    #[must_use]
+    pub(crate) fn max(self, other: BandScratch) -> BandScratch {
+        BandScratch {
+            quads: self.quads.max(other.quads),
+            mid: self.mid.max(other.mid),
+            acc: self.acc.max(other.acc),
+        }
+    }
+
+    /// What a byte-lane 3×3 sweep over `in_groups` source groups with
+    /// `live` channels into an `out_h × out_w` conv output needs.
+    pub(crate) fn bytes(
+        live: LiveChannels,
+        in_groups: usize,
+        (out_h, out_w): (usize, usize),
+    ) -> Self {
+        Self {
+            quads: total_quads(live, in_groups) * (BAND_ROWS.min(out_h) + 2) * (out_w + 2),
+            ..Self::default()
+        }
+    }
+
+    /// What a register-blocked `ER` instruction of an `out_h × out_w`
+    /// conv output needs besides its byte quads.
+    pub(crate) fn er((out_h, out_w): (usize, usize)) -> Self {
+        let band = LEAF_CH * BAND_ROWS.min(out_h) * out_w;
+        Self {
+            quads: 0,
+            mid: band,
+            acc: band,
+        }
+    }
+}
+
+/// The lanes a register-blocked sweep splits its rows across, each with
+/// its band buffers ([`LaneScratch`]).
+#[derive(Clone, Debug)]
+pub struct Lanes {
+    scratch: Vec<LaneScratch>,
+}
+
+impl Default for Lanes {
+    fn default() -> Self {
+        Self::new(1)
+    }
+}
+
+impl Lanes {
+    /// `lanes` lanes (at least one) with empty buffers.
+    pub fn new(lanes: usize) -> Self {
+        Self {
+            scratch: vec![LaneScratch::default(); lanes.max(1)],
+        }
+    }
+
+    /// The lane count.
+    fn count(&self) -> usize {
+        self.scratch.len()
+    }
+
+    /// Sets the lane count to `lanes` (at least one) and grows every
+    /// lane's buffers to `need`; returns how many buffers were
+    /// (re)allocated.
+    pub(crate) fn reserve(&mut self, lanes: usize, need: BandScratch) -> u64 {
+        fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> u64 {
+            let short = buf.len() < len;
+            grown(buf, len);
+            u64::from(short)
+        }
+        self.scratch.resize_with(lanes.max(1), LaneScratch::default);
+        self.scratch
+            .iter_mut()
+            .map(|s| {
+                grow(&mut s.quads, need.quads)
+                    + grow(&mut s.mid, need.mid)
+                    + grow(&mut s.acc, need.acc)
+            })
+            .sum()
+    }
+
+    /// Bytes the lanes' buffers hold, at capacity.
+    pub(crate) fn bytes(&self) -> usize {
+        self.scratch
+            .iter()
+            .map(|s| s.quads.capacity() * 4 + s.mid.capacity() * 2 + s.acc.capacity() * 4)
+            .sum()
+    }
 }
 
 /// Host MACs below which a fanned-out sweep runs on the calling thread
@@ -1736,63 +2211,83 @@ pub const FAN_OUT_MIN_MACS: u64 = 1 << 25;
 const RANGES_PER_LANE: usize = 8;
 
 /// Runs `lane` over `0..rows` in contiguous ranges, `RANGES_PER_LANE`
-/// per lane (one row each when the rows are fewer), on at most `lanes`
-/// threads: the calling one and scoped ones, all joined before it returns
-/// (a lane's panic resumes here). Each thread claims the next range until
-/// none is left, so a lane whose core is busy elsewhere takes fewer and
-/// the sweep does not wait on it. One lane, a single row, or fewer than
-/// [`FAN_OUT_MIN_MACS`] `macs` runs inline. Returns whether it forked.
-fn fan_out(lanes: usize, rows: usize, macs: u64, lane: impl Fn(Range<usize>) + Sync) -> bool {
-    let lanes = lanes.min(rows);
-    if lanes < 2 || macs < FAN_OUT_MIN_MACS {
-        lane(0..rows);
+/// per lane (one row each when the rows are fewer), on at most
+/// `lanes.count()` threads: the calling one and scoped ones, all joined
+/// before it returns (a lane's panic resumes here), each with its own
+/// [`LaneScratch`]. Each thread claims the next range until none is
+/// left, so a lane whose core is busy elsewhere takes fewer and the
+/// sweep does not wait on it. One lane, a single row, or fewer than
+/// [`FAN_OUT_MIN_MACS`] `macs` runs inline on the first lane's buffers.
+/// Returns whether it forked.
+fn fan_out(
+    lanes: &mut Lanes,
+    rows: usize,
+    macs: u64,
+    lane: impl Fn(&mut LaneScratch, Range<usize>) + Sync,
+) -> bool {
+    let n = lanes.count().min(rows).max(1);
+    let scratch = &mut lanes.scratch[..n];
+    if n < 2 || macs < FAN_OUT_MIN_MACS {
+        lane(&mut scratch[0], 0..rows);
         return false;
     }
-    let ranges = rows.min(lanes * RANGES_PER_LANE);
+    let ranges = rows.min(n * RANGES_PER_LANE);
     // Only hands out range indices; the join publishes the lanes' writes.
     let next = AtomicUsize::new(0);
-    let claim = || loop {
+    let claim = |sc: &mut LaneScratch| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= ranges {
             break;
         }
-        lane(rows * i / ranges..rows * (i + 1) / ranges);
+        lane(sc, rows * i / ranges..rows * (i + 1) / ranges);
     };
+    let claim = &claim;
+    let (first, rest) = scratch.split_first_mut().expect("two lanes or more");
     std::thread::scope(|s| {
-        for _ in 1..lanes {
+        for sc in rest {
             // The threads already running claim what a refused one would.
-            if std::thread::Builder::new().spawn_scoped(s, claim).is_err() {
+            if std::thread::Builder::new()
+                .spawn_scoped(s, move || claim(sc))
+                .is_err()
+            {
                 break;
             }
         }
-        claim();
+        claim(first);
     });
     true
 }
 
-/// Output rows `rows` of the sweep `s` into `out` at `level`, which
-/// [`conv3_blocked_covers`] admitted; no other lane may touch those rows
-/// of `out` meanwhile.
+/// The bands of `rows`: `BAND_ROWS` rows each, the last one shorter.
+fn bands(rows: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    rows.clone()
+        .step_by(BAND_ROWS)
+        .map(move |y| y..(y + BAND_ROWS).min(rows.end))
+}
+
+/// Output rows `rows` of the sweep `s` into `out` at `level` on the
+/// pair-word kernels, which [`conv3_blocked_covers`] admitted; no other
+/// lane may touch those rows of `out` meanwhile.
 ///
 /// # Panics
 ///
-/// Panics if `rows` ends past the sweep or this CPU cannot run `level`.
+/// Panics if `rows` ends past the sweep or lies outside `out`'s rows, or
+/// this CPU cannot run `level`.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn conv3_rows(level: SimdLevel, s: &Conv3Sweep<'_>, out: &Conv3Store<'_>, rows: Range<usize>) {
     assert!(rows.end <= s.out_h, "rows {rows:?} of {}", s.out_h);
+    assert!(
+        rows.is_empty() || (rows.start >= out.row0 && rows.end <= out.row0 + out.height),
+        "rows {rows:?} outside the store's {}..{}",
+        out.row0,
+        out.row0 + out.height
+    );
     assert!(level.is_available(), "{level} is not available on this CPU");
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level` is available (asserted above): `detect` observed
-        // AVX2, AVX-512F/BW and AVX-512 VNNI. The guard is the kernel's
-        // 32-column minimum; `rows` lies in the sweep (asserted above) and
-        // is the caller's own.
-        SimdLevel::Avx512 if s.out_w >= avx512::LANES => unsafe {
-            avx512::conv3_blocked(s, out, rows)
-        },
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: an available `Avx512` or `Avx2` level means `detect`
-        // observed AVX2; `rows` as above.
+        // observed AVX2; `rows` lies in the sweep and the store (asserted
+        // above) and is the caller's own.
         SimdLevel::Avx512 | SimdLevel::Avx2 => unsafe { avx2::conv3_blocked(s, out, rows) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an available `Sse2` level means `detect` observed SSE2;
@@ -1802,27 +2297,111 @@ fn conv3_rows(level: SimdLevel, s: &Conv3Sweep<'_>, out: &Conv3Store<'_>, rows: 
     }
 }
 
-/// The rung dispatch of [`conv3_blocked_narrow`] and
-/// [`conv3_blocked_codes`]: AVX-512 for sweeps of at least 32 columns,
-/// AVX2 for narrower ones on that rung, the output rows fanned out
-/// across `lanes`.
+/// Output rows `rows` of the sweep `s` into `out` at `level`: on byte
+/// lanes when [`Conv3Sweep::runs_bytes`], band by band, each band's
+/// source rows repacked into `sc` first (a band whose codes do not fit
+/// the licence's offset, which only an input block outside its format
+/// can hold, runs the pair-word kernel); on the pair-word kernels
+/// otherwise.
+fn conv3_lane(
+    level: SimdLevel,
+    s: &Conv3Sweep<'_>,
+    out: &Conv3Store<'_>,
+    sc: &mut [u32],
+    rows: Range<usize>,
+) {
+    if !s.runs_bytes(level) {
+        return conv3_rows(level, s, out, rows);
+    }
+    for band in bands(rows) {
+        if !repack(s, sc, band.clone()) {
+            conv3_rows(level, s, out, band);
+            continue;
+        }
+        bytes_rows(s, sc, out, band);
+    }
+}
+
+/// Repacks the source rows band `band` of the byte-lane sweep `s` reads
+/// into `sc`; whether every code fit the licence's offset.
+///
+/// # Panics
+///
+/// Panics if the sweep does not run on byte lanes at the AVX-512 rung
+/// (which must be available), the band ends past it, or `sc` is too
+/// short.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn repack(s: &Conv3Sweep<'_>, sc: &mut [u32], band: Range<usize>) -> bool {
+    assert!(s.runs_bytes(SimdLevel::Avx512) && SimdLevel::Avx512.is_available());
+    assert!(band.end <= s.out_h, "band {band:?} of {}", s.out_h);
+    let rows = band.start..band.end + 2;
+    assert!(
+        sc.len() >= QuadRows::new(s, rows.len()).len(),
+        "lane scratch too short"
+    );
+    let offset = s.bytes.expect("a licensed sweep").offset;
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: AVX-512F/BW are available (asserted above), the sweep is at
+    // least 32 wide (`runs_bytes`), `rows.end <= out_h + 2 <= in_h`, and
+    // `sc` holds the band (asserted above).
+    return unsafe { avx512::repack(s, offset, rows, sc) };
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("byte lanes run on x86_64 only")
+}
+
+/// Output rows `band` of the byte-lane sweep `s` into `out`, from the
+/// band `repack` left in `sc`.
+///
+/// # Panics
+///
+/// As [`repack`], and if `band` lies outside `out`'s rows.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn bytes_rows(s: &Conv3Sweep<'_>, sc: &[u32], out: &Conv3Store<'_>, band: Range<usize>) {
+    assert!(s.runs_bytes(SimdLevel::Avx512) && SimdLevel::Avx512.is_available());
+    assert!(band.end <= s.out_h, "band {band:?} of {}", s.out_h);
+    assert!(band.start >= out.row0 && band.end <= out.row0 + out.height);
+    assert!(
+        sc.len() >= QuadRows::new(s, band.len() + 2).len(),
+        "lane scratch too short"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the features, the licence and the width as in `repack`;
+    // `band` lies in the sweep and the store (asserted above), `sc` holds
+    // its repacked rows, and the band is the caller's own.
+    unsafe {
+        avx512::conv3_bytes(s, sc, out, band)
+    };
+}
+
+/// The dispatch of [`conv3_blocked_narrow`] and [`conv3_blocked_codes`]:
+/// the output rows fanned out across `lanes`, each lane on byte lanes or
+/// the pair-word kernels ([`conv3_lane`]).
 fn conv3_blocked(
     level: SimdLevel,
-    lanes: usize,
+    lanes: &mut Lanes,
     input: &Tensor<i16>,
     packed: &PackedConv3,
     (out_h, out_w): (usize, usize),
     live: LiveChannels,
     out: Conv3Store<'_>,
-) -> Option<bool> {
+) -> Option<Swept> {
     if !conv3_blocked_covers(level, out_w) {
         return None;
     }
     let sweep = Conv3Sweep::new(input, packed, (out_h, out_w), live, &out);
     let macs = (live.input * live.output * 9 * out_h * out_w) as u64;
-    Some(fan_out(lanes, out_h, macs, |rows| {
-        conv3_rows(level, &sweep, &out, rows)
-    }))
+    let need = if sweep.runs_bytes(level) {
+        QuadRows::new(&sweep, BAND_ROWS.min(out_h) + 2).len()
+    } else {
+        0
+    };
+    let forked = fan_out(lanes, out_h, macs, |sc, rows| {
+        conv3_lane(level, &sweep, &out, grown(&mut sc.quads, need), rows)
+    });
+    Some(Swept {
+        forked,
+        bytes: sweep.runs_bytes(level),
+    })
 }
 
 /// Register-blocked narrow 3×3 sweep of a truncated-pyramid conv:
@@ -1830,10 +2409,11 @@ fn conv3_blocked(
 /// (`out_planes·32 × chh × cw`) with the bias plus the taps of the
 /// `live` input pairs, reading `input` rows `y..y+3`, columns `x..x+3`
 /// for output `(y, x)`; dead blocks keep whatever `acc` held. The output
-/// rows are split across `lanes` threads ([`FAN_OUT_MIN_MACS`] keeps
-/// small sweeps on this one), each computing its rows exactly as one
-/// thread would. Returns whether it forked, or `None`, leaving `acc`
-/// untouched, when `level` has no blocked kernel or `cw` is below
+/// rows are split across `lanes` ([`FAN_OUT_MIN_MACS`] keeps small sweeps
+/// on this thread), each computing its rows exactly as one thread would;
+/// a sweep `packed` licenses for byte lanes runs them on the AVX-512
+/// rung at 32 columns or more. Returns what it did, or `None`, leaving
+/// `acc` untouched, when `level` has no blocked kernel or `cw` is below
 /// [`BLOCKED_MIN_WIDTH`]; the caller then runs the row kernels. Exact
 /// under the same `narrow_acc` license as [`row_interior_narrow`] (see
 /// the module docs for the multiply-adds' one wrap), provided the source
@@ -1842,28 +2422,30 @@ fn conv3_blocked(
 /// # Panics
 ///
 /// Panics if `input` is smaller than the pyramid geometry needs, the
-/// packed shapes disagree with `acc`, `live` exceeds them, or this CPU
-/// cannot run `level` ([`SimdLevel::is_available`]).
+/// packed shapes disagree with `acc`, `live` exceeds them or differs from
+/// the byte-lane licence's, or this CPU cannot run `level`
+/// ([`SimdLevel::is_available`]).
 pub fn conv3_blocked_narrow(
     level: SimdLevel,
-    lanes: usize,
+    lanes: &mut Lanes,
     input: &Tensor<i16>,
     packed: &PackedConv3,
     live: LiveChannels,
     acc: &mut Tensor<i32>,
-) -> Option<bool> {
+) -> Option<Swept> {
     let (out_c, out_h, out_w) = acc.shape();
     assert_eq!(out_c, packed.out_planes * LEAF_CH, "accumulator channels");
-    let store = Conv3Store::Acc(LanePlane::new(acc.as_mut_slice()));
+    let store = Conv3Store::whole(out_h, StoreKind::Acc(LanePlane::new(acc.as_mut_slice())));
     conv3_blocked(level, lanes, input, packed, (out_h, out_w), live, store)
 }
 
-/// [`conv3_blocked_narrow`] with the srcS-free fused epilogue in its
-/// store: each chunk's accumulators are floored, rounded and clamped in
+/// [`conv3_blocked_narrow`] with the fused epilogue in its store: each
+/// chunk's accumulators take the srcS plane `srcs` (its channels, read at
+/// its offset) shifted up, then are floored, rounded and clamped in
 /// registers and packed straight into `dst` codes, equal to
-/// [`epilogue_narrow`] (without srcS) of the accumulators
-/// [`conv3_blocked_narrow`] would store — no `i32` plane is written. With
-/// `shuffle`, the codes go through `UPX2`'s ×2 pixel shuffle on the way
+/// [`epilogue_narrow`] of the accumulators [`conv3_blocked_narrow`] would
+/// store — no `i32` plane is written. With `shuffle` (srcS-free only),
+/// the codes go through `UPX2`'s ×2 pixel shuffle on the way
 /// ([`Tensor::pixel_shuffle_into`] order), so `dst` is the shuffled
 /// plane, twice the conv output in each dimension. `dst` needs only the
 /// `live` output channels, rounded up to whole `OC_BLOCK`s (each block
@@ -1874,30 +2456,34 @@ pub fn conv3_blocked_narrow(
 /// # Panics
 ///
 /// As [`conv3_blocked_narrow`], with `dst` in place of `acc`, and if
-/// `dst` has fewer channels than the live blocks or, with `shuffle`, odd
-/// dimensions.
+/// `dst` has fewer channels than the live blocks, `srcs` does not cover
+/// the conv output at its offset, or, with `shuffle`, there is a srcS
+/// plane or `dst` has odd dimensions.
 #[allow(clippy::too_many_arguments)]
 pub fn conv3_blocked_codes(
     level: SimdLevel,
-    lanes: usize,
+    lanes: &mut Lanes,
     input: &Tensor<i16>,
     packed: &PackedConv3,
     live: LiveChannels,
     ep: &NarrowEpilogue,
     shuffle: bool,
+    srcs: Option<(&Tensor<i16>, (usize, usize))>,
     dst: &mut Tensor<i16>,
-) -> Option<bool> {
+) -> Option<Swept> {
     let (_, h, w) = dst.shape();
     let codes = LanePlane::new(dst.as_mut_slice());
     if !shuffle {
-        let store = Conv3Store::Codes(ep, codes);
+        let srcs = srcs.map(|p| SrcS::new(p, (h, w)));
+        let store = Conv3Store::whole(h, StoreKind::Codes(ep, codes, srcs));
         return conv3_blocked(level, lanes, input, packed, (h, w), live, store);
     }
+    assert!(srcs.is_none(), "a shuffled store adds no srcS");
     assert!(
         h % 2 == 0 && w % 2 == 0,
         "a shuffled plane has even dimensions, not {h}x{w}"
     );
-    let store = Conv3Store::Shuffled(ep, codes);
+    let store = Conv3Store::whole(h / 2, StoreKind::Shuffled(ep, codes));
     conv3_blocked(level, lanes, input, packed, (h / 2, w / 2), live, store)
 }
 
@@ -1954,7 +2540,7 @@ fn conv1_pixels(level: SimdLevel, s: &Conv1Sweep<'_>, packed: &PackedConv1, pixe
 /// Register-blocked narrow 1×1 accumulation of the leaves `leaves`,
 /// leaf `leaves.start + k` reading `input` channels `32k..32k + 32`:
 /// `acc[oc] += Σ_ic w[oc][ic] · input[32k + ic]` over the flat channel
-/// planes, leaf by leaf. The pixels are split across `lanes` threads as
+/// planes, leaf by leaf. The pixels are split across `lanes` as
 /// [`conv3_blocked_narrow`] splits rows. Whole chunks run blocked; the
 /// last `n mod chunk` pixels of a lane's `n` run the scalar loop over
 /// the compacted nonzero columns, which wraps to the same `i32` sums.
@@ -1969,7 +2555,7 @@ fn conv1_pixels(level: SimdLevel, s: &Conv1Sweep<'_>, packed: &PackedConv1, pixe
 /// cannot run `level` ([`SimdLevel::is_available`]).
 pub fn conv1_blocked_narrow(
     level: SimdLevel,
-    lanes: usize,
+    lanes: &mut Lanes,
     packed: &PackedConv1,
     leaves: Range<usize>,
     input: &Tensor<i16>,
@@ -1983,7 +2569,7 @@ pub fn conv1_blocked_narrow(
     assert!(leaves.end <= packed.leaves && input.channels() >= leaves.len() * LEAF_CH);
     let acc = LanePlane::new(acc.as_mut_slice());
     let macs = (leaves.len() * LEAF_CH * LEAF_CH * px) as u64;
-    Some(fan_out(lanes, px, macs, |pixels| {
+    Some(fan_out(lanes, px, macs, |_, pixels| {
         let raw = (input.as_slice().as_ptr(), input.as_slice().len());
         for (k, leaf) in leaves.clone().enumerate() {
             let s = Conv1Sweep::new(packed, leaf, raw, k * LEAF_CH, acc);
@@ -1992,51 +2578,131 @@ pub fn conv1_blocked_narrow(
     }))
 }
 
-/// The register-blocked narrow body of an `ER` instruction: for each
-/// leaf, the 3×3 expansion of `input` with the mid requantizer `ep`
-/// fused into its store (as [`conv3_blocked_codes`] into `mid`), then
-/// that leaf's 1×1 accumulation of `mid` into `acc`, which the caller
-/// bias-filled (as [`conv1_blocked_narrow`]). One fan-out across `lanes`
-/// covers every leaf: a lane runs all of them over its own conv rows, so
-/// the `mid` rows it reads back are the ones it wrote. Returns whether it
-/// forked, or `None`, leaving both planes untouched, exactly when
-/// [`conv3_blocked_codes`] would decline the sweep.
+/// Where [`er_blocked_narrow`] finishes an `ER` instruction.
+pub enum ErFinish<'a> {
+    /// Straight into destination codes: each band's 1×1 accumulators take
+    /// the srcS plane (its channels, read at its offset) and the rest of
+    /// the final epilogue `ep` into the band's rows of `dst`, 32 channels
+    /// of the conv output. `dst` must not share storage with the source.
+    Codes {
+        /// The final epilogue (srcS alignment, ReLU, requantizer).
+        ep: &'a NarrowEpilogue,
+        /// The srcS plane and its crop offset.
+        srcs: Option<(&'a Tensor<i16>, (usize, usize))>,
+        /// The destination codes.
+        dst: &'a mut Tensor<i16>,
+    },
+    /// Into the 1×1 accumulators (32 channels of the conv output), which
+    /// the caller finishes.
+    Acc(&'a mut Tensor<i32>),
+}
+
+/// The register-blocked narrow `ER` instruction, finished from its
+/// bands: one fan-out across `lanes` splits the conv output rows, and a
+/// lane runs each of its ranges in bands of [`BAND_ROWS`] rows. Per
+/// band, every leaf's 3×3 expansion of `input` stores mid codes through
+/// the mid requantizer `mid_ep` into the lane's mid band (on byte lanes
+/// when the leaves carry the licence, the band's source repacked once for
+/// all of them), and that leaf's 1×1 accumulates them into the lane's
+/// band of `i32` accumulators, which start from `conv1`'s biases; then
+/// `finish` takes the band. Returns what it did, or `None`, touching
+/// nothing, exactly when [`conv3_blocked_codes`] would decline the sweep.
 ///
 /// # Panics
 ///
-/// As [`conv3_blocked_codes`] and [`conv1_blocked_narrow`], and if `mid`
-/// or `acc` is not 32 channels of the conv output, or `conv3` and
+/// As [`conv3_blocked_codes`] and [`conv1_blocked_narrow`], and if the
+/// finish target is not 32 channels of the conv output, or `conv3` and
 /// `conv1` disagree on the leaves.
-#[allow(clippy::too_many_arguments)]
 pub fn er_blocked_narrow(
     level: SimdLevel,
-    lanes: usize,
+    lanes: &mut Lanes,
     input: &Tensor<i16>,
     conv3: &[PackedConv3],
-    ep: &NarrowEpilogue,
+    mid_ep: &NarrowEpilogue,
     conv1: &PackedConv1,
-    mid: &mut Tensor<i16>,
-    acc: &mut Tensor<i32>,
-) -> Option<bool> {
-    let (_, h, w) = acc.shape();
+    finish: ErFinish<'_>,
+) -> Option<Swept> {
+    let (h, w) = match &finish {
+        ErFinish::Codes { dst, .. } => (dst.height(), dst.width()),
+        ErFinish::Acc(acc) => (acc.height(), acc.width()),
+    };
     if !conv3_blocked_covers(level, w) {
         return None;
     }
-    assert!(acc.channels() == LEAF_CH && mid.shape() == (LEAF_CH, h, w));
     assert_eq!(conv3.len(), conv1.leaves, "ER leaves");
-    let mid = LanePlane::new(mid.as_mut_slice());
-    let acc = LanePlane::new(acc.as_mut_slice());
-    let store = Conv3Store::Codes(ep, mid);
-    let macs = (conv3.len() * LEAF_CH * LEAF_CH * 10 * h * w) as u64;
-    Some(fan_out(lanes, h, macs, |rows| {
-        for (leaf, c3) in conv3.iter().enumerate() {
-            let live = LiveChannels::full(c3.in_groups, c3.out_planes);
-            let sweep = Conv3Sweep::new(input, c3, (h, w), live, &store);
-            conv3_rows(level, &sweep, &store, rows.clone());
-            let s = Conv1Sweep::new(conv1, leaf, mid.input(), 0, acc);
-            conv1_pixels(level, &s, conv1, rows.start * w..rows.end * w);
+    assert!(conv3.iter().all(|c| (c.in_groups, c.out_planes) == (1, 1)));
+    let full = LiveChannels::full(1, 1);
+    let (codes, acc) = match finish {
+        ErFinish::Codes { ep, srcs, dst } => {
+            assert_eq!(dst.channels(), LEAF_CH, "ER destination");
+            let srcs = srcs.map(|p| SrcS::new(p, (h, w)));
+            (Some((ep, srcs, LanePlane::new(dst.as_mut_slice()))), None)
         }
-    }))
+        ErFinish::Acc(acc) => {
+            assert_eq!(acc.channels(), LEAF_CH, "ER accumulators");
+            (None, Some(LanePlane::new(acc.as_mut_slice())))
+        }
+    };
+    let bytes = runs_bytes(level, w, conv3.iter().all(|c| c.bytes.is_some()));
+    let macs = (conv3.len() * LEAF_CH * LEAF_CH * 10 * h * w) as u64;
+    let forked = fan_out(lanes, h, macs, |sc, rows| {
+        for band in bands(rows) {
+            let (b0, bh) = (band.start, band.len());
+            let LaneScratch {
+                quads,
+                mid,
+                acc: acc_band,
+            } = sc;
+            let mid_plane = LanePlane::new(grown(mid, LEAF_CH * bh * w));
+            let acc_band = grown(acc_band, LEAF_CH * bh * w);
+            for (a, &b) in acc_band.chunks_exact_mut(bh * w).zip(&conv1.bias) {
+                a.fill(b as i32);
+            }
+            let acc_plane = LanePlane::new(&mut acc_band[..]);
+            let store = Conv3Store {
+                height: bh,
+                row0: b0,
+                kind: StoreKind::Codes(mid_ep, mid_plane, None),
+            };
+            let sweeps = conv3
+                .iter()
+                .map(|c3| Conv3Sweep::new(input, c3, (h, w), full, &store));
+            // The leaves share the source: one repack serves them all.
+            let mut repacked: Option<&[u32]> = None;
+            for (leaf, s) in sweeps.enumerate() {
+                if bytes && leaf == 0 {
+                    let q = grown(quads, QuadRows::new(&s, bh + 2).len());
+                    repacked = repack(&s, q, band.clone()).then_some(&*q);
+                }
+                match repacked {
+                    Some(q) => bytes_rows(&s, q, &store, band.clone()),
+                    None => conv3_rows(level, &s, &store, band.clone()),
+                }
+                let s1 = Conv1Sweep::new(conv1, leaf, mid_plane.input(), 0, acc_plane);
+                conv1_pixels(level, &s1, conv1, 0..bh * w);
+            }
+            let acc_band = &acc_band[..];
+            for c in 0..LEAF_CH {
+                for y in band.clone() {
+                    let a = &acc_band[(c * bh + y - b0) * w..][..w];
+                    let at = (c * h + y) * w;
+                    if let Some((ep, srcs, dst)) = &codes {
+                        let s = srcs
+                            .as_ref()
+                            .filter(|s| c < s.channels)
+                            .map(|s| s.row(c, y, w));
+                        // SAFETY: row `y` of channel `c` lies in this
+                        // lane's band, which no other lane touches.
+                        epilogue_row(level, ep, a, s, unsafe { dst.span(at, w) });
+                    } else if let Some(plane) = &acc {
+                        // SAFETY: as above, on the accumulator plane.
+                        unsafe { plane.span(at, w) }.copy_from_slice(a);
+                    }
+                }
+            }
+        }
+    });
+    Some(Swept { forked, bytes })
 }
 
 /// The constants of one fused narrow epilogue ([`epilogue_narrow`]): the
@@ -2397,7 +3063,8 @@ mod tests {
                 let want = scalar_conv3(&input, &p, chh, cw);
                 for &l in &levels() {
                     let mut acc = Tensor::from_fn(p.out_planes * LEAF_CH, chh, cw, |_, _, _| -7);
-                    let ran = conv3_blocked_narrow(l, 1, &input, &p, full(&p), &mut acc);
+                    let ran =
+                        conv3_blocked_narrow(l, &mut Lanes::new(1), &input, &p, full(&p), &mut acc);
                     assert_eq!(ran.is_some(), has_blocked(l), "level {l} dispatch");
                     if ran.is_some() {
                         assert_eq!(acc, want, "{opcode:?} ig {in_groups} level {l} width {cw}");
@@ -2445,7 +3112,9 @@ mod tests {
                 let want = scalar_conv3(&input, &p, chh, cw);
                 for &l in &levels() {
                     let mut acc = Tensor::from_fn(p.out_planes * LEAF_CH, chh, cw, |_, _, _| -7);
-                    if conv3_blocked_narrow(l, 1, &input, &p, live, &mut acc).is_none() {
+                    if conv3_blocked_narrow(l, &mut Lanes::new(1), &input, &p, live, &mut acc)
+                        .is_none()
+                    {
                         continue;
                     }
                     for c in 0..acc.channels() {
@@ -2470,7 +3139,9 @@ mod tests {
         for (lanes, rows) in [(1, 5), (2, 5), (3, 70), (4, 3), (8, 1), (3, 0)] {
             for macs in [FAN_OUT_MIN_MACS - 1, FAN_OUT_MIN_MACS] {
                 let seen = std::sync::Mutex::new(Vec::new());
-                let forked = fan_out(lanes, rows, macs, |r| seen.lock().unwrap().push(r));
+                let forked = fan_out(&mut Lanes::new(lanes), rows, macs, |_, r| {
+                    seen.lock().unwrap().push(r)
+                });
                 let mut seen = seen.into_inner().unwrap();
                 seen.sort_by_key(|r| r.start);
                 let split = lanes.min(rows);
@@ -2493,13 +3164,13 @@ mod tests {
         for &l in &levels() {
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, 3, 15);
             assert_eq!(
-                conv3_blocked_narrow(l, 2, &input, &p, full(&p), &mut acc),
+                conv3_blocked_narrow(l, &mut Lanes::new(2), &input, &p, full(&p), &mut acc),
                 None,
                 "level {l}"
             );
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, 3, 5);
             assert_eq!(
-                conv1_blocked_narrow(l, 2, &p1, 0..1, &mid, &mut acc),
+                conv1_blocked_narrow(l, &mut Lanes::new(2), &p1, 0..1, &mid, &mut acc),
                 None,
                 "level {l}"
             );
@@ -2531,7 +3202,14 @@ mod tests {
             }
             for &l in &levels() {
                 let mut acc = start.clone();
-                let ran = conv1_blocked_narrow(l, 1, &p, 0..leafs.len(), &input, &mut acc);
+                let ran = conv1_blocked_narrow(
+                    l,
+                    &mut Lanes::new(1),
+                    &p,
+                    0..leafs.len(),
+                    &input,
+                    &mut acc,
+                );
                 assert_eq!(ran.is_some(), has_blocked(l), "level {l} dispatch");
                 if has_blocked(l) {
                     assert_eq!(acc, want, "level {l} plane {h}x{w}");
@@ -2564,10 +3242,15 @@ mod tests {
         }
         for &lv in levels().iter().filter(|&&lv| has_blocked(lv)) {
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
-            assert!(conv3_blocked_narrow(lv, 1, &input, &p3, full(&p3), &mut acc).is_some());
+            assert!(
+                conv3_blocked_narrow(lv, &mut Lanes::new(1), &input, &p3, full(&p3), &mut acc)
+                    .is_some()
+            );
             assert_eq!(acc, want3, "3x3 level {lv}");
             let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
-            assert!(conv1_blocked_narrow(lv, 1, &p1, 0..1, &mid, &mut acc).is_some());
+            assert!(
+                conv1_blocked_narrow(lv, &mut Lanes::new(1), &p1, 0..1, &mid, &mut acc).is_some()
+            );
             assert_eq!(acc, want1, "1x1 level {lv}");
         }
     }
@@ -2619,8 +3302,17 @@ mod tests {
                     let want = codes.with_channels(c);
                     for &l in &levels() {
                         let mut dst = Tensor::from_fn(c, f * chh, f * cw, |_, _, _| 0x5555i16);
-                        let ran =
-                            conv3_blocked_codes(l, 1, &input, &p, live, &ep, shuffle, &mut dst);
+                        let ran = conv3_blocked_codes(
+                            l,
+                            &mut Lanes::new(1),
+                            &input,
+                            &p,
+                            live,
+                            &ep,
+                            shuffle,
+                            None,
+                            &mut dst,
+                        );
                         assert_eq!(ran.is_some(), has_blocked(l), "level {l} dispatch");
                         if ran.is_some() {
                             assert_eq!(
@@ -2650,7 +3342,17 @@ mod tests {
         let input = plane(LEAF_CH, 4, 18, 0);
         // 13 live pre-shuffle channels are 4 blocks: 4 shuffled channels.
         let mut dst = Tensor::<i16>::zeros(3, 4, 32);
-        conv3_blocked_codes(SimdLevel::Sse2, 1, &input, &p, live, &ep, true, &mut dst);
+        conv3_blocked_codes(
+            SimdLevel::Sse2,
+            &mut Lanes::new(1),
+            &input,
+            &p,
+            live,
+            &ep,
+            true,
+            None,
+            &mut dst,
+        );
     }
 
     #[test]
@@ -2805,5 +3507,332 @@ mod tests {
         // srcS finer than the accumulator, or more than 31 bits coarser.
         assert!(NarrowEpilogue::new(10, q, false, Some(11)).is_none());
         assert!(NarrowEpilogue::new(34, q, false, Some(2)).is_none());
+    }
+
+    /// A leaf whose 3×3 weights sit at the `i8` extremes −128 and 127,
+    /// with one tap row zeroed (or none, or all) per 4-channel block and
+    /// input quad, so the quad masks take every shape.
+    fn extreme_leaf(seed: usize) -> LeafParams {
+        let mut l = leaf(seed as i64);
+        for (i, w) in l.w3.iter_mut().enumerate() {
+            let (oc, ic, ky) = (i / (9 * LEAF_CH), i / 9 % LEAF_CH, i % 9 / 3);
+            let dead = (oc / OC_BLOCK + ic / 4 + seed) % 5;
+            *w = match (dead == ky || dead == 4, (i * 7 + seed) % 3) {
+                (true, _) => 0,
+                (false, 0) => -128,
+                (false, 1) => 127,
+                (false, _) => (i % 255) as i16 - 128,
+            };
+        }
+        l
+    }
+
+    /// Codes of a `c × h × w` plane at the ends of `lo..=hi`, with a
+    /// sprinkle of values between, zero past the `live` channels.
+    fn extreme_plane(
+        c: usize,
+        h: usize,
+        w: usize,
+        (lo, hi): (i16, i16),
+        live: usize,
+    ) -> Tensor<i16> {
+        Tensor::from_fn(c, h, w, |c, y, x| {
+            match (c >= live, (c * 31 + y * 17 + x * 7) % 5) {
+                (true, _) => 0,
+                (false, 0 | 1) => lo,
+                (false, 2 | 3) => hi,
+                (false, _) => lo + ((c + y + x) % (hi - lo) as usize) as i16,
+            }
+        })
+    }
+
+    /// The portable model of the byte-lane 3×3 sum: per output, the
+    /// offset-corrected bias plus, over the read quads and taps, the
+    /// `u8` codes (code + offset) times the `i8` quad-word weights, in
+    /// wrapping `i32` — what `vpdpbusd` computes lane by lane.
+    fn byte_lane_conv3(input: &Tensor<i16>, p: &PackedConv3, chh: usize, cw: usize) -> Tensor<i32> {
+        let b = p.bytes.as_ref().expect("a licensed sweep");
+        let mut acc = Tensor::<i32>::zeros(p.out_planes * LEAF_CH, chh, cw);
+        for c in 0..acc.channels() {
+            let (op_, oc) = (c / LEAF_CH, c % LEAF_CH);
+            for y in 0..chh {
+                for x in 0..cw {
+                    let mut sum = b.bias[c] as i32;
+                    for ig in 0..p.in_groups {
+                        let block =
+                            ((op_ * p.in_groups + ig) * OC_BLOCKS + oc / OC_BLOCK) * IC_PAIRS;
+                        for q in 0..PackedConv3::live_quads(b.live_input, ig) {
+                            let m = p.block_mask[block + 2 * q] | p.block_mask[block + 2 * q + 1];
+                            for k in (0..9).filter(|k| m & (1 << (k / 3)) != 0) {
+                                let plane = op_ * p.in_groups + ig;
+                                let block = plane * OC_BLOCKS + oc / OC_BLOCK;
+                                let i = (q * 9 + k) * OC_BLOCK + oc % OC_BLOCK;
+                                let word = p.quads[block * CONV3_BLOCK_QUADS + i];
+                                for j in 0..4 {
+                                    let code =
+                                        input.at(ig * LEAF_CH + 4 * q + j, y + k / 3, x + k % 3);
+                                    let u = u8::try_from(code + b.offset).expect("code fits u8");
+                                    let w = ecnn_isa::params::quad_byte(word, j);
+                                    sum = sum.wrapping_add(i32::from(u).wrapping_mul(w));
+                                }
+                            }
+                        }
+                    }
+                    *acc.at_mut(c, y, x) = sum;
+                }
+            }
+        }
+        acc
+    }
+
+    /// Portable: the byte-lane sum over offset codes equals the
+    /// pair-word sum over the codes at the code extremes — signed
+    /// −128/127 at offset 128, unsigned 0/255 at offset 0 — with `i8`
+    /// extreme weights, every tap, sparse masks and dead quads (live
+    /// inputs ending inside a quad or a group). On an AVX-512 VNNI host,
+    /// the byte kernel also matches that model on every store.
+    #[test]
+    fn byte_lanes_match_pair_words_at_the_code_extremes() {
+        let cases = [
+            (Opcode::Conv, 1, 1, 32, 32),
+            (Opcode::Conv, 1, 1, 3, 32),
+            (Opcode::Conv, 2, 1, 12, 30),
+            (Opcode::Conv, 2, 1, 50, 17),
+            (Opcode::Upx2, 1, 2, 32, 64),
+            (Opcode::Upx2, 1, 2, 20, 12),
+        ];
+        let avx512 = SimdLevel::Avx512.is_available();
+        for (offset, range) in [(128i16, (-128i16, 127i16)), (0, (0, 255))] {
+            for (n, &(opcode, in_groups, out_groups, live_in, live_out)) in cases.iter().enumerate()
+            {
+                let leafs: Vec<_> = (0..in_groups.max(out_groups))
+                    .map(|i| extreme_leaf(n + i))
+                    .collect();
+                let mut p = packed3(opcode, in_groups, out_groups, &leafs);
+                let pairs = p.clone();
+                p.license_bytes(offset, live_in);
+                let live = LiveChannels {
+                    input: live_in,
+                    output: live_out,
+                };
+                let widths: &[usize] = if avx512 {
+                    &[32, 33, 47, 63, 64, 65, 130]
+                } else {
+                    &[5, 9]
+                };
+                for &cw in widths {
+                    let chh = 3;
+                    let input = extreme_plane(in_groups * LEAF_CH, chh + 2, cw + 2, range, live_in);
+                    let want = scalar_conv3(&input, &pairs, chh, cw);
+                    let model = byte_lane_conv3(&input, &p, chh, cw);
+                    let live_c = |c: usize| c % LEAF_CH / OC_BLOCK < live.blocks(c / LEAF_CH);
+                    for c in (0..want.channels()).filter(|&c| live_c(c)) {
+                        assert_eq!(
+                            model.channel(c),
+                            want.channel(c),
+                            "model {opcode:?} ch {c} width {cw}"
+                        );
+                    }
+                    if avx512 {
+                        check_byte_stores(&input, &p, live, (chh, cw), &model);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The AVX-512 byte kernel against the byte-lane model on the
+    /// `Acc`, `Codes`, `Codes` + srcS at a (1, 2) offset and `Shuffled`
+    /// stores.
+    fn check_byte_stores(
+        input: &Tensor<i16>,
+        p: &PackedConv3,
+        live: LiveChannels,
+        (chh, cw): (usize, usize),
+        model: &Tensor<i32>,
+    ) {
+        let level = SimdLevel::Avx512;
+        let at = format!("in {} out {} width {cw}", live.input, live.output);
+        let stored = live.output.next_multiple_of(OC_BLOCK);
+        let bytes = Some(Swept {
+            forked: false,
+            bytes: true,
+        });
+        let mut acc = Tensor::from_fn(model.channels(), chh, cw, |_, _, _| -7);
+        let swept = conv3_blocked_narrow(level, &mut Lanes::new(1), input, p, live, &mut acc);
+        assert_eq!(swept, bytes, "{at}");
+        for c in 0..model.channels() {
+            let live_c = c % LEAF_CH / OC_BLOCK < live.blocks(c / LEAF_CH);
+            if live_c {
+                assert_eq!(acc.channel(c), model.channel(c), "Acc {at} ch {c}");
+            }
+        }
+        let q = QFormat::signed(4);
+        let shuffle = p.out_planes > 1;
+        let srcs_plane = extreme_plane(LEAF_CH, chh + 3, cw + 4, (-128, 127), LEAF_CH);
+        for srcs in [None, Some((&srcs_plane, (1, 2)))]
+            .into_iter()
+            .filter(|s| !shuffle || s.is_none())
+        {
+            let ep = NarrowEpilogue::new(20, q, srcs.is_none(), srcs.map(|_| 4)).unwrap();
+            let mut codes = Tensor::<i16>::zeros(model.channels(), chh, cw);
+            epilogue_narrow(SimdLevel::Scalar, &ep, model, srcs, &mut codes, stored);
+            let f = if shuffle { 2 } else { 1 };
+            let want = if shuffle {
+                codes.pixel_shuffle(2)
+            } else {
+                codes
+            }
+            .with_channels(stored / (f * f));
+            let mut dst = Tensor::from_fn(stored / (f * f), f * chh, f * cw, |_, _, _| 0x5555i16);
+            let swept = conv3_blocked_codes(
+                level,
+                &mut Lanes::new(1),
+                input,
+                p,
+                live,
+                &ep,
+                shuffle,
+                srcs,
+                &mut dst,
+            );
+            assert_eq!(swept, bytes, "{at}");
+            assert_eq!(
+                dst,
+                want,
+                "codes {at} shuffle {shuffle} srcS {}",
+                srcs.is_some()
+            );
+        }
+    }
+
+    /// On an AVX-512 VNNI host, the `ER` band finish on byte lanes, at 1
+    /// and 4 lanes (the sweep is over the fan-out floor), equals the
+    /// byte-lane model's expansion, mid requantizer, 1×1 and final
+    /// epilogue with srcS, into codes and into accumulators.
+    #[test]
+    fn er_bands_on_byte_lanes_match_the_model() {
+        if !SimdLevel::Avx512.is_available() {
+            return;
+        }
+        let (chh, cw) = (21, 130);
+        let leafs: Vec<_> = (0..2).map(|i| extreme_leaf(40 + i)).collect();
+        let conv3: Vec<_> = leafs
+            .iter()
+            .map(|l| {
+                let mut p = PackedConv3::pack_leaf(l, 5, 4 + 7);
+                p.license_bytes(128, LEAF_CH);
+                p
+            })
+            .collect();
+        let p1 = PackedConv1::pack(&leafs, 5, 11);
+        let input = extreme_plane(LEAF_CH, chh + 2, cw + 2, (-128, 127), LEAF_CH);
+        let mid_ep = NarrowEpilogue::new(11, QFormat::signed(4), true, None).unwrap();
+        let ep = NarrowEpilogue::new(11, QFormat::signed(4), false, Some(4)).unwrap();
+        let mut acc1 = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
+        for (oc, &b) in p1.bias.iter().enumerate() {
+            acc1.channel_mut(oc).fill(b as i32);
+        }
+        for (li, c3) in conv3.iter().enumerate() {
+            let acc3 = byte_lane_conv3(&input, c3, chh, cw);
+            let mut mid = Tensor::<i16>::zeros(LEAF_CH, chh, cw);
+            epilogue_narrow(SimdLevel::Scalar, &mid_ep, &acc3, None, &mut mid, LEAF_CH);
+            for oc in 0..LEAF_CH {
+                for &(ic, w) in p1.row(li, oc) {
+                    scalar_ch_mac_narrow(acc1.channel_mut(oc), mid.channel(ic as usize), w);
+                }
+            }
+        }
+        let srcs = Some((&input, (1, 1)));
+        let mut want = Tensor::<i16>::zeros(LEAF_CH, chh, cw);
+        epilogue_narrow(SimdLevel::Scalar, &ep, &acc1, srcs, &mut want, LEAF_CH);
+        assert!((conv3.len() * LEAF_CH * LEAF_CH * 10 * chh * cw) as u64 >= FAN_OUT_MIN_MACS);
+        for lanes in [1, 4] {
+            let lanes_ = &mut Lanes::new(lanes);
+            let mut dst = Tensor::<i16>::zeros(LEAF_CH, chh, cw);
+            let finish = ErFinish::Codes {
+                ep: &ep,
+                srcs,
+                dst: &mut dst,
+            };
+            let swept = er_blocked_narrow(
+                SimdLevel::Avx512,
+                lanes_,
+                &input,
+                &conv3,
+                &mid_ep,
+                &p1,
+                finish,
+            );
+            assert_eq!(
+                swept,
+                Some(Swept {
+                    forked: lanes > 1,
+                    bytes: true
+                })
+            );
+            assert_eq!(dst, want, "codes at {lanes} lanes");
+            let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
+            er_blocked_narrow(
+                SimdLevel::Avx512,
+                lanes_,
+                &input,
+                &conv3,
+                &mid_ep,
+                &p1,
+                ErFinish::Acc(&mut acc),
+            );
+            assert_eq!(acc, acc1, "accumulators at {lanes} lanes");
+        }
+    }
+
+    /// A band whose codes do not fit the licence's offset (an input
+    /// outside its format) runs the pair-word kernel, so the sum stays
+    /// exact.
+    #[test]
+    fn byte_lanes_fall_back_on_codes_outside_the_offset() {
+        if !SimdLevel::Avx512.is_available() {
+            return;
+        }
+        let mut p = packed3(Opcode::Conv, 1, 1, &[extreme_leaf(3)]);
+        p.license_bytes(128, LEAF_CH);
+        let (chh, cw) = (BAND_ROWS + 3, 40);
+        // One code past 127 in the second band's rows only.
+        let mut input = extreme_plane(LEAF_CH, chh + 2, cw + 2, (-128, 127), LEAF_CH);
+        *input.at_mut(5, BAND_ROWS + 1, 7) = 300;
+        let want = scalar_conv3(&input, &p, chh, cw);
+        let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
+        let full = LiveChannels::full(1, 1);
+        conv3_blocked_narrow(
+            SimdLevel::Avx512,
+            &mut Lanes::new(1),
+            &input,
+            &p,
+            full,
+            &mut acc,
+        );
+        assert_eq!(acc, want);
+    }
+
+    #[test]
+    fn quad_words_hold_four_i8_weights() {
+        let w = [-128, 127, 0, -1];
+        let word = ecnn_isa::params::quad_word(w).expect("fits i8");
+        assert_eq!(
+            (0..4)
+                .map(|k| ecnn_isa::params::quad_byte(word, k))
+                .collect::<Vec<_>>(),
+            w.map(i32::from)
+        );
+        assert_eq!(ecnn_isa::params::quad_word([0, 128, 0, 0]), None);
+        assert_eq!(ecnn_isa::params::quad_word([-129, 0, 0, 0]), None);
+        // A weight past `i8` leaves the sweep without quad words, so no
+        // licence can be stamped.
+        let mut l = extreme_leaf(1);
+        l.w3[100] = 200;
+        let mut p = packed3(Opcode::Conv, 1, 1, &[l]);
+        assert!(p.quads.is_empty());
+        p.license_bytes(128, LEAF_CH);
+        assert!(p.bytes.is_none());
     }
 }

@@ -22,7 +22,9 @@
 //!   fully licensed, and the license must survive the Session /
 //!   AsyncSession / `run_image_sharded` plumbing bit-identically;
 //! * the *SIMD rungs*: eSR-4K and DnERNet-B3R1N0 blocks match `Packed` at
-//!   every level the host can run (AVX-512, AVX2, SSE2, scalar on x86);
+//!   every level the host can run (AVX-512, AVX2, SSE2, scalar on x86),
+//!   and the AVX-512 rung runs every licensed wide 3×3 sweep on byte
+//!   lanes;
 //! * the *lanes*: splitting each sweep's rows across 1–4 threads
 //!   (`BlockPlan::with_lanes`) leaves every paper model's block codes and
 //!   work counters unchanged, and a caller-thread `Engine::session` on the
@@ -40,7 +42,7 @@ use ecnn_model::model::{InferenceKind, Model};
 use ecnn_model::RealTimeSpec;
 use ecnn_nn::quant::fixed_forward;
 use ecnn_sim::exec::{execute_at, execute_with, quantize_input, BlockPlan, Kernels, PlanePool};
-use ecnn_sim::kernels::simd::{self, LiveChannels, NarrowEpilogue};
+use ecnn_sim::kernels::simd::{self, ErFinish, Lanes, LiveChannels, NarrowEpilogue};
 use ecnn_tensor::conv::{conv1x1_fixed, conv3x3_fixed, FixedConvParams, Padding};
 use ecnn_tensor::{ImageKind, QFormat, SyntheticImage, Tensor};
 use proptest::prelude::*;
@@ -574,9 +576,10 @@ fn paper_model_is_narrow_licensed_end_to_end() {
 /// paper's eSR-4K (SR4 B17R3N1: CONV, ER, UPX2 and srcS epilogues) and
 /// on DnERNet-B3R1N0. The rungs are pinned with
 /// `BlockPlan::with_simd_level`, so an AVX-512 host also checks the AVX2,
-/// SSE2 and scalar bodies. The covered levels are written to stderr
-/// directly (not through the captured `eprintln!`), so CI logs show
-/// whether a runner had the AVX-512 rung at all.
+/// SSE2 and scalar bodies. The covered levels, and whether byte lanes
+/// ran, are written to stderr directly (not through the captured
+/// `eprintln!`), so CI logs show whether a runner had the AVX-512 rung
+/// at all.
 #[test]
 fn every_available_simd_level_matches_packed_on_paper_models() {
     use std::io::Write;
@@ -595,6 +598,7 @@ fn every_available_simd_level_matches_packed_on_paper_models() {
         (ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1), 64),
         (ErNetSpec::new(ErNetTask::Dn, 3, 1, 0), 96),
     ];
+    let mut byte_sweeps = 0;
     for (spec, xi) in models {
         let m = spec.build().unwrap();
         let qm = QuantizedModel::uniform(&m);
@@ -616,6 +620,7 @@ fn every_available_simd_level_matches_packed_on_paper_models() {
                 c.program.instructions.len() as u64,
                 "{spec} level {level}: every instruction narrow"
             );
+            byte_sweeps += pool.stats().byte_lane_sweeps;
         }
         for level in simd::SimdLevel::ALL {
             assert_eq!(
@@ -625,6 +630,73 @@ fn every_available_simd_level_matches_packed_on_paper_models() {
             );
         }
     }
+    let bytes = if covered.contains(&simd::SimdLevel::Avx512) {
+        assert!(byte_sweeps > 0, "the AVX-512 rung ran no byte-lane sweep");
+        format!("ran on {byte_sweeps} sweeps")
+    } else {
+        "not covered: no AVX-512 VNNI".to_string()
+    };
+    let _ = writeln!(std::io::stderr(), "kernel_parity: byte lanes {bytes}");
+}
+
+/// `ExecStats::byte_lane_sweeps` counts the 3×3 sweeps that ran on byte
+/// lanes: on the AVX-512 rung every one of an eSR-4K@128 block (all of
+/// them at least 32 columns wide), none with the plan pinned to AVX2,
+/// and none of a program whose source formats are 9 bits wide, which
+/// still matches `Packed` bit for bit.
+#[test]
+fn byte_lane_sweeps_count_every_licensed_wide_3x3_sweep() {
+    use simd::SimdLevel;
+    let spec = ErNetSpec::new(ErNetTask::Sr4, 17, 3, 1);
+    let c = compile(&QuantizedModel::uniform(&spec.build().unwrap()), 128).unwrap();
+    let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+    let wide = c
+        .program
+        .instructions
+        .iter()
+        .zip(plan.extents().instrs())
+        .filter(|(i, e)| i.opcode.has_conv3x3() && e.conv.1 >= simd::BYTE_LANES_MIN_WIDTH)
+        .count();
+    assert_eq!(
+        wide,
+        c.program.instructions.len(),
+        "{spec}@128: every sweep is wide"
+    );
+    let input = block_input(&c.program, 5);
+    for level in [SimdLevel::Avx512, SimdLevel::Avx2] {
+        let Some(p) = plan.clone().with_simd_level(level) else {
+            continue;
+        };
+        let mut pool = PlanePool::new();
+        execute_with(&p, &mut pool, &input, Kernels::Simd).unwrap();
+        let want = if level == SimdLevel::Avx512 { wide } else { 0 };
+        assert_eq!(pool.stats().byte_lane_sweeps, want as u64, "{spec} {level}");
+        assert_eq!(
+            pool.stats().work().byte_lane_sweeps,
+            0,
+            "byte lanes are not work"
+        );
+    }
+
+    let spec = ErNetSpec::new(ErNetTask::Dn, 3, 1, 0);
+    let mut c = compile(&QuantizedModel::uniform(&spec.build().unwrap()), 96).unwrap();
+    for ins in &mut c.program.instructions {
+        ins.q.src = QFormat::with_bits(ins.q.src.is_signed(), ins.q.src.frac(), 9);
+    }
+    let plan = BlockPlan::new(&c.program, &c.leafs).unwrap();
+    assert_eq!(plan.narrow_licensed(), c.program.instructions.len());
+    let input = block_input(&c.program, 6);
+    let want = execute_with(&plan, &mut PlanePool::new(), &input, Kernels::Packed)
+        .unwrap()
+        .clone();
+    let mut pool = PlanePool::new();
+    let out = execute_with(&plan, &mut pool, &input, Kernels::Simd).unwrap();
+    assert_eq!(out, &want, "{spec} with 9-bit source formats");
+    assert_eq!(
+        pool.stats().byte_lane_sweeps,
+        0,
+        "{spec} with 9-bit source formats"
+    );
 }
 
 /// The kernel selection survives every execution surface bit-identically:
@@ -755,9 +827,10 @@ fn lanes_are_bit_identical_on_the_paper_models() {
 
 /// Sweeps over the fan-out floor split exactly: a 3×3 sweep with more
 /// lanes than output rows runs one row per lane on each of its stores
-/// (accumulators, codes, pixel-shuffled codes), as does the `ER` body,
-/// and a 1×1 accumulation splits its pixels with a scalar tail per lane;
-/// each stores what one lane stores.
+/// (accumulators, codes, codes with srcS, pixel-shuffled codes), as does
+/// the `ER` band finish into codes and into accumulators, and a 1×1
+/// accumulation splits its pixels with a scalar tail per lane; each
+/// stores what one lane stores.
 #[test]
 fn sweeps_with_more_lanes_than_rows_match_one_lane() {
     let level = simd::detect();
@@ -784,7 +857,10 @@ fn sweeps_with_more_lanes_than_rows_match_one_lane() {
             qm_leaf
         })
         .collect();
-    let p3 = PackedConv3::pack_leaf(&leafs[0], 7, 9);
+    // Licensed for byte lanes too: the codes fit `u8` after +128 and the
+    // weights fit `i8`, so a VNNI host splits the byte-lane sweeps.
+    let mut p3 = PackedConv3::pack_leaf(&leafs[0], 7, 9);
+    p3.license_bytes(128, LEAF_CH);
     let input = Tensor::from_fn(LEAF_CH, chh + 2, cw + 2, |c, y, x| {
         ((c * 131 + y * 71 + x * 7) % 255) as i16 - 127
     });
@@ -792,28 +868,36 @@ fn sweeps_with_more_lanes_than_rows_match_one_lane() {
 
     let acc = |lanes| {
         let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
-        let forked = simd::conv3_blocked_narrow(level, lanes, &input, &p3, live, &mut acc);
-        (forked, acc)
+        let lanes = &mut Lanes::new(lanes);
+        let swept = simd::conv3_blocked_narrow(level, lanes, &input, &p3, live, &mut acc);
+        (swept.map(|s| s.forked), acc)
     };
     let (one, want) = acc(1);
     assert_eq!(one, Some(false));
     assert_eq!(acc(lanes), (Some(true), want), "accumulator store");
 
     let ep = NarrowEpilogue::new(16, QFormat::signed(4), true, None).unwrap();
-    for shuffle in [false, true] {
+    let srcs_ep = NarrowEpilogue::new(16, QFormat::signed(4), false, Some(9)).unwrap();
+    for (shuffle, srcs) in [(false, false), (false, true), (true, false)] {
         let f = if shuffle { 2 } else { 1 };
         let codes = |lanes| {
             let mut dst = Tensor::<i16>::zeros(LEAF_CH / (f * f), f * chh, f * cw);
-            let forked =
-                simd::conv3_blocked_codes(level, lanes, &input, &p3, live, &ep, shuffle, &mut dst);
-            (forked, dst)
+            let (ep, srcs) = match srcs {
+                true => (&srcs_ep, Some((&input, (1, 2)))),
+                false => (&ep, None),
+            };
+            let lanes = &mut Lanes::new(lanes);
+            let swept = simd::conv3_blocked_codes(
+                level, lanes, &input, &p3, live, ep, shuffle, srcs, &mut dst,
+            );
+            (swept.map(|s| s.forked), dst)
         };
         let (one, want) = codes(1);
         assert_eq!(one, Some(false));
         assert_eq!(
             codes(lanes),
             (Some(true), want),
-            "codes store, shuffle {shuffle}"
+            "codes store, shuffle {shuffle}, srcS {srcs}"
         );
     }
 
@@ -825,6 +909,7 @@ fn sweeps_with_more_lanes_than_rows_match_one_lane() {
     });
     let conv1 = |lanes| {
         let mut acc = Tensor::from_fn(LEAF_CH, h1, w1, |c, _, x| (c * 1000 + x) as i32);
+        let lanes = &mut Lanes::new(lanes);
         let forked = simd::conv1_blocked_narrow(level, lanes, &p1, 0..3, &src, &mut acc);
         (forked, acc)
     };
@@ -834,20 +919,32 @@ fn sweeps_with_more_lanes_than_rows_match_one_lane() {
 
     let conv3: Vec<PackedConv3> = leafs
         .iter()
-        .map(|l| PackedConv3::pack_leaf(l, 7, 9))
+        .map(|l| {
+            let mut p = PackedConv3::pack_leaf(l, 7, 9);
+            p.license_bytes(128, LEAF_CH);
+            p
+        })
         .collect();
     let mid_ep = NarrowEpilogue::new(9, QFormat::signed(4), true, None).unwrap();
+    let last_ep = NarrowEpilogue::new(11, QFormat::signed(4), false, Some(4)).unwrap();
     let er = |lanes| {
-        let mut mid = Tensor::<i16>::zeros(LEAF_CH, chh, cw);
-        let mut acc = Tensor::from_fn(LEAF_CH, chh, cw, |c, _, _| c as i32 * 3);
-        let forked = simd::er_blocked_narrow(
-            level, lanes, &input, &conv3, &mid_ep, &p1, &mut mid, &mut acc,
-        );
-        (forked, mid, acc)
+        let mut dst = Tensor::<i16>::zeros(LEAF_CH, chh, cw);
+        let finish = ErFinish::Codes {
+            ep: &last_ep,
+            srcs: Some((&input, (1, 1))),
+            dst: &mut dst,
+        };
+        let lanes = &mut Lanes::new(lanes);
+        let swept = simd::er_blocked_narrow(level, lanes, &input, &conv3, &mid_ep, &p1, finish);
+        let mut acc = Tensor::<i32>::zeros(LEAF_CH, chh, cw);
+        let finish = ErFinish::Acc(&mut acc);
+        let swept_acc = simd::er_blocked_narrow(level, lanes, &input, &conv3, &mid_ep, &p1, finish);
+        assert_eq!(swept, swept_acc, "both finishes sweep alike");
+        (swept.map(|s| s.forked), dst, acc)
     };
-    let (one, mid, want) = er(1);
+    let (one, dst, acc) = er(1);
     assert_eq!(one, Some(false));
-    assert_eq!(er(lanes), (Some(true), mid, want), "ER body");
+    assert_eq!(er(lanes), (Some(true), dst, acc), "ER bands");
 }
 
 /// `Engine::session` runs on the host's cores and `session_at` on one
